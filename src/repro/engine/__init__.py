@@ -9,12 +9,13 @@ forward instead of B single-image forwards.  Logits match the reference
 
 Per-batch compute runs on one of several backends selected via
 ``InferenceSession(model, backend=...)``: the float64 autograd
-``"tensor"`` reference, the compiled graph-free ``"fastpath"``
-(:mod:`repro.engine.fastpath`: fused float32/float64 kernels plus
-workspace buffer reuse), or the quantized ``"int8"``/``"int16"``
+``"tensor"`` reference, or the one compiled graph-free hierarchy of
+:mod:`repro.engine.fastpath` (:class:`CompiledModel`, workspace buffer
+reuse) filled either with fused float32/float64 kernels
+(``"fastpath"``) or with the quantized ``"int8"``/``"int16"``
 deployment numerics (integer GEMMs with float rescale, polynomial
 GELU/softmax; bitwise equal to the :func:`repro.quant.quantize_model`
-simulation on the float64 grade).
+simulation on the float64 reference grade, :class:`QuantizedModel`).
 """
 
 from repro.engine.bucketing import (BucketingPolicy, BucketPlan,

@@ -21,27 +21,33 @@ vectorization while preserving those semantics exactly:
    attention weight), so padding buys batching without perturbing
    logits.
 
-Two compute **backends** execute the plan:
+Four compute **backends** execute the plan:
 
 * ``"tensor"`` (default) -- the reference float64 autograd modules under
   ``no_grad``; matches ``forward_pruned`` to within accumulated BLAS
   rounding (well under the 1e-8 parity bound enforced by
   ``tests/engine/test_engine_parity.py``).
-* ``"fastpath"`` -- a :class:`repro.engine.fastpath.CompiledModel`
-  running fused pure-ndarray kernels in float32 (or float64) with a
+* ``"fastpath"`` / ``"int8"`` / ``"int16"`` -- one
+  :class:`repro.engine.fastpath.CompiledModel` hierarchy, filled by one
+  of two compile functions, with a
   :class:`repro.engine.fastpath.Workspace` of scratch buffers reused
   across blocks, selector stages, and bursts -- including the padded
   bucket stacks themselves, so steady traffic reallocates nothing.
-  Parity: float64 within the same 1e-8 bound; float32 to ~1e-6 logits
-  with identical keep decisions (``tests/engine/test_fastpath.py``).
-* ``"int8"`` / ``"int16"`` -- a
-  :class:`repro.engine.fastpath.QuantizedModel`: the paper's deployment
-  numerics (integer GEMMs with per-channel weight scales, dynamic
-  per-tensor activation quantization, polynomial GELU/softmax) as
-  compiled kernels.  ``dtype=float64`` is bitwise-equal to the
-  :func:`repro.quant.quantize_model` simulation; ``dtype=float32``
-  (the int8 default) is the timed serving grade, gated on top-1/keep
-  agreement (``tests/engine/test_quantized.py``).
+
+  - ``"fastpath"`` (:func:`~repro.engine.fastpath.compile_model`):
+    fused float kernels in float32 (or float64).  Parity: float64
+    within the same 1e-8 bound; float32 to ~1e-6 logits with identical
+    keep decisions (``tests/engine/test_fastpath.py``).
+  - ``"int8"`` / ``"int16"``
+    (:func:`~repro.engine.fastpath.compile_quantized`): the paper's
+    deployment numerics (integer GEMMs with per-channel weight scales,
+    dynamic per-tensor activation quantization, polynomial
+    GELU/softmax) in the same block and selector classes.
+    ``dtype=float32`` (the int8 default) is the timed serving grade,
+    gated on top-1/keep agreement; ``dtype=float64`` is the reference
+    grade (:class:`repro.engine.fastpath.QuantizedModel`),
+    bitwise-equal to the :func:`repro.quant.quantize_model` simulation
+    (``tests/engine/test_quantized.py``).
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ from __future__ import annotations
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -63,7 +70,12 @@ from repro.vit.attention import (key_padding_mask, pad_token_sequences,
 
 __all__ = ["BucketedExecutor", "EngineResult", "StageStats", "BACKENDS"]
 
-BACKENDS = ("tensor", "fastpath", "int8", "int16")
+# Compile function per compiled backend; ``dtype=None`` is each one's
+# own default (float32, except float64 for int16).
+_COMPILERS = {"fastpath": compile_model,
+              "int8": partial(compile_quantized, bits=8),
+              "int16": partial(compile_quantized, bits=16)}
+BACKENDS = ("tensor", *_COMPILERS)
 
 
 @dataclass
@@ -144,14 +156,8 @@ class BucketedExecutor:
         self.policy = BucketingPolicy() if policy is None else policy
         self.cost_model = cost_model
         self.backend = backend
-        if backend == "fastpath":
-            self.compiled = compile_model(
-                model, dtype=np.float32 if dtype is None else dtype)
-            self.dtype = self.compiled.dtype
-            self.workspace = Workspace(self.dtype)
-        elif backend in ("int8", "int16"):
-            self.compiled = compile_quantized(
-                model, bits=8 if backend == "int8" else 16, dtype=dtype)
+        if backend in _COMPILERS:
+            self.compiled = _COMPILERS[backend](model, dtype=dtype)
             self.dtype = self.compiled.dtype
             self.workspace = Workspace(self.dtype)
         else:
@@ -341,8 +347,7 @@ class BucketedExecutor:
         parity grade scores through surgered selector modules) --
         evaluates per group.
         """
-        if (self.compiled is not None
-                and getattr(self.compiled, "supports_ragged", True)):
+        if self.compiled is not None and self.compiled.supports_ragged:
             dim = self.model.config.embed_dim
             patches, counts = [], []
             for x, indices, packaged in exacts:

@@ -8,11 +8,12 @@ memory across buckets and bursts (:class:`Workspace`).  The Tensor path
 remains the reference implementation; parity is enforced by
 ``tests/engine/test_fastpath.py``.
 
-:func:`compile_quantized` lowers the same models into the paper's
-deployment numerics instead -- integer GEMMs with float rescale,
-dynamic activation quantization, polynomial GELU/softmax -- bitwise
-equal to the :func:`repro.quant.quantize_model` simulation on the
-float64 grade (``tests/engine/test_quantized.py``).
+:func:`compile_quantized` fills the same :class:`CompiledModel`
+hierarchy with the paper's deployment numerics instead -- integer GEMMs
+with float rescale, dynamic activation quantization, polynomial
+GELU/softmax; its float64 grade (:class:`QuantizedModel`) is the
+reference, bitwise equal to the :func:`repro.quant.quantize_model`
+simulation (``tests/engine/test_quantized.py``).
 
 Select a backend per session::
 
@@ -29,20 +30,16 @@ from repro.engine.fastpath.compiled import (CompileError, CompiledBlock,
                                             compile_model)
 from repro.engine.fastpath.kernels import (MASK_BIAS, fused_layer_norm,
                                            gelu_exact, gelu_rational,
-                                           gelu_tanh, mask_to_bias,
-                                           masked_softmax)
-from repro.engine.fastpath.quantized import (QuantizedBlock,
-                                             QuantizedLinearKernel,
+                                           mask_to_bias, masked_softmax)
+from repro.engine.fastpath.quantized import (QuantizedLinearKernel,
                                              QuantizedModel,
-                                             QuantizedSelector,
                                              compile_quantized)
 from repro.engine.fastpath.workspace import Workspace
 
 __all__ = [
     "compile_model", "CompiledModel", "CompiledBlock", "CompiledSelector",
     "CompileError", "Workspace",
-    "compile_quantized", "QuantizedModel", "QuantizedBlock",
-    "QuantizedSelector", "QuantizedLinearKernel",
+    "compile_quantized", "QuantizedModel", "QuantizedLinearKernel",
     "fused_layer_norm", "masked_softmax", "gelu_exact", "gelu_rational",
-    "gelu_tanh", "mask_to_bias", "MASK_BIAS",
+    "mask_to_bias", "MASK_BIAS",
 ]

@@ -17,8 +17,9 @@ Compile-time fusions
   directly instead of materializing the reference path's transposed
   5-D copy, and the only explicit copy is the single head-merge back to
   ``(B, T, D)``.
-* **LayerNorm affine / biases**: stored contiguous in the target dtype,
-  applied in place by :func:`.kernels.fused_layer_norm`.
+* **LayerNorm affine**: folded into the GEMM that consumes it (block
+  norms into qkv / fc1, the final norm into the head), so each
+  :func:`.kernels.fused_layer_norm` stops at the normalized activations.
 * **Token selectors** are compiled to the same ndarray kernels (LN ->
   per-head scoring MLPs -> attention branch -> Eq. 8 combine -> Eq. 10
   packager), so keep/prune decisions on the fast path come from the
@@ -30,6 +31,15 @@ Compile-time fusions
 The Tensor path stays the reference implementation: float64 compiles
 match it to well under the engine's 1e-8 bound, float32 to ~1e-6 logits
 with (empirically pinned) identical token-keep decisions and argmax.
+
+One hierarchy, N kernel sets
+----------------------------
+:class:`CompiledBlock`, :class:`CompiledSelector` and
+:class:`CompiledModel` fix the dataflow; their numerics are data (linear
+kernels, softmax / activation callables, LayerNorm affines).  The
+fusions above are what :func:`compile_model` puts in;
+:func:`.quantized.compile_quantized` fills the same classes with integer
+GEMM kernels and the paper's polynomial nonlinearities.
 """
 
 from __future__ import annotations
@@ -40,7 +50,7 @@ from scipy import special
 from repro import nn
 from repro.nn.tensor import Tensor
 from repro.engine.fastpath.kernels import (fused_layer_norm, gelu_exact,
-                                           gelu_rational, gelu_tanh,
+                                           gelu_rational, mask_to_bias,
                                            masked_softmax)
 from repro.engine.fastpath.workspace import Workspace
 
@@ -73,8 +83,34 @@ def _fold_norm_affine(norm, linear, dtype):
     return w[:, None] * weight, bias + b @ weight
 
 
-_GELU_KERNELS = {"exact": gelu_exact, "rational": gelu_rational,
-                 "tanh": gelu_tanh}
+class LinearKernel:
+    """One float GEMM + bias, in the call shape every linear kernel of
+    the hierarchy shares: ``kernel(x, ws, key, out=None, inplace=False)``.
+
+    ``out`` may be a strided view (e.g. an embedding buffer's token
+    rows); without it the result lands in workspace scratch under
+    ``key``.  ``inplace`` (``x`` is dead scratch the kernel may
+    overwrite) only matters to kernels that quantize their input.
+    """
+
+    __slots__ = ("weight", "bias")
+
+    def __init__(self, weight, bias, dtype):
+        self.weight = _contig(weight, dtype)
+        self.bias = None if bias is None else _contig(bias, dtype)
+
+    @classmethod
+    def from_linear(cls, linear, dtype):
+        return cls(linear.weight.data,
+                   None if linear.bias is None else linear.bias.data, dtype)
+
+    def __call__(self, x, ws, key, out=None, inplace=False):
+        if out is None:
+            out = ws.take(key + "o", x.shape[:-1] + self.weight.shape[1:])
+        np.matmul(x, self.weight, out=out)
+        if self.bias is not None:
+            out += self.bias
+        return out
 
 
 def _relu_kernel(x, ws, key):
@@ -118,114 +154,116 @@ class _TensorActivation:
         return x
 
 
-def _compile_activation(module, dtype, gelu):
+def _compile_activation(module, dtype):
     """Map an activation Module to an in-place ``fn(x, ws, key)``.
 
-    Every returned callable is picklable (module-level functions or
-    :class:`_TensorActivation` instances)."""
+    GELU follows the dtype: exact erf for float64 parity, the
+    rational-erf kernel for float32 (~6e-7 activation error, below the
+    float32 noise floor).  Every returned callable is picklable
+    (module-level functions or :class:`_TensorActivation` instances)."""
     if isinstance(module, nn.GELU):
-        return _GELU_KERNELS[gelu]
-    if isinstance(module, nn.ReLU):
-        return _relu_kernel
-    if isinstance(module, nn.Sigmoid):
-        return _sigmoid_kernel
-    if isinstance(module, nn.Hardswish):
-        return _hardswish_kernel
-    if isinstance(module, nn.Identity):
-        return _identity_kernel
+        return (gelu_exact if dtype == np.dtype(np.float64)
+                else gelu_rational)
+    for kind, kernel in ((nn.ReLU, _relu_kernel),
+                         (nn.Sigmoid, _sigmoid_kernel),
+                         (nn.Hardswish, _hardswish_kernel),
+                         (nn.Identity, _identity_kernel)):
+        if isinstance(module, kind):
+            return kernel
     return _TensorActivation(module, dtype)
 
 
-def _compile_mlp(sequential, dtype, gelu):
+def _compile_mlp(sequential, dtype, lower_linear, gelu=None):
     """Lower a ``Sequential`` of Linear / activation modules to a step
-    program executed by :func:`_run_mlp`."""
+    program executed by :func:`_run_mlp`: a list of callables, linear
+    kernels and activations alike taking ``(x, ws, key)``.
+
+    ``lower_linear(module, name)`` builds the kernel for one Linear.
+    ``name`` is the child's name inside the ``Sequential`` -- its index
+    ("0", "1", ...), the same name :func:`repro.quant.quantize_model`
+    sees, so a quantizing lowering selects per-channel layers exactly as
+    the simulation's surgery does.  ``gelu`` replaces GELU modules (the
+    quantized lowering passes its polynomial kernel); every other
+    activation -- not approximated by ``quantize_model`` either -- runs
+    exact.
+    """
     steps = []
-    for module in sequential:
+    for name, module in sequential._modules.items():
         if isinstance(module, nn.Linear):
-            weight = _contig(module.weight.data, dtype)
-            bias = (None if module.bias is None
-                    else _contig(module.bias.data, dtype))
-            steps.append(("linear", weight, bias))
+            steps.append(lower_linear(module, name))
+        elif gelu is not None and isinstance(module, nn.GELU):
+            steps.append(gelu)
         else:
-            steps.append(("act", _compile_activation(module, dtype, gelu)))
+            steps.append(_compile_activation(module, dtype))
     return steps
 
 
 def _run_mlp(steps, x, ws, prefix):
     """Execute a compiled MLP program; returns a workspace buffer."""
     for index, step in enumerate(steps):
-        if step[0] == "linear":
-            _, weight, bias = step
-            out = ws.take(f"{prefix}{index}",
-                          x.shape[:-1] + (weight.shape[1],))
-            np.matmul(x, weight, out=out)
-            if bias is not None:
-                out += bias
-            x = out
-        else:
-            x = step[1](x, ws, f"{prefix}{index}s")
+        x = step(x, ws, f"{prefix}{index}_")
     return x
 
 
 class CompiledBlock:
     """One transformer encoder block lowered to fused ndarray kernels.
 
-    Both LayerNorms' affine transforms are folded into the GEMM that
-    consumes them at compile time (``(xn * w + b) @ W`` becomes
-    ``xn @ (diag(w) W) + b W``), so at run time each LN stops at the
-    normalized activations -- the "pre-scaled LayerNorm affine" fusion.
+    The compile function supplies the numerics: four linear kernels
+    (``kernel(x, ws, key, out=None, inplace=False)``), the attention
+    softmax (``fn(scores, bias, ws=, key=)``), the MLP activation
+    (``fn(x, ws, key)``), both LayerNorm affines and a score scale.
+
+    :func:`compile_model` folds both LayerNorms' affine transforms into
+    the GEMM that consumes them (``(xn * w + b) @ W`` becomes
+    ``xn @ (diag(w) W) + b W``) and passes ``None`` affines, so at run
+    time each LN stops at the normalized activations -- the "pre-scaled
+    LayerNorm affine" fusion; with ``1/sqrt(d)`` pre-multiplied onto
+    the query columns it passes no ``score_scale`` either.
     """
 
-    __slots__ = ("num_heads", "head_dim", "embed_dim", "hidden_dim",
-                 "eps1", "qkv_w", "qkv_b", "proj_w", "proj_b",
-                 "eps2", "fc1_w", "fc1_b", "fc2_w", "fc2_b", "act")
+    __slots__ = ("num_heads", "head_dim", "hidden_dim",
+                 "n1_w", "n1_b", "eps1", "n2_w", "n2_b", "eps2",
+                 "qkv", "proj", "fc1", "fc2", "softmax", "act",
+                 "score_scale")
 
-    def __init__(self, block, dtype, gelu):
+    def __init__(self, block, norm1, norm2, qkv, proj, fc1, fc2, softmax,
+                 act, score_scale=None):
         attn = block.attn
         self.num_heads = attn.num_heads
         self.head_dim = attn.head_dim
-        self.embed_dim = attn.embed_dim
+        self.hidden_dim = block.mlp.fc1.out_features
+        self.n1_w, self.n1_b = norm1
         self.eps1 = block.norm1.eps
+        self.n2_w, self.n2_b = norm2
         self.eps2 = block.norm2.eps
-        # Pre-fused QKV: norm1's affine folded in, and the attention
-        # scale pre-multiplied onto the query columns (features [0, D)
-        # of the qkv output are Q).
-        qkv_w, qkv_b = _fold_norm_affine(block.norm1, attn.qkv, dtype)
-        qkv_w[:, :self.embed_dim] *= dtype.type(attn.scale)
-        qkv_b[:self.embed_dim] *= dtype.type(attn.scale)
-        self.qkv_w = _contig(qkv_w, dtype)
-        self.qkv_b = _contig(qkv_b, dtype)
-        self.proj_w = _contig(attn.proj.weight.data, dtype)
-        self.proj_b = _contig(attn.proj.bias.data, dtype)
-        fc1_w, fc1_b = _fold_norm_affine(block.norm2, block.mlp.fc1, dtype)
-        self.fc1_w = _contig(fc1_w, dtype)
-        self.fc1_b = _contig(fc1_b, dtype)
-        self.fc2_w = _contig(block.mlp.fc2.weight.data, dtype)
-        self.fc2_b = _contig(block.mlp.fc2.bias.data, dtype)
-        self.hidden_dim = self.fc1_w.shape[1]
-        self.act = _compile_activation(block.mlp.act, dtype, gelu)
+        self.qkv, self.proj, self.fc1, self.fc2 = qkv, proj, fc1, fc2
+        self.softmax = softmax
+        self.act = act
+        self.score_scale = score_scale
 
     def forward(self, x, bias, ws):
         """Pre-norm block, fully in place on ``x`` (``(B, T, D)``).
 
         ``bias`` is the additive key-padding score bias ``(B, T)`` (or
-        ``None``); ``ws`` supplies every scratch buffer.
+        ``None``); ``ws`` supplies every scratch buffer.  Every linear
+        runs ``inplace``: its input is dead scratch by then.
         """
         batch, tokens, dim = x.shape
         h, d = self.num_heads, self.head_dim
         normed = ws.take("blk_ln", (batch, tokens, dim))
-        fused_layer_norm(x, None, None, self.eps1, out=normed,
+        fused_layer_norm(x, self.n1_w, self.n1_b, self.eps1, out=normed,
                          ws=ws, key="blk_ln1")
         qkv = ws.take("blk_qkv", (batch, tokens, 3 * dim))
-        np.matmul(normed, self.qkv_w, out=qkv)
-        qkv += self.qkv_b
+        self.qkv(normed, ws, "blk_qkv", out=qkv, inplace=True)
         split = qkv.reshape(batch, tokens, 3, h, d)
         q = split[:, :, 0].transpose(0, 2, 1, 3)           # (B, h, T, d)
         k = split[:, :, 1].transpose(0, 2, 3, 1)           # (B, h, d, T)
         v = split[:, :, 2].transpose(0, 2, 1, 3)           # (B, h, T, d)
         scores = ws.take("blk_scores", (batch, h, tokens, tokens))
-        np.matmul(q, k, out=scores)                        # Q pre-scaled
-        masked_softmax(scores, bias, ws, "blk_sm")
+        np.matmul(q, k, out=scores)
+        if self.score_scale is not None:                   # else Q pre-scaled
+            scores *= scores.dtype.type(self.score_scale)
+        self.softmax(scores, bias, ws=ws, key="blk_sm")
         context = ws.take("blk_ctx", (batch, h, tokens, d))
         np.matmul(scores, v, out=context)
         merged = ws.take("blk_merge", (batch, tokens, dim))
@@ -233,17 +271,15 @@ class CompiledBlock:
         np.copyto(merged.reshape(batch, tokens, h, d),
                   context.transpose(0, 2, 1, 3))
         attn_out = ws.take("blk_attn_out", (batch, tokens, dim))
-        np.matmul(merged, self.proj_w, out=attn_out)
-        attn_out += self.proj_b
+        self.proj(merged, ws, "blk_proj", out=attn_out, inplace=True)
         x += attn_out                                      # residual 1
-        fused_layer_norm(x, None, None, self.eps2, out=normed,
+        fused_layer_norm(x, self.n2_w, self.n2_b, self.eps2, out=normed,
                          ws=ws, key="blk_ln2")
         hidden = ws.take("blk_mlp", (batch, tokens, self.hidden_dim))
-        np.matmul(normed, self.fc1_w, out=hidden)
-        hidden += self.fc1_b
+        self.fc1(normed, ws, "blk_fc1", out=hidden, inplace=True)
         self.act(hidden, ws, "blk_act")
-        np.matmul(hidden, self.fc2_w, out=attn_out)        # reuse buffer
-        attn_out += self.fc2_b
+        self.fc2(hidden, ws, "blk_fc2", out=attn_out,      # reuse buffer
+                 inplace=True)
         x += attn_out                                      # residual 2
         return x
 
@@ -271,40 +307,28 @@ class CompiledSelector:
                  "classifier_mlp", "attention_mlp", "fallback_module",
                  "classifier_module", "_fallback_ws")
 
-    def __init__(self, selector, dtype, gelu):
-        from repro.core.selector import MultiHeadTokenClassifier
+    ragged_ok = True     # False on selectors without select_ragged
 
+    def __init__(self, selector, dtype, score_dtype, attention_mlp,
+                 feature_mlp=None, classifier_mlp=None):
+        """``*_mlp`` are :func:`_compile_mlp` programs lowered in
+        ``score_dtype`` with whichever kernels the compile function
+        chose; without the two classifier programs the selector is a
+        hybrid fallback."""
         self.dtype = dtype
-        self.fallback_module = None
-        self.classifier_module = None
-        self._fallback_ws = None
-        score_dtype = dtype
-        if not isinstance(selector.classifier, MultiHeadTokenClassifier):
-            # Hybrid fallback: score in float64 through the original
-            # classifier module (matches the reference bit-for-bit up to
-            # rounding order), native kernels for everything else.
-            self.fallback_module = selector
-            self.classifier_module = selector.classifier
-            score_dtype = np.dtype(np.float64)
-            gelu = "exact"
-            self._fallback_ws = Workspace(score_dtype)
         self.score_dtype = score_dtype
         self.num_heads = selector.num_heads
         self.head_dim = selector.embed_dim // selector.num_heads
         self.norm_w = _contig(selector.norm.weight.data, score_dtype)
         self.norm_b = _contig(selector.norm.bias.data, score_dtype)
         self.norm_eps = selector.norm.eps
-        if self.classifier_module is None:
-            classifier = selector.classifier
-            self.feature_mlp = _compile_mlp(classifier.feature_mlp,
-                                            score_dtype, gelu)
-            self.classifier_mlp = _compile_mlp(classifier.classifier_mlp,
-                                               score_dtype, gelu)
-        else:
-            self.feature_mlp = None
-            self.classifier_mlp = None
-        self.attention_mlp = _compile_mlp(selector.attention_branch.mlp,
-                                          score_dtype, gelu)
+        self.feature_mlp = feature_mlp
+        self.classifier_mlp = classifier_mlp
+        self.attention_mlp = attention_mlp
+        hybrid = feature_mlp is None
+        self.fallback_module = selector if hybrid else None
+        self.classifier_module = selector.classifier if hybrid else None
+        self._fallback_ws = Workspace(score_dtype) if hybrid else None
 
     def _scoring_input(self, tokens, ws):
         """Cast to the scoring dtype and pick the scoring workspace.
@@ -490,43 +514,46 @@ class CompiledModel:
     need them to survive the next call.
 
     ``supports_ragged`` advertises the ragged selector-boundary entry
-    point to the executor; quantized models unset it on the parity
-    grade (whose selectors run per exact group).
+    point to the executor; it is unset when any selector runs per exact
+    group only (the quantized parity grade's surgered modules).
     """
 
-    supports_ragged = True
-
     def __init__(self, config, dtype, blocks, selectors, embed_weights,
-                 head_weights, gelu):
+                 head_weights):
         self.config = config
         self.dtype = dtype
-        self.gelu = gelu
         self.blocks = blocks
         self.selectors = selectors
-        (self.patch_w, self.patch_b, self.cls_token,
-         self.pos_embed) = embed_weights
-        # Final LayerNorm affine folded into the head GEMM.
-        (self.final_norm_eps, self.head_w, self.head_b) = head_weights
+        # ``patch`` / ``head`` are linear kernels; the final LayerNorm
+        # affine is ``None`` when folded into the head GEMM.
+        (self.patch, self.cls_token, self.pos_embed) = embed_weights
+        (self.final_norm_w, self.final_norm_b, self.final_norm_eps,
+         self.head) = head_weights
+        self.supports_ragged = all(s.ragged_ok for s in selectors)
         self._default_ws = Workspace(dtype)
 
     # ------------------------------------------------------------------
     def workspace(self, ws=None):
         return self._default_ws if ws is None else ws
 
-    def embed(self, images, ws=None):
-        """Patch-embed + CLS + position embeddings: ``(B, 1+N, D)``."""
-        ws = self.workspace(ws)
+    def _patch_columns(self, images):
+        """``(B, C, H, W)`` images -> ``(B, N, C*p*p)`` patch rows in
+        the compute dtype."""
         images = np.asarray(images, dtype=self.dtype)
         batch, channels, height, width = images.shape
         p = self.config.patch_size
         grid_h, grid_w = height // p, width // p
         cols = images.reshape(batch, channels, grid_h, p, grid_w, p)
         cols = cols.transpose(0, 2, 4, 1, 3, 5)
-        cols = cols.reshape(batch, grid_h * grid_w, channels * p * p)
-        out = ws.take("embed", (batch, 1 + grid_h * grid_w,
-                                self.patch_w.shape[1]))
-        np.matmul(cols, self.patch_w, out=out[:, 1:, :])
-        out[:, 1:, :] += self.patch_b
+        return cols.reshape(batch, grid_h * grid_w, channels * p * p)
+
+    def embed(self, images, ws=None):
+        """Patch-embed + CLS + position embeddings: ``(B, 1+N, D)``."""
+        ws = self.workspace(ws)
+        cols = self._patch_columns(images)
+        out = ws.take("embed", (cols.shape[0], 1 + cols.shape[1],
+                                self.config.embed_dim))
+        self.patch(cols, ws, "embed_p", out=out[:, 1:, :], inplace=True)
         out[:, 0, :] = self.cls_token
         out += self.pos_embed
         return out
@@ -545,8 +572,6 @@ class CompiledModel:
         lives in :class:`repro.engine.BucketedExecutor`; this is the
         dense stack the parity tests compare against the Tensor blocks.
         """
-        from repro.engine.fastpath.kernels import mask_to_bias
-
         ws = self.workspace(ws)
         x = np.array(tokens, dtype=self.dtype)
         bias = (None if key_mask is None
@@ -571,19 +596,84 @@ class CompiledModel:
 
         Only token 0 feeds the head, so the fast path norms just that
         row (LayerNorm is per-token; identical to norming the full
-        sequence and slicing).  Returns a fresh array.
+        sequence and slicing) -- which is also what a quantizing head
+        kernel must calibrate its activation scale on: the simulation's
+        ``classify`` slices before its head Linear.  Returns a fresh
+        array.
         """
         ws = self.workspace(ws)
         batch = x.shape[0]
         cls_row = ws.take("cls_norm", (batch, x.shape[-1]))
-        fused_layer_norm(x[:, 0, :], None, None, self.final_norm_eps,
-                         out=cls_row, ws=ws, key="cls_ln")
-        logits = np.matmul(cls_row, self.head_w)
-        logits += self.head_b
-        return logits
+        fused_layer_norm(x[:, 0, :], self.final_norm_w, self.final_norm_b,
+                         self.final_norm_eps, out=cls_row, ws=ws,
+                         key="cls_ln")
+        logits = np.empty((batch, self.config.num_classes), dtype=self.dtype)
+        return self.head(cls_row, ws, "cls_head", out=logits, inplace=True)
 
 
-def compile_model(model, dtype=np.float32, gelu="auto"):
+def _check_backbone(model):
+    """The ViT backbone of ``model`` (itself, or its ``.backbone``)."""
+    backbone = getattr(model, "backbone", model)
+    for attr in ("patch_embed", "blocks", "norm", "head"):
+        if not hasattr(backbone, attr):
+            raise CompileError(
+                f"cannot compile {type(model).__name__}: expected a "
+                f"VisionTransformer(-backed) model with .{attr}")
+    return backbone
+
+
+def _check_dtype(dtype):
+    dtype = np.dtype(dtype)
+    if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
+        raise CompileError(f"unsupported dtype {dtype}; use float32 or "
+                           f"float64")
+    return dtype
+
+
+def _lower_block(block, dtype):
+    attn = block.attn
+    dim = attn.embed_dim
+    # Pre-fused QKV: norm1's affine folded in, and the attention scale
+    # pre-multiplied onto the query columns (features [0, D) of the qkv
+    # output are Q).
+    qkv_w, qkv_b = _fold_norm_affine(block.norm1, attn.qkv, dtype)
+    qkv_w[:, :dim] *= dtype.type(attn.scale)
+    qkv_b[:dim] *= dtype.type(attn.scale)
+    fc1_w, fc1_b = _fold_norm_affine(block.norm2, block.mlp.fc1, dtype)
+    return CompiledBlock(
+        block, norm1=(None, None), norm2=(None, None),
+        qkv=LinearKernel(qkv_w, qkv_b, dtype),
+        proj=LinearKernel.from_linear(attn.proj, dtype),
+        fc1=LinearKernel(fc1_w, fc1_b, dtype),
+        fc2=LinearKernel.from_linear(block.mlp.fc2, dtype),
+        softmax=masked_softmax,
+        act=_compile_activation(block.mlp.act, dtype))
+
+
+def _lower_selector(selector, dtype):
+    from repro.core.selector import MultiHeadTokenClassifier
+
+    classifier = selector.classifier
+    stock = isinstance(classifier, MultiHeadTokenClassifier)
+    # Hybrid fallback: score in float64 through the original classifier
+    # module (matches the reference bit-for-bit up to rounding order),
+    # native kernels -- exact-erf GELU included -- for everything else.
+    score_dtype = dtype if stock else np.dtype(np.float64)
+
+    def lower(sequential):
+        return _compile_mlp(
+            sequential, score_dtype,
+            lambda linear, name: LinearKernel.from_linear(linear,
+                                                          score_dtype))
+
+    programs = [lower(selector.attention_branch.mlp)]
+    if stock:
+        programs += [lower(classifier.feature_mlp),
+                     lower(classifier.classifier_mlp)]
+    return CompiledSelector(selector, dtype, score_dtype, *programs)
+
+
+def compile_model(model, dtype=None):
     """Compile a ``VisionTransformer`` or ``HeatViT`` for the fast path.
 
     Parameters
@@ -593,40 +683,23 @@ def compile_model(model, dtype=np.float32, gelu="auto"):
         Keep-ratio retuning needs no recompile (ratios only steer
         training-time losses; eval decisions come from the weights).
     dtype: ``numpy.float32`` (default: half the memory traffic,
-        ~1e-6-level logits vs the reference) or ``numpy.float64``
-        (reference-equivalent to well under 1e-8).
-    gelu: ``"auto"`` (default: exact erf for float64 parity, the
-        rational-erf kernel for float32 -- ~6e-7 activation error,
-        below the float32 noise floor), ``"exact"`` (erf everywhere),
-        ``"rational"``, or ``"tanh"`` (fastest, ~1e-3 deviation -- not
-        parity-grade).
+        ~1e-6-level logits vs the reference, GELU through the
+        rational-erf kernel) or ``numpy.float64`` (reference-equivalent
+        to well under 1e-8, exact-erf GELU).
     """
-    dtype = np.dtype(dtype)
-    if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise CompileError(f"unsupported dtype {dtype}; use float32 or "
-                           f"float64")
-    if gelu == "auto":
-        gelu = "exact" if dtype == np.dtype(np.float64) else "rational"
-    if gelu not in ("exact", "rational", "tanh"):
-        raise CompileError(f"unknown gelu mode {gelu!r}")
-    backbone = getattr(model, "backbone", model)
-    for attr in ("patch_embed", "blocks", "norm", "head"):
-        if not hasattr(backbone, attr):
-            raise CompileError(
-                f"cannot compile {type(model).__name__}: expected a "
-                f"VisionTransformer(-backed) model with .{attr}")
-    blocks = [CompiledBlock(block, dtype, gelu)
-              for block in backbone.blocks]
-    selectors = [CompiledSelector(s, dtype, gelu)
+    dtype = _check_dtype(np.float32 if dtype is None else dtype)
+    backbone = _check_backbone(model)
+    blocks = [_lower_block(block, dtype) for block in backbone.blocks]
+    selectors = [_lower_selector(s, dtype)
                  for s in getattr(model, "selectors", [])]
     embed_weights = (
-        _contig(backbone.patch_embed.projection.weight.data, dtype),
-        _contig(backbone.patch_embed.projection.bias.data, dtype),
+        LinearKernel.from_linear(backbone.patch_embed.projection, dtype),
         _contig(backbone.cls_token.data[0, 0], dtype),
         _contig(backbone.pos_embed.data, dtype),
     )
+    # Final LayerNorm affine folded into the head GEMM.
     head_w, head_b = _fold_norm_affine(backbone.norm, backbone.head, dtype)
-    head_weights = (backbone.norm.eps, _contig(head_w, dtype),
-                    _contig(head_b, dtype))
+    head_weights = (None, None, backbone.norm.eps,
+                    LinearKernel(head_w, head_b, dtype))
     return CompiledModel(backbone.config, dtype, blocks, selectors,
-                         embed_weights, head_weights, gelu)
+                         embed_weights, head_weights)

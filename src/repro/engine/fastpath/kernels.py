@@ -31,10 +31,9 @@ import numpy as np
 from scipy import special
 
 __all__ = ["fused_layer_norm", "masked_softmax", "gelu_exact",
-           "gelu_rational", "gelu_tanh", "mask_to_bias", "MASK_BIAS"]
+           "gelu_rational", "mask_to_bias", "MASK_BIAS"]
 
 _SQRT_2 = np.sqrt(2.0)
-_SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
 
 #: Additive score penalty for masked attention keys.  Matches the
 #: Tensor reference (`repro.vit.attention`): exp(-1e9 - max) underflows
@@ -206,24 +205,4 @@ def gelu_rational(x, ws, key):
     poly += 1.0
     poly *= 0.5
     x *= poly
-    return x
-
-
-def gelu_tanh(x, ws, key):
-    """Tanh-approximated GELU in place on ``x`` (the cheapest option):
-    ``x/2 * (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3)))``.
-    Max absolute deviation from exact GELU is ~1e-3, so it is opt-in
-    (``compile_model(..., gelu="tanh")``) and excluded from the strict
-    parity suites.
-    """
-    scratch = ws.take(key + "0", x.shape)
-    np.square(x, out=scratch)
-    scratch *= x
-    scratch *= 0.044715
-    scratch += x
-    scratch *= _SQRT_2_OVER_PI
-    np.tanh(scratch, out=scratch)
-    scratch += 1.0
-    scratch *= 0.5
-    x *= scratch
     return x

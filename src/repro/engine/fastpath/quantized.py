@@ -5,26 +5,30 @@
 weights (per-channel scales for the qkv/fc1/fc2 GEMMs, per-tensor
 elsewhere), dynamic per-tensor activation quantization between stages,
 and the paper's polynomial GELU/softmax in place of the exact
-nonlinearities -- but into a :class:`QuantizedModel` that speaks the
-same interface as :class:`.compiled.CompiledModel`, so
-:class:`repro.engine.BucketedExecutor` drives it with the existing
+nonlinearities -- into the one compiled hierarchy of :mod:`.compiled`,
+so :class:`repro.engine.BucketedExecutor` drives it with the existing
 bucketing/pruning control flow.
 
 Two numerics grades, selected by dtype:
 
-* ``float64`` -- **simulation parity**.  Every kernel replicates the
-  surgered Tensor model's operation order exactly; the integer GEMMs
-  run as float64 BLAS on integer-valued operands (exact below 2^53), so
-  executor logits are *bitwise* equal to the ``quantize_model``
-  simulation on stock configs (``tests/engine/test_quantized.py``).
-  Token selectors are evaluated through actual surgered copies of the
-  selector modules (the simulation approximates only their Linear and
-  GELU children -- its functional softmax/sigmoid stay exact -- and
-  bitwise-mirroring that mix is cheapest done by running it).
-* ``float32`` -- the **serving grade**: in-place workspace kernels, a
-  fused ``modf``/``ldexp`` shift-based exp, quantized selector MLPs in
-  the ragged boundary pipeline.  Gated on top-1/keep agreement with the
-  float64 engine, not bitwise parity.
+* ``float32`` -- the **serving grade**: a plain
+  :class:`.compiled.CompiledModel` whose linear slots hold
+  :meth:`QuantizedLinearKernel.apply_fast` (in-place workspace kernels),
+  whose softmax/GELU slots hold the fused shift-based-exp and polynomial
+  kernels, and whose stock selectors run quantized MLP steps through the
+  shared dense and ragged boundary pipelines.  Gated on top-1/keep
+  agreement with the float64 engine, not bitwise parity.
+* ``float64`` -- **simulation parity**, the reference grade this module
+  owns (:class:`QuantizedModel` and its blocks/selectors).  Every kernel
+  replicates the surgered Tensor model's operation order exactly; the
+  integer GEMMs run as float64 BLAS on integer-valued operands (exact
+  below 2^53), so executor logits are *bitwise* equal to the
+  ``quantize_model`` simulation on stock configs
+  (``tests/engine/test_quantized.py``).  Token selectors are evaluated
+  through actual surgered copies of the selector modules (the
+  simulation approximates only their Linear and GELU children -- its
+  functional softmax/sigmoid stay exact -- and bitwise-mirroring that
+  mix is cheapest done by running it).
 
 ``bits=16`` needs integer products up to ``32767^2 * K`` -- beyond
 float32's 2^24 exact-integer window for any real reduction -- so int16
@@ -34,17 +38,17 @@ always compiles in the float64 parity grade.
 from __future__ import annotations
 
 import copy
+from functools import partial
 
 import numpy as np
-from scipy import special
 
 from repro import nn
 from repro.nn.tensor import Tensor
 from repro.approx.polynomial import DEFAULT_DELTA1
-from repro.engine.fastpath.compiled import (CompileError, _compile_activation,
-                                            _contig)
-from repro.engine.fastpath.kernels import (fused_layer_norm, mask_to_bias,
-                                           masked_softmax)
+from repro.engine.fastpath.compiled import (CompileError, CompiledBlock,
+                                            CompiledModel, CompiledSelector,
+                                            _check_backbone, _check_dtype,
+                                            _compile_mlp, _contig)
 from repro.engine.fastpath.qkernels import (approx_gelu_fast,
                                             approx_gelu_reference,
                                             approx_softmax_fast,
@@ -52,16 +56,12 @@ from repro.engine.fastpath.qkernels import (approx_gelu_fast,
                                             layer_norm_reference,
                                             quantize_fast,
                                             quantize_reference)
-from repro.engine.fastpath.workspace import Workspace
 from repro.quant.fixed_point import calibrate_minmax, safe_accumulator_bits
 from repro.quant.qmodel import (PER_CHANNEL_CHILDREN, _wants_per_channel,
                                 quantize_model)
 from repro.quant.sweep import per_channel_quantize
 
-__all__ = ["compile_quantized", "QuantizedModel", "QuantizedBlock",
-           "QuantizedSelector", "QuantizedLinearKernel"]
-
-_EPS = 1e-8          # mirrors repro.core.selector._EPS
+__all__ = ["compile_quantized", "QuantizedModel", "QuantizedLinearKernel"]
 
 
 class QuantizedLinearKernel:
@@ -169,217 +169,63 @@ class _QuantGELUKernel:
         return approx_gelu_fast(x, self.delta1, ws, key)
 
 
-def _compile_qmlp(sequential, bits, dtype, per_channel, delta1):
-    """Lower a Sequential to quantized-linear / activation steps.
+# ----------------------------------------------------------------------
+# The float64 parity grade: the reference the bitwise tests compare to
+# ----------------------------------------------------------------------
+class _ReferenceBlock(CompiledBlock):
+    """One encoder block in simulation numerics: a bitwise mirror of
+    the surgered Tensor block (pre-norm MSA + FFN with QuantizedLinear
+    / ApproxSoftmax / ApproxGELU), including the simulation's explicit
+    score multiply.  Same slots as the served block, holding the
+    ``*_reference`` forms (``linear(x)``, ``softmax(x)``, ``act(x)``)."""
 
-    Child names inside a ``Sequential`` are its indices ("0", "1", ...)
-    -- the same names :func:`quantize_model` sees -- so the per-channel
-    selection matches the simulation's surgery exactly.
-    """
-    steps = []
-    for name, module in sequential._modules.items():
-        if isinstance(module, nn.Linear):
-            steps.append(("qlin", QuantizedLinearKernel.from_linear(
-                module, bits, dtype,
-                _wants_per_channel(per_channel, name))))
-        elif isinstance(module, nn.GELU):
-            steps.append(("act", _QuantGELUKernel(delta1)))
-        else:
-            # Not approximated by quantize_model either -- run exact.
-            steps.append(("act", _compile_activation(module, dtype,
-                                                     "rational")))
-    return steps
+    __slots__ = ()
 
-
-def _run_qmlp(steps, x, ws, prefix):
-    for index, step in enumerate(steps):
-        if step[0] == "qlin":
-            x = step[1].apply_fast(x, ws, f"{prefix}{index}")
-        else:
-            x = step[1](x, ws, f"{prefix}{index}s")
-    return x
-
-
-class QuantizedBlock:
-    """One encoder block in simulation numerics.
-
-    Unlike :class:`.compiled.CompiledBlock`, LayerNorm affines are NOT
-    folded into the consuming GEMM -- folding would hand the quantizer
-    different weights than the simulation's.  The only compile-time
-    fold retained is the attention ``1/sqrt(d)`` pre-scale on the qkv
-    kernel's Q-channel rescales/bias, and only on the float32 grade
-    (per-channel qkv makes it a pure constant fold; the parity grade
-    keeps the simulation's explicit score multiply).
-    """
-
-    __slots__ = ("num_heads", "head_dim", "embed_dim", "hidden_dim",
-                 "n1_w", "n1_b", "eps1", "n2_w", "n2_b", "eps2",
-                 "qkv", "proj", "fc1", "fc2", "scale", "delta1", "delta2",
-                 "parity", "fold_qscale")
-
-    def __init__(self, block, bits, dtype, per_channel, delta1, delta2,
-                 parity):
-        attn = block.attn
-        self.num_heads = attn.num_heads
-        self.head_dim = attn.head_dim
-        self.embed_dim = attn.embed_dim
-        self.scale = attn.scale
-        self.delta1 = delta1
-        self.delta2 = delta2
-        self.parity = parity
-        self.n1_w = _contig(block.norm1.weight.data, dtype)
-        self.n1_b = _contig(block.norm1.bias.data, dtype)
-        self.eps1 = block.norm1.eps
-        self.n2_w = _contig(block.norm2.weight.data, dtype)
-        self.n2_b = _contig(block.norm2.bias.data, dtype)
-        self.eps2 = block.norm2.eps
-        self.qkv = QuantizedLinearKernel.from_linear(
-            attn.qkv, bits, dtype, _wants_per_channel(per_channel, "qkv"))
-        self.proj = QuantizedLinearKernel.from_linear(
-            attn.proj, bits, dtype, _wants_per_channel(per_channel, "proj"))
-        self.fc1 = QuantizedLinearKernel.from_linear(
-            block.mlp.fc1, bits, dtype,
-            _wants_per_channel(per_channel, "fc1"))
-        self.fc2 = QuantizedLinearKernel.from_linear(
-            block.mlp.fc2, bits, dtype,
-            _wants_per_channel(per_channel, "fc2"))
-        self.hidden_dim = self.fc1.out_features
-        self.fold_qscale = not parity and self.qkv.per_channel
-        if self.fold_qscale:
-            dim = self.embed_dim
-            self.qkv.scales = self.qkv.scales.copy()
-            self.qkv.scales[:dim] *= dtype.type(self.scale)
-            if self.qkv.bias is not None:
-                self.qkv.bias = self.qkv.bias.copy()
-                self.qkv.bias[:dim] *= dtype.type(self.scale)
-
-    # ------------------------------------------------------------------
-    def _forward_reference(self, x, bias):
-        """Bitwise mirror of the surgered Tensor block (pre-norm MSA +
-        FFN with QuantizedLinear / ApproxSoftmax / ApproxGELU)."""
+    def forward(self, x, bias, ws):
         batch, tokens, dim = x.shape
         h, d = self.num_heads, self.head_dim
         normed = layer_norm_reference(x, self.n1_w, self.n1_b, self.eps1)
-        qkv = self.qkv.apply_reference(normed)
+        qkv = self.qkv(normed)
         qkv = qkv.reshape(batch, tokens, 3, h, d).transpose(2, 0, 3, 1, 4)
         q, k, v = qkv[0], qkv[1], qkv[2]
-        scores = np.matmul(q, k.swapaxes(-1, -2)) * self.scale
+        scores = np.matmul(q, k.swapaxes(-1, -2)) * self.score_scale
         if bias is not None:
             scores = scores + bias[:, None, None, :]
-        attn = approx_softmax_reference(scores, self.delta2)
+        attn = self.softmax(scores)
         out = np.matmul(attn, v)
         out = out.transpose(0, 2, 1, 3).reshape(batch, tokens, dim)
-        x += self.proj.apply_reference(out)                # residual 1
+        x += self.proj(out)                                # residual 1
         normed = layer_norm_reference(x, self.n2_w, self.n2_b, self.eps2)
-        hidden = approx_gelu_reference(self.fc1.apply_reference(normed),
-                                       self.delta1)
-        x += self.fc2.apply_reference(hidden)              # residual 2
+        x += self.fc2(self.act(self.fc1(normed)))          # residual 2
         return x
 
-    def _forward_fast(self, x, bias, ws):
-        batch, tokens, dim = x.shape
-        h, d = self.num_heads, self.head_dim
-        normed = ws.take("qblk_ln", (batch, tokens, dim))
-        fused_layer_norm(x, self.n1_w, self.n1_b, self.eps1, out=normed,
-                         ws=ws, key="qblk_ln1")
-        qkv = ws.take("qblk_qkv", (batch, tokens, 3 * dim))
-        self.qkv.apply_fast(normed, ws, "qblk_qkv", out=qkv, inplace=True)
-        split = qkv.reshape(batch, tokens, 3, h, d)
-        q = split[:, :, 0].transpose(0, 2, 1, 3)           # (B, h, T, d)
-        k = split[:, :, 1].transpose(0, 2, 3, 1)           # (B, h, d, T)
-        v = split[:, :, 2].transpose(0, 2, 1, 3)           # (B, h, T, d)
-        scores = ws.take("qblk_scores", (batch, h, tokens, tokens))
-        np.matmul(q, k, out=scores)
-        if not self.fold_qscale:
-            scores *= scores.dtype.type(self.scale)
-        approx_softmax_fast(scores, bias, self.delta2, ws, "qblk_sm")
-        context = ws.take("qblk_ctx", (batch, h, tokens, d))
-        np.matmul(scores, v, out=context)
-        merged = ws.take("qblk_merge", (batch, tokens, dim))
-        np.copyto(merged.reshape(batch, tokens, h, d),
-                  context.transpose(0, 2, 1, 3))
-        attn_out = ws.take("qblk_attn_out", (batch, tokens, dim))
-        self.proj.apply_fast(merged, ws, "qblk_proj", out=attn_out,
-                             inplace=True)
-        x += attn_out                                      # residual 1
-        fused_layer_norm(x, self.n2_w, self.n2_b, self.eps2, out=normed,
-                         ws=ws, key="qblk_ln2")
-        hidden = ws.take("qblk_mlp", (batch, tokens, self.hidden_dim))
-        self.fc1.apply_fast(normed, ws, "qblk_fc1", out=hidden,
-                            inplace=True)
-        approx_gelu_fast(hidden, self.delta1, ws, "qblk_act")
-        self.fc2.apply_fast(hidden, ws, "qblk_fc2", out=attn_out,
-                            inplace=True)
-        x += attn_out                                      # residual 2
-        return x
 
-    def forward(self, x, bias, ws):
-        if self.parity:
-            return self._forward_reference(x, bias)
-        return self._forward_fast(x, bias, ws)
-
-
-class QuantizedSelector:
-    """A token selector in simulation numerics.
+class _ReferenceSelector:
+    """A token selector scored through an actual surgered deep copy of
+    the selector module -- bitwise equal to the simulation by
+    construction.  Dense (per exact group) only.
 
     The simulation surgeries only a selector's *module* children: its
     Linears (per-tensor -- Sequential child names never match the
     per-channel list) and GELU modules.  The classifier's softmax and
     the attention branch's sigmoid are functional calls and stay exact.
-
-    * Parity grade (and any non-stock selector): score through an
-      actual surgered deep copy of the selector module -- bitwise equal
-      to the simulation by construction.  Dense (per exact group) only.
-    * Float32 grade, stock selectors: the
-      :class:`.compiled.CompiledSelector` pipeline with quantized MLP
-      steps, the Eq. 12 GELU kernel, and *exact* softmax/sigmoid --
-      including the ragged single-pipeline boundary.
     """
 
-    __slots__ = ("dtype", "num_heads", "head_dim", "module", "ragged_ok",
-                 "norm_w", "norm_b", "norm_eps", "feature_mlp",
-                 "classifier_mlp", "attention_mlp")
+    __slots__ = ("dtype", "module")
 
-    def __init__(self, selector, bits, dtype, per_channel, delta1, delta2,
-                 parity):
-        from repro.core.selector import MultiHeadTokenClassifier
+    ragged_ok = False
 
+    def __init__(self, selector, bits, dtype, per_channel, delta1, delta2):
         self.dtype = dtype
-        self.module = None
-        self.ragged_ok = False
-        stock = isinstance(selector.classifier, MultiHeadTokenClassifier)
-        if parity or not stock:
-            module = copy.deepcopy(selector)
-            quantize_model(module, bits=bits, approx_nonlinear=True,
-                           delta1=delta1, delta2=delta2,
-                           per_channel=per_channel)
-            module.eval()
-            self.module = module
-            self.norm_w = self.norm_b = self.norm_eps = None
-            self.feature_mlp = self.classifier_mlp = None
-            self.attention_mlp = None
-            self.num_heads = selector.num_heads
-            self.head_dim = selector.embed_dim // selector.num_heads
-            return
-        self.num_heads = selector.num_heads
-        self.head_dim = selector.embed_dim // selector.num_heads
-        self.norm_w = _contig(selector.norm.weight.data, dtype)
-        self.norm_b = _contig(selector.norm.bias.data, dtype)
-        self.norm_eps = selector.norm.eps
-        classifier = selector.classifier
-        self.feature_mlp = _compile_qmlp(classifier.feature_mlp, bits,
-                                         dtype, per_channel, delta1)
-        self.classifier_mlp = _compile_qmlp(classifier.classifier_mlp,
-                                            bits, dtype, per_channel,
-                                            delta1)
-        self.attention_mlp = _compile_qmlp(selector.attention_branch.mlp,
-                                           bits, dtype, per_channel,
-                                           delta1)
-        self.ragged_ok = True
+        self.module = copy.deepcopy(selector)
+        quantize_model(self.module, bits=bits, approx_nonlinear=True,
+                       delta1=delta1, delta2=delta2,
+                       per_channel=per_channel)
+        self.module.eval()
 
-    # ------------------------------------------------------------------
-    def _select_module(self, patches):
-        """Evaluate through the surgered Tensor selector (eval mode)."""
+    def select(self, patches, ws):
+        """Dense scoring of ``(g, N, D)`` patches -> ``(keep, packages)``
+        through the surgered Tensor selector (eval mode)."""
         with nn.no_grad():
             out = self.module(Tensor(np.asarray(patches,
                                                 dtype=np.float64)),
@@ -388,187 +234,47 @@ class QuantizedSelector:
         packages = out.package.data[:, 0, :]
         return keep, packages.astype(self.dtype, copy=False)
 
-    def select(self, patches, ws):
-        """Dense scoring of ``(g, N, D)`` patches -> ``(keep, packages)``."""
-        if self.module is not None:
-            return self._select_module(patches)
-        sdt = self.dtype
-        g, tokens, dim = patches.shape
-        h, d = self.num_heads, self.head_dim
-        normed = ws.take("qsel_norm", (g, tokens, dim))
-        fused_layer_norm(patches, self.norm_w, self.norm_b, self.norm_eps,
-                         out=normed, ws=ws, key="qsel_ln")
-        heads = normed.reshape(g, tokens, h, d)
-        local = _run_qmlp(self.feature_mlp, heads.transpose(0, 2, 1, 3),
-                          ws, "qsel_feat")                 # (g, h, N, f)
-        feat = local.shape[-1]
-        combined = ws.take("qsel_comb", (g, h, tokens, 2 * feat))
-        combined[..., :feat] = local
-        gmean = np.add.reduce(local, axis=2, keepdims=True)
-        gmean /= tokens
-        combined[..., feat:] = gmean
-        per_head = _run_qmlp(self.classifier_mlp, combined, ws, "qsel_cls")
-        masked_softmax(per_head, ws=ws, key="qsel_sm")     # exact (Eq. 5)
-        head_stat = np.add.reduce(heads, axis=-1)
-        head_stat /= d                                     # (g, N, h)
-        importance = _run_qmlp(self.attention_mlp, head_stat, ws,
-                               "qsel_att")
-        special.expit(importance, out=importance)          # exact (Eq. 7)
-        weights = importance.transpose(0, 2, 1)[..., None]
-        per_head *= weights
-        scores = np.add.reduce(per_head, axis=1)           # (g, N, 2)
-        total = np.add.reduce(weights, axis=1)
-        total += sdt.type(_EPS)
-        scores /= total
-        keep_score = scores[..., 0]
-        keep = keep_score >= scores[..., 1]
-        for row in np.flatnonzero(~keep.any(axis=1)):      # >=1-token guard
-            keep[row, np.argmax(keep_score[row])] = True
-        pruned_w = np.where(keep, sdt.type(0.0), keep_score)
-        packages = np.matmul(pruned_w[:, None, :], patches)[:, 0, :]
-        packages /= (pruned_w.sum(axis=1, keepdims=True) + sdt.type(_EPS))
-        return keep, packages
 
-    def select_ragged(self, flat, counts, ws):
-        """Ragged scoring of concatenated tokens (float32 grade only)."""
-        sdt = self.dtype
-        m, dim = flat.shape
-        h, d = self.num_heads, self.head_dim
-        counts = np.asarray(counts)
-        starts = np.zeros(counts.size, dtype=np.intp)
-        np.cumsum(counts[:-1], out=starts[1:])
-        normed = ws.take("qrag_norm", (m, dim))
-        fused_layer_norm(flat, self.norm_w, self.norm_b, self.norm_eps,
-                         out=normed, ws=ws, key="qrag_ln")
-        heads = normed.reshape(m, h, d)
-        local = _run_qmlp(self.feature_mlp, heads, ws, "qrag_feat")
-        feat = local.shape[-1]
-        gmean = np.add.reduceat(local, starts, axis=0)     # (n, h, f)
-        gmean /= counts[:, None, None]
-        combined = ws.take("qrag_comb", (m, h, 2 * feat))
-        combined[..., :feat] = local
-        combined[..., feat:] = np.repeat(gmean, counts, axis=0)
-        per_head = _run_qmlp(self.classifier_mlp, combined, ws, "qrag_cls")
-        masked_softmax(per_head, ws=ws, key="qrag_sm")     # (M, h, 2)
-        head_stat = np.add.reduce(heads, axis=-1)
-        head_stat /= d                                     # (M, h)
-        importance = _run_qmlp(self.attention_mlp, head_stat, ws,
-                               "qrag_att")
-        special.expit(importance, out=importance)
-        weights = importance[..., None]                    # (M, h, 1)
-        per_head *= weights
-        scores = np.add.reduce(per_head, axis=1)           # (M, 2)
-        total = np.add.reduce(weights, axis=1)
-        total += sdt.type(_EPS)
-        scores /= total
-        keep_score = scores[..., 0]
-        keep = keep_score >= scores[..., 1]
-        kept_any = np.logical_or.reduceat(keep, starts)
-        for image in np.flatnonzero(~kept_any):            # guard
-            lo = starts[image]
-            hi = lo + counts[image]
-            keep[lo + np.argmax(keep_score[lo:hi])] = True
-        pruned_w = np.where(keep, sdt.type(0.0), keep_score)
-        weighted = ws.take("qrag_pkg", (m, dim))
-        np.multiply(flat, pruned_w[:, None], out=weighted)
-        packages = np.add.reduceat(weighted, starts, axis=0)
-        packages /= (np.add.reduceat(pruned_w, starts)[:, None]
-                     + sdt.type(_EPS))
-        return keep, packages
+class QuantizedModel(CompiledModel):
+    """The float64 simulation-parity grade of the quantized backend.
 
-
-class QuantizedModel:
-    """Quantized weights + kernels behind the ``CompiledModel`` interface.
-
-    ``supports_ragged`` tells the executor whether the selector boundary
-    may run as one ragged pipeline (float32 grade, stock selectors) or
-    must fall back to dense per-group evaluation (the parity grade's
-    surgered selector modules take that path).
+    Blocks are :class:`_ReferenceBlock`, selectors
+    :class:`_ReferenceSelector` (so ``supports_ragged`` is unset and the
+    executor evaluates the boundary per exact group), and ``patch`` /
+    ``head`` hold :meth:`QuantizedLinearKernel.apply_reference`.
     """
-
-    def __init__(self, config, dtype, bits, parity, blocks, selectors,
-                 embed_weights, head_weights, delta1, delta2):
-        self.config = config
-        self.dtype = dtype
-        self.bits = bits
-        self.parity = parity
-        self.blocks = blocks
-        self.selectors = selectors
-        (self.patch, self.cls_token, self.pos_embed) = embed_weights
-        (self.final_norm_w, self.final_norm_b, self.final_norm_eps,
-         self.head) = head_weights
-        self.delta1 = delta1
-        self.delta2 = delta2
-        self.supports_ragged = all(s.ragged_ok for s in selectors)
-        self._default_ws = Workspace(dtype)
-
-    # ------------------------------------------------------------------
-    def workspace(self, ws=None):
-        return self._default_ws if ws is None else ws
 
     def embed(self, images, ws=None):
         """Patch-embed + CLS + position embeddings: ``(B, 1+N, D)``."""
-        ws = self.workspace(ws)
-        images = np.asarray(images, dtype=self.dtype)
-        batch, channels, height, width = images.shape
-        p = self.config.patch_size
-        grid_h, grid_w = height // p, width // p
-        cols = images.reshape(batch, channels, grid_h, p, grid_w, p)
-        cols = cols.transpose(0, 2, 4, 1, 3, 5)
-        cols = cols.reshape(batch, grid_h * grid_w, channels * p * p)
-        if self.parity:
-            tokens = self.patch.apply_reference(cols)
-            cls = self.cls_token + np.zeros((batch, 1, tokens.shape[-1]))
-            x = np.concatenate([cls, tokens], axis=1)
-            return x + self.pos_embed
-        out = ws.take("qembed", (batch, 1 + grid_h * grid_w,
-                                 self.patch.out_features))
-        self.patch.apply_fast(cols, ws, "qembed_p", out=out[:, 1:, :],
-                              inplace=True)
-        out[:, 0, :] = self.cls_token[0, 0]
-        out += self.pos_embed
-        return out
-
-    def run_block(self, index, x, bias=None, ws=None):
-        return self.blocks[index].forward(x, bias, self.workspace(ws))
-
-    def forward(self, tokens, key_mask=None, ws=None):
-        """Dense block stack (no selectors) -- the parity tests' entry."""
-        ws = self.workspace(ws)
-        x = np.array(tokens, dtype=self.dtype)
-        bias = (None if key_mask is None
-                else mask_to_bias(key_mask, self.dtype))
-        for index in range(len(self.blocks)):
-            self.run_block(index, x, bias, ws)
-        return x
-
-    def select(self, stage, patches, ws=None):
-        return self.selectors[stage].select(patches, self.workspace(ws))
-
-    def select_ragged(self, stage, flat, counts, ws=None):
-        return self.selectors[stage].select_ragged(flat, counts,
-                                                   self.workspace(ws))
+        tokens = self.patch(self._patch_columns(images))
+        cls = self.cls_token + np.zeros((tokens.shape[0], 1,
+                                         tokens.shape[-1]))
+        x = np.concatenate([cls, tokens], axis=1)
+        return x + self.pos_embed
 
     def classify(self, x, ws=None):
-        """Final LayerNorm + quantized head on the CLS row.
+        """Final LayerNorm + quantized head on the CLS row (the head's
+        activation scale is calibrated on the CLS rows alone, exactly
+        as the simulation's head sees them)."""
+        return self.head(layer_norm_reference(
+            x[:, 0, :], self.final_norm_w, self.final_norm_b,
+            self.final_norm_eps))
 
-        LayerNorm is per-token, so norming only row 0 is exact; the
-        head's activation scale is calibrated on the CLS rows alone,
-        exactly as the simulation's head sees them (``classify`` slices
-        before its head Linear).
-        """
-        ws = self.workspace(ws)
-        if self.parity:
-            cls_row = layer_norm_reference(x[:, 0, :], self.final_norm_w,
-                                           self.final_norm_b,
-                                           self.final_norm_eps)
-            return self.head.apply_reference(cls_row)
-        batch = x.shape[0]
-        cls_row = ws.take("qcls_norm", (batch, x.shape[-1]))
-        fused_layer_norm(x[:, 0, :], self.final_norm_w, self.final_norm_b,
-                         self.final_norm_eps, out=cls_row, ws=ws,
-                         key="qcls_ln")
-        return self.head.apply_fast(cls_row, ws, "qcls_head", inplace=True)
+
+# ----------------------------------------------------------------------
+def _fold_query_scale(qkv, scale):
+    """Pre-multiply the attention ``1/sqrt(d)`` onto a per-channel qkv
+    kernel's Q-channel rescales/bias (a pure constant fold, and the
+    only compile-time fold the quantized backend keeps: LayerNorm
+    affines are NOT folded into the consuming GEMM -- that would hand
+    the quantizer different weights than the simulation's)."""
+    dim = qkv.out_features // 3
+    scale = qkv.w_q.dtype.type(scale)
+    qkv.scales = qkv.scales.copy()
+    qkv.scales[:dim] *= scale
+    if qkv.bias is not None:
+        qkv.bias = qkv.bias.copy()
+        qkv.bias[:dim] *= scale
 
 
 def compile_quantized(model, bits=8, dtype=None,
@@ -581,8 +287,9 @@ def compile_quantized(model, bits=8, dtype=None,
     model: a ``VisionTransformer`` or ``HeatViT``; weights are copied
         (and quantized) at compile time.
     bits: operand precision -- 8 (the paper's deployment) or 16.
-    dtype: ``float32`` (default for 8-bit: the serving grade) or
-        ``float64`` (the bitwise simulation-parity grade; the only
+    dtype: ``float32`` (default for 8-bit: the serving grade, a
+        :class:`.compiled.CompiledModel`) or ``float64`` (the bitwise
+        simulation-parity grade, a :class:`QuantizedModel`; the only
         choice for 16-bit, whose integer products exceed float32's
         exact window).
     per_channel / delta1 / delta2: forwarded with
@@ -590,43 +297,80 @@ def compile_quantized(model, bits=8, dtype=None,
         simulation with the same values to reproduce this backend
         bitwise.
     """
+    from repro.core.selector import MultiHeadTokenClassifier
+
     if bits < 2 or bits > 16:
         raise CompileError(f"bits out of range for the quantized "
                            f"backend: {bits}")
     if dtype is None:
         dtype = np.float32 if bits <= 8 else np.float64
-    dtype = np.dtype(dtype)
-    if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise CompileError(f"unsupported dtype {dtype}; use float32 or "
-                           f"float64")
+    dtype = _check_dtype(dtype)
     parity = dtype == np.dtype(np.float64)
-    backbone = getattr(model, "backbone", model)
-    for attr in ("patch_embed", "blocks", "norm", "head"):
-        if not hasattr(backbone, attr):
-            raise CompileError(
-                f"cannot compile {type(model).__name__}: expected a "
-                f"VisionTransformer(-backed) model with .{attr}")
-    blocks = [QuantizedBlock(block, bits, dtype, per_channel, delta1,
-                             delta2, parity)
-              for block in backbone.blocks]
-    selectors = [QuantizedSelector(s, bits, dtype, per_channel, delta1,
-                                   delta2, parity)
-                 for s in getattr(model, "selectors", [])]
+    backbone = _check_backbone(model)
+
+    def kernel(linear, name):
+        return QuantizedLinearKernel.from_linear(
+            linear, bits, dtype, _wants_per_channel(per_channel, name))
+
+    def grade(lowered):
+        return lowered.apply_reference if parity else lowered.apply_fast
+
+    def affine(norm):
+        return (_contig(norm.weight.data, dtype),
+                _contig(norm.bias.data, dtype))
+
+    if parity:
+        block_class = _ReferenceBlock
+        softmax = partial(approx_softmax_reference, delta2=delta2)
+        gelu = partial(approx_gelu_reference, delta1=delta1)
+    else:
+        block_class = CompiledBlock
+        softmax = partial(approx_softmax_fast, delta2=delta2)
+        gelu = _QuantGELUKernel(delta1)
+    blocks = []
+    for block in backbone.blocks:
+        attn = block.attn
+        qkv = kernel(attn.qkv, "qkv")
+        # The parity grade keeps the simulation's explicit score
+        # multiply; so does a per-tensor qkv, which has no per-channel
+        # rescale to fold the constant into.
+        score_scale = attn.scale
+        if not parity and qkv.per_channel:
+            _fold_query_scale(qkv, attn.scale)
+            score_scale = None
+        blocks.append(block_class(
+            block, affine(block.norm1), affine(block.norm2), grade(qkv),
+            grade(kernel(attn.proj, "proj")),
+            grade(kernel(block.mlp.fc1, "fc1")),
+            grade(kernel(block.mlp.fc2, "fc2")),
+            softmax, gelu, score_scale))
+
+    def lower_mlp(sequential):
+        return _compile_mlp(
+            sequential, dtype,
+            lambda linear, name: kernel(linear, name).apply_fast, gelu)
+
+    selectors = []
+    for selector in getattr(model, "selectors", []):
+        classifier = selector.classifier
+        if parity or not isinstance(classifier, MultiHeadTokenClassifier):
+            selectors.append(_ReferenceSelector(
+                selector, bits, dtype, per_channel, delta1, delta2))
+        else:
+            # The shared selector pipeline with quantized MLP steps,
+            # the Eq. 12 GELU kernel, and *exact* softmax/sigmoid.
+            selectors.append(CompiledSelector(
+                selector, dtype, dtype,
+                lower_mlp(selector.attention_branch.mlp),
+                lower_mlp(classifier.feature_mlp),
+                lower_mlp(classifier.classifier_mlp)))
+
     embed_weights = (
-        QuantizedLinearKernel.from_linear(
-            backbone.patch_embed.projection, bits, dtype,
-            _wants_per_channel(per_channel, "projection")),
-        _contig(backbone.cls_token.data, dtype),
-        _contig(backbone.pos_embed.data, dtype),
-    )
-    head_weights = (
-        _contig(backbone.norm.weight.data, dtype),
-        _contig(backbone.norm.bias.data, dtype),
-        backbone.norm.eps,
-        QuantizedLinearKernel.from_linear(
-            backbone.head, bits, dtype,
-            _wants_per_channel(per_channel, "head")),
-    )
-    return QuantizedModel(backbone.config, dtype, bits, parity, blocks,
-                          selectors, embed_weights, head_weights, delta1,
-                          delta2)
+        grade(kernel(backbone.patch_embed.projection, "projection")),
+        _contig(backbone.cls_token.data[0, 0], dtype),
+        _contig(backbone.pos_embed.data, dtype))
+    head_weights = (*affine(backbone.norm), backbone.norm.eps,
+                    grade(kernel(backbone.head, "head")))
+    return (QuantizedModel if parity else CompiledModel)(
+        backbone.config, dtype, blocks, selectors, embed_weights,
+        head_weights)

@@ -73,7 +73,8 @@ class PlacementPolicy:
         (the first observation seeds the factor directly).  The EWMA is
         the fallback layer under the learned per-worker estimators.
     min_samples: shaped observations a worker's learned estimator needs
-        before it answers instead of the calibration EWMA.
+        (after the cold first one, which it never sees) before it
+        answers instead of the calibration EWMA.
     forgetting: the learned estimators' RLS decay factor.
     max_in_flight: bound on batches outstanding per worker (``None`` =
         unbounded, the pre-recovery behavior).  The scheduler sets it
@@ -98,6 +99,7 @@ class PlacementPolicy:
         self._calibration = [1.0] * self.num_workers
         self._in_flight = [0] * self.num_workers
         self._observations = [0] * self.num_workers
+        self._warm = [False] * self.num_workers
         self._estimators = [
             OnlineEstimator(forgetting=forgetting, min_samples=min_samples)
             for _ in range(self.num_workers)]
@@ -211,6 +213,14 @@ class PlacementPolicy:
         error.  ``now_ms`` (when known) lets an emptied worker's
         backlog collapse to the present instead of carrying a stale
         prediction.
+
+        A worker slot's first shaped sample is withheld from its
+        estimator: it is the cold one (lazy compile + workspace
+        allocation, ~5x a warm shard), and fitted into the first
+        ``min_samples`` it can price the worker out of every later
+        assign -- after which a starved worker reports no sample that
+        could correct the law.  The EWMA still seeds from it and decays
+        it like any other observation.
         """
         worker = placement.worker
         if self._in_flight[worker] < 1:
@@ -227,9 +237,11 @@ class PlacementPolicy:
                     (1.0 - a) * self._calibration[worker] + a * ratio)
             self._observations[worker] += 1
             if placement.num_images:
-                self._estimators[worker].observe(
-                    placement.num_images, max(float(measured_ms), 0.0),
-                    launches=1.0)
+                if self._warm[worker]:
+                    self._estimators[worker].observe(
+                        placement.num_images, max(float(measured_ms), 0.0),
+                        launches=1.0)
+                self._warm[worker] = True
         if now_ms is not None:
             if self._in_flight[worker] == 0:
                 self._free_at[worker] = float(now_ms)

@@ -25,7 +25,8 @@ from repro.core import HeatViT, PruningRecord
 from repro.core.gather import (prune_group_sequences, prune_image_sequence,
                                weighted_package)
 from repro.engine import (BucketedExecutor, BucketingPolicy, CompileError,
-                          InferenceSession, Workspace, compile_model)
+                          InferenceSession, Workspace, compile_model,
+                          compile_quantized)
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
 from repro.vit.attention import (key_padding_mask, pad_token_sequences,
@@ -216,26 +217,42 @@ class TestCompiledSelector:
         np.testing.assert_allclose(packages, out.package.data[:, 0, :],
                                    rtol=0, atol=tol)
 
+    @pytest.mark.parametrize("compile_fn,dtype,short,min_keep,atol", [
+        (compile_model, np.float64, 13, 1.0, 1e-12),
+        # int8: activation scales are dynamic per tensor, i.e. per call,
+        # so ragged and dense quantize alike only when one call sees
+        # exactly the other's tokens -- a single uniform-length group.
+        # Even then the Eq. 4 pooling sums in a different order, which
+        # can move a downstream activation across a rint boundary by
+        # one quantization step: agreement, not equality.
+        (compile_quantized, np.float32, None, 0.9, 5e-3)])
     def test_ragged_select_matches_dense_groups(self, tiny_backbone,
-                                                tiny_dataset):
+                                                tiny_dataset, compile_fn,
+                                                dtype, short, min_keep,
+                                                atol):
         """One ragged pipeline == one dense select per exact group."""
         model = make_model(tiny_backbone, {1: 0.6})
-        compiled = compile_model(model, dtype=np.float64)
+        compiled = compile_fn(model, dtype=dtype)
         tokens = compiled.embed(tiny_dataset.images[:6])
-        groups = [np.array(tokens[:3, 1:, :]),
-                  np.array(tokens[3:, 1:14, :])]      # two lengths
+        if short is None:
+            groups = [np.array(tokens[:, 1:, :])]
+        else:
+            groups = [np.array(tokens[:3, 1:, :]),
+                      np.array(tokens[3:, 1:1 + short, :])]  # two lengths
         flat = np.concatenate([g.reshape(-1, g.shape[-1])
                                for g in groups], axis=0)
-        counts = [groups[0].shape[1]] * 3 + [groups[1].shape[1]] * 3
+        counts = [g.shape[1] for g in groups for _ in range(g.shape[0])]
         keep_flat, packages = compiled.select_ragged(0, flat, counts)
         offset, image = 0, 0
         for group in groups:
             g, n = group.shape[0], group.shape[1]
             keep_ref, packages_ref = compiled.select(0, group)
-            np.testing.assert_array_equal(
-                keep_flat[offset:offset + g * n].reshape(g, n), keep_ref)
-            np.testing.assert_allclose(packages[image:image + g],
-                                       packages_ref, rtol=0, atol=1e-12)
+            keep = keep_flat[offset:offset + g * n].reshape(g, n)
+            same = (keep == keep_ref).all(axis=1)
+            assert same.mean() >= min_keep
+            np.testing.assert_allclose(packages[image:image + g][same],
+                                       packages_ref[same], rtol=0,
+                                       atol=atol)
             offset += g * n
             image += g
 
@@ -330,13 +347,20 @@ class TestConstruction:
                                    dtype=np.float64)
         assert session.dtype == np.float64
 
-    def test_compile_rejects_bad_dtype_and_gelu(self, tiny_backbone):
+    def test_compile_rejects_bad_dtype_and_model(self, tiny_backbone):
         with pytest.raises(CompileError):
             compile_model(tiny_backbone, dtype=np.float16)
         with pytest.raises(CompileError):
-            compile_model(tiny_backbone, gelu="sigmoid")
-        with pytest.raises(CompileError):
             compile_model(object())
+
+    def test_float_and_int8_share_one_hierarchy(self, tiny_backbone):
+        """Both compile functions fill the same classes; a re-forked
+        block or selector tree fails here, not in review."""
+        model = make_model(tiny_backbone, {1: 0.6})
+        floats, quants = compile_model(model), compile_quantized(model)
+        assert type(floats) is type(quants)
+        assert type(floats.blocks[0]) is type(quants.blocks[0])
+        assert type(floats.selectors[0]) is type(quants.selectors[0])
 
     def test_session_exposes_backend_and_dtype(self, tiny_backbone):
         model = make_model(tiny_backbone, {1: 0.6})
@@ -345,26 +369,15 @@ class TestConstruction:
         assert session.dtype == np.float32
         assert session.executor.compiled is not None
 
-    def test_gelu_tanh_compile_is_looser(self, tiny_backbone,
-                                         tiny_dataset):
-        """The tanh GELU is opt-in and NOT parity grade: close at the
-        1e-2 level but measurably off the exact activation."""
-        images = tiny_dataset.images[:3]
-        exact = compile_model(tiny_backbone, dtype=np.float64)
-        tanh = compile_model(tiny_backbone, dtype=np.float64, gelu="tanh")
-        a = exact.classify(exact.forward(exact.embed(images)))
-        b = tanh.classify(tanh.forward(tanh.embed(images)))
-        assert np.abs(a - b).max() < 1e-1
-        assert np.abs(a - b).max() > 0.0
-
 
 class TestWorkspaceReuse:
+    @pytest.mark.parametrize("backend", ["fastpath", "int8"])
     def test_no_new_buffers_on_repeat_submission(self, tiny_backbone,
-                                                 tiny_dataset):
+                                                 tiny_dataset, backend):
         """Steady traffic must reuse every scratch buffer: the second
         identical submission allocates nothing."""
         model = make_model(tiny_backbone, {1: 0.6, 3: 0.4})
-        session = InferenceSession(model, batch_size=8, backend="fastpath")
+        session = InferenceSession(model, batch_size=8, backend=backend)
         images = tiny_dataset.images[:8]
         session.submit(images)
         ws = session.executor.workspace

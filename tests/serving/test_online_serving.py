@@ -22,8 +22,9 @@ TOLERANCE = 1e-8
 
 class TestPlacementLearning:
     def test_shaped_completions_feed_estimator(self):
+        """Every shaped completion after the slot's first (cold) one."""
         policy = PlacementPolicy(1, min_samples=3)
-        for n in (4, 8, 16):
+        for n in (2, 4, 8, 16):
             ticket = policy.assign(10.0, num_images=n)
             assert ticket.num_images == n
             policy.complete(ticket, now_ms=0.0, measured_ms=20.0 + n)
@@ -192,9 +193,12 @@ class TestPooledLearning:
         batch_samples, _ = served.cost_model.samples()
         assert batch_samples > 0
         assert served.cost_model.confident()
-        # ...and the per-worker placement estimators, one sample each.
+        # ...and the per-worker placement estimators, one sample each
+        # past every used worker slot's cold first one.
         learned = served.placement.snapshot()["learned"]
-        assert sum(entry["samples"] for entry in learned) == batch_samples
+        cold = sum(1 for count in served.placement.observations if count)
+        assert (sum(entry["samples"] for entry in learned)
+                == batch_samples - cold)
         # Execution semantics unchanged: same keep decisions and
         # engine-tolerance logits as a static in-process session.
         reference = InferenceSession(model, batch_size=8,

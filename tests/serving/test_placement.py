@@ -165,6 +165,47 @@ class TestCostModelIntegration:
             cost_model.completion_ms(-1.0)
 
 
+class TestColdFirstSample:
+    def test_cold_first_sample_does_not_lock_a_worker_out(self):
+        """A worker's first shard pays lazy compile + workspace
+        allocation (~5x a warm one).  Fitted into the learned batch law
+        it prices that worker at ~3.5x its real cost once the estimator
+        turns confident, every later shard goes to the other worker, and
+        a starved worker never reports the samples that would correct
+        it.  The cold sample must stay out of the fit."""
+
+        def warm_ms(n):
+            return 2.0 + 1.75 * n
+
+        policy = PlacementPolicy(2)
+        clock = VirtualClock()
+        # Warm-up past the confidence threshold, each worker pinned in
+        # turn: identical shapes and timings except worker 0's very
+        # first (cold) completion.
+        for round_, n in enumerate([16, 4, 8, 12, 6, 10, 14, 8, 4, 12]):
+            for worker in (0, 1):
+                ticket = policy.assign(warm_ms(n), now_ms=clock.now(),
+                                       num_images=n, candidates=[worker])
+                cold = 5.0 if (round_, worker) == (0, 0) else 1.0
+                clock.advance(1.0)
+                policy.complete(ticket, now_ms=clock.now(),
+                                measured_ms=cold * warm_ms(n))
+        assert all(entry["confident"]
+                   for entry in policy.snapshot()["learned"])
+        for worker in (0, 1):
+            assert policy.predicted_ms(worker, warm_ms(16), 16) == \
+                pytest.approx(warm_ms(16), rel=1e-3)
+        # Two shards per burst, both workers idle: one each, every time.
+        for _ in range(4):
+            shards = [policy.assign(warm_ms(16), now_ms=clock.now(),
+                                    num_images=16) for _ in range(2)]
+            assert [ticket.worker for ticket in shards] == [0, 1]
+            clock.advance(40.0)
+            for ticket in shards:
+                policy.complete(ticket, now_ms=clock.now(),
+                                measured_ms=warm_ms(16))
+
+
 class TestDeterminism:
     def test_identical_histories_place_identically(self):
         costs = [12.0, 3.0, 7.0, 30.0, 1.0, 9.0]
