@@ -7,7 +7,13 @@ Builds the request-level serving story on top of
   formation priced by each session's batch-aware
   :class:`repro.cost.CostModel` (Eq. 18 marginals + calibrated
   per-batch overhead), remainder carry-over between bursts, multi-model
-  routing;
+  routing, and one flush path for every target: pop -> dispatch on
+  the target's transport -> collect -> deliver;
+* transports -- where a popped batch runs: :class:`InlineTransport`
+  (synchronously, on the parent's session) or :class:`PoolTransport`
+  (sharded across executor processes; owns placement, the in-flight
+  table and recovery, and swaps to an inline transport when its fleet
+  is lost);
 * :class:`RequestQueue` -- EDF-ordered pending requests with
   capacity/budget-capped batch popping;
 * routers -- :class:`LeastLatencyRouter` (fastest session that meets
@@ -21,7 +27,8 @@ Builds the request-level serving story on top of
 * multi-worker fan-out -- :class:`WorkerPool` executor processes
   (spawn-safe via :class:`repro.engine.SessionSpec`) with
   :class:`PlacementPolicy` cost-model placement and online calibration
-  (``Scheduler.register(..., workers=N)``);
+  (``Scheduler.register(..., workers=N)`` builds the
+  :class:`PoolTransport`);
 * self-healing -- supervision with bounded backoff respawns
   (:class:`RecoveryPolicy`), heartbeat liveness, hung-worker dispatch
   deadlines, stranded-batch re-dispatch with per-request retry budgets
@@ -56,6 +63,7 @@ from repro.serving.trace import (TraceRequest, adversarial_trace,
                                  bursty_trace, load_jsonl, replay,
                                  save_jsonl, synth_images, two_tier_trace,
                                  uniform_trace)
+from repro.serving.transport import InlineTransport, PoolTransport
 from repro.serving.worker import (RecoveryPolicy, WorkerDiedError,
                                   WorkerPool, WorkerReply, worker_payload)
 
@@ -65,6 +73,7 @@ __all__ = [
     "Router", "LeastLatencyRouter", "HighestFidelityRouter",
     "request_cost_ms", "backend_fidelity", "BACKEND_FIDELITY",
     "Scheduler", "ServedModel", "FlushEvent", "AdmissionError",
+    "InlineTransport", "PoolTransport",
     "Placement", "PlacementPolicy",
     "WorkerPool", "WorkerReply", "worker_payload",
     "WorkerDiedError", "RecoveryPolicy", "RetryPolicy",

@@ -53,7 +53,7 @@ class FaultSpec:
         malformed payload the scheduler must reject and retry, not
         deliver.
     duplicate_at_batch: send the K-th reply twice -- the at-most-once
-        delivery check in ``Scheduler._finish_reply``.
+        delivery check in ``PoolTransport._accept``.
     torn_reply_at_batch: die (``os._exit``) midway through *writing*
         the K-th reply frame -- the abrupt-death-mid-reply case (a
         real ``kill -9`` or OOM lands wherever it lands).  The parent

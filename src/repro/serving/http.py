@@ -26,10 +26,11 @@ plus a small request parser, no web framework) that exposes a
 
 The server owns an event-loop thread; scheduler calls that may block
 (a preemptive flush executing inline, ``wait_result``) run on thread
-pools so the loop keeps accepting connections.  By default the front
-door also drives the scheduler's background stepping thread
-(``manage_scheduler=True``), making ``FrontDoor(scheduler).start()``
-a complete serving process.
+pools so the loop keeps accepting connections.  Flushing is the
+scheduler's own stepping thread (:meth:`Scheduler.start`): the front
+door starts it unless it is already running and stops it only if it
+started it, so ``FrontDoor(scheduler).start()`` is a complete serving
+process and a scheduler someone else drives is left alone.
 
 :class:`FrontDoorClient` is the matching blocking client (stdlib
 ``http.client``, keep-alive) used by the tests, the load generator,
@@ -121,17 +122,16 @@ class FrontDoor:
     scheduler: the scheduler to expose (register sessions first).
     host/port: bind address; port 0 picks a free port (read ``.port``
         after :meth:`start`).
-    poll_ms: stepping cadence for the managed scheduler thread.
-    manage_scheduler: start/stop the scheduler's background stepping
-        thread with the server (disable when something else drives it).
+    poll_ms: stepping cadence when the front door starts the
+        scheduler's stepping thread (see the module docstring).
     max_body_bytes: reject larger request bodies with ``413``.
     wait_workers: thread-pool size for held-open ``?wait=1`` result
         calls (each occupies one slot while blocked).
     """
 
     def __init__(self, scheduler, host="127.0.0.1", port=0, *,
-                 poll_ms=1.0, manage_scheduler=True,
-                 max_body_bytes=64 * 1024 * 1024, wait_workers=32):
+                 poll_ms=1.0, max_body_bytes=64 * 1024 * 1024,
+                 wait_workers=32):
         if wait_workers < 1:
             raise ValueError("wait_workers must be >= 1")
         if max_body_bytes < 1:
@@ -140,7 +140,6 @@ class FrontDoor:
         self.host = host
         self.port = int(port)
         self.poll_ms = float(poll_ms)
-        self.manage_scheduler = bool(manage_scheduler)
         self.max_body_bytes = int(max_body_bytes)
         self._wait_workers = int(wait_workers)
         self._thread = None
@@ -163,8 +162,8 @@ class FrontDoor:
         """Bind and serve on a background event-loop thread.
 
         Returns once the socket is listening (``.port`` is then the
-        real bound port) and, with ``manage_scheduler``, the scheduler
-        is stepping.  Raises whatever the server startup raised.
+        real bound port) and the scheduler is stepping.  Raises
+        whatever the server startup raised.
         """
         if self._thread is not None:
             raise RuntimeError("front door already started")
@@ -235,7 +234,7 @@ class FrontDoor:
             ready.set()
             return
         self.port = server.sockets[0].getsockname()[1]
-        if self.manage_scheduler and self.scheduler._thread is None:
+        if not self.scheduler.running:
             self.scheduler.start(poll_ms=self.poll_ms)
             self._started_scheduler = True
         ready.set()

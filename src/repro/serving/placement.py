@@ -77,7 +77,7 @@ class PlacementPolicy:
         answers instead of the calibration EWMA.
     forgetting: the learned estimators' RLS decay factor.
     max_in_flight: bound on batches outstanding per worker (``None`` =
-        unbounded, the pre-recovery behavior).  The scheduler sets it
+        unbounded, the pre-recovery behavior).  The transport sets it
         from its :class:`repro.serving.RecoveryPolicy` so a slow or
         dying worker never accumulates an unbounded strandable backlog.
     """
@@ -172,7 +172,7 @@ class PlacementPolicy:
         the shape back to the estimator with the measured time.
 
         ``candidates`` restricts the choice to a subset of workers (the
-        scheduler passes the *alive and under-capacity* set during
+        transport passes the *alive and under-capacity* set during
         recovery); placement among no eligible workers raises
         ``LookupError`` -- the caller's signal to defer the batch.
         """

@@ -79,7 +79,8 @@ class RequestResult:
     ``logits`` / ``latency_ms`` are this request's rows of the batch
     result (``(n, num_classes)`` and ``(n,)``).  ``session`` names the
     :class:`repro.engine.InferenceSession` that executed it (the routing
-    decision); ``completed_ms`` is the scheduler-clock flush time.
+    decision); ``completed_ms`` is the scheduler-clock time the result
+    was delivered -- after the batch executed, wherever it ran.
 
     A request the recovery layer gave up on (poison quarantine: its
     batches exhausted the re-dispatch budget, or it was shed after a
@@ -113,7 +114,7 @@ class RequestResult:
 
     @property
     def wait_ms(self):
-        """Time spent queued before the executing flush."""
+        """Arrival to completion: queueing plus the batch's execution."""
         return self.completed_ms - self.arrival_ms
 
     @property

@@ -35,20 +35,15 @@ sheds or degrades sheddable classes when a target's priced backlog
 **flush preemption** lets a premium arrival fire a due flush at
 submit time instead of waiting out the step/window cadence.
 
-Multi-worker targets are **self-healing** (see
-:class:`repro.serving.RecoveryPolicy`): every collect pass runs a
-recovery sweep -- hung workers (no reply within the cost-model-derived
-dispatch deadline) are terminated, batches stranded on dead workers are
-re-dispatched to survivors in EDF order with placement tickets
-released, dead workers are respawned under the pool's supervision
-budget, and a request whose batches keep killing workers is
-*quarantined*: failed cleanly to its caller (a
-:class:`~repro.serving.request.RequestResult` with ``error`` set)
-after its retry budget, never retried forever.  When the whole pool is
-permanently lost the target degrades to in-process execution on the
-parent session -- results stay bitwise identical (grouped execution is
-placement-invariant), only throughput degrades -- and ``stats()``
-records every recovery action.
+Every flushed batch takes one path whatever executes it: pop ->
+dispatch on the target's *transport* (:mod:`repro.serving.transport`:
+in-process on the session, or sharded across a self-healing worker
+pool) -> collect -> deliver, where per-request slicing, the
+``completed_ms`` stamp, counting and storing happen once.  Requests
+whose execution a transport lost are requeued -- or, past their retry
+budget, *quarantined*: failed cleanly to the caller (a
+:class:`~repro.serving.request.RequestResult` with ``error`` set),
+never retried forever.
 
 Time comes from a :class:`repro.serving.clock.Clock` (milliseconds).
 The scheduler is step-driven and thread-safe: call :meth:`step` from
@@ -67,11 +62,10 @@ import numpy as np
 
 from repro.engine.session import InferenceSession
 from repro.serving.clock import Clock, SystemClock
-from repro.serving.placement import PlacementPolicy
 from repro.serving.queue import RequestQueue
 from repro.serving.request import DEFAULT_PRIORITY, Request, RequestResult
 from repro.serving.router import LeastLatencyRouter, backend_fidelity
-from repro.serving.worker import RecoveryPolicy, WorkerDiedError, WorkerPool
+from repro.serving.transport import InlineTransport, PoolTransport
 
 __all__ = ["Scheduler", "ServedModel", "FlushEvent", "AdmissionError"]
 
@@ -94,67 +88,29 @@ class AdmissionError(RuntimeError):
 
 
 @dataclass
-class _InFlight:
-    """One batch dispatched to a worker, awaiting its reply.
-
-    ``deadline_s`` is **host-monotonic** (``time.monotonic()``), not
-    scheduler-clock: the dispatch deadline detects a *process* that
-    stopped answering, which only host time can witness -- a virtual
-    scheduler clock may not advance at all while a worker hangs.
-    """
-
-    requests: list
-    ticket: object                  # repro.serving.Placement
-    reason: str
-    estimated_ms: float = 0.0       # placement-predicted cost (backlog)
-    dispatched_s: float = 0.0       # host-monotonic dispatch time
-    deadline_s: float = None        # host-monotonic hung-batch deadline
-    incarnation: int = 0            # worker incarnation dispatched to
-
-
-def _recovery_counters():
-    """Fresh per-target recovery telemetry (reported by ``stats()``)."""
-    return {
-        "respawns": 0,               # dead workers restarted
-        "lost_batches": 0,           # in-flight batches stranded by deaths
-        "hung_workers": 0,           # terminated for missing the deadline
-        "redispatched_requests": 0,  # requeued to survivors after a loss
-        "failed_requests": 0,        # poison quarantine: budget exhausted
-        "shed_on_recovery": 0,       # expired sheddable requests dropped
-        "worker_errors": 0,          # error replies absorbed (not raised)
-        "corrupt_replies": 0,        # malformed payloads rejected
-        "duplicate_replies": 0,      # stale/duplicate replies dropped
-        "degraded_flushes": 0,       # in-process flushes after collapse
-    }
-
-
-@dataclass
 class ServedModel:
     """One registered serving target.
 
-    With ``workers >= 2`` the target owns a
-    :class:`repro.serving.WorkerPool` of executor processes and a
-    :class:`repro.serving.PlacementPolicy`; flushed batches are then
-    dispatched (non-blocking) instead of executed inline, and
-    ``pending`` tracks the in-flight dispatches until their replies are
-    collected.
+    ``transport`` is where its flushed batches run
+    (:mod:`repro.serving.transport`).  ``pool`` / ``placement`` /
+    ``pending`` / ``recovery`` / ``degraded`` are read-only views of
+    it: the :class:`repro.serving.WorkerPool` and
+    :class:`repro.serving.PlacementPolicy` (``None`` in-process), the
+    shards awaiting worker replies, the recovery counters, and whether
+    the fleet is permanently lost and flushes run in-process.
     """
 
     name: str
     session: InferenceSession
     max_batch: int
+    transport: object
     queue: RequestQueue = field(default_factory=RequestQueue)
-    pool: WorkerPool = None
-    placement: PlacementPolicy = None
-    pending: dict = field(default_factory=dict)
-    recovery: dict = field(default_factory=_recovery_counters)
 
-    @property
-    def degraded(self):
-        """Whether the target's worker fleet is permanently lost and
-        flushes run in-process (the HTTP front door answers 503 +
-        ``Retry-After`` for sheddable classes while this holds)."""
-        return self.pool is not None and self.pool.fleet_down
+    pool = property(lambda self: self.transport.pool)
+    placement = property(lambda self: self.transport.placement)
+    pending = property(lambda self: self.transport.pending)
+    recovery = property(lambda self: self.transport.recovery)
+    degraded = property(lambda self: self.transport.degraded)
 
     @property
     def cost_model(self):
@@ -200,29 +156,26 @@ class ServedModel:
         in-flight dispatch.  The quantity admission control compares
         against capacity."""
         queued = self.queue.pending_images
-        total = self.batch_cost_ms(queued) if queued else 0.0
-        for inflight in list(self.pending.values()):
-            total += inflight.estimated_ms
-        return total
+        return ((self.batch_cost_ms(queued) if queued else 0.0)
+                + self.transport.backlog_ms())
 
     def projected_backlog_ms(self, extra_images):
         """:meth:`priced_backlog_ms` if ``extra_images`` more images
         joined the queue -- priced as one merged batch with the queued
         images, so the per-batch overhead is not double-counted."""
-        total = self.batch_cost_ms(self.queue.pending_images + extra_images)
-        for inflight in list(self.pending.values()):
-            total += inflight.estimated_ms
-        return total
+        return (self.batch_cost_ms(self.queue.pending_images + extra_images)
+                + self.transport.backlog_ms())
 
 
 @dataclass
 class FlushEvent:
-    """Telemetry for one executed batch (asserted by the simulation
-    harness: flush timing, trigger reason, and remainder carry-over).
+    """Telemetry for one dispatched shard of a flushed batch (asserted
+    by the simulation harness: flush timing, trigger reason, and
+    remainder carry-over).  ``time_ms`` is the flush time.
 
     ``worker`` is the executor-process index for multi-worker targets
     (the placement decision), ``None`` for in-process execution; for
-    dispatched batches ``estimated_ms`` is the placement policy's
+    shards sent to a worker ``estimated_ms`` is the placement policy's
     calibrated prediction."""
 
     time_ms: float
@@ -303,6 +256,7 @@ class Scheduler:
         self.admission_capacity_ms = admission_capacity_ms
         self.preempt_priority = preempt_priority
         self.events = []
+        self._flush_reasons = {}     # reason -> events logged since start
         # Per-priority-class serving counters (submitted / completed /
         # deadline hits / degraded / shed), mutated under _results_cond
         # and reported by stats().
@@ -317,7 +271,6 @@ class Scheduler:
         self._registry_lock = threading.Lock()
         self._step_lock = threading.Lock()
         self._next_id = 0
-        self._next_task_id = 0
         self._thread = None
         self._stop_event = None
         self._background_error = None
@@ -347,19 +300,16 @@ class Scheduler:
         sessions from their :class:`repro.engine.SessionSpec`
         bitwise-identically, backend and dtype included.
 
-        ``workers >= 2`` serves the target from a pool of that many
-        executor *processes* (see :mod:`repro.serving.worker`): each
-        flush is split into up to ``workers`` balanced shards and
-        dispatched without blocking to the worker with the lowest
-        cost-model-predicted completion time
-        (:class:`repro.serving.PlacementPolicy`, online-calibrated from
-        the workers' measured timings).  Results are reassembled per
-        request and are bitwise identical to in-process execution.
-        ``worker_ctx`` picks the multiprocessing start method
-        (``"spawn"`` default; the session is shipped as a
-        :class:`repro.engine.SessionSpec` when possible).  Call
-        :meth:`shutdown` (or use the scheduler as a context manager) to
-        join the pools deterministically.
+        ``workers == 1`` runs flushes in-process
+        (:class:`repro.serving.InlineTransport`); ``workers >= 2``
+        serves the target from a pool of that many executor *processes*
+        (:class:`repro.serving.PoolTransport`: balanced shards,
+        cost-model placement, self-healing), with results bitwise
+        identical to in-process execution.  ``worker_ctx`` picks the
+        multiprocessing start method (``"spawn"`` default; the session
+        is shipped as a :class:`repro.engine.SessionSpec` when
+        possible).  Call :meth:`shutdown` (or use the scheduler as a
+        context manager) to join the pools deterministically.
 
         ``learn_cost=True`` builds the session with an online cost
         model (:class:`repro.cost.OnlineCostModel` around the resolved
@@ -373,12 +323,9 @@ class Scheduler:
         ``learn_cost=True`` itself.
 
         ``recovery`` (a :class:`repro.serving.RecoveryPolicy`) tunes
-        the target's self-healing: supervision restart budget and
-        backoff, heartbeat cadence, per-request re-dispatch budget,
-        hung-batch dispatch deadlines, and the per-worker in-flight
-        bound (which also caps the placement policy).  ``fault_plan``
-        (a :class:`repro.serving.FaultPlan`) scripts deterministic
-        worker failures -- the chaos-test hook; leave it ``None`` in
+        the pool's self-healing; ``fault_plan`` (a
+        :class:`repro.serving.FaultPlan`) scripts deterministic worker
+        failures -- the chaos-test hook; leave it ``None`` in
         production.  Both apply to multi-worker targets only.
         """
         if (model is None) == (session is None):
@@ -399,20 +346,15 @@ class Scheduler:
         max_batch = session.batch_size if max_batch is None else int(max_batch)
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        pool = placement = None
-        if workers > 1:
-            pool = WorkerPool(session, workers, ctx=worker_ctx,
-                              recovery=recovery, fault_plan=fault_plan)
-            placement = PlacementPolicy(
-                workers, cost_model=session.cost_model,
-                max_in_flight=pool.recovery.max_in_flight_per_worker)
+        transport = (InlineTransport(session) if workers == 1 else
+                     PoolTransport.spawn(session, workers, self.clock,
+                                         ctx=worker_ctx, recovery=recovery,
+                                         fault_plan=fault_plan))
         served = ServedModel(name=name, session=session,
-                             max_batch=max_batch, pool=pool,
-                             placement=placement)
+                             max_batch=max_batch, transport=transport)
         with self._registry_lock:
             if name in self._served:
-                if pool is not None:
-                    pool.close()
+                transport.close()
                 raise ValueError(f"session {name!r} already registered")
             self._served[name] = served
         return served
@@ -503,13 +445,16 @@ class Scheduler:
             self._preempt(served)
         return request_id
 
-    def _count(self, priority, key, amount=1):
+    def _class_counters(self, priority):
+        """The class's counters, created on first touch (caller holds
+        ``_results_cond``)."""
+        return self._class_stats.setdefault(priority, {
+            "submitted": 0, "completed": 0, "deadline_hits": 0,
+            "deadline_misses": 0, "degraded": 0, "shed": 0, "failed": 0})
+
+    def _count(self, priority, key):
         with self._results_cond:
-            stats = self._class_stats.setdefault(priority, {
-                "submitted": 0, "completed": 0, "deadline_hits": 0,
-                "deadline_misses": 0, "degraded": 0, "shed": 0,
-                "failed": 0})
-            stats[key] += amount
+            self._class_counters(priority)[key] += 1
 
     # ------------------------------------------------------------------
     # Admission control: shed or degrade when backlog exceeds capacity
@@ -569,20 +514,14 @@ class Scheduler:
         ``_flush_reason`` is simply ``None`` and this is a no-op.
         """
         with self._step_lock:
-            while True:
-                now = self.clock.now()
-                reason = self._flush_reason(served, now)
-                if reason is None:
-                    break
-                self._execute(served, now, reason)
-            self._collect(served, block=False)
+            self._fire_due(served)
 
     def pending_requests(self):
         return sum(len(s.queue) for s in self.sessions)
 
     def in_flight_batches(self):
-        """Batches dispatched to worker pools, awaiting their replies."""
-        return sum(len(s.pending) for s in self.sessions)
+        """Shards dispatched to worker pools, awaiting their replies."""
+        return sum(s.transport.in_flight for s in self.sessions)
 
     # ------------------------------------------------------------------
     # Batch formation and execution
@@ -598,27 +537,33 @@ class Scheduler:
         completed = []
         with self._step_lock:
             for served in self.sessions:
-                while True:
-                    # Re-read per flush: with a real clock, earlier
-                    # batches in this step consumed host time, and both
-                    # the flush decision and completed_ms must see it.
-                    now = self.clock.now()
-                    reason = self._flush_reason(served, now)
-                    if reason is None:
-                        break
-                    completed.extend(self._execute(served, now, reason))
-                # Multi-worker targets complete asynchronously: pick up
-                # whatever replies have arrived, without blocking.
-                completed.extend(self._collect(served, block=False))
+                completed.extend(self._fire_due(served))
         return completed
+
+    def _fire_due(self, served):
+        """Every flush due on ``served`` right now, then a non-blocking
+        collect (caller holds the step lock)."""
+        completed = []
+        while True:
+            # Re-read per flush: with a real clock, earlier batches
+            # consumed host time, and the flush decision must see it.
+            now = self.clock.now()
+            reason = self._flush_reason(served, now)
+            if reason is None:
+                break
+            completed.extend(self._execute(served, now, reason))
+        # Multi-worker targets complete asynchronously: pick up
+        # whatever replies have arrived, without blocking.
+        return completed + self._collect(served)
 
     def flush(self, model=None, wait=True):
         """Force-run everything pending (for ``model``, or everywhere).
 
-        For multi-worker targets the queued batches are dispatched
-        across the pool and, with ``wait=True`` (default), their
-        results collected before returning; ``wait=False`` leaves them
-        in flight (pick them up via :meth:`step` or :meth:`drain`).
+        With ``wait=True`` (default) every dispatched shard's results
+        are collected before returning.  ``wait=False`` returns what
+        finished inside the call -- everything, for an in-process
+        target -- and leaves shards sent to workers in flight (pick
+        them up via :meth:`step` or :meth:`drain`).
         """
         completed = []
         if model is not None:
@@ -655,9 +600,9 @@ class Scheduler:
         return completed
 
     def _run_down(self, served, wait, timeout_ms=None):
-        """Dispatch/execute everything queued on ``served``; with
-        ``wait``, alternate dispatch and collect (recovery included)
-        until nothing is queued or in flight.
+        """Dispatch everything queued on ``served``; with ``wait``,
+        alternate dispatch and collect (recovery included) until
+        nothing is queued or in flight.
 
         The alternation is what makes run-down converge under
         failures: a dispatch round may find every eligible worker
@@ -681,19 +626,17 @@ class Scheduler:
                 progressed = True
             if not wait:
                 break
-            remaining_ms = (None if deadline is None else
-                            max(0.0, (deadline - time.monotonic()) * 1e3))
-            completed.extend(self._collect(
-                served, block=bool(served.pending),
-                timeout_ms=remaining_ms))
-            if not len(served.queue) and not served.pending:
+            transport = served.transport
+            completed.extend(self._collect(served, block=True,
+                                           deadline=deadline))
+            if not len(served.queue) and not transport.in_flight:
                 break
             if deadline is not None and time.monotonic() > deadline:
                 raise TimeoutError(
-                    f"{len(served.pending)} in-flight batch(es) and "
+                    f"{transport.in_flight} in-flight batch(es) and "
                     f"{len(served.queue)} queued request(s) on "
                     f"{served.name!r} not completed in {timeout_ms} ms")
-            if not progressed and not served.pending:
+            if not progressed and not transport.in_flight:
                 # Queue blocked on a respawn backoff window: nothing in
                 # flight to wait on, so yield briefly instead of
                 # spinning until the supervisor may restart a worker.
@@ -705,12 +648,10 @@ class Scheduler:
         pending_images = queue.pending_images
         if not pending_images:
             return None
-        if not self._can_dispatch(served):
-            # Backpressure: every live worker is at its in-flight bound
-            # (or the fleet is mid-respawn).  Defer the flush -- the
-            # queue keeps absorbing arrivals and the next collect frees
-            # capacity.  A permanently-lost fleet does NOT defer: it
-            # falls through and flushes in-process (degraded mode).
+        if not served.transport.has_capacity():
+            # Backpressure: the transport has nowhere to run a batch
+            # right now.  Defer the flush -- the queue keeps absorbing
+            # arrivals and the next collect frees capacity.
             return None
         if pending_images >= served.max_batch:
             return "capacity"
@@ -728,16 +669,9 @@ class Scheduler:
             return "window"
         return None
 
-    def _can_dispatch(self, served):
-        """Whether a flush on ``served`` has somewhere to go: some live
-        worker under its in-flight bound, or the degraded in-process
-        path (no pool, or the fleet permanently lost)."""
-        if served.pool is None or served.pool.fleet_down:
-            return True
-        return any(served.placement.has_capacity(worker)
-                   for worker in served.pool.alive_workers())
-
     def _log_event(self, event):
+        self._flush_reasons[event.reason] = (
+            self._flush_reasons.get(event.reason, 0) + 1)
         self.events.append(event)
         if (self.max_events is not None
                 and len(self.events) > self.max_events):
@@ -747,10 +681,7 @@ class Scheduler:
         with self._results_cond:
             for item in completed:
                 self._results[item.request_id] = item
-                stats = self._class_stats.setdefault(item.priority, {
-                    "submitted": 0, "completed": 0, "deadline_hits": 0,
-                    "deadline_misses": 0, "degraded": 0, "shed": 0,
-                    "failed": 0})
+                stats = self._class_counters(item.priority)
                 if item.failed:
                     # Quarantined/shed by recovery: a clean failure is
                     # not a completion, and it never judged a deadline.
@@ -770,7 +701,10 @@ class Scheduler:
         Per-session queue depth / priced backlog / in-flight batches,
         per-priority-class admission and deadline counters (with the
         derived ``deadline_hit_rate`` over deadline-carrying completions),
-        and a histogram of flush-trigger reasons from the event log.
+        and a histogram of flush-trigger reasons over every
+        :class:`FlushEvent` logged since the scheduler started (kept up
+        to date as events are logged, so it is not limited to the
+        ``max_events`` tail that ``events`` retains).
         """
         sessions = {}
         for served in self.sessions:
@@ -778,7 +712,7 @@ class Scheduler:
                 "queued_requests": len(served.queue),
                 "queued_images": served.queue.pending_images,
                 "priced_backlog_ms": served.priced_backlog_ms(),
-                "in_flight_batches": len(served.pending),
+                "in_flight_batches": served.transport.in_flight,
                 "backend": served.session.backend,
                 "fidelity": served.fidelity,
                 "workers": (served.pool.num_workers
@@ -789,7 +723,6 @@ class Scheduler:
                 entry["degraded"] = served.degraded
                 entry["fleet"] = served.pool.supervision_snapshot()
             sessions[served.name] = entry
-        reasons = {}
         with self._results_cond:
             classes = {}
             for priority, counters in sorted(self._class_stats.items()):
@@ -799,12 +732,10 @@ class Scheduler:
                     entry["deadline_hits"] / judged if judged else None)
                 classes[priority] = entry
             pending_results = len(self._results)
-        for event in list(self.events):
-            reasons[event.reason] = reasons.get(event.reason, 0) + 1
         return {
             "sessions": sessions,
             "classes": classes,
-            "flush_reasons": reasons,
+            "flush_reasons": dict(self._flush_reasons),
             "num_events": len(self.events),
             "pending_results": pending_results,
             "admission_capacity_ms": self.admission_capacity_ms,
@@ -814,275 +745,118 @@ class Scheduler:
         }
 
     def _execute(self, served, now, reason):
+        """Run one flush: pop the batch, hand it to the transport, log
+        one :class:`FlushEvent` per shard it accepted, requeue what
+        bounced (the push re-sorts it into EDF position).  Returns the
+        results of shards that finished inside the dispatch -- an
+        in-process batch always has; the rest arrive via
+        :meth:`_collect`."""
         requests = served.queue.pop_batch(
             max_images=served.max_batch,
             latency_budget_ms=self.latency_budget_ms,
             batch_cost_ms=served.batch_cost_ms)
-        if served.pool is not None and not served.pool.fleet_down:
-            return self._dispatch(served, requests, now, reason)
-        try:
-            result, slices = served.session.submit_many(
-                [r.images for r in requests])
-        except Exception:
-            # Never lose co-batched requests to one failing execution.
-            for request in requests:
-                served.queue.push(request)
-            raise
-        if served.pool is not None:
-            # The fleet is permanently lost; this flush ran in-process
-            # on the parent session (graceful degradation -- identical
-            # logits, reduced throughput).  Record it.
-            served.recovery["degraded_flushes"] += 1
-        num_images = sum(r.num_images for r in requests)
-        self._log_event(FlushEvent(
-            time_ms=now, session=served.name, reason=reason,
-            request_ids=[r.request_id for r in requests],
-            num_images=num_images,
-            estimated_ms=served.batch_cost_ms(num_images),
-            carried_requests=len(served.queue)))
-        completed = []
-        for request, rows in zip(requests, slices):
+        shards, bounced, error = served.transport.dispatch(requests, now)
+        for shard in shards:
+            self._log_event(FlushEvent(
+                time_ms=now, session=served.name, reason=reason,
+                request_ids=[r.request_id for r in shard.requests],
+                num_images=sum(r.num_images for r in shard.requests),
+                estimated_ms=shard.estimated_ms,
+                carried_requests=len(served.queue),
+                worker=shard.worker))
+        for request in bounced:
+            served.queue.push(request)
+        if error is not None:
+            raise error
+        return [result for shard in shards if shard.arrays is not None
+                for result in self._deliver(served, shard.requests,
+                                            shard.arrays)]
+
+    def _collect(self, served, block=False, deadline=None):
+        """Poll the transport and deliver what it finished; requeue or
+        quarantine what it lost.
+
+        Non-blocking by default; ``block=True`` waits until no shard of
+        this target is in flight (a transport's recovery may hand
+        requests back as lost -- the caller's run-down loop
+        re-dispatches them) or the host-monotonic ``deadline`` passes.
+        """
+        transport, completed = served.transport, []
+        while True:
+            finished, lost = transport.poll(
+                timeout_s=0.05 if block else 0.0)
+            for requests, arrays in finished:
+                completed.extend(self._deliver(served, requests, arrays))
+            for requests, why in lost:
+                completed.extend(self._requeue_recovered(
+                    served, requests, f"{why} on {served.name!r}"))
+            idle = not finished and not lost
+            expired = deadline is not None and time.monotonic() > deadline
+            if not transport.in_flight or (idle and (expired or not block)):
+                break
+        return completed
+
+    def _deliver(self, served, requests, arrays):
+        """The one success path: slice a finished shard's ``arrays``
+        per request (rows are contiguous, in ``requests`` order), stamp
+        completion at the scheduler clock *now* -- after execution, on
+        every transport -- then count and store."""
+        now = self.clock.now()
+        completed, offset = [], 0
+        for request in requests:
+            rows = slice(offset, offset + request.num_images)
+            offset += request.num_images
             completed.append(RequestResult(
                 request_id=request.request_id,
-                logits=result.logits[rows],
-                latency_ms=result.latency_ms[rows],
+                logits=arrays.logits[rows],
+                latency_ms=arrays.latency_ms[rows],
                 session=served.name,
                 arrival_ms=request.arrival_ms,
                 completed_ms=now,
                 deadline_ms=request.deadline_ms,
                 priority=request.priority,
                 tokens_per_stage=[stage[rows] for stage in
-                                  result.tokens_per_stage]))
+                                  arrays.tokens_per_stage]))
         return self._store(completed)
 
-    # ------------------------------------------------------------------
-    # Multi-worker dispatch and reassembly
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _shard_requests(requests, num_shards):
-        """Split a popped batch into up to ``num_shards`` contiguous,
-        image-count-balanced shards (requests stay atomic, EDF order is
-        preserved -- shard 0 holds the earliest deadlines)."""
-        k = min(num_shards, len(requests))
-        if k <= 1:
-            return [requests]
-        total = sum(r.num_images for r in requests)
-        shards, current, images_done = [], [], 0
-        for index, request in enumerate(requests):
-            current.append(request)
-            images_done += request.num_images
-            remaining = len(requests) - index - 1
-            if (len(shards) + 1 < k and remaining >= 1
-                    and images_done * k >= total * (len(shards) + 1)):
-                shards.append(current)
-                current = []
-        shards.append(current)
-        return shards
+    def _requeue_recovered(self, served, requests, why):
+        """Route requests whose execution the transport lost: back onto
+        the queue (the push re-sorts them into EDF position) while
+        their retry budget lasts, else a clean failure.  Returns the
+        failed results.
 
-    def _dispatch(self, served, requests, now, reason):
-        """Fan a popped batch out across the worker pool, non-blocking.
-
-        Each shard goes to the live, under-capacity worker with the
-        lowest cost-model-predicted completion time; replies are
-        reassembled by :meth:`_collect`.  Shards that find no eligible
-        worker (the fleet saturated or mid-respawn) -- or whose target
-        dies between placement and enqueue (:class:`WorkerDiedError`)
-        -- bounce back onto the queue, which re-sorts them into EDF
-        position; nothing is ever stranded on a dead worker's queue.
-        Returns ``[]`` -- nothing completes synchronously.
+        Each loss costs a request one unit of its retry budget; over
+        budget is the **poison quarantine** -- the request is failed
+        cleanly to its caller (some batches *cause* crashes, and
+        re-dispatching one forever would grind the fleet down worker
+        by worker).  Expired sheddable requests fail through the shed
+        accounting instead of being silently served late.
         """
-        pool, policy = served.pool, served.pool.recovery
-        deferred = []
-        for shard in self._shard_requests(requests, pool.num_workers):
-            num_images = sum(r.num_images for r in shard)
-            raw_ms = served.batch_cost_ms(num_images)
-            eligible = [worker for worker in pool.alive_workers()
-                        if served.placement.has_capacity(worker)]
-            if not eligible:
-                deferred.append(shard)
-                continue
-            ticket = None
-            try:
-                ticket = served.placement.assign(
-                    raw_ms, now_ms=now, num_images=num_images,
-                    candidates=eligible)
-                with self._results_cond:
-                    task_id = self._next_task_id
-                    self._next_task_id += 1
-                incarnation = served.pool.dispatch(
-                    task_id, [r.images for r in shard], ticket.worker)
-            except LookupError:
-                deferred.append(shard)
-                continue
-            except WorkerDiedError:
-                # Died between the liveness snapshot and the enqueue;
-                # recovery will respawn it -- just redirect the shard.
-                served.placement.complete(ticket, now_ms=now)
-                deferred.append(shard)
-                continue
-            except Exception:
-                if ticket is not None:
-                    served.placement.complete(ticket, now_ms=now)
-                deferred.append(shard)
-                for waiting in deferred:
-                    for request in waiting:
-                        served.queue.push(request)
-                raise
-            # Hung-batch deadline: host time, scaled off the placement
-            # prediction so big batches get proportionally more rope,
-            # floored so estimator noise never kills healthy workers.
-            dispatched_s = time.monotonic()
-            predicted_s = max(ticket.completion_ms - now, 0.0) / 1e3
-            deadline_s = dispatched_s + max(
-                policy.min_dispatch_timeout_s,
-                policy.dispatch_timeout_factor * predicted_s)
-            served.pending[task_id] = _InFlight(
-                requests=shard, ticket=ticket, reason=reason,
-                estimated_ms=ticket.predicted_ms,
-                dispatched_s=dispatched_s, deadline_s=deadline_s,
-                incarnation=incarnation)
-            self._log_event(FlushEvent(
-                time_ms=now, session=served.name, reason=reason,
-                request_ids=[r.request_id for r in shard],
-                num_images=num_images,
-                estimated_ms=ticket.predicted_ms,
-                carried_requests=len(served.queue),
-                worker=ticket.worker))
-        for shard in deferred:
-            for request in shard:
-                served.queue.push(request)
-        return []
-
-    def _collect(self, served, block=False, timeout_ms=None):
-        """Reassemble finished worker batches into request results.
-
-        Every pass runs the recovery sweep (hung-worker termination,
-        lost-batch re-dispatch, supervision respawns) before polling,
-        so background serving heals on the non-blocking :meth:`step`
-        path too, not only in drains.  Non-blocking by default;
-        ``block=True`` waits until no batch of this target is in
-        flight (recovery may move its requests back to the queue --
-        the caller's run-down loop re-dispatches them), raising
-        ``TimeoutError`` when ``timeout_ms`` expires first.
-        """
-        completed = []
-        if served.pool is None:
-            return completed
-        deadline = (None if timeout_ms is None
-                    else time.monotonic() + timeout_ms / 1e3)
-        while True:
-            completed.extend(self._recover_lost_workers(served))
-            replies = served.pool.poll(
-                timeout_s=0.05 if (block and served.pending) else 0.0)
-            for reply in replies:
-                completed.extend(self._finish_reply(served, reply))
-            if not served.pending:
-                break
-            if not replies:
-                if not block:
-                    break
-                if deadline is not None and time.monotonic() > deadline:
-                    raise TimeoutError(
-                        f"{len(served.pending)} in-flight batch(es) on "
-                        f"{served.name!r} not completed in {timeout_ms} ms")
-        return completed
-
-    def _recover_lost_workers(self, served):
-        """The recovery sweep: terminate hung workers, re-dispatch
-        batches stranded on dead ones, respawn under the supervision
-        budget.  Returns the failed results it produced (quarantined or
-        shed requests) -- never raises for a worker failure.
-
-        A batch is *lost* when its worker is dead **or** its slot has
-        moved to a newer incarnation -- supervision may respawn a dead
-        worker before this sweep ever saw the death (the respawn races
-        the sweep, including from a concurrent stepping thread), and
-        aliveness alone would then strand the dead incarnation's
-        batches until the hung deadline terminated the healthy
-        replacement.  Hung first: an in-flight batch past its
-        host-monotonic dispatch deadline means *the incarnation it was
-        dispatched to* took the task and went silent (``is_alive()``
-        cannot see it); that incarnation is terminated -- the kill is
-        incarnation-guarded, so a respawn that slipped in is never
-        executed for its predecessor's batch -- and it joins the dead
-        set this same sweep, its batches recovering through the one
-        path below.  Each stranded request pays one unit of its retry
-        budget; over budget is the **poison quarantine** -- the
-        request is failed cleanly to its caller (some batches *cause*
-        crashes, and re-dispatching one forever would grind the fleet
-        down worker by worker).  Expired sheddable requests fail
-        through the shed accounting instead of being silently served
-        late.
-        """
-        pool = served.pool
-        failed = []
-        if pool is None or pool.closed:
-            return failed
-        host_now = time.monotonic()
-        alive, incarnations = pool.liveness()
-
-        def is_lost(inflight):
-            worker = inflight.ticket.worker
-            return (worker not in alive
-                    or incarnations[worker] != inflight.incarnation)
-
-        hung = {(inflight.ticket.worker, inflight.incarnation)
-                for inflight in served.pending.values()
-                if (not is_lost(inflight)
-                    and inflight.deadline_s is not None
-                    and host_now > inflight.deadline_s)}
-        for worker, incarnation in sorted(hung):
-            pool.terminate_worker(worker, incarnation=incarnation)
-            served.recovery["hung_workers"] += 1
-        if hung:
-            alive, incarnations = pool.liveness()
-        lost = [task_id for task_id, inflight in served.pending.items()
-                if is_lost(inflight)]
-        if lost:
-            now = self.clock.now()
-            for task_id in sorted(lost):
-                inflight = served.pending.pop(task_id)
-                served.placement.complete(inflight.ticket, now_ms=now)
-                served.recovery["lost_batches"] += 1
-                failed.extend(self._requeue_recovered(
-                    served, inflight.requests, now,
-                    f"worker {inflight.ticket.worker} lost batch "
-                    f"{task_id} on {served.name!r}"))
-        respawned = pool.respawn_dead()
-        served.recovery["respawns"] += len(respawned)
-        return self._store(failed) if failed else failed
-
-    def _requeue_recovered(self, served, requests, now, why):
-        """Route one lost batch's requests: back onto the queue (the
-        push re-sorts them into EDF position) while their retry budget
-        lasts, else a clean failure; expired sheddable requests fail
-        through the shed accounting.  Returns the failed results (the
-        caller stores them)."""
-        policy = served.pool.recovery
+        policy, counters = served.transport.policy, served.recovery
+        now = self.clock.now()
         failed = []
         for request in requests:
             request.retries += 1
             if request.retries > policy.max_request_retries:
-                served.recovery["failed_requests"] += 1
+                counters["failed_requests"] += 1
                 failed.append(self._failed_result(
                     served, request, now,
                     f"{why}; re-dispatch budget "
                     f"({policy.max_request_retries}) exhausted -- "
                     f"poison-batch quarantine"))
-                continue
-            if (policy.shed_expired_on_recovery
+            elif (policy.shed_expired_on_recovery
                     and request.priority > 0
                     and request.deadline_ms is not None
                     and now > request.deadline_ms):
                 self._count(request.priority, "shed")
-                served.recovery["shed_on_recovery"] += 1
+                counters["shed_on_recovery"] += 1
                 failed.append(self._failed_result(
                     served, request, now,
                     f"{why}; deadline passed during recovery, shed"))
-                continue
-            served.queue.push(request)
-            served.recovery["redispatched_requests"] += 1
-        return failed
+            else:
+                served.queue.push(request)
+                counters["redispatched_requests"] += 1
+        return self._store(failed) if failed else failed
 
     def _failed_result(self, served, request, now, error):
         """A clean failure: the terminal answer recovery owes a caller
@@ -1091,72 +865,7 @@ class Scheduler:
             request_id=request.request_id, logits=None, latency_ms=None,
             session=served.name, arrival_ms=request.arrival_ms,
             completed_ms=now, deadline_ms=request.deadline_ms,
-            priority=request.priority, error=str(error))
-
-    def _finish_reply(self, served, reply):
-        inflight = served.pending.pop(reply.task_id, None)
-        if inflight is None:
-            # At-most-once delivery: a duplicate of a reply already
-            # finished, or a stale reply for a batch recovery already
-            # retired (the worker enqueued it before dying, or the
-            # pipe drained late).  Either way the requests were (or
-            # will be) answered elsewhere -- results are bitwise
-            # reproducible, so the extra copy is simply dropped.
-            served.recovery["duplicate_replies"] += 1
-            return []
-        now = self.clock.now()
-        if reply.kind == "error":
-            # The worker survived; the *batch* failed.  Absorb it into
-            # the retry budget instead of raising -- one poisoned
-            # execution must not kill the serving loop.
-            served.placement.complete(inflight.ticket, now_ms=now)
-            served.recovery["worker_errors"] += 1
-            failed = self._requeue_recovered(
-                served, inflight.requests, now,
-                f"worker {reply.worker} failed executing batch "
-                f"{reply.task_id} on {served.name!r}: {reply.error}")
-            return self._store(failed) if failed else failed
-        expected = sum(r.num_images for r in inflight.requests)
-        rows = (None if reply.logits is None
-                else int(reply.logits.shape[0]))
-        if rows != expected:
-            # Malformed payload (truncated on the wire / fault
-            # injection): reject and retry, never deliver wrong rows.
-            served.placement.complete(inflight.ticket, now_ms=now)
-            served.recovery["corrupt_replies"] += 1
-            failed = self._requeue_recovered(
-                served, inflight.requests, now,
-                f"worker {reply.worker} returned a corrupt reply for "
-                f"batch {reply.task_id} on {served.name!r} "
-                f"({rows} logits rows, expected {expected})")
-            return self._store(failed) if failed else failed
-        served.placement.complete(inflight.ticket, now_ms=now,
-                                  measured_ms=reply.wall_time_s * 1e3)
-        # Worker replies are measurements too: fold the shard's shape +
-        # timing into the parent session's online cost model, so flush
-        # and admission pricing for this target learns from the whole
-        # pool, not only from in-process executions.
-        if served.session.learns_cost and reply.num_images:
-            chunks = -(-reply.num_images // served.session.batch_size)
-            served.session.cost_model.observe_batch(
-                reply.num_images, reply.wall_time_s * 1e3,
-                num_batches=chunks)
-        completed, offset = [], 0
-        for request in inflight.requests:
-            rows = slice(offset, offset + request.num_images)
-            offset += request.num_images
-            completed.append(RequestResult(
-                request_id=request.request_id,
-                logits=reply.logits[rows],
-                latency_ms=reply.latency_ms[rows],
-                session=served.name,
-                arrival_ms=request.arrival_ms,
-                completed_ms=now,
-                deadline_ms=request.deadline_ms,
-                priority=request.priority,
-                tokens_per_stage=[stage[rows] for stage in
-                                  reply.tokens_per_stage]))
-        return self._store(completed)
+            priority=request.priority, error=error)
 
     # ------------------------------------------------------------------
     # Result retrieval
@@ -1194,6 +903,12 @@ class Scheduler:
     # ------------------------------------------------------------------
     # Background driver (real-clock serving)
     # ------------------------------------------------------------------
+    @property
+    def running(self):
+        """Whether :meth:`start` has been called with no :meth:`stop`
+        since (the background stepping thread belongs to someone)."""
+        return self._thread is not None
+
     def start(self, poll_ms=1.0):
         """Run :meth:`step` on a daemon thread every ``poll_ms``."""
         if self._thread is not None:
@@ -1243,8 +958,7 @@ class Scheduler:
         if drain:
             results = results + self.drain()
         for served in self.sessions:
-            if served.pool is not None:
-                served.pool.close()
+            served.transport.close()
         return results
 
     def __enter__(self):

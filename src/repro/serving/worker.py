@@ -32,8 +32,8 @@ compute.  That invariant is also what makes **recovery** exact: a
 batch lost to a dead worker re-executes anywhere with bitwise-identical
 results.
 
-Self-healing (the fleet side; batch re-dispatch lives in the
-scheduler):
+Self-healing (the fleet side; the in-flight table and the recovery
+sweep live in :class:`repro.serving.PoolTransport`):
 
 * **Supervision** -- dead workers are respawned from the original
   payload, bounded per slot (``max_restarts``) and spaced by the
@@ -45,13 +45,13 @@ scheduler):
 * **Heartbeats** -- idle workers beat on their reply pipe every
   ``heartbeat_s``; the pool tracks ``last_seen`` per worker.  A worker
   that is *executing* cannot beat, so heartbeats are the idle-liveness
-  signal -- the scheduler's per-batch dispatch deadline (derived from
+  signal -- the transport's per-batch dispatch deadline (derived from
   the cost model) is what catches a worker hung mid-batch.
 * **Liveness-checked dispatch** -- dispatching to a dead worker raises
   :class:`WorkerDiedError` instead of burying the task in a queue no
   process will ever read (respawns get a *fresh* task queue; anything
-  in the old one is gone by design -- the scheduler re-dispatches from
-  its own in-flight table).
+  in the old one is gone by design -- the transport hands lost batches
+  back from its own in-flight table).
 
 Deterministic failure for tests comes from
 :mod:`repro.serving.faults`: a :class:`~repro.serving.faults.FaultPlan`
@@ -189,8 +189,8 @@ class WorkerDiedError(RuntimeError):
 
     Raised under the pool's state lock *before* the task is enqueued,
     so the batch is never stranded in a dead worker's queue -- the
-    caller redirects it (the scheduler requeues and triggers
-    recovery).
+    caller redirects it (the transport bounces the shard back to the
+    queue and its next sweep respawns the worker).
     """
 
     def __init__(self, worker, message=None):
@@ -203,7 +203,7 @@ class RecoveryPolicy:
     """How a serving target survives worker failures.
 
     One policy covers both halves of self-healing: the pool side
-    (supervision cadence) and the scheduler side (re-dispatch budgets
+    (supervision cadence) and the dispatch side (re-dispatch budgets
     and deadlines).  All defaults are production-shaped; chaos tests
     tighten them.
 
@@ -213,7 +213,7 @@ class RecoveryPolicy:
         (liveness telemetry; see :class:`WorkerPool`).
     max_worker_restarts: respawns allowed per worker slot before the
         slot is abandoned.  When every slot is dead and exhausted the
-        pool reports :attr:`WorkerPool.fleet_down` and the scheduler
+        pool reports :attr:`WorkerPool.fleet_down` and its transport
         degrades to in-process execution.
     restart_backoff: :class:`repro.serving.RetryPolicy` spacing
         consecutive respawns of one slot (crash loops must not spin).
@@ -759,8 +759,8 @@ class WorkerPool:
         budget and whose backoff window has passed.
 
         Each respawn gets a **fresh task queue** (anything buffered for
-        the dead incarnation is dropped -- the scheduler re-dispatches
-        lost batches from its own in-flight table) and a payload
+        the dead incarnation is dropped -- the transport hands lost
+        batches back from its own in-flight table) and a payload
         re-snapshotted from the parent session, so a learned cost
         model's current fit rides along.  Non-blocking beyond process
         start: readiness arrives as a reply consumed by :meth:`poll`.

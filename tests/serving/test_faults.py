@@ -668,7 +668,7 @@ class TestFleetCollapse:
         submit_all(collapsed, images[:4])
         collapsed.drain(timeout_ms=120_000)            # trips collapse
         assert collapsed.sessions[0].degraded
-        front = FrontDoor(collapsed, manage_scheduler=False)
+        front = FrontDoor(collapsed)    # never started: no stepping
         batch = images[:1]
         degraded = front._degraded_response(None, 1, batch)
         assert degraded is not None

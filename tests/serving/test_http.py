@@ -169,7 +169,7 @@ class TestErrorPaths:
         door = FrontDoor(scheduler).start()
         door.stop()
         assert door.stop() == []            # second stop: clean no-op
-        assert scheduler._thread is None    # managed thread came down
+        assert not scheduler.running        # managed thread came down
 
 
 class TestConcurrentClients:

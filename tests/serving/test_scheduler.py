@@ -218,6 +218,32 @@ class TestForcedFlushAndResults:
         assert len(result.tokens_per_stage) == 1
         assert result.tokens_per_stage[0].shape == (2,)
 
+    def test_completion_stamped_after_execution(self, mild_model, clock,
+                                                tiny_dataset):
+        """``completed_ms`` is delivery time, not flush time: a deadline
+        that falls inside the batch's own execution is a miss, on the
+        in-process path exactly as on a worker pool."""
+        scheduler = make_scheduler(mild_model, clock, batch_window_ms=5.0)
+        session = scheduler.sessions[0].session
+        run = session.submit_many
+
+        def seven_ms(groups, record=None):
+            clock.advance(7.0)                   # the batch takes 7 ms
+            return run(groups, record)
+
+        session.submit_many = seven_ms
+        scheduler.submit(tiny_dataset.images[0], deadline_ms=9.0)
+        clock.advance(5.0)
+        result, = scheduler.step()               # flushes at t = 5
+        assert scheduler.events[-1].time_ms == 5.0
+        assert result.completed_ms == 5.0 + 7.0
+        assert result.wait_ms == 12.0
+        assert not result.deadline_met
+        assert result.overshoot_ms == 3.0
+        counters = scheduler.stats()["classes"][result.priority]
+        assert counters["deadline_misses"] == 1
+        assert counters["deadline_hit_rate"] == 0.0
+
 
 class TestValidation:
     def test_submit_requires_registration(self, clock, tiny_dataset):

@@ -7,6 +7,8 @@ startup is the expensive part.  The core claims:
   (logits, latency estimates, per-stage token counts, per-request
   ordering);
 * dispatch is non-blocking (results arrive via collect, not inline);
+  the transport's reply validation, recovery sweep and sharding are
+  checked against a fake pool in ``test_transport.py``;
 * ``drain``/``shutdown`` are deterministic: afterwards nothing is
   queued, nothing is in flight, and no worker process or scheduler
   thread is left alive.
@@ -20,7 +22,7 @@ import pytest
 from repro.core import HeatViT
 from repro.data import SyntheticConfig, generate_dataset
 from repro.engine import InferenceSession, SessionSpec
-from repro.serving import (Request, Scheduler, SystemClock, VirtualClock,
+from repro.serving import (Scheduler, SystemClock, VirtualClock,
                            WorkerPool, worker_payload)
 
 
@@ -196,223 +198,6 @@ class TestWorkerPoolDirect:
         assert worker_payload(fallback) is fallback
 
 
-class _StubPool:
-    """A fake WorkerPool for deterministic _collect edge cases."""
-
-    def __init__(self, reply_batches, alive=(0, 1)):
-        from repro.serving import RecoveryPolicy
-
-        self.num_workers = 2
-        self.recovery = RecoveryPolicy()
-        self.closed = False
-        self.fleet_down = False
-        self.respawned = []
-        self.terminated = []
-        self._reply_batches = [list(batch) for batch in reply_batches]
-        self._alive = list(alive)
-        self._incarnations = [0] * self.num_workers
-
-    def poll(self, timeout_s=0.0):
-        return self._reply_batches.pop(0) if self._reply_batches else []
-
-    def alive_workers(self):
-        return list(self._alive)
-
-    def liveness(self):
-        return set(self._alive), tuple(self._incarnations)
-
-    def terminate_worker(self, worker, incarnation=None):
-        if (incarnation is not None
-                and self._incarnations[worker] != incarnation):
-            return
-        self.terminated.append(worker)
-        if worker in self._alive:
-            self._alive.remove(worker)
-
-    def respawn_dead(self):
-        dead = [w for w in range(self.num_workers)
-                if w not in self._alive]
-        for worker in dead:
-            self._incarnations[worker] += 1
-        self._alive = sorted(self._alive + dead)
-        self.respawned.extend(dead)
-        return dead
-
-    def supervision_snapshot(self):
-        return {"alive": self.alive_workers(),
-                "restarts": tuple(), "incarnations": tuple(),
-                "heartbeat_age_s": tuple(),
-                "fleet_down": self.fleet_down}
-
-
-def _pooled_served(scheduler, name, model, images, per_request=1):
-    """Register in-process, then wire a stub pool with two in-flight
-    single-request batches (worker 0 and worker 1)."""
-    from repro.serving import PlacementPolicy
-
-    served = scheduler.register(name, model, batch_size=16)
-    served.placement = PlacementPolicy(2)
-    pending_requests = []
-    for index, worker in enumerate((0, 1)):
-        request_id = scheduler.submit(images[index])
-        request = served.queue.pop_batch(max_images=per_request)[0]
-        assert request.request_id == request_id
-        ticket = served.placement.assign(5.0)
-        assert ticket.worker == worker
-        from repro.serving.scheduler import _InFlight
-        served.pending[100 + index] = _InFlight(
-            requests=[request], ticket=ticket, reason="forced")
-        pending_requests.append(request)
-    return served, pending_requests
-
-
-class TestCollectEdgeCases:
-    def test_error_reply_absorbed_sibling_results_survive(
-            self, served_model, images):
-        """An error reply drained in the same poll() as a result reply
-        must not lose the result -- and must not raise either: the
-        failed batch's requests go back on the queue with one unit of
-        retry budget spent, and the error is recorded."""
-        from repro.serving import WorkerReply
-
-        scheduler = Scheduler(clock=VirtualClock())
-        served, requests = _pooled_served(scheduler, "tiny", served_model,
-                                          images)
-        session = InferenceSession(served_model, batch_size=4)
-        result = session.submit(requests[1].images)
-        error_reply = WorkerReply(kind="error", worker=0, task_id=100,
-                                  error="boom", tb="Traceback: boom")
-        good_reply = WorkerReply(kind="result", worker=1, task_id=101,
-                                 logits=result.logits,
-                                 tokens_per_stage=result.tokens_per_stage,
-                                 latency_ms=result.latency_ms,
-                                 wall_time_s=result.wall_time_s,
-                                 num_images=1)
-        served.pool = _StubPool([[error_reply, good_reply]])
-        scheduler._collect(served, block=False)       # no raise
-        # The sibling result survived and is retrievable...
-        completed = scheduler.pop_result(requests[1].request_id)
-        assert completed is not None
-        np.testing.assert_array_equal(completed.logits, result.logits)
-        # ...and the failed batch's requests went back on the queue,
-        # one retry consumed, the error absorbed into telemetry.
-        assert len(served.queue) == 1
-        assert requests[0].retries == 1
-        assert served.pending == {}
-        assert served.recovery["worker_errors"] == 1
-        assert served.recovery["redispatched_requests"] == 1
-
-    def test_duplicate_reply_dropped_at_most_once(
-            self, served_model, images):
-        """Two copies of one task's reply in the same drain: the first
-        completes the batch, the second is dropped -- the result is
-        delivered exactly once and counted once."""
-        from repro.serving import WorkerReply
-
-        scheduler = Scheduler(clock=VirtualClock())
-        served, requests = _pooled_served(scheduler, "tiny", served_model,
-                                          images)
-        session = InferenceSession(served_model, batch_size=4)
-        results = [session.submit(r.images) for r in requests]
-        replies = []
-        for task_id, result in zip((100, 101), results):
-            replies.append(WorkerReply(
-                kind="result", worker=task_id - 100, task_id=task_id,
-                logits=result.logits,
-                tokens_per_stage=result.tokens_per_stage,
-                latency_ms=result.latency_ms,
-                wall_time_s=result.wall_time_s, num_images=1))
-        served.pool = _StubPool([[replies[0], replies[0], replies[1]]])
-        completed = scheduler._collect(served, block=False)
-        assert sorted(r.request_id for r in completed) \
-            == sorted(r.request_id for r in requests)
-        assert served.recovery["duplicate_replies"] == 1
-        assert served.pending == {}
-        stats = scheduler.stats()["classes"][requests[0].priority]
-        assert stats["completed"] == 2                # not 3
-
-    def test_stale_reply_for_retired_batch_is_dropped(
-            self, served_model, images):
-        """A worker that enqueues its reply and then dies: the death
-        check retires + requeues the batch, and the late-drained reply
-        must be dropped, not crash collection or double-complete."""
-        from repro.serving import WorkerReply
-
-        scheduler = Scheduler(clock=VirtualClock())
-        served, requests = _pooled_served(scheduler, "tiny", served_model,
-                                          images)
-        session = InferenceSession(served_model, batch_size=4)
-        result = session.submit(requests[0].images)
-        stale = WorkerReply(kind="result", worker=0, task_id=100,
-                            logits=result.logits,
-                            tokens_per_stage=result.tokens_per_stage,
-                            latency_ms=result.latency_ms,
-                            wall_time_s=result.wall_time_s)
-        # First poll: empty while worker 0 is dead -> batch retired,
-        # its request requeued (no raise), the slot respawned.
-        served.pool = _StubPool([[], [stale]], alive=[1])
-        scheduler._collect(served, block=False)
-        assert 100 not in served.pending
-        assert len(served.queue) == 1
-        assert served.pool.respawned == [0]
-        # Second collect drains the stale reply: dropped silently.
-        assert scheduler._collect(served, block=False) == []
-        assert scheduler.pop_result(requests[0].request_id) is None
-        assert list(served.pending) == [101]
-        assert served.recovery["duplicate_replies"] == 1
-
-    def test_step_recovers_dead_worker(self, served_model, images):
-        """Non-blocking collection (the background-thread path) must
-        recover a dead worker's batch instead of stranding its requests
-        -- and instead of raising into the stepping thread."""
-        scheduler = Scheduler(clock=VirtualClock())
-        served, requests = _pooled_served(scheduler, "tiny", served_model,
-                                          images)
-        served.pool = _StubPool([], alive=[1])       # worker 0 died
-        scheduler.step()                             # no raise
-        # The dead worker's batch was requeued for re-dispatch and the
-        # slot respawned; worker 1's is still legitimately in flight.
-        assert len(served.queue) == 1
-        assert list(served.pending) == [101]
-        assert served.recovery["lost_batches"] == 1
-        assert served.recovery["redispatched_requests"] == 1
-        assert served.recovery["respawns"] == 1
-
-
-class TestShardRequests:
-    def make_requests(self, sizes):
-        return [Request(request_id=i,
-                        images=np.zeros((size, 3, 16, 16)),
-                        arrival_ms=float(i))
-                for i, size in enumerate(sizes)]
-
-    def test_balanced_split_preserves_order(self):
-        requests = self.make_requests([1] * 16)
-        shards = Scheduler._shard_requests(requests, 2)
-        assert [len(shard) for shard in shards] == [8, 8]
-        flattened = [r.request_id for shard in shards for r in shard]
-        assert flattened == list(range(16))
-
-    def test_requests_stay_atomic(self):
-        requests = self.make_requests([6, 1, 1])
-        shards = Scheduler._shard_requests(requests, 2)
-        assert [[r.request_id for r in shard] for shard in shards] \
-            == [[0], [1, 2]]
-
-    def test_fewer_requests_than_workers(self):
-        requests = self.make_requests([1])
-        assert Scheduler._shard_requests(requests, 4) == [requests]
-
-    def test_every_shard_non_empty(self):
-        for sizes in ([1, 1, 1], [9, 1, 1, 1], [1, 9], [2, 2, 2, 2, 2]):
-            requests = self.make_requests(sizes)
-            for workers in (2, 3, 4):
-                shards = Scheduler._shard_requests(requests, workers)
-                assert all(shards)
-                assert sum(len(s) for s in shards) == len(requests)
-                assert len(shards) <= workers
-
-
 class TestGracefulShutdown:
     def test_background_thread_and_pool_join_cleanly(self, served_model,
                                                      images):
@@ -429,7 +214,7 @@ class TestGracefulShutdown:
         drained = scheduler.shutdown()
         assert scheduler.pending_requests() == 0
         assert scheduler.in_flight_batches() == 0
-        assert scheduler._thread is None
+        assert not scheduler.running
         assert pool.closed
         assert pool.alive_workers() == []
         assert not [t.name for t in threading.enumerate()
@@ -628,4 +413,4 @@ class TestDispatchCloseRace:
             assert request_id in collected or result is not None
         assert scheduler.sessions[0].pool.closed
         assert scheduler.sessions[0].pool.alive_workers() == []
-        assert scheduler._thread is None
+        assert not scheduler.running
