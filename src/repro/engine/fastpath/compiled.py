@@ -32,6 +32,14 @@ The Tensor path stays the reference implementation: float64 compiles
 match it to well under the engine's 1e-8 bound, float32 to ~1e-6 logits
 with (empirically pinned) identical token-keep decisions and argmax.
 
+Cache-resident blocks
+---------------------
+:meth:`CompiledBlock.forward` runs its batch in chunks of whole images
+whose scratch fits :data:`CHUNK_BYTES`, so the ~60 elementwise passes of
+a block read what the GEMM before them just wrote instead of streaming
+batch-sized buffers through the cache -- the software analogue of the
+paper's accelerator keeping a tile's intermediates in on-chip buffers.
+
 One hierarchy, N kernel sets
 ----------------------------
 :class:`CompiledBlock`, :class:`CompiledSelector` and
@@ -58,6 +66,12 @@ __all__ = ["compile_model", "CompiledModel", "CompiledBlock",
            "CompiledSelector", "CompileError"]
 
 _EPS = 1e-8          # mirrors repro.core.selector._EPS
+
+#: Scratch budget of one :meth:`CompiledBlock.forward` chunk: what a
+#: block may touch between two visits to the same buffer and still find
+#: it in a few-MiB L2.  Swept on the suite's pruned shape (CHANGES.md,
+#: PR 16); flat from half to twice this value.
+CHUNK_BYTES = 3 << 20
 
 
 class CompileError(TypeError):
@@ -154,14 +168,20 @@ class _TensorActivation:
         return x
 
 
-def _compile_activation(module, dtype):
+def _compile_activation(module, dtype, gelu=None):
     """Map an activation Module to an in-place ``fn(x, ws, key)``.
 
     GELU follows the dtype: exact erf for float64 parity, the
     rational-erf kernel for float32 (~6e-7 activation error, below the
-    float32 noise floor).  Every returned callable is picklable
-    (module-level functions or :class:`_TensorActivation` instances)."""
+    float32 noise floor) -- unless the compile function passes its own
+    ``gelu`` (the quantized lowering's polynomial kernel).  Every other
+    activation -- :func:`repro.quant.quantize_model` swaps no ReLU or
+    Hardswish either -- runs exact.  Every returned callable is
+    picklable (module-level functions or :class:`_TensorActivation`
+    instances)."""
     if isinstance(module, nn.GELU):
+        if gelu is not None:
+            return gelu
         return (gelu_exact if dtype == np.dtype(np.float64)
                 else gelu_rational)
     for kind, kernel in ((nn.ReLU, _relu_kernel),
@@ -182,20 +202,12 @@ def _compile_mlp(sequential, dtype, lower_linear, gelu=None):
     ``name`` is the child's name inside the ``Sequential`` -- its index
     ("0", "1", ...), the same name :func:`repro.quant.quantize_model`
     sees, so a quantizing lowering selects per-channel layers exactly as
-    the simulation's surgery does.  ``gelu`` replaces GELU modules (the
-    quantized lowering passes its polynomial kernel); every other
-    activation -- not approximated by ``quantize_model`` either -- runs
-    exact.
+    the simulation's surgery does.  ``gelu`` is forwarded to
+    :func:`_compile_activation`.
     """
-    steps = []
-    for name, module in sequential._modules.items():
-        if isinstance(module, nn.Linear):
-            steps.append(lower_linear(module, name))
-        elif gelu is not None and isinstance(module, nn.GELU):
-            steps.append(gelu)
-        else:
-            steps.append(_compile_activation(module, dtype))
-    return steps
+    return [lower_linear(module, name) if isinstance(module, nn.Linear)
+            else _compile_activation(module, dtype, gelu)
+            for name, module in sequential._modules.items()]
 
 
 def _run_mlp(steps, x, ws, prefix):
@@ -219,15 +231,23 @@ class CompiledBlock:
     time each LN stops at the normalized activations -- the "pre-scaled
     LayerNorm affine" fusion; with ``1/sqrt(d)`` pre-multiplied onto
     the query columns it passes no ``score_scale`` either.
+
+    ``image_separable`` is the compile function's statement that every
+    kernel it supplied computes each image from that image alone (true
+    of the float kernels, up to the rounding of a per-call choice such
+    as the softmax's shift-free branch).  Only then may
+    :meth:`forward` cut the batch into chunks; kernels that read a
+    statistic of the whole batch -- the int8 grade's per-tensor
+    activation scale -- leave it unset and get their batch whole.
     """
 
     __slots__ = ("num_heads", "head_dim", "hidden_dim",
                  "n1_w", "n1_b", "eps1", "n2_w", "n2_b", "eps2",
                  "qkv", "proj", "fc1", "fc2", "softmax", "act",
-                 "score_scale")
+                 "score_scale", "image_separable")
 
     def __init__(self, block, norm1, norm2, qkv, proj, fc1, fc2, softmax,
-                 act, score_scale=None):
+                 act, score_scale=None, image_separable=False):
         attn = block.attn
         self.num_heads = attn.num_heads
         self.head_dim = attn.head_dim
@@ -240,14 +260,39 @@ class CompiledBlock:
         self.softmax = softmax
         self.act = act
         self.score_scale = score_scale
+        self.image_separable = image_separable
 
     def forward(self, x, bias, ws):
         """Pre-norm block, fully in place on ``x`` (``(B, T, D)``).
 
         ``bias`` is the additive key-padding score bias ``(B, T)`` (or
-        ``None``); ``ws`` supplies every scratch buffer.  Every linear
-        runs ``inplace``: its input is dead scratch by then.
+        ``None``); ``ws`` supplies every scratch buffer.
+
+        The batch runs in chunks of whole images sized so that one
+        chunk's scratch fits :data:`CHUNK_BYTES`: every LayerNorm, bias
+        add, softmax, activation and residual pass then reads
+        cache-resident data, and no scratch buffer is larger than a
+        chunk.  A small batch is one chunk; so is any batch of a block
+        that is not ``image_separable``.
         """
+        batch, tokens, dim = x.shape
+        step = max(batch, 1)
+        if self.image_separable:
+            # What one image touches: x and nine (T, D)s of scratch
+            # (LayerNorm out and two squares, qkv, context, merge,
+            # projection), the hidden layer with up to three
+            # activation buffers, and the score matrix.
+            per_image = x.itemsize * tokens * (
+                10 * dim + 4 * self.hidden_dim + self.num_heads * tokens)
+            step = max(CHUNK_BYTES // per_image, 1)
+        for lo in range(0, batch, step):
+            self._run(x[lo:lo + step],
+                      None if bias is None else bias[lo:lo + step], ws)
+        return x
+
+    def _run(self, x, bias, ws):
+        """One chunk of :meth:`forward`.  Every linear runs ``inplace``:
+        its input is dead scratch by then."""
         batch, tokens, dim = x.shape
         h, d = self.num_heads, self.head_dim
         normed = ws.take("blk_ln", (batch, tokens, dim))
@@ -281,7 +326,6 @@ class CompiledBlock:
         self.fc2(hidden, ws, "blk_fc2", out=attn_out,      # reuse buffer
                  inplace=True)
         x += attn_out                                      # residual 2
-        return x
 
 
 class CompiledSelector:
@@ -647,7 +691,10 @@ def _lower_block(block, dtype):
         fc1=LinearKernel(fc1_w, fc1_b, dtype),
         fc2=LinearKernel.from_linear(block.mlp.fc2, dtype),
         softmax=masked_softmax,
-        act=_compile_activation(block.mlp.act, dtype))
+        act=_compile_activation(block.mlp.act, dtype),
+        # Every float kernel works row by row (or image by image), so
+        # a chunk of images computes what the whole batch would.
+        image_separable=True)
 
 
 def _lower_selector(selector, dtype):

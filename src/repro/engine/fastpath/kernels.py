@@ -23,6 +23,15 @@ Conventions
   max/exp/sum pass; a ``-1e9`` bias underflows to an exactly-zero
   attention weight in both dtypes, preserving the engine's padding
   invariant.
+* Every kernel is a whole-array kernel: it makes its passes over
+  whatever it is handed and computes each row (softmax, LayerNorm) or
+  element (GELU) from that row or element alone.  Keeping the operand
+  small enough to stay in cache between passes is the caller's job --
+  :meth:`.compiled.CompiledBlock.forward` hands them one chunk of
+  images at a time.
+* Scalar constants are Python floats.  A ``np.float64`` scalar is not a
+  weak type: it turns a float32 pass into a float64 loop plus a cast,
+  at ~4x the cost.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ from scipy import special
 __all__ = ["fused_layer_norm", "masked_softmax", "gelu_exact",
            "gelu_rational", "mask_to_bias", "MASK_BIAS"]
 
-_SQRT_2 = np.sqrt(2.0)
+_SQRT_2 = float(np.sqrt(2.0))
 
 #: Additive score penalty for masked attention keys.  Matches the
 #: Tensor reference (`repro.vit.attention`): exp(-1e9 - max) underflows
@@ -168,41 +177,52 @@ def gelu_exact(x, ws, key):
     return x
 
 
+# A&S 7.1.26, erf(u) ~ 1 - P(t) exp(-u^2) with t = 1/(1 + p u), recast
+# for u = |x|/sqrt(2): t' = 1/(|x| + _ERF_C) is p/sqrt(2) times t, so
+# one add replaces a multiply-add; the rescale and GELU's 1/2 are
+# folded into the coefficients (highest power first).
+_ERF_C = _SQRT_2 / 0.3275911
+_ERF_A = tuple(0.5 * a * _ERF_C ** power for power, a in (
+    (5, 1.061405429), (4, -1.453152027), (3, 1.421413741),
+    (2, -0.284496736), (1, 0.254829592)))
+
+
 def gelu_rational(x, ws, key):
     """GELU via the Abramowitz-Stegun 7.1.26 rational erf, in place.
 
     ``scipy.special.erf`` has no fast float32 path (its single-precision
     loop is as slow as the double one), so the float32 fast path uses
     the classic 5-term rational approximation: max absolute erf error
-    1.5e-7 (float64), ~6e-7 in float32 arithmetic -- below the noise the
-    float32 matmul chain already carries, and ~5x faster.  Not used for
-    float64 compiles (parity-grade stays :func:`gelu_exact`).
+    1.5e-7, which leaves the GELU within ``2e-7 max(|x|, 1)`` of the
+    exact one in float64 and ``6e-7 max(|x|, 1)`` in float32 (both
+    pinned by ``tests/engine/test_property_fastpath.py``) -- below the
+    noise the float32 matmul chain already carries, and ~5x faster.
+    Not used for float64 compiles (parity-grade stays
+    :func:`gelu_exact`).
+
+    With ``erf(u) = sign(u) (1 - P(t) exp(-u^2))`` the sign cancels out
+    of ``x/2 (1 + erf(x/sqrt 2))``, leaving
+    ``max(x, 0) - |x|/2 P(t) exp(-x^2/2)``: nineteen whole-array passes
+    over three scratch buffers, none of them a ``copysign``.  Inputs
+    must be finite: at ``+-inf`` the correction is ``0 * inf`` and the
+    result NaN.  A full-array kernel -- keeping its operand cache-resident is the
+    caller's job (see :meth:`.compiled.CompiledBlock.forward`).
     """
-    t = ws.take(key + "0", x.shape)
-    poly = ws.take(key + "1", x.shape)
-    np.multiply(x, 1.0 / _SQRT_2, out=t)                  # u = x/sqrt(2)
-    u = ws.take(key + "2", x.shape)
-    u[...] = t
-    np.abs(t, out=t)
-    t *= 0.3275911
-    t += 1.0
-    np.reciprocal(t, out=t)                               # t = 1/(1+p|u|)
-    np.multiply(t, 1.061405429, out=poly)
-    poly += -1.453152027
+    mag = ws.take(key + "0", x.shape)
+    t = ws.take(key + "1", x.shape)
+    poly = ws.take(key + "2", x.shape)
+    np.abs(x, out=mag)
+    np.add(mag, _ERF_C, out=t)
+    np.divide(1.0, t, out=t)              # beats np.reciprocal by ~15 %
+    np.multiply(t, _ERF_A[0], out=poly)
+    for coeff in _ERF_A[1:]:
+        poly += coeff
+        poly *= t                                         # P(t)/2
+    np.square(x, out=t)
+    t *= -0.5
+    np.exp(t, out=t)                                      # exp(-x^2/2)
     poly *= t
-    poly += 1.421413741
-    poly *= t
-    poly += -0.284496736
-    poly *= t
-    poly += 0.254829592
-    poly *= t                                             # a-poly(t)
-    np.square(u, out=t)
-    np.negative(t, out=t)
-    np.exp(t, out=t)                                      # exp(-u^2)
-    poly *= t
-    np.subtract(1.0, poly, out=poly)                      # erf(|u|)
-    np.copysign(poly, u, out=poly)                        # erf(u)
-    poly += 1.0
-    poly *= 0.5
-    x *= poly
+    poly *= mag
+    np.maximum(x, 0.0, out=x)
+    x -= poly
     return x

@@ -48,6 +48,7 @@ from repro.approx.polynomial import DEFAULT_DELTA1
 from repro.engine.fastpath.compiled import (CompileError, CompiledBlock,
                                             CompiledModel, CompiledSelector,
                                             _check_backbone, _check_dtype,
+                                            _compile_activation,
                                             _compile_mlp, _contig)
 from repro.engine.fastpath.qkernels import (approx_gelu_fast,
                                             approx_gelu_reference,
@@ -158,14 +159,18 @@ class QuantizedLinearKernel:
 
 
 class _QuantGELUKernel:
-    """Picklable ``fn(x, ws, key)`` wrapper around the Eq. 12 kernel."""
+    """Picklable ``fn(x, ws, key)`` wrapper around the Eq. 12 kernel of
+    either grade (``reference`` returns a fresh array)."""
 
-    __slots__ = ("delta1",)
+    __slots__ = ("delta1", "reference")
 
-    def __init__(self, delta1):
+    def __init__(self, delta1, reference):
         self.delta1 = delta1
+        self.reference = reference
 
     def __call__(self, x, ws, key):
+        if self.reference:
+            return approx_gelu_reference(x, self.delta1)
         return approx_gelu_fast(x, self.delta1, ws, key)
 
 
@@ -177,7 +182,8 @@ class _ReferenceBlock(CompiledBlock):
     the surgered Tensor block (pre-norm MSA + FFN with QuantizedLinear
     / ApproxSoftmax / ApproxGELU), including the simulation's explicit
     score multiply.  Same slots as the served block, holding the
-    ``*_reference`` forms (``linear(x)``, ``softmax(x)``, ``act(x)``)."""
+    ``*_reference`` forms (``linear(x)``, ``softmax(x)``); the
+    activation keeps the shared ``act(x, ws, key)`` shape."""
 
     __slots__ = ()
 
@@ -196,7 +202,8 @@ class _ReferenceBlock(CompiledBlock):
         out = out.transpose(0, 2, 1, 3).reshape(batch, tokens, dim)
         x += self.proj(out)                                # residual 1
         normed = layer_norm_reference(x, self.n2_w, self.n2_b, self.eps2)
-        x += self.fc2(self.act(self.fc1(normed)))          # residual 2
+        hidden = self.act(self.fc1(normed), ws, "blk_act")
+        x += self.fc2(hidden)                              # residual 2
         return x
 
 
@@ -322,11 +329,10 @@ def compile_quantized(model, bits=8, dtype=None,
     if parity:
         block_class = _ReferenceBlock
         softmax = partial(approx_softmax_reference, delta2=delta2)
-        gelu = partial(approx_gelu_reference, delta1=delta1)
     else:
         block_class = CompiledBlock
         softmax = partial(approx_softmax_fast, delta2=delta2)
-        gelu = _QuantGELUKernel(delta1)
+    gelu = _QuantGELUKernel(delta1, reference=parity)
     blocks = []
     for block in backbone.blocks:
         attn = block.attn
@@ -338,12 +344,16 @@ def compile_quantized(model, bits=8, dtype=None,
         if not parity and qkv.per_channel:
             _fold_query_scale(qkv, attn.scale)
             score_scale = None
+        # ``image_separable`` stays unset: every linear kernel here
+        # calibrates one activation scale over the whole batch, so a
+        # chunk of images would not compute what the batch does.
         blocks.append(block_class(
             block, affine(block.norm1), affine(block.norm2), grade(qkv),
             grade(kernel(attn.proj, "proj")),
             grade(kernel(block.mlp.fc1, "fc1")),
             grade(kernel(block.mlp.fc2, "fc2")),
-            softmax, gelu, score_scale))
+            softmax, _compile_activation(block.mlp.act, dtype, gelu),
+            score_scale))
 
     def lower_mlp(sequential):
         return _compile_mlp(

@@ -7,19 +7,30 @@ Both the workspace (BLAS row sums + shift-free guard) and the
 self-contained fallback code paths are exercised, including scores
 large enough to force the max-shifted branch.  The fused LayerNorm is
 held against the Tensor reference, with and without its affine folded
-away.
+away.  The lean rational GELU is pinned from both sides (accuracy in
+both dtypes, its fixed points, no overflow), and a compiled block must
+compute the same thing whether it sees a batch at once or image by
+image -- the property its cache-resident chunk loop rests on.
 """
+
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.fastpath import (Workspace, fused_layer_norm,
+from repro.core import HeatViT, PruningRecord
+from repro.data import SyntheticConfig, generate_dataset
+from repro.engine import InferenceSession
+from repro.engine.fastpath import (CompiledBlock, Workspace, compile_model,
+                                   compile_quantized, fused_layer_norm,
                                    gelu_exact, gelu_rational,
                                    mask_to_bias, masked_softmax)
+from repro.engine.fastpath.compiled import CHUNK_BYTES
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
+from repro.vit import VisionTransformer, ViTConfig
 
 finite = st.floats(-30.0, 30.0, allow_nan=False, width=32)
 
@@ -159,6 +170,176 @@ class TestGeluKernels:
         out = gelu_rational(x.copy(), Workspace(np.float64), "g")
         bound = 2e-7 * np.maximum(np.abs(x), 1.0)
         assert (np.abs(out - ref) <= bound).all()
+
+    @staticmethod
+    def assert_float32_close(x):
+        """The docstring's float32 figure: within 6e-7 * max(|x|, 1) of
+        the exact (float64) GELU."""
+        ref = F.gelu(Tensor(x.astype(np.float64))).data
+        out = gelu_rational(x.copy(), Workspace(np.float32), "g")
+        assert out.dtype == np.float32
+        assert (np.abs(out - ref) <= 6e-7 * np.maximum(np.abs(x), 1.0)).all()
+
+    @given(values=st.lists(st.floats(-8.0, 8.0, allow_nan=False, width=32),
+                           min_size=1, max_size=64))
+    @settings(max_examples=120, deadline=None)
+    def test_rational_float32_close_to_exact(self, values):
+        self.assert_float32_close(
+            np.array(values, dtype=np.float32).reshape(1, -1))
+
+    def test_rational_float32_dense_sweep(self):
+        self.assert_float32_close(
+            np.linspace(-8.0, 8.0, 200001, dtype=np.float32)[None])
+
+    def test_rational_fixed_points(self):
+        """``max(x, 0) - |x|/2 P exp(-x^2/2)``: zero stays zero, the
+        correction vanishes in float32 beyond |x| = 6, and a huge input
+        overflows nothing on the way to ``exp``."""
+        def gelu(values):
+            x = np.array(values, dtype=np.float32)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                return gelu_rational(x, Workspace(np.float32), "g")
+
+        assert gelu([0.0])[0] == 0.0
+        assert np.isfinite(gelu([-0.0])).all()
+        high = np.linspace(6.0, 40.0, 69, dtype=np.float32)
+        assert np.array_equal(gelu(high), high)
+        assert (np.abs(gelu(-high)) <= 1e-7).all()
+        assert np.array_equal(gelu([1e4, -1e4]), [1e4, 0.0])
+
+    def test_rational_needs_finite_input(self):
+        """The documented domain: at ``+-inf`` the correction term is
+        ``0 * inf``, so a diverged activation comes out NaN, not inf."""
+        x = np.array([np.inf, -np.inf], dtype=np.float32)
+        with np.errstate(invalid="ignore"):
+            out = gelu_rational(x, Workspace(np.float32), "g")
+        assert np.isnan(out).all()
+
+
+# The benchmark suite's pruned shape (benchmarks/suite/models.py): at 65
+# tokens one float32 chunk is 8 images, so batches up to 40 run the
+# chunk loop several times over.
+SUITE_PRUNED = ViTConfig(name="suite", image_size=32, patch_size=4,
+                         embed_dim=48, depth=12, num_heads=4,
+                         mlp_ratio=4.0, num_classes=8)
+
+
+@pytest.fixture(scope="module")
+def suite_model():
+    backbone = VisionTransformer(SUITE_PRUNED, rng=np.random.default_rng(0))
+    model = HeatViT(backbone, {3: 0.7, 6: 0.5, 9: 0.35},
+                    rng=np.random.default_rng(1))
+    model.eval()
+    return model
+
+
+@pytest.fixture(scope="module")
+def suite_blocks(suite_model):
+    """The model's first block compiled once per dtype."""
+    return {dtype: compile_model(suite_model, dtype).blocks[0]
+            for dtype in (np.float32, np.float64)}
+
+
+@pytest.fixture(scope="module")
+def suite_canary():
+    """The suite's canary batch (``make_images(32, CANARY_SEED)``)."""
+    config = SyntheticConfig(image_size=32, num_classes=8,
+                             object_scale_range=(0.15, 0.9))
+    return generate_dataset(config, 32, np.random.default_rng(0)).images
+
+
+def block_scratch(ws):
+    """The block-owned ``(images, ...)`` buffers of a workspace."""
+    return [buf for (name, _), buf in ws._buffers.items()
+            if name.startswith("blk_") and buf.ndim >= 3]
+
+
+class TestChunkedBlockExecution:
+    @given(batch=st.integers(1, 40), tokens=st.integers(2, 70),
+           masked=st.booleans(),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=40, deadline=None)
+    def test_batch_equals_image_by_image(self, suite_blocks, batch, tokens,
+                                         masked, dtype, seed):
+        """Chunks are an execution detail: a block run on the batch
+        equals the same block run on each image alone.  Not asserted
+        bitwise -- BLAS may pick its kernel by the row count."""
+        block = suite_blocks[dtype]
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(batch, tokens, 48)).astype(dtype)
+        bias = None
+        if masked:
+            mask = (np.arange(tokens)
+                    < rng.integers(1, tokens + 1, size=(batch, 1)))
+            bias = mask_to_bias(mask, dtype)
+        ws = Workspace(dtype)
+        whole = block.forward(x.copy(), bias, ws)
+        alone = np.concatenate([
+            block.forward(x[i:i + 1].copy(),
+                          None if bias is None else bias[i:i + 1], ws)
+            for i in range(batch)])
+        tol = 1e-6 if dtype is np.float32 else 1e-12
+        assert (np.abs(whole - alone)
+                <= tol * np.maximum(np.abs(alone), 1.0)).all()
+
+    def test_canary_batch_decisions_unchanged(self, suite_model,
+                                              suite_canary):
+        """A 32-image submit (four chunks in the first stage) keeps the
+        same tokens and lands on the same classes as the Tensor
+        reference -- the suite's own output check."""
+        record = PruningRecord()
+        reference = suite_model.forward_pruned(suite_canary,
+                                               record=record).data
+        result = InferenceSession(suite_model, batch_size=32,
+                                  backend="fastpath",
+                                  dtype=np.float32).submit(suite_canary)
+        assert np.array_equal(result.logits.argmax(-1),
+                              reference.argmax(-1))
+        assert np.abs(result.logits - reference).max() <= 1e-5
+        for ours, theirs in zip(result.tokens_per_stage,
+                                record.tokens_per_stage):
+            assert np.array_equal(ours, theirs)
+
+    def test_block_scratch_is_chunk_sized(self, suite_model, suite_canary):
+        """After a 32-image submit no first-stage (65-token) block
+        buffer spans the batch, and the scratch of any one chunk shape
+        fits the budget."""
+        session = InferenceSession(suite_model, batch_size=32,
+                                   backend="fastpath", dtype=np.float32)
+        session.submit(suite_canary)
+        by_chunk = {}
+        for buf in block_scratch(session.executor.workspace):
+            shape = (buf.shape[0], buf.shape[-2])      # (images, tokens)
+            by_chunk[shape] = by_chunk.get(shape, 0) + buf.nbytes
+        assert max(images for images, tokens in by_chunk
+                   if tokens == 65) < 32
+        assert max(by_chunk.values()) <= CHUNK_BYTES
+
+    def test_int8_block_runs_its_batch_whole(self, rng):
+        """The int8 serving grade calibrates one activation scale per
+        tensor over the whole batch, so its blocks are exempt: at a
+        shape a float block would cut into chunks, the result is
+        bitwise the single whole-batch pass."""
+        config = ViTConfig(name="dense", image_size=32, patch_size=8,
+                           embed_dim=64, depth=1, num_heads=4,
+                           mlp_ratio=16.0, num_classes=8)
+        model = VisionTransformer(config, rng=rng)
+        model.eval()
+        x = rng.normal(size=(32, 17, 64)).astype(np.float32)
+        served, whole = x.copy(), x.copy()
+        ws = Workspace(np.float32)
+        block = compile_quantized(model).blocks[0]
+        assert type(block) is CompiledBlock and not block.image_separable
+        block.forward(served, None, ws)
+        assert {buf.shape[0] for buf in block_scratch(ws)} == {32}
+        block._run(whole, None, Workspace(np.float32))
+        assert served.tobytes() == whole.tobytes()
+        # ... where the float block of the same shape does chunk.
+        ws = Workspace(np.float32)
+        compile_model(model).blocks[0].forward(x.copy(), None, ws)
+        assert max(buf.shape[0] for buf in block_scratch(ws)) < 32
 
 
 class TestWorkspacePooling:

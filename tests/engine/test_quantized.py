@@ -268,6 +268,32 @@ class TestEndToEndParity:
                                dtype=np.float64).run(images)
         assert out.logits.tobytes() == ref.logits.tobytes()
 
+    def test_non_gelu_backbone_keeps_its_activation(self, rng):
+        """``quantize_model`` swaps GELU modules only, so a ReLU-MLP
+        backbone must serve ReLU -- not the polynomial GELU -- in both
+        grades: float64 bitwise with the simulation, float32 agreeing
+        with it on top-1."""
+        config = ViTConfig(name="quant-relu", image_size=16, patch_size=4,
+                           embed_dim=16, depth=2, num_heads=2,
+                           num_classes=4)
+        backbone = VisionTransformer(config, rng=rng)
+        for block in backbone.blocks:
+            block.mlp.register_module("act", nn.ReLU())
+        model = HeatViT(backbone, {1: 0.6}, rng=rng)
+        model.eval()
+        images = rng.normal(size=(12, 3, 16, 16))
+        ref = BucketedExecutor(surgered(model, 8),
+                               backend="tensor").run(images)
+        out64 = BucketedExecutor(model, backend="int8",
+                                 dtype=np.float64).run(images)
+        assert out64.logits.tobytes() == ref.logits.tobytes()
+        for mine, theirs in zip(out64.tokens_per_stage,
+                                ref.tokens_per_stage):
+            assert np.array_equal(mine, theirs)
+        out32 = BucketedExecutor(model, backend="int8").run(images)
+        top1 = np.mean(out32.logits.argmax(-1) == ref.logits.argmax(-1))
+        assert top1 >= 0.9
+
 
 class TestSessionIntegration:
     def test_session_reports_backend_and_dtype(self, quant_setup):
