@@ -23,7 +23,9 @@ Compile-time fusions
 * **Token selectors** are compiled to the same ndarray kernels (LN ->
   per-head scoring MLPs -> attention branch -> Eq. 8 combine -> Eq. 10
   packager), so keep/prune decisions on the fast path come from the
-  exact same arithmetic as the compiled blocks.  A selector whose
+  exact same arithmetic as the compiled blocks.  There is one pipeline,
+  over ragged tokens (:meth:`CompiledSelector.select_ragged`); the
+  dense ``(g, N, D)`` entry point is a reshape onto it.  A selector whose
   classifier is not the stock :class:`MultiHeadTokenClassifier` (e.g.
   the Fig. 12 conv ablation) falls back to invoking the original Tensor
   module under ``no_grad`` -- slower, still correct.
@@ -385,67 +387,18 @@ class CompiledSelector:
             return tokens, ws
         return np.asarray(tokens, dtype=self.score_dtype), self._fallback_ws
 
-    def _classifier_scores_dense(self, normed, ws):
-        """Per-head keep/prune probabilities for dense ``(g, N, D)``
-        normed tokens: ``(g, h, N, 2)``."""
-        if self.classifier_module is not None:
-            with nn.no_grad():
-                scores = self.classifier_module(
-                    Tensor(np.ascontiguousarray(normed)))
-            return scores.data
-        g, tokens, dim = normed.shape
-        h, d = self.num_heads, self.head_dim
-        heads = normed.reshape(g, tokens, h, d)
-        # Per-head token scores (Eqs. 3-5): local features, masked-free
-        # global average, concat, classify, softmax.
-        local = _run_mlp(self.feature_mlp, heads.transpose(0, 2, 1, 3),
-                         ws, "sel_feat")                   # (g, h, N, f)
-        feat = local.shape[-1]
-        combined = ws.take("sel_comb", (g, h, tokens, 2 * feat))
-        combined[..., :feat] = local
-        gmean = np.add.reduce(local, axis=2, keepdims=True)
-        gmean /= tokens
-        combined[..., feat:] = gmean
-        per_head = _run_mlp(self.classifier_mlp, combined, ws, "sel_cls")
-        masked_softmax(per_head, ws=ws, key="sel_sm")      # (g, h, N, 2)
-        return per_head
-
     def select(self, patches, ws):
-        """Score ``(g, N, D)`` patch tokens; returns ``(keep, packages)``
-        with ``keep`` boolean ``(g, N)`` and ``packages`` ``(g, D)``.
+        """Score one uniform-length group of ``(g, N, D)`` patch tokens;
+        returns ``(keep, packages)`` with ``keep`` boolean ``(g, N)``
+        and ``packages`` ``(g, D)``.
+
+        A reshape over :meth:`select_ragged`, the one selector
+        pipeline: ``g`` images of ``N`` tokens each, concatenated.
         """
-        patches, ws = self._scoring_input(patches, ws)
-        sdt = self.score_dtype
         g, tokens, dim = patches.shape
-        h, d = self.num_heads, self.head_dim
-        normed = ws.take("sel_norm", (g, tokens, dim))
-        fused_layer_norm(patches, self.norm_w, self.norm_b, self.norm_eps,
-                         out=normed, ws=ws, key="sel_ln")
-        per_head = self._classifier_scores_dense(normed, ws)
-        # Attention branch (Eqs. 6-7): head channel means -> MLP -> sigmoid.
-        head_stat = np.add.reduce(normed.reshape(g, tokens, h, d), axis=-1)
-        head_stat /= d                                     # (g, N, h)
-        importance = _run_mlp(self.attention_mlp, head_stat, ws, "sel_att")
-        special.expit(importance, out=importance)
-        # Eq. 8 combine: head-importance-weighted average of the scores.
-        weights = importance.transpose(0, 2, 1)[..., None]  # (g, h, N, 1)
-        per_head *= weights
-        scores = np.add.reduce(per_head, axis=1)            # (g, N, 2)
-        total = np.add.reduce(weights, axis=1)
-        total += sdt.type(_EPS)
-        scores /= total
-        keep_score = scores[..., 0]
-        keep = keep_score >= scores[..., 1]
-        # Degenerate guard: never prune every token of an image.
-        for row in np.flatnonzero(~keep.any(axis=1)):
-            keep[row, np.argmax(keep_score[row])] = True
-        # Eq. 10 packager on the RAW (un-normed) tokens, weighted by the
-        # pruned tokens' keep scores.
-        pruned_w = np.where(keep, sdt.type(0.0), keep_score)
-        packages = np.matmul(pruned_w[:, None, :], patches)[:, 0, :]
-        packages /= (pruned_w.sum(axis=1, keepdims=True)
-                     + sdt.type(_EPS))
-        return keep, packages.astype(self.dtype, copy=False)
+        keep, packages = self.select_ragged(
+            patches.reshape(g * tokens, dim), np.full(g, tokens), ws)
+        return keep.reshape(g, tokens), packages
 
     def _classifier_scores_ragged(self, normed, counts, starts, ws):
         """Per-head probabilities for ragged tokens: ``(M, h, 2)``.
@@ -477,6 +430,8 @@ class CompiledSelector:
                     lo = starts[image]
                     per_head[lo:lo + count] = scores[row].transpose(1, 0, 2)
             return per_head
+        # Per-head token scores (Eqs. 3-5): local features, per-image
+        # global average, concat, classify, softmax.
         heads = normed.reshape(m, h, self.head_dim)
         local = _run_mlp(self.feature_mlp, heads, ws, "rag_feat")  # (M,h,f)
         feat = local.shape[-1]
@@ -496,13 +451,13 @@ class CompiledSelector:
         along the token axis; ``counts``: ``(n,)`` per-image token
         counts summing to ``M``.  This is the selector-boundary hot
         path: every per-token op (LN, MLPs, softmax, sigmoid, Eq. 8)
-        is arithmetically identical to the dense :meth:`select`, and
-        the per-image reductions (Eq. 4 global pooling, the >=1-token
-        guard, the Eq. 10 packager) run as segment reductions
-        (``np.add.reduceat``) -- so one call replaces one
-        :meth:`select` per distinct sequence length.  Segment sums
-        accumulate sequentially instead of numpy's pairwise order, a
-        rounding-level (~1e-16 in float64) deviation only.
+        is the Tensor module's arithmetic, and the per-image reductions
+        (Eq. 4 global pooling, the >=1-token guard, the Eq. 10
+        packager) run as segment reductions (``np.add.reduceat``) -- so
+        one call serves every distinct sequence length at a boundary.
+        Segment sums accumulate sequentially instead of numpy's
+        pairwise order, a rounding-level (~1e-16 in float64) deviation
+        from the module only.
 
         Hybrid fallback selectors (non-stock classifiers) run the same
         pipeline with the classifier scored per distinct length; see
@@ -523,10 +478,12 @@ class CompiledSelector:
                          out=normed, ws=ws, key="rag_ln")
         per_head = self._classifier_scores_ragged(normed, counts, starts,
                                                   ws)
+        # Attention branch (Eqs. 6-7): head channel means -> MLP -> sigmoid.
         head_stat = np.add.reduce(normed.reshape(m, h, d), axis=-1)
         head_stat /= d                                     # (M, h)
         importance = _run_mlp(self.attention_mlp, head_stat, ws, "rag_att")
         special.expit(importance, out=importance)
+        # Eq. 8 combine: head-importance-weighted average of the scores.
         weights = importance[..., None]                    # (M, h, 1)
         per_head *= weights
         scores = np.add.reduce(per_head, axis=1)           # (M, 2)
@@ -535,11 +492,14 @@ class CompiledSelector:
         scores /= total
         keep_score = scores[..., 0]
         keep = keep_score >= scores[..., 1]
+        # Degenerate guard: never prune every token of an image.
         kept_any = np.logical_or.reduceat(keep, starts)
-        for image in np.flatnonzero(~kept_any):            # guard
+        for image in np.flatnonzero(~kept_any):
             lo = starts[image]
             hi = lo + counts[image]
             keep[lo + np.argmax(keep_score[lo:hi])] = True
+        # Eq. 10 packager on the RAW (un-normed) tokens, weighted by the
+        # pruned tokens' keep scores.
         pruned_w = np.where(keep, sdt.type(0.0), keep_score)
         weighted = ws.take("rag_pkg", (m, dim))
         np.multiply(flat, pruned_w[:, None], out=weighted)

@@ -15,12 +15,11 @@ Typical use::
     result.images_per_second # measured host throughput
 
 Batch pricing flows through the session's
-:class:`repro.cost.CostModel`: :meth:`estimated_batch_cost` /
-:meth:`estimated_batch_latency_ms` price an n-image submission
-including the per-batch overhead (the scheduler's flush and routing
-decisions consume these), and the same model drives the executor's
-cost-aware bucket merging.  By default a calibrated model is built from
-the FPGA simulator for the served config.
+:class:`repro.cost.CostModel`: :meth:`estimated_batch_cost` prices an
+n-image submission including the per-batch overhead (the scheduler's
+flush and routing decisions consume it), and the same model drives the
+executor's cost-aware bucket merging.  By default a calibrated model is
+built from the FPGA simulator for the served config.
 
 ``submit_many`` is the grouped variant the request scheduler
 (:mod:`repro.serving`) uses: it takes a list of per-request image
@@ -100,14 +99,21 @@ class InferenceSession:
         model (exactly the old ``n * per_image`` pricing).  Mutually
         exclusive with ``cost_model``.
     backend: ``"tensor"`` (default; the float64 autograd reference
-        modules under ``no_grad``) or ``"fastpath"`` (compiled fused
+        modules under ``no_grad``), ``"fastpath"`` (compiled fused
         ndarray kernels with workspace buffer reuse -- see
-        :mod:`repro.engine.fastpath`).  Fast-path float64 matches the
-        tensor backend within the engine's 1e-8 parity bound; float32
-        (the fast-path default) trades ~1e-6-level logits for speed
-        while keeping identical token-keep decisions.
-    dtype: fast-path compute dtype (``float32`` default / ``float64``);
-        only valid with ``backend="fastpath"``.
+        :mod:`repro.engine.fastpath`), or ``"int8"`` / ``"int16"`` (the
+        paper's quantized deployment numerics in the same compiled
+        hierarchy -- see :func:`repro.engine.fastpath.compile_quantized`).
+        Fast-path float64 matches the tensor backend within the
+        engine's 1e-8 parity bound; float32 (the fast-path default)
+        trades ~1e-6-level logits for speed while keeping identical
+        token-keep decisions.
+    dtype: compute dtype of a compiled backend.  ``"fastpath"`` and
+        ``"int8"`` default to ``float32``, the serving grade;
+        ``float64`` is the parity grade (on a quantized backend:
+        bitwise equal to the :func:`repro.quant.quantize_model`
+        simulation, and the only choice for ``"int16"``).  The tensor
+        backend is float64-only.
     learn_cost: wrap the resolved cost model in a
         :class:`repro.cost.OnlineCostModel` so the session refits batch
         pricing from its own measured wall times.  Passing an
@@ -207,17 +213,6 @@ class InferenceSession:
             num_images=int(num_images),
             per_image_ms=self.marginal_image_ms,
             num_batches=num_batches))
-
-    def estimated_batch_latency_ms(self, sizes):
-        """Total estimated latency (ms) of one submission.
-
-        ``sizes`` is either an image count or a sequence of per-request
-        group sizes (as passed to :meth:`submit_many`); the groups share
-        the batch overheads of the chunks they pack into.
-        """
-        num_images = (int(sizes) if np.isscalar(sizes)
-                      else int(sum(int(s) for s in sizes)))
-        return self.estimated_batch_cost(num_images).total_ms
 
     def invalidate_estimate(self):
         self._estimated_latency = None

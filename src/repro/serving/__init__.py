@@ -44,7 +44,7 @@ Builds the request-level serving story on top of
 * the network face -- :class:`FrontDoor` (asyncio HTTP/JSON server:
   submit / poll / await / health / stats) with
   :class:`FrontDoorClient`, and :mod:`repro.serving.trace` replayable
-  JSONL workload traces plus the load-generator :func:`replay`.
+  workload traces plus the load-generator :func:`replay`.
 """
 
 from repro.serving.clock import Clock, SystemClock, VirtualClock
@@ -60,9 +60,8 @@ from repro.serving.scheduler import (AdmissionError, FlushEvent, Scheduler,
                                      ServedModel)
 from repro.serving.retry import RetryPolicy
 from repro.serving.trace import (TraceRequest, adversarial_trace,
-                                 bursty_trace, load_jsonl, replay,
-                                 save_jsonl, synth_images, two_tier_trace,
-                                 uniform_trace)
+                                 bursty_trace, replay, synth_images,
+                                 two_tier_trace, uniform_trace)
 from repro.serving.transport import InlineTransport, PoolTransport
 from repro.serving.worker import (RecoveryPolicy, WorkerDiedError,
                                   WorkerPool, WorkerReply, worker_payload)
@@ -79,7 +78,7 @@ __all__ = [
     "WorkerDiedError", "RecoveryPolicy", "RetryPolicy",
     "FaultPlan", "FaultSpec",
     "FrontDoor", "FrontDoorClient",
-    "TraceRequest", "synth_images", "save_jsonl", "load_jsonl",
+    "TraceRequest", "synth_images",
     "uniform_trace", "bursty_trace", "adversarial_trace",
     "two_tier_trace", "replay",
 ]

@@ -18,7 +18,8 @@ plus a small request parser, no web framework) that exposes a
   while pending.  With ``?wait=1[&timeout_ms=...]`` it becomes the
   awaitable variant: the response is held open until completion (or
   timeout -> ``202``).  ``?logits=1`` includes raw logits.  Results
-  are delivered **at most once**; a second fetch is ``404 gone``.
+  are delivered **at most once**; a second fetch is ``404 gone`` (for
+  the most recent 65 536 deliveries; ``404 unknown`` after that).
 * ``GET /healthz`` -- liveness plus registered session names.
 * ``GET /stats`` -- :meth:`repro.serving.Scheduler.stats` (queue
   depths, priced backlogs, in-flight batches, per-class deadline-hit
@@ -33,8 +34,7 @@ started it, so ``FrontDoor(scheduler).start()`` is a complete serving
 process and a scheduler someone else drives is left alone.
 
 :class:`FrontDoorClient` is the matching blocking client (stdlib
-``http.client``, keep-alive) used by the tests, the load generator,
-and ``benchmarks/bench_frontdoor.py``.
+``http.client``, keep-alive) used by the tests and the load generator.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from urllib.parse import parse_qs, urlsplit
 
@@ -58,6 +59,11 @@ _REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request",
             404: "Not Found", 405: "Method Not Allowed",
             413: "Payload Too Large", 429: "Too Many Requests",
             500: "Internal Server Error", 503: "Service Unavailable"}
+
+#: How many delivered request ids the server remembers in order to
+#: answer a repeated fetch ``gone`` instead of ``unknown``.  Delivery
+#: stays at most once either way: a delivered id is no longer known.
+_DELIVERED_WINDOW = 65_536
 
 #: ``Retry-After`` seconds on a 503 (degraded target).  Degraded mode
 #: still serves -- in-process, slower -- so a short back-off is right:
@@ -151,7 +157,9 @@ class FrontDoor:
         self._wait_pool = None
         self._lock = threading.Lock()
         self._known_ids = set()        # submitted via this server
-        self._delivered_ids = set()    # results already handed out
+        # Results already handed out, oldest first; bounded to the
+        # last _DELIVERED_WINDOW so a long-lived server does not grow.
+        self._delivered_ids = OrderedDict()
         self.counters = {"http_requests": 0, "submitted": 0, "shed": 0,
                          "unavailable": 0, "results_delivered": 0}
 
@@ -501,7 +509,9 @@ class FrontDoor:
                 return 202, {"status": "pending",
                              "request_id": request_id}
         with self._lock:
-            self._delivered_ids.add(request_id)
+            self._delivered_ids[request_id] = None
+            if len(self._delivered_ids) > _DELIVERED_WINDOW:
+                self._delivered_ids.popitem(last=False)
             self._known_ids.discard(request_id)
             self.counters["results_delivered"] += 1
         return 200, _result_payload(result, include_logits)

@@ -1,12 +1,11 @@
-"""Replayable serving traces: JSONL format, generators, load replay.
+"""Replayable serving traces: generators and load replay.
 
 A trace is a list of :class:`TraceRequest` records -- *when* a request
 arrives, how many images it carries, its SLO (deadline or priority
 tier), and a seed from which its image payload is synthesized
-deterministically.  Traces serialize to JSON Lines (one request per
-line), so the exact same workload replays across processes, machines,
-and PRs: ``benchmarks/bench_frontdoor.py`` replays them over real HTTP
-and is the standing "millions of users" serving benchmark.
+deterministically.  A trace is fully determined by ``(generator,
+arguments, seed)``, so the exact same workload replays across
+processes, machines, and PRs without a file format.
 
 Generators cover the workload shapes the serving story cares about:
 
@@ -15,28 +14,26 @@ Generators cover the workload shapes the serving story cares about:
   batch formation, carry-over, and admission control;
 * :func:`adversarial_trace` -- premium (class-0) requests landing
   mid-window behind best-effort backlog: the flush-preemption stress;
-* :func:`two_tier_trace` -- the standing benchmark shape: a steady
+* :func:`two_tier_trace` -- the admission-control shape: a steady
   premium stream riding on bursty bulk traffic heavy enough to trip
   admission control.
 
 Image payloads come from :func:`synth_images`: a deterministic
-standard-normal stack keyed by the request seed, so a trace file fully
-determines the pixels without shipping them.
+standard-normal stack keyed by the request seed, so a trace fully
+determines the pixels without carrying them.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.serving.request import DEFAULT_PRIORITY
 
-__all__ = ["TraceRequest", "synth_images", "save_jsonl", "load_jsonl",
-           "uniform_trace", "bursty_trace", "adversarial_trace",
-           "two_tier_trace", "replay"]
+__all__ = ["TraceRequest", "synth_images", "uniform_trace", "bursty_trace",
+           "adversarial_trace", "two_tier_trace", "replay"]
 
 
 @dataclass(eq=False)
@@ -65,29 +62,6 @@ def synth_images(shape, seed, dtype=np.float64):
     """Deterministic standard-normal image stack for a trace seed."""
     return np.random.default_rng(int(seed)).standard_normal(
         shape).astype(dtype, copy=False)
-
-
-# ----------------------------------------------------------------------
-# JSONL round-trip
-# ----------------------------------------------------------------------
-def save_jsonl(trace, path):
-    """Write one JSON object per line; ``None`` fields are omitted."""
-    with open(path, "w") as handle:
-        for request in trace:
-            record = {key: value for key, value in asdict(request).items()
-                      if value is not None}
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
-
-
-def load_jsonl(path):
-    """Load a trace written by :func:`save_jsonl` (blank lines ignored)."""
-    trace = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                trace.append(TraceRequest(**json.loads(line)))
-    return sorted(trace, key=lambda r: r.at_ms)
 
 
 # ----------------------------------------------------------------------
@@ -150,7 +124,7 @@ def adversarial_trace(*, window_ms, num_windows=8, backlog_size=4,
 def two_tier_trace(*, duration_ms, premium_period_ms, bulk_burst_size,
                    bulk_burst_period_ms, premium_deadline_ms=None,
                    bulk_deadline_ms=None, num_images=1, seed=0):
-    """The standing benchmark shape: premium stream + bursty bulk.
+    """The admission-control shape: premium stream + bursty bulk.
 
     A class-0 stream arrives every ``premium_period_ms``; class-1 bulk
     arrives in bursts of ``bulk_burst_size`` every

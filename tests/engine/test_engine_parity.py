@@ -254,8 +254,8 @@ class TestSessionResult:
 
     def test_estimated_batch_latency_includes_chunk_overheads(
             self, tiny_backbone):
-        """Batch pricing pays one per-batch overhead per executor chunk
-        and accepts either an image count or per-request group sizes."""
+        """Batch pricing pays one per-batch overhead per executor
+        chunk."""
         from repro.cost import CostModel
         from repro.core.latency import LatencySparsityTable
 
@@ -270,10 +270,6 @@ class TestSessionResult:
         cost = session.estimated_batch_cost(12)     # 2 chunks of <= 8
         assert cost.overhead_ms == pytest.approx(2 * 3.0)
         assert cost.marginal_ms == pytest.approx(12 * per_image)
-        assert session.estimated_batch_latency_ms(12) == pytest.approx(
-            cost.total_ms)
-        assert session.estimated_batch_latency_ms([5, 7]) == pytest.approx(
-            cost.total_ms)
         assert session.estimated_batch_cost(0).total_ms == 0.0
 
     def test_cost_model_and_table_are_exclusive(self, tiny_backbone):

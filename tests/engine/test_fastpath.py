@@ -199,7 +199,7 @@ class TestEngineBackendParity:
 
 
 class TestCompiledSelector:
-    """Dense and ragged selector kernels vs the Tensor module."""
+    """The compiled selector pipeline vs the Tensor module."""
 
     @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12),
                                            (np.float32, 1e-5)])
@@ -217,22 +217,35 @@ class TestCompiledSelector:
         np.testing.assert_allclose(packages, out.package.data[:, 0, :],
                                    rtol=0, atol=tol)
 
-    @pytest.mark.parametrize("compile_fn,dtype,short,min_keep,atol", [
-        (compile_model, np.float64, 13, 1.0, 1e-12),
+    @pytest.mark.parametrize("grade,short,min_keep,atol", [
+        ("float64", 13, 1.0, 1e-12),
         # int8: activation scales are dynamic per tensor, i.e. per call,
-        # so ragged and dense quantize alike only when one call sees
-        # exactly the other's tokens -- a single uniform-length group.
-        # Even then the Eq. 4 pooling sums in a different order, which
-        # can move a downstream activation across a rint boundary by
-        # one quantization step: agreement, not equality.
-        (compile_quantized, np.float32, None, 0.9, 5e-3)])
-    def test_ragged_select_matches_dense_groups(self, tiny_backbone,
-                                                tiny_dataset, compile_fn,
-                                                dtype, short, min_keep,
-                                                atol):
-        """One ragged pipeline == one dense select per exact group."""
+        # so the ragged pipeline and its float64 twin (which scores per
+        # exact group) quantize alike only when one call sees exactly
+        # the other's tokens -- a single uniform-length group.  Even
+        # then float32 rounding can move an activation across a rint
+        # boundary by one quantization step: agreement, not equality.
+        ("int8-f32", None, 0.9, 5e-3)])
+    def test_ragged_select_matches_reference(self, tiny_backbone,
+                                             tiny_dataset, grade, short,
+                                             min_keep, atol):
+        """The one ragged pipeline vs the reference, per exact group:
+        the Tensor module for float64, the simulation-parity float64
+        twin for the int8 serving grade."""
         model = make_model(tiny_backbone, {1: 0.6})
-        compiled = compile_fn(model, dtype=dtype)
+        if grade == "float64":
+            compiled = compile_model(model, dtype=np.float64)
+
+            def reference(group):
+                with nn.no_grad():
+                    out = model.selectors[0](Tensor(group), hard=False)
+                return out.decision.data > 0.5, out.package.data[:, 0, :]
+        else:
+            compiled = compile_quantized(model, dtype=np.float32)
+            twin = compile_quantized(model, dtype=np.float64)
+
+            def reference(group):
+                return twin.select(0, group)
         tokens = compiled.embed(tiny_dataset.images[:6])
         if short is None:
             groups = [np.array(tokens[:, 1:, :])]
@@ -246,7 +259,7 @@ class TestCompiledSelector:
         offset, image = 0, 0
         for group in groups:
             g, n = group.shape[0], group.shape[1]
-            keep_ref, packages_ref = compiled.select(0, group)
+            keep_ref, packages_ref = reference(group)
             keep = keep_flat[offset:offset + g * n].reshape(g, n)
             same = (keep == keep_ref).all(axis=1)
             assert same.mean() >= min_keep
@@ -255,6 +268,22 @@ class TestCompiledSelector:
                                        atol=atol)
             offset += g * n
             image += g
+
+    @pytest.mark.parametrize("compile_fn", [compile_model,
+                                            compile_quantized])
+    def test_dense_select_is_ragged_select(self, tiny_backbone,
+                                           tiny_dataset, compile_fn):
+        """``select`` on a uniform group is ``select_ragged`` on the
+        same tokens, bit for bit."""
+        model = make_model(tiny_backbone, {1: 0.6})
+        compiled = compile_fn(model, dtype=np.float32)
+        group = np.array(compiled.embed(tiny_dataset.images[:6])[:, 1:, :])
+        g, n, dim = group.shape
+        keep, packages = compiled.select(0, group)
+        keep_flat, packages_flat = compiled.select_ragged(
+            0, group.reshape(g * n, dim), [n] * g)
+        np.testing.assert_array_equal(keep, keep_flat.reshape(g, n))
+        np.testing.assert_array_equal(packages, packages_flat)
 
     def test_ragged_select_works_for_fallback(self, tiny_backbone,
                                               tiny_dataset):

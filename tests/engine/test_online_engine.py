@@ -105,6 +105,25 @@ class TestLearningSession:
         assert learned_ms != static_ms
         assert learned_ms > 0
 
+    def test_learned_pricing_beats_static_prior(self, model, images,
+                                                monkeypatch):
+        """Once warm, the learned model prices a submission closer to
+        its measured wall than the static prior does, and within 5 % --
+        on a clock where identical submissions measure identical walls."""
+        clock = _TickClock()
+        monkeypatch.setattr("repro.engine.session.time", clock)
+        monkeypatch.setattr("repro.engine.executor.time", clock)
+        session = InferenceSession(model, batch_size=8, learn_cost=True)
+        static_ms = InferenceSession(
+            model, batch_size=8, cost_model=session.cost_model.prior
+        ).estimated_batch_cost(12).total_ms
+        for _ in range(40):                      # warm-up + settle
+            session.submit(images)
+        learned_ms = session.estimated_batch_cost(12).total_ms
+        wall_ms = session.submit(images).wall_time_s * 1e3
+        assert abs(learned_ms - wall_ms) <= abs(static_ms - wall_ms)
+        assert learned_ms == pytest.approx(wall_ms, rel=0.05)
+
     def test_retune_rebinds_key(self, model, images):
         session = InferenceSession(model, batch_size=8, learn_cost=True)
         session.submit(images)

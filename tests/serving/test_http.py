@@ -63,6 +63,30 @@ class TestEndpoints:
         assert status == 404
         assert payload["gone"] is True
 
+    def test_delivered_id_memory_is_bounded(self, front_door, tiny_dataset,
+                                            monkeypatch):
+        """The server remembers only the newest deliveries: older ids
+        answer ``unknown`` instead of ``gone``, never a second payload."""
+        window = 3
+        monkeypatch.setattr("repro.serving.http._DELIVERED_WINDOW", window)
+        door, client = front_door
+        ids = []
+        for _ in range(window + 2):
+            _, payload = client.submit(tiny_dataset.images[:1])
+            ids.append(payload["request_id"])
+            status, _ = client.result(ids[-1], wait=True, timeout_ms=10_000)
+            assert status == 200
+            assert len(door._delivered_ids) <= window
+        status, newest = client.result(ids[-1])
+        assert status == 404 and newest["gone"] is True
+        status, oldest = client.result(ids[0])
+        assert status == 404 and "gone" not in oldest
+        assert "unknown request id" in oldest["error"]
+        for request_id in ids:
+            status, payload = client.result(request_id, wait=True,
+                                            timeout_ms=50)
+            assert status == 404 and "predictions" not in payload
+
     def test_wait_timeout_reports_pending(self, front_door, mild_model,
                                           tiny_dataset):
         door, client = front_door

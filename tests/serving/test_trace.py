@@ -1,44 +1,13 @@
-"""Replayable trace format: JSONL round-trip, deterministic payloads,
-generator shapes, and the load-generator replay loop (driven by a fake
-clock -- no real sleeping)."""
-
-import json
+"""Replayable traces: deterministic payloads, generator shapes, and the
+load-generator replay loop (driven by a fake clock -- no real
+sleeping)."""
 
 import numpy as np
 import pytest
 
 from repro.serving import (DEFAULT_PRIORITY, TraceRequest,
-                           adversarial_trace, bursty_trace, load_jsonl,
-                           replay, save_jsonl, synth_images,
-                           two_tier_trace, uniform_trace)
-
-
-class TestJsonlRoundTrip:
-    def test_round_trip_preserves_every_field(self, tmp_path):
-        trace = [TraceRequest(at_ms=3.0, num_images=2, seed=7,
-                              deadline_ms=9.5, priority=0, model="mild"),
-                 TraceRequest(at_ms=1.0)]
-        path = tmp_path / "trace.jsonl"
-        save_jsonl(trace, path)
-        loaded = load_jsonl(path)
-        assert [r.at_ms for r in loaded] == [1.0, 3.0]  # sorted on load
-        rich = loaded[1]
-        assert (rich.num_images, rich.seed, rich.deadline_ms,
-                rich.priority, rich.model) == (2, 7, 9.5, 0, "mild")
-        plain = loaded[0]
-        assert plain.deadline_ms is None and plain.model is None
-        assert plain.priority == DEFAULT_PRIORITY
-
-    def test_none_fields_are_omitted_on_the_wire(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        save_jsonl([TraceRequest(at_ms=0.0)], path)
-        record = json.loads(path.read_text().strip())
-        assert "deadline_ms" not in record and "model" not in record
-
-    def test_blank_lines_ignored(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        path.write_text('{"at_ms": 2.0}\n\n{"at_ms": 1.0}\n')
-        assert [r.at_ms for r in load_jsonl(path)] == [1.0, 2.0]
+                           adversarial_trace, bursty_trace, replay,
+                           synth_images, two_tier_trace, uniform_trace)
 
 
 class TestSynthImages:
