@@ -22,7 +22,7 @@ import numpy as np
 
 from repro import nn
 from repro.nn.tensor import Tensor
-from repro.vit.complexity import StagePlan, pruned_model_gmacs
+from repro.vit.complexity import pruned_model_gmacs
 
 __all__ = ["StaticTokenPruningViT", "EViTStyleModel"]
 

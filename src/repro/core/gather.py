@@ -1,19 +1,22 @@
 """Shared token-gathering helpers for the physically-pruned path.
 
-Three call sites execute the same "gather the kept tokens, append the
-package" step of the deployment semantics (paper Fig. 9 step 3):
+The "gather the kept tokens, append the package" step of the deployment
+semantics (paper Fig. 9 step 3) is written down once, here:
 
 * :meth:`repro.core.heatvit.HeatViT._forward_pruned_single` (reference
-  single-image path),
-* :class:`repro.engine.executor.BucketedExecutor` (batched serving
-  path),
+  single-image path) runs :func:`prune_image_sequence` as is;
 * :class:`repro.hardware.selector_flow.TokenSelectionFlow` (functional
-  model of the on-chip flow).
+  model of the on-chip flow) shares its :func:`gather_kept_tokens` /
+  :func:`weighted_package`;
+* :class:`repro.engine.executor.BucketedExecutor` (batched serving
+  path) applies the same packager rule to every image of a boundary at
+  once, from one flat ragged token array, pinned bit for bit to
+  :func:`prune_image_sequence` by ``tests/engine/test_fastpath.py``.
+  :func:`dense_runs` adapts that ragged layout to dense scorers.
 
-All three now share the numpy-level helpers below, so a semantics change
-(e.g. the packager rule) happens in exactly one place.  Everything here
-operates on plain arrays: the pruned path runs under ``nn.no_grad`` and
-the hardware flow is numpy-only, so no autodiff plumbing is needed.
+Everything here operates on plain arrays: the pruned path runs under
+``nn.no_grad`` and the hardware flow is numpy-only, so no autodiff
+plumbing is needed.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["weighted_package", "gather_kept_tokens",
-           "prune_image_sequence", "prune_group_sequences"]
+           "prune_image_sequence", "dense_runs"]
 
 _EPS = 1e-8
 
@@ -105,61 +108,18 @@ def prune_image_sequence(sequence, keep_flags, *, use_packager,
     return new_sequence, has_package or (use_packager and pruned_any)
 
 
-def prune_group_sequences(sequences, keep_flags, *, use_packager,
-                          has_package, packages=None):
-    """Batched :func:`prune_image_sequence` for one exact group.
+def dense_runs(counts, starts):
+    """Regroup a ragged token array into dense stacks, one per distinct
+    per-image token count -- the adapter for scorers that only take
+    ``(g, N, D)`` input.
 
-    ``sequences`` is ``(g, T, D)`` -- images sharing the same layout
-    (same length, same ``has_package``); ``keep_flags`` is ``(g, N)``
-    over the patch tokens; ``packages`` is ``(g, D)`` freshly-packaged
-    tokens (required when ``use_packager`` and anything was pruned).
-
-    Semantically identical to calling :func:`prune_image_sequence` per
-    row (pinned by ``tests/core/test_heatvit.py`` /
-    ``tests/engine/test_fastpath.py``) -- boolean gathers and
-    concatenations of the same values -- but hoists the validation and
-    per-call overhead out of the serving engine's per-image loop.
-    Returns ``(new_sequences, new_has_package)`` lists of length ``g``.
+    ``counts`` / ``starts``: ``(n,)`` per-image token counts and segment
+    offsets into a flat ``(M, ...)`` array.  Yields ``(rows, tokens)``:
+    ``rows`` are the images sharing one count, in order, and ``tokens``
+    their ``(g, count)`` flat indices, so ``flat[tokens]`` is the dense
+    stack and ``out[tokens] = dense`` scatters a per-token result back.
     """
-    x = np.asarray(sequences)
-    keep = np.asarray(keep_flags, dtype=bool)
-    stop = x.shape[1] - (1 if has_package else 0)
-    if keep.shape != (x.shape[0], stop - 1):
-        raise ValueError(
-            f"keep_flags shape {keep.shape} does not match "
-            f"{(x.shape[0], stop - 1)} patch tokens")
-    num_patches = keep.shape[1]
-    counts = keep.sum(axis=1)
-    if use_packager and (counts < num_patches).any():
-        if packages is None:
-            raise ValueError(
-                "use_packager with pruned tokens requires packages")
-        # Match gather_kept_tokens: the package row never upcasts the
-        # sequence dtype.
-        packages = np.asarray(packages, dtype=x.dtype)
-    out_sequences = [None] * x.shape[0]
-    out_flags = [None] * x.shape[0]
-    # One fancy-index gather per distinct kept-count: the packager rule
-    # (fresh package / carried slot / discard) is uniform within a
-    # count, so rows sharing one become a single dense copy.
+    counts = np.asarray(counts)
     for count in np.unique(counts):
         rows = np.flatnonzero(counts == count)
-        pruned_any = count < num_patches
-        slot = None
-        if use_packager:
-            if pruned_any:
-                slot = packages[rows]
-            elif has_package:
-                slot = x[rows, stop]
-        width = 1 + int(count) + (0 if slot is None else 1)
-        block = np.empty((rows.size, width, x.shape[-1]), dtype=x.dtype)
-        block[:, 0] = x[rows, 0]
-        cols = np.nonzero(keep[rows])[1].reshape(rows.size, int(count))
-        block[:, 1:1 + int(count)] = x[rows[:, None], 1 + cols]
-        if slot is not None:
-            block[:, -1] = slot
-        flag = has_package or (use_packager and pruned_any)
-        for position, row in enumerate(rows):
-            out_sequences[row] = block[position]
-            out_flags[row] = flag
-    return out_sequences, out_flags
+        yield rows, starts[rows][:, None] + np.arange(count)

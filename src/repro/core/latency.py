@@ -12,8 +12,6 @@ Here the table can be populated either with the paper's measured values
 
 from __future__ import annotations
 
-import bisect
-
 import numpy as np
 
 from repro.nn.tensor import Tensor

@@ -21,7 +21,7 @@ import numpy as np
 from repro import nn
 from repro.nn import functional as F
 from repro.core.heatvit import HeatViT, PruningRecord
-from repro.core.latency import LatencySparsityTable, latency_sparsity_loss
+from repro.core.latency import latency_sparsity_loss
 
 __all__ = ["TrainConfig", "EpochStats", "iterate_minibatches",
            "train_backbone", "train_heatvit",

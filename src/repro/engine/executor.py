@@ -8,12 +8,13 @@ vectorization while preserving those semantics exactly:
 1. the **shared prefix** (patch embedding plus every block before the
    first selector) runs fully batched -- all images still have the same
    length there;
-2. at each **selector boundary** images are regrouped by their exact
-   ``(length, has_package)`` state and each group runs the selector as
-   one batched forward (selector outputs are per-image, so this is
-   bit-equivalent to the single-image calls); the kept tokens are then
-   gathered per image with the same :func:`repro.core.gather` helper the
-   reference path uses;
+2. at each **selector boundary** padding is stripped and all patch
+   tokens go into ONE flat ``(M, D)`` array with per-image counts -- the
+   only token layout besides the bucket stacks.  The selector scores it
+   once (its outputs are per image, so this equals the single-image
+   calls), :func:`repro.core.gather.prune_image_sequence`'s packager
+   rule sets each new length, and ``[cls, kept tokens, slot]`` rows are
+   scattered straight into the next buckets;
 3. between boundaries, a :class:`repro.engine.bucketing.BucketingPolicy`
    merges nearby lengths into padded buckets.  Padded positions are
    masked out as attention keys, which leaves real-token activations
@@ -61,11 +62,11 @@ import numpy as np
 
 from repro import nn
 from repro.nn.tensor import Tensor
-from repro.core.gather import prune_group_sequences
+from repro.core.gather import dense_runs
 from repro.engine.bucketing import BucketingPolicy, plan_buckets
 from repro.engine.fastpath import (Workspace, compile_model,
                                    compile_quantized, mask_to_bias)
-from repro.vit.attention import (key_padding_mask, pad_token_sequences,
+from repro.vit.attention import (key_padding_mask,
                                  suppress_attention_recording)
 
 __all__ = ["BucketedExecutor", "EngineResult", "StageStats", "BACKENDS"]
@@ -83,9 +84,7 @@ class StageStats:
     """Bucketing telemetry for the block run after one selector stage.
 
     ``wall_ms`` is the measured host wall time of the stage's block
-    executions (summed over its buckets); zero unless the executor's
-    cost model learns online (timing is only taken when something
-    consumes it).
+    executions (summed over its buckets).
     """
 
     num_buckets: int
@@ -110,18 +109,16 @@ class EngineResult:
     stage_stats: list = field(default_factory=list)
 
 
+@dataclass(slots=True)
 class _Group:
     """A set of images executing together between selector boundaries."""
 
-    __slots__ = ("x", "mask", "bias", "indices", "lengths", "has_package")
-
-    def __init__(self, x, mask, bias, indices, lengths, has_package):
-        self.x = x                      # (g, T, D) ndarray
-        self.mask = mask                # (g, T) {0,1} ndarray or None
-        self.bias = bias                # (g, T) fastpath score bias or None
-        self.indices = indices          # (g,) original image indices
-        self.lengths = lengths          # (g,) real sequence lengths
-        self.has_package = has_package  # (g,) bool
+    x: np.ndarray                  # (g, T, D) bucket stack
+    mask: np.ndarray | None        # (g, T) {0,1} key mask, if it pads
+    bias: np.ndarray | None        # (g, T) fastpath score bias, likewise
+    indices: np.ndarray            # (g,) original image indices
+    lengths: np.ndarray            # (g,) real sequence lengths
+    has_package: np.ndarray        # (g,) bool
 
 
 class BucketedExecutor:
@@ -178,9 +175,6 @@ class BucketedExecutor:
         self._plan_cache = {}
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
-        # Per-bucket wall timing is only taken when the cost model can
-        # consume it (an online model refitting bucket pricing).
-        self._observe_buckets = hasattr(cost_model, "observe_bucket")
 
     # ------------------------------------------------------------------
     def run(self, images, record=None):
@@ -197,7 +191,6 @@ class BucketedExecutor:
             logits=np.zeros((batch, model.config.num_classes)))
         if batch == 0:
             return result
-        selector_pos = {b: i for i, b in enumerate(model.selector_blocks)}
         # Attention recording only feeds the masked training path's
         # ranking signal; in the serving hot path it would copy a
         # (g, h, T, T) tensor per block per bucket for nothing.  The
@@ -205,36 +198,34 @@ class BucketedExecutor:
         recording_off = (suppress_attention_recording(
             block.attn for block in model.backbone.blocks)
             if self.backend == "tensor" else nullcontext())
-        observe = self._observe_buckets
+        # Blocks run in stretches between boundaries; selector ``s``
+        # sits in front of stretch ``s + 1``.  A selector at block 0
+        # leaves the first stretch empty.
+        edges = [0, *model.selector_blocks, len(model.backbone.blocks)]
+        observe = getattr(self.cost_model, "observe_bucket", None)
         with recording_off, nn.no_grad():
             x = self._embed(images)                       # (B, 1+N, D)
             groups = [_Group(x, None, None, np.arange(batch),
                              np.full(batch, x.shape[1]),
                              np.zeros(batch, dtype=bool))]
-            segment = self._segment_start(groups) if observe else None
-            for block_index, block in enumerate(model.backbone.blocks):
-                if block_index in selector_pos:
-                    if observe:
-                        self._segment_flush(segment)
-                    groups = self._apply_selector(
-                        selector_pos[block_index], groups, batch, result)
-                    if observe:
-                        segment = self._segment_start(
-                            groups, result.stage_stats[-1])
-                if observe:
-                    # Timed variant of the block sweep below: per-bucket
-                    # wall time is the online cost model's bucket-pricing
-                    # signal.  _run_block mutates the group in place.
-                    for row, group in enumerate(groups):
-                        tick = time.perf_counter()
+            for stage, (lo, hi) in enumerate(zip(edges, edges[1:])):
+                if stage:
+                    groups = self._apply_selector(stage - 1, groups, result)
+                stretch = range(lo, hi)
+                stage_ms = 0.0
+                for group in groups:
+                    # Each bucket runs its stretch back to back, timed
+                    # once: what an online cost model prices buckets by.
+                    tick = time.perf_counter()
+                    for block_index in stretch:
                         self._run_block(block_index, group)
-                        segment["walls"][row] += time.perf_counter() - tick
-                    segment["blocks"] += 1
-                else:
-                    groups = [self._run_block(block_index, group)
-                              for group in groups]
-            if observe:
-                self._segment_flush(segment)
+                    wall_ms = (time.perf_counter() - tick) * 1e3
+                    stage_ms += wall_ms
+                    if observe and stretch:
+                        observe(group.x.shape[1], group.indices.size,
+                                len(stretch), wall_ms)
+                if stage:
+                    result.stage_stats[-1].wall_ms = stage_ms
             for group in groups:
                 result.logits[group.indices] = self._classify(group.x)
         if record is not None:
@@ -273,36 +264,6 @@ class BucketedExecutor:
         return self.run(images, record=record), slices
 
     # ------------------------------------------------------------------
-    # Per-bucket wall timing (the online cost model's bucket signal)
-    # ------------------------------------------------------------------
-    def _segment_start(self, groups, stats=None):
-        """Open one timing segment: the stretch of blocks between two
-        selector boundaries, over a fixed set of bucket groups.  Shapes
-        are captured now because groups mutate in place as blocks run."""
-        return {
-            "shapes": [(int(group.x.shape[1]), int(group.indices.size))
-                       for group in groups],
-            "walls": [0.0] * len(groups),
-            "blocks": 0,
-            "stats": stats,
-        }
-
-    def _segment_flush(self, segment):
-        """Close a segment: feed each bucket's measured wall time to
-        the online cost model and stamp the stage's telemetry."""
-        if segment is None or segment["blocks"] == 0:
-            return
-        total_ms = 0.0
-        for (padded_length, num_images), wall_s in zip(segment["shapes"],
-                                                       segment["walls"]):
-            wall_ms = wall_s * 1e3
-            total_ms += wall_ms
-            self.cost_model.observe_bucket(
-                padded_length, num_images, segment["blocks"], wall_ms)
-        if segment["stats"] is not None:
-            segment["stats"].wall_ms = total_ms
-
-    # ------------------------------------------------------------------
     # Backend dispatch
     # ------------------------------------------------------------------
     def _embed(self, images):
@@ -313,12 +274,10 @@ class BucketedExecutor:
     def _run_block(self, block_index, group):
         if self.compiled is not None:
             self.compiled.run_block(block_index, group.x, group.bias,
-                                    self.workspace)
-            return group
+                                    self.workspace)       # in place
+            return
         block = self.model.backbone.blocks[block_index]
-        out = block(Tensor(group.x), key_mask=group.mask)
-        group.x = out.data
-        return group
+        group.x = block(Tensor(group.x), key_mask=group.mask).data
 
     def _selector_eval(self, selector_index, patches):
         """Evaluate selector ``selector_index`` on dense ``(g, N, D)``
@@ -332,102 +291,106 @@ class BucketedExecutor:
         keep = out.decision.data > 0.5                    # (g, N)
         return keep, out.package.data[:, 0, :]            # (g, D)
 
-    def _evaluate_selector(self, selector_index, exacts):
-        """Score every exact group at one boundary; returns one
-        ``(keep, packages)`` pair per group.
+    def _select(self, selector_index, flat, counts, starts):
+        """Score one boundary's flat ``(M, D)`` patch tokens; returns
+        ``(keep, packages)``: boolean ``(M,)`` and ``(n, D)``.
 
-        On the fast path all groups run as ONE ragged kernel pipeline
-        (per-token math identical to the dense per-group evaluation;
-        see :meth:`CompiledSelector.select_ragged`) -- the boundary cost
-        no longer scales with the number of distinct sequence lengths.
-        This includes hybrid-fallback (non-stock classifier) selectors,
-        whose classifier module is scored once per distinct length
-        inside the pipeline.  The tensor backend -- and any compiled
-        model that opts out via ``supports_ragged`` (the quantized
-        parity grade scores through surgered selector modules) --
-        evaluates per group.
+        Compiled selectors take the ragged array whole, as ONE kernel
+        pipeline (:meth:`CompiledSelector.select_ragged`, hybrid
+        fallbacks included): the boundary cost does not scale with the
+        number of distinct sequence lengths.  The two reference backends
+        -- Tensor modules, and the quantized parity grade's surgered
+        selector modules (``supports_ragged`` unset) -- only take dense
+        input: one ``(g, count, D)`` stack per distinct patch count.
         """
         if self.compiled is not None and self.compiled.supports_ragged:
-            dim = self.model.config.embed_dim
-            patches, counts = [], []
-            for x, indices, packaged in exacts:
-                stop = x.shape[1] - (1 if packaged else 0)
-                patches.append(np.ascontiguousarray(
-                    x[:, 1:stop, :]).reshape(-1, dim))
-                counts.extend([stop - 1] * x.shape[0])
-            flat = np.concatenate(patches, axis=0)
-            keep_flat, packages = self.compiled.select_ragged(
-                selector_index, flat, counts, self.workspace)
-            decisions, token_lo, image_lo = [], 0, 0
-            for x, indices, packaged in exacts:
-                g = x.shape[0]
-                n = x.shape[1] - (2 if packaged else 1)
-                token_hi = token_lo + g * n
-                decisions.append(
-                    (keep_flat[token_lo:token_hi].reshape(g, n),
-                     packages[image_lo:image_lo + g]))
-                token_lo, image_lo = token_hi, image_lo + g
-            return decisions
-        decisions = []
-        for x, indices, packaged in exacts:
-            stop = x.shape[1] - (1 if packaged else 0)
-            decisions.append(self._selector_eval(selector_index,
-                                                 x[:, 1:stop, :]))
-        return decisions
+            return self.compiled.select_ragged(selector_index, flat, counts,
+                                               self.workspace)
+        keep = np.empty(flat.shape[0], dtype=bool)
+        packages = np.empty((counts.size, flat.shape[1]), dtype=flat.dtype)
+        for rows, tokens in dense_runs(counts, starts):
+            keep[tokens], packages[rows] = self._selector_eval(
+                selector_index, flat[tokens])
+        return keep, packages
 
     def _classify(self, x):
         if self.compiled is not None:
             return self.compiled.classify(x, self.workspace)
         return self.model.backbone.classify(Tensor(x)).data
 
-    def _stack_bucket(self, members, plan):
-        """Stack a planned bucket's sequences, padding if needed.
+    def _new_bucket(self, plan, dim):
+        """An unfilled ``(g, padded_length, D)`` stack for one planned
+        bucket, padding rows zeroed: ``(stacked, mask, bias)``.
 
-        Returns ``(stacked, mask, bias)``.  On the fast path the stack
-        lives in the workspace pool, so recurring bucket shapes across
-        stages and bursts reuse the same memory instead of reallocating
-        per pad.
+        On the fast path the stack lives in the workspace pool, so
+        recurring bucket shapes across stages and bursts reuse the same
+        memory instead of reallocating per pad -- it may BE the previous
+        stage's stack of that shape, so a caller first copies every row
+        it still needs out of the old groups.
         """
-        if self.compiled is not None:
-            dim = members[0].shape[-1]
-            stacked = self.workspace.take(
-                "bucket", (len(members), plan.padded_length, dim))
-            if plan.needs_padding:
-                stacked.fill(0.0)
-            for row, seq in enumerate(members):
-                stacked[row, :seq.shape[0]] = seq
-            if not plan.needs_padding:
-                return stacked, None, None
-            mask = key_padding_mask(plan.lengths, plan.padded_length,
-                                    dtype=self.dtype)
+        shape = (plan.indices.size, plan.padded_length, dim)
+        pooled = self.compiled is not None
+        stacked = (self.workspace.take("bucket", shape) if pooled
+                   else np.empty(shape, dtype=self.dtype))
+        if not plan.needs_padding:
+            return stacked, None, None
+        stacked.fill(0.0)
+        mask = key_padding_mask(plan.lengths, plan.padded_length,
+                                dtype=self.dtype)
+        bias = None
+        if pooled:
             bias = mask_to_bias(
                 mask, self.dtype,
                 out=self.workspace.take("bucket_bias", mask.shape))
-            return stacked, mask, bias
-        if plan.needs_padding:
-            stacked, mask = pad_token_sequences(members, plan.padded_length)
-            return stacked, mask, None
-        return np.stack(members, axis=0), None, None
+        return stacked, mask, bias
 
     # ------------------------------------------------------------------
-    def _apply_selector(self, selector_index, groups, batch, result):
-        """Selector boundary: regather every image, then re-bucket."""
-        sequences = [None] * batch
-        has_package = np.zeros(batch, dtype=bool)
-        stage_counts = np.zeros(batch, dtype=int)
-        exacts = list(self._split_exact(groups))
-        decisions = self._evaluate_selector(selector_index, exacts)
-        for (x, indices, packaged), (keep, packages) in zip(exacts,
-                                                            decisions):
-            gathered, flags = prune_group_sequences(
-                x, keep, use_packager=self.model.use_packager,
-                has_package=packaged, packages=packages)
-            for row, image in enumerate(indices):
-                sequences[image] = gathered[row]
-                has_package[image] = flags[row]
-                stage_counts[image] = gathered[row].shape[0]
-        result.tokens_per_stage.append(stage_counts)
-        lengths = np.array([s.shape[0] for s in sequences])
+    def _apply_selector(self, selector_index, groups, result):
+        """Selector boundary: bucket stacks -> one flat patch-token
+        array -> the next stage's bucket stacks (returned); the stage's
+        token counts and :class:`StageStats` are appended to ``result``.
+        """
+        # Strip CLS, package slots and padding: a selector must see only
+        # real patch tokens (its global pooling averages over whatever
+        # it is given).  Boolean and fancy indexing copy, and everything
+        # below reads these copies, never the old stacks (_new_bucket).
+        parts = []
+        for group in groups:
+            stop = (group.lengths - group.has_package)[:, None]
+            parts.append(
+                group.x[:, 1:][np.arange(1, group.x.shape[1]) < stop])
+        flat = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        images = np.concatenate([g.indices for g in groups])
+        lengths = np.concatenate([g.lengths for g in groups])
+        had_package = np.concatenate([g.has_package for g in groups])
+        cls = np.concatenate([g.x[:, 0] for g in groups])
+        last = np.concatenate([g.x[np.arange(g.lengths.size), g.lengths - 1]
+                               for g in groups])       # slot, if packaged
+        counts = lengths - 1 - had_package
+        # BLAS rounds a row by where it sits in the operand, so the
+        # served bits depend on the order images are scored in: ascending
+        # (length, has_package), ties in group-then-row order (lexsort
+        # is stable).  Every first boundary is already in that order.
+        order = np.lexsort((had_package, lengths))
+        if (order[1:] < order[:-1]).any():
+            flat = flat[_segment_gather(counts, order)]
+            images, had_package, counts, cls, last = (
+                column[order]
+                for column in (images, had_package, counts, cls, last))
+        starts = _offsets(counts)
+        keep, packages = self._select(selector_index, flat, counts, starts)
+        # The packager rule of prune_image_sequence for all images at
+        # once: a fresh package takes the slot when anything was pruned,
+        # the old slot is carried when nothing was, and without a
+        # packager there is no slot.
+        kept = np.add.reduceat(keep, starts, dtype=np.intp)
+        fresh = (kept < counts) & self.model.use_packager
+        has_slot = fresh | (had_package & self.model.use_packager)
+        slots = np.where(fresh[:, None], packages, last)
+        packaged = had_package | fresh
+        lengths = np.empty(images.size, dtype=int)       # in image order
+        lengths[images] = 1 + kept + has_slot
+        result.tokens_per_stage.append(lengths)
         cache_key = (self.policy,
                      getattr(self.cost_model, "version", None),
                      lengths.tobytes())
@@ -445,42 +408,38 @@ class BucketedExecutor:
             num_buckets=len(plans),
             bucket_sizes=[int(p.indices.size) for p in plans],
             padded_tokens=sum(p.padded_tokens for p in plans)))
-        new_groups = []
+        # ``rows``: where each bucket member sits in scoring order.  One
+        # gather puts every kept token in bucket-then-row order, so a
+        # bucket's tokens are one slice of it.
+        rows = np.argsort(images)[np.concatenate([p.indices for p in plans])]
+        tokens = flat[np.flatnonzero(keep)[_segment_gather(kept, rows)]]
+        new_groups, row, token = [], 0, 0
         for plan in plans:
-            members = [sequences[i] for i in plan.indices]
-            stacked, mask, bias = self._stack_bucket(members, plan)
+            members = rows[row:row + plan.indices.size]
+            count = kept[members]
+            stacked, mask, bias = self._new_bucket(plan, flat.shape[1])
+            stacked[:, 0] = cls[members]
+            body, end = stacked[:, 1:], token + count.sum()
+            body[np.arange(body.shape[1]) < count[:, None]] = (
+                tokens[token:end])
+            slotted = np.flatnonzero(has_slot[members])
+            stacked[slotted, 1 + count[slotted]] = slots[members[slotted]]
             new_groups.append(_Group(stacked, mask, bias, plan.indices,
-                                     plan.lengths.copy(),
-                                     has_package[plan.indices]))
+                                     plan.lengths, packaged[members]))
+            row, token = row + members.size, end
         return new_groups
 
-    @staticmethod
-    def _split_exact(groups):
-        """Break padded groups into exact ``(length, has_package)`` sets.
 
-        Selector evaluations must see only real tokens (its global
-        pooling averages over every token it is given), so padding is
-        stripped before the boundary.  Yields ``(x, indices,
-        has_package)`` with ``x`` dense ``(g, T, D)``.
+def _offsets(counts):
+    """Where each segment of a ragged array with these ``counts`` starts."""
+    starts = np.zeros(counts.size, dtype=np.intp)
+    np.cumsum(counts[:-1], out=starts[1:])
+    return starts
 
-        The shared-prefix boundary (one unpadded group, uniform length
-        and package state -- every first selector hits this) is passed
-        through without the per-row re-pooling copy.
-        """
-        if len(groups) == 1 and groups[0].mask is None:
-            group = groups[0]
-            uniform = (group.lengths[0] == group.lengths).all()
-            if uniform and (group.has_package[0] == group.has_package).all():
-                yield (group.x, group.indices,
-                       bool(group.has_package[0]))
-                return
-        pools = {}
-        for group in groups:
-            for row in range(group.indices.size):
-                length = int(group.lengths[row])
-                key = (length, bool(group.has_package[row]))
-                pools.setdefault(key, ([], []))
-                pools[key][0].append(group.x[row, :length])
-                pools[key][1].append(int(group.indices[row]))
-        for (length, packaged), (seqs, indices) in sorted(pools.items()):
-            yield (np.stack(seqs, axis=0), np.asarray(indices), packaged)
+
+def _segment_gather(counts, order):
+    """Flat indices that reorder a ragged array's segments: segment
+    ``order[j]`` of the source becomes segment ``j`` of the result."""
+    moved = counts[order]
+    return (np.repeat(_offsets(counts)[order] - _offsets(moved), moved)
+            + np.arange(moved.sum()))

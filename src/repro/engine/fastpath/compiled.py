@@ -59,6 +59,7 @@ from scipy import special
 
 from repro import nn
 from repro.nn.tensor import Tensor
+from repro.core.gather import dense_runs
 from repro.engine.fastpath.kernels import (fused_layer_norm, gelu_exact,
                                            gelu_rational, mask_to_bias,
                                            masked_softmax)
@@ -414,21 +415,11 @@ class CompiledSelector:
         h = self.num_heads
         if self.classifier_module is not None:
             per_head = np.empty((m, h, 2), dtype=self.score_dtype)
-            by_count = {}
-            for image, count in enumerate(counts):
-                by_count.setdefault(int(count), []).append(image)
-            for count, images in by_count.items():
-                dense = np.empty((len(images), count, normed.shape[1]),
-                                 dtype=self.score_dtype)
-                for row, image in enumerate(images):
-                    lo = starts[image]
-                    dense[row] = normed[lo:lo + count]
+            for _, tokens in dense_runs(counts, starts):
                 with nn.no_grad():
-                    scores = self.classifier_module(Tensor(dense))
-                scores = scores.data                       # (g, h, n, 2)
-                for row, image in enumerate(images):
-                    lo = starts[image]
-                    per_head[lo:lo + count] = scores[row].transpose(1, 0, 2)
+                    scores = self.classifier_module(Tensor(normed[tokens]))
+                # (g, h, n, 2) module layout -> (g, n, h, 2) per token.
+                per_head[tokens] = scores.data.transpose(0, 2, 1, 3)
             return per_head
         # Per-head token scores (Eqs. 3-5): local features, per-image
         # global average, concat, classify, softmax.
@@ -441,7 +432,7 @@ class CompiledSelector:
         combined[..., :feat] = local
         combined[..., feat:] = np.repeat(gmean, counts, axis=0)
         per_head = _run_mlp(self.classifier_mlp, combined, ws, "rag_cls")
-        masked_softmax(per_head, ws=ws, key="rag_sm")      # (M, h, 2)
+        masked_softmax(per_head, None, ws, "rag_sm")       # (M, h, 2)
         return per_head
 
     def select_ragged(self, flat, counts, ws):

@@ -64,15 +64,15 @@ def mask_to_bias(key_mask, dtype, out=None):
     return out
 
 
-def masked_softmax(scores, bias=None, ws=None, key="sm"):
+def masked_softmax(scores, bias, ws, key="sm"):
     """Single-pass masked softmax over the last axis, in place.
 
     ``scores``: ``(B, h, T, T)`` (or any >=2-D) attention scores,
-    overwritten with probabilities.  ``bias``: optional ``(B, T)``
+    overwritten with probabilities.  ``bias``: ``None`` or a ``(B, T)``
     additive key bias (from :func:`mask_to_bias`) broadcast over the
     middle axes, folded in before the max/exp/sum pass so masked keys
-    get exactly zero weight.  With a :class:`Workspace` the row sums
-    run as one BLAS matvec (a ones-vector matmul, ~6x the speed of a
+    get exactly zero weight.  The row sums run as one BLAS matvec
+    against a ones-vector cached in ``ws`` (~6x the speed of a
     last-axis ``add.reduce`` at serving shapes) and the normalization
     is a reciprocal-multiply; both deviate from the reference only in
     summation/rounding order.  Returns ``scores``.
@@ -81,15 +81,6 @@ def masked_softmax(scores, bias=None, ws=None, key="sm"):
         # (B, T) -> (B, 1, ..., 1, T) to match scores' rank.
         bias = bias.reshape(bias.shape[0],
                             *([1] * (scores.ndim - 2)), bias.shape[1])
-    if ws is None:
-        if bias is not None:
-            scores += bias
-        peak = np.maximum.reduce(scores, axis=-1, keepdims=True)
-        np.subtract(scores, peak, out=scores)
-        np.exp(scores, out=scores)
-        total = np.add.reduce(scores, axis=-1, keepdims=True)
-        scores /= total
-        return scores
     t = scores.shape[-1]
     flat = scores.reshape(-1, t)
     # Softmax is shift-invariant, so the per-row max subtraction is
@@ -120,16 +111,16 @@ def masked_softmax(scores, bias=None, ws=None, key="sm"):
     return scores
 
 
-def fused_layer_norm(x, weight, bias, eps, out, ws=None, key="ln"):
+def fused_layer_norm(x, weight, bias, eps, out, ws, key="ln"):
     """LayerNorm over the last axis into ``out`` (``out`` may not alias
     ``x``).
 
     One centering pass, one variance reduction, then the affine applied
     in place -- versus the reference's seven tape ops.  Matches
     :func:`repro.nn.functional.layer_norm` (biased variance, additive
-    ``eps`` under the square root) up to summation/rounding order: with
-    a :class:`Workspace` the mean and variance run as BLAS matvecs
-    against a cached ``1/n`` vector.
+    ``eps`` under the square root) up to summation/rounding order: the
+    mean and variance run as BLAS matvecs against a ``1/n`` vector
+    cached in ``ws``.
 
     ``weight``/``bias`` may be ``None`` when the affine has been folded
     into the next GEMM's weights at compile time (see
@@ -137,23 +128,15 @@ def fused_layer_norm(x, weight, bias, eps, out, ws=None, key="ln"):
     stops at the normalized (zero-mean, unit-variance) activations.
     """
     n = x.shape[-1]
-    if ws is None:
-        mu = np.add.reduce(x, axis=-1, keepdims=True)
-        mu /= n
-        np.subtract(x, mu, out=out)
-        scratch = np.square(out)
-        var = np.add.reduce(scratch, axis=-1, keepdims=True)
-        var /= n
-    else:
-        mean_vec = ws.full(key + "_mv", (n, 1), 1.0 / n)
-        lead = x.shape[:-1]
-        mu = ws.take(key + "_mu", lead + (1,))
-        np.matmul(x, mean_vec, out=mu)
-        np.subtract(x, mu, out=out)
-        scratch = ws.take(key + "_sq", x.shape)
-        np.square(out, out=scratch)
-        var = ws.take(key + "_var", lead + (1,))
-        np.matmul(scratch, mean_vec, out=var)
+    mean_vec = ws.full(key + "_mv", (n, 1), 1.0 / n)
+    lead = x.shape[:-1]
+    mu = ws.take(key + "_mu", lead + (1,))
+    np.matmul(x, mean_vec, out=mu)
+    np.subtract(x, mu, out=out)
+    scratch = ws.take(key + "_sq", x.shape)
+    np.square(out, out=scratch)
+    var = ws.take(key + "_var", lead + (1,))
+    np.matmul(scratch, mean_vec, out=var)
     var += eps
     np.sqrt(var, out=var)
     np.reciprocal(var, out=var)

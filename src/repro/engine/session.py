@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.latency import LatencySparsityTable
 from repro.cost import (BatchPlan, CostModel, OnlineCostModel,
                         keep_ratio_bucket)
 from repro.engine.bucketing import BucketingPolicy, pack_groups
@@ -93,11 +92,9 @@ class InferenceSession:
         *this model's config* via
         :func:`repro.hardware.latency_table.build_cost_model`; pass
         :func:`repro.cost.paper_cost_model` output for the paper's
-        measured Table IV as a zero-overhead instance.
-    latency_table: legacy alternative to ``cost_model`` -- a bare
-        :class:`LatencySparsityTable`, wrapped as a zero-overhead cost
-        model (exactly the old ``n * per_image`` pricing).  Mutually
-        exclusive with ``cost_model``.
+        measured Table IV as a zero-overhead instance, or wrap a bare
+        :class:`repro.core.LatencySparsityTable` with
+        :meth:`repro.cost.CostModel.zero_overhead`.
     backend: ``"tensor"`` (default; the float64 autograd reference
         modules under ``no_grad``), ``"fastpath"`` (compiled fused
         ndarray kernels with workspace buffer reuse -- see
@@ -123,28 +120,16 @@ class InferenceSession:
     """
 
     def __init__(self, model, batch_size=32, policy=None,
-                 cost_model=None, latency_table=None,
-                 backend="tensor", dtype=None, learn_cost=False):
+                 cost_model=None, backend="tensor", dtype=None,
+                 learn_cost=False):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if cost_model is not None and latency_table is not None:
-            raise ValueError(
-                "pass at most one of cost_model= or latency_table=")
         self.model = model
         self.batch_size = int(batch_size)
         self.policy = BucketingPolicy() if policy is None else policy
         if cost_model is None:
-            if latency_table is None:
-                cost_model = build_cost_model(
-                    model.config, extra_tokens=model.non_patch_slots)
-            else:
-                if not isinstance(latency_table, LatencySparsityTable):
-                    raise TypeError(
-                        "latency_table must be a LatencySparsityTable")
-                cost_model = CostModel.zero_overhead(
-                    latency_table, num_patches=model.config.num_patches,
-                    extra_tokens=model.non_patch_slots,
-                    name=f"table-{model.config.name}")
+            cost_model = build_cost_model(
+                model.config, extra_tokens=model.non_patch_slots)
         if not isinstance(cost_model, CostModel):
             raise TypeError("cost_model must be a repro.cost.CostModel")
         if learn_cost and not isinstance(cost_model, OnlineCostModel):
@@ -170,7 +155,7 @@ class InferenceSession:
 
     @property
     def latency_table(self):
-        """The cost model's marginal Eq. 18 table (legacy accessor)."""
+        """The cost model's marginal Eq. 18 table."""
         return self.cost_model.table
 
     # ------------------------------------------------------------------

@@ -20,10 +20,8 @@ from dataclasses import dataclass, field
 
 from repro.hardware.device import ZCU102
 from repro.hardware.gemm import GemmShape, TiledGemmEngine
-from repro.hardware.resources import (ResourceCount, buffer_brams,
-                                      gemm_engine_resources,
+from repro.hardware.resources import (buffer_brams, gemm_engine_resources,
                                       selector_control)
-from repro.vit.complexity import StagePlan, tokens_after_pruning
 
 __all__ = ["AcceleratorDesign", "AcceleratorReport", "ViTAcceleratorSim",
            "baseline_design", "heatvit_design"]

@@ -27,8 +27,8 @@ import numpy as np
 from repro import nn
 from repro.nn.tensor import Tensor
 from repro.approx.layers import ApproxGELU, ApproxSigmoid, ApproxSoftmax
-from repro.quant.fixed_point import (QuantParams, calibrate_minmax,
-                                     dequantize, integer_matmul, quantize,
+from repro.quant.fixed_point import (calibrate_minmax, dequantize,
+                                     integer_matmul, quantize,
                                      safe_accumulator_bits)
 from repro.quant.sweep import per_channel_quantize
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import nn
-from repro.nn.tensor import Tensor
 from repro.quant.fixed_point import calibrate_minmax, dequantize, quantize
 
 __all__ = ["per_channel_quantize", "per_channel_error",

@@ -279,17 +279,16 @@ class Scheduler:
     # Registration
     # ------------------------------------------------------------------
     def register(self, name, model=None, *, session=None, batch_size=32,
-                 policy=None, cost_model=None, latency_table=None,
-                 max_batch=None, backend="tensor", dtype=None,
+                 policy=None, cost_model=None, max_batch=None,
+                 backend="tensor", dtype=None,
                  workers=1, worker_ctx="spawn", learn_cost=False,
                  recovery=None, fault_plan=None):
         """Register a serving target under ``name``.
 
         Pass either a ready :class:`InferenceSession` or a HeatViT
         ``model`` (a session is built around it; with no explicit
-        ``cost_model`` / ``latency_table`` the session calibrates a
-        batch-aware cost model from the FPGA simulator for the model's
-        own config).  ``max_batch`` caps images per flush; default is
+        ``cost_model`` the session calibrates a batch-aware cost model
+        from the FPGA simulator for the model's own config).  ``max_batch`` caps images per flush; default is
         the session's ``batch_size``.  ``backend`` / ``dtype`` select
         the session's compute backend (``"fastpath"`` runs the compiled
         fused-kernel path, ``"int8"``/``"int16"`` the quantized
@@ -336,7 +335,6 @@ class Scheduler:
             session = InferenceSession(model, batch_size=batch_size,
                                        policy=policy,
                                        cost_model=cost_model,
-                                       latency_table=latency_table,
                                        backend=backend, dtype=dtype,
                                        learn_cost=learn_cost)
         elif learn_cost and not session.learns_cost:
@@ -380,7 +378,8 @@ class Scheduler:
         ``priority``: SLO class (lower = more urgent, 0 = premium);
         default :data:`repro.serving.DEFAULT_PRIORITY`.
 
-        Raises :class:`AdmissionError` when admission control is
+        Raises ``ValueError`` for malformed input, non-finite pixels
+        included, and :class:`AdmissionError` when admission control is
         configured, the request is sheddable, and no eligible target
         has priced-backlog headroom.  A premium arrival (``priority <=
         preempt_priority``) may execute a due flush inline before
@@ -401,6 +400,12 @@ class Scheduler:
             raise ValueError(
                 "images must be (C, H, W) or (n >= 1, C, H, W); "
                 f"got shape {images.shape}")
+        if not np.isfinite(images).all():
+            # One NaN pixel fails a whole int8 flush (no activation
+            # scale can be calibrated on it), taking every co-batched
+            # request and the stepping thread with it; a float target
+            # would serve it silently.
+            raise ValueError("images must be finite (no NaN or Inf)")
         if deadline_ms is not None and deadline_ms <= 0:
             raise ValueError("deadline_ms is relative and must be > 0")
         if model is not None and model not in served_by_name:

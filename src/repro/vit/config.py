@@ -9,7 +9,7 @@ dataset (the paper's ImageNet runs are out of reach without GPUs).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 __all__ = [
     "ViTConfig",

@@ -273,12 +273,13 @@ class TestSessionResult:
         assert session.estimated_batch_cost(0).total_ms == 0.0
 
     def test_cost_model_and_table_are_exclusive(self, tiny_backbone):
+        """A session is priced by a ``CostModel`` and nothing else: a
+        bare table has to be wrapped (``CostModel.zero_overhead``)."""
         from repro.cost import paper_cost_model
 
         model = make_model(tiny_backbone, {1: 0.6})
-        with pytest.raises(ValueError):
-            InferenceSession(model, cost_model=paper_cost_model(),
-                             latency_table=paper_cost_model().table)
+        with pytest.raises(TypeError):
+            InferenceSession(model, cost_model=paper_cost_model().table)
         with pytest.raises(TypeError):
             InferenceSession(model, cost_model=object())
 

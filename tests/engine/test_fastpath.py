@@ -22,11 +22,14 @@ import pytest
 
 from repro import nn
 from repro.core import HeatViT, PruningRecord
-from repro.core.gather import (prune_group_sequences, prune_image_sequence,
-                               weighted_package)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.gather import prune_image_sequence, weighted_package
 from repro.engine import (BucketedExecutor, BucketingPolicy, CompileError,
                           InferenceSession, Workspace, compile_model,
                           compile_quantized)
+from repro.engine.executor import EngineResult, _Group
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
 from repro.vit.attention import (key_padding_mask, pad_token_sequences,
@@ -522,50 +525,167 @@ class TestDtypeThreading:
         out64 = weighted_package(tokens.astype(np.float64), [1, 2, 0.5])
         assert out64.dtype == np.float64
 
-    def test_group_gather_preserves_dtype(self, rng):
-        x = rng.normal(size=(3, 6, 4)).astype(np.float32)
-        keep = rng.random((3, 5)) > 0.4
-        keep[:, 0] = True
-        packages = rng.normal(size=(3, 4))     # float64 on purpose
-        sequences, flags = prune_group_sequences(
-            x, keep, use_packager=True, has_package=False,
-            packages=packages)
-        assert all(s.dtype == np.float32 for s in sequences)
+    def test_group_gather_preserves_dtype(self, tiny_backbone, rng):
+        """A float32 boundary fed float64 packages stays float32 and
+        still equals the per-image rule (which casts the package row)."""
+        executor = boundary_executor(tiny_backbone, backend="fastpath")
+        assert executor.dtype == np.float32
+        run_boundary(executor, *boundary_groups(
+            rng, [[(7, False), (5, True)], [(6, False)] * 3], np.float32))
+
+
+def boundary_groups(rng, layout, dtype, dim=6):
+    """Hand-built executor groups in front of one selector boundary.
+
+    ``layout``: one list of ``(length, has_package)`` rows per group.
+    Rows are padded to their group's longest with garbage (a real
+    stack's padding rows hold whatever the blocks left there) and image
+    ids are dealt out of order.  Every image's first patch token is one
+    the scripted selector keeps.  Returns ``(groups, sequences)`` with
+    ``sequences[image]`` the ``((T, D) real sequence, has_package)``
+    the boundary must treat it as.
+    """
+    ids = iter(rng.permutation(sum(len(rows) for rows in layout)))
+    groups, sequences = [], {}
+    for rows in layout:
+        lengths = np.array([length for length, _ in rows])
+        packaged = np.array([flag for _, flag in rows], dtype=bool)
+        x = rng.normal(size=(len(rows), lengths.max(), dim)).astype(dtype)
+        x[:, 1, 0] = 1.0
+        indices = np.array([next(ids) for _ in rows])
+        for row, image in enumerate(indices):
+            sequences[image] = (x[row, :lengths[row]].copy(),
+                                bool(packaged[row]))
+        groups.append(_Group(x, None, None, indices, lengths, packaged))
+    return groups, sequences
+
+
+def scripted_select(stage, flat, counts, starts):
+    """Stands in for ``BucketedExecutor._select``: decisions that are a
+    function of each token alone, so they do not depend on the order
+    the boundary presents images in.  Packages are float64 whatever the
+    tokens are."""
+    return flat[:, 0] > 0, flat[starts].astype(np.float64) * 2.0 + 1.0
+
+
+def boundary_executor(backbone, *, use_packager=True, backend="tensor"):
+    """An executor whose selector is :func:`scripted_select`."""
+    executor = BucketedExecutor(
+        make_model(backbone, {1: 0.6}, use_packager=use_packager),
+        backend=backend)
+    executor._select = scripted_select
+    return executor
+
+
+def run_boundary(executor, groups, sequences):
+    """Drive ``_apply_selector`` over hand-built ``groups`` and hold
+    every output row against :func:`prune_image_sequence` on that
+    image's own sequence; returns the new groups."""
+    use_packager = executor.model.use_packager
+    result = EngineResult(logits=None)
+    new_groups = executor._apply_selector(0, groups, result)
+    (counts,), (stats,) = result.tokens_per_stage, result.stage_stats
+    assert counts.dtype.kind == "i" and counts.shape == (len(sequences),)
+    assert sorted(np.concatenate([g.indices for g in new_groups])) == (
+        sorted(sequences))
+    assert stats.num_buckets == len(new_groups)
+    for group in new_groups:
+        assert group.x.dtype == executor.dtype
+        assert (group.mask is None) == (
+            group.lengths == group.x.shape[1]).all()
+        for row, image in enumerate(group.indices):
+            sequence, has_package = sequences[image]
+            patches = sequence[1:len(sequence) - has_package]
+            want, want_flag = prune_image_sequence(
+                sequence, patches[:, 0] > 0, use_packager=use_packager,
+                has_package=has_package,
+                package=patches[0].astype(np.float64) * 2.0 + 1.0)
+            length = group.lengths[row]
+            np.testing.assert_array_equal(group.x[row, :length], want)
+            assert (group.x[row, length:] == 0.0).all()   # clean padding
+            assert group.has_package[row] == want_flag
+            assert counts[image] == length == want.shape[0]
+    return new_groups
 
 
 class TestGroupGatherEquivalence:
-    """prune_group_sequences must equal the per-image reference helper."""
+    """The boundary's batched gather (``_apply_selector``: strip, score,
+    re-bucket from one flat array) must equal the written-down
+    per-image rule, :func:`prune_image_sequence`, bit for bit."""
 
     @pytest.mark.parametrize("use_packager,has_package", [
         (True, False), (True, True), (False, False), (False, True)])
-    def test_matches_per_image(self, rng, use_packager, has_package):
-        g, tokens, dim = 5, 8, 6
-        x = rng.normal(size=(g, tokens, dim))
-        n = tokens - 1 - (1 if has_package else 0)
-        keep = rng.random((g, n)) > 0.5
-        keep[:, -1] = True                      # >= 1 keep per image
-        keep[0, :] = True                       # one prune-free image
-        packages = rng.normal(size=(g, dim))
-        group_seqs, group_flags = prune_group_sequences(
-            x, keep, use_packager=use_packager, has_package=has_package,
-            packages=packages)
-        for row in range(g):
-            ref_seq, ref_flag = prune_image_sequence(
-                x[row], keep[row], use_packager=use_packager,
-                has_package=has_package, package=packages[row])
-            np.testing.assert_array_equal(group_seqs[row], ref_seq)
-            assert group_flags[row] == ref_flag
+    def test_matches_per_image(self, tiny_backbone, rng, use_packager,
+                               has_package):
+        groups, sequences = boundary_groups(
+            rng, [[(8, has_package)] * 5], np.float64)
+        groups[0].x[0, 1:, 0] = 1.0             # one prune-free image
+        sequences[groups[0].indices[0]][0][1:, 0] = 1.0
+        run_boundary(boundary_executor(tiny_backbone,
+                                       use_packager=use_packager),
+                     groups, sequences)
 
     def test_shape_validation(self, rng):
-        x = rng.normal(size=(2, 6, 4))
+        """The reference rule refuses what the boundary never hands it:
+        a keep mask that does not cover the patch tokens, and a pruning
+        packager stage without its package."""
+        sequence = rng.normal(size=(6, 4))
         with pytest.raises(ValueError, match="keep_flags"):
-            prune_group_sequences(x, np.ones((2, 9), bool),
-                                  use_packager=False, has_package=False)
-        keep = np.array([[True, False, True, True, True],
-                         [True, True, True, True, True]])
-        with pytest.raises(ValueError, match="packages"):
-            prune_group_sequences(x, keep, use_packager=True,
-                                  has_package=False)
+            prune_image_sequence(sequence, np.ones(9, bool),
+                                 use_packager=False, has_package=False)
+        keep = np.array([True, False, True, True, True])
+        with pytest.raises(ValueError, match="package"):
+            prune_image_sequence(sequence, keep, use_packager=True,
+                                 has_package=False)
+
+    @pytest.mark.parametrize("backend", ["tensor", "fastpath"])
+    @pytest.mark.parametrize("use_packager", [True, False])
+    def test_mixed_lengths_padding_and_package_flags(
+            self, tiny_backbone, rng, backend, use_packager):
+        layout = [[(9, False), (6, True), (9, True), (3, False)],
+                  [(5, True)],
+                  [(7, False), (7, True), (4, False)]]
+        executor = boundary_executor(tiny_backbone, backend=backend,
+                                     use_packager=use_packager)
+        new_groups = run_boundary(executor, *boundary_groups(
+            rng, layout, executor.dtype))
+        assert len(new_groups) > 1 or new_groups[0].mask is not None
+
+    @given(layout=st.lists(
+        st.lists(st.tuples(st.integers(1, 7), st.booleans()).map(
+            lambda row: (1 + row[0] + row[1], row[1])),
+            min_size=1, max_size=5), min_size=1, max_size=4),
+        use_packager=st.booleans(), seed=st.integers(0, 2 ** 16),
+        backend=st.sampled_from(["tensor", "fastpath"]))
+    @settings(max_examples=60, deadline=None)
+    def test_random_layouts(self, tiny_backbone, layout, use_packager,
+                            seed, backend):
+        executor = boundary_executor(tiny_backbone, backend=backend,
+                                     use_packager=use_packager)
+        run_boundary(executor, *boundary_groups(
+            np.random.default_rng(seed), layout, executor.dtype))
+
+    def test_recurring_bucket_shape_does_not_corrupt_rows(
+            self, tiny_backbone, rng):
+        """The workspace hands the previous stage's stack back when a
+        bucket shape recurs: the boundary must have copied every row it
+        needs before it writes the first new bucket.  Here each of four
+        images prunes one token and gains a package -- same length, same
+        shape, rows in a different order."""
+        executor = boundary_executor(tiny_backbone, backend="fastpath")
+        groups, _ = boundary_groups(rng, [[(7, False)] * 4],
+                                    executor.dtype)
+        group = groups[0]
+        group.indices = np.array([2, 0, 3, 1])
+        group.x[:, 2:, 0] = [-1.0, 1.0, 1.0, 1.0, 1.0]  # prune token 2
+        sequences = {image: (group.x[row].copy(), False)
+                     for row, image in enumerate(group.indices)}
+        pooled = executor.workspace.take("bucket", group.x.shape)
+        pooled[...] = group.x
+        group.x = pooled
+        (out,) = run_boundary(executor, groups, sequences)
+        assert out.x is pooled                  # the hazard is live
+        assert list(out.indices) == [0, 1, 2, 3]
 
 
 class TestAttentionRecordingPolicy:

@@ -135,6 +135,58 @@ class TestLearningSession:
         assert set(session.cost_model.keys) == {first_key, second_key}
 
 
+class _RecordingCostModel(OnlineCostModel):
+    """An online model that also lists its ``observe_bucket`` calls."""
+
+    def __init__(self, prior):
+        super().__init__(prior)
+        self.buckets = []
+
+    def observe_bucket(self, padded_length, num_images, num_blocks,
+                       wall_ms, key=None):
+        assert wall_ms > 0
+        self.buckets.append((padded_length, num_images, num_blocks))
+        super().observe_bucket(padded_length, num_images, num_blocks,
+                               wall_ms, key=key)
+
+
+class TestStretchObservations:
+    """Blocks run in stretches between selector boundaries; the cost
+    model hears one ``observe_bucket`` per bucket group per non-empty
+    stretch, priced over the stretch's whole block count."""
+
+    @pytest.mark.parametrize("selectors,stretches", [
+        ({1: 0.6, 2: 0.6}, [1, 1, 2]),
+        # A selector at block 0 leaves the prefix stretch empty (nothing
+        # ran, nothing to observe); adjacent selectors leave one block.
+        ({0: 0.8, 1: 0.6, 2: 0.5}, [0, 1, 1, 2]),
+    ])
+    def test_one_observation_per_group_per_stretch(
+            self, tiny_backbone, images, selectors, stretches):
+        model = HeatViT(tiny_backbone, selectors,
+                        rng=np.random.default_rng(5))
+        model.eval()
+        recorder = _RecordingCostModel(InferenceSession(model).cost_model)
+        session = InferenceSession(model, batch_size=len(images),
+                                   cost_model=recorder, learn_cost=True)
+        result = session.submit(images)
+        np.testing.assert_allclose(
+            result.logits, model.forward_pruned(images).data,
+            rtol=0, atol=TOLERANCE)
+        # The unpruned prefix is one full-length group; every later
+        # stretch runs the buckets its boundary planned.
+        want = [(len(images), stretches[0])] if stretches[0] else []
+        for stats, blocks in zip(result.stage_stats, stretches[1:]):
+            assert stats.wall_ms > 0
+            want += [(size, blocks) for size in stats.bucket_sizes]
+        assert [(size, blocks)
+                for _, size, blocks in recorder.buckets] == want
+        if stretches[0]:
+            assert recorder.buckets[0][0] == model.config.num_tokens
+        assert all(padded <= model.config.num_tokens
+                   for padded, _, _ in recorder.buckets)
+
+
 class _TickClock:
     """Deterministic stand-in for the ``time`` module: every
     ``perf_counter`` call advances by a fixed step, so measured walls

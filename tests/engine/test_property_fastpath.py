@@ -2,10 +2,9 @@
 
 The fused masked softmax must behave like a softmax no matter the
 scores: every row sums to 1, masked (padded) keys carry exactly zero
-weight, and real-key probabilities match the Tensor reference softmax.
-Both the workspace (BLAS row sums + shift-free guard) and the
-self-contained fallback code paths are exercised, including scores
-large enough to force the max-shifted branch.  The fused LayerNorm is
+weight, and real-key probabilities match the Tensor reference softmax
+-- on the shift-free branch and, with scores large enough to leave its
+guard, on the max-shifted one.  The fused LayerNorm is
 held against the Tensor reference, with and without its affine folded
 away.  The lean rational GELU is pinned from both sides (accuracy in
 both dtypes, its fixed points, no overflow), and a compiled block must
@@ -56,33 +55,29 @@ def scores_and_mask(draw):
 
 
 class TestMaskedSoftmaxProperties:
-    @given(case=scores_and_mask(), use_ws=st.booleans(),
-           scale=st.sampled_from([1.0, 100.0]))
+    @given(case=scores_and_mask(), scale=st.sampled_from([1.0, 100.0]))
     @settings(max_examples=120, deadline=None)
-    def test_rows_sum_to_one_and_padded_keys_zero(self, case, use_ws,
-                                                  scale):
+    def test_rows_sum_to_one_and_padded_keys_zero(self, case, scale):
         """Sum-to-1 and exact zeros on masked keys, on every code path
         (``scale=100`` pushes scores outside the shift-free guard)."""
         scores, mask = case
         scores = scores * scale
-        ws = Workspace(np.float64) if use_ws else None
         bias = mask_to_bias(mask, np.float64)
-        out = masked_softmax(scores.copy(), bias, ws=ws)
+        out = masked_softmax(scores.copy(), bias, Workspace(np.float64))
         np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-9)
         masked_cols = mask[:, None, None, :] == 0.0
         assert (out[np.broadcast_to(masked_cols, out.shape)] == 0.0).all()
         assert np.isfinite(out).all()
 
-    @given(case=scores_and_mask(), use_ws=st.booleans())
+    @given(case=scores_and_mask())
     @settings(max_examples=120, deadline=None)
-    def test_matches_tensor_reference(self, case, use_ws):
+    def test_matches_tensor_reference(self, case):
         """Same probabilities as the reference masked softmax chain."""
         scores, mask = case
         bias = (1.0 - mask)[:, None, None, :] * (-1e9)
         ref = F.softmax(Tensor(scores + bias), axis=-1).data
-        ws = Workspace(np.float64) if use_ws else None
-        out = masked_softmax(scores.copy(),
-                             mask_to_bias(mask, np.float64), ws=ws)
+        out = masked_softmax(scores.copy(), mask_to_bias(mask, np.float64),
+                             Workspace(np.float64))
         np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
 
     @given(case=scores_and_mask())
@@ -90,21 +85,20 @@ class TestMaskedSoftmaxProperties:
     def test_unmasked_matches_reference(self, case):
         scores, _ = case
         ref = F.softmax(Tensor(scores), axis=-1).data
-        out = masked_softmax(scores.copy(), ws=Workspace(np.float64))
+        out = masked_softmax(scores.copy(), None, Workspace(np.float64))
         np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
 
-    @given(case=scores_and_mask(), use_ws=st.booleans())
+    @given(case=scores_and_mask())
     @settings(max_examples=40, deadline=None)
-    def test_three_dimensional_scores(self, case, use_ws):
+    def test_three_dimensional_scores(self, case):
         """The bias broadcast must follow the scores' rank (the docs
         promise any >= 2-D scores, e.g. the selector's (M, h, 2))."""
         scores4, mask = case
         scores = scores4[:, 0]                  # (B, T, T)
         bias = (1.0 - mask)[:, None, :] * (-1e9)
         ref = F.softmax(Tensor(scores + bias), axis=-1).data
-        ws = Workspace(np.float64) if use_ws else None
-        out = masked_softmax(scores.copy(),
-                             mask_to_bias(mask, np.float64), ws=ws)
+        out = masked_softmax(scores.copy(), mask_to_bias(mask, np.float64),
+                             Workspace(np.float64))
         np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
 
 
@@ -118,9 +112,9 @@ def token_batches(draw):
 
 
 class TestFusedLayerNormProperties:
-    @given(x=token_batches(), use_ws=st.booleans())
+    @given(x=token_batches())
     @settings(max_examples=120, deadline=None)
-    def test_matches_tensor_reference(self, x, use_ws):
+    def test_matches_tensor_reference(self, x):
         dim = x.shape[-1]
         rng = np.random.default_rng(dim)
         weight = rng.normal(size=dim)
@@ -128,8 +122,7 @@ class TestFusedLayerNormProperties:
         ref = F.layer_norm(Tensor(x), Tensor(weight), Tensor(bias),
                            eps=1e-6).data
         out = np.empty_like(x)
-        ws = Workspace(np.float64) if use_ws else None
-        fused_layer_norm(x, weight, bias, 1e-6, out=out, ws=ws)
+        fused_layer_norm(x, weight, bias, 1e-6, out, Workspace(np.float64))
         # Constant (zero-variance) rows normalize by 1/sqrt(eps) = 1e3,
         # amplifying the two implementations' differently-ordered
         # mean subtraction to ~|x| * eps_machine * 1e3 ~ 7e-12 at the
@@ -137,16 +130,15 @@ class TestFusedLayerNormProperties:
         # cancellation floor.
         np.testing.assert_allclose(out, ref, rtol=0, atol=1e-10)
 
-    @given(x=token_batches(), use_ws=st.booleans())
+    @given(x=token_batches())
     @settings(max_examples=60, deadline=None)
-    def test_affine_folded_form(self, x, use_ws):
+    def test_affine_folded_form(self, x):
         """weight=None stops at the normalized activations (the affine
         lives in the next GEMM after compile-time folding)."""
         ref = F.layer_norm(Tensor(x), Tensor(np.ones(x.shape[-1])),
                            Tensor(np.zeros(x.shape[-1])), eps=1e-6).data
         out = np.empty_like(x)
-        ws = Workspace(np.float64) if use_ws else None
-        fused_layer_norm(x, None, None, 1e-6, out=out, ws=ws)
+        fused_layer_norm(x, None, None, 1e-6, out, Workspace(np.float64))
         np.testing.assert_allclose(out, ref, rtol=0, atol=1e-10)
 
 

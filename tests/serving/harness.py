@@ -23,12 +23,28 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core import LatencySparsityTable
+from repro.cost import CostModel
+from repro.engine import InferenceSession
 from repro.serving import AdmissionError
 from repro.serving.trace import synth_images
 
 __all__ = ["Arrival", "SimulationReport", "ServingSimulation",
+           "flat_rate_session",
            "uniform_trace", "bursty_trace", "adversarial_deadline_trace",
            "arrivals_from_trace", "two_tier_arrivals"]
+
+
+def flat_rate_session(model, block_ms, **session_kwargs):
+    """An :class:`InferenceSession` priced at a flat ``block_ms`` per
+    block per image -- independent of keep ratios, no batch or bucket
+    overhead -- so a test can dial a target's cost (and with it the
+    router's and the flush policy's view of it) to a round number."""
+    table = LatencySparsityTable({0.5: block_ms, 1.0: block_ms})
+    return InferenceSession(
+        model, cost_model=CostModel.zero_overhead(
+            table, num_patches=model.config.num_patches,
+            extra_tokens=model.non_patch_slots), **session_kwargs)
 
 
 @dataclass(eq=False)

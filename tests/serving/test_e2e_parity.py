@@ -11,11 +11,12 @@ and padded buckets provably do not perturb a request's rows.
 import numpy as np
 import pytest
 
-from repro.core import HeatViT, LatencySparsityTable
+from repro.core import HeatViT
 from repro.engine import BucketingPolicy, InferenceSession
 from repro.serving import Scheduler, VirtualClock
 
-from tests.serving.harness import Arrival, ServingSimulation
+from tests.serving.harness import (Arrival, ServingSimulation,
+                                   flat_rate_session)
 
 TOLERANCE = 1e-8
 
@@ -40,12 +41,11 @@ def run_trace(model, images, order, batch_window_ms, multi_model=False,
     if multi_model:
         # The SAME model at two serving configurations; skewed tables
         # steer the router, which must not affect logits.
-        scheduler.register("fast", session=InferenceSession(
-            model, batch_size=4,
-            latency_table=LatencySparsityTable({0.5: 1.0, 1.0: 1.0})))
-        scheduler.register("slow", session=InferenceSession(
-            model, batch_size=32, policy=BucketingPolicy(allow_padding=False),
-            latency_table=LatencySparsityTable({0.5: 9.0, 1.0: 9.0})))
+        scheduler.register("fast", session=flat_rate_session(
+            model, 1.0, batch_size=4))
+        scheduler.register("slow", session=flat_rate_session(
+            model, 9.0, batch_size=32,
+            policy=BucketingPolicy(allow_padding=False)))
     else:
         scheduler.register("only", model)
     slices = [REQUEST_SLICES[i] for i in order]

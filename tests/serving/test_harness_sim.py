@@ -10,13 +10,11 @@ bit-reproducible run to run.
 import numpy as np
 import pytest
 
-from repro.core import LatencySparsityTable
-from repro.engine import InferenceSession
 from repro.serving import (HighestFidelityRouter, Scheduler, VirtualClock)
 
 from tests.serving.harness import (ServingSimulation,
                                    adversarial_deadline_trace, bursty_trace,
-                                   uniform_trace)
+                                   flat_rate_session, uniform_trace)
 
 WINDOW_MS = 5.0
 
@@ -168,12 +166,10 @@ class TestRoutedSimulation:
         clock = VirtualClock()
         scheduler = Scheduler(clock=clock, router=HighestFidelityRouter(),
                               batch_window_ms=WINDOW_MS)
-        scheduler.register("mild", session=InferenceSession(
-            mild_model, latency_table=LatencySparsityTable(
-                {0.5: 10.0, 1.0: 10.0})))                 # 40 ms/image
-        scheduler.register("aggressive", session=InferenceSession(
-            aggressive_model, latency_table=LatencySparsityTable(
-                {0.5: 1.25, 1.0: 1.25})))                 # 5 ms/image
+        scheduler.register("mild", session=flat_rate_session(
+            mild_model, 10.0))                            # 40 ms/image
+        scheduler.register("aggressive", session=flat_rate_session(
+            aggressive_model, 1.25))                      # 5 ms/image
         mixed = uniform_trace(tiny_dataset.images[:10], num_requests=5,
                               period_ms=2.0, deadline_ms=100.0)
         mixed += uniform_trace(tiny_dataset.images[10:20], num_requests=5,

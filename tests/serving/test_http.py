@@ -174,6 +174,34 @@ class TestErrorPaths:
         status, payload = client.submit(np.zeros((1, 2, 4, 4)))
         assert status == 400
 
+    def test_nan_pixels_rejected_without_hurting_neighbours(
+            self, mild_model, tiny_dataset):
+        """``json.loads`` accepts the ``NaN`` literal.  On an int8
+        target a queued NaN image used to fail its whole flush, kill
+        the stepping thread and with it every later request; now it is
+        a 400 and the request queued just before it still completes."""
+        scheduler = Scheduler(batch_window_ms=50.0)
+        scheduler.register("default", mild_model, backend="int8")
+        image = np.array(tiny_dataset.images[:1])
+        poisoned = image.copy()
+        poisoned[0, 0, 0, 0] = np.nan
+        with FrontDoor(scheduler, poll_ms=0.5) as door:
+            with FrontDoorClient("127.0.0.1", door.port) as client:
+                status, good = client.submit(image)
+                assert status == 200
+                status, payload = client.request(
+                    "POST", "/v1/submit", body={"images": poisoned.tolist()})
+                assert (status, payload["status"]) == (400, "error")
+                assert "finite" in payload["error"]
+                status, payload = client.result(good["request_id"],
+                                                wait=True, timeout_ms=20000)
+                assert (status, payload["status"]) == (200, "done")
+                status, later = client.submit(image)    # still serving
+                assert status == 200
+                assert client.result(later["request_id"], wait=True,
+                                     timeout_ms=20000)[0] == 200
+        assert scheduler.pending_requests() == 0
+
     def test_oversized_body_rejected(self, mild_model):
         scheduler = Scheduler(batch_window_ms=5.0)
         scheduler.register("default", mild_model)

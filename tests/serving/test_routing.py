@@ -10,27 +10,26 @@ fidelity router the *least pruned* session that still meets it.
 import numpy as np
 import pytest
 
-from repro.core import LatencySparsityTable
-from repro.engine import InferenceSession
 from repro.serving import (HighestFidelityRouter, LeastLatencyRouter,
                            Scheduler, VirtualClock, backend_fidelity,
                            request_cost_ms)
 
-# Flat tables make the per-image estimate independent of keep ratios:
-# mild costs exactly 10 ms per block (40 ms/image on the 4-block tiny
-# model), aggressive 1.25 ms per block (5 ms/image).
-MILD_TABLE = LatencySparsityTable({0.5: 10.0, 1.0: 10.0})
-FAST_TABLE = LatencySparsityTable({0.5: 1.25, 1.0: 1.25})
+from tests.serving.harness import flat_rate_session
+
+# Flat per-block rates make the per-image estimate independent of keep
+# ratios: mild costs exactly 10 ms per block (40 ms/image on the 4-block
+# tiny model), aggressive 1.25 ms per block (5 ms/image).
+MILD_MS, FAST_MS = 10.0, 1.25
 
 
 @pytest.fixture()
 def scheduler(mild_model, aggressive_model, clock_and_router):
     clock, router = clock_and_router
     scheduler = Scheduler(clock=clock, router=router, batch_window_ms=5.0)
-    scheduler.register("mild", session=InferenceSession(
-        mild_model, batch_size=32, latency_table=MILD_TABLE))
-    scheduler.register("aggressive", session=InferenceSession(
-        aggressive_model, batch_size=32, latency_table=FAST_TABLE))
+    scheduler.register("mild", session=flat_rate_session(
+        mild_model, MILD_MS, batch_size=32))
+    scheduler.register("aggressive", session=flat_rate_session(
+        aggressive_model, FAST_MS, batch_size=32))
     return scheduler
 
 
@@ -160,9 +159,8 @@ class TestBackendFidelity:
 
     def test_served_model_exposes_fidelity(self, mild_model):
         scheduler = Scheduler(clock=VirtualClock())
-        served = scheduler.register("q", session=InferenceSession(
-            mild_model, batch_size=32, latency_table=MILD_TABLE,
-            backend="int8"))
+        served = scheduler.register("q", session=flat_rate_session(
+            mild_model, MILD_MS, batch_size=32, backend="int8"))
         assert served.fidelity == backend_fidelity("int8", np.float32)
 
     def test_cost_tie_breaks_to_float_replica(self, mild_model,
@@ -173,11 +171,9 @@ class TestBackendFidelity:
         # Same checkpoint, same latency table -- identical cost.  The
         # quantized replica sorts after "float" only by name, so a pure
         # (cost, name) max would pick it; fidelity must win instead.
-        scheduler.register("float", session=InferenceSession(
-            mild_model, batch_size=32, latency_table=MILD_TABLE,
-            backend="fastpath"))
-        scheduler.register("quantized", session=InferenceSession(
-            mild_model, batch_size=32, latency_table=MILD_TABLE,
-            backend="int8"))
+        scheduler.register("float", session=flat_rate_session(
+            mild_model, MILD_MS, batch_size=32, backend="fastpath"))
+        scheduler.register("quantized", session=flat_rate_session(
+            mild_model, MILD_MS, batch_size=32, backend="int8"))
         assert routed_session(scheduler, tiny_dataset.images[0],
                               deadline_ms=100.0) == "float"

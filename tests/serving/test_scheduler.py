@@ -272,6 +272,24 @@ class TestValidation:
         with pytest.raises(ValueError):
             scheduler.submit(np.zeros((16, 16)))
 
+    @pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
+    def test_non_finite_images_rejected_at_submit(self, mild_model, clock,
+                                                  tiny_dataset, poison):
+        """One NaN pixel would fail a whole int8 flush (and be served
+        silently by a float one): refuse it where outside input enters,
+        before anything is queued or counted."""
+        scheduler = make_scheduler(mild_model, clock)
+        images = tiny_dataset.images[:3].copy()
+        images[1, 2, 5, 7] = poison
+        with pytest.raises(ValueError, match="finite"):
+            scheduler.submit(images)
+        with pytest.raises(ValueError, match="finite"):
+            scheduler.submit(images[1])
+        assert scheduler.pending_requests() == 0
+        assert scheduler.stats()["classes"] == {}
+        scheduler.submit(images[0])                     # the clean one
+        assert scheduler.pending_requests() == 1
+
     def test_single_image_is_promoted(self, mild_model, clock,
                                       tiny_dataset):
         scheduler = make_scheduler(mild_model, clock)
