@@ -19,8 +19,7 @@ simulation on the float64 reference grade, :class:`QuantizedModel`).
 """
 
 from repro.engine.bucketing import (BucketingPolicy, BucketPlan,
-                                    group_exact, pack_groups, plan_buckets,
-                                    plan_cost_ms)
+                                    group_exact, plan_buckets, plan_cost_ms)
 from repro.engine.executor import (BACKENDS, BucketedExecutor, EngineResult,
                                    StageStats)
 from repro.engine.fastpath import (CompiledModel, CompileError,
@@ -31,7 +30,7 @@ from repro.engine.spec import SessionSpec, SpecError
 
 __all__ = [
     "BucketingPolicy", "BucketPlan", "plan_buckets", "plan_cost_ms",
-    "group_exact", "pack_groups",
+    "group_exact",
     "BACKENDS", "BucketedExecutor", "EngineResult", "StageStats",
     "InferenceSession", "SessionResult",
     "SessionSpec", "SpecError",

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["BucketingPolicy", "BucketPlan", "plan_buckets",
-           "plan_cost_ms", "group_exact", "pack_groups"]
+           "plan_cost_ms", "group_exact"]
 
 
 @dataclass(frozen=True)
@@ -193,49 +193,6 @@ def _accept_merge(policy, cost_model, padded_length, length, group_size):
     padding_cost = group_size * (cost_model.block_ms(padded_length)
                                  - cost_model.block_ms(length))
     return padding_cost < cost_model.bucket_overhead_ms
-
-
-def pack_groups(group_sizes, max_batch=None):
-    """Pack pre-grouped image sets (e.g. request remainders carried
-    between scheduler submits) into executor chunks.
-
-    ``group_sizes``: number of images in each group, in submission order.
-    ``max_batch``: chunk capacity; ``None`` packs everything into one
-    chunk.  Groups are packed FIFO and split at chunk capacity, so the
-    chunk boundaries fall exactly every ``max_batch`` rows of the
-    groups' concatenation -- identical to the classic
-    ``images[lo:lo + max_batch]`` slicing of ``InferenceSession.submit``,
-    which keeps grouped and flat submission paths bitwise-equivalent.
-
-    Returns a list of chunks, each a list of ``(group_index, lo, hi)``
-    pieces meaning rows ``lo:hi`` of that group run in this chunk.
-    Every row of every group appears in exactly one piece, and global
-    row order (groups concatenated) is preserved across chunks.
-    """
-    if max_batch is not None and max_batch < 1:
-        raise ValueError("max_batch must be >= 1")
-    chunks = []
-    current = []
-    room = max_batch
-    for index, size in enumerate(group_sizes):
-        size = int(size)
-        if size < 0:
-            raise ValueError("group sizes must be >= 0")
-        lo = 0
-        while lo < size:
-            if max_batch is None:
-                current.append((index, 0, size))
-                break
-            if room == 0:
-                chunks.append(current)
-                current, room = [], max_batch
-            take = min(size - lo, room)
-            current.append((index, lo, lo + take))
-            lo += take
-            room -= take
-    if current:
-        chunks.append(current)
-    return chunks
 
 
 def _finish(members, padded_length):

@@ -31,9 +31,11 @@ Four compute **backends** execute the plan:
 * ``"fastpath"`` / ``"int8"`` / ``"int16"`` -- one
   :class:`repro.engine.fastpath.CompiledModel` hierarchy, filled by one
   of two compile functions, with a
-  :class:`repro.engine.fastpath.Workspace` of scratch buffers reused
-  across blocks, selector stages, and bursts -- including the padded
-  bucket stacks themselves, so steady traffic reallocates nothing.
+  :class:`repro.engine.fastpath.Workspace` holding one scratch arena
+  per name, reused across blocks, selector stages, and bursts --
+  including the padded bucket stacks themselves, so what a session
+  holds is set by its largest batch and steady traffic allocates
+  nothing.
 
   - ``"fastpath"`` (:func:`~repro.engine.fastpath.compile_model`):
     fused float kernels in float32 (or float64).  Parity: float64
@@ -318,19 +320,21 @@ class BucketedExecutor:
             return self.compiled.classify(x, self.workspace)
         return self.model.backbone.classify(Tensor(x)).data
 
-    def _new_bucket(self, plan, dim):
-        """An unfilled ``(g, padded_length, D)`` stack for one planned
-        bucket, padding rows zeroed: ``(stacked, mask, bias)``.
+    def _new_bucket(self, position, plan, dim):
+        """An unfilled ``(g, padded_length, D)`` stack for the bucket at
+        ``position`` of a boundary's plan, padding rows zeroed:
+        ``(stacked, mask, bias)``.
 
-        On the fast path the stack lives in the workspace pool, so
-        recurring bucket shapes across stages and bursts reuse the same
-        memory instead of reallocating per pad -- it may BE the previous
-        stage's stack of that shape, so a caller first copies every row
-        it still needs out of the old groups.
+        On the fast path the stack is a workspace arena named by that
+        position -- a stage's buckets are alive together, and a name is
+        one live buffer -- so bucket shapes cost no allocation once the
+        arena has grown to its largest.  It IS the memory of the
+        previous stage's stack at that position, so a caller first
+        copies every row it still needs out of the old groups.
         """
         shape = (plan.indices.size, plan.padded_length, dim)
         pooled = self.compiled is not None
-        stacked = (self.workspace.take("bucket", shape) if pooled
+        stacked = (self.workspace.take(f"bucket{position}", shape) if pooled
                    else np.empty(shape, dtype=self.dtype))
         if not plan.needs_padding:
             return stacked, None, None
@@ -341,7 +345,8 @@ class BucketedExecutor:
         if pooled:
             bias = mask_to_bias(
                 mask, self.dtype,
-                out=self.workspace.take("bucket_bias", mask.shape))
+                out=self.workspace.take(f"bucket_bias{position}",
+                                        mask.shape))
         return stacked, mask, bias
 
     # ------------------------------------------------------------------
@@ -414,10 +419,11 @@ class BucketedExecutor:
         rows = np.argsort(images)[np.concatenate([p.indices for p in plans])]
         tokens = flat[np.flatnonzero(keep)[_segment_gather(kept, rows)]]
         new_groups, row, token = [], 0, 0
-        for plan in plans:
+        for position, plan in enumerate(plans):
             members = rows[row:row + plan.indices.size]
             count = kept[members]
-            stacked, mask, bias = self._new_bucket(plan, flat.shape[1])
+            stacked, mask, bias = self._new_bucket(position, plan,
+                                                   flat.shape[1])
             stacked[:, 0] = cls[members]
             body, end = stacked[:, 1:], token + count.sum()
             body[np.arange(body.shape[1]) < count[:, None]] = (

@@ -3,9 +3,11 @@
 :func:`compile_model` walks a :class:`repro.vit.VisionTransformer` or a
 :class:`repro.core.HeatViT` once, extracts every weight into contiguous
 arrays of the target dtype, and returns a :class:`CompiledModel` whose
-methods run pure-ndarray fused kernels (:mod:`.kernels`) with scratch
-from a :class:`.Workspace` -- no autograd tape, no per-op ``Tensor``
-allocations, no ``(3, B, h, N, d)`` transpose round-trip in attention.
+methods run pure-ndarray fused kernels (:mod:`.kernels`) on scratch
+from the :class:`.Workspace` the caller passes in (one arena per scratch
+name, so a name is one live buffer) -- no autograd tape, no per-op
+``Tensor`` allocations, no ``(3, B, h, N, d)`` transpose round-trip in
+attention.
 
 Compile-time fusions
 --------------------
@@ -41,6 +43,8 @@ whose scratch fits :data:`CHUNK_BYTES`, so the ~60 elementwise passes of
 a block read what the GEMM before them just wrote instead of streaming
 batch-sized buffers through the cache -- the software analogue of the
 paper's accelerator keeping a tile's intermediates in on-chip buffers.
+Every chunk, the shorter tail included, is a view of the same ``blk_*``
+arenas, which therefore never grow past one chunk.
 
 One hierarchy, N kernel sets
 ----------------------------
@@ -503,10 +507,11 @@ class CompiledSelector:
 class CompiledModel:
     """Weights + kernels for the graph-free serving forward pass.
 
-    Buffers returned by :meth:`embed` / :meth:`forward` belong to the
-    model (they are mutated in place by subsequent block calls and
-    reused across invocations sharing a workspace); copy them if you
-    need them to survive the next call.
+    The model owns no scratch: every method takes the caller's
+    :class:`.Workspace`, so a session has one pool.  What :meth:`embed`
+    returns is a view of that workspace's ``embed`` arena (mutated in
+    place by the block calls, overwritten by the next ``embed``); copy
+    it if it must survive the next call.
 
     ``supports_ragged`` advertises the ragged selector-boundary entry
     point to the executor; it is unset when any selector runs per exact
@@ -525,12 +530,8 @@ class CompiledModel:
         (self.final_norm_w, self.final_norm_b, self.final_norm_eps,
          self.head) = head_weights
         self.supports_ragged = all(s.ragged_ok for s in selectors)
-        self._default_ws = Workspace(dtype)
 
     # ------------------------------------------------------------------
-    def workspace(self, ws=None):
-        return self._default_ws if ws is None else ws
-
     def _patch_columns(self, images):
         """``(B, C, H, W)`` images -> ``(B, N, C*p*p)`` patch rows in
         the compute dtype."""
@@ -542,9 +543,8 @@ class CompiledModel:
         cols = cols.transpose(0, 2, 4, 1, 3, 5)
         return cols.reshape(batch, grid_h * grid_w, channels * p * p)
 
-    def embed(self, images, ws=None):
+    def embed(self, images, ws):
         """Patch-embed + CLS + position embeddings: ``(B, 1+N, D)``."""
-        ws = self.workspace(ws)
         cols = self._patch_columns(images)
         out = ws.take("embed", (cols.shape[0], 1 + cols.shape[1],
                                 self.config.embed_dim))
@@ -553,12 +553,12 @@ class CompiledModel:
         out += self.pos_embed
         return out
 
-    def run_block(self, index, x, bias=None, ws=None):
+    def run_block(self, index, x, bias, ws):
         """Run block ``index`` in place on ``x``; see
         :meth:`CompiledBlock.forward`."""
-        return self.blocks[index].forward(x, bias, self.workspace(ws))
+        return self.blocks[index].forward(x, bias, ws)
 
-    def forward(self, tokens, key_mask=None, ws=None):
+    def forward(self, tokens, ws, key_mask=None):
         """Run the whole block stack over a token sequence.
 
         ``tokens``: ``(B, T, D)`` (copied, the input is not mutated);
@@ -567,7 +567,6 @@ class CompiledModel:
         lives in :class:`repro.engine.BucketedExecutor`; this is the
         dense stack the parity tests compare against the Tensor blocks.
         """
-        ws = self.workspace(ws)
         x = np.array(tokens, dtype=self.dtype)
         bias = (None if key_mask is None
                 else mask_to_bias(key_mask, self.dtype))
@@ -575,18 +574,17 @@ class CompiledModel:
             self.run_block(index, x, bias, ws)
         return x
 
-    def select(self, stage, patches, ws=None):
+    def select(self, stage, patches, ws):
         """Apply compiled selector ``stage``; see
         :meth:`CompiledSelector.select`."""
-        return self.selectors[stage].select(patches, self.workspace(ws))
+        return self.selectors[stage].select(patches, ws)
 
-    def select_ragged(self, stage, flat, counts, ws=None):
+    def select_ragged(self, stage, flat, counts, ws):
         """Ragged-batch form of :meth:`select`; see
         :meth:`CompiledSelector.select_ragged`."""
-        return self.selectors[stage].select_ragged(flat, counts,
-                                                   self.workspace(ws))
+        return self.selectors[stage].select_ragged(flat, counts, ws)
 
-    def classify(self, x, ws=None):
+    def classify(self, x, ws):
         """Final LayerNorm + head on the CLS row: ``(B, num_classes)``.
 
         Only token 0 feeds the head, so the fast path norms just that
@@ -596,7 +594,6 @@ class CompiledModel:
         ``classify`` slices before its head Linear.  Returns a fresh
         array.
         """
-        ws = self.workspace(ws)
         batch = x.shape[0]
         cls_row = ws.take("cls_norm", (batch, x.shape[-1]))
         fused_layer_norm(x[:, 0, :], self.final_norm_w, self.final_norm_b,

@@ -251,7 +251,7 @@ class QuantizedModel(CompiledModel):
     ``head`` hold :meth:`QuantizedLinearKernel.apply_reference`.
     """
 
-    def embed(self, images, ws=None):
+    def embed(self, images, ws):
         """Patch-embed + CLS + position embeddings: ``(B, 1+N, D)``."""
         tokens = self.patch(self._patch_columns(images))
         cls = self.cls_token + np.zeros((tokens.shape[0], 1,
@@ -259,7 +259,7 @@ class QuantizedModel(CompiledModel):
         x = np.concatenate([cls, tokens], axis=1)
         return x + self.pos_embed
 
-    def classify(self, x, ws=None):
+    def classify(self, x, ws):
         """Final LayerNorm + quantized head on the CLS row (the head's
         activation scale is calibrated on the CLS rows alone, exactly
         as the simulation's head sees them)."""

@@ -1,19 +1,25 @@
-"""Preallocated scratch buffers for the graph-free inference fast path.
+"""Named scratch arenas for the graph-free inference fast path.
 
 The Tensor reference path allocates a fresh ndarray for every
 intermediate of every op; at serving batch sizes that is dozens of
 short-lived ``(B, T, D)`` / ``(B, h, T, T)`` arrays per block.  A
-:class:`Workspace` keeps one buffer per ``(name, shape)`` pair and hands
-it back on every request, so the bucketed executor reuses the same
-scratch memory across blocks, selector stages, and bursts -- buckets of
-a recurring shape (the common case under steady traffic) allocate
-nothing at all after warm-up.
+:class:`Workspace` keeps ONE flat, grow-only buffer per scratch *name*
+and hands out a view of its front in whatever shape is asked for -- the
+way the paper's accelerator runs every block and selector out of the
+same fixed on-chip buffers however many tokens an image kept.  What a
+session holds is therefore a function of the names in the code and the
+largest batch it has seen, never of how many distinct
+``(batch, padded_length)`` shapes image-adaptive pruning produced on the
+way: no cap, no eviction, and nothing allocated once every arena has
+reached its largest request.
 
-Buffers are handed out dirty (no zeroing): every fast-path kernel fully
+Views are handed out dirty (no zeroing): every fast-path kernel fully
 overwrites its output, which is part of the kernel contract.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -21,93 +27,73 @@ __all__ = ["Workspace"]
 
 
 class Workspace:
-    """A pool of named, shape-keyed scratch arrays of one dtype.
+    """Named scratch arenas of one dtype.
 
-    ``hits`` / ``misses`` count buffer reuses vs fresh allocations --
-    telemetry the reuse tests and the hot-path profiler read.
-
-    ``max_buffers`` bounds the pool: under image-adaptive pruning a
-    long-lived serving session sees an open-ended set of
-    ``(batch, padded_length)`` shapes, so without eviction the pool
-    would grow monotonically.  When full, the oldest buffer is dropped
-    (FIFO); callers holding a reference to an evicted buffer are
-    unaffected -- eviction only forgets it for future reuse.
+    **A name is ONE live buffer.**  Every :meth:`take` of a name returns
+    a view of the same memory, whatever the shape, so a caller must be
+    done with the previous view of a name before taking it again -- two
+    arrays that have to be alive together need two names.
+    ``allocations`` counts arena (re)allocations; it stops moving once
+    traffic repeats.
     """
 
-    def __init__(self, dtype=np.float32, max_buffers=512):
-        if max_buffers < 1:
-            raise ValueError("max_buffers must be >= 1")
+    def __init__(self, dtype=np.float32):
         self.dtype = np.dtype(dtype)
-        self.max_buffers = int(max_buffers)
-        self._buffers = {}
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def _insert(self, key, buffer):
-        self._buffers[key] = buffer
-        self.misses += 1
-        if len(self._buffers) > self.max_buffers:
-            self._buffers.pop(next(iter(self._buffers)))
-            self.evictions += 1
-        return buffer
+        self._arenas = {}           # name -> flat array
+        self._fills = {}            # name -> constant its arena holds
+        self.allocations = 0
 
     def take(self, name, shape):
-        """Return the scratch buffer registered under ``(name, shape)``.
-
-        The same ``(name, shape)`` always returns the *same* array (up
-        to eviction), so callers must be done with a named buffer
-        before re-requesting it.  Contents are undefined (kernels
-        overwrite fully).
-        """
-        key = (name, shape)
-        buffer = self._buffers.get(key)
-        if buffer is None:
-            return self._insert(key, np.empty(shape, dtype=self.dtype))
-        self.hits += 1
-        return buffer
+        """Return ``name``'s arena viewed as a C-contiguous ``shape``
+        array, growing the arena first if it is too small.  Contents
+        are undefined (kernels overwrite fully)."""
+        size = math.prod(shape)
+        arena = self._arenas.get(name)
+        if arena is None or arena.size < size:
+            arena = self._arenas[name] = np.empty(size, dtype=self.dtype)
+            self._fills.pop(name, None)
+            self.allocations += 1
+        return arena[:size].reshape(shape)
 
     def full(self, name, shape, value):
-        """Return a buffer pre-filled with ``value`` (filled once, on
-        allocation -- callers must treat it as read-only).  Used for
-        the cached ones / ``1/n`` vectors behind the BLAS-backed row
+        """Return a view pre-filled with ``value``, which callers must
+        treat as read-only: the whole arena is filled when it grows or
+        is asked for another value, not on every call.  Used for the
+        cached ones / ``1/n`` vectors behind the BLAS-backed row
         reductions."""
-        key = (name, shape)
-        buffer = self._buffers.get(key)
-        if buffer is None:
-            return self._insert(key,
-                                np.full(shape, value, dtype=self.dtype))
-        self.hits += 1
-        return buffer
+        view = self.take(name, shape)
+        if self._fills.get(name) != value:
+            self._arenas[name].fill(value)
+            self._fills[name] = value
+        return view
 
     def ones(self, name, shape):
         """Shorthand for :meth:`full` with value 1."""
         return self.full(name, shape, 1.0)
 
     def __len__(self):
-        return len(self._buffers)
-
-    # ------------------------------------------------------------------
-    # Pickling: scratch is process-local by nature (a worker process
-    # rebuilds its own buffers on first use), so only the configuration
-    # crosses the pickle boundary -- this also keeps compiled sessions
-    # cheap to ship to executor workers.
-    def __getstate__(self):
-        return {"dtype": self.dtype, "max_buffers": self.max_buffers}
-
-    def __setstate__(self, state):
-        self.__init__(dtype=state["dtype"],
-                      max_buffers=state["max_buffers"])
+        return len(self._arenas)
 
     @property
     def nbytes(self):
-        """Total bytes currently held by the pool."""
-        return sum(b.nbytes for b in self._buffers.values())
+        """Total bytes currently held."""
+        return sum(arena.nbytes for arena in self._arenas.values())
 
     def clear(self):
-        """Drop every buffer (counters are kept)."""
-        self._buffers.clear()
+        """Drop every arena (the counter is kept)."""
+        self._arenas.clear()
+        self._fills.clear()
+
+    # Scratch is process-local by nature (a worker process grows its own
+    # arenas on first use), so only the dtype crosses the pickle
+    # boundary -- this also keeps compiled sessions cheap to ship to
+    # executor workers.
+    def __getstate__(self):
+        return {"dtype": self.dtype}
+
+    def __setstate__(self, state):
+        self.__init__(dtype=state["dtype"])
 
     def __repr__(self):
-        return (f"Workspace(dtype={self.dtype.name}, buffers={len(self)}, "
-                f"hits={self.hits}, misses={self.misses})")
+        return (f"Workspace(dtype={self.dtype.name}, arenas={len(self)}, "
+                f"nbytes={self.nbytes}, allocations={self.allocations})")

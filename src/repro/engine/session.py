@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.cost import (BatchPlan, CostModel, OnlineCostModel,
                         keep_ratio_bucket)
-from repro.engine.bucketing import BucketingPolicy, pack_groups
+from repro.engine.bucketing import BucketingPolicy
 from repro.engine.executor import BucketedExecutor
 from repro.hardware.latency_table import build_cost_model
 from repro.nn.tensor import Tensor
@@ -227,34 +227,34 @@ class InferenceSession:
         """Run several pre-grouped image sets as one submission.
 
         ``image_groups`` is a list of ``(n_i, C, H, W)`` arrays -- one
-        per request, in submission order; groups are packed into
-        ``batch_size`` executor chunks with :func:`pack_groups` (chunk
-        boundaries fall exactly where :meth:`submit` would slice the
-        concatenation, so grouped and flat submission are
-        bitwise-equivalent).  Returns ``(SessionResult, slices)`` where
-        ``slices[i]`` selects group ``i``'s rows in the merged result.
+        per request, in submission order.  They are concatenated once
+        and run ``batch_size`` rows at a time, which is all
+        :meth:`submit` does with its one group, so grouped and flat
+        submission are bitwise-equivalent.  Returns
+        ``(SessionResult, slices)`` where ``slices[i]`` selects group
+        ``i``'s rows in the merged result.
         """
         groups = [np.asarray(g.data if isinstance(g, Tensor) else g)
                   for g in image_groups]
-        sizes = [g.shape[0] for g in groups]
         slices, offset = [], 0
-        for size in sizes:
-            slices.append(slice(offset, offset + size))
-            offset += size
+        for group in groups:
+            slices.append(slice(offset, offset + group.shape[0]))
+            offset += group.shape[0]
         batch = offset
         was_training = self.model.training
         if was_training:
             self.model.eval()
         start = time.perf_counter()
         try:
-            chunk_results = []
-            for chunk in pack_groups(sizes, self.batch_size):
-                pieces = [groups[index][lo:hi] for index, lo, hi in chunk]
-                chunk_result, _ = self.executor.run_grouped(pieces)
-                chunk_results.append(chunk_result)
-            if not chunk_results:        # empty submission: typed result
-                chunk_result, _ = self.executor.run_grouped(groups)
-                chunk_results = [chunk_result]
+            if batch:
+                images = (groups[0] if len(groups) == 1
+                          else np.concatenate(groups))
+                chunk_results = [
+                    self.executor.run_grouped(
+                        [images[lo:lo + self.batch_size]])[0]
+                    for lo in range(0, batch, self.batch_size)]
+            else:                        # empty submission: typed result
+                chunk_results = [self.executor.run_grouped(groups)[0]]
         finally:
             if was_training:
                 self.model.train()

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import threading
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
@@ -64,6 +65,10 @@ _REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request",
 #: answer a repeated fetch ``gone`` instead of ``unknown``.  Delivery
 #: stays at most once either way: a delivered id is no longer known.
 _DELIVERED_WINDOW = 65_536
+
+#: Header lines accepted per request (the stdlib ``http.client``'s own
+#: ``_MAXHEADERS``); a request with more is refused, not stored.
+_MAX_HEADERS = 100
 
 #: ``Retry-After`` seconds on a 503 (degraded target).  Degraded mode
 #: still serves -- in-process, slower -- so a short back-off is right:
@@ -255,25 +260,17 @@ class FrontDoor:
     async def _handle(self, reader, writer):
         try:
             while True:
-                request_line = await reader.readline()
-                if not request_line or request_line in (b"\r\n", b"\n"):
-                    break
                 try:
-                    method, target, version = (
-                        request_line.decode("latin1").split())
-                except ValueError:
+                    head = await self._read_head(reader)
+                except ValueError as exc:
                     await self._respond(writer, 400,
                                         {"status": "error",
-                                         "error": "malformed request line"},
+                                         "error": str(exc)},
                                         keep_alive=False)
                     break
-                headers = {}
-                while True:
-                    line = await reader.readline()
-                    if line in (b"\r\n", b"\n", b""):
-                        break
-                    name, _, value = line.decode("latin1").partition(":")
-                    headers[name.strip().lower()] = value.strip()
+                if head is None:
+                    break
+                method, target, version, headers = head
                 keep_alive = (headers.get(
                     "connection",
                     "keep-alive" if version == "HTTP/1.1" else "close")
@@ -319,6 +316,29 @@ class FrontDoor:
                 # (stop() with connections still open); the transport
                 # is already being discarded.
                 pass
+
+    @staticmethod
+    async def _read_head(reader):
+        """Read one request line and its headers:
+        ``(method, target, version, headers)``, or ``None`` when the
+        client is done with the connection.  Raises ``ValueError`` for a
+        head no client of ours sends: a request line that is not three
+        words, more than :data:`_MAX_HEADERS` header lines, or -- from
+        ``readline`` itself -- a line over the stream's 64 KiB limit."""
+        request_line = await reader.readline()
+        if not request_line or request_line in (b"\r\n", b"\n"):
+            return None
+        words = request_line.decode("latin1").split()
+        if len(words) != 3:
+            raise ValueError("malformed request line")
+        headers = {}
+        for _ in range(_MAX_HEADERS + 1):
+            line = await reader.readline()
+            if line in (b"\r\n", b"\n", b""):
+                return (*words, headers)
+            name, _, value = line.decode("latin1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+        raise ValueError(f"more than {_MAX_HEADERS} header lines")
 
     async def _respond(self, writer, status, payload, keep_alive,
                        headers=None):
@@ -378,6 +398,9 @@ class FrontDoor:
             num_images = record["num_images"]
             if not isinstance(num_images, int) or num_images < 1:
                 raise _HttpError(400, "num_images must be an int >= 1")
+            seed = record.get("seed", 0)
+            if not isinstance(seed, int) or seed < 0:
+                raise _HttpError(400, "seed must be an int >= 0")
             shapes = {s.name: s.image_shape
                       for s in self.scheduler.sessions}
             if model is not None:
@@ -392,8 +415,14 @@ class FrontDoor:
                                      "mixed image shapes registered; pin "
                                      "a model")
                 shape = unique.pop()
-            return synth_images((num_images,) + tuple(shape),
-                                record.get("seed", 0))
+            # The stack is synthesized right here, on the event loop:
+            # a few body bytes may ask for no more float64 pixels than
+            # an inline body of the allowed size could carry.
+            if num_images * math.prod(shape) * 8 > self.max_body_bytes:
+                raise _HttpError(413, "num_images asks for a larger "
+                                      "stack than max_body_bytes allows "
+                                      "inline")
+            return synth_images((num_images,) + tuple(shape), seed)
         raise _HttpError(400, "submit needs images or num_images")
 
     async def _submit(self, body):

@@ -78,17 +78,18 @@ class TestCompiledForwardParity:
     def test_dense_stack(self, tiny_backbone, tiny_dataset, dtype, tol):
         images = tiny_dataset.images[:5]
         compiled = compile_model(tiny_backbone, dtype=dtype)
+        ws = Workspace(dtype)
         with nn.no_grad():
             x = tiny_backbone.embed(images)
             ref = x
             for block in tiny_backbone.blocks:
                 ref = block(ref)
             ref_logits = tiny_backbone.classify(ref)
-        tokens = compiled.embed(images)
+        tokens = compiled.embed(images, ws)
         np.testing.assert_allclose(tokens, x.data, rtol=0, atol=tol)
-        hidden = compiled.forward(tokens)
+        hidden = compiled.forward(tokens, ws)
         np.testing.assert_allclose(hidden, ref.data, rtol=0, atol=tol)
-        np.testing.assert_allclose(compiled.classify(hidden),
+        np.testing.assert_allclose(compiled.classify(hidden, ws),
                                    ref_logits.data, rtol=0, atol=tol)
 
     @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12),
@@ -97,22 +98,24 @@ class TestCompiledForwardParity:
         """Padded keys masked out: fastpath matches the Tensor blocks."""
         images = tiny_dataset.images[:4]
         compiled = compile_model(tiny_backbone, dtype=dtype)
-        tokens = compiled.embed(images)
+        ws = Workspace(dtype)
+        tokens = compiled.embed(images, ws)
         mask = np.ones((4, tokens.shape[1]))
         mask[:, -3:] = 0.0
         with nn.no_grad():
             ref = Tensor(np.asarray(tokens, dtype=np.float64))
             for block in tiny_backbone.blocks:
                 ref = block(ref, key_mask=mask)
-        out = compiled.forward(tokens, key_mask=mask)
+        out = compiled.forward(tokens, ws, key_mask=mask)
         np.testing.assert_allclose(out, ref.data, rtol=0, atol=tol)
 
     def test_forward_does_not_mutate_input(self, tiny_backbone,
                                            tiny_dataset):
         compiled = compile_model(tiny_backbone, dtype=np.float64)
-        tokens = np.array(compiled.embed(tiny_dataset.images[:2]))
+        ws = Workspace(np.float64)
+        tokens = np.array(compiled.embed(tiny_dataset.images[:2], ws))
         before = tokens.copy()
-        compiled.forward(tokens)
+        compiled.forward(tokens, ws)
         np.testing.assert_array_equal(tokens, before)
 
 
@@ -209,10 +212,10 @@ class TestCompiledSelector:
     def test_dense_select_matches_module(self, tiny_backbone,
                                          tiny_dataset, dtype, tol):
         model = make_model(tiny_backbone, {1: 0.6})
-        compiled = compile_model(model, dtype=dtype)
-        patches = np.asarray(
-            compiled.embed(tiny_dataset.images[:6])[:, 1:, :])
-        keep, packages = compiled.select(0, patches)
+        compiled, ws = compile_model(model, dtype=dtype), Workspace(dtype)
+        patches = np.array(
+            compiled.embed(tiny_dataset.images[:6], ws)[:, 1:, :])
+        keep, packages = compiled.select(0, patches, ws)
         with nn.no_grad():
             out = model.selectors[0](
                 Tensor(np.asarray(patches, dtype=np.float64)), hard=False)
@@ -238,6 +241,7 @@ class TestCompiledSelector:
         model = make_model(tiny_backbone, {1: 0.6})
         if grade == "float64":
             compiled = compile_model(model, dtype=np.float64)
+            ws = Workspace(np.float64)
 
             def reference(group):
                 with nn.no_grad():
@@ -246,10 +250,11 @@ class TestCompiledSelector:
         else:
             compiled = compile_quantized(model, dtype=np.float32)
             twin = compile_quantized(model, dtype=np.float64)
+            ws = Workspace(np.float32)
 
             def reference(group):
-                return twin.select(0, group)
-        tokens = compiled.embed(tiny_dataset.images[:6])
+                return twin.select(0, group, Workspace(np.float64))
+        tokens = compiled.embed(tiny_dataset.images[:6], ws)
         if short is None:
             groups = [np.array(tokens[:, 1:, :])]
         else:
@@ -258,7 +263,7 @@ class TestCompiledSelector:
         flat = np.concatenate([g.reshape(-1, g.shape[-1])
                                for g in groups], axis=0)
         counts = [g.shape[1] for g in groups for _ in range(g.shape[0])]
-        keep_flat, packages = compiled.select_ragged(0, flat, counts)
+        keep_flat, packages = compiled.select_ragged(0, flat, counts, ws)
         offset, image = 0, 0
         for group in groups:
             g, n = group.shape[0], group.shape[1]
@@ -279,12 +284,13 @@ class TestCompiledSelector:
         """``select`` on a uniform group is ``select_ragged`` on the
         same tokens, bit for bit."""
         model = make_model(tiny_backbone, {1: 0.6})
-        compiled = compile_fn(model, dtype=np.float32)
-        group = np.array(compiled.embed(tiny_dataset.images[:6])[:, 1:, :])
+        compiled, ws = compile_fn(model, dtype=np.float32), Workspace()
+        group = np.array(
+            compiled.embed(tiny_dataset.images[:6], ws)[:, 1:, :])
         g, n, dim = group.shape
-        keep, packages = compiled.select(0, group)
+        keep, packages = compiled.select(0, group, ws)
         keep_flat, packages_flat = compiled.select_ragged(
-            0, group.reshape(g * n, dim), [n] * g)
+            0, group.reshape(g * n, dim), [n] * g, ws)
         np.testing.assert_array_equal(keep, keep_flat.reshape(g, n))
         np.testing.assert_array_equal(packages, packages_flat)
 
@@ -298,20 +304,20 @@ class TestCompiledSelector:
             classifier_factory=lambda rng: _PlainClassifier(
                 tiny_backbone.config.embed_dim,
                 tiny_backbone.config.num_heads, rng))
-        compiled = compile_model(model)
+        compiled, ws = compile_model(model), Workspace()
         assert all(s.fallback_module is not None
                    for s in compiled.selectors)
-        tokens = compiled.embed(tiny_dataset.images[:6])
+        tokens = compiled.embed(tiny_dataset.images[:6], ws)
         groups = [np.array(tokens[:3, 1:, :]),
                   np.array(tokens[3:, 1:14, :])]      # two lengths
         flat = np.concatenate([g.reshape(-1, g.shape[-1])
                                for g in groups], axis=0)
         counts = [groups[0].shape[1]] * 3 + [groups[1].shape[1]] * 3
-        keep_flat, packages = compiled.select_ragged(0, flat, counts)
+        keep_flat, packages = compiled.select_ragged(0, flat, counts, ws)
         offset, image = 0, 0
         for group in groups:
             g, n = group.shape[0], group.shape[1]
-            keep_ref, packages_ref = compiled.select(0, group)
+            keep_ref, packages_ref = compiled.select(0, group, ws)
             with nn.no_grad():
                 out = model.selectors[0](
                     Tensor(np.asarray(group, dtype=np.float64)),
@@ -406,48 +412,59 @@ class TestWorkspaceReuse:
     @pytest.mark.parametrize("backend", ["fastpath", "int8"])
     def test_no_new_buffers_on_repeat_submission(self, tiny_backbone,
                                                  tiny_dataset, backend):
-        """Steady traffic must reuse every scratch buffer: the second
+        """Steady traffic must reuse every scratch arena: the second
         identical submission allocates nothing."""
         model = make_model(tiny_backbone, {1: 0.6, 3: 0.4})
         session = InferenceSession(model, batch_size=8, backend=backend)
         images = tiny_dataset.images[:8]
         session.submit(images)
         ws = session.executor.workspace
-        buffers, misses = len(ws), ws.misses
+        arenas, held, allocations = len(ws), ws.nbytes, ws.allocations
+        assert allocations >= arenas > 0 and held > 0
         session.submit(images)
-        assert len(ws) == buffers
-        assert ws.misses == misses
-        assert ws.hits > 0
-        assert ws.nbytes > 0
+        assert (len(ws), ws.nbytes, ws.allocations) == (arenas, held,
+                                                        allocations)
+        # ... and neither does a smaller one: it runs in the same arenas.
+        session.submit(images[:3])
+        assert (ws.nbytes, ws.allocations) == (held, allocations)
 
-    def test_pool_is_bounded_by_eviction(self):
-        """An open-ended stream of shapes must not grow the pool past
-        max_buffers (long-lived sessions see arbitrarily many
-        (batch, padded_length) combinations)."""
-        ws = Workspace(np.float32, max_buffers=8)
+    def test_pool_is_bounded_by_its_names(self):
+        """An open-ended stream of shapes under one name holds one
+        arena, as large as the largest of them (long-lived sessions see
+        arbitrarily many (batch, padded_length) combinations)."""
+        ws = Workspace(np.float32)
         for size in range(1, 50):
             ws.take("bucket", (size, 4))
-        assert len(ws) == 8
-        assert ws.evictions == 50 - 1 - 8
-        # Hot keys keep being served from the pool after eviction churn.
-        survivor = ws.take("bucket", (49, 4))
-        assert ws.take("bucket", (49, 4)) is survivor
-        with pytest.raises(ValueError):
-            Workspace(np.float32, max_buffers=0)
+        assert len(ws) == 1
+        assert ws.nbytes == 49 * 4 * 4
+        assert ws.allocations == 49            # grew every time
+        for size in range(49, 0, -1):
+            ws.take("bucket", (4, size))
+        assert (len(ws), ws.allocations) == (1, 49)
 
     def test_take_returns_same_buffer_and_clear(self):
         ws = Workspace(np.float32)
         a = ws.take("x", (4, 4))
+        a[...] = np.arange(16).reshape(4, 4)
         b = ws.take("x", (4, 4))
-        assert a is b
-        assert ws.misses == 1 and ws.hits == 1
+        assert np.shares_memory(a, b) and ws.allocations == 1
+        np.testing.assert_array_equal(a, b)
+        # A smaller shape is a view of the front of the same arena.
         c = ws.take("x", (2, 4))
-        assert c is not a
+        assert c.flags.c_contiguous and ws.allocations == 1
+        np.testing.assert_array_equal(c, a[:2])
+        assert not np.shares_memory(ws.take("y", (4, 4)), a)
         ones = ws.ones("ones", (3, 1))
         np.testing.assert_array_equal(ones, np.ones((3, 1), np.float32))
+        # A constant survives growth, and a new value refills.
+        assert (ws.ones("ones", (7, 1)) == 1.0).all()
+        assert (ws.ones("ones", (2, 2)) == 1.0).all()
         assert ws.full("mv", (4, 1), 0.25)[0, 0] == np.float32(0.25)
+        assert (ws.full("mv", (4, 1), 0.5) == 0.5).all()
+        assert (ws.full("mv", (2, 1), 0.5) == 0.5).all()
         ws.clear()
-        assert len(ws) == 0
+        assert len(ws) == 0 and ws.nbytes == 0
+        assert (ws.full("mv", (3, 1), 0.5) == 0.5).all()   # filled anew
 
 
 class _PlainClassifier(nn.Module):
@@ -667,11 +684,12 @@ class TestGroupGatherEquivalence:
 
     def test_recurring_bucket_shape_does_not_corrupt_rows(
             self, tiny_backbone, rng):
-        """The workspace hands the previous stage's stack back when a
-        bucket shape recurs: the boundary must have copied every row it
-        needs before it writes the first new bucket.  Here each of four
-        images prunes one token and gains a package -- same length, same
-        shape, rows in a different order."""
+        """A bucket stack is the workspace arena of its plan position,
+        i.e. the memory of the previous stage's stack at that position:
+        the boundary must have copied every row it needs before it
+        writes the first new bucket.  Here each of four images prunes
+        one token and gains a package -- same length, same shape, rows
+        in a different order."""
         executor = boundary_executor(tiny_backbone, backend="fastpath")
         groups, _ = boundary_groups(rng, [[(7, False)] * 4],
                                     executor.dtype)
@@ -680,12 +698,31 @@ class TestGroupGatherEquivalence:
         group.x[:, 2:, 0] = [-1.0, 1.0, 1.0, 1.0, 1.0]  # prune token 2
         sequences = {image: (group.x[row].copy(), False)
                      for row, image in enumerate(group.indices)}
-        pooled = executor.workspace.take("bucket", group.x.shape)
+        pooled = executor.workspace.take("bucket0", group.x.shape)
         pooled[...] = group.x
         group.x = pooled
         (out,) = run_boundary(executor, groups, sequences)
-        assert out.x is pooled                  # the hazard is live
+        assert np.shares_memory(out.x, pooled)  # the hazard is live
         assert list(out.indices) == [0, 1, 2, 3]
+
+    def test_buckets_of_one_stage_never_share_memory(self, tiny_backbone,
+                                                     rng):
+        """A stage's buckets are alive together, so each sits in its own
+        arena -- stacks and score biases alike.  Two far-apart groups,
+        each mixing two lengths: two padded buckets."""
+        executor = boundary_executor(tiny_backbone, backend="fastpath")
+        groups, sequences = boundary_groups(
+            rng, [[(30, False)] * 4, [(8, False)] * 4], executor.dtype)
+        for group in groups:
+            group.x[:, 1:, 0] = 1.0                    # keep everything,
+            group.x[2:, 2:4, 0] = -1.0                 # or prune two
+            for row, image in enumerate(group.indices):
+                sequences[image] = (group.x[row].copy(), False)
+        first, second = run_boundary(executor, groups, sequences)
+        assert first.x.shape[1:] == (30, 6) and second.x.shape[1:] == (8, 6)
+        assert first.bias is not None and second.bias is not None
+        assert not np.shares_memory(first.x, second.x)
+        assert not np.shares_memory(first.bias, second.bias)
 
 
 class TestAttentionRecordingPolicy:

@@ -1,21 +1,19 @@
-"""Property-based tests (hypothesis) for the bucket planner and the
-grouped remainder-carrying path.
+"""Property-based tests (hypothesis) for the bucket planner.
 
 ``plan_buckets`` invariants, over random length distributions and random
 policies: every image index appears in exactly one bucket, a bucket's
 padded length is the max of (and hence >= each of) its members' real
 lengths, and no merge the policy's ``may_merge`` would reject ever
-happens.  ``pack_groups`` -- the remainder-carrying chunker -- must
-partition every group exactly once, respect the chunk capacity, and
-preserve global submission order.
+happens.  The grouped submission path has one rule left to pin: it is
+the flat path on the groups' concatenation.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import BucketingPolicy, pack_groups, plan_buckets
+from repro.core import HeatViT
+from repro.engine import BucketingPolicy, InferenceSession, plan_buckets
 
 lengths_strategy = st.lists(st.integers(2, 200), min_size=0, max_size=80)
 
@@ -77,50 +75,30 @@ class TestPlanBucketsProperties:
             assert np.unique(plan.lengths).size <= 1
 
 
-class TestPackGroupsProperties:
-    @given(sizes=st.lists(st.integers(0, 40), min_size=0, max_size=30),
-           max_batch=st.one_of(st.none(), st.integers(1, 17)))
-    @settings(max_examples=200, deadline=None)
-    def test_partition_capacity_and_order(self, sizes, max_batch):
-        chunks = pack_groups(sizes, max_batch)
-        # Every row of every group appears exactly once, in order.
-        seen = {index: [] for index in range(len(sizes))}
-        flat = []
-        for chunk in chunks:
-            assert chunk                      # no empty chunks emitted
-            rows = 0
-            for index, lo, hi in chunk:
-                assert 0 <= lo < hi <= sizes[index]
-                seen[index].append((lo, hi))
-                rows += hi - lo
-                flat.append((index, lo))
-            if max_batch is not None:
-                assert rows <= max_batch
-        for index, size in enumerate(sizes):
-            pieces = seen[index]
-            assert [lo for lo, _ in pieces] == sorted(
-                lo for lo, _ in pieces)
-            covered = sorted(row for lo, hi in pieces
-                             for row in range(lo, hi))
-            assert covered == list(range(size))
-        assert flat == sorted(flat)           # global FIFO order kept
-
-    @given(sizes=st.lists(st.integers(0, 40), min_size=0, max_size=30),
-           max_batch=st.integers(1, 17))
-    @settings(max_examples=100, deadline=None)
-    def test_chunks_match_flat_slicing(self, sizes, max_batch):
-        """Chunk boundaries land exactly where ``submit`` would slice
-        the concatenation -- the bitwise-equivalence precondition for
-        carried remainders."""
-        chunks = pack_groups(sizes, max_batch)
-        total = sum(sizes)
-        expected = [min(max_batch, total - lo)
-                    for lo in range(0, total, max_batch)]
-        assert [sum(hi - lo for _, lo, hi in chunk)
-                for chunk in chunks] == expected
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            pack_groups([3], max_batch=0)
-        with pytest.raises(ValueError):
-            pack_groups([-1], max_batch=4)
+class TestGroupedSubmissionProperties:
+    @given(sizes=st.lists(st.integers(0, 9), min_size=1, max_size=5),
+           batch_size=st.integers(1, 11))
+    @settings(max_examples=40, deadline=None)
+    def test_submit_many_is_submit_of_the_concatenation(
+            self, tiny_backbone, tiny_dataset, sizes, batch_size):
+        """Groups (empty ones included) are cut into executor chunks
+        exactly where ``submit`` cuts their concatenation, so the merged
+        result is bitwise the flat one, and ``slices`` hand every group
+        its own rows."""
+        model = HeatViT(tiny_backbone, {1: 0.6, 3: 0.4},
+                        rng=np.random.default_rng(42))
+        model.eval()
+        session = InferenceSession(model, batch_size=batch_size,
+                                   backend="fastpath", dtype=np.float64)
+        bounds = np.cumsum([0, *sizes]).tolist()
+        groups = [tiny_dataset.images[lo:hi]
+                  for lo, hi in zip(bounds, bounds[1:])]
+        flat = session.submit(np.concatenate(groups))
+        merged, slices = session.submit_many(groups)
+        assert merged.logits.tobytes() == flat.logits.tobytes()
+        assert len(merged.tokens_per_stage) == len(flat.tokens_per_stage)
+        for ours, theirs in zip(merged.tokens_per_stage,
+                                flat.tokens_per_stage):
+            np.testing.assert_array_equal(ours, theirs)
+        assert slices == [slice(lo, hi)
+                          for lo, hi in zip(bounds, bounds[1:])]

@@ -17,7 +17,7 @@ import pytest
 from repro import nn
 from repro.core import HeatViT
 from repro.engine import (CompiledModel, InferenceSession, SessionSpec,
-                          SpecError, compile_model)
+                          SpecError)
 from repro.nn.tensor import Tensor
 from repro.nn import functional as F
 
@@ -127,14 +127,17 @@ class TestSessionPickle:
 
     def test_compiled_model_pickles_with_empty_workspace(
             self, model, tiny_dataset):
-        compiled = compile_model(model, dtype=np.float64)
-        tokens = np.array(compiled.embed(tiny_dataset.images[:4]))
-        compiled.forward(tokens)                     # warm the workspace
-        clone = pickle.loads(pickle.dumps(compiled))
-        assert isinstance(clone, CompiledModel)
-        assert len(clone._default_ws) == 0           # scratch not shipped
-        np.testing.assert_array_equal(clone.forward(tokens),
-                                      compiled.forward(tokens))
+        """Scratch is not shipped: the compiled model owns none, and the
+        session's one workspace crosses the boundary empty."""
+        session = make_session(model, backend="fastpath", dtype="float64")
+        reference = session.submit(tiny_dataset.images[:8]).logits
+        assert session.executor.workspace.nbytes > 0           # warm
+        clone = pickle.loads(pickle.dumps(session))
+        assert isinstance(clone.executor.compiled, CompiledModel)
+        assert len(clone.executor.workspace) == 0
+        assert clone.executor.workspace.allocations == 0
+        np.testing.assert_array_equal(
+            clone.submit(tiny_dataset.images[:8]).logits, reference)
 
 
 def _child_rebuild(spec, images, out_queue):

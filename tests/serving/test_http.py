@@ -8,6 +8,7 @@ of the same behaviors live under the virtual clock in
 ``test_admission.py``.
 """
 
+import socket
 import threading
 
 import numpy as np
@@ -25,6 +26,18 @@ def front_door(mild_model):
     with door:
         with FrontDoorClient("127.0.0.1", door.port) as client:
             yield door, client
+
+
+def raw_exchange(port, payload, timeout_s=10.0):
+    """Send raw bytes on a fresh connection; return everything the
+    server answers until it closes."""
+    with socket.create_connection(("127.0.0.1", port),
+                                  timeout=timeout_s) as sock:
+        sock.sendall(payload)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
 
 
 class TestEndpoints:
@@ -209,6 +222,60 @@ class TestErrorPaths:
             with FrontDoorClient("127.0.0.1", door.port) as client:
                 status, payload = client.submit(np.zeros((1, 3, 16, 16)))
                 assert status == 413
+
+    def test_seed_stack_is_bounded_like_an_inline_body(self, mild_model,
+                                                       tiny_dataset):
+        """A 33-byte body may not make the event loop synthesize more
+        pixels than an inline body could carry: 413, nothing queued,
+        and the next request is served as usual."""
+        scheduler = Scheduler(batch_window_ms=5.0)
+        scheduler.register("default", mild_model)
+        per_image = 3 * 16 * 16 * 8                   # float64 bytes
+        with FrontDoor(scheduler, poll_ms=0.5,
+                       max_body_bytes=4 * per_image) as door:
+            with FrontDoorClient("127.0.0.1", door.port) as client:
+                status, payload = client.request(
+                    "POST", "/v1/submit",
+                    body={"num_images": 20000, "seed": 1})
+                assert (status, payload["status"]) == (413, "error")
+                assert client.submit(num_images=5, seed=1)[0] == 413
+                assert scheduler.pending_requests() == 0
+                assert door.counters["submitted"] == 0
+                status, queued = client.submit(num_images=4, seed=1)
+                assert status == 200                  # exactly at the bound
+                status, payload = client.result(queued["request_id"],
+                                                wait=True, timeout_ms=20000)
+                assert (status, payload["num_images"]) == (200, 4)
+
+    @pytest.mark.parametrize("seed", ["x", -1, 1.5, None])
+    def test_bad_seed_is_a_400(self, front_door, seed):
+        _, client = front_door
+        status, payload = client.request(
+            "POST", "/v1/submit", body={"num_images": 1, "seed": seed})
+        assert (status, payload["status"]) == (400, "error")
+        assert "seed" in payload["error"]
+
+    def test_header_flood_refused(self, front_door):
+        """The server stores at most 100 header lines of a request; the
+        101st ends the connection with a 400 (it used to keep reading,
+        and keep every name, for as long as the client kept sending)."""
+        door, client = front_door
+        flood = b"".join(b"X-Flood-%d: 1\r\n" % i for i in range(101))
+        answer = raw_exchange(door.port,
+                              b"GET /healthz HTTP/1.1\r\n" + flood)
+        assert answer.startswith(b"HTTP/1.1 400 ")
+        assert b"header lines" in answer
+        assert client.healthz()[0] == 200             # still serving
+
+    def test_overlong_header_line_refused(self, front_door):
+        """A line past the stream reader's 64 KiB limit is a 400, not
+        an unhandled ``ValueError`` that drops the connection mute."""
+        door, client = front_door
+        answer = raw_exchange(door.port,
+                              b"GET /healthz HTTP/1.1\r\n"
+                              + b"a" * (64 * 1024 + 1))
+        assert answer.startswith(b"HTTP/1.1 400 ")
+        assert client.healthz()[0] == 200
 
     def test_double_start_rejected(self, front_door):
         door, _ = front_door
