@@ -208,12 +208,12 @@ def latency_from_stage_counts(table, depth, selector_blocks,
     stage_ratios = [np.ones(batch)] + [
         np.clip(counts - extra, 0.0, None) / float(num_patches)
         for counts in tokens_per_stage]
-    boundaries = sorted(selector_blocks)
+    # Stage s runs the blocks between selector s-1 and selector s: one
+    # difference over the sorted boundaries, clipped into [0, depth].
+    edges = np.clip([0, *sorted(selector_blocks), depth], 0, depth)
     per_image = np.zeros(batch)
-    for stage, ratios in enumerate(stage_ratios):
-        blocks_in_stage = sum(
-            1 for block_index in range(depth)
-            if sum(1 for b in boundaries if b <= block_index) == stage)
+    for blocks_in_stage, ratios in zip(np.diff(edges).tolist(),
+                                       stage_ratios):
         if blocks_in_stage:
             per_image += blocks_in_stage * table.latency_batch(ratios)
     return per_image

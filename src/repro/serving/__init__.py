@@ -9,6 +9,11 @@ Builds the request-level serving story on top of
   per-batch overhead), remainder carry-over between bursts, multi-model
   routing, and one flush path for every target: pop -> dispatch on
   the target's transport -> collect -> deliver;
+* the flush rules (:mod:`repro.serving.flush`) -- *when* a target's
+  pending requests become a batch: capacity / budget / deadline
+  triggers plus a hold of the oldest request, at most
+  ``batch_window_ms`` and no longer than the per-batch overhead the
+  wait could save;
 * transports -- where a popped batch runs: :class:`InlineTransport`
   (synchronously, on the parent's session) or :class:`PoolTransport`
   (sharded across executor processes; owns placement, the in-flight

@@ -19,19 +19,21 @@ plus a small request parser, no web framework) that exposes a
   awaitable variant: the response is held open until completion (or
   timeout -> ``202``).  ``?logits=1`` includes raw logits.  Results
   are delivered **at most once**; a second fetch is ``404 gone`` (for
-  the most recent 65 536 deliveries; ``404 unknown`` after that).
+  the most recent 65 536 deliveries; ``404 unknown`` after that, as is
+  an id still uncollected 65 536 submissions or completions later).
 * ``GET /healthz`` -- liveness plus registered session names.
 * ``GET /stats`` -- :meth:`repro.serving.Scheduler.stats` (queue
   depths, priced backlogs, in-flight batches, per-class deadline-hit
   rates, flush-reason histogram) plus server counters.
 
-The server owns an event-loop thread; scheduler calls that may block
-(a preemptive flush executing inline, ``wait_result``) run on thread
-pools so the loop keeps accepting connections.  Flushing is the
-scheduler's own stepping thread (:meth:`Scheduler.start`): the front
-door starts it unless it is already running and stops it only if it
-started it, so ``FrontDoor(scheduler).start()`` is a complete serving
-process and a scheduler someone else drives is left alone.
+The server owns an event-loop thread.  Flushing is the scheduler's own
+driver thread (:meth:`Scheduler.start`): the front door starts it
+unless it is already running and stops it only if it started it, so
+``FrontDoor(scheduler).start()`` is a complete serving process and a
+scheduler someone else drives is left alone.  With a driver running
+``Scheduler.submit`` only queues and wakes it, so submits run on the
+loop itself; the one call that blocks, ``wait_result`` for a result not
+ready yet, runs on a thread pool and the loop keeps accepting.
 
 :class:`FrontDoorClient` is the matching blocking client (stdlib
 ``http.client``, keep-alive) used by the tests and the load generator.
@@ -61,9 +63,9 @@ _REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request",
             413: "Payload Too Large", 429: "Too Many Requests",
             500: "Internal Server Error", 503: "Service Unavailable"}
 
-#: How many delivered request ids the server remembers in order to
-#: answer a repeated fetch ``gone`` instead of ``unknown``.  Delivery
-#: stays at most once either way: a delivered id is no longer known.
+#: How many delivered request ids are remembered to answer a repeated
+#: fetch ``gone`` instead of ``unknown``, and how many uncollected ones
+#: at all.  Delivery stays at most once: a delivered id is not known.
 _DELIVERED_WINDOW = 65_536
 
 #: Header lines accepted per request (the stdlib ``http.client``'s own
@@ -133,8 +135,8 @@ class FrontDoor:
     scheduler: the scheduler to expose (register sessions first).
     host/port: bind address; port 0 picks a free port (read ``.port``
         after :meth:`start`).
-    poll_ms: stepping cadence when the front door starts the
-        scheduler's stepping thread (see the module docstring).
+    poll_ms: reply-poll cadence of the scheduler's driver thread when
+        the front door starts it (:meth:`Scheduler.start`).
     max_body_bytes: reject larger request bodies with ``413``.
     wait_workers: thread-pool size for held-open ``?wait=1`` result
         calls (each occupies one slot while blocked).
@@ -158,12 +160,11 @@ class FrontDoor:
         self._stop_event = None
         self._startup_error = None
         self._started_scheduler = False
-        self._submit_pool = None
         self._wait_pool = None
         self._lock = threading.Lock()
-        self._known_ids = set()        # submitted via this server
-        # Results already handed out, oldest first; bounded to the
-        # last _DELIVERED_WINDOW so a long-lived server does not grow.
+        # Ids submitted here and not collected yet, and ids handed out:
+        # oldest first, each bounded to the last _DELIVERED_WINDOW.
+        self._known_ids = OrderedDict()
         self._delivered_ids = OrderedDict()
         self.counters = {"http_requests": 0, "submitted": 0, "shed": 0,
                          "unavailable": 0, "results_delivered": 0}
@@ -208,10 +209,9 @@ class FrontDoor:
         self._thread.join()
         self._thread = None
         self._loop = None
-        for pool in (self._submit_pool, self._wait_pool):
-            if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
-        self._submit_pool = self._wait_pool = None
+        if self._wait_pool is not None:
+            self._wait_pool.shutdown(wait=False, cancel_futures=True)
+            self._wait_pool = None
         results = []
         if self._started_scheduler:
             self._started_scheduler = False
@@ -234,8 +234,6 @@ class FrontDoor:
     async def _main(self, ready):
         self._loop = asyncio.get_running_loop()
         self._stop_event = asyncio.Event()
-        self._submit_pool = ThreadPoolExecutor(
-            max_workers=8, thread_name_prefix="frontdoor-submit")
         self._wait_pool = ThreadPoolExecutor(
             max_workers=self._wait_workers,
             thread_name_prefix="frontdoor-wait")
@@ -439,14 +437,10 @@ class FrontDoor:
         degraded = self._degraded_response(model, priority, images)
         if degraded is not None:
             return degraded
-
-        def call():
-            return self.scheduler.submit(images, deadline_ms=deadline_ms,
-                                         model=model, priority=priority)
-
         try:
-            request_id = await self._loop.run_in_executor(
-                self._submit_pool, call)
+            request_id = self.scheduler.submit(
+                images, deadline_ms=deadline_ms, model=model,
+                priority=priority)
         except AdmissionError as exc:
             with self._lock:
                 self.counters["shed"] += 1
@@ -460,8 +454,15 @@ class FrontDoor:
             raise _HttpError(400, str(exc))
         with self._lock:
             self.counters["submitted"] += 1
-            self._known_ids.add(request_id)
+            self._remember(self._known_ids, request_id)
         return 200, {"status": "queued", "request_id": request_id}
+
+    @staticmethod
+    def _remember(window, request_id):
+        """Add ``request_id`` to a bounded id window (under ``_lock``)."""
+        window[request_id] = None
+        if len(window) > _DELIVERED_WINDOW:
+            window.popitem(last=False)
 
     def _degraded_response(self, model, priority, images):
         """503 + ``Retry-After`` when every target this submission
@@ -500,6 +501,12 @@ class FrontDoor:
                  "retry_after_s": _RETRY_AFTER_S},
                 {"Retry-After": str(_RETRY_AFTER_S)})
 
+    def _take(self, request_id, timeout_ms):   # None: not there in time
+        try:
+            return self.scheduler.wait_result(request_id, timeout_ms)
+        except TimeoutError:
+            return None
+
     async def _result(self, id_text, query):
         try:
             request_id = int(id_text)
@@ -521,27 +528,20 @@ class FrontDoor:
                 timeout_ms = float(query.get("timeout_ms", 30_000.0))
             except ValueError:
                 raise _HttpError(400, "timeout_ms must be a number")
-
-            def call():
-                return self.scheduler.wait_result(request_id,
-                                                  timeout_ms=timeout_ms)
-
-            try:
-                result = await self._loop.run_in_executor(self._wait_pool,
-                                                          call)
-            except TimeoutError:
-                return 202, {"status": "pending",
-                             "request_id": request_id}
-        else:
-            result = self.scheduler.pop_result(request_id)
-            if result is None:
-                return 202, {"status": "pending",
-                             "request_id": request_id}
+        # A ready result is taken here on the loop; only a real wait
+        # pays the two thread hand-offs of the wait pool.
+        try:
+            result = self._take(request_id, 0.0)
+            if result is None and wait:
+                result = await self._loop.run_in_executor(
+                    self._wait_pool, self._take, request_id, timeout_ms)
+        except KeyError:           # the scheduler evicted it, uncollected
+            raise _HttpError(404, f"unknown request id {request_id}")
+        if result is None:
+            return 202, {"status": "pending", "request_id": request_id}
         with self._lock:
-            self._delivered_ids[request_id] = None
-            if len(self._delivered_ids) > _DELIVERED_WINDOW:
-                self._delivered_ids.popitem(last=False)
-            self._known_ids.discard(request_id)
+            self._remember(self._delivered_ids, request_id)
+            self._known_ids.pop(request_id, None)
             self.counters["results_delivered"] += 1
         return 200, _result_payload(result, include_logits)
 

@@ -2,8 +2,13 @@
 
 One scheduler fans flushed batches out to N executor processes
 (:mod:`repro.serving.worker`).  The :class:`PlacementPolicy` decides
-*which* worker runs each batch: the one with the lowest predicted
-completion time, where a worker's prediction is
+*which* worker runs each batch: among the workers with the fewest
+batches in flight, the one with the lowest predicted completion time.
+Load comes first so that no measurement, however wrong, can starve a
+worker -- the shards of one flush go one per idle worker before any
+worker takes a second, and a worker that never runs a batch never
+reports the timing that would correct its price.  A worker's
+prediction is
 
 ``completion = max(now, worker_free_at) + calibration * cost_model_ms``
 
@@ -11,7 +16,7 @@ completion time, where a worker's prediction is
 estimate, corrected by **per-worker online learning** from the worker's
 own measured kernel timings (cf. SAWL's measured-cost policy tuning).
 Heterogeneous workers -- a loaded core, a slower NUMA node -- therefore
-drift toward receiving less work without any configuration.
+lose the ties between equally loaded workers without any configuration.
 
 Each worker owns a full :class:`repro.cost.OnlineEstimator`: a decaying
 recursive-least-squares fit of ``wall_ms = overhead + marginal *
@@ -60,7 +65,8 @@ class Placement:
 
 
 class PlacementPolicy:
-    """Lowest-predicted-completion-time placement with online calibration.
+    """Least-loaded, then lowest-predicted-completion-time placement
+    with online calibration.
 
     Parameters
     ----------
@@ -163,10 +169,10 @@ class PlacementPolicy:
                candidates=None):
         """Place one batch; returns the :class:`Placement` ticket.
 
-        Picks the worker with the lowest predicted completion time
-        given its in-flight queue (ties break toward the lowest worker
-        index, so placement is deterministic) and charges the batch to
-        that worker's backlog.  Pass the batch shape (``num_images``)
+        Picks, among the eligible workers with the fewest batches in
+        flight, the one with the lowest predicted completion time (ties
+        break toward the lowest worker index, so placement is
+        deterministic) and charges the batch to that worker's backlog.  Pass the batch shape (``num_images``)
         so workers with confident learned estimators price it from
         their own fitted batch law -- and so :meth:`complete` can feed
         the shape back to the estimator with the measured time.
@@ -187,7 +193,8 @@ class PlacementPolicy:
         if not eligible:
             raise LookupError("no eligible worker has capacity")
         worker = min(eligible,
-                     key=lambda w: (self.completion_ms(w, raw_cost_ms,
+                     key=lambda w: (self._in_flight[w],
+                                    self.completion_ms(w, raw_cost_ms,
                                                        now_ms, num_images),
                                     w))
         start = max(float(now_ms), self._free_at[worker])

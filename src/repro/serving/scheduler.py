@@ -8,17 +8,11 @@ HeatViT variants or keep-ratio operating points in one process).
 
 Batch formation is priced by each session's batch-aware
 :class:`repro.cost.CostModel` (Eq. 18 marginals plus the calibrated
-per-batch overhead, via ``InferenceSession.estimated_batch_cost``), and
-a flush fires for the first of
-
-* **deadline** -- the earliest queued deadline would no longer survive
-  the batch's estimated execution time (a request near its deadline
-  forces the flush);
-* **capacity** -- pending images reach the session's batch capacity;
-* **budget** -- the batch's estimated execution latency reaches the
-  configured ``latency_budget_ms`` (collect requests *up to* a latency
-  budget, then run);
-* **window** -- the oldest pending request has waited ``batch_window_ms``.
+per-batch overhead, via ``InferenceSession.estimated_batch_cost``);
+*when* a target flushes is :mod:`repro.serving.flush`'s call -- the
+first of **capacity**, **budget**, **deadline** or **window**, the last
+being a hold of the oldest request bounded by the per-batch overhead
+the wait could save (``batch_window_ms`` is its upper bound).
 
 A flush takes the earliest-deadline-first prefix of the queue that fits
 the capacity/budget caps; what does not fit stays queued and is merged
@@ -48,26 +42,35 @@ never retried forever.
 Time comes from a :class:`repro.serving.clock.Clock` (milliseconds).
 The scheduler is step-driven and thread-safe: call :meth:`step` from
 your own loop (deterministically, in tests, against a
-:class:`VirtualClock`), or :meth:`start` a background thread against
-the real clock and collect responses with :meth:`wait_result`.
+:class:`VirtualClock`), or :meth:`start` a background driver against
+the real clock and collect responses with :meth:`wait_result`.  The
+driver steps when an event wakes it (a submit, a re-queue, ``stop``) or
+the next time rule comes due; it polls only worker pools -- every
+``poll_ms`` while shards are in flight, once a heartbeat when idle.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.engine.session import InferenceSession
 from repro.serving.clock import Clock, SystemClock
+from repro.serving.flush import FlushPolicy
 from repro.serving.queue import RequestQueue
 from repro.serving.request import DEFAULT_PRIORITY, Request, RequestResult
 from repro.serving.router import LeastLatencyRouter, backend_fidelity
 from repro.serving.transport import InlineTransport, PoolTransport
 
 __all__ = ["Scheduler", "ServedModel", "FlushEvent", "AdmissionError"]
+
+#: Completed results kept for collection, oldest evicted first (a result
+#: nobody fetches must not grow the server); an evicted id is gone for good.
+_RESULTS_WINDOW = 65_536
 
 
 class AdmissionError(RuntimeError):
@@ -197,8 +200,9 @@ class Scheduler:
     router: policy choosing a session for requests without an explicit
         ``model``; default :class:`LeastLatencyRouter` (minimum
         table-estimated latency subject to the deadline).
-    batch_window_ms: maximum time any request waits before its session
-        flushes regardless of batch fill.
+    batch_window_ms: upper bound on how long a request is held for
+        company before its session flushes regardless of batch fill; the
+        hold is the batch's priced per-batch overhead when that is less.
     latency_budget_ms: optional cap on a batch's estimated execution
         latency; reaching it triggers a flush and bounds the batch size.
     deadline_margin_ms: safety margin subtracted from deadlines when
@@ -219,20 +223,16 @@ class Scheduler:
     preempt_priority: arrivals with ``priority <= preempt_priority``
         re-evaluate the flush condition *at submit time* and fire it
         inline instead of waiting for the next :meth:`step` -- without
-        it, a premium request landing just after a step waits out a
-        full batch window (worst-case lateness one window).  ``None``
-        disables preemption.  Default 0: only the premium tier
-        preempts.
+        it, a premium request landing just after a step waits out the
+        caller's step cadence.  ``None`` disables preemption.  Default
+        0: only the premium tier preempts.  While the :meth:`start`
+        driver runs every arrival wakes it instead (nothing runs inline).
     """
 
     def __init__(self, clock=None, router=None, batch_window_ms=10.0,
                  latency_budget_ms=None, deadline_margin_ms=0.0,
                  max_events=10_000, priority_tiers=None,
                  admission_capacity_ms=None, preempt_priority=0):
-        if batch_window_ms < 0:
-            raise ValueError("batch_window_ms must be >= 0")
-        if latency_budget_ms is not None and latency_budget_ms <= 0:
-            raise ValueError("latency_budget_ms must be > 0")
         if priority_tiers is not None:
             priority_tiers = {int(cls): float(ms)
                               for cls, ms in priority_tiers.items()}
@@ -246,9 +246,8 @@ class Scheduler:
         if not isinstance(self.clock, Clock):
             raise TypeError("clock must be a repro.serving.Clock")
         self.router = router if router is not None else LeastLatencyRouter()
-        self.batch_window_ms = float(batch_window_ms)
-        self.latency_budget_ms = latency_budget_ms
-        self.deadline_margin_ms = float(deadline_margin_ms)
+        self.flush_policy = FlushPolicy(batch_window_ms, latency_budget_ms,
+                                        deadline_margin_ms)
         if max_events is not None and max_events < 1:
             raise ValueError("max_events must be >= 1 or None")
         self.max_events = max_events
@@ -262,7 +261,8 @@ class Scheduler:
         # and reported by stats().
         self._class_stats = {}
         self._served = {}
-        self._results = {}
+        self._results = OrderedDict()    # bounded by _RESULTS_WINDOW
+        self._unfinished = set()         # ids accepted, no result stored yet
         self._results_cond = threading.Condition()
         # _registry_lock guards the _served dict and is only ever held
         # briefly, so submit/routing stays non-blocking while a batch
@@ -273,11 +273,18 @@ class Scheduler:
         self._next_id = 0
         self._thread = None
         self._stop_event = None
+        self._wake = threading.Event()   # an event the driver must see
         self._background_error = None
 
     # ------------------------------------------------------------------
     # Registration
     # ------------------------------------------------------------------
+    batch_window_ms = property(lambda self: self.flush_policy.batch_window_ms)
+    latency_budget_ms = property(
+        lambda self: self.flush_policy.latency_budget_ms)
+    deadline_margin_ms = property(
+        lambda self: self.flush_policy.deadline_margin_ms)
+
     def register(self, name, model=None, *, session=None, batch_size=32,
                  policy=None, cost_model=None, max_batch=None,
                  backend="tensor", dtype=None,
@@ -381,10 +388,10 @@ class Scheduler:
         Raises ``ValueError`` for malformed input, non-finite pixels
         included, and :class:`AdmissionError` when admission control is
         configured, the request is sheddable, and no eligible target
-        has priced-backlog headroom.  A premium arrival (``priority <=
-        preempt_priority``) may execute a due flush inline before
-        returning -- worst-case lateness is then bounded by execution
-        time, not by the batch window.
+        has priced-backlog headroom.  On a step-driven scheduler a
+        premium arrival (``priority <= preempt_priority``) may execute
+        a due flush inline before returning -- worst-case lateness is
+        then bounded by execution time, not by the step cadence.
         """
         # Snapshot the registry ONCE under its lock: concurrent
         # register() calls mutate _served, and every later read in this
@@ -443,12 +450,22 @@ class Scheduler:
                     f"{sorted({s.image_shape for s in served_by_name.values()})}")
             served = self.router.route(request, candidates, now)
         served = self._admit(request, served, candidates)
-        served.queue.push(request)
-        self._count(priority, "submitted")
-        if (self.preempt_priority is not None
+        with self._results_cond:
+            self._class_counters(priority)["submitted"] += 1
+            self._unfinished.add(request_id)
+        self._enqueue(served, request)
+        if (self._thread is None and self.preempt_priority is not None
                 and priority <= self.preempt_priority):
-            self._preempt(served)
+            # Flush preemption: fire what this arrival made due now, under
+            # the step lock (a no-op if a concurrent step() flushed first).
+            with self._step_lock:
+                self._fire_due(served)
         return request_id
+
+    def _enqueue(self, served, request):
+        """Queue ``request`` (sorted into EDF position), wake the driver."""
+        served.queue.push(request)
+        self._wake.set()
 
     def _class_counters(self, priority):
         """The class's counters, created on first touch (caller holds
@@ -503,24 +520,6 @@ class Scheduler:
             priority=request.priority, backlog_ms=backlog,
             capacity_ms=capacity)
 
-    # ------------------------------------------------------------------
-    # Flush preemption: premium arrivals do not wait for the next step
-    # ------------------------------------------------------------------
-    def _preempt(self, served):
-        """Re-evaluate the flush condition for ``served`` right now.
-
-        Called at submit time for premium-tier arrivals: if the new
-        request makes a flush due (its deadline is inside the pending
-        batch's estimated execution time, or it filled the batch), the
-        flush fires inline instead of waiting out the step/window
-        cadence.  Runs under the step lock, so it serializes cleanly
-        with a concurrent :meth:`step`; by the time the lock is
-        acquired a racing step may have already flushed -- then
-        ``_flush_reason`` is simply ``None`` and this is a no-op.
-        """
-        with self._step_lock:
-            self._fire_due(served)
-
     def pending_requests(self):
         return sum(len(s.queue) for s in self.sessions)
 
@@ -553,7 +552,7 @@ class Scheduler:
             # Re-read per flush: with a real clock, earlier batches
             # consumed host time, and the flush decision must see it.
             now = self.clock.now()
-            reason = self._flush_reason(served, now)
+            reason = self.flush_policy.reason(served, now)
             if reason is None:
                 break
             completed.extend(self._execute(served, now, reason))
@@ -648,32 +647,6 @@ class Scheduler:
                 time.sleep(0.005)
         return completed
 
-    def _flush_reason(self, served, now):
-        queue = served.queue
-        pending_images = queue.pending_images
-        if not pending_images:
-            return None
-        if not served.transport.has_capacity():
-            # Backpressure: the transport has nowhere to run a batch
-            # right now.  Defer the flush -- the queue keeps absorbing
-            # arrivals and the next collect frees capacity.
-            return None
-        if pending_images >= served.max_batch:
-            return "capacity"
-        batch_cost = served.batch_cost_ms(min(pending_images,
-                                              served.max_batch))
-        if (self.latency_budget_ms is not None
-                and batch_cost >= self.latency_budget_ms):
-            return "budget"
-        earliest = queue.earliest_deadline_ms
-        if (earliest is not None
-                and now + batch_cost + self.deadline_margin_ms >= earliest):
-            return "deadline"
-        oldest = queue.oldest_arrival_ms
-        if oldest is not None and now - oldest >= self.batch_window_ms:
-            return "window"
-        return None
-
     def _log_event(self, event):
         self._flush_reasons[event.reason] = (
             self._flush_reasons.get(event.reason, 0) + 1)
@@ -686,6 +659,9 @@ class Scheduler:
         with self._results_cond:
             for item in completed:
                 self._results[item.request_id] = item
+                self._unfinished.discard(item.request_id)
+                if len(self._results) > _RESULTS_WINDOW:
+                    self._results.popitem(last=False)
                 stats = self._class_counters(item.priority)
                 if item.failed:
                     # Quarantined/shed by recovery: a clean failure is
@@ -752,10 +728,9 @@ class Scheduler:
     def _execute(self, served, now, reason):
         """Run one flush: pop the batch, hand it to the transport, log
         one :class:`FlushEvent` per shard it accepted, requeue what
-        bounced (the push re-sorts it into EDF position).  Returns the
-        results of shards that finished inside the dispatch -- an
-        in-process batch always has; the rest arrive via
-        :meth:`_collect`."""
+        bounced.  Returns the results of shards that finished inside
+        the dispatch -- an in-process batch always has; the rest arrive
+        via :meth:`_collect`."""
         requests = served.queue.pop_batch(
             max_images=served.max_batch,
             latency_budget_ms=self.latency_budget_ms,
@@ -770,7 +745,7 @@ class Scheduler:
                 carried_requests=len(served.queue),
                 worker=shard.worker))
         for request in bounced:
-            served.queue.push(request)
+            self._enqueue(served, request)
         if error is not None:
             raise error
         return [result for shard in shards if shard.arrays is not None
@@ -826,9 +801,8 @@ class Scheduler:
 
     def _requeue_recovered(self, served, requests, why):
         """Route requests whose execution the transport lost: back onto
-        the queue (the push re-sorts them into EDF position) while
-        their retry budget lasts, else a clean failure.  Returns the
-        failed results.
+        the queue while their retry budget lasts, else a clean failure.
+        Returns the failed results.
 
         Each loss costs a request one unit of its retry budget; over
         budget is the **poison quarantine** -- the request is failed
@@ -859,7 +833,7 @@ class Scheduler:
                     served, request, now,
                     f"{why}; deadline passed during recovery, shed"))
             else:
-                served.queue.push(request)
+                self._enqueue(served, request)
                 counters["redispatched_requests"] += 1
         return self._store(failed) if failed else failed
 
@@ -884,24 +858,27 @@ class Scheduler:
         """Block until ``request_id`` completes (background-thread mode).
 
         Raises ``TimeoutError`` after ``timeout_ms`` (``None`` waits
-        forever), or ``RuntimeError`` if the background stepping thread
+        forever), ``RuntimeError`` if the background stepping thread
         died -- waiters are woken instead of hanging on a flush that can
-        never fire.  With a step-driven scheduler, something must call
-        :meth:`step` or :meth:`flush` concurrently, or this would wait
-        for a flush that never fires.
+        never fire -- or ``KeyError`` if no result can ever come (id
+        never issued, already collected, or evicted uncollected).  With
+        a step-driven scheduler, something must call :meth:`step` or
+        :meth:`flush` concurrently, or no flush ever fires.
         """
         timeout = None if timeout_ms is None else timeout_ms / 1e3
         with self._results_cond:
-            done = self._results_cond.wait_for(
+            self._results_cond.wait_for(
                 lambda: (request_id in self._results
+                         or request_id not in self._unfinished
                          or self._background_error is not None),
                 timeout=timeout)
             if request_id in self._results:
                 return self._results.pop(request_id)
             if self._background_error is not None:
-                raise RuntimeError(
-                    "scheduler background thread died"
-                ) from self._background_error
+                raise RuntimeError("scheduler background thread died"
+                                   ) from self._background_error
+            if request_id not in self._unfinished:
+                raise KeyError(f"no result held for request {request_id}")
             raise TimeoutError(
                 f"request {request_id} not completed in {timeout_ms} ms")
 
@@ -915,14 +892,20 @@ class Scheduler:
         return self._thread is not None
 
     def start(self, poll_ms=1.0):
-        """Run :meth:`step` on a daemon thread every ``poll_ms``."""
+        """Run :meth:`step` on a daemon thread on every wake (``submit``,
+        a re-queue, :meth:`stop`) and at the next due instant of a time
+        rule.  ``poll_ms`` is the reply-poll cadence, used only while a
+        pooled target has shards in flight or no worker to give one to."""
         if self._thread is not None:
             raise RuntimeError("scheduler already started")
-        self._stop_event = threading.Event()
+        stop = self._stop_event = threading.Event()
         self._background_error = None
 
         def loop():
-            while not self._stop_event.is_set():
+            while not stop.is_set():
+                # Clear BEFORE stepping: an event landing mid-step
+                # leaves the flag set, so no wake is ever lost.
+                self._wake.clear()
                 try:
                     self.step()
                 except Exception as exc:       # surface, don't hang waiters
@@ -930,11 +913,27 @@ class Scheduler:
                         self._background_error = exc
                         self._results_cond.notify_all()
                     return
-                self._stop_event.wait(poll_ms / 1e3)
+                self._wake.wait(self._sleep_s(poll_ms))
 
         self._thread = threading.Thread(target=loop, daemon=True,
                                         name="repro-serving-scheduler")
         self._thread.start()
+
+    def _sleep_s(self, poll_ms):
+        """Seconds the driver may sleep if no event wakes it: until the
+        earliest time rule is due, at most ``poll_ms`` while a pool is busy
+        or one heartbeat while it idles, ``None`` (no limit) otherwise."""
+        now, waits = self.clock.now(), []
+        for served in self.sessions:
+            transport = served.transport
+            if transport.in_flight or not transport.has_capacity():
+                waits.append(poll_ms)
+            elif transport.pool is not None:   # idle workers die and beat too
+                waits.append(transport.policy.heartbeat_s * 1e3)
+            due_ms = self.flush_policy.next_due_ms(served)
+            if due_ms is not None:
+                waits.append(max(due_ms - now, 0.0))
+        return min(waits) / 1e3 if waits else None
 
     def stop(self, drain=True):
         """Stop the background thread; by default run remaining requests
@@ -942,6 +941,7 @@ class Scheduler:
         if self._thread is None:
             return []
         self._stop_event.set()
+        self._wake.set()
         self._thread.join()
         self._thread = None
         self._stop_event = None

@@ -30,7 +30,7 @@ from repro.serving import AdmissionError
 from repro.serving.trace import synth_images
 
 __all__ = ["Arrival", "SimulationReport", "ServingSimulation",
-           "flat_rate_session",
+           "flat_rate_session", "hold_whole_window",
            "uniform_trace", "bursty_trace", "adversarial_deadline_trace",
            "arrivals_from_trace", "two_tier_arrivals"]
 
@@ -45,6 +45,18 @@ def flat_rate_session(model, block_ms, **session_kwargs):
         model, cost_model=CostModel.zero_overhead(
             table, num_patches=model.config.num_patches,
             extra_tokens=model.non_patch_slots), **session_kwargs)
+
+
+def hold_whole_window(scheduler):
+    """Make ``scheduler`` hold every request for all of its
+    ``batch_window_ms``, whatever the cost model prices a launch at --
+    what a cost model whose per-batch overhead reaches the window does
+    on its own.  For tests whose subject needs requests to *stay*
+    queued (a carried remainder, a backlog for admission control), not
+    a serving mode.  Returns ``scheduler``."""
+    scheduler.flush_policy.hold_ms = (
+        lambda batch_cost: scheduler.batch_window_ms)
+    return scheduler
 
 
 @dataclass(eq=False)

@@ -10,12 +10,14 @@ of the same behaviors live under the virtual clock in
 
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.serving import (FrontDoor, FrontDoorClient, HighestFidelityRouter,
                            Scheduler, replay, two_tier_trace)
+from tests.serving.harness import hold_whole_window
 
 
 @pytest.fixture()
@@ -99,6 +101,78 @@ class TestEndpoints:
             status, payload = client.result(request_id, wait=True,
                                             timeout_ms=50)
             assert status == 404 and "predictions" not in payload
+
+    def test_uncollected_id_memory_is_bounded(self, front_door,
+                                              tiny_dataset, monkeypatch):
+        """Results nobody fetches do not pile up: the server forgets
+        the oldest submitted ids, which then answer ``unknown``."""
+        window = 3
+        monkeypatch.setattr("repro.serving.http._DELIVERED_WINDOW", window)
+        door, client = front_door
+        ids = []
+        for _ in range(window + 2):
+            _, payload = client.submit(tiny_dataset.images[:1])
+            ids.append(payload["request_id"])
+            assert len(door._known_ids) <= window
+        for request_id in ids[:2]:                        # evicted
+            status, payload = client.result(request_id, wait=True,
+                                            timeout_ms=50)
+            assert status == 404 and "gone" not in payload
+            assert "unknown request id" in payload["error"]
+        for request_id in ids[2:]:                        # still served
+            status, payload = client.result(request_id, wait=True,
+                                            timeout_ms=10_000)
+            assert status == 200 and payload["status"] == "done"
+        assert not door._known_ids
+
+    def test_long_poll_on_a_result_the_scheduler_evicted(
+            self, front_door, tiny_dataset, monkeypatch):
+        """The scheduler's own result window is smaller here than the
+        server's id memory: a long-poll on the dropped id answers
+        ``unknown`` at once instead of ``pending`` for ever."""
+        monkeypatch.setattr("repro.serving.scheduler._RESULTS_WINDOW", 1)
+        door, client = front_door
+        ids = []
+        for _ in range(2):
+            _, payload = client.submit(tiny_dataset.images[:1])
+            ids.append(payload["request_id"])
+        status, _ = client.result(ids[1], wait=True, timeout_ms=10_000)
+        assert status == 200                   # second done => first evicted
+        assert ids[0] in door._known_ids
+        start = time.monotonic()
+        for wait in (True, False):
+            status, payload = client.result(ids[0], wait=wait,
+                                            timeout_ms=20_000)
+            assert status == 404 and "unknown" in payload["error"]
+        assert time.monotonic() - start < 5.0
+
+    def test_ready_result_skips_the_wait_pool(self, front_door,
+                                              tiny_dataset):
+        """A long-poll that arrives after completion is answered on the
+        event loop: nothing is handed to the wait pool."""
+        door, client = front_door
+        _, payload = client.submit(tiny_dataset.images[:1])
+        request_id = payload["request_id"]
+        deadline = time.monotonic() + 10.0
+        while not door.scheduler.stats()["pending_results"]:
+            assert time.monotonic() < deadline
+            time.sleep(0.005)
+        handed_off = []
+        submit = door._wait_pool.submit
+        door._wait_pool.submit = lambda *args, **kwargs: (
+            handed_off.append(args), submit(*args, **kwargs))[1]
+        status, result = client.result(request_id, wait=True,
+                                       timeout_ms=10_000)
+        assert status == 200 and result["request_id"] == request_id
+        assert handed_off == []
+        # One that really has to wait still goes through the pool.
+        door.scheduler.stop(drain=True)
+        _, payload = client.submit(tiny_dataset.images[:1])
+        status, _ = client.result(payload["request_id"], wait=True,
+                                  timeout_ms=50)
+        assert status == 202 and len(handed_off) == 1
+        door.scheduler.start(poll_ms=0.5)
+        door._started_scheduler = True      # let teardown stop it again
 
     def test_wait_timeout_reports_pending(self, front_door, mild_model,
                                           tiny_dataset):
@@ -325,10 +399,12 @@ class TestTwoTierOverHttp:
         # backlog accumulates across bursts no matter how slowly the
         # client drips them in, while the premium tier keeps >= 150 ms
         # of deadline headroom (window flush at +200 ms vs 400 ms SLO).
-        scheduler = Scheduler(batch_window_ms=200.0,
-                              router=HighestFidelityRouter(),
-                              deadline_margin_ms=150.0,
-                              priority_tiers={0: 400.0, 1: 2000.0})
+        # The whole-window hold IS the overload generator: at the priced
+        # hold a fast host drains each burst as it arrives (4-9 shed).
+        scheduler = hold_whole_window(Scheduler(
+            batch_window_ms=200.0, router=HighestFidelityRouter(),
+            deadline_margin_ms=150.0,
+            priority_tiers={0: 400.0, 1: 2000.0}))
         mild = scheduler.register("mild", mild_model)
         scheduler.register("aggressive", aggressive_model)
         scheduler.admission_capacity_ms = mild.batch_cost_ms(4)

@@ -11,6 +11,7 @@ import pytest
 
 from repro.serving import (Request, RequestQueue, Scheduler, SystemClock,
                            VirtualClock)
+from tests.serving.harness import hold_whole_window
 
 
 @pytest.fixture()
@@ -25,8 +26,14 @@ def make_scheduler(model, clock, **kwargs):
 
 
 class TestFlushTiming:
+    """Window and deadline timing against a queue that is *held*: the
+    hold is pinned to the whole window (the tiny model's priced
+    overhead alone would release every request within one tick;
+    ``test_flush_policy.py`` covers that regime)."""
+
     def test_no_flush_before_window(self, mild_model, clock, tiny_dataset):
-        scheduler = make_scheduler(mild_model, clock, batch_window_ms=10.0)
+        scheduler = hold_whole_window(
+            make_scheduler(mild_model, clock, batch_window_ms=10.0))
         scheduler.submit(tiny_dataset.images[0])
         for _ in range(10):                      # t = 0 .. 9
             assert scheduler.step() == []
@@ -38,7 +45,8 @@ class TestFlushTiming:
 
     def test_window_flush_batches_everything_pending(self, mild_model,
                                                      clock, tiny_dataset):
-        scheduler = make_scheduler(mild_model, clock, batch_window_ms=5.0)
+        scheduler = hold_whole_window(
+            make_scheduler(mild_model, clock, batch_window_ms=5.0))
         scheduler.submit(tiny_dataset.images[0:2])
         clock.advance(3.0)
         scheduler.submit(tiny_dataset.images[2:5])
@@ -51,7 +59,8 @@ class TestFlushTiming:
 
     def test_deadline_forces_early_flush(self, mild_model, clock,
                                          tiny_dataset):
-        scheduler = make_scheduler(mild_model, clock, batch_window_ms=50.0)
+        scheduler = hold_whole_window(
+            make_scheduler(mild_model, clock, batch_window_ms=50.0))
         scheduler.submit(tiny_dataset.images[0], deadline_ms=3.0)
         done = []
         while not done:
@@ -65,7 +74,8 @@ class TestFlushTiming:
     def test_deadline_of_late_arrival_pulls_flush_forward(
             self, mild_model, clock, tiny_dataset):
         """A tight-deadline request joining a lazy queue flushes it."""
-        scheduler = make_scheduler(mild_model, clock, batch_window_ms=50.0)
+        scheduler = hold_whole_window(
+            make_scheduler(mild_model, clock, batch_window_ms=50.0))
         scheduler.submit(tiny_dataset.images[0])           # best-effort
         clock.advance(2.0)
         scheduler.submit(tiny_dataset.images[1], deadline_ms=1.0)
@@ -190,6 +200,36 @@ class TestForcedFlushAndResults:
         result = scheduler.pop_result(request_id)
         assert result.request_id == request_id
         assert scheduler.pop_result(request_id) is None   # consumed
+
+    def test_uncollected_results_are_bounded(self, mild_model, clock,
+                                             tiny_dataset, monkeypatch):
+        """Results nobody collects are evicted oldest first; an evicted
+        id reads as never completed."""
+        window = 4
+        monkeypatch.setattr("repro.serving.scheduler._RESULTS_WINDOW",
+                            window)
+        scheduler = make_scheduler(mild_model, clock)
+        ids = []
+        for index in range(window + 3):
+            ids.append(scheduler.submit(tiny_dataset.images[index]))
+            scheduler.flush()
+            assert scheduler.stats()["pending_results"] <= window
+        assert scheduler.stats()["pending_results"] == window
+        # Waiting on an evicted id fails at once instead of hanging; an
+        # id still unfinished times out as ever.
+        with pytest.raises(KeyError):
+            scheduler.wait_result(ids[0], timeout_ms=None)
+        unfinished = scheduler.submit(tiny_dataset.images[0])
+        with pytest.raises(TimeoutError):
+            scheduler.wait_result(unfinished, timeout_ms=0.0)
+        scheduler.flush()
+        ids, evicted = ids[1:] + [unfinished], 3 + 1
+        assert [scheduler.pop_result(i) is None for i in ids] \
+            == [True] * 3 + [False] * window
+        assert scheduler.stats()["classes"][1]["completed"] \
+            == window + evicted
+        with pytest.raises(KeyError):                     # collected
+            scheduler.wait_result(unfinished, timeout_ms=None)
 
     def test_wait_result_timeout(self, mild_model, clock, tiny_dataset):
         scheduler = make_scheduler(mild_model, clock)

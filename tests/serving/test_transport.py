@@ -284,6 +284,35 @@ class TestPoolDispatch:
             sum(f.ticket.predicted_ms
                 for f in transport.pending.values()))
 
+    def test_one_slow_first_reply_cannot_send_a_flush_to_one_worker(
+            self, served_model, images):
+        """The ``test_flush_splits_across_both_workers`` flake, without
+        processes: worker 1's first reply is measured cold (5x the
+        model, more than twice worker 0's), which seeds its calibration
+        at 5x; the next flush happens at one clock instant, so two
+        shards back to back on worker 0 (2 x 1.0) used to out-price one
+        on worker 1 (5.0) and both went to worker 0.  Load orders
+        before price: one shard per idle worker, whatever was measured."""
+        transport, pool = self.make(served_model)
+        shards, _, _ = transport.dispatch(self.requests(images, 4), 0.0)
+        assert [s.worker for s in shards] == [0, 1]
+        pool.reply_batches = [[
+            WorkerReply(kind="result", worker=worker, task_id=worker,
+                        logits=np.zeros((2, 4)), num_images=2,
+                        wall_time_s=slowdown * shard.estimated_ms / 1e3)
+            for worker, (shard, slowdown) in enumerate(zip(shards,
+                                                           (1.0, 5.0)))]]
+        finished, lost = transport.poll()
+        assert len(finished) == 2 and not lost
+        assert transport.placement.calibration == pytest.approx((1.0, 5.0))
+        for _ in range(3):
+            shards, bounced, _ = transport.dispatch(
+                self.requests(images, 4), 0.0)
+            assert [s.worker for s in shards] == [0, 1] and not bounced
+            for inflight in list(transport.pending.values()):
+                transport.placement.complete(inflight.ticket, now_ms=0.0)
+            transport.pending.clear()
+
     def test_worker_dying_under_dispatch_redirects_the_shard(
             self, served_model, images):
         transport, pool = self.make(served_model)
