@@ -6,12 +6,13 @@ A walkthrough of multi-worker serving (`repro.serving.worker` +
 session in its own interpreter from a spawn-safe
 :class:`repro.engine.SessionSpec` (config + weights).  A burst of
 single-image requests is flushed, split into balanced shards, and
-placed on the worker with the lowest cost-model-predicted completion
-time; each worker's measured execution time feeds the placement
-policy's online calibration (the measured-cost layer over the static
-FPGA-simulator fit).  The demo then serves the same burst in-process
-and verifies the pooled logits are **bitwise identical** -- fan-out
-changes where batches run, never what they compute.
+placed one per idle worker, then by predicted completion time; each
+worker's measured execution time refines its own learned batch law
+(per-launch overhead + per-image marginal), which starts at the
+session's static FPGA-simulator price.  The demo then serves the same
+burst in-process and verifies the pooled logits are **bitwise
+identical** -- fan-out changes where batches run, never what they
+compute.
 
 On a multi-core host the pooled run finishes close to ``1/N`` of the
 in-process time (near-linear for 2-4 workers); on a single-CPU host it
@@ -92,16 +93,17 @@ def main():
           f"{pooled_s * 1e3:.1f} ms "
           f"({in_process_s / pooled_s:.2f}x vs in-process)")
 
-    # 3. Placement telemetry: which worker ran what, and how far the
-    #    online calibration has pulled each worker away from the raw
-    #    FPGA-simulator estimate (host ms per simulated ms).
+    # 3. Placement telemetry: which worker ran what, and the batch law
+    #    each worker learned from its own replies (host ms, where the
+    #    session's simulator price was the starting point).
     for event in scheduler.events[-args.workers:]:
         print(f"  flush -> worker {event.worker}: "
               f"{event.num_images} images, predicted "
               f"{event.estimated_ms:.2f} ms")
-    calibration = ", ".join(f"{c:.1f}" for c in
-                            served.placement.calibration)
-    print(f"  calibration (measured/predicted EWMA): [{calibration}]")
+    for worker, law in enumerate(served.placement.snapshot()["learned"]):
+        print(f"  worker {worker} learned: {law['overhead_ms']:.2f} ms "
+              f"per launch + {law['marginal_ms']:.3f} ms per image "
+              f"({law['samples']} samples)")
 
     # 4. The point: fan-out never changes the numbers.
     identical = bool((logits == reference.logits).all())

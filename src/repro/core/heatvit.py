@@ -68,7 +68,8 @@ class HeatViT(nn.Module):
         reused; weights may be pretrained).
     selector_blocks: mapping ``{block_index: keep_ratio}`` -- a selector
         is inserted *before* each listed block with the given target
-        (average) keep ratio.
+        (average) keep ratio, *cumulative*: the share of all patches
+        alive after that selector (see :attr:`keep_ratios`).
     tau: Gumbel-Softmax temperature shared by all selectors.
     use_packager: when False, non-informative tokens are discarded
         outright instead of consolidated (the IA-RED2/Evo-ViT style
@@ -111,9 +112,17 @@ class HeatViT(nn.Module):
 
     @property
     def keep_ratios(self):
+        """Per-selector target keep ratios, in block order.  Each is
+        cumulative -- the share of *all* patches alive after that
+        selector, not of the tokens entering it -- which is what Eq. 20
+        (:func:`repro.core.latency_sparsity_loss`), the confidence loss
+        and a priori pricing
+        (:func:`repro.core.latency.latency_for_keep_ratios`) read."""
         return tuple(s.keep_ratio for s in self.selectors)
 
     def set_keep_ratios(self, ratios):
+        """Retune the selectors' cumulative target keep ratios (one per
+        selector, in block order; see :attr:`keep_ratios`)."""
         if len(ratios) != len(self.selectors):
             raise ValueError("ratio count mismatch")
         for selector, ratio in zip(self.selectors, ratios):

@@ -224,29 +224,27 @@ def latency_for_keep_ratios(table, depth, selector_blocks, keep_ratios):
 
     The a-priori counterpart of :func:`latency_from_stage_counts`: instead
     of realized per-image token counts, uses the model's configured
-    per-selector target keep ratios (``HeatViT.keep_ratios``, each
-    relative to the tokens alive before that selector).  Blocks before
-    the first selector run dense; every later block runs at the
-    cumulative product of the selector ratios in front of it.  This is
-    what a request router can evaluate *before* execution to compare
-    serving sessions (scheduler cost policy).
+    per-selector target keep ratios (``HeatViT.keep_ratios``).  Each
+    ratio is *cumulative* -- the share of all patches alive after that
+    selector, the reading Eq. 20 and the confidence loss train towards
+    (Table VI's "Keep Ratio").  Blocks before the first selector run
+    dense; every later block runs at the ratio of the last selector in
+    front of it.  This is what a request router can evaluate *before*
+    execution to compare serving sessions (scheduler cost policy).
 
     ``selector_blocks``: block indices with a selector in front, sorted.
-    ``keep_ratios``: one target keep ratio per selector.
+    ``keep_ratios``: one cumulative target keep ratio per selector.
     Returns a scalar in the table's unit (ms for the paper's Table IV).
     """
-    boundaries = sorted(selector_blocks)
-    if len(boundaries) != len(keep_ratios):
+    if len(selector_blocks) != len(keep_ratios):
         raise ValueError("one keep ratio per selector required")
-    cumulative = 1.0
-    stage_ratios = [1.0]
-    for ratio in keep_ratios:
-        cumulative *= float(ratio)
-        stage_ratios.append(cumulative)
+    stage_ratios = [1.0, *(float(ratio) for ratio in keep_ratios)]
+    # Stage s runs the blocks between selector s-1 and selector s.
+    edges = np.clip([0, *sorted(selector_blocks), depth], 0, depth)
     total = 0.0
-    for block_index in range(depth):
-        stage = sum(1 for b in boundaries if b <= block_index)
-        total += table.latency(stage_ratios[stage])
+    for blocks_in_stage, ratio in zip(np.diff(edges).tolist(),
+                                      stage_ratios):
+        total += blocks_in_stage * table.latency(ratio)
     return total
 
 

@@ -191,31 +191,6 @@ class CostModel:
             num_batches=num_batches if num_images else 0)).total_ms
 
     # ------------------------------------------------------------------
-    # Completion-time estimates over in-flight work (placement)
-    # ------------------------------------------------------------------
-    def completion_ms(self, batch_cost, backlog_ms=0.0, calibration=1.0):
-        """Predicted completion time of a batch behind queued work.
-
-        ``batch_cost`` is a :class:`BatchCost` (or a raw scalar ms
-        estimate), ``backlog_ms`` the estimated in-flight work already
-        queued on the executor, and ``calibration`` a measured-over-
-        predicted scale factor (>= 0) from online per-worker timing
-        (see :class:`repro.serving.PlacementPolicy`) -- the model's
-        static FPGA-simulator fit corrected by what this executor
-        actually measured.  Returns ``backlog + calibration * cost``:
-        the quantity multi-worker placement minimizes.
-        """
-        if backlog_ms < 0:
-            raise ValueError("backlog_ms must be >= 0")
-        if calibration < 0:
-            raise ValueError("calibration must be >= 0")
-        cost_ms = (batch_cost.total_ms if isinstance(batch_cost, BatchCost)
-                   else float(batch_cost))
-        if cost_ms < 0:
-            raise ValueError("batch cost must be >= 0")
-        return backlog_ms + calibration * cost_ms
-
-    # ------------------------------------------------------------------
     # Bucket-level pricing (block granularity, for the bucket planner)
     # ------------------------------------------------------------------
     def block_ms(self, num_tokens):

@@ -2,10 +2,10 @@
 
 The static :class:`repro.cost.CostModel` is calibrated once, from the
 FPGA *simulator* -- it prices accelerator cycles, not the host that
-actually executes batches.  PR 5's per-worker calibration already
-showed the gap matters (an EWMA of measured-over-predicted per worker),
-but a single scalar cannot separate the two quantities every batching
-decision trades off: the fixed per-batch overhead (python dispatch,
+actually executes batches.  A single measured-over-predicted scale
+factor cannot close that gap, because it cannot separate the two
+quantities every batching decision trades off: the fixed per-batch
+overhead (python dispatch,
 workspace setup, queue transport) and the per-image marginal.  A batch
 of 1 and a batch of 64 scale those terms completely differently.
 
@@ -59,6 +59,10 @@ __all__ = ["OnlineEstimator", "OnlineCostModel", "keep_ratio_bucket"]
 #: is judged for version bumps: one full default batch.
 _DRIFT_SHAPE = (32.0, 1.0)
 
+#: EWMA weight of each new squared residual in an estimator's noise
+#: floor (:attr:`OnlineEstimator.variance_ms2`).
+_VARIANCE_WEIGHT = 0.1
+
 
 def keep_ratio_bucket(keep_ratios, grid=0.05):
     """Discretize an operating point's keep ratios into a hashable key.
@@ -98,19 +102,16 @@ class OnlineEstimator:
     """
 
     def __init__(self, forgetting=0.98, ridge=1e4, min_samples=8,
-                 variance_smoothing=0.1, max_gain=1e6):
+                 max_gain=1e6):
         if not 0.0 < forgetting <= 1.0:
             raise ValueError("forgetting must be in (0, 1]")
         if ridge <= 0:
             raise ValueError("ridge must be > 0")
         if min_samples < 1:
             raise ValueError("min_samples must be >= 1")
-        if not 0.0 < variance_smoothing <= 1.0:
-            raise ValueError("variance_smoothing must be in (0, 1]")
         self.forgetting = float(forgetting)
         self.ridge = float(ridge)
         self.min_samples = int(min_samples)
-        self.variance_smoothing = float(variance_smoothing)
         self.max_gain = float(max_gain)
         self.theta = np.zeros(2, dtype=np.float64)
         self.cov = np.eye(2, dtype=np.float64) * self.ridge
@@ -162,7 +163,7 @@ class OnlineEstimator:
         trace = float(np.trace(self.cov))
         if trace > self.max_gain:
             self.cov *= self.max_gain / trace
-        a = self.variance_smoothing
+        a = _VARIANCE_WEIGHT
         if self.count == 0:
             self.residual_var = residual * residual
         else:
@@ -190,7 +191,6 @@ class OnlineEstimator:
             "forgetting": self.forgetting,
             "ridge": self.ridge,
             "min_samples": self.min_samples,
-            "variance_smoothing": self.variance_smoothing,
             "max_gain": self.max_gain,
         }
 
@@ -199,7 +199,6 @@ class OnlineEstimator:
         estimator = cls(forgetting=snapshot["forgetting"],
                         ridge=snapshot["ridge"],
                         min_samples=snapshot["min_samples"],
-                        variance_smoothing=snapshot["variance_smoothing"],
                         max_gain=snapshot["max_gain"])
         estimator.theta = np.asarray(snapshot["theta"],
                                      dtype=np.float64).copy()

@@ -351,12 +351,20 @@ class CompiledSelector:
     arithmetic the old whole-module fallback used -- so the ragged
     single-pipeline boundary (:meth:`select_ragged`) is available for
     every selector, stock or not.
+
+    Scoring runs at BLAS shape: the per-head MLPs take ``(M*h, .)``
+    rows, one GEMM per layer (numpy runs ``(M, h, k) @ (k, n)`` as ``M``
+    tiny GEMMs), and the per-head reductions -- Eq. 6 channel means and
+    both Eq. 8 head sums -- are GEMMs against constant 0/1 matrices
+    built here in the score dtype, several times the speed of a short
+    last- or middle-axis ``add.reduce``.
     """
 
     __slots__ = ("dtype", "score_dtype", "num_heads", "head_dim",
                  "norm_w", "norm_b", "norm_eps", "feature_mlp",
                  "classifier_mlp", "attention_mlp", "fallback_module",
-                 "classifier_module", "_fallback_ws")
+                 "classifier_module", "_fallback_ws", "head_mean",
+                 "head_sum", "head_ones")
 
     ragged_ok = True     # False on selectors without select_ragged
 
@@ -373,6 +381,15 @@ class CompiledSelector:
         self.norm_w = _contig(selector.norm.weight.data, score_dtype)
         self.norm_b = _contig(selector.norm.bias.data, score_dtype)
         self.norm_eps = selector.norm.eps
+        # (D, h): token -> per-head channel mean (Eq. 6); (2h, 2) and
+        # (h, 1): per-head (keep, prune) scores and weights -> their sum
+        # over heads (Eq. 8).
+        heads = np.eye(self.num_heads, dtype=score_dtype)
+        self.head_mean = np.repeat(heads, self.head_dim,
+                                   axis=0) / self.head_dim
+        self.head_sum = np.tile(np.eye(2, dtype=score_dtype),
+                                (self.num_heads, 1))
+        self.head_ones = np.ones((self.num_heads, 1), dtype=score_dtype)
         self.feature_mlp = feature_mlp
         self.classifier_mlp = classifier_mlp
         self.attention_mlp = attention_mlp
@@ -426,18 +443,20 @@ class CompiledSelector:
                 per_head[tokens] = scores.data.transpose(0, 2, 1, 3)
             return per_head
         # Per-head token scores (Eqs. 3-5): local features, per-image
-        # global average, concat, classify, softmax.
-        heads = normed.reshape(m, h, self.head_dim)
-        local = _run_mlp(self.feature_mlp, heads, ws, "rag_feat")  # (M,h,f)
+        # global average, concat, classify, softmax -- on (M*h, .) rows.
+        heads = normed.reshape(m * h, self.head_dim)
+        local = _run_mlp(self.feature_mlp, heads, ws, "rag_feat")
         feat = local.shape[-1]
+        local = local.reshape(m, h, feat)
         gmean = np.add.reduceat(local, starts, axis=0)     # (n, h, f)
         gmean /= counts[:, None, None]
         combined = ws.take("rag_comb", (m, h, 2 * feat))
         combined[..., :feat] = local
         combined[..., feat:] = np.repeat(gmean, counts, axis=0)
-        per_head = _run_mlp(self.classifier_mlp, combined, ws, "rag_cls")
-        masked_softmax(per_head, None, ws, "rag_sm")       # (M, h, 2)
-        return per_head
+        per_head = _run_mlp(self.classifier_mlp,
+                            combined.reshape(m * h, 2 * feat), ws, "rag_cls")
+        masked_softmax(per_head, None, ws, "rag_sm")
+        return per_head.reshape(m, h, 2)
 
     def select_ragged(self, flat, counts, ws):
         """Score a ragged batch of images in ONE kernel pipeline.
@@ -464,7 +483,7 @@ class CompiledSelector:
         flat, ws = self._scoring_input(flat, ws)
         sdt = self.score_dtype
         m, dim = flat.shape
-        h, d = self.num_heads, self.head_dim
+        h = self.num_heads
         counts = np.asarray(counts)
         starts = np.zeros(counts.size, dtype=np.intp)
         np.cumsum(counts[:-1], out=starts[1:])
@@ -474,15 +493,13 @@ class CompiledSelector:
         per_head = self._classifier_scores_ragged(normed, counts, starts,
                                                   ws)
         # Attention branch (Eqs. 6-7): head channel means -> MLP -> sigmoid.
-        head_stat = np.add.reduce(normed.reshape(m, h, d), axis=-1)
-        head_stat /= d                                     # (M, h)
+        head_stat = normed @ self.head_mean                # (M, h)
         importance = _run_mlp(self.attention_mlp, head_stat, ws, "rag_att")
         special.expit(importance, out=importance)
         # Eq. 8 combine: head-importance-weighted average of the scores.
-        weights = importance[..., None]                    # (M, h, 1)
-        per_head *= weights
-        scores = np.add.reduce(per_head, axis=1)           # (M, 2)
-        total = np.add.reduce(weights, axis=1)
+        per_head *= importance[..., None]                  # (M, h, 2)
+        scores = per_head.reshape(m, 2 * h) @ self.head_sum   # (M, 2)
+        total = importance @ self.head_ones                # (M, 1)
         total += sdt.type(_EPS)
         scores /= total
         keep_score = scores[..., 0]

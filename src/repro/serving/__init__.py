@@ -31,8 +31,8 @@ Builds the request-level serving story on top of
   (``tests/serving/harness.py``);
 * multi-worker fan-out -- :class:`WorkerPool` executor processes
   (spawn-safe via :class:`repro.engine.SessionSpec`) with
-  :class:`PlacementPolicy` cost-model placement and online calibration
-  (``Scheduler.register(..., workers=N)`` builds the
+  :class:`PlacementPolicy` load-first placement priced by one learned
+  batch law per worker (``Scheduler.register(..., workers=N)`` builds the
   :class:`PoolTransport`);
 * self-healing -- supervision with bounded backoff respawns
   (:class:`RecoveryPolicy`), heartbeat liveness, hung-worker dispatch

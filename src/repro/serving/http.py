@@ -60,8 +60,9 @@ __all__ = ["FrontDoor", "FrontDoorClient"]
 
 _REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request",
             404: "Not Found", 405: "Method Not Allowed",
-            413: "Payload Too Large", 429: "Too Many Requests",
-            500: "Internal Server Error", 503: "Service Unavailable"}
+            408: "Request Timeout", 413: "Payload Too Large",
+            429: "Too Many Requests", 500: "Internal Server Error",
+            503: "Service Unavailable"}
 
 #: How many delivered request ids are remembered to answer a repeated
 #: fetch ``gone`` instead of ``unknown``, and how many uncollected ones
@@ -71,6 +72,12 @@ _DELIVERED_WINDOW = 65_536
 #: Header lines accepted per request (the stdlib ``http.client``'s own
 #: ``_MAXHEADERS``); a request with more is refused, not stored.
 _MAX_HEADERS = 100
+
+#: Seconds a request's headers and body have to arrive once its request
+#: line has: a client that stalls mid-request (slow-loris) gets ``408``
+#: and a closed connection instead of holding a task and a socket for
+#: good.  The idle wait for the next request line has no such limit.
+_READ_DEADLINE_S = 10.0
 
 #: ``Retry-After`` seconds on a 503 (degraded target).  Degraded mode
 #: still serves -- in-process, slower -- so a short back-off is right:
@@ -259,31 +266,14 @@ class FrontDoor:
         try:
             while True:
                 try:
-                    head = await self._read_head(reader)
-                except ValueError as exc:
-                    await self._respond(writer, 400,
-                                        {"status": "error",
-                                         "error": str(exc)},
+                    request = await self._read_request(reader)
+                except _HttpError as exc:
+                    await self._respond(writer, exc.status, exc.payload,
                                         keep_alive=False)
                     break
-                if head is None:
+                if request is None:
                     break
-                method, target, version, headers = head
-                keep_alive = (headers.get(
-                    "connection",
-                    "keep-alive" if version == "HTTP/1.1" else "close")
-                    .lower() != "close")
-                try:
-                    length = int(headers.get("content-length", "0"))
-                except ValueError:
-                    length = -1
-                if length < 0 or length > self.max_body_bytes:
-                    await self._respond(writer, 413,
-                                        {"status": "error",
-                                         "error": "bad content length"},
-                                        keep_alive=False)
-                    break
-                body = await reader.readexactly(length) if length else b""
+                method, target, keep_alive, body = request
                 with self._lock:
                     self.counters["http_requests"] += 1
                 extra_headers = None
@@ -315,28 +305,56 @@ class FrontDoor:
                 # is already being discarded.
                 pass
 
-    @staticmethod
-    async def _read_head(reader):
-        """Read one request line and its headers:
-        ``(method, target, version, headers)``, or ``None`` when the
-        client is done with the connection.  Raises ``ValueError`` for a
-        head no client of ours sends: a request line that is not three
-        words, more than :data:`_MAX_HEADERS` header lines, or -- from
-        ``readline`` itself -- a line over the stream's 64 KiB limit."""
-        request_line = await reader.readline()
-        if not request_line or request_line in (b"\r\n", b"\n"):
-            return None
-        words = request_line.decode("latin1").split()
-        if len(words) != 3:
-            raise ValueError("malformed request line")
+    async def _read_request(self, reader):
+        """Read one request: ``(method, target, keep_alive, body)``, or
+        ``None`` when the client is done with the connection.
+
+        Waits as long as the client likes for a request line, then
+        gives the headers and body :data:`_READ_DEADLINE_S` to follow.
+        Raises :class:`_HttpError` -- answered, then the connection
+        closes -- for a request no client of ours sends: ``408`` past
+        the deadline; ``400`` for a request line that is not three
+        words, more than :data:`_MAX_HEADERS` header lines, or a line
+        over the stream's 64 KiB limit (``readline``'s ``ValueError``);
+        ``413`` for an unreadable, negative or oversized body length.
+        """
+        try:
+            request_line = await reader.readline()
+            if not request_line or request_line in (b"\r\n", b"\n"):
+                return None
+            words = request_line.decode("latin1").split()
+            if len(words) != 3:
+                raise _HttpError(400, "malformed request line")
+            return await asyncio.wait_for(self._read_rest(reader, *words),
+                                          _READ_DEADLINE_S)
+        except asyncio.TimeoutError:
+            raise _HttpError(408, "request not received in time") from None
+        except ValueError as exc:
+            raise _HttpError(400, str(exc)) from None
+
+    async def _read_rest(self, reader, method, target, version):
+        """The headers and body after a request line (see
+        :meth:`_read_request`)."""
         headers = {}
         for _ in range(_MAX_HEADERS + 1):
             line = await reader.readline()
             if line in (b"\r\n", b"\n", b""):
-                return (*words, headers)
+                break
             name, _, value = line.decode("latin1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        raise ValueError(f"more than {_MAX_HEADERS} header lines")
+        else:
+            raise _HttpError(400, f"more than {_MAX_HEADERS} header lines")
+        keep_alive = (headers.get(
+            "connection", "keep-alive" if version == "HTTP/1.1" else "close")
+            .lower() != "close")
+        try:
+            length = int(headers.get("content-length", "0"))
+        except ValueError:
+            length = -1
+        if length < 0 or length > self.max_body_bytes:
+            raise _HttpError(413, "bad content length")
+        body = await reader.readexactly(length) if length else b""
+        return method, target, keep_alive, body
 
     async def _respond(self, writer, status, payload, keep_alive,
                        headers=None):

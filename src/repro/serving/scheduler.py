@@ -178,8 +178,8 @@ class FlushEvent:
 
     ``worker`` is the executor-process index for multi-worker targets
     (the placement decision), ``None`` for in-process execution; for
-    shards sent to a worker ``estimated_ms`` is the placement policy's
-    calibrated prediction."""
+    shards sent to a worker ``estimated_ms`` is the worker's learned
+    batch law's prediction."""
 
     time_ms: float
     session: str

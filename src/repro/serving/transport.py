@@ -52,8 +52,8 @@ class Shard:
 
     ``worker`` is the executor-process index the placement policy chose,
     ``None`` for in-process execution; ``estimated_ms`` is the cost
-    estimate the piece was priced at (placement-calibrated for a
-    worker).  ``arrays`` is set when the shard has already run (an
+    estimate the piece was priced at (the worker's learned batch law
+    for a worker).  ``arrays`` is set when the shard has already run (an
     in-process batch finishes inside ``dispatch``); otherwise its
     results arrive through ``poll``."""
 
@@ -164,7 +164,8 @@ class PoolTransport:
 
     Each flushed batch is split into up to ``num_workers`` balanced
     shards; each shard goes (non-blocking) to the live, under-capacity
-    worker with the lowest cost-model-predicted completion time, and
+    worker with the fewest shards in flight and, among those, the
+    lowest predicted completion time (:class:`PlacementPolicy`), and
     ``pending`` tracks it until ``poll`` has its reply.  Results are
     bitwise identical to in-process execution (grouped execution is
     placement-invariant), which is also what makes recovery exact.
@@ -192,7 +193,7 @@ class PoolTransport:
         self.clock = clock
         self.policy = pool.recovery
         self.placement = PlacementPolicy(
-            pool.num_workers, cost_model=session.cost_model,
+            pool.num_workers, session,
             max_in_flight=self.policy.max_in_flight_per_worker)
         self.pending = {}            # task id -> _InFlight
         self.recovery = _recovery_counters()
@@ -271,16 +272,10 @@ class PoolTransport:
     def _place(self, piece, now_ms):
         """Send one shard to the best eligible worker; ``None`` when
         there is none (the caller bounces it)."""
-        num_images = sum(r.num_images for r in piece)
-        raw_ms = self.session.estimated_batch_cost(num_images).total_ms
-        eligible = [worker for worker in self.pool.alive_workers()
-                    if self.placement.has_capacity(worker)]
-        if not eligible:
-            return None
         try:
             ticket = self.placement.assign(
-                raw_ms, now_ms=now_ms, num_images=num_images,
-                candidates=eligible)
+                sum(r.num_images for r in piece), now_ms=now_ms,
+                candidates=self.pool.alive_workers())
         except LookupError:
             return None
         task_id = next(self._task_ids)

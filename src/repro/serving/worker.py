@@ -8,8 +8,8 @@ road) or, for models a spec cannot describe, from the pickled session
 itself.  The parent dispatches flushed request batches to a chosen
 worker (see :class:`repro.serving.PlacementPolicy`) and collects
 replies from **per-worker reply pipes**; each reply carries the
-worker's host-measured execution time, which feeds the placement
-policy's online calibration.
+worker's host-measured execution time, which refines that worker's
+learned batch law in the placement policy.
 
 Reply transport is deliberately *not* a shared ``multiprocessing``
 queue.  A shared queue serializes writers through one cross-process
@@ -223,7 +223,7 @@ class RecoveryPolicy:
         failed cleanly to its caller instead of retried forever.
     dispatch_timeout_factor: a dispatched batch is declared *hung* when
         no reply arrives within ``factor x`` its placement-predicted
-        completion time (cost-model-derived deadline; the hung worker
+        completion time (the worker's learned batch law; the hung worker
         is terminated and the batch re-dispatched).
     min_dispatch_timeout_s: floor under the dispatch deadline --
         prediction noise on tiny batches must not declare healthy

@@ -207,11 +207,29 @@ class TestLatencyFromStageCounts:
 class TestLatencyForKeepRatios:
     def test_matches_cumulative_model_latency(self):
         table = paper_latency_table("DeiT-T")
-        # Selectors at blocks 3 and 8 with per-selector ratios 0.8, 0.7:
-        # blocks 0-2 dense, 3-7 at 0.8, 8-11 at 0.56 cumulative.
+        # Selectors at blocks 3 and 8 with cumulative ratios 0.8, 0.7
+        # (the reading Eq. 20 trains towards): blocks 0-2 dense, 3-7 at
+        # 0.8 of all patches, 8-11 at 0.7.
         estimate = latency_for_keep_ratios(table, 12, [3, 8], [0.8, 0.7])
-        expected = table.model_latency([1.0] * 3 + [0.8] * 5 + [0.56] * 4)
+        expected = table.model_latency([1.0] * 3 + [0.8] * 5 + [0.7] * 4)
         assert estimate == pytest.approx(expected)
+
+    def test_ratios_are_cumulative_above_the_table_floor(self):
+        """An unclamped pin: read relatively, (0.9, 0.8) would price
+        the last stage at 0.72 (10.6614 ms); cumulatively it is 0.8."""
+        table = paper_latency_table("DeiT-T")
+        estimate = latency_for_keep_ratios(table, 12, [3, 6], (0.9, 0.8))
+        assert estimate == pytest.approx(11.223, abs=1e-9)
+
+    def test_suite_operating_point_price_is_unmoved(self):
+        """Both readings clamp at the table's 0.5 floor on the suite's
+        pruned shape, so its session price is bit-for-bit the one it
+        had when the ratios were read relatively."""
+        from benchmarks.suite.models import PRUNED, build_model
+        from repro.engine import InferenceSession
+
+        session = InferenceSession(build_model(PRUNED), batch_size=32)
+        assert session.marginal_image_ms == 0.3939207484840257
 
     def test_no_selectors_is_dense(self):
         table = paper_latency_table("DeiT-T")

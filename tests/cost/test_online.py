@@ -43,8 +43,6 @@ class TestOnlineEstimator:
             OnlineEstimator(ridge=0.0)
         with pytest.raises(ValueError):
             OnlineEstimator(min_samples=0)
-        with pytest.raises(ValueError):
-            OnlineEstimator(variance_smoothing=0.0)
         est = OnlineEstimator()
         with pytest.raises(ValueError):
             est.observe(-1, 1.0)

@@ -19,18 +19,19 @@ mixed in (:func:`adversarial_deadline_trace`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core import LatencySparsityTable
-from repro.cost import CostModel
+from repro.cost import BatchPlan, CostModel
 from repro.engine import InferenceSession
 from repro.serving import AdmissionError
 from repro.serving.trace import synth_images
 
 __all__ = ["Arrival", "SimulationReport", "ServingSimulation",
-           "flat_rate_session", "hold_whole_window",
+           "flat_rate_session", "PricedSession", "hold_whole_window",
            "uniform_trace", "bursty_trace", "adversarial_deadline_trace",
            "arrivals_from_trace", "two_tier_arrivals"]
 
@@ -45,6 +46,26 @@ def flat_rate_session(model, block_ms, **session_kwargs):
         model, cost_model=CostModel.zero_overhead(
             table, num_patches=model.config.num_patches,
             extra_tokens=model.non_patch_slots), **session_kwargs)
+
+
+class PricedSession:
+    """What :class:`repro.serving.PlacementPolicy` reads from an
+    :class:`InferenceSession` -- ``batch_size`` and
+    ``estimated_batch_cost`` -- at a round-number batch law:
+    ``overhead_ms`` per ``batch_size`` launch plus ``marginal_ms`` per
+    image, priced by a real :class:`CostModel` as the session prices."""
+
+    def __init__(self, overhead_ms=0.0, marginal_ms=1.0, batch_size=32):
+        self.batch_size = batch_size
+        self.marginal_ms = marginal_ms
+        self.cost_model = CostModel(
+            LatencySparsityTable({0.5: 1.0, 1.0: 1.0}), num_patches=16,
+            batch_overhead_ms=overhead_ms)
+
+    def estimated_batch_cost(self, num_images):
+        return self.cost_model.estimate(BatchPlan(
+            num_images=num_images, per_image_ms=self.marginal_ms,
+            num_batches=math.ceil(num_images / self.batch_size)))
 
 
 def hold_whole_window(scheduler):

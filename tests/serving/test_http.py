@@ -351,6 +351,31 @@ class TestErrorPaths:
         assert answer.startswith(b"HTTP/1.1 400 ")
         assert client.healthz()[0] == 200
 
+    @pytest.mark.parametrize("stalled", [
+        b"POST /v1/submit HTTP/1.1\r\nContent-Type: appl",
+        b"POST /v1/submit HTTP/1.1\r\nContent-Length: 100\r\n\r\n{\"num",
+    ], ids=["half_a_head", "short_body"])
+    def test_stalled_request_times_out(self, front_door, monkeypatch,
+                                       stalled):
+        """Slow-loris: a request that stops arriving after its request
+        line gets a 408 and a closed connection once the read deadline
+        passes, and holds nothing that other clients need meanwhile."""
+        monkeypatch.setattr("repro.serving.http._READ_DEADLINE_S", 0.2)
+        door, client = front_door
+        start = time.monotonic()
+        with socket.create_connection(("127.0.0.1", door.port),
+                                      timeout=5.0) as sock:
+            sock.sendall(stalled)
+            assert client.healthz()[0] == 200         # served meanwhile
+            chunks = []
+            while chunk := sock.recv(65536):          # until the close
+                chunks.append(chunk)
+        assert time.monotonic() - start < 1.0
+        answer = b"".join(chunks)
+        assert answer.startswith(b"HTTP/1.1 408 ")
+        assert b"Connection: close" in answer
+        assert client.healthz()[0] == 200
+
     def test_double_start_rejected(self, front_door):
         door, _ = front_door
         with pytest.raises(RuntimeError):

@@ -1,8 +1,8 @@
 """Online cost learning threaded through the serving layer.
 
 Placement: each worker's learned (overhead + marginal * n) estimator
-takes over from the calibration EWMA once confident -- and only for
-shaped placements, so the legacy scalar arithmetic stays exact.
+starts at the session's batch price and prices every ticket from its
+own replies.
 Scheduler: ``register(..., learn_cost=True)`` prices flushes, backlog,
 and admission from the session's online model, in-process submissions
 and worker replies both feeding it.  Learned pricing changes *when*
@@ -16,71 +16,45 @@ from repro.cost import BatchPlan, OnlineCostModel
 from repro.engine import InferenceSession
 from repro.serving import PlacementPolicy, Scheduler
 from repro.serving.clock import VirtualClock
+from tests.serving.harness import PricedSession
 
 TOLERANCE = 1e-8
 
 
 class TestPlacementLearning:
     def test_shaped_completions_feed_estimator(self):
-        """Every shaped completion after the slot's first (cold) one."""
-        policy = PlacementPolicy(1, min_samples=3)
+        """Every measured completion, the slot's first (cold) one too."""
+        policy = PlacementPolicy(1, PricedSession())
         for n in (2, 4, 8, 16):
-            ticket = policy.assign(10.0, num_images=n)
+            ticket = policy.assign(n)
             assert ticket.num_images == n
             policy.complete(ticket, now_ms=0.0, measured_ms=20.0 + n)
-        learned = policy.snapshot()["learned"][0]
-        assert learned["samples"] == 3
-        assert learned["confident"]
-
-    def test_scalar_placements_keep_ewma_arithmetic(self):
-        """Bare-scalar assigns never consult or feed the estimators --
-        the pre-learning EWMA math stays exact."""
-        policy = PlacementPolicy(1, min_samples=1, smoothing=0.5)
-        ticket = policy.assign(10.0)
-        policy.complete(ticket, now_ms=0.0, measured_ms=20.0)
-        assert policy.calibration == (2.0,)       # first obs seeds
-        assert policy.snapshot()["learned"][0]["samples"] == 0
-        ticket = policy.assign(10.0)
-        assert ticket.predicted_ms == 20.0        # EWMA x raw
-        assert ticket.num_images is None
-        policy.complete(ticket, now_ms=0.0, measured_ms=40.0)
-        assert policy.calibration == (0.5 * 2.0 + 0.5 * 4.0,)
+        assert policy.snapshot()["learned"][0]["samples"] == 4
 
     def test_learned_law_prices_shape_not_scale(self):
-        """Once confident, a worker's prediction follows its own fitted
-        batch law -- a per-launch overhead the EWMA scalar cannot
+        """A worker's prediction follows its own fitted batch law -- a
+        per-launch overhead no scale factor on the session's price can
         express."""
-        policy = PlacementPolicy(1, min_samples=4, forgetting=1.0)
+        policy = PlacementPolicy(1, PricedSession(marginal_ms=2.0))
         # Planted worker behavior: 12 ms per launch + 1 ms per image,
-        # against a raw cost model that says 2 ms per image flat.
+        # against a session price of 2 ms per image flat.
         for n in (2, 4, 8, 16, 8):
-            ticket = policy.assign(2.0 * n, num_images=n)
+            ticket = policy.assign(n)
             policy.complete(ticket, now_ms=0.0, measured_ms=12.0 + n)
-        small = policy.predicted_ms(0, 2.0 * 2, num_images=2)
-        large = policy.predicted_ms(0, 2.0 * 32, num_images=32)
-        assert small == pytest.approx(14.0, rel=0.05)
-        assert large == pytest.approx(44.0, rel=0.05)
-        # The EWMA would have priced the small batch ~4x too low.
-        ewma_small = policy.calibration[0] * 4.0
-        assert abs(small - 14.0) < abs(ewma_small - 14.0)
+        assert policy.predicted_ms(0, 2) == pytest.approx(14.0, rel=0.05)
+        assert policy.predicted_ms(0, 32) == pytest.approx(44.0, rel=0.05)
 
     def test_learned_estimators_redirect_placement(self):
-        """A worker whose measured batch law is cheaper wins the shaped
-        assign even when the raw cost-model estimate is
-        worker-agnostic."""
-        policy = PlacementPolicy(2, min_samples=3, forgetting=1.0)
+        """A worker whose measured batch law is cheaper wins the assign
+        even though both started from the same session price."""
+        policy = PlacementPolicy(2, PricedSession())
         # Worker 0: high per-launch overhead. Worker 1: cheap launches.
         for n in (4, 8, 16):
             policy.estimator(0).observe(n, 30.0 + n, launches=1.0)
             policy.estimator(1).observe(n, 2.0 + n, launches=1.0)
-        ticket = policy.assign(5.0, num_images=4)
+        ticket = policy.assign(4)
         assert ticket.worker == 1
         assert ticket.predicted_ms == pytest.approx(6.0, rel=0.05)
-        policy.complete(ticket, now_ms=10.0, measured_ms=6.0)
-        # A bare scalar assign ignores the learned laws entirely.
-        scalar = policy.assign(5.0, now_ms=10.0)
-        assert scalar.worker == 0
-        assert scalar.predicted_ms == 5.0
 
 
 @pytest.fixture()
@@ -193,12 +167,9 @@ class TestPooledLearning:
         batch_samples, _ = served.cost_model.samples()
         assert batch_samples > 0
         assert served.cost_model.confident()
-        # ...and the per-worker placement estimators, one sample each
-        # past every used worker slot's cold first one.
+        # ...and the per-worker placement estimators, one sample each.
         learned = served.placement.snapshot()["learned"]
-        cold = sum(1 for count in served.placement.observations if count)
-        assert (sum(entry["samples"] for entry in learned)
-                == batch_samples - cold)
+        assert sum(entry["samples"] for entry in learned) == batch_samples
         # Execution semantics unchanged: same keep decisions and
         # engine-tolerance logits as a static in-process session.
         reference = InferenceSession(model, batch_size=8,

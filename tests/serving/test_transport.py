@@ -284,27 +284,58 @@ class TestPoolDispatch:
             sum(f.ticket.predicted_ms
                 for f in transport.pending.values()))
 
+    def reply_to_everything(self, transport, pool, wall_ms):
+        """Script one result reply per shard in flight, measured at
+        ``wall_ms(worker, num_images)``, and collect them."""
+        pool.reply_batches = [[
+            WorkerReply(kind="result", worker=inflight.ticket.worker,
+                        task_id=task_id, num_images=n,
+                        logits=np.zeros((n, 4)),
+                        wall_time_s=wall_ms(inflight.ticket.worker, n) / 1e3)
+            for task_id, inflight in transport.pending.items()
+            for n in [sum(r.num_images for r in inflight.requests)]]]
+        finished, lost = transport.poll()
+        assert finished and not lost and not transport.pending
+
+    @pytest.mark.parametrize("learn_cost", [False, True])
+    def test_first_ticket_is_the_session_price(self, served_model, images,
+                                               learn_cost):
+        """Each worker's law starts at the session's: the static price,
+        or the learned fit a ``learn_cost`` session already carries."""
+        session = InferenceSession(served_model, batch_size=16,
+                                   learn_cost=learn_cost)
+        if learn_cost:
+            for n in (2, 4, 8, 16, 6, 10, 12, 14):
+                session.cost_model.observe_batch(n, 3.0 + 0.5 * n)
+            assert session.cost_model.confident()
+        transport = PoolTransport(session, _StubPool(), VirtualClock())
+        shards, _, _ = transport.dispatch(self.requests(images, 6), 0.0)
+        assert [(s.worker, len(s.requests)) for s in shards] \
+            == [(0, 3), (1, 3)]
+        want = session.estimated_batch_cost(3).total_ms
+        for shard in shards:
+            assert shard.estimated_ms == want
+        assert [f.ticket.predicted_ms for f in transport.pending.values()] \
+            == [want, want]
+
     def test_one_slow_first_reply_cannot_send_a_flush_to_one_worker(
             self, served_model, images):
         """The ``test_flush_splits_across_both_workers`` flake, without
         processes: worker 1's first reply is measured cold (5x the
-        model, more than twice worker 0's), which seeds its calibration
-        at 5x; the next flush happens at one clock instant, so two
-        shards back to back on worker 0 (2 x 1.0) used to out-price one
-        on worker 1 (5.0) and both went to worker 0.  Load orders
-        before price: one shard per idle worker, whatever was measured."""
+        session's price, more than twice worker 0's), and its learned
+        law takes that sample in; the next flush happens at one clock
+        instant, so two shards back to back on worker 0 (2 x 1.0) would
+        out-price one on worker 1 (5.0).  Load orders before price: one
+        shard per idle worker, whatever was measured."""
         transport, pool = self.make(served_model)
         shards, _, _ = transport.dispatch(self.requests(images, 4), 0.0)
         assert [s.worker for s in shards] == [0, 1]
-        pool.reply_batches = [[
-            WorkerReply(kind="result", worker=worker, task_id=worker,
-                        logits=np.zeros((2, 4)), num_images=2,
-                        wall_time_s=slowdown * shard.estimated_ms / 1e3)
-            for worker, (shard, slowdown) in enumerate(zip(shards,
-                                                           (1.0, 5.0)))]]
-        finished, lost = transport.poll()
-        assert len(finished) == 2 and not lost
-        assert transport.placement.calibration == pytest.approx((1.0, 5.0))
+        price = shards[0].estimated_ms
+        self.reply_to_everything(
+            transport, pool,
+            lambda worker, n: (1.0, 5.0)[worker] * price)
+        assert transport.placement.predicted_ms(1, 2) == pytest.approx(
+            5.0 * transport.placement.predicted_ms(0, 2), rel=1e-3)
         for _ in range(3):
             shards, bounced, _ = transport.dispatch(
                 self.requests(images, 4), 0.0)
@@ -312,6 +343,28 @@ class TestPoolDispatch:
             for inflight in list(transport.pending.values()):
                 transport.placement.complete(inflight.ticket, now_ms=0.0)
             transport.pending.clear()
+
+    def test_warm_replies_teach_each_worker_its_law(self, served_model,
+                                                    images):
+        """Eight flushes later each worker prices from what it measured
+        -- here 3 ms + 1 ms/image and 6 ms + 2 ms/image, nothing like the
+        session's price -- to within 10 %."""
+        laws = [(3.0, 1.0), (6.0, 2.0)]
+
+        def wall_ms(worker, n):
+            overhead, marginal = laws[worker]
+            return overhead + marginal * n
+
+        transport, pool = self.make(served_model)
+        for count in (4, 8, 16, 2, 12, 6, 10, 14):
+            shards, bounced, _ = transport.dispatch(
+                self.requests(images, count), 0.0)
+            assert sorted(s.worker for s in shards) == [0, 1]
+            self.reply_to_everything(transport, pool, wall_ms)
+        for worker in (0, 1):
+            for n in (1, 4, 8):
+                assert transport.placement.predicted_ms(worker, n) \
+                    == pytest.approx(wall_ms(worker, n), rel=0.1)
 
     def test_worker_dying_under_dispatch_redirects_the_shard(
             self, served_model, images):

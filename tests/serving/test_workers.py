@@ -94,11 +94,18 @@ class TestPooledParity:
     def test_calibration_learns_from_measured_timings(
             self, pooled_scheduler, images):
         served = pooled_scheduler.sessions[0]
-        before = sum(served.placement.observations)
+
+        def samples():
+            return [entry["samples"]
+                    for entry in served.placement.snapshot()["learned"]]
+
+        before = samples()
         submit_all(pooled_scheduler, images)
         pooled_scheduler.flush()
-        assert sum(served.placement.observations) > before
-        assert all(scale > 0 for scale in served.placement.calibration)
+        # One 8-image shard per worker, one measured sample each.
+        assert samples() == [count + 1 for count in before]
+        assert all(served.placement.predicted_ms(worker, 8) > 0
+                   for worker in (0, 1))
         assert served.placement.in_flight == (0, 0)
 
 
