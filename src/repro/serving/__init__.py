@@ -1,55 +1,32 @@
 """Serving layer: async deadline-aware scheduling over the engine.
 
-Builds the request-level serving story on top of
-:mod:`repro.engine`'s bucketed batch execution:
+A request's life, all of it in the scheduler's
+:class:`~repro.serving.ledger.Ledger` (one entry per id, one clock stamp
+per move): :meth:`Scheduler.submit` issues an id and admits it --
+*queued*, after routing (:class:`LeastLatencyRouter`,
+:class:`HighestFidelityRouter`) and admission control, which may
+degrade it to a cheaper session or shed it (:class:`AdmissionError`;
+a shed id gets no entry).  A flush (:mod:`repro.serving.flush`:
+capacity / budget / deadline, or a hold of the oldest request bounded
+by the per-batch overhead it could save) pops an EDF batch from the
+session's :class:`RequestQueue` and hands it to the session's
+transport -- *in flight* -- in-process (:class:`InlineTransport`) or
+sharded across self-healing executor processes
+(:class:`PoolTransport` over a :class:`WorkerPool`, placed by
+:class:`PlacementPolicy`).  The batch comes back *completed*; a request
+a worker loss stranded goes back to *queued* until its retry budget
+(:class:`RecoveryPolicy`) runs out and it ends *failed*.  Collecting
+the result (``pop_result`` / ``wait_result``, or ``GET
+/v1/result/<id>`` on the :class:`FrontDoor`) makes it *delivered*,
+once.  The 65 536 most recently finished entries are kept; older ones
+are evicted and their ids read as never issued.
 
-* :class:`Scheduler` -- non-blocking ``submit``, deadline-aware batch
-  formation priced by each session's batch-aware
-  :class:`repro.cost.CostModel` (Eq. 18 marginals + calibrated
-  per-batch overhead), remainder carry-over between bursts, multi-model
-  routing, and one flush path for every target: pop -> dispatch on
-  the target's transport -> collect -> deliver;
-* the flush rules (:mod:`repro.serving.flush`) -- *when* a target's
-  pending requests become a batch: capacity / budget / deadline
-  triggers plus a hold of the oldest request, at most
-  ``batch_window_ms`` and no longer than the per-batch overhead the
-  wait could save;
-* transports -- where a popped batch runs: :class:`InlineTransport`
-  (synchronously, on the parent's session) or :class:`PoolTransport`
-  (sharded across executor processes; owns placement, the in-flight
-  table and recovery, and swaps to an inline transport when its fleet
-  is lost);
-* :class:`RequestQueue` -- EDF-ordered pending requests with
-  capacity/budget-capped batch popping;
-* routers -- :class:`LeastLatencyRouter` (fastest session that meets
-  the deadline) and :class:`HighestFidelityRouter` (most accurate
-  session that meets the deadline, numerics grade included: cost ties
-  between float and quantized replicas break toward the higher
-  :func:`backend_fidelity`);
-* clocks -- all serving time is in milliseconds;
-  :class:`VirtualClock` makes scheduler behavior exactly simulable
-  (``tests/serving/harness.py``);
-* multi-worker fan-out -- :class:`WorkerPool` executor processes
-  (spawn-safe via :class:`repro.engine.SessionSpec`) with
-  :class:`PlacementPolicy` load-first placement priced by one learned
-  batch law per worker (``Scheduler.register(..., workers=N)`` builds the
-  :class:`PoolTransport`);
-* self-healing -- supervision with bounded backoff respawns
-  (:class:`RecoveryPolicy`), heartbeat liveness, hung-worker dispatch
-  deadlines, stranded-batch re-dispatch with per-request retry budgets
-  and poison quarantine, graceful in-process degradation, and the
-  deterministic chaos harness (:class:`FaultPlan` /
-  :class:`FaultSpec`) plus the shared :class:`RetryPolicy` backoff
-  contract;
-* SLO tiers and overload behavior -- priority classes mapped to
-  deadline tiers (``Scheduler(priority_tiers=...)``), priced-backlog
-  admission control that degrades to cheaper sessions or sheds
-  (:class:`AdmissionError`), and flush preemption for premium
-  arrivals;
-* the network face -- :class:`FrontDoor` (asyncio HTTP/JSON server:
-  submit / poll / await / health / stats) with
-  :class:`FrontDoorClient`, and :mod:`repro.serving.trace` replayable
-  workload traces plus the load-generator :func:`replay`.
+Also here: millisecond clocks (:class:`VirtualClock` makes all of it
+exactly simulable, ``tests/serving/harness.py``); SLO priority tiers
+and flush preemption; the chaos harness (:class:`FaultPlan` /
+:class:`FaultSpec`) and the shared :class:`RetryPolicy`; and
+:mod:`repro.serving.trace` replayable workload traces with the
+load-generator :func:`replay` over :class:`FrontDoorClient`.
 """
 
 from repro.serving.clock import Clock, SystemClock, VirtualClock

@@ -15,12 +15,14 @@ plus a small request parser, no web framework) that exposes a
   sheddable classes while every eligible target is degraded (worker
   fleet lost, serving in-process), ``400``/``404`` on malformed input.
 * ``GET /v1/result/<id>`` -- poll: ``200`` with the result, ``202``
-  while pending.  With ``?wait=1[&timeout_ms=...]`` it becomes the
-  awaitable variant: the response is held open until completion (or
-  timeout -> ``202``).  ``?logits=1`` includes raw logits.  Results
-  are delivered **at most once**; a second fetch is ``404 gone`` (for
-  the most recent 65 536 deliveries; ``404 unknown`` after that, as is
-  an id still uncollected 65 536 submissions or completions later).
+  while pending.  With ``?wait=1[&timeout_ms=...]`` the response is
+  held open until completion (or ``202`` once ``timeout_ms`` from the
+  poll's arrival has passed).  ``?logits=1`` includes raw logits.  Any
+  id the scheduler issued is answered from its ledger
+  (:mod:`repro.serving.ledger`), and delivered **at most once**: a
+  second fetch is ``404 gone``; an id never issued, shed at admission,
+  or evicted (the 65 536 most recently finished are kept) is ``404
+  unknown``.
 * ``GET /healthz`` -- liveness plus registered session names.
 * ``GET /stats`` -- :meth:`repro.serving.Scheduler.stats` (queue
   depths, priced backlogs, in-flight batches, per-class deadline-hit
@@ -45,12 +47,13 @@ import asyncio
 import json
 import math
 import threading
-from collections import OrderedDict
+import time
 from concurrent.futures import ThreadPoolExecutor
 from urllib.parse import parse_qs, urlsplit
 
 import numpy as np
 
+from repro.serving.ledger import DELIVERED
 from repro.serving.request import DEFAULT_PRIORITY
 from repro.serving.retry import RetryPolicy
 from repro.serving.scheduler import AdmissionError
@@ -63,11 +66,6 @@ _REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request",
             408: "Request Timeout", 413: "Payload Too Large",
             429: "Too Many Requests", 500: "Internal Server Error",
             503: "Service Unavailable"}
-
-#: How many delivered request ids are remembered to answer a repeated
-#: fetch ``gone`` instead of ``unknown``, and how many uncollected ones
-#: at all.  Delivery stays at most once: a delivered id is not known.
-_DELIVERED_WINDOW = 65_536
 
 #: Header lines accepted per request (the stdlib ``http.client``'s own
 #: ``_MAXHEADERS``); a request with more is refused, not stored.
@@ -169,10 +167,6 @@ class FrontDoor:
         self._started_scheduler = False
         self._wait_pool = None
         self._lock = threading.Lock()
-        # Ids submitted here and not collected yet, and ids handed out:
-        # oldest first, each bounded to the last _DELIVERED_WINDOW.
-        self._known_ids = OrderedDict()
-        self._delivered_ids = OrderedDict()
         self.counters = {"http_requests": 0, "submitted": 0, "shed": 0,
                          "unavailable": 0, "results_delivered": 0}
 
@@ -472,15 +466,7 @@ class FrontDoor:
             raise _HttpError(400, str(exc))
         with self._lock:
             self.counters["submitted"] += 1
-            self._remember(self._known_ids, request_id)
         return 200, {"status": "queued", "request_id": request_id}
-
-    @staticmethod
-    def _remember(window, request_id):
-        """Add ``request_id`` to a bounded id window (under ``_lock``)."""
-        window[request_id] = None
-        if len(window) > _DELIVERED_WINDOW:
-            window.popitem(last=False)
 
     def _degraded_response(self, model, priority, images):
         """503 + ``Retry-After`` when every target this submission
@@ -519,7 +505,13 @@ class FrontDoor:
                  "retry_after_s": _RETRY_AFTER_S},
                 {"Retry-After": str(_RETRY_AFTER_S)})
 
-    def _take(self, request_id, timeout_ms):   # None: not there in time
+    def _take(self, request_id, deadline=None):
+        """The result, or ``None`` if it is not there by the
+        host-monotonic ``deadline`` (``None``: do not wait).  The time
+        left is read here, when a wait-pool thread takes the call, so a
+        long-poll queued behind others still answers by its deadline."""
+        timeout_ms = (0.0 if deadline is None
+                      else max(deadline - time.monotonic(), 0.0) * 1e3)
         try:
             return self.scheduler.wait_result(request_id, timeout_ms)
         except TimeoutError:
@@ -533,33 +525,27 @@ class FrontDoor:
                                   f"got {id_text!r}")
         include_logits = query.get("logits", "0") not in ("0", "", "false")
         wait = query.get("wait", "0") not in ("0", "", "false")
-        with self._lock:
-            known = request_id in self._known_ids
-            delivered = request_id in self._delivered_ids
-        if delivered:
-            raise _HttpError(404, f"result {request_id} already "
-                                  f"delivered", gone=True)
-        if not known:
-            raise _HttpError(404, f"unknown request id {request_id}")
         if wait:
             try:
                 timeout_ms = float(query.get("timeout_ms", 30_000.0))
             except ValueError:
                 raise _HttpError(400, "timeout_ms must be a number")
+            deadline = time.monotonic() + timeout_ms / 1e3
         # A ready result is taken here on the loop; only a real wait
         # pays the two thread hand-offs of the wait pool.
         try:
-            result = self._take(request_id, 0.0)
+            result = self._take(request_id)
             if result is None and wait:
                 result = await self._loop.run_in_executor(
-                    self._wait_pool, self._take, request_id, timeout_ms)
-        except KeyError:           # the scheduler evicted it, uncollected
+                    self._wait_pool, self._take, request_id, deadline)
+        except KeyError:           # no result can ever come for this id
+            if self.scheduler.ledger.state(request_id) == DELIVERED:
+                raise _HttpError(404, f"result {request_id} already "
+                                      f"delivered", gone=True)
             raise _HttpError(404, f"unknown request id {request_id}")
         if result is None:
             return 202, {"status": "pending", "request_id": request_id}
         with self._lock:
-            self._remember(self._delivered_ids, request_id)
-            self._known_ids.pop(request_id, None)
             self.counters["results_delivered"] += 1
         return 200, _result_payload(result, include_logits)
 

@@ -32,8 +32,11 @@ submit time instead of waiting out the step/window cadence.
 Every flushed batch takes one path whatever executes it: pop ->
 dispatch on the target's *transport* (:mod:`repro.serving.transport`:
 in-process on the session, or sharded across a self-healing worker
-pool) -> collect -> deliver, where per-request slicing, the
-``completed_ms`` stamp, counting and storing happen once.  Requests
+pool) -> collect -> deliver, where per-request slicing and the
+``completed_ms`` stamp happen once.  Where each request is -- queued,
+in flight, finished, delivered -- is one entry of the scheduler's
+:class:`repro.serving.ledger.Ledger`, which also keeps the per-class
+counters and bounds what waits for collection.  Requests
 whose execution a transport lost are requeued -- or, past their retry
 budget, *quarantined*: failed cleanly to the caller (a
 :class:`~repro.serving.request.RequestResult` with ``error`` set),
@@ -51,9 +54,9 @@ the next time rule comes due; it polls only worker pools -- every
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,16 +64,13 @@ import numpy as np
 from repro.engine.session import InferenceSession
 from repro.serving.clock import Clock, SystemClock
 from repro.serving.flush import FlushPolicy
+from repro.serving.ledger import IN_FLIGHT, QUEUED, Ledger
 from repro.serving.queue import RequestQueue
 from repro.serving.request import DEFAULT_PRIORITY, Request, RequestResult
 from repro.serving.router import LeastLatencyRouter, backend_fidelity
 from repro.serving.transport import InlineTransport, PoolTransport
 
 __all__ = ["Scheduler", "ServedModel", "FlushEvent", "AdmissionError"]
-
-#: Completed results kept for collection, oldest evicted first (a result
-#: nobody fetches must not grow the server); an evicted id is gone for good.
-_RESULTS_WINDOW = 65_536
 
 
 class AdmissionError(RuntimeError):
@@ -256,21 +256,15 @@ class Scheduler:
         self.preempt_priority = preempt_priority
         self.events = []
         self._flush_reasons = {}     # reason -> events logged since start
-        # Per-priority-class serving counters (submitted / completed /
-        # deadline hits / degraded / shed), mutated under _results_cond
-        # and reported by stats().
-        self._class_stats = {}
         self._served = {}
-        self._results = OrderedDict()    # bounded by _RESULTS_WINDOW
-        self._unfinished = set()         # ids accepted, no result stored yet
-        self._results_cond = threading.Condition()
+        self.ledger = Ledger(self.clock)   # every admitted request's state
         # _registry_lock guards the _served dict and is only ever held
         # briefly, so submit/routing stays non-blocking while a batch
         # executes; _step_lock serializes flush execution (and is never
         # taken while holding _registry_lock, only the reverse).
         self._registry_lock = threading.Lock()
         self._step_lock = threading.Lock()
-        self._next_id = 0
+        self._ids = itertools.count()
         self._thread = None
         self._stop_event = None
         self._wake = threading.Event()   # an event the driver must see
@@ -425,9 +419,7 @@ class Scheduler:
                 and priority in self.priority_tiers):
             deadline_ms = self.priority_tiers[priority]
         now = self.clock.now()
-        with self._results_cond:
-            request_id = self._next_id
-            self._next_id += 1
+        request_id = next(self._ids)
         request = Request(
             request_id=request_id, images=images, arrival_ms=now,
             deadline_ms=(None if deadline_ms is None
@@ -449,34 +441,22 @@ class Scheduler:
                     f"registered shapes: "
                     f"{sorted({s.image_shape for s in served_by_name.values()})}")
             served = self.router.route(request, candidates, now)
-        served = self._admit(request, served, candidates)
-        with self._results_cond:
-            self._class_counters(priority)["submitted"] += 1
-            self._unfinished.add(request_id)
-        self._enqueue(served, request)
+        target = self._admit(request, served, candidates)
+        self.ledger.admit(request_id, priority, target.name,
+                          degraded=target is not served)
+        self._enqueue(target, request)
         if (self._thread is None and self.preempt_priority is not None
                 and priority <= self.preempt_priority):
             # Flush preemption: fire what this arrival made due now, under
             # the step lock (a no-op if a concurrent step() flushed first).
             with self._step_lock:
-                self._fire_due(served)
+                self._fire_due(target)
         return request_id
 
     def _enqueue(self, served, request):
         """Queue ``request`` (sorted into EDF position), wake the driver."""
         served.queue.push(request)
         self._wake.set()
-
-    def _class_counters(self, priority):
-        """The class's counters, created on first touch (caller holds
-        ``_results_cond``)."""
-        return self._class_stats.setdefault(priority, {
-            "submitted": 0, "completed": 0, "deadline_hits": 0,
-            "deadline_misses": 0, "degraded": 0, "shed": 0, "failed": 0})
-
-    def _count(self, priority, key):
-        with self._results_cond:
-            self._class_counters(priority)[key] += 1
 
     # ------------------------------------------------------------------
     # Admission control: shed or degrade when backlog exceeds capacity
@@ -509,10 +489,8 @@ class Scheduler:
                                 -candidate.fidelity, candidate.name,
                                 candidate))
         if fitting:
-            degraded = min(fitting)[-1]
-            self._count(request.priority, "degraded")
-            return degraded
-        self._count(request.priority, "shed")
+            return min(fitting)[-1]
+        self.ledger.refuse(request.priority)
         raise AdmissionError(
             f"request {request.request_id} (class {request.priority}) "
             f"shed: priced backlog {backlog:.3f} ms exceeds capacity "
@@ -655,27 +633,6 @@ class Scheduler:
                 and len(self.events) > self.max_events):
             del self.events[:len(self.events) - self.max_events]
 
-    def _store(self, completed):
-        with self._results_cond:
-            for item in completed:
-                self._results[item.request_id] = item
-                self._unfinished.discard(item.request_id)
-                if len(self._results) > _RESULTS_WINDOW:
-                    self._results.popitem(last=False)
-                stats = self._class_counters(item.priority)
-                if item.failed:
-                    # Quarantined/shed by recovery: a clean failure is
-                    # not a completion, and it never judged a deadline.
-                    stats["failed"] += 1
-                    continue
-                stats["completed"] += 1
-                if item.deadline_ms is not None:
-                    key = ("deadline_hits" if item.deadline_met
-                           else "deadline_misses")
-                    stats[key] += 1
-            self._results_cond.notify_all()
-        return completed
-
     def stats(self):
         """Serving telemetry snapshot (what ``GET /stats`` reports).
 
@@ -704,21 +661,12 @@ class Scheduler:
                 entry["degraded"] = served.degraded
                 entry["fleet"] = served.pool.supervision_snapshot()
             sessions[served.name] = entry
-        with self._results_cond:
-            classes = {}
-            for priority, counters in sorted(self._class_stats.items()):
-                entry = dict(counters)
-                judged = entry["deadline_hits"] + entry["deadline_misses"]
-                entry["deadline_hit_rate"] = (
-                    entry["deadline_hits"] / judged if judged else None)
-                classes[priority] = entry
-            pending_results = len(self._results)
         return {
             "sessions": sessions,
-            "classes": classes,
+            "classes": self.ledger.classes(),
             "flush_reasons": dict(self._flush_reasons),
             "num_events": len(self.events),
-            "pending_results": pending_results,
+            "pending_results": self.ledger.pending_results,
             "admission_capacity_ms": self.admission_capacity_ms,
             "priority_tiers": (dict(self.priority_tiers)
                                if self.priority_tiers else None),
@@ -737,6 +685,8 @@ class Scheduler:
             batch_cost_ms=served.batch_cost_ms)
         shards, bounced, error = served.transport.dispatch(requests, now)
         for shard in shards:
+            for request in shard.requests:
+                self.ledger.move(request.request_id, IN_FLIGHT)
             self._log_event(FlushEvent(
                 time_ms=now, session=served.name, reason=reason,
                 request_ids=[r.request_id for r in shard.requests],
@@ -780,7 +730,7 @@ class Scheduler:
         """The one success path: slice a finished shard's ``arrays``
         per request (rows are contiguous, in ``requests`` order), stamp
         completion at the scheduler clock *now* -- after execution, on
-        every transport -- then count and store."""
+        every transport -- then file them in the ledger."""
         now = self.clock.now()
         completed, offset = [], 0
         for request in requests:
@@ -797,7 +747,8 @@ class Scheduler:
                 priority=request.priority,
                 tokens_per_stage=[stage[rows] for stage in
                                   arrays.tokens_per_stage]))
-        return self._store(completed)
+        self.ledger.finish(completed)
+        return completed
 
     def _requeue_recovered(self, served, requests, why):
         """Route requests whose execution the transport lost: back onto
@@ -818,41 +769,38 @@ class Scheduler:
             request.retries += 1
             if request.retries > policy.max_request_retries:
                 counters["failed_requests"] += 1
-                failed.append(self._failed_result(
-                    served, request, now,
+                shed, error = False, (
                     f"{why}; re-dispatch budget "
                     f"({policy.max_request_retries}) exhausted -- "
-                    f"poison-batch quarantine"))
+                    f"poison-batch quarantine")
             elif (policy.shed_expired_on_recovery
                     and request.priority > 0
                     and request.deadline_ms is not None
                     and now > request.deadline_ms):
-                self._count(request.priority, "shed")
                 counters["shed_on_recovery"] += 1
-                failed.append(self._failed_result(
-                    served, request, now,
-                    f"{why}; deadline passed during recovery, shed"))
+                shed, error = True, (
+                    f"{why}; deadline passed during recovery, shed")
             else:
+                self.ledger.move(request.request_id, QUEUED)
                 self._enqueue(served, request)
                 counters["redispatched_requests"] += 1
-        return self._store(failed) if failed else failed
-
-    def _failed_result(self, served, request, now, error):
-        """A clean failure: the terminal answer recovery owes a caller
-        it cannot serve (poison quarantine / shed-on-recovery)."""
-        return RequestResult(
-            request_id=request.request_id, logits=None, latency_ms=None,
-            session=served.name, arrival_ms=request.arrival_ms,
-            completed_ms=now, deadline_ms=request.deadline_ms,
-            priority=request.priority, error=error)
+                continue
+            # The terminal answer owed to a caller recovery cannot serve.
+            failed.append(RequestResult(
+                request_id=request.request_id, logits=None, latency_ms=None,
+                session=served.name, arrival_ms=request.arrival_ms,
+                completed_ms=now, deadline_ms=request.deadline_ms,
+                priority=request.priority, error=error))
+            self.ledger.finish(failed[-1:], shed=shed)
+        return failed
 
     # ------------------------------------------------------------------
     # Result retrieval
     # ------------------------------------------------------------------
     def pop_result(self, request_id):
-        """Return and forget a completed result, or ``None`` if pending."""
-        with self._results_cond:
-            return self._results.pop(request_id, None)
+        """Deliver a finished result, or ``None`` if there is none to
+        deliver (pending, already delivered, evicted, never issued)."""
+        return self.ledger.take(request_id)
 
     def wait_result(self, request_id, timeout_ms=None):
         """Block until ``request_id`` completes (background-thread mode).
@@ -866,18 +814,18 @@ class Scheduler:
         :meth:`flush` concurrently, or no flush ever fires.
         """
         timeout = None if timeout_ms is None else timeout_ms / 1e3
-        with self._results_cond:
-            self._results_cond.wait_for(
-                lambda: (request_id in self._results
-                         or request_id not in self._unfinished
+        with self.ledger.cond:
+            self.ledger.cond.wait_for(
+                lambda: (not self.ledger.live(request_id)
                          or self._background_error is not None),
                 timeout=timeout)
-            if request_id in self._results:
-                return self._results.pop(request_id)
+            result = self.ledger.take(request_id)
+            if result is not None:
+                return result
             if self._background_error is not None:
                 raise RuntimeError("scheduler background thread died"
                                    ) from self._background_error
-            if request_id not in self._unfinished:
+            if not self.ledger.live(request_id):
                 raise KeyError(f"no result held for request {request_id}")
             raise TimeoutError(
                 f"request {request_id} not completed in {timeout_ms} ms")
@@ -909,9 +857,9 @@ class Scheduler:
                 try:
                     self.step()
                 except Exception as exc:       # surface, don't hang waiters
-                    with self._results_cond:
+                    with self.ledger.cond:
                         self._background_error = exc
-                        self._results_cond.notify_all()
+                        self.ledger.cond.notify_all()
                     return
                 self._wake.wait(self._sleep_s(poll_ms))
 

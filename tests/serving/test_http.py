@@ -83,7 +83,7 @@ class TestEndpoints:
         """The server remembers only the newest deliveries: older ids
         answer ``unknown`` instead of ``gone``, never a second payload."""
         window = 3
-        monkeypatch.setattr("repro.serving.http._DELIVERED_WINDOW", window)
+        monkeypatch.setattr("repro.serving.ledger._TERMINAL_WINDOW", window)
         door, client = front_door
         ids = []
         for _ in range(window + 2):
@@ -91,7 +91,7 @@ class TestEndpoints:
             ids.append(payload["request_id"])
             status, _ = client.result(ids[-1], wait=True, timeout_ms=10_000)
             assert status == 200
-            assert len(door._delivered_ids) <= window
+            assert len(door.scheduler.ledger) <= window
         status, newest = client.result(ids[-1])
         assert status == 404 and newest["gone"] is True
         status, oldest = client.result(ids[0])
@@ -104,16 +104,21 @@ class TestEndpoints:
 
     def test_uncollected_id_memory_is_bounded(self, front_door,
                                               tiny_dataset, monkeypatch):
-        """Results nobody fetches do not pile up: the server forgets
-        the oldest submitted ids, which then answer ``unknown``."""
+        """Results nobody fetches do not pile up: the ledger forgets
+        the oldest finished ids, which then answer ``unknown``."""
         window = 3
-        monkeypatch.setattr("repro.serving.http._DELIVERED_WINDOW", window)
+        monkeypatch.setattr("repro.serving.ledger._TERMINAL_WINDOW", window)
         door, client = front_door
         ids = []
         for _ in range(window + 2):
             _, payload = client.submit(tiny_dataset.images[:1])
             ids.append(payload["request_id"])
-            assert len(door._known_ids) <= window
+            assert door.scheduler.stats()["pending_results"] <= window
+        deadline = time.monotonic() + 10.0                # all finished
+        while any(door.scheduler.ledger.state(i) in ("queued", "in_flight")
+                  for i in ids):
+            assert time.monotonic() < deadline
+            time.sleep(0.005)
         for request_id in ids[:2]:                        # evicted
             status, payload = client.result(request_id, wait=True,
                                             timeout_ms=50)
@@ -123,14 +128,13 @@ class TestEndpoints:
             status, payload = client.result(request_id, wait=True,
                                             timeout_ms=10_000)
             assert status == 200 and payload["status"] == "done"
-        assert not door._known_ids
+        assert door.scheduler.stats()["pending_results"] == 0
 
     def test_long_poll_on_a_result_the_scheduler_evicted(
             self, front_door, tiny_dataset, monkeypatch):
-        """The scheduler's own result window is smaller here than the
-        server's id memory: a long-poll on the dropped id answers
+        """A long-poll on an id the ledger evicted uncollected answers
         ``unknown`` at once instead of ``pending`` for ever."""
-        monkeypatch.setattr("repro.serving.scheduler._RESULTS_WINDOW", 1)
+        monkeypatch.setattr("repro.serving.ledger._TERMINAL_WINDOW", 1)
         door, client = front_door
         ids = []
         for _ in range(2):
@@ -138,7 +142,7 @@ class TestEndpoints:
             ids.append(payload["request_id"])
         status, _ = client.result(ids[1], wait=True, timeout_ms=10_000)
         assert status == 200                   # second done => first evicted
-        assert ids[0] in door._known_ids
+        assert door.scheduler.ledger.state(ids[0]) is None
         start = time.monotonic()
         for wait in (True, False):
             status, payload = client.result(ids[0], wait=wait,
@@ -194,6 +198,34 @@ class TestEndpoints:
         status, result = client.result(request_id, wait=True,
                                        timeout_ms=10_000)
         assert status == 200 and result["status"] == "done"
+
+    def test_long_poll_timeout_runs_from_arrival(self, mild_model,
+                                                 tiny_dataset):
+        """``timeout_ms`` counts from when the poll arrives, not from
+        when a wait-pool thread is free: with one thread, the second of
+        two concurrent 1 s polls answers near 1 s, not after 2 s."""
+        scheduler = Scheduler(batch_window_ms=5.0)
+        scheduler.register("default", mild_model)
+        with FrontDoor(scheduler, poll_ms=0.5, wait_workers=1) as door:
+            scheduler.stop(drain=True)          # nothing completes now
+            with FrontDoorClient("127.0.0.1", door.port) as client:
+                _, payload = client.submit(tiny_dataset.images[:1])
+            outcomes = []
+
+            def poll():
+                with FrontDoorClient("127.0.0.1", door.port) as client:
+                    start = time.monotonic()
+                    status, _ = client.result(payload["request_id"],
+                                              wait=True, timeout_ms=1000)
+                    outcomes.append((status, time.monotonic() - start))
+
+            threads = [threading.Thread(target=poll) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        assert [status for status, _ in outcomes] == [202, 202]
+        assert max(elapsed for _, elapsed in outcomes) < 1.6
 
     def test_seed_submission_is_deterministic(self, front_door):
         """`{"num_images", "seed"}` synthesizes the same pixels every

@@ -201,13 +201,35 @@ class TestForcedFlushAndResults:
         assert result.request_id == request_id
         assert scheduler.pop_result(request_id) is None   # consumed
 
+    def test_ledger_stamps_one_request(self, mild_model, clock,
+                                       tiny_dataset):
+        """The ledger entry's clock stamps are the request's timeline:
+        queued at submit, in flight and completed at the flush instant
+        (in-process, the batch runs inside the flush), delivered when
+        popped; the payload is dropped at delivery."""
+        scheduler = hold_whole_window(
+            make_scheduler(mild_model, clock, batch_window_ms=5.0))
+        clock.advance(2.0)
+        request_id = scheduler.submit(tiny_dataset.images[0], priority=3)
+        entry = scheduler.ledger.get(request_id)
+        assert scheduler.ledger.state(request_id) == "queued"
+        clock.advance(5.0)
+        assert [r.request_id for r in scheduler.step()] == [request_id]
+        assert scheduler.ledger.state(request_id) == "completed"
+        clock.advance(3.0)
+        assert scheduler.pop_result(request_id).request_id == request_id
+        assert entry.stamps == [("queued", 2.0), ("in_flight", 7.0),
+                                ("completed", 7.0), ("delivered", 10.0)]
+        assert (entry.state, entry.priority, entry.session,
+                entry.result) == ("delivered", 3, "default", None)
+        assert scheduler.stats()["pending_results"] == 0
+
     def test_uncollected_results_are_bounded(self, mild_model, clock,
                                              tiny_dataset, monkeypatch):
         """Results nobody collects are evicted oldest first; an evicted
         id reads as never completed."""
         window = 4
-        monkeypatch.setattr("repro.serving.scheduler._RESULTS_WINDOW",
-                            window)
+        monkeypatch.setattr("repro.serving.ledger._TERMINAL_WINDOW", window)
         scheduler = make_scheduler(mild_model, clock)
         ids = []
         for index in range(window + 3):
