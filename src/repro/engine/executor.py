@@ -355,8 +355,6 @@ class BucketedExecutor:
         array -> the next stage's bucket stacks (returned); the stage's
         token counts and :class:`StageStats` are appended to ``result``.
         """
-        if len(groups) == 1 and groups[0].indices.size == 1:
-            return self._apply_selector_one(selector_index, groups[0], result)
         # Strip CLS, package slots and padding: a selector must see only
         # real patch tokens (its global pooling averages over whatever
         # it is given).  Boolean and fancy indexing copy, and everything
@@ -436,38 +434,6 @@ class BucketedExecutor:
                                      plan.lengths, packaged[members]))
             row, token = row + members.size, end
         return new_groups
-
-    def _apply_selector_one(self, selector_index, group, result):
-        """:meth:`_apply_selector` for a batch of one image: nothing to
-        sort, plan, gather or pad -- the next stage is one unpadded
-        bucket of the image's ``[cls, kept tokens, slot]`` -- with the
-        same bits, token counts and stage stats."""
-        length, had_package = int(group.lengths[0]), bool(group.has_package[0])
-        # Copies first: ``bucket0`` below may be the arena group.x is in.
-        patches = group.x[0, 1:length - had_package].copy()
-        cls, last = group.x[0, 0].copy(), group.x[0, length - 1].copy()
-        count = patches.shape[0]
-        keep, packages = self._select(selector_index, patches,
-                                      np.array([count]),
-                                      np.zeros(1, dtype=np.intp))
-        tokens = patches[keep]
-        kept = tokens.shape[0]
-        fresh = kept < count and self.model.use_packager
-        has_slot = fresh or (had_package and self.model.use_packager)
-        new_length = 1 + kept + has_slot
-        lengths = np.array([new_length])
-        result.tokens_per_stage.append(lengths)
-        result.stage_stats.append(StageStats(1, [1], 0))
-        shape = (1, new_length, patches.shape[1])
-        stacked = (self.workspace.take("bucket0", shape)
-                   if self.compiled is not None
-                   else np.empty(shape, dtype=self.dtype))
-        stacked[0, 0] = cls
-        stacked[0, 1:1 + kept] = tokens
-        if has_slot:
-            stacked[0, 1 + kept] = packages[0] if fresh else last
-        return [_Group(stacked, None, None, group.indices, lengths,
-                       np.array([had_package or fresh]))]
 
 
 def _offsets(counts):

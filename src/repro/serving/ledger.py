@@ -8,7 +8,8 @@
 :class:`IllegalTransition` on a move the table lacks, stamps the
 scheduler clock, and bumps the per-class counters ``Scheduler.stats()``
 reports.  A request shed at admission gets no entry; it only counts.
-Finished entries, delivered or not, are evicted oldest first past
+Delivery releases the entry (result and stamps): a delivered id keeps
+only its state.  Finished ids are evicted oldest first past
 ``_TERMINAL_WINDOW``; queued and in-flight ones never are, and an
 evicted id reads as one never issued.
 """
@@ -27,7 +28,7 @@ _MOVES = {None: (QUEUED,), QUEUED: (IN_FLIGHT,),
           IN_FLIGHT: (QUEUED, COMPLETED, FAILED),
           COMPLETED: (DELIVERED,), FAILED: (DELIVERED,), DELIVERED: ()}
 
-#: Finished entries held: a result nobody fetches must not grow the server.
+#: Finished ids held: a result nobody fetches must not grow the server.
 _TERMINAL_WINDOW = 65_536
 
 
@@ -47,6 +48,10 @@ class Entry:
     stamps: list = field(default_factory=list)
 
 
+#: The one entry every delivered id shares (the table lets it never move).
+_DELIVERED = Entry(None, None, DELIVERED)
+
+
 class Ledger:
     """Request id -> :class:`Entry`, and the per-class counters.
 
@@ -57,17 +62,10 @@ class Ledger:
     def __init__(self, clock):
         self.clock = clock
         self.cond = threading.Condition()
+        self.pending_results = 0     # finished entries not yet delivered
         self._entries = {}
-        self._finished = deque()               # ids, oldest finish first
-        self._held = dict.fromkeys(_MOVES, 0)  # entries per state
+        self._finished = deque()     # ids, oldest finish first
         self._classes = {}
-
-    def __len__(self):
-        return len(self._entries)
-
-    def get(self, request_id):
-        """The :class:`Entry` held for ``request_id``, or ``None``."""
-        return self._entries.get(request_id)
 
     def state(self, request_id):
         """``request_id``'s state, ``None`` when no entry is held."""
@@ -78,18 +76,10 @@ class Ledger:
         """Whether a result is still to come: queued or in flight."""
         return self.state(request_id) in (QUEUED, IN_FLIGHT)
 
-    def count(self, state):
-        """Entries held in ``state``."""
-        return self._held[state]
-
-    @property
-    def pending_results(self):
-        """Finished entries nobody has collected yet."""
-        return self._held[COMPLETED] + self._held[FAILED]
-
     def admit(self, request_id, priority, session, degraded=False):
         """Enter a request queued on ``session`` (``degraded``:
-        admission re-routed it to a cheaper target)."""
+        admission re-routed it to a cheaper target).  Admitting a held
+        id raises: to the table, re-queueing one in flight is legal."""
         with self.cond:
             if request_id in self._entries:
                 raise IllegalTransition(f"request {request_id} already "
@@ -136,9 +126,6 @@ class Ledger:
         if state not in _MOVES.get(previous, ()):
             raise IllegalTransition(f"request {request_id}: {previous} "
                                     f"-> {state}")
-        if previous is not None:
-            self._held[previous] -= 1
-        self._held[state] += 1
         entry.state, entry.result = state, result
         entry.stamps.append((state, self.clock.now()))
         tally = self._tally(entry.priority)
@@ -153,11 +140,15 @@ class Ledger:
             if result.deadline_ms is not None:
                 tally["deadline_hits" if result.deadline_met
                       else "deadline_misses"] += 1
-        if state in (COMPLETED, FAILED):
+        if state == DELIVERED:
+            self.pending_results -= 1
+            self._entries[request_id] = _DELIVERED
+        elif state in (COMPLETED, FAILED):
+            self.pending_results += 1
             self._finished.append(request_id)
             while len(self._finished) > _TERMINAL_WINDOW:
                 evicted = self._entries.pop(self._finished.popleft())
-                self._held[evicted.state] -= 1
+                self.pending_results -= evicted is not _DELIVERED
 
     def _tally(self, priority):
         return self._classes.setdefault(priority, {

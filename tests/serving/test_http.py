@@ -91,7 +91,7 @@ class TestEndpoints:
             ids.append(payload["request_id"])
             status, _ = client.result(ids[-1], wait=True, timeout_ms=10_000)
             assert status == 200
-            assert len(door.scheduler.ledger) <= window
+            assert len(door.scheduler.ledger._entries) <= window
         status, newest = client.result(ids[-1])
         assert status == 404 and newest["gone"] is True
         status, oldest = client.result(ids[0])

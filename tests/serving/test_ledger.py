@@ -56,6 +56,7 @@ def test_random_transitions(window, steps):
     clock = VirtualClock()
     ledger = Ledger(clock)
     states, history, finished = {}, {}, []       # the model
+    admitted = {}              # id -> the Entry the ledger made for it
     expected = dict.fromkeys(totals(ledger), 0)
     with mock.patch.object(ledger_module, "_TERMINAL_WINDOW", window):
         for op, request_id, priority, flag in steps:
@@ -64,7 +65,7 @@ def test_random_transitions(window, steps):
                 continue
             state = states.get(request_id)
             entry_priority = (priority if state is None
-                              else ledger.get(request_id).priority)
+                              else admitted[request_id].priority)
             now = clock.now()
             target = {"admit": "queued", "dispatch": "in_flight",
                       "requeue": "queued", "complete": "completed",
@@ -80,7 +81,7 @@ def test_random_transitions(window, steps):
                 assert (taken is not None) == legal
             elif not legal:
                 before = (ledger.state(request_id), totals(ledger),
-                          len(ledger))
+                          dict(ledger._entries), ledger.pending_results)
                 with pytest.raises(IllegalTransition):
                     if op == "admit":
                         ledger.admit(request_id, priority, "s")
@@ -89,9 +90,11 @@ def test_random_transitions(window, steps):
                     else:
                         ledger.move(request_id, target)
                 assert before == (ledger.state(request_id), totals(ledger),
-                                  len(ledger))
+                                  dict(ledger._entries),
+                                  ledger.pending_results)
             elif op == "admit":
                 ledger.admit(request_id, priority, "s", degraded=flag)
+                admitted[request_id] = ledger._entries[request_id]
             elif op in ("complete", "fail"):
                 ledger.finish([result], shed=flag)
             else:
@@ -119,14 +122,16 @@ def test_random_transitions(window, steps):
             for key in range(3):
                 assert ledger.state(key) == states.get(key)
                 if key in states:
-                    entry = ledger.get(key)
-                    assert entry.stamps == history[key]
-                    assert (entry.result is not None) == (
+                    assert admitted[key].stamps == history[key]
+                    held = ledger._entries[key]
+                    assert (held.result is not None) == (
                         states[key] in ("completed", "failed"))
+                    assert (held is admitted[key]) == (
+                        states[key] != "delivered")
+                    if states[key] == "delivered":
+                        assert held.stamps == [] and held.session is None
             live = {s: sum(v == s for v in states.values())
                     for s in ("queued", "in_flight")}
-            assert ledger.count("queued") == live["queued"]
-            assert ledger.count("in_flight") == live["in_flight"]
             assert ledger.pending_results == sum(
                 v in ("completed", "failed") for v in states.values())
             got = totals(ledger)
@@ -138,7 +143,7 @@ def test_random_transitions(window, steps):
 def test_admission_shed_counts_without_an_entry():
     ledger = Ledger(VirtualClock())
     ledger.refuse(2)
-    assert len(ledger) == 0 and ledger.state(0) is None
+    assert not ledger._entries and ledger.state(0) is None
     assert ledger.classes()[2]["shed"] == 1
     assert ledger.classes()[2]["submitted"] == 0
 

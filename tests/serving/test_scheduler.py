@@ -206,12 +206,13 @@ class TestForcedFlushAndResults:
         """The ledger entry's clock stamps are the request's timeline:
         queued at submit, in flight and completed at the flush instant
         (in-process, the batch runs inside the flush), delivered when
-        popped; the payload is dropped at delivery."""
+        popped; at delivery the ledger lets go of the entry and keeps
+        only the id's state."""
         scheduler = hold_whole_window(
             make_scheduler(mild_model, clock, batch_window_ms=5.0))
         clock.advance(2.0)
         request_id = scheduler.submit(tiny_dataset.images[0], priority=3)
-        entry = scheduler.ledger.get(request_id)
+        entry = scheduler.ledger._entries[request_id]
         assert scheduler.ledger.state(request_id) == "queued"
         clock.advance(5.0)
         assert [r.request_id for r in scheduler.step()] == [request_id]
@@ -222,6 +223,8 @@ class TestForcedFlushAndResults:
                                 ("completed", 7.0), ("delivered", 10.0)]
         assert (entry.state, entry.priority, entry.session,
                 entry.result) == ("delivered", 3, "default", None)
+        assert scheduler.ledger._entries[request_id] is not entry
+        assert scheduler.ledger.state(request_id) == "delivered"
         assert scheduler.stats()["pending_results"] == 0
 
     def test_uncollected_results_are_bounded(self, mild_model, clock,
