@@ -5,9 +5,7 @@ from repro.approx.polynomial import (DEFAULT_DELTA1, DEFAULT_DELTA2, ERF_A,
                                      gelu_approx, gelu_exact, sigmoid_exact,
                                      sigmoid_plan, softmax_approx,
                                      softmax_exact)
-from repro.approx.layers import (ApproxGELU, ApproxSigmoid, ApproxSoftmax,
-                                 erf_approx_t, gelu_approx_t,
-                                 sigmoid_plan_t, softmax_approx_t)
+from repro.approx.layers import ApproxGELU, ApproxSigmoid, ApproxSoftmax
 from repro.approx.regularization import (derivative_profile,
                                          gelu_approx_derivative,
                                          gelu_error_propagation,
@@ -23,5 +21,4 @@ __all__ = [
     "gelu_error_propagation", "softmax_error_bound",
     "softmax_error_empirical", "derivative_profile",
     "ApproxGELU", "ApproxSigmoid", "ApproxSoftmax",
-    "erf_approx_t", "gelu_approx_t", "softmax_approx_t", "sigmoid_plan_t",
 ]

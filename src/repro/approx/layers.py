@@ -1,84 +1,20 @@
-"""Differentiable (Tensor-level) versions of the approximated functions.
-
-The numpy functions in :mod:`repro.approx.polynomial` model the
-fixed-function hardware; the classes here wrap the same polynomials in
-autodiff ops so models can be *fine-tuned with the approximations in the
-loop*, as the paper does ("for each model, we try multiple sets of token
-pruning ratios and there is no accuracy drop between the approximate
-model and the original one").
+"""Drop-in modules around the one definition of each approximated
+function in :mod:`repro.approx.polynomial`, which differentiates through
+a :class:`Tensor`, so models can be *fine-tuned with the approximations
+in the loop*, as the paper does ("for each model, we try multiple sets
+of token pruning ratios and there is no accuracy drop between the
+approximate model and the original one").
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro import nn
 from repro.nn.tensor import Tensor
-from repro.approx.polynomial import (DEFAULT_DELTA1, DEFAULT_DELTA2, ERF_A,
-                                     ERF_B)
+from repro.approx.polynomial import (DEFAULT_DELTA1, DEFAULT_DELTA2,
+                                     gelu_approx, sigmoid_plan,
+                                     softmax_approx)
 
-__all__ = ["erf_approx_t", "gelu_approx_t", "softmax_approx_t",
-           "sigmoid_plan_t", "ApproxGELU", "ApproxSigmoid", "ApproxSoftmax"]
-
-_LN2 = np.log(2.0)
-_SQRT_2 = np.sqrt(2.0)
-
-
-def erf_approx_t(x, delta1=DEFAULT_DELTA1):
-    """Differentiable ``L_erf`` (Eq. 11).  sign(x) is treated as a
-    constant, which matches the true (a.e.) derivative."""
-    x = Tensor.ensure(x)
-    sign = Tensor(np.sign(x.data))
-    clipped = x.abs().clip(max_value=-ERF_B)
-    poly = (clipped + ERF_B) ** 2 * ERF_A + 1.0
-    return sign * poly * delta1
-
-
-def gelu_approx_t(x, delta1=DEFAULT_DELTA1):
-    """Differentiable ``GELU_aprx`` (Eq. 12)."""
-    x = Tensor.ensure(x)
-    return x * 0.5 * (erf_approx_t(x / _SQRT_2, delta1=delta1) + 1.0)
-
-
-def _exp_approx_t(x):
-    """Differentiable shift-based exp for non-positive inputs (Eq. 14).
-
-    The shift count ``z`` is an integer constant of the forward pass, so
-    the gradient flows only through the second-order polynomial -- the
-    same piecewise-smooth behaviour the hardware exhibits.
-    """
-    x = Tensor.ensure(x)
-    z = np.floor(-np.minimum(x.data, 0.0) / _LN2)
-    p = x + Tensor(z * _LN2)
-    exp_p = (p + 1.353) ** 2 * 0.3585 + 0.344
-    return exp_p * Tensor(np.exp2(-z))
-
-
-def softmax_approx_t(x, axis=-1, delta2=DEFAULT_DELTA2):
-    """Differentiable ``Softmax_aprx`` (Eq. 13)."""
-    x = Tensor.ensure(x)
-    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
-    exps = _exp_approx_t(shifted)
-    return exps / exps.sum(axis=axis, keepdims=True) * delta2
-
-
-def sigmoid_plan_t(x):
-    """Differentiable PLAN sigmoid (piecewise-linear, exact gradients)."""
-    x = Tensor.ensure(x)
-    ax = x.abs()
-    data = ax.data
-    # Piecewise selection via constant masks; each segment is linear so
-    # the composed gradient is exact almost everywhere.
-    seg_hi = data >= 5.0
-    seg_mid = (data >= 2.375) & ~seg_hi
-    seg_low = (data >= 1.0) & ~seg_hi & ~seg_mid
-    seg_base = data < 1.0
-    y = (Tensor(seg_hi.astype(np.float64))
-         + (ax * 0.03125 + 0.84375) * Tensor(seg_mid.astype(np.float64))
-         + (ax * 0.125 + 0.625) * Tensor(seg_low.astype(np.float64))
-         + (ax * 0.25 + 0.5) * Tensor(seg_base.astype(np.float64)))
-    positive = Tensor((x.data >= 0.0).astype(np.float64))
-    return y * positive + (1.0 - y) * (1.0 - positive)
+__all__ = ["ApproxGELU", "ApproxSigmoid", "ApproxSoftmax"]
 
 
 class ApproxGELU(nn.Module):
@@ -89,14 +25,14 @@ class ApproxGELU(nn.Module):
         self.delta1 = delta1
 
     def forward(self, x):
-        return gelu_approx_t(x, delta1=self.delta1)
+        return gelu_approx(Tensor.ensure(x), delta1=self.delta1)
 
 
 class ApproxSigmoid(nn.Module):
     """Drop-in replacement for :class:`repro.nn.Sigmoid` (PLAN)."""
 
     def forward(self, x):
-        return sigmoid_plan_t(x)
+        return sigmoid_plan(Tensor.ensure(x))
 
 
 class ApproxSoftmax(nn.Module):
@@ -108,4 +44,5 @@ class ApproxSoftmax(nn.Module):
         self.delta2 = delta2
 
     def forward(self, x):
-        return softmax_approx_t(x, axis=self.axis, delta2=self.delta2)
+        return softmax_approx(Tensor.ensure(x), axis=self.axis,
+                              delta2=self.delta2)

@@ -13,15 +13,14 @@ import numpy as np
 from scipy import special
 
 from repro.approx.polynomial import (DEFAULT_DELTA1, DEFAULT_DELTA2, ERF_A,
-                                     ERF_B, softmax_approx, softmax_exact)
+                                     ERF_B, _SQRT_2, erf_approx,
+                                     softmax_approx, softmax_exact)
 
 __all__ = [
     "gelu_exact_derivative", "gelu_approx_derivative",
     "softmax_error_bound", "softmax_error_empirical",
     "gelu_error_propagation", "derivative_profile",
 ]
-
-_SQRT_2 = np.sqrt(2.0)
 
 
 def gelu_exact_derivative(x):
@@ -37,14 +36,13 @@ def _erf_approx_derivative(x, delta1):
     x = np.asarray(x, dtype=np.float64)
     ax = np.abs(x)
     inside = ax < -ERF_B
-    # For |x| < 1.769: d/dx sign(x)*d1*(a*(|x|+b)^2+1) = d1*2a*(|x|+b)
+    # For |x| < -ERF_B: d/dx sign(x)*d1*(a*(|x|+b)^2+1) = d1*2a*(|x|+b)
     # (sign * d|x|/dx = 1); outside, the output saturates -> derivative 0.
     return np.where(inside, delta1 * 2.0 * ERF_A * (ax + ERF_B), 0.0)
 
 
 def gelu_approx_derivative(x, delta1=DEFAULT_DELTA1):
     """d/dx of GELU_aprx = 1/2*(1 + L_erf(x/sqrt2)) + x/2 * L_erf'(x/sqrt2)/sqrt2."""
-    from repro.approx.polynomial import erf_approx
     x = np.asarray(x, dtype=np.float64)
     l = erf_approx(x / _SQRT_2, delta1=delta1)
     dl = _erf_approx_derivative(x / _SQRT_2, delta1) / _SQRT_2

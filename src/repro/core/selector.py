@@ -168,6 +168,9 @@ class AttentionBranch(nn.Module):
         batch, tokens, dim = x.shape
         heads = x.reshape(batch, tokens, self.num_heads, self.head_dim)
         head_stat = heads.mean(axis=-1)                    # (B, N, h)
+        # Exact on purpose: a functional call, so quantize_model leaves
+        # it alone, and every compiled selector (float and int8) runs it
+        # exact too -- keep decisions agree across all backends.
         return F.sigmoid(self.mlp(head_stat))              # (B, N, h)
 
 

@@ -175,32 +175,29 @@ class _TensorActivation:
         return x
 
 
-def _compile_activation(module, dtype, gelu=None):
+def _compile_activation(module, dtype, swaps=None):
     """Map an activation Module to an in-place ``fn(x, ws, key)``.
 
-    GELU follows the dtype: exact erf for float64 parity, the
+    ``swaps`` maps Module types to the kernels a compile function puts
+    in their place (the quantized lowering's polynomial GELU and PLAN
+    sigmoid -- the two :func:`repro.quant.quantize_model` swaps).
+    Otherwise GELU follows the dtype: exact erf for float64 parity, the
     rational-erf kernel for float32 (~6e-7 activation error, below the
-    float32 noise floor) -- unless the compile function passes its own
-    ``gelu`` (the quantized lowering's polynomial kernel).  Every other
-    activation -- :func:`repro.quant.quantize_model` swaps no ReLU or
-    Hardswish either -- runs exact.  Every returned callable is
-    picklable (module-level functions or :class:`_TensorActivation`
-    instances)."""
-    if isinstance(module, nn.GELU):
-        if gelu is not None:
-            return gelu
-        return (gelu_exact if dtype == np.dtype(np.float64)
-                else gelu_rational)
-    for kind, kernel in ((nn.ReLU, _relu_kernel),
-                         (nn.Sigmoid, _sigmoid_kernel),
-                         (nn.Hardswish, _hardswish_kernel),
-                         (nn.Identity, _identity_kernel)):
+    float32 noise floor); every other activation runs exact.  Every
+    returned callable is picklable (module-level functions or class
+    instances such as :class:`_TensorActivation`)."""
+    kernels = {nn.GELU: (gelu_exact if dtype == np.dtype(np.float64)
+                         else gelu_rational),
+               nn.ReLU: _relu_kernel, nn.Sigmoid: _sigmoid_kernel,
+               nn.Hardswish: _hardswish_kernel,
+               nn.Identity: _identity_kernel, **(swaps or {})}
+    for kind, kernel in kernels.items():
         if isinstance(module, kind):
             return kernel
     return _TensorActivation(module, dtype)
 
 
-def _compile_mlp(sequential, dtype, lower_linear, gelu=None):
+def _compile_mlp(sequential, dtype, lower_linear, swaps=None):
     """Lower a ``Sequential`` of Linear / activation modules to a step
     program executed by :func:`_run_mlp`: a list of callables, linear
     kernels and activations alike taking ``(x, ws, key)``.
@@ -209,11 +206,11 @@ def _compile_mlp(sequential, dtype, lower_linear, gelu=None):
     ``name`` is the child's name inside the ``Sequential`` -- its index
     ("0", "1", ...), the same name :func:`repro.quant.quantize_model`
     sees, so a quantizing lowering selects per-channel layers exactly as
-    the simulation's surgery does.  ``gelu`` is forwarded to
+    the simulation's surgery does.  ``swaps`` is forwarded to
     :func:`_compile_activation`.
     """
     return [lower_linear(module, name) if isinstance(module, nn.Linear)
-            else _compile_activation(module, dtype, gelu)
+            else _compile_activation(module, dtype, swaps)
             for name, module in sequential._modules.items()]
 
 

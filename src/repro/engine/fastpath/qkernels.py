@@ -1,25 +1,17 @@
-"""Quantized-path kernels: the paper's polynomial nonlinearities plus
-dynamic per-tensor activation quantization, in two numerics grades.
+"""Fast quantized-path kernels: the paper's polynomial nonlinearities
+plus dynamic per-tensor activation quantization, float32 and in place.
 
-The ``backend="int8"``/``"int16"`` fast path (:mod:`.quantized`) holds
-itself to the :func:`repro.quant.quantize_model` simulation -- the
-surgered Tensor model whose Linears are :class:`QuantizedLinear` and
-whose GELU/Softmax modules are the polynomial approximations.  Every
-kernel here therefore comes in two forms:
-
-* ``*_reference`` -- float64, allocation-per-op, replicating the Tensor
-  chain's exact operation order so results are **bitwise** equal to the
-  simulation (integer-valued float64 GEMMs are exact integer arithmetic
-  below 2^53, so even BLAS summation order cannot perturb them).
-* ``*_fast`` -- float32, in place on :class:`.Workspace` scratch, free
-  to reassociate (reciprocal-multiplies, a fused ``modf``/``ldexp``
-  shift-based exp) because the float32 lane is gated on top-1/keep
-  *agreement*, not bitwise parity.
-
-The reference forms intentionally mirror :mod:`repro.approx.layers`
-(``softmax_approx_t`` / ``gelu_approx_t``) and
-:func:`repro.nn.functional.layer_norm` operation for operation; edit
-those and these together.
+The ``backend="int8"`` serving grade (:mod:`.quantized`) runs these on
+:class:`.Workspace` scratch.  They are free to reassociate
+(reciprocal-multiplies, a ``trunc``/``exp2`` shift-based exp, constants
+folded into the polynomials) because the float32 lane is gated on
+top-1/keep *agreement* with the :func:`repro.quant.quantize_model`
+simulation, not bitwise parity.  The float64 parity grade needs no
+kernels of its own: it calls the one definition of each equation in
+:mod:`repro.approx` and :func:`repro.quant.quantize`, which is what the
+simulation runs.  The one exception is :func:`layer_norm_reference`,
+which mirrors :func:`repro.nn.functional.layer_norm` on arrays because
+numpy and the Tensor ``mean``/``var`` do not reduce alike.
 """
 
 from __future__ import annotations
@@ -29,15 +21,11 @@ import math
 import numpy as np
 
 from repro.approx.polynomial import (ERF_A, ERF_B, _EXP_C0, _EXP_C1,
-                                     _EXP_C2, _LN2)
+                                     _EXP_C2, _LN2, _SQRT_2)
 
-__all__ = [
-    "quantize_reference", "layer_norm_reference", "approx_gelu_reference",
-    "approx_softmax_reference", "quantize_fast", "approx_gelu_fast",
-    "approx_softmax_fast",
-]
+__all__ = ["layer_norm_reference", "quantize_fast", "approx_gelu_fast",
+           "approx_softmax_fast"]
 
-_SQRT_2 = np.sqrt(2.0)
 _TINY = float(np.finfo(np.float64).tiny)
 # sqrt(c0) folded into the polynomial's linear term so the fast exp
 # evaluates c0*(p + c1)^2 + c2 as (s*p + s*c1)^2 + c2 -- one pass less.
@@ -48,20 +36,6 @@ _SQRT_C0 = float(np.sqrt(_EXP_C0))
 _GELU_CLIP = float(-ERF_B * _SQRT_2)
 _GELU_SHIFT = float(ERF_B * _SQRT_2)
 _GELU_A2 = float(ERF_A / 2.0)
-
-
-# ----------------------------------------------------------------------
-# Reference (bitwise simulation-parity, float64) kernels
-# ----------------------------------------------------------------------
-def quantize_reference(x, scale, qmax):
-    """``quant.fixed_point.quantize`` kept in float64.
-
-    Returns the integer *values* as float64 (``rint`` below 2^53 is
-    exact), so the follow-up GEMM can run on BLAS while remaining
-    bitwise-identical to the simulation's int64 matmul.
-    """
-    q = np.rint(x / scale)
-    return np.clip(q, float(-qmax), float(qmax))
 
 
 def layer_norm_reference(x, weight, bias, eps):
@@ -80,44 +54,16 @@ def layer_norm_reference(x, weight, bias, eps):
     return normed * weight + bias
 
 
-def approx_gelu_reference(x, delta1):
-    """Bitwise mirror of ``repro.approx.layers.gelu_approx_t`` (Eq. 12)."""
-    u = x / _SQRT_2
-    sign = np.sign(u)
-    clipped = np.clip(np.abs(u), None, -ERF_B)
-    poly = (clipped + ERF_B) ** 2 * ERF_A + 1.0
-    erf = sign * poly * delta1
-    return x * 0.5 * (erf + 1.0)
-
-
-def approx_softmax_reference(x, delta2):
-    """Bitwise mirror of ``repro.approx.layers.softmax_approx_t``
-    (Eq. 13 with the Eq. 14 shift-based exp) over the last axis.
-
-    A ``-1e9`` key-padding bias drives ``np.exp2(-z)`` into an exact
-    ``0.0``, so the engine's padding invariant survives the
-    approximation unchanged.
-    """
-    shifted = x - x.max(axis=-1, keepdims=True)
-    z = np.floor(-np.minimum(shifted, 0.0) / _LN2)
-    p = shifted + z * _LN2
-    exp_p = (p + _EXP_C1) ** 2 * _EXP_C0 + _EXP_C2
-    exps = exp_p * np.exp2(-z)
-    return exps / exps.sum(axis=-1, keepdims=True) * delta2
-
-
-# ----------------------------------------------------------------------
-# Fast (float32, in-place) kernels
-# ----------------------------------------------------------------------
 def quantize_fast(x, qmax, ws, key, out=None):
     """Dynamic per-tensor quantization into workspace scratch.
 
     Returns ``(q, scale)`` with ``q`` integer-valued in ``x``'s dtype.
-    Two whole-buffer min/max reductions replace the reference's
-    ``abs().max()`` pass, and the scaling is a reciprocal-multiply; the
-    clip is skipped entirely because with an abs-max-derived scale
-    ``|rint(x / scale)| <= qmax`` already holds (the half-ulp slack of
-    the reciprocal cannot push ``rint`` past ``qmax + 0.5``).
+    Two whole-buffer min/max reductions replace
+    :func:`repro.quant.calibrate_minmax`'s ``abs().max()`` pass, and the
+    scaling is a reciprocal-multiply; the clip is skipped entirely
+    because with an abs-max-derived scale ``|rint(x / scale)| <= qmax``
+    already holds (the half-ulp slack of the reciprocal cannot push
+    ``rint`` past ``qmax + 0.5``).
     """
     if x.size:
         amax = max(float(x.max()), -float(x.min()))
@@ -164,9 +110,9 @@ def approx_softmax_fast(scores, bias, delta2, ws, key):
     """Shift-based-exp softmax (Eqs. 13-14) in place over the last axis.
 
     ``bias`` is an optional ``(B, T)`` additive key bias folded in
-    before the shift.  The reference's ``z``/``p`` decomposition
-    (``floor`` + two full-tensor fixups) collapses into a ``trunc`` +
-    subtract (truncation == the reference's ``floor`` because the
+    before the shift.  :func:`repro.approx.exp_approx`'s ``z``/``p``
+    decomposition (``floor`` + two full-tensor fixups) collapses into a
+    ``trunc`` + subtract (truncation == its ``floor`` because the
     shifted scores are non-positive), and the power-of-two rescale is a
     single ``np.exp2`` on the integer-valued ``-z`` buffer -- exact for
     integers, and benchmarked barely above a multiply (unlike ``modf``

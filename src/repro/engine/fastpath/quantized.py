@@ -4,8 +4,8 @@
 :func:`repro.quant.quantize_model` surgeries it -- per-layer integer
 weights (per-channel scales for the qkv/fc1/fc2 GEMMs, per-tensor
 elsewhere), dynamic per-tensor activation quantization between stages,
-and the paper's polynomial GELU/softmax in place of the exact
-nonlinearities -- into the one compiled hierarchy of :mod:`.compiled`,
+and the paper's polynomial GELU/softmax and PLAN sigmoid in place of
+the exact modules -- into the one compiled hierarchy of :mod:`.compiled`,
 so :class:`repro.engine.BucketedExecutor` drives it with the existing
 bucketing/pruning control flow.
 
@@ -19,16 +19,16 @@ Two numerics grades, selected by dtype:
   shared dense and ragged boundary pipelines.  Gated on top-1/keep
   agreement with the float64 engine, not bitwise parity.
 * ``float64`` -- **simulation parity**, the reference grade this module
-  owns (:class:`QuantizedModel` and its blocks/selectors).  Every kernel
-  replicates the surgered Tensor model's operation order exactly; the
-  integer GEMMs run as float64 BLAS on integer-valued operands (exact
-  below 2^53), so executor logits are *bitwise* equal to the
-  ``quantize_model`` simulation on stock configs
-  (``tests/engine/test_quantized.py``).  Token selectors are evaluated
-  through actual surgered copies of the selector modules (the
-  simulation approximates only their Linear and GELU children -- its
-  functional softmax/sigmoid stay exact -- and bitwise-mirroring that
-  mix is cheapest done by running it).
+  owns (:class:`QuantizedModel` and its blocks/selectors).  It calls
+  the same :mod:`repro.approx` definitions and :func:`repro.quant.quantize`
+  the surgered Tensor model runs, and its integer GEMMs run as float64
+  BLAS on integer-valued operands (exact below 2^53), so executor logits
+  are *bitwise* equal to the ``quantize_model`` simulation on stock
+  configs (``tests/engine/test_quantized.py``).  Token selectors are
+  evaluated through actual surgered copies of the selector modules (the
+  simulation approximates only their Linear and activation children --
+  its functional softmax/sigmoid stay exact -- and bitwise-mirroring
+  that mix is cheapest done by running it).
 
 ``bits=16`` needs integer products up to ``32767^2 * K`` -- beyond
 float32's 2^24 exact-integer window for any real reduction -- so int16
@@ -44,20 +44,19 @@ import numpy as np
 
 from repro import nn
 from repro.nn.tensor import Tensor
-from repro.approx.polynomial import DEFAULT_DELTA1
+from repro.approx.polynomial import (DEFAULT_DELTA1, gelu_approx,
+                                     sigmoid_plan, softmax_approx)
 from repro.engine.fastpath.compiled import (CompileError, CompiledBlock,
                                             CompiledModel, CompiledSelector,
                                             _check_backbone, _check_dtype,
                                             _compile_activation,
                                             _compile_mlp, _contig)
 from repro.engine.fastpath.qkernels import (approx_gelu_fast,
-                                            approx_gelu_reference,
                                             approx_softmax_fast,
-                                            approx_softmax_reference,
                                             layer_norm_reference,
-                                            quantize_fast,
-                                            quantize_reference)
-from repro.quant.fixed_point import calibrate_minmax, safe_accumulator_bits
+                                            quantize_fast)
+from repro.quant.fixed_point import (calibrate_minmax, quantize,
+                                     safe_accumulator_bits)
 from repro.quant.qmodel import (PER_CHANNEL_CHILDREN, _wants_per_channel,
                                 quantize_model)
 from repro.quant.sweep import per_channel_quantize
@@ -118,15 +117,13 @@ class QuantizedLinearKernel:
             w_q, scales = per_channel_quantize(weight, bits=bits)
         else:
             params = calibrate_minmax(weight, bits=bits)
-            w_q = quantize_reference(np.asarray(weight, dtype=np.float64),
-                                     params.scale, params.qmax)
-            scales = params.scale
+            w_q, scales = quantize(weight, params), params.scale
         return cls(w_q, scales, bias, bits, np.dtype(dtype))
 
     def apply_reference(self, x):
         """Bitwise mirror of ``QuantizedLinear.forward`` (float64)."""
         params = calibrate_minmax(x, bits=self.bits)
-        q = quantize_reference(x, params.scale, self.qmax)
+        q = quantize(x, params).astype(np.float64)
         out = np.matmul(q.reshape(-1, self.in_features), self.w_q)
         out = out * (params.scale * self.scales)
         out = out.reshape(x.shape[:-1] + (self.out_features,))
@@ -159,8 +156,8 @@ class QuantizedLinearKernel:
 
 
 class _QuantGELUKernel:
-    """Picklable ``fn(x, ws, key)`` wrapper around the Eq. 12 kernel of
-    either grade (``reference`` returns a fresh array)."""
+    """Picklable ``fn(x, ws, key)`` running Eq. 12 in either grade
+    (``reference``: :func:`repro.approx.gelu_approx`, a fresh array)."""
 
     __slots__ = ("delta1", "reference")
 
@@ -170,8 +167,15 @@ class _QuantGELUKernel:
 
     def __call__(self, x, ws, key):
         if self.reference:
-            return approx_gelu_reference(x, self.delta1)
+            return gelu_approx(x, self.delta1)
         return approx_gelu_fast(x, self.delta1, ws, key)
+
+
+def _plan_sigmoid_kernel(x, ws, key):
+    """The PLAN sigmoid :func:`repro.quant.quantize_model` swaps in for
+    ``nn.Sigmoid``, written back in place (either grade)."""
+    x[...] = sigmoid_plan(x)
+    return x
 
 
 # ----------------------------------------------------------------------
@@ -181,9 +185,10 @@ class _ReferenceBlock(CompiledBlock):
     """One encoder block in simulation numerics: a bitwise mirror of
     the surgered Tensor block (pre-norm MSA + FFN with QuantizedLinear
     / ApproxSoftmax / ApproxGELU), including the simulation's explicit
-    score multiply.  Same slots as the served block, holding the
-    ``*_reference`` forms (``linear(x)``, ``softmax(x)``); the
-    activation keeps the shared ``act(x, ws, key)`` shape."""
+    score multiply.  Same slots as the served block, holding float64
+    forms that return fresh arrays (``apply_reference``,
+    :func:`repro.approx.softmax_approx`); the activation keeps the
+    shared ``act(x, ws, key)`` shape."""
 
     __slots__ = ()
 
@@ -214,8 +219,9 @@ class _ReferenceSelector:
 
     The simulation surgeries only a selector's *module* children: its
     Linears (per-tensor -- Sequential child names never match the
-    per-channel list) and GELU modules.  The classifier's softmax and
-    the attention branch's sigmoid are functional calls and stay exact.
+    per-channel list) and GELU / Sigmoid modules.  The classifier's
+    softmax and the attention branch's sigmoid are functional calls and
+    stay exact.
     """
 
     __slots__ = ("dtype", "module")
@@ -328,11 +334,13 @@ def compile_quantized(model, bits=8, dtype=None,
 
     if parity:
         block_class = _ReferenceBlock
-        softmax = partial(approx_softmax_reference, delta2=delta2)
+        softmax = partial(softmax_approx, delta2=delta2)
     else:
         block_class = CompiledBlock
         softmax = partial(approx_softmax_fast, delta2=delta2)
-    gelu = _QuantGELUKernel(delta1, reference=parity)
+    # The activations quantize_model swaps; every other one runs exact.
+    swaps = {nn.GELU: _QuantGELUKernel(delta1, reference=parity),
+             nn.Sigmoid: _plan_sigmoid_kernel}
     blocks = []
     for block in backbone.blocks:
         attn = block.attn
@@ -352,13 +360,13 @@ def compile_quantized(model, bits=8, dtype=None,
             grade(kernel(attn.proj, "proj")),
             grade(kernel(block.mlp.fc1, "fc1")),
             grade(kernel(block.mlp.fc2, "fc2")),
-            softmax, _compile_activation(block.mlp.act, dtype, gelu),
+            softmax, _compile_activation(block.mlp.act, dtype, swaps),
             score_scale))
 
     def lower_mlp(sequential):
         return _compile_mlp(
             sequential, dtype,
-            lambda linear, name: kernel(linear, name).apply_fast, gelu)
+            lambda linear, name: kernel(linear, name).apply_fast, swaps)
 
     selectors = []
     for selector in getattr(model, "selectors", []):
@@ -368,7 +376,8 @@ def compile_quantized(model, bits=8, dtype=None,
                 selector, bits, dtype, per_channel, delta1, delta2))
         else:
             # The shared selector pipeline with quantized MLP steps,
-            # the Eq. 12 GELU kernel, and *exact* softmax/sigmoid.
+            # the Eq. 12 GELU kernel, and the *exact* functional
+            # softmax/sigmoid the simulation keeps.
             selectors.append(CompiledSelector(
                 selector, dtype, dtype,
                 lower_mlp(selector.attention_branch.mlp),

@@ -434,6 +434,8 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward, "abs")
 
+    __abs__ = abs
+
     def where(self, condition, other):
         """Select ``self`` where ``condition`` else ``other`` (condition is
         a plain boolean array and is treated as a constant)."""

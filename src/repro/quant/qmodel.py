@@ -27,6 +27,7 @@ import numpy as np
 from repro import nn
 from repro.nn.tensor import Tensor
 from repro.approx.layers import ApproxGELU, ApproxSigmoid, ApproxSoftmax
+from repro.approx.polynomial import DEFAULT_DELTA1
 from repro.quant.fixed_point import (calibrate_minmax, dequantize,
                                      integer_matmul, quantize,
                                      safe_accumulator_bits)
@@ -117,8 +118,9 @@ def _wants_per_channel(per_channel, name):
     return name in per_channel
 
 
-def quantize_model(model, bits=8, approx_nonlinear=True, delta1=0.5,
-                   delta2=1.0, per_channel=False, skip=()):
+def quantize_model(model, bits=8, approx_nonlinear=True,
+                   delta1=DEFAULT_DELTA1, delta2=1.0, per_channel=False,
+                   skip=()):
     """In-place module surgery: float model -> deployment model.
 
     Swaps every ``Linear`` (including subclasses) for a
@@ -139,8 +141,8 @@ def quantize_model(model, bits=8, approx_nonlinear=True, delta1=0.5,
     ``delta2`` defaults to 1.0: the paper's ``delta2 < 1`` softmax
     regularizer assumes fine-tuning with the approximation in the loop;
     halving every attention row on an unmodified checkpoint is not a
-    faithful deployment.  (``delta1`` keeps its historical 0.5 default
-    for the GELU swap.)
+    faithful deployment.  (``delta1`` keeps the paper's
+    ``DEFAULT_DELTA1`` for the GELU swap.)
     """
     skip = tuple(skip)
     swapped = 0

@@ -5,46 +5,46 @@ import pytest
 
 from repro import nn
 from repro.approx import (ApproxGELU, ApproxSigmoid, ApproxSoftmax,
-                          gelu_approx, gelu_approx_t, sigmoid_plan,
-                          sigmoid_plan_t, softmax_approx, softmax_approx_t)
+                          erf_approx, exp_approx, gelu_approx, sigmoid_plan,
+                          softmax_approx)
 from repro.nn.tensor import Tensor
 
 from tests.conftest import finite_difference
 
 
-class TestNumpyConsistency:
-    def test_gelu_matches(self, rng):
-        x = rng.normal(size=(4, 7)) * 3
-        assert np.allclose(gelu_approx_t(Tensor(x)).data, gelu_approx(x))
-
-    def test_softmax_matches(self, rng):
-        x = rng.normal(size=(3, 9)) * 2
-        assert np.allclose(softmax_approx_t(Tensor(x)).data,
-                           softmax_approx(x), atol=1e-12)
-
-    def test_sigmoid_matches(self, rng):
-        x = rng.normal(size=(50,)) * 4
-        assert np.allclose(sigmoid_plan_t(Tensor(x)).data, sigmoid_plan(x))
+class TestOneDefinition:
+    @pytest.mark.parametrize("fn, make", [
+        (lambda v: erf_approx(v, delta1=0.37), lambda x: x),
+        (lambda v: gelu_approx(v, delta1=0.5), lambda x: x),
+        (exp_approx, lambda x: -np.abs(x)),
+        (lambda v: softmax_approx(v, axis=1, delta2=0.5), lambda x: x),
+        (sigmoid_plan, lambda x: x),
+    ], ids=["erf", "gelu", "exp", "softmax", "sigmoid"])
+    def test_ndarray_and_tensor_give_identical_bytes(self, rng, fn, make):
+        x = make(rng.normal(size=(3, 9, 4)) * 4)
+        out = fn(x)
+        assert isinstance(out, np.ndarray)
+        assert fn(Tensor(x)).data.tobytes() == out.tobytes()
 
 
 class TestGradients:
     def test_gelu_grad_matches_fd(self, rng):
         x0 = rng.normal(size=(6,))
         x = Tensor(x0.copy(), requires_grad=True)
-        gelu_approx_t(x).sum().backward()
+        gelu_approx(x).sum().backward()
         numeric = finite_difference(
-            lambda v: float(gelu_approx_t(Tensor(v)).sum().data), x0)
+            lambda v: float(gelu_approx(Tensor(v)).sum().data), x0)
         assert np.allclose(x.grad, numeric, atol=1e-5)
 
     def test_softmax_grad_exists(self, rng):
         x = Tensor(rng.normal(size=(2, 5)), requires_grad=True)
-        (softmax_approx_t(x) ** 2).sum().backward()
+        (softmax_approx(x) ** 2).sum().backward()
         assert x.grad is not None
         assert np.all(np.isfinite(x.grad))
 
     def test_sigmoid_grad_piecewise_slopes(self):
         x = Tensor(np.array([0.5, 1.5, 3.0, 6.0]), requires_grad=True)
-        sigmoid_plan_t(x).sum().backward()
+        sigmoid_plan(x).sum().backward()
         assert np.allclose(x.grad, [0.25, 0.125, 0.03125, 0.0])
 
 

@@ -1,12 +1,30 @@
 """Tests for the polynomial approximations (Sec. V-D)."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.approx import (DEFAULT_DELTA2, erf_approx, exp_approx,
                           gelu_approx, gelu_exact, sigmoid_exact,
                           sigmoid_plan, softmax_approx, softmax_exact)
+from repro.nn.tensor import Tensor
 from scipy import special
+
+
+def test_equation_constants_are_written_in_one_file():
+    """Eq. 11 / Eq. 14's fit constants and the PLAN breakpoints appear
+    as literals in exactly one source file."""
+    src = Path(repro.__file__).parent
+    texts = {path: path.read_text() for path in src.rglob("*.py")}
+    for literal in ("0.2888", "1.769", "0.3585", "1.353", "0.344",
+                    "2.375", "0.84375"):
+        pattern = re.compile(r"(?<![\d.])" + re.escape(literal) + r"(?!\d)")
+        holders = [path.relative_to(src).as_posix()
+                   for path, text in texts.items() if pattern.search(text)]
+        assert holders == ["approx/polynomial.py"], literal
 
 
 class TestErfApprox:
@@ -107,6 +125,14 @@ class TestSigmoidPlan:
     def test_saturation(self):
         assert sigmoid_plan(6.0) == 1.0
         assert sigmoid_plan(-6.0) == 0.0
+
+    @pytest.mark.parametrize("wrap", [np.asarray, Tensor],
+                             ids=["ndarray", "tensor"])
+    def test_saturates_from_five_through_infinity(self, wrap):
+        x = np.array([5.0, 6.0, np.inf, -5.0, -6.0, -np.inf])
+        out = sigmoid_plan(wrap(x))
+        assert np.array_equal(getattr(out, "data", out),
+                              [1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
 
     def test_midpoint(self):
         assert sigmoid_plan(0.0) == pytest.approx(0.5)

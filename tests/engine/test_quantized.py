@@ -4,8 +4,9 @@ The ``backend="int8"``/``"int16"`` fast path holds itself to the
 :func:`repro.quant.quantize_model` simulation -- the surgered Tensor
 model.  The contract under test, grade by grade:
 
-* the ``*_reference`` kernels are **bitwise** mirrors of the Tensor
-  chain (approx layers / functional layer norm / QuantizedLinear);
+* the float64 layer norm and ``apply_reference`` GEMM are **bitwise**
+  mirrors of the Tensor chain (functional layer norm / QuantizedLinear);
+  the nonlinearities need no mirror, both sides call ``repro.approx``;
 * the float64 engine grade is bitwise equal to the surgered model end
   to end -- logits AND per-stage token counts -- through bucketing,
   selectors, and the classify head;
@@ -25,22 +26,19 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.approx.layers import gelu_approx_t, softmax_approx_t
+from repro.approx import gelu_approx, softmax_approx
 from repro.core import HeatViT
 from repro.engine import (BucketedExecutor, CompileError, InferenceSession,
                           SessionSpec, Workspace, compile_quantized)
 from repro.engine.fastpath.qkernels import (approx_gelu_fast,
-                                            approx_gelu_reference,
                                             approx_softmax_fast,
-                                            approx_softmax_reference,
                                             layer_norm_reference,
-                                            quantize_fast,
-                                            quantize_reference)
+                                            quantize_fast)
 from repro.engine.fastpath.quantized import QuantizedLinearKernel
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
 from repro.quant import (PER_CHANNEL_CHILDREN, QuantizedLinear,
-                         calibrate_minmax, quantize, quantize_model)
+                         calibrate_minmax, quantize_model)
 from repro.vit import VisionTransformer, ViTConfig
 
 
@@ -65,8 +63,8 @@ def surgered(model, bits):
 
 
 class TestReferenceKernels:
-    """The float64 reference kernels are bitwise mirrors of the Tensor
-    chain -- same operations in the same order."""
+    """The float64 layer norm is a bitwise mirror of the Tensor chain --
+    same operations in the same order."""
 
     def test_layer_norm_bitwise(self, rng):
         x = rng.normal(size=(3, 5, 8))
@@ -76,34 +74,14 @@ class TestReferenceKernels:
         out = layer_norm_reference(x, weight, bias, 1e-6)
         assert out.tobytes() == ref.tobytes()
 
-    def test_gelu_bitwise(self, rng):
-        x = rng.normal(size=(4, 7)) * 3
-        ref = gelu_approx_t(Tensor(x), delta1=0.5).data
-        out = approx_gelu_reference(x, 0.5)
-        assert out.tobytes() == ref.tobytes()
-
-    def test_softmax_bitwise(self, rng):
-        x = rng.normal(size=(2, 3, 6, 6)) * 5
-        ref = softmax_approx_t(Tensor(x), axis=-1, delta2=1.0).data
-        out = approx_softmax_reference(x, 1.0)
-        assert out.tobytes() == ref.tobytes()
-
-    def test_quantize_matches_integer_path(self, rng):
-        x = rng.normal(size=(50,)) * 4
-        params = calibrate_minmax(x, bits=8)
-        ref = quantize(x, params)
-        out = quantize_reference(x, params.scale, params.qmax)
-        assert np.array_equal(out, ref.astype(np.float64))
-        assert out.tobytes() == ref.astype(np.float64).tobytes()
-
 
 class TestFastKernels:
-    """The float32 in-place kernels track the reference to float32
-    rounding and preserve the structural invariants."""
+    """The float32 in-place kernels track the float64 definitions to
+    float32 rounding and preserve the structural invariants."""
 
     def test_gelu_close_to_reference(self, rng):
         x64 = rng.normal(size=(6, 33)) * 3
-        ref = approx_gelu_reference(x64, 0.5)
+        ref = gelu_approx(x64, 0.5)
         x32 = x64.astype(np.float32)
         out = approx_gelu_fast(x32, 0.5, Workspace(np.float32), "g")
         assert out is x32                      # in place
@@ -112,7 +90,7 @@ class TestFastKernels:
     def test_softmax_close_and_normalized(self, rng):
         ws = Workspace(np.float32)
         scores64 = rng.normal(size=(2, 3, 9, 9)) * 8
-        ref = approx_softmax_reference(scores64, 1.0)
+        ref = softmax_approx(scores64, delta2=1.0)
         scores32 = np.ascontiguousarray(scores64, dtype=np.float32)
         out = approx_softmax_fast(scores32, None, 1.0, ws, "s")
         assert out is scores32
@@ -268,17 +246,20 @@ class TestEndToEndParity:
                                dtype=np.float64).run(images)
         assert out.logits.tobytes() == ref.logits.tobytes()
 
-    def test_non_gelu_backbone_keeps_its_activation(self, rng):
-        """``quantize_model`` swaps GELU modules only, so a ReLU-MLP
-        backbone must serve ReLU -- not the polynomial GELU -- in both
-        grades: float64 bitwise with the simulation, float32 agreeing
-        with it on top-1."""
+    @pytest.mark.parametrize("act", [nn.ReLU, nn.Sigmoid],
+                             ids=["ReLU", "Sigmoid"])
+    def test_non_gelu_backbone_keeps_its_activation(self, rng, act):
+        """A non-GELU MLP backbone serves what ``quantize_model`` makes
+        of its activation -- ReLU stays exact, Sigmoid becomes PLAN, and
+        neither becomes the polynomial GELU -- in both grades: float64
+        bitwise with the simulation, float32 agreeing with it on
+        top-1."""
         config = ViTConfig(name="quant-relu", image_size=16, patch_size=4,
                            embed_dim=16, depth=2, num_heads=2,
                            num_classes=4)
         backbone = VisionTransformer(config, rng=rng)
         for block in backbone.blocks:
-            block.mlp.register_module("act", nn.ReLU())
+            block.mlp.register_module("act", act())
         model = HeatViT(backbone, {1: 0.6}, rng=rng)
         model.eval()
         images = rng.normal(size=(12, 3, 16, 16))
