@@ -36,7 +36,7 @@ class FaultSpec:
     """What one worker incarnation does wrong, and when.
 
     Batch counts are 1-based over the tasks the incarnation *receives*
-    (heartbeat wakeups do not count).  All fields compose except
+    (the shutdown sentinel does not count).  All fields compose except
     ``kill_at_batch`` / ``hang_at_batch``, which end the loop.
 
     Parameters
@@ -45,7 +45,7 @@ class FaultSpec:
         before executing it -- the batch is stranded in flight, the
         crash-recovery path.
     hang_at_batch: on the K-th task, stop responding forever (no reply,
-        no heartbeat, process stays alive) -- the hung-worker path that
+        process stays alive) -- the hung-worker path that
         only a dispatch deadline can catch.
     delay_reply_ms: sleep this long before sending every result reply
         (slow worker; exercises deadline margins without killing).

@@ -48,8 +48,10 @@ your own loop (deterministically, in tests, against a
 :class:`VirtualClock`), or :meth:`start` a background driver against
 the real clock and collect responses with :meth:`wait_result`.  The
 driver steps when an event wakes it (a submit, a re-queue, ``stop``) or
-the next time rule comes due; it polls only worker pools -- every
-``poll_ms`` while shards are in flight, once a heartbeat when idle.
+the next time rule comes due; it polls only worker pools, every
+``poll_ms`` while shards are in flight or no worker can take one.  An
+idle driver sleeps: a worker that dies idle is respawned by the next
+step's recovery sweep.
 """
 
 from __future__ import annotations
@@ -773,9 +775,7 @@ class Scheduler:
                     f"{why}; re-dispatch budget "
                     f"({policy.max_request_retries}) exhausted -- "
                     f"poison-batch quarantine")
-            elif (policy.shed_expired_on_recovery
-                    and request.priority > 0
-                    and request.deadline_ms is not None
+            elif (request.priority > 0 and request.deadline_ms is not None
                     and now > request.deadline_ms):
                 counters["shed_on_recovery"] += 1
                 shed, error = True, (
@@ -843,7 +843,9 @@ class Scheduler:
         """Run :meth:`step` on a daemon thread on every wake (``submit``,
         a re-queue, :meth:`stop`) and at the next due instant of a time
         rule.  ``poll_ms`` is the reply-poll cadence, used only while a
-        pooled target has shards in flight or no worker to give one to."""
+        pooled target has shards in flight or no worker to give one to;
+        an idle pool is not polled (a worker that died idle is respawned
+        by the sweep of the next step an event triggers)."""
         if self._thread is not None:
             raise RuntimeError("scheduler already started")
         stop = self._stop_event = threading.Event()
@@ -870,14 +872,12 @@ class Scheduler:
     def _sleep_s(self, poll_ms):
         """Seconds the driver may sleep if no event wakes it: until the
         earliest time rule is due, at most ``poll_ms`` while a pool is busy
-        or one heartbeat while it idles, ``None`` (no limit) otherwise."""
+        or has no worker free, ``None`` (no limit) otherwise."""
         now, waits = self.clock.now(), []
         for served in self.sessions:
             transport = served.transport
             if transport.in_flight or not transport.has_capacity():
                 waits.append(poll_ms)
-            elif transport.pool is not None:   # idle workers die and beat too
-                waits.append(transport.policy.heartbeat_s * 1e3)
             due_ms = self.flush_policy.next_due_ms(served)
             if due_ms is not None:
                 waits.append(max(due_ms - now, 0.0))

@@ -42,11 +42,12 @@ sweep live in :class:`repro.serving.PoolTransport`):
   :class:`repro.cost.OnlineCostModel` (when cost learning is on), so
   the replacement prices batches from everything the fleet measured
   before the crash instead of re-learning from scratch.
-* **Heartbeats** -- idle workers beat on their reply pipe every
-  ``heartbeat_s``; the pool tracks ``last_seen`` per worker.  A worker
-  that is *executing* cannot beat, so heartbeats are the idle-liveness
-  signal -- the transport's per-batch dispatch deadline (derived from
-  the cost model) is what catches a worker hung mid-batch.
+* **Liveness from the OS** -- a death shows as ``is_alive()`` turning
+  false and, once respawned, as a newer incarnation; a worker hung
+  mid-batch is caught by the transport's per-batch dispatch deadline
+  (derived from the cost model).  Nothing travels while a worker idles.
+  A worker whose parent dies exits at once: it waits on the parent's
+  process sentinel, under ``fork`` as under ``spawn``.
 * **Liveness-checked dispatch** -- dispatching to a dead worker raises
   :class:`WorkerDiedError` instead of burying the task in a queue no
   process will ever read (respawns get a *fresh* task queue; anything
@@ -69,7 +70,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
-import queue as queue_module
 import select
 import struct
 import threading
@@ -86,7 +86,9 @@ __all__ = ["WorkerPool", "WorkerReply", "WorkerDiedError",
 
 _SENTINEL = None
 _READY = "ready"
-_HEARTBEAT = "heartbeat"
+
+#: How long a new pool waits for every worker's ready handshake.
+_STARTUP_TIMEOUT_S = 120.0
 
 #: BLAS/threading knobs capped to 1 in spawned workers: N workers x M
 #: BLAS threads oversubscribes the host and ruins scaling.
@@ -203,14 +205,15 @@ class RecoveryPolicy:
     """How a serving target survives worker failures.
 
     One policy covers both halves of self-healing: the pool side
-    (supervision cadence) and the dispatch side (re-dispatch budgets
-    and deadlines).  All defaults are production-shaped; chaos tests
-    tighten them.
+    (restart budget and backoff) and the dispatch side (re-dispatch
+    budgets and deadlines).  All defaults are production-shaped; chaos
+    tests tighten them.  Recovered requests whose deadline has already
+    passed are shed (failed to their callers, counted in the class's
+    ``shed`` stats) instead of silently re-executed late; premium
+    class-0 requests are never shed.
 
     Parameters
     ----------
-    heartbeat_s: idle workers send a heartbeat reply this often
-        (liveness telemetry; see :class:`WorkerPool`).
     max_worker_restarts: respawns allowed per worker slot before the
         slot is abandoned.  When every slot is dead and exhausted the
         pool reports :attr:`WorkerPool.fleet_down` and its transport
@@ -231,14 +234,8 @@ class RecoveryPolicy:
     max_in_flight_per_worker: bound on batches queued on one worker;
         flushes defer (backpressure) rather than burying a slow worker,
         which also caps how much work any single crash can strand.
-    shed_expired_on_recovery: requests recovered from a lost worker
-        whose deadline has already passed are shed (failed to their
-        callers, counted in the class's ``shed`` stats) instead of
-        silently re-executed late.  Premium class-0 requests are never
-        shed; they re-dispatch regardless.
     """
 
-    heartbeat_s: float = 2.0
     max_worker_restarts: int = 3
     restart_backoff: RetryPolicy = RetryPolicy(
         attempts=4, backoff_base_s=0.05, backoff_max_s=2.0)
@@ -246,11 +243,8 @@ class RecoveryPolicy:
     dispatch_timeout_factor: float = 20.0
     min_dispatch_timeout_s: float = 30.0
     max_in_flight_per_worker: int = 8
-    shed_expired_on_recovery: bool = True
 
     def __post_init__(self):
-        if self.heartbeat_s <= 0:
-            raise ValueError("heartbeat_s must be > 0")
         if self.max_worker_restarts < 0:
             raise ValueError("max_worker_restarts must be >= 0")
         if self.dispatch_timeout_factor <= 0:
@@ -297,9 +291,9 @@ class _single_thread_blas_env:
 class WorkerReply:
     """One message from an executor worker.
 
-    ``kind`` is ``"ready"`` (startup handshake), ``"heartbeat"``
-    (idle liveness beat -- consumed by the pool, never surfaced to the
-    scheduler), ``"result"`` (a completed batch) or ``"error"``.
+    ``kind`` is ``"ready"`` (startup handshake -- consumed by the pool,
+    never surfaced to the scheduler), ``"result"`` (a completed batch)
+    or ``"error"``.
     Results carry the merged batch arrays in submission order -- the
     parent re-slices them per request -- plus the shard's shape and
     timing: ``num_images`` and ``wall_time_s``, the worker's measured
@@ -364,27 +358,32 @@ def _snapshot_payload(payload):
 
 
 def _run_worker(worker_index, incarnation, payload, task_queue,
-                reply_conn, heartbeat_s=None,
-                fault=None):                         # pragma: no cover
+                reply_conn, fault=None):             # pragma: no cover
     """Executor-worker main loop (module-level: spawn must import it).
 
-    Rebuilds the session, signals readiness, then serves tasks until
-    the ``None`` sentinel arrives, heartbeating on its reply pipe
-    whenever ``heartbeat_s`` passes without work.  Every task failure
-    is reported as an error reply -- the worker itself survives to
-    serve the next batch.  ``fault`` is the resolved
+    Rebuilds the session, signals readiness, then blocks on its task
+    queue and serves tasks until the ``None`` sentinel arrives.  Every
+    task failure is reported as an error reply -- the worker itself
+    survives to serve the next batch.  ``fault`` is the resolved
     :class:`repro.serving.faults.FaultSpec` for this incarnation
     (test-only; ``None`` in production).
 
-    Replies go over this worker's private pipe (see module docstring);
-    a broken pipe means the parent is gone or closed the pool, so the
-    worker simply exits.
+    A daemon thread waits on the parent's process sentinel and exits
+    the worker the moment the parent is gone, so a parent killed
+    outright leaves no orphan blocked on its queue.  Replies go over
+    this worker's private pipe (see module docstring); a broken pipe
+    means the parent is gone or closed the pool, so the worker simply
+    exits.
 
     (no-cover: this body runs inside child processes, outside the
     parent's coverage tracer; ``tests/serving/test_workers.py`` and
     ``tests/serving/test_faults.py`` exercise every branch through
     real pools.)
     """
+    parent = multiprocessing.parent_process()
+    threading.Thread(target=lambda: (parent.join(), os._exit(0)),
+                     daemon=True).start()
+
     def send(reply):
         try:
             _send_reply(reply_conn, reply)
@@ -405,13 +404,7 @@ def _run_worker(worker_index, incarnation, payload, task_queue,
         return
     batch_count = 0
     while True:
-        try:
-            task = task_queue.get(timeout=heartbeat_s)
-        except queue_module.Empty:
-            if not send(WorkerReply(kind=_HEARTBEAT,
-                                    worker=worker_index)):
-                return
-            continue
+        task = task_queue.get()
         if task is _SENTINEL:
             break
         task_id, image_groups = task
@@ -468,18 +461,18 @@ class WorkerPool:
         see :class:`_single_thread_blas_env`).  ``"fork"`` trades that
         and safety for instant startup on POSIX: forked workers
         inherit the parent's already-initialized BLAS threading.
-    startup_timeout_s: how long to wait for every worker's ready
-        handshake before giving up.
-    recovery: :class:`RecoveryPolicy` for supervision (heartbeat
-        cadence, restart budget and backoff); default policy applies
-        when ``None``.
+    recovery: :class:`RecoveryPolicy` for supervision (restart budget
+        and backoff); default policy applies when ``None``.
     fault_plan: optional :class:`repro.serving.faults.FaultPlan`
         scripting deterministic failures per worker incarnation
         (test-only).
+
+    Construction waits up to ``_STARTUP_TIMEOUT_S`` for every worker's
+    ready handshake.
     """
 
-    def __init__(self, session, num_workers, ctx="spawn",
-                 startup_timeout_s=120.0, recovery=None, fault_plan=None):
+    def __init__(self, session, num_workers, ctx="spawn", recovery=None,
+                 fault_plan=None):
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
         self._payload = (session if hasattr(session, "build")
@@ -509,8 +502,6 @@ class WorkerPool:
         self._incarnations = [0] * self.num_workers
         self._restarts = [0] * self.num_workers
         self._next_restart_at = [0.0] * self.num_workers
-        now = time.monotonic()
-        self._last_seen = [now] * self.num_workers
         self._processes = []
         child_conns = []
         for index in range(self.num_workers):
@@ -526,7 +517,7 @@ class WorkerPool:
         # descriptor) is gone.
         for conn in child_conns:
             conn.close()
-        self._await_ready(startup_timeout_s)
+        self._await_ready()
 
     def _make_process(self, index):
         """Build (but do not start) a process for the slot's current
@@ -542,14 +533,13 @@ class WorkerPool:
         process = self._ctx.Process(
             target=_run_worker,
             args=(index, incarnation, _snapshot_payload(self._payload),
-                  self._task_queues[index], send_conn,
-                  self.recovery.heartbeat_s, fault),
+                  self._task_queues[index], send_conn, fault),
             name=(f"repro-serving-worker-{index}.{incarnation}"),
             daemon=True)
         return process, send_conn
 
-    def _await_ready(self, timeout_s):
-        deadline = time.monotonic() + timeout_s
+    def _await_ready(self):
+        deadline = time.monotonic() + _STARTUP_TIMEOUT_S
         ready = set()
         while len(ready) < self.num_workers:
             remaining = deadline - time.monotonic()
@@ -573,7 +563,6 @@ class WorkerPool:
                     raise RuntimeError(
                         f"worker {reply.worker} failed to start: "
                         f"{reply.error}\n{reply.tb}")
-                self._last_seen[reply.worker] = time.monotonic()
                 ready.add(reply.worker)
 
     # ------------------------------------------------------------------
@@ -611,18 +600,17 @@ class WorkerPool:
         """Collect available result/error replies; waits at most
         ``timeout_s`` for the first one, then drains without blocking.
 
-        Heartbeat and (re)spawn-ready replies are consumed here --
-        they update the per-worker ``last_seen`` clock and are never
-        returned to the caller.
+        Respawn-ready replies are consumed here, never returned to the
+        caller.
         """
         return [reply for reply in self._collect_raw(timeout_s)
-                if self._note(reply)]
+                if reply.kind != _READY]
 
     def _collect_raw(self, timeout_s):
         """Drain every reply pipe -- live and retired -- without
         blocking; when nothing is buffered, wait up to ``timeout_s``
-        for readability and drain once more.  Raw: ready/heartbeat
-        replies are included (``_await_ready`` needs them)."""
+        for readability and drain once more.  Raw: ready replies are
+        included (``_await_ready`` needs them)."""
         with self._state_lock:
             if self._closed:
                 return []
@@ -659,8 +647,6 @@ class WorkerPool:
     def _wait_readable(self, timeout_s):
         """Block until some reply pipe has data, or ``timeout_s``."""
         with self._state_lock:
-            if self._closed:
-                return
             readers = [reader for reader in self._reply_readers
                        if reader is not None and not reader.eof]
             readers += [reader for reader in self._retired_readers
@@ -672,12 +658,6 @@ class WorkerPool:
                 time.sleep(timeout_s)
         except (OSError, ValueError):     # descriptor closed mid-wait
             pass
-
-    def _note(self, reply):
-        """Record liveness; returns whether the reply is for the caller."""
-        if 0 <= reply.worker < self.num_workers:
-            self._last_seen[reply.worker] = time.monotonic()
-        return reply.kind not in (_READY, _HEARTBEAT)
 
     def alive_workers(self):
         """Indices of workers whose processes are still running."""
@@ -699,10 +679,6 @@ class WorkerPool:
             return ({index for index, process in enumerate(self._processes)
                      if process.is_alive()},
                     tuple(self._incarnations))
-
-    def last_seen(self, worker):
-        """Host-monotonic time of the worker's last reply or heartbeat."""
-        return self._last_seen[worker]
 
     @property
     def restarts(self):
@@ -800,7 +776,6 @@ class WorkerPool:
                     now + self.recovery.restart_backoff.delay_s(
                         attempt, seed=index))
                 self._incarnations[index] += 1
-                self._last_seen[index] = now
                 replacement, child_conn = self._make_process(index)
                 with _single_thread_blas_env():
                     replacement.start()
@@ -813,13 +788,10 @@ class WorkerPool:
         """Telemetry: per-slot incarnation/restart/liveness state
         (what ``Scheduler.stats()`` reports per pooled target)."""
         with self._state_lock:
-            now = time.monotonic()
             return {
                 "alive": self.alive_workers(),
                 "incarnations": tuple(self._incarnations),
                 "restarts": tuple(self._restarts),
-                "heartbeat_age_s": tuple(now - seen
-                                         for seen in self._last_seen),
                 "fleet_down": self.fleet_down,
             }
 
@@ -853,21 +825,9 @@ class WorkerPool:
         # closing (Scheduler.shutdown does).
         while (any(process.is_alive() for process in self._processes)
                and time.monotonic() < deadline):
+            self._wait_readable(0.05)
             with self._state_lock:
-                readers = [reader for reader in self._reply_readers
-                           if reader is not None and not reader.eof]
-                readers += [reader for reader in self._retired_readers
-                            if not reader.eof]
-            try:
-                if readers:
-                    select.select(readers, [], [], 0.05)
-                else:
-                    time.sleep(0.05)
-            except (OSError, ValueError):         # pragma: no cover
-                pass
-            with self._state_lock:
-                for reader in readers:
-                    reader.drain()
+                self._drain_readers()
         for process in self._processes:
             process.join(timeout=max(0.0, deadline - time.monotonic()))
             if process.is_alive():                # pragma: no cover

@@ -10,18 +10,25 @@ execution, no worker error ever escapes ``step()``/``drain()`` as an
 exception, and ``stats()`` accounts for every respawn, re-dispatch,
 quarantine, shed, and degraded flush.
 
-Process-spawning scenarios run under a fork context (instant startup).
+Process-spawning scenarios run under a fork context (instant startup);
+the orphan check, which kills the pool's parent, runs under spawn too.
 They are core-count independent -- a 2-process fleet time-slices fine
 on one CPU -- but CI additionally runs this file as a dedicated
 chaos-suite step guarded to multi-core runners, where the failure
 interleavings are most adversarial.
 """
 
+import os
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core import HeatViT
 from repro.data import SyntheticConfig, generate_dataset
 from repro.engine import InferenceSession
@@ -32,6 +39,39 @@ from repro.serving import (DEFAULT_PRIORITY, FaultPlan, FaultSpec, FrontDoor,
 #: Production backoffs are seconds; chaos tests respawn in milliseconds.
 FAST_BACKOFF = RetryPolicy(attempts=4, backoff_base_s=0.01,
                            backoff_max_s=0.05)
+
+
+#: The directory ``repro`` imports from, for a child interpreter's path.
+SRC = str(Path(repro.__file__).resolve().parents[1])
+
+#: Builds a 2-worker pool under the start method named in ``argv[1]``,
+#: prints the worker pids and kills itself without any cleanup.
+_ORPHAN_SCRIPT = """
+import os, signal, sys
+import numpy as np
+from repro.core import HeatViT
+from repro.engine import InferenceSession
+from repro.serving import WorkerPool
+from repro.vit import VisionTransformer, ViTConfig
+
+config = ViTConfig(name="orphan", image_size=16, patch_size=4, embed_dim=24,
+                   depth=4, num_heads=3, num_classes=4)
+model = HeatViT(VisionTransformer(config, rng=np.random.default_rng(7)),
+                {1: 0.7}, rng=np.random.default_rng(31))
+model.eval()
+pool = WorkerPool(InferenceSession(model, batch_size=4), 2, ctx=sys.argv[1])
+print(*(process.pid for process in pool._processes), flush=True)
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+def _running(pid):
+    """Whether ``pid`` is a live process (an unreaped zombie is not)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 def fast_recovery(**overrides):
@@ -217,7 +257,7 @@ class TestRetryPolicy:
 
 class TestRecoveryPolicy:
     def test_validation(self):
-        for bad in (dict(heartbeat_s=0.0), dict(max_worker_restarts=-1),
+        for bad in (dict(max_worker_restarts=-1),
                     dict(dispatch_timeout_factor=0.0),
                     dict(min_dispatch_timeout_s=0.0),
                     dict(max_in_flight_per_worker=0)):
@@ -283,18 +323,29 @@ class TestPoolSupervision:
             assert snapshot["incarnations"] == (1, 0)
             assert not snapshot["fleet_down"]
 
-    def test_idle_heartbeats_refresh_last_seen(self, chaos_model):
-        session = InferenceSession(chaos_model, batch_size=4)
-        recovery = fast_recovery(heartbeat_s=0.1)
-        with WorkerPool(session, 1, ctx="fork", recovery=recovery) as pool:
-            seen_at_start = pool.last_seen(0)
-            deadline = time.monotonic() + 30.0
-            while (pool.last_seen(0) == seen_at_start
-                   and time.monotonic() < deadline):
-                # Heartbeats are consumed by poll, never surfaced.
-                assert pool.poll(timeout_s=0.05) == []
-            assert pool.last_seen(0) > seen_at_start
-            assert pool.supervision_snapshot()["heartbeat_age_s"][0] < 30.0
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads process states from /proc")
+    @pytest.mark.parametrize("ctx", ["fork", "spawn"])
+    def test_workers_exit_when_the_parent_is_killed(self, ctx, tmp_path):
+        """A parent killed outright (``kill -9``: no ``close()``, no
+        sentinel on the task queues) leaves no orphan: each idle worker
+        sees its parent's process sentinel go away and exits."""
+        out, err = tmp_path / "pids.txt", tmp_path / "stderr.txt"
+        # Files, not pipes: orphans inherit the parent's stdout/stderr,
+        # and a pipe would stay open for as long as they live.
+        with open(out, "w") as stdout, open(err, "w") as stderr:
+            subprocess.run([sys.executable, "-c", _ORPHAN_SCRIPT, ctx],
+                           stdout=stdout, stderr=stderr, timeout=120,
+                           env={**os.environ, "PYTHONPATH": SRC})
+        pids = [int(pid) for pid in out.read_text().split()]
+        assert len(pids) == 2, err.read_text()
+        deadline = time.monotonic() + 5.0
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        orphans = [pid for pid in pids if _running(pid)]
+        for pid in orphans:
+            os.kill(pid, signal.SIGKILL)
+        assert orphans == []
 
     def test_restart_budget_exhaustion_is_fleet_down(self, chaos_model,
                                                      images):

@@ -21,8 +21,8 @@ from hypothesis import strategies as st
 from repro.core import HeatViT, LatencySparsityTable
 from repro.cost import CostModel
 from repro.engine import InferenceSession
-from repro.serving import (InlineTransport, RecoveryPolicy, RetryPolicy,
-                           Scheduler, SystemClock, VirtualClock)
+from repro.serving import (InlineTransport, Scheduler, SystemClock,
+                           VirtualClock)
 from tests.serving.harness import (Arrival, ServingSimulation,
                                    hold_whole_window)
 
@@ -295,12 +295,13 @@ class TestHoldNeverExceedsTheWindow:
 # ----------------------------------------------------------------------
 def count_steps(scheduler):
     """Count ``step`` calls through the instance attribute the driver
-    loop reads."""
+    loop reads; a call counts once it has returned."""
     calls, step = [], scheduler.step
 
     def counted():
+        completed = step()
         calls.append(None)
-        return step()
+        return completed
 
     scheduler.step = counted
     return calls
@@ -389,15 +390,15 @@ class TestEventWokenDriver:
     def test_pooled_target_still_collects_replies(self, model,
                                                   tiny_dataset):
         """Replies arrive on pipes nothing announces: while shards are
-        in flight the driver polls at ``poll_ms``; idle again, it looks
-        in once per heartbeat (here: far apart) and no more."""
+        in flight the driver polls at ``poll_ms``; idle again, it stops
+        polling."""
         images = tiny_dataset.images[:8]
         reference = InferenceSession(model, batch_size=16).submit(images)
         with Scheduler(clock=SystemClock(),
                        batch_window_ms=5.0) as scheduler:
             served = scheduler.register(
                 "pooled", model, batch_size=16, workers=2,
-                worker_ctx="fork", recovery=RecoveryPolicy(heartbeat_s=60.0))
+                worker_ctx="fork")
             calls = count_steps(scheduler)
             scheduler.start(poll_ms=2.0)
             ids = [scheduler.submit(images[2 * i:2 * i + 2])
@@ -418,29 +419,36 @@ class TestEventWokenDriver:
                 result.logits, reference.logits[2 * index:2 * index + 2],
                 rtol=0, atol=1e-8)
 
-    def test_idle_pool_is_still_supervised(self, model):
-        """Nothing queued, nothing in flight, nothing submitted: a
-        worker that dies is respawned within a few heartbeats and the
-        beats of the living are read (their age stays small)."""
-        recovery = RecoveryPolicy(
-            heartbeat_s=0.05, restart_backoff=RetryPolicy(
-                attempts=4, backoff_base_s=0.01, backoff_max_s=0.05))
+    def test_idle_death_heals_on_the_next_step(self, model, tiny_dataset):
+        """Nothing queued, nothing in flight: a worker that dies idle
+        wakes nobody -- the driver does not step and nothing respawns
+        -- until the next submit's step sweeps the death, respawns the
+        slot and serves the request."""
+        image = tiny_dataset.images[:1]
+        reference = InferenceSession(model, batch_size=16).submit(image)
         with Scheduler(clock=SystemClock()) as scheduler:
             served = scheduler.register("pooled", model, batch_size=16,
-                                        workers=2, worker_ctx="fork",
-                                        recovery=recovery)
-            scheduler.start(poll_ms=60_000.0)  # only the heartbeat ticks
+                                        workers=2, worker_ctx="fork")
+            calls = count_steps(scheduler)
+            scheduler.start(poll_ms=2.0)
+            deadline = time.monotonic() + 30.0
+            while not calls:                   # the driver's first step ran
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
             victim = served.pool._processes[0]
             victim.terminate()
             victim.join(timeout=30)
-            deadline = time.monotonic() + 30.0
-            while served.recovery["respawns"] < 1:
-                assert time.monotonic() < deadline, "idle death unnoticed"
-                time.sleep(0.02)
+            assert not victim.is_alive()
+            settled = len(calls)
+            time.sleep(0.3)
+            assert len(calls) == settled
+            assert served.recovery["respawns"] == 0
+            result = scheduler.wait_result(scheduler.submit(image),
+                                           timeout_ms=60_000.0)
+            assert not result.failed
+            np.testing.assert_allclose(result.logits, reference.logits,
+                                       rtol=0, atol=1e-8)
+            assert served.recovery["respawns"] == 1
             while served.pool.alive_workers() != [0, 1]:
                 assert time.monotonic() < deadline
                 time.sleep(0.02)
-            time.sleep(0.3)                    # six beats, all drained
-            fleet = scheduler.stats()["sessions"]["pooled"]["fleet"]
-            assert max(fleet["heartbeat_age_s"]) < 0.25
-            assert scheduler.stats()["classes"] == {}      # no submit

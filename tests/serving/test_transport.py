@@ -100,7 +100,6 @@ class _StubPool:
     def supervision_snapshot(self):
         return {"alive": self.alive_workers(),
                 "restarts": tuple(), "incarnations": tuple(),
-                "heartbeat_age_s": tuple(),
                 "fleet_down": self.fleet_down}
 
     def close(self):
