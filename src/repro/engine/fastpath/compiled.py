@@ -44,7 +44,10 @@ a block read what the GEMM before them just wrote instead of streaming
 batch-sized buffers through the cache -- the software analogue of the
 paper's accelerator keeping a tile's intermediates in on-chip buffers.
 Every chunk, the shorter tail included, is a view of the same ``blk_*``
-arenas, which therefore never grow past one chunk.
+arenas, which therefore never grow past one chunk.  An int8 block runs
+its batch as one chunk (its activation scales are per tensor), but its
+fc1 -> activation still runs in cache-sized tiles of whole images
+(:meth:`CompiledBlock.mlp_tile`).
 
 One hierarchy, N kernel sets
 ----------------------------
@@ -81,6 +84,12 @@ _EPS = 1e-8          # mirrors repro.core.selector._EPS
 CHUNK_BYTES = 3 << 20
 
 
+def _images_within_chunk(per_image_bytes):
+    """How many whole images of ``per_image_bytes`` fit one chunk (at
+    least one)."""
+    return max(CHUNK_BYTES // per_image_bytes, 1)
+
+
 class CompileError(TypeError):
     """A module the fast path cannot lower (and cannot fall back on)."""
 
@@ -112,6 +121,11 @@ class LinearKernel:
     rows); without it the result lands in workspace scratch under
     ``key``.  ``inplace`` (``x`` is dead scratch the kernel may
     overwrite) only matters to kernels that quantize their input.
+
+    The same call in two steps, for a caller that runs the GEMM over
+    slices of one input: ``prepare(x, ws, key, inplace)`` readies the
+    whole input and returns ``(rows, state)``; ``gemm(rows[s], state,
+    out[s])`` computes one slice.  A float input needs no preparing.
     """
 
     __slots__ = ("weight", "bias")
@@ -125,13 +139,19 @@ class LinearKernel:
         return cls(linear.weight.data,
                    None if linear.bias is None else linear.bias.data, dtype)
 
-    def __call__(self, x, ws, key, out=None, inplace=False):
-        if out is None:
-            out = ws.take(key + "o", x.shape[:-1] + self.weight.shape[1:])
+    def prepare(self, x, ws, key, inplace=False):
+        return x, None
+
+    def gemm(self, x, state, out):
         np.matmul(x, self.weight, out=out)
         if self.bias is not None:
             out += self.bias
         return out
+
+    def __call__(self, x, ws, key, out=None, inplace=False):
+        if out is None:
+            out = ws.take(key + "o", x.shape[:-1] + self.weight.shape[1:])
+        return self.gemm(x, None, out)
 
 
 def _relu_kernel(x, ws, key):
@@ -243,6 +263,10 @@ class CompiledBlock:
     :meth:`forward` cut the batch into chunks; kernels that read a
     statistic of the whole batch -- the int8 grade's per-tensor
     activation scale -- leave it unset and get their batch whole.
+    Either way fc1 and the activation run in tiles of whole images
+    (:meth:`mlp_tile`): fc1's input is prepared once for the whole
+    chunk, so the int8 grade calibrates that scale over the batch
+    before any tile runs.
     """
 
     __slots__ = ("num_heads", "head_dim", "hidden_dim",
@@ -277,7 +301,8 @@ class CompiledBlock:
         add, softmax, activation and residual pass then reads
         cache-resident data, and no scratch buffer is larger than a
         chunk.  A small batch is one chunk; so is any batch of a block
-        that is not ``image_separable``.
+        that is not ``image_separable``, whose attention and fc2 then
+        run whole and only fc1 -> activation runs in tiles.
         """
         batch, tokens, dim = x.shape
         step = max(batch, 1)
@@ -286,13 +311,22 @@ class CompiledBlock:
             # (LayerNorm out and two squares, qkv, context, merge,
             # projection), the hidden layer with up to three
             # activation buffers, and the score matrix.
-            per_image = x.itemsize * tokens * (
-                10 * dim + 4 * self.hidden_dim + self.num_heads * tokens)
-            step = max(CHUNK_BYTES // per_image, 1)
+            step = _images_within_chunk(x.itemsize * tokens * (
+                10 * dim + 4 * self.hidden_dim + self.num_heads * tokens))
         for lo in range(0, batch, step):
             self._run(x[lo:lo + step],
                       None if bias is None else bias[lo:lo + step], ws)
         return x
+
+    def mlp_tile(self, tokens, itemsize):
+        """Images per fc1 -> activation tile at ``tokens`` tokens: one
+        image's fc1 input rows, hidden layer and up to three activation
+        buffers, within :data:`CHUNK_BYTES`.  A float chunk's per-image
+        budget counts all of these and more, so it is never larger than
+        a tile and runs as one."""
+        dim = self.num_heads * self.head_dim
+        return _images_within_chunk(
+            itemsize * tokens * (dim + 4 * self.hidden_dim))
 
     def _run(self, x, bias, ws):
         """One chunk of :meth:`forward`.  Every linear runs ``inplace``:
@@ -325,8 +359,16 @@ class CompiledBlock:
         fused_layer_norm(x, self.n2_w, self.n2_b, self.eps2, out=normed,
                          ws=ws, key="blk_ln2")
         hidden = ws.take("blk_mlp", (batch, tokens, self.hidden_dim))
-        self.fc1(normed, ws, "blk_fc1", out=hidden, inplace=True)
-        self.act(hidden, ws, "blk_act")
+        # fc1's input is prepared (int8: calibrated and quantized) over
+        # the whole chunk, then GEMM, bias and activation run per tile,
+        # so the activation reads what the GEMM just wrote.  fc2 needs
+        # the whole hidden layer: the int8 grade calibrates over it.
+        rows, state = self.fc1.prepare(normed, ws, "blk_fc1", inplace=True)
+        tile = self.mlp_tile(tokens, x.itemsize)
+        for lo in range(0, batch, tile):
+            part = hidden[lo:lo + tile]
+            self.fc1.gemm(rows[lo:lo + tile], state, part)
+            self.act(part, ws, "blk_act")
         self.fc2(hidden, ws, "blk_fc2", out=attn_out,      # reuse buffer
                  inplace=True)
         x += attn_out                                      # residual 2

@@ -26,7 +26,10 @@ from repro.approx.polynomial import (ERF_A, ERF_B, _EXP_C0, _EXP_C1,
 __all__ = ["layer_norm_reference", "quantize_fast", "approx_gelu_fast",
            "approx_softmax_fast"]
 
-_TINY = float(np.finfo(np.float64).tiny)
+# Floor of the activation scale: float32's smallest normal, 2^-126, so
+# the reciprocal the kernel multiplies by (2^126 at most) stays finite
+# in float32 -- float64's floor would overflow it to inf.
+_TINY = float(np.finfo(np.float32).tiny)
 # sqrt(c0) folded into the polynomial's linear term so the fast exp
 # evaluates c0*(p + c1)^2 + c2 as (s*p + s*c1)^2 + c2 -- one pass less.
 _SQRT_C0 = float(np.sqrt(_EXP_C0))
@@ -63,7 +66,9 @@ def quantize_fast(x, qmax, ws, key, out=None):
     scaling is a reciprocal-multiply; the clip is skipped entirely
     because with an abs-max-derived scale ``|rint(x / scale)| <= qmax``
     already holds (the half-ulp slack of the reciprocal cannot push
-    ``rint`` past ``qmax + 0.5``).
+    ``rint`` past ``qmax + 0.5``).  A tensor whose abs-max is below
+    ``qmax * 2^-126`` gets the floor scale ``2^-126``: its reciprocal is
+    exact, so ``|q| = |x| * 2^126 < qmax`` still holds without a clip.
     """
     if x.size:
         amax = max(float(x.max()), -float(x.min()))

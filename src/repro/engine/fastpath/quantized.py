@@ -13,11 +13,16 @@ Two numerics grades, selected by dtype:
 
 * ``float32`` -- the **serving grade**: a plain
   :class:`.compiled.CompiledModel` whose linear slots hold
-  :meth:`QuantizedLinearKernel.apply_fast` (in-place workspace kernels),
+  :class:`QuantizedLinearKernel` objects, called as
+  :meth:`~QuantizedLinearKernel.apply_fast` (in-place workspace kernels,
+  one 2-D GEMM per call),
   whose softmax/GELU slots hold the fused shift-based-exp and polynomial
   kernels, and whose stock selectors run quantized MLP steps through the
-  shared dense and ragged boundary pipelines.  Gated on top-1/keep
-  agreement with the float64 engine, not bitwise parity.
+  shared dense and ragged boundary pipelines.  Its blocks run the batch
+  whole except fc1 -> GELU, which runs in cache-sized tiles after fc1's
+  input is quantized over the batch -- bitwise what one whole pass
+  computes.  Gated on top-1/keep agreement with the float64 engine, not
+  bitwise parity.
 * ``float64`` -- **simulation parity**, the reference grade this module
   owns (:class:`QuantizedModel` and its blocks/selectors).  It calls
   the same :mod:`repro.approx` definitions and :func:`repro.quant.quantize`
@@ -72,7 +77,8 @@ class QuantizedLinearKernel:
     stored as integer-valued arrays of the compute dtype; activations
     are quantized per tensor at every call, exactly the simulation's
     dynamic scheme.  :meth:`apply_reference` mirrors the simulation
-    bitwise; :meth:`apply_fast` is the in-place float32 form.
+    bitwise; :meth:`apply_fast` is the in-place float32 form, split into
+    :meth:`prepare` and :meth:`gemm` for a caller that tiles the GEMM.
 
     No runtime accumulator check: :func:`safe_accumulator_bits` already
     proves at compile time that ``qmax^2 * in_features`` fits the width
@@ -131,28 +137,52 @@ class QuantizedLinearKernel:
             out = out + self.bias
         return out
 
-    def apply_fast(self, x, ws, key, out=None, inplace=False):
-        """Quantize -> GEMM -> rescale -> bias, on workspace scratch.
-
+    def prepare(self, x, ws, key, inplace=False):
+        """Calibrate and quantize the whole input: ``(q, rescale)``, the
+        integer-valued rows and the factor that takes their GEMM back
+        to real units (per channel, the kernel's own buffer).
         ``inplace=True`` reuses ``x`` itself as the quantization buffer
-        (valid when ``x`` is dead scratch).  ``out`` may be a strided
-        view (e.g. an embedding buffer's token rows).
-        """
+        (valid when ``x`` is dead scratch)."""
         q, act_scale = quantize_fast(x, self.qmax, ws, key + "q",
                                      out=x if inplace else None)
-        if out is None:
-            out = ws.take(key + "o", x.shape[:-1] + (self.out_features,))
-        np.matmul(q, self.w_q, out=out)
         dt = self.w_q.dtype.type
         if self.per_channel:
-            combined = self._scale_buf
-            np.multiply(self.scales, dt(act_scale), out=combined)
-            out *= combined
+            np.multiply(self.scales, dt(act_scale), out=self._scale_buf)
+            return q, self._scale_buf
+        return q, dt(self.scales * act_scale)
+
+    def gemm(self, q, rescale, out):
+        """GEMM -> rescale -> bias of prepared rows (all or a slice).
+
+        A C-contiguous ``out`` gets one ``(rows, K) @ (K, N)`` GEMM:
+        numpy runs a ``(B, T, K)`` operand as ``B`` GEMMs of ``T`` rows.
+        The operands are integers whose partial sums stay exact (checked
+        in ``__init__``), so no BLAS blocking changes a bit.  A strided
+        ``out`` (an embedding buffer's token rows) keeps the batched
+        call: reshaping it would return a copy for the GEMM to fill.
+        """
+        if out.flags.c_contiguous:
+            np.matmul(q.reshape(-1, self.in_features), self.w_q,
+                      out=out.reshape(-1, self.out_features))
         else:
-            out *= dt(self.scales * act_scale)
+            np.matmul(q, self.w_q, out=out)
+        out *= rescale
         if self.bias is not None:
             out += self.bias
         return out
+
+    def apply_fast(self, x, ws, key, out=None, inplace=False):
+        """Quantize -> GEMM -> rescale -> bias, on workspace scratch:
+        :meth:`prepare` then :meth:`gemm` over the whole input.  ``out``
+        may be a strided view."""
+        q, rescale = self.prepare(x, ws, key, inplace)
+        if out is None:
+            out = ws.take(key + "o", x.shape[:-1] + (self.out_features,))
+        return self.gemm(q, rescale, out)
+
+    # The serving grade puts the kernel itself in a linear slot, which
+    # calls it as ``kernel(x, ws, key, out=, inplace=)``.
+    __call__ = apply_fast
 
 
 class _QuantGELUKernel:
@@ -301,7 +331,10 @@ def compile_quantized(model, bits=8, dtype=None,
         (and quantized) at compile time.
     bits: operand precision -- 8 (the paper's deployment) or 16.
     dtype: ``float32`` (default for 8-bit: the serving grade, a
-        :class:`.compiled.CompiledModel`) or ``float64`` (the bitwise
+        :class:`.compiled.CompiledModel` whose linear slots hold the
+        :class:`QuantizedLinearKernel` objects themselves, so a block can
+        quantize fc1's input once and run its GEMM per tile) or
+        ``float64`` (the bitwise
         simulation-parity grade, a :class:`QuantizedModel`; the only
         choice for 16-bit, whose integer products exceed float32's
         exact window).
@@ -326,7 +359,7 @@ def compile_quantized(model, bits=8, dtype=None,
             linear, bits, dtype, _wants_per_channel(per_channel, name))
 
     def grade(lowered):
-        return lowered.apply_reference if parity else lowered.apply_fast
+        return lowered.apply_reference if parity else lowered
 
     def affine(norm):
         return (_contig(norm.weight.data, dtype),
@@ -354,7 +387,9 @@ def compile_quantized(model, bits=8, dtype=None,
             score_scale = None
         # ``image_separable`` stays unset: every linear kernel here
         # calibrates one activation scale over the whole batch, so a
-        # chunk of images would not compute what the batch does.
+        # chunk of images would not compute what the batch does.  Only
+        # fc1 -> GELU runs in tiles, after fc1's input is quantized
+        # whole (``CompiledBlock._run``).
         blocks.append(block_class(
             block, affine(block.norm1), affine(block.norm2), grade(qkv),
             grade(kernel(attn.proj, "proj")),
@@ -364,9 +399,7 @@ def compile_quantized(model, bits=8, dtype=None,
             score_scale))
 
     def lower_mlp(sequential):
-        return _compile_mlp(
-            sequential, dtype,
-            lambda linear, name: kernel(linear, name).apply_fast, swaps)
+        return _compile_mlp(sequential, dtype, kernel, swaps)
 
     selectors = []
     for selector in getattr(model, "selectors", []):

@@ -27,6 +27,7 @@ from repro.engine.fastpath import (CompiledBlock, Workspace, compile_model,
                                    gelu_exact, gelu_rational,
                                    mask_to_bias, masked_softmax)
 from repro.engine.fastpath.compiled import CHUNK_BYTES
+from repro.engine.fastpath.qkernels import approx_gelu_fast, quantize_fast
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
 from repro.vit import VisionTransformer, ViTConfig
@@ -247,6 +248,63 @@ def block_bytes(ws):
                if name.startswith("blk_"))
 
 
+# One block of the benchmark suite's DENSE shape: 17 tokens, a 1024-wide
+# MLP -- where an int8 fc1 -> GELU runs in several tiles.
+SUITE_DENSE_BLOCK = ViTConfig(name="dense", image_size=32, patch_size=8,
+                              embed_dim=64, depth=1, num_heads=4,
+                              mlp_ratio=16.0, num_classes=8)
+
+
+class _CountingActivation:
+    """Wraps a compiled block's activation slot and records how many
+    images each call saw."""
+
+    def __init__(self, block):
+        self.act, self.rows = block.act, []
+        block.act = self
+
+    def __call__(self, x, ws, key):
+        self.rows.append(x.shape[0])
+        return self.act(x, ws, key)
+
+
+def int8_whole_batch(block, x, delta1):
+    """An int8 serving block on the whole batch in one pass: every
+    linear quantizes its whole input, runs numpy's batched GEMM,
+    rescales and adds its bias; the Eq. 12 GELU (``delta1``) sees the
+    whole hidden layer."""
+    ws = Workspace(np.float32)
+    batch, tokens, dim = x.shape
+    h, d = block.num_heads, block.head_dim
+
+    def linear(kernel, rows):
+        q, scale = quantize_fast(rows, kernel.qmax, ws, "ref_q")
+        out = np.matmul(q, kernel.w_q)
+        if kernel.per_channel:
+            out *= kernel.scales * np.float32(scale)
+        else:
+            out *= np.float32(kernel.scales * scale)
+        return out + kernel.bias
+
+    def norm(rows, weight, bias, eps):
+        return fused_layer_norm(rows, weight, bias, eps,
+                                out=np.empty_like(rows), ws=ws, key="ref_ln")
+
+    qkv = linear(block.qkv, norm(x, block.n1_w, block.n1_b, block.eps1))
+    split = qkv.reshape(batch, tokens, 3, h, d)
+    scores = np.matmul(split[:, :, 0].transpose(0, 2, 1, 3),
+                       split[:, :, 1].transpose(0, 2, 3, 1))
+    if block.score_scale is not None:
+        scores *= np.float32(block.score_scale)
+    block.softmax(scores, None, ws=ws, key="ref_sm")
+    context = np.matmul(scores, split[:, :, 2].transpose(0, 2, 1, 3))
+    x = x + linear(block.proj,
+                   context.transpose(0, 2, 1, 3).reshape(batch, tokens, dim))
+    hidden = linear(block.fc1, norm(x, block.n2_w, block.n2_b, block.eps2))
+    hidden = approx_gelu_fast(hidden, delta1, ws, "ref_act")
+    return x + linear(block.fc2, hidden)
+
+
 @pytest.fixture(scope="module")
 def suite_traffic(suite_model, suite_canary):
     """One float32 ``batch_size=32`` session on the suite's PRUNED shape
@@ -342,30 +400,47 @@ class TestChunkedBlockExecution:
         assert after["nbytes"] <= 10e6 and after["arenas"] <= 80
         assert suite_traffic["second pass"] == after
 
-    def test_int8_block_runs_its_batch_whole(self, rng):
+    def test_int8_block_tiles_fc1_bitwise(self, rng):
         """The int8 serving grade calibrates one activation scale per
-        tensor over the whole batch, so its blocks are exempt: at a
-        shape a float block would cut into chunks, the result is
-        bitwise the single whole-batch pass."""
-        config = ViTConfig(name="dense", image_size=32, patch_size=8,
-                           embed_dim=64, depth=1, num_heads=4,
-                           mlp_ratio=16.0, num_classes=8)
-        model = VisionTransformer(config, rng=rng)
+        tensor over the whole batch, so its block runs the batch as one
+        chunk; only fc1 -> GELU runs in tiles, after fc1's input is
+        quantized whole.  At the suite's DENSE block shape, for one
+        image, one tile, one tile plus a one-image tail and several
+        tiles, that is bitwise the whole-batch arithmetic."""
+        model = VisionTransformer(SUITE_DENSE_BLOCK, rng=rng)
         model.eval()
-        x = rng.normal(size=(32, 17, 64)).astype(np.float32)
-        served, whole = x.copy(), x.copy()
-        ws = Workspace(np.float32)
         block = compile_quantized(model).blocks[0]
         assert type(block) is CompiledBlock and not block.image_separable
-        block.forward(served, None, ws)
-        assert ws._arenas["blk_ln"].size == x.size
-        block._run(whole, None, Workspace(np.float32))
-        assert served.tobytes() == whole.tobytes()
-        # ... where the float block of the same shape does chunk: no
-        # arena of its workspace ever held the batch.
+        tokens, dim, hidden = 17, 64, block.hidden_dim
+        tile = block.mlp_tile(tokens, 4)
+        assert tile > 1
+        delta1 = block.act.delta1
+        activations = _CountingActivation(block)
+        for batch in (1, tile, tile + 1, 3 * tile + 2):
+            x = rng.normal(size=(batch, tokens, dim)).astype(np.float32)
+            ws = Workspace(np.float32)
+            activations.rows.clear()
+            served = block.forward(x.copy(), None, ws)
+            assert served.tobytes() == int8_whole_batch(block, x,
+                                                      delta1).tobytes()
+            assert activations.rows == [min(tile, batch - lo)
+                                        for lo in range(0, batch, tile)]
+            assert ws._arenas["blk_ln"].size == x.size
+            for name, arena in ws._arenas.items():
+                if name.startswith("blk_act"):
+                    assert 0 < arena.size <= tile * tokens * hidden, name
+        # ... where the float block of the same shape chunks: no arena
+        # of its workspace ever held the batch, and each chunk is one
+        # MLP tile.
+        block = compile_model(model).blocks[0]
+        activations = _CountingActivation(block)
+        x = rng.normal(size=(32, tokens, dim)).astype(np.float32)
         ws = Workspace(np.float32)
-        compile_model(model).blocks[0].forward(x.copy(), None, ws)
-        assert 0 < ws._arenas["blk_ln"].size < x.size
+        block.forward(x, None, ws)
+        chunk = ws._arenas["blk_ln"].size // (tokens * dim)
+        assert 0 < chunk < 32
+        assert activations.rows == [min(chunk, 32 - lo)
+                                    for lo in range(0, 32, chunk)]
         assert block_bytes(ws) <= 1.1 * CHUNK_BYTES
 
 

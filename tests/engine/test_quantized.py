@@ -125,6 +125,17 @@ class TestFastKernels:
         with pytest.raises(ValueError, match="non-finite"):
             quantize_fast(bad, 127, ws, "q")
 
+    @pytest.mark.parametrize("amax", [1e-36, 3e-37, 1e-38, 1e-45])
+    def test_quantize_fast_tiny_abs_max(self, rng, amax):
+        """Below an abs-max of ~3.7e-37 the reciprocal of ``amax/qmax``
+        is inf in float32; the scale floor keeps ``q`` finite, integer
+        and within ``qmax``."""
+        x = (amax * np.sign(rng.normal(size=(3, 8)))).astype(np.float32)
+        q, scale = quantize_fast(x, 127, Workspace(np.float32), "q")
+        assert np.isfinite(q).all() and scale > 0.0
+        assert np.all(q == np.rint(q))
+        assert np.abs(q).max() <= 127
+
 
 class TestQuantizedLinearKernel:
     def test_reference_apply_bitwise_vs_module(self, rng):
@@ -146,6 +157,42 @@ class TestQuantizedLinearKernel:
         x = rng.normal(size=(4, 12))
         assert kernel.apply_reference(x).tobytes() == \
             qmodule(Tensor(x)).data.tobytes()
+
+    @pytest.mark.parametrize("per_channel", [False, True],
+                             ids=["per_tensor", "per_channel"])
+    def test_apply_fast_is_the_integer_gemm(self, rng, per_channel):
+        """Whatever GEMM shape ``apply_fast`` hands BLAS (one 2-D call
+        into a contiguous ``out``, the batched call into a strided one),
+        its result is bitwise the int64 GEMM of the quantized rows,
+        rescaled and biased in float32."""
+        linear = nn.Linear(64, 96, rng=rng)
+        kernel = QuantizedLinearKernel.from_linear(
+            linear, bits=8, dtype=np.dtype(np.float32),
+            per_channel=per_channel)
+
+        def expected(x):
+            q, scale = quantize_fast(x.copy(), 127, Workspace(np.float32),
+                                     "q")
+            exact = q.astype(np.int64) @ kernel.w_q.astype(np.int64)
+            out = exact.astype(np.float32)
+            if per_channel:
+                out *= kernel.scales * np.float32(scale)
+            else:
+                out *= np.float32(kernel.scales * scale)
+            return out + kernel.bias
+
+        x = rng.normal(size=(5, 17, 64)).astype(np.float32)
+        ws = Workspace(np.float32)
+        out = kernel.apply_fast(x, ws, "k")
+        assert out.tobytes() == expected(x).tobytes()
+        # embed's form: the token rows of a (B, 1 + T, N) buffer.
+        buffer = np.zeros((5, 18, 96), dtype=np.float32)
+        kernel.apply_fast(x, ws, "k", out=buffer[:, 1:, :])
+        assert buffer[:, 1:, :].tobytes() == expected(x).tobytes()
+        assert not buffer[:, 0, :].any()
+        row = rng.normal(size=(1, 64)).astype(np.float32)
+        assert kernel.apply_fast(row, ws, "k").tobytes() == \
+            expected(row).tobytes()
 
     def test_float32_exact_window_rejected(self, rng):
         """127^2 * K beyond 2^24 can round inside a float32 GEMM, which
@@ -245,6 +292,24 @@ class TestEndToEndParity:
         out = BucketedExecutor(model, backend="int8",
                                dtype=np.float64).run(images)
         assert out.logits.tobytes() == ref.logits.tobytes()
+
+    def test_tiny_valued_image_is_served(self, rng):
+        """An image of all-1e-38 pixels is finite, so admission takes
+        it; the float32 grade must serve it (its patch GEMM's abs-max is
+        below where ``1/scale`` overflows float32) and land where the
+        float64 grade does."""
+        config = ViTConfig(name="quant-dense", image_size=32, patch_size=8,
+                           embed_dim=64, depth=8, num_heads=4,
+                           mlp_ratio=16.0, num_classes=8)
+        model = HeatViT(VisionTransformer(config, rng=rng), {}, rng=rng)
+        model.eval()
+        images = np.full((1, 3, 32, 32), 1e-38)
+        out32 = InferenceSession(model, backend="int8").submit(images)
+        out64 = InferenceSession(model, backend="int8",
+                                 dtype=np.float64).submit(images)
+        assert np.isfinite(out32.logits).all()
+        assert np.array_equal(out32.logits.argmax(-1),
+                              out64.logits.argmax(-1))
 
     @pytest.mark.parametrize("act", [nn.ReLU, nn.Sigmoid],
                              ids=["ReLU", "Sigmoid"])
