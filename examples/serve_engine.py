@@ -9,12 +9,15 @@ accelerator latency per image (paper Table IV lookup, Eq. 18).
 Pass ``--backend fastpath`` to serve through the compiled graph-free
 fast path (fused float32 kernels + workspace reuse; identical
 predictions, several times the throughput) instead of the float64
-Tensor reference modules.
+Tensor reference modules.  ``--backend int8`` serves the deployed
+numerics: 8-bit integer GEMMs with the paper's polynomial GELU and
+shift-based softmax (``int16`` runs them in float64).
 
 Usage::
 
     PYTHONPATH=src python examples/serve_engine.py
     PYTHONPATH=src python examples/serve_engine.py --backend fastpath
+    PYTHONPATH=src python examples/serve_engine.py --backend int8
 """
 
 import argparse
@@ -23,16 +26,16 @@ import numpy as np
 
 from repro.core import HeatViT
 from repro.data import SyntheticConfig, generate_dataset
-from repro.engine import BucketingPolicy, InferenceSession
+from repro.engine import BACKENDS, BucketingPolicy, InferenceSession
 from repro.vit import VisionTransformer, ViTConfig
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--backend", choices=["tensor", "fastpath"],
-                        default="tensor",
+    parser.add_argument("--backend", choices=BACKENDS, default="tensor",
                         help="engine compute backend (fastpath = compiled "
-                             "float32 kernels)")
+                             "float32 kernels; int8/int16 = quantized "
+                             "deployment numerics)")
     args = parser.parse_args()
     rng = np.random.default_rng(0)
 

@@ -90,24 +90,27 @@ def quantize_fast(x, qmax, ws, key, out=None):
 def approx_gelu_fast(x, delta1, ws, key):
     """Polynomial GELU (Eq. 12) in place on ``x``.
 
-    Pure arithmetic -- no ``exp``/``erf``/``reciprocal`` -- in ten
-    in-place passes over one scratch buffer (the 1/sqrt2 is folded into
-    the clip constants, the x/2 into the final blend), so it runs well
-    under half the float32 lane's rational-erf kernel; the fast lane's
-    answer to the paper's fixed-function GELU unit.
+    ``x/2 * (1 + delta1 * sign(x) * E(|x|))`` with ``x * sign(x) = |x|``
+    is ``x/2 + (delta1/2) * |x| * E``, so no pass transfers a sign.  Pure
+    arithmetic -- no ``exp``/``erf``/``reciprocal``/``copysign`` -- in
+    nine passes over two scratch buffers (``|x|`` and the polynomial);
+    the 1/sqrt2 is folded into the clip constants and ``delta1/2`` into
+    the polynomial's two coefficients.  The fast lane's answer to the
+    paper's fixed-function GELU unit.
     """
     dt = x.dtype.type
+    half = 0.5 * delta1
+    mag = ws.take(key + "a", x.shape)
     poly = ws.take(key + "p", x.shape)
-    np.abs(x, out=poly)
-    np.minimum(poly, dt(_GELU_CLIP), out=poly)
+    np.abs(x, out=mag)
+    np.minimum(mag, dt(_GELU_CLIP), out=poly)
     poly += dt(_GELU_SHIFT)
     np.multiply(poly, poly, out=poly)
-    poly *= dt(_GELU_A2)
-    poly += dt(1.0)                       # erf-poly of |x|, always > 0
-    np.copysign(poly, x, out=poly)        # sign(x) * poly
-    poly *= dt(0.5 * delta1)
-    poly += dt(0.5)                       # (delta1*erf + 1) / 2
-    x *= poly
+    poly *= dt(_GELU_A2 * half)
+    poly += dt(half)                      # (delta1/2) * erf-poly of |x|
+    poly *= mag
+    x *= dt(0.5)
+    x += poly
     return x
 
 

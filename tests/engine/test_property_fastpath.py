@@ -7,7 +7,8 @@ weight, and real-key probabilities match the Tensor reference softmax
 guard, on the max-shifted one.  The fused LayerNorm is
 held against the Tensor reference, with and without its affine folded
 away.  The lean rational GELU is pinned from both sides (accuracy in
-both dtypes, its fixed points, no overflow), and a compiled block must
+both dtypes, its fixed points, no overflow), the int8 grade's Eq. 12
+GELU the same way against its float64 definition, and a compiled block must
 compute the same thing whether it sees a batch at once or image by
 image -- the property its cache-resident chunk loop rests on.
 """
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.approx import ERF_B, gelu_approx
 from repro.core import HeatViT, PruningRecord
 from repro.data import SyntheticConfig, generate_dataset
 from repro.engine import InferenceSession
@@ -208,6 +210,81 @@ class TestGeluKernels:
         with np.errstate(invalid="ignore"):
             out = gelu_rational(x, Workspace(np.float32), "g")
         assert np.isnan(out).all()
+
+    # The int8 serving grade's Eq. 12 GELU against its float64
+    # definition, at the paper's delta1 and at no regularization.
+    DELTAS = (0.5, 1.0)
+    # Where the clip saturates the erf polynomial: |x| = -b * sqrt(2).
+    KNEE = np.float32(-ERF_B * np.sqrt(2.0))
+
+    @staticmethod
+    def approx_gelu(values, delta1, ws=None):
+        x = np.array(values, dtype=np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return approx_gelu_fast(
+                x, delta1, Workspace(np.float32) if ws is None else ws, "g")
+
+    @classmethod
+    def assert_approx_close(cls, x, delta1):
+        """Within 1.5e-7 * max(|x|, 1) of :func:`gelu_approx`."""
+        ref = gelu_approx(x.astype(np.float64), delta1)
+        out = cls.approx_gelu(x, delta1)
+        assert out.dtype == np.float32 and np.isfinite(out).all()
+        assert (np.abs(out - ref)
+                <= 1.5e-7 * np.maximum(np.abs(x.astype(np.float64)),
+                                       1.0)).all()
+
+    @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False,
+                                     width=32),
+                           min_size=1, max_size=64),
+           delta1=st.sampled_from(DELTAS))
+    @settings(max_examples=200, deadline=None)
+    def test_approx_close_to_definition(self, values, delta1):
+        """Close and finite over the whole finite float32 range."""
+        self.assert_approx_close(np.array(values, dtype=np.float32), delta1)
+
+    @pytest.mark.parametrize("delta1", DELTAS)
+    def test_approx_dense_sweep(self, delta1):
+        self.assert_approx_close(
+            np.linspace(-8.0, 8.0, 200001, dtype=np.float32), delta1)
+
+    @pytest.mark.parametrize("delta1", DELTAS)
+    def test_approx_fixed_points(self, delta1):
+        """Zero stays zero; from the clip knee on the polynomial is
+        exactly 1, so the output is ``(1 +- delta1) * x / 2`` -- at
+        ``delta1 = 1`` the identity above the knee and zero below minus
+        the knee -- and nothing overflows on the way at float32's max."""
+        assert np.array_equal(self.approx_gelu([0.0, -0.0], delta1),
+                              [0.0, 0.0])
+        knee = [np.nextafter(self.KNEE, np.float32(0.0)), self.KNEE,
+                np.nextafter(self.KNEE, np.float32(np.inf))]
+        self.assert_approx_close(np.array(knee + [-k for k in knee]), delta1)
+        for big in (knee[1:], [1e30, 3.4e38]):
+            big = np.array(big, dtype=np.float32)
+            assert np.array_equal(self.approx_gelu(big, delta1),
+                                  big * np.float32((1 + delta1) / 2))
+            assert np.array_equal(self.approx_gelu(-big, delta1),
+                                  -big * np.float32((1 - delta1) / 2))
+
+    def test_approx_in_place(self, rng):
+        x = (rng.normal(size=(6, 33)) * 3).astype(np.float32)
+        expected = self.approx_gelu(x, 0.5)
+        assert approx_gelu_fast(x, 0.5, Workspace(np.float32), "g") is x
+        assert x.tobytes() == expected.tobytes()
+
+    def test_approx_workspace_reuse_is_bitwise(self, rng):
+        """Same bits from a fresh workspace and from one whose arenas a
+        larger, differently shaped call already grew -- with ``x``
+        itself a view of that workspace, as in a compiled block."""
+        x = (rng.normal(size=(5, 17, 40)) * 3).astype(np.float32)
+        fresh = self.approx_gelu(x, 0.5).tobytes()
+        ws = Workspace(np.float32)
+        self.approx_gelu(rng.normal(size=(7, 300)) * 3, 0.5, ws)
+        served = ws.take("blk_mlp", x.shape)
+        served[...] = x
+        approx_gelu_fast(served, 0.5, ws, "g")
+        assert served.tobytes() == fresh
 
 
 # The benchmark suite's pruned shape (benchmarks/suite/models.py): at 65
