@@ -55,7 +55,6 @@ Four compute **backends** execute the plan:
 
 from __future__ import annotations
 
-import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
@@ -83,16 +82,11 @@ BACKENDS = ("tensor", *_COMPILERS)
 
 @dataclass
 class StageStats:
-    """Bucketing telemetry for the block run after one selector stage.
-
-    ``wall_ms`` is the measured host wall time of the stage's block
-    executions (summed over its buckets).
-    """
+    """Bucketing telemetry for the block run after one selector stage."""
 
     num_buckets: int
     bucket_sizes: list
     padded_tokens: int
-    wall_ms: float = 0.0
 
 
 @dataclass
@@ -167,13 +161,11 @@ class BucketedExecutor:
             self.compiled = None
             self.dtype = np.dtype(np.float64)
             self.workspace = None
-        # Bucket plans are deterministic in (lengths, policy, cost
-        # model); steady traffic repeats length distributions, so cache
-        # the planner's output per distribution.  The key includes the
-        # policy and the cost model's drift version: an online model
-        # that has significantly refit bumps its version, invalidating
-        # every cached plan at once -- stable coefficients keep stable
-        # shapes cached across thousands of samples.
+        # Bucket plans are a pure function of (lengths, policy): the
+        # cost model prices buckets from its static table and overheads
+        # only (an online model learns batch pricing, never bucket
+        # pricing).  Steady traffic repeats length distributions, so
+        # cache the planner's output per distribution.
         self._plan_cache = {}
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
@@ -204,7 +196,6 @@ class BucketedExecutor:
         # sits in front of stretch ``s + 1``.  A selector at block 0
         # leaves the first stretch empty.
         edges = [0, *model.selector_blocks, len(model.backbone.blocks)]
-        observe = getattr(self.cost_model, "observe_bucket", None)
         with recording_off, nn.no_grad():
             x = self._embed(images)                       # (B, 1+N, D)
             groups = [_Group(x, None, None, np.arange(batch),
@@ -213,21 +204,9 @@ class BucketedExecutor:
             for stage, (lo, hi) in enumerate(zip(edges, edges[1:])):
                 if stage:
                     groups = self._apply_selector(stage - 1, groups, result)
-                stretch = range(lo, hi)
-                stage_ms = 0.0
                 for group in groups:
-                    # Each bucket runs its stretch back to back, timed
-                    # once: what an online cost model prices buckets by.
-                    tick = time.perf_counter()
-                    for block_index in stretch:
+                    for block_index in range(lo, hi):
                         self._run_block(block_index, group)
-                    wall_ms = (time.perf_counter() - tick) * 1e3
-                    stage_ms += wall_ms
-                    if observe and stretch:
-                        observe(group.x.shape[1], group.indices.size,
-                                len(stretch), wall_ms)
-                if stage:
-                    result.stage_stats[-1].wall_ms = stage_ms
             for group in groups:
                 result.logits[group.indices] = self._classify(group.x)
         if record is not None:
@@ -396,9 +375,7 @@ class BucketedExecutor:
         lengths = np.empty(images.size, dtype=int)       # in image order
         lengths[images] = 1 + kept + has_slot
         result.tokens_per_stage.append(lengths)
-        cache_key = (self.policy,
-                     getattr(self.cost_model, "version", None),
-                     lengths.tobytes())
+        cache_key = (self.policy, lengths.tobytes())
         plans = self._plan_cache.get(cache_key)
         if plans is None:
             self.plan_cache_misses += 1

@@ -320,8 +320,9 @@ class Scheduler:
         coefficients refit against measured host wall time -- the
         in-process path observes its own ``submit_many`` timings, and
         multi-worker targets additionally fold every worker reply's
-        shape + timing into the parent's model.  Prediction only:
-        logits are unchanged.  A ready ``session`` must be built with
+        shape + timing into the parent's model.  Prediction only: the
+        served bits are unchanged (bucket plans price from the static
+        prior).  A ready ``session`` must be built with
         ``learn_cost=True`` itself.
 
         ``recovery`` (a :class:`repro.serving.RecoveryPolicy`) tunes

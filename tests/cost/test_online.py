@@ -1,11 +1,11 @@
 """Unit tests for the online cost model (repro.cost.online).
 
 Covers the RLS estimator's fit/confidence/serialization contract and
-the OnlineCostModel's behavioral spec: prior fallback below the sample
-threshold, learned batch and bucket pricing once confident, per-key
-isolation, drift-gated versioning, and worker-rebuild serialization
-(pickle and snapshot).  Statistical convergence under noise lives in
-test_property_online.py.
+the OnlineCostModel's behavioral spec: knobs checked at construction,
+prior fallback below the sample threshold, learned batch pricing once
+confident, bucket pricing that is always the prior's, per-key
+isolation, and worker-rebuild serialization (pickle and snapshot).
+Statistical convergence under noise lives in test_property_online.py.
 """
 
 import pickle
@@ -130,6 +130,20 @@ class TestOnlineCostModelGating:
         with pytest.raises(TypeError):
             OnlineCostModel(online)
 
+    @pytest.mark.parametrize("knobs", [{"min_samples": 0},
+                                       {"forgetting": 0.0},
+                                       {"forgetting": 2.0}])
+    def test_rejects_bad_knobs_at_construction(self, knobs):
+        with pytest.raises(ValueError):
+            OnlineCostModel(make_prior(), **knobs)
+        online = OnlineCostModel(make_prior()).bind("k")
+        online.observe_batch(8, 10.0)
+        snapshot = online.snapshot()
+        with pytest.raises(ValueError):
+            online.restore({**snapshot, **knobs})
+        assert online.snapshot()["min_samples"] == snapshot["min_samples"]
+        assert online.samples() == 1             # left as it was
+
     def test_is_a_cost_model_with_prior_terms(self):
         prior = make_prior()
         online = OnlineCostModel(prior)
@@ -137,6 +151,10 @@ class TestOnlineCostModelGating:
         assert online.table is prior.table
         assert online.batch_overhead_ms == prior.batch_overhead_ms
         assert online.extra_tokens == prior.extra_tokens
+        # Bucket pricing is the base class's, from the copied prior
+        # terms: nothing learned reaches a bucket plan.
+        for name in ("block_ms", "bucket_ms", "is_zero_overhead"):
+            assert getattr(OnlineCostModel, name) is getattr(CostModel, name)
 
     def test_prior_answers_below_sample_threshold(self):
         prior = make_prior()
@@ -174,9 +192,7 @@ class TestOnlineCostModelGating:
     def test_degenerate_observations_ignored(self):
         online = OnlineCostModel(make_prior(), min_samples=1).bind("k")
         online.observe_batch(0, 5.0)
-        online.observe_bucket(10, 0, 4, 5.0)
-        online.observe_bucket(10, 4, 0, 5.0)
-        assert online.samples() == (0, 0)
+        assert online.samples() == 0
 
     def test_keys_learn_independently(self):
         online = OnlineCostModel(make_prior(), min_samples=2)
@@ -192,7 +208,7 @@ class TestOnlineCostModelGating:
         slow_ms = online.estimate(plan).total_ms
         assert slow_ms > 5 * fast_ms
         assert set(online.keys) == {"slow", "fast"}
-        assert online.samples("fast") == (3, 0)
+        assert online.samples("fast") == 3
         # Rebinding resumes the old estimator rather than refitting.
         online.bind("fast")
         assert online.confident()
@@ -200,8 +216,8 @@ class TestOnlineCostModelGating:
     def test_explicit_key_overrides_bound(self):
         online = OnlineCostModel(make_prior(), min_samples=1).bind("a")
         online.observe_batch(4, 40.0, key="b")
-        assert online.samples("b") == (1, 0)
-        assert online.samples("a") == (0, 0)
+        assert online.samples("b") == 1
+        assert online.samples("a") == 0
         assert not online.confident()
         assert online.confident("b")
 
@@ -215,7 +231,6 @@ class TestOnlineCostModelGating:
         assert coeffs["batch_confident"]
         assert coeffs["overhead_ms"] >= 0.0
         assert coeffs["marginal_ms"] >= 0.0
-        assert not coeffs["bucket_confident"]
 
 
 class TestOnlineBucketPricing:
@@ -227,66 +242,6 @@ class TestOnlineBucketPricing:
         assert online.stage_cost_ms([(9, 4), (17, 2)]) == pytest.approx(
             prior.stage_cost_ms([(9, 4), (17, 2)]))
 
-    def test_learned_bucket_pricing_scales_prior_shape(self):
-        prior = make_prior()
-        online = OnlineCostModel(prior, min_samples=2,
-                                 forgetting=1.0).bind("k")
-        # Planted law: each block launch costs 0.1 ms + 3x the prior's
-        # marginal for the bucket's members.
-        for padded, n, blocks in [(9, 4, 2), (17, 2, 3), (13, 8, 2),
-                                  (9, 1, 4)]:
-            marginal = n * blocks * prior.block_ms(padded)
-            online.observe_bucket(padded, n, blocks,
-                                  0.1 * blocks + 3.0 * marginal)
-        assert online.block_ms(9) == pytest.approx(3.0 * prior.block_ms(9),
-                                                   rel=1e-3)
-        expected = 0.1 + 3.0 * 4 * prior.block_ms(9)
-        assert online.bucket_ms(9, 4) == pytest.approx(expected, rel=1e-3)
-        assert online.bucket_ms(9, 0) == 0.0
-        with pytest.raises(ValueError):
-            online.bucket_ms(9, -1)
-
-    def test_zero_overhead_reflects_learned_fit(self):
-        table = LatencySparsityTable({0.5: 1.0, 1.0: 2.0})
-        prior = CostModel.zero_overhead(table, num_patches=16)
-        online = OnlineCostModel(prior, min_samples=1).bind("k")
-        assert online.is_zero_overhead          # prior answers
-        online.observe_bucket(9, 4, 2, 5.0)
-        assert not online.is_zero_overhead      # learned fit is not free
-
-
-class TestDriftVersioning:
-    def test_version_bumps_on_first_confidence(self):
-        online = OnlineCostModel(make_prior(), min_samples=3).bind("k")
-        v0 = online.version
-        online.observe_batch(8, 10.0)
-        online.observe_batch(8, 10.0)
-        assert online.version == v0
-        online.observe_batch(8, 10.0)
-        assert online.version == v0 + 1
-
-    def test_version_stable_under_steady_observations(self):
-        online = OnlineCostModel(make_prior(), min_samples=3,
-                                 drift_threshold=0.1).bind("k")
-        for _ in range(10):
-            online.observe_batch(8, 10.0)
-        settled = online.version
-        for _ in range(200):
-            online.observe_batch(8, 10.0)
-        assert online.version == settled
-
-    def test_version_bumps_on_significant_drift(self):
-        online = OnlineCostModel(make_prior(), min_samples=2,
-                                 drift_threshold=0.1).bind("k")
-        for _ in range(10):
-            online.observe_batch(8, 10.0)
-        settled = online.version
-        # The workload gets 10x slower: the canonical prediction moves
-        # far past the 10% drift threshold.
-        for _ in range(50):
-            online.observe_batch(8, 100.0)
-        assert online.version > settled
-
 
 class TestSerialization:
     def build_warm(self):
@@ -296,7 +251,6 @@ class TestSerialization:
                                       keep_ratio_bucket([0.7])))
         for images in (4, 8, 16, 32):
             online.observe_batch(images, 2.0 + 0.5 * images)
-            online.observe_bucket(9, images, 2, 0.2 + 0.1 * images)
         return online
 
     def test_pickle_preserves_learned_state(self):
@@ -304,10 +258,8 @@ class TestSerialization:
         clone = pickle.loads(pickle.dumps(online))
         plan = BatchPlan(num_images=12, per_image_ms=1.0, num_batches=1)
         assert clone.estimate(plan).total_ms == online.estimate(plan).total_ms
-        assert clone.version == online.version
         assert clone.bound_key == online.bound_key
         assert clone.samples() == online.samples()
-        assert clone.bucket_ms(9, 3) == online.bucket_ms(9, 3)
 
     def test_snapshot_restore_bitwise(self):
         online = self.build_warm()
@@ -316,13 +268,11 @@ class TestSerialization:
         plan = BatchPlan(num_images=12, per_image_ms=1.0, num_batches=1)
         assert restored.estimate(plan).total_ms == (
             online.estimate(plan).total_ms)
-        assert restored.version == online.version
         # Future updates evolve identically from the restored state.
         online.observe_batch(24, 15.0)
         restored.observe_batch(24, 15.0)
         assert restored.estimate(plan).total_ms == (
             online.estimate(plan).total_ms)
-        assert restored.version == online.version
 
 
 class TestKeepRatioBucket:
