@@ -16,7 +16,6 @@ and the Tensor operand stays on the left of every mixed operation.
 from __future__ import annotations
 
 import numpy as np
-from scipy import special
 
 from repro.nn.tensor import Tensor
 
@@ -122,16 +121,24 @@ def sigmoid_plan(x):
 
 
 # ----------------------------------------------------------------------
-# Exact references (numpy) for error measurements
+# Exact references (numpy) for error measurements.  SciPy is imported
+# on first use: the int8 serving path imports this module for the
+# approximations above and never calls these.
 # ----------------------------------------------------------------------
 def gelu_exact(x):
+    from scipy import special
+
     x = np.asarray(x, dtype=np.float64)
     return 0.5 * x * (1.0 + special.erf(x / _SQRT_2))
 
 
 def softmax_exact(x, axis=-1):
+    from scipy import special
+
     return special.softmax(np.asarray(x, dtype=np.float64), axis=axis)
 
 
 def sigmoid_exact(x):
+    from scipy import special
+
     return special.expit(np.asarray(x, dtype=np.float64))

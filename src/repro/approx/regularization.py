@@ -10,7 +10,6 @@ derivatives so the claim can be plotted (Fig. 10) and property-tested.
 from __future__ import annotations
 
 import numpy as np
-from scipy import special
 
 from repro.approx.polynomial import (DEFAULT_DELTA1, DEFAULT_DELTA2, ERF_A,
                                      ERF_B, _SQRT_2, erf_approx,
@@ -25,6 +24,8 @@ __all__ = [
 
 def gelu_exact_derivative(x):
     """d/dx of the exact GELU: Phi(x) + x * phi(x)."""
+    from scipy import special
+
     x = np.asarray(x, dtype=np.float64)
     cdf = 0.5 * (1.0 + special.erf(x / _SQRT_2))
     pdf = np.exp(-0.5 * x ** 2) / np.sqrt(2.0 * np.pi)

@@ -55,6 +55,7 @@ Four compute **backends** execute the plan:
 
 from __future__ import annotations
 
+import importlib
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
@@ -161,6 +162,14 @@ class BucketedExecutor:
             self.compiled = None
             self.dtype = np.dtype(np.float64)
             self.workspace = None
+        if self.dtype == np.float64 or any(
+                selector.fallback_module is not None
+                for selector in getattr(self.compiled, "selectors", ())):
+            # These numerics call SciPy (erf, expit), which is imported
+            # where it is called so that float32 and int8 processes
+            # never load it.  Load it here, at set-up, so the first
+            # request does not pay the ~0.3 s import.
+            importlib.import_module("scipy.special")
         # Bucket plans are a pure function of (lengths, policy): the
         # cost model prices buckets from its static table and overheads
         # only (an online model learns batch pricing, never bucket

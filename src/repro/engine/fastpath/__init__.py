@@ -30,7 +30,8 @@ from repro.engine.fastpath.compiled import (CompileError, CompiledBlock,
                                             compile_model)
 from repro.engine.fastpath.kernels import (MASK_BIAS, fused_layer_norm,
                                            gelu_exact, gelu_rational,
-                                           mask_to_bias, masked_softmax)
+                                           mask_to_bias, masked_softmax,
+                                           sigmoid)
 from repro.engine.fastpath.quantized import (QuantizedLinearKernel,
                                              QuantizedModel,
                                              compile_quantized)
@@ -41,5 +42,5 @@ __all__ = [
     "CompileError", "Workspace",
     "compile_quantized", "QuantizedModel", "QuantizedLinearKernel",
     "fused_layer_norm", "masked_softmax", "gelu_exact", "gelu_rational",
-    "mask_to_bias", "MASK_BIAS",
+    "sigmoid", "mask_to_bias", "MASK_BIAS",
 ]

@@ -36,6 +36,16 @@ The Tensor path stays the reference implementation: float64 compiles
 match it to well under the engine's 1e-8 bound, float32 to ~1e-6 logits
 with (empirically pinned) identical token-keep decisions and argmax.
 
+GELU and sigmoid follow the dtype
+---------------------------------
+Float64 compiles are the parity grade and run SciPy's ``erf`` and
+``expit``; float32 compiles run numpy kernels instead
+(:func:`.kernels.gelu_rational`, :func:`.kernels.sigmoid`), which is
+also why a process serving only float32 or int8 never imports SciPy.
+The float64 kernels import it where they call it, as do the Tensor
+modules a hybrid-fallback selector runs; the executor of a session
+that runs either loads it at set-up.
+
 Cache-resident blocks
 ---------------------
 :meth:`CompiledBlock.forward` runs its batch in chunks of whole images
@@ -62,14 +72,13 @@ GEMM kernels and the paper's polynomial nonlinearities.
 from __future__ import annotations
 
 import numpy as np
-from scipy import special
 
 from repro import nn
 from repro.nn.tensor import Tensor
 from repro.core.gather import dense_runs
 from repro.engine.fastpath.kernels import (fused_layer_norm, gelu_exact,
                                            gelu_rational, mask_to_bias,
-                                           masked_softmax)
+                                           masked_softmax, sigmoid)
 from repro.engine.fastpath.workspace import Workspace
 
 __all__ = ["compile_model", "CompiledModel", "CompiledBlock",
@@ -158,8 +167,17 @@ def _relu_kernel(x, ws, key):
     return np.maximum(x, 0.0, out=x)
 
 
-def _sigmoid_kernel(x, ws, key):
+def _expit_kernel(x, ws, key):
+    from scipy import special
+
     return special.expit(x, out=x)
+
+
+def _sigmoid_kernel(dtype):
+    """The sigmoid kernel for ``dtype``, picked the way GELU's is:
+    SciPy's ``expit`` for float64 parity, the numpy
+    :func:`.kernels.sigmoid` (within 4 ulp of it) for float32."""
+    return _expit_kernel if dtype == np.dtype(np.float64) else sigmoid
 
 
 def _hardswish_kernel(x, ws, key):
@@ -201,14 +219,15 @@ def _compile_activation(module, dtype, swaps=None):
     ``swaps`` maps Module types to the kernels a compile function puts
     in their place (the quantized lowering's polynomial GELU and PLAN
     sigmoid -- the two :func:`repro.quant.quantize_model` swaps).
-    Otherwise GELU follows the dtype: exact erf for float64 parity, the
-    rational-erf kernel for float32 (~6e-7 activation error, below the
-    float32 noise floor); every other activation runs exact.  Every
+    Otherwise GELU and sigmoid follow the dtype: exact erf and expit
+    for float64 parity, the rational-erf kernel (~6e-7 activation error,
+    below the float32 noise floor) and the numpy sigmoid for float32;
+    every other activation runs exact.  Every
     returned callable is picklable (module-level functions or class
     instances such as :class:`_TensorActivation`)."""
     kernels = {nn.GELU: (gelu_exact if dtype == np.dtype(np.float64)
                          else gelu_rational),
-               nn.ReLU: _relu_kernel, nn.Sigmoid: _sigmoid_kernel,
+               nn.ReLU: _relu_kernel, nn.Sigmoid: _sigmoid_kernel(dtype),
                nn.Hardswish: _hardswish_kernel,
                nn.Identity: _identity_kernel, **(swaps or {})}
     for kind, kernel in kernels.items():
@@ -403,7 +422,7 @@ class CompiledSelector:
                  "norm_w", "norm_b", "norm_eps", "feature_mlp",
                  "classifier_mlp", "attention_mlp", "fallback_module",
                  "classifier_module", "_fallback_ws", "head_mean",
-                 "head_sum", "head_ones")
+                 "head_sum", "head_ones", "sigmoid")
 
     ragged_ok = True     # False on selectors without select_ragged
 
@@ -429,6 +448,7 @@ class CompiledSelector:
         self.head_sum = np.tile(np.eye(2, dtype=score_dtype),
                                 (self.num_heads, 1))
         self.head_ones = np.ones((self.num_heads, 1), dtype=score_dtype)
+        self.sigmoid = _sigmoid_kernel(np.dtype(score_dtype))
         self.feature_mlp = feature_mlp
         self.classifier_mlp = classifier_mlp
         self.attention_mlp = attention_mlp
@@ -534,7 +554,7 @@ class CompiledSelector:
         # Attention branch (Eqs. 6-7): head channel means -> MLP -> sigmoid.
         head_stat = normed @ self.head_mean                # (M, h)
         importance = _run_mlp(self.attention_mlp, head_stat, ws, "rag_att")
-        special.expit(importance, out=importance)
+        self.sigmoid(importance, ws, "rag_sig")
         # Eq. 8 combine: head-importance-weighted average of the scores.
         per_head *= importance[..., None]                  # (M, h, 2)
         scores = per_head.reshape(m, 2 * h) @ self.head_sum   # (M, 2)

@@ -32,15 +32,20 @@ Conventions
 * Scalar constants are Python floats.  A ``np.float64`` scalar is not a
   weak type: it turns a float32 pass into a float64 loop plus a cast,
   at ~4x the cost.
+* No SciPy at import.  The float32 kernels are numpy only
+  (:func:`gelu_rational`, :func:`sigmoid`); the float64 parity-grade
+  :func:`gelu_exact` imports ``scipy.special`` where it calls it (a
+  float64 session's executor loads it at set-up), so a process that
+  serves float32 or int8 never loads SciPy (~0.3 s of every server
+  and worker start).
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import special
 
 __all__ = ["fused_layer_norm", "masked_softmax", "gelu_exact",
-           "gelu_rational", "mask_to_bias", "MASK_BIAS"]
+           "gelu_rational", "sigmoid", "mask_to_bias", "MASK_BIAS"]
 
 _SQRT_2 = float(np.sqrt(2.0))
 
@@ -151,12 +156,35 @@ def gelu_exact(x, ws, key):
     """Exact (erf) GELU in place on ``x``.  Matches the Tensor
     reference ``x/2 * (1 + erf(x/sqrt 2))`` -- the parity-grade float64
     choice."""
+    from scipy import special
+
     scratch = ws.take(key + "0", x.shape)
     np.multiply(x, 1.0 / _SQRT_2, out=scratch)
     special.erf(scratch, out=scratch)
     scratch += 1.0
     scratch *= 0.5
     x *= scratch
+    return x
+
+
+def sigmoid(x, ws, key):
+    """Logistic sigmoid ``1 / (1 + exp(-x))`` in place on ``x``.
+
+    The formula ``scipy.special.expit`` evaluates in float32 too; with
+    numpy's ``exp`` it stays within 4 ulp of it over every finite
+    float32 (pinned by ``tests/engine/test_property_fastpath.py``).
+    ``exp(-x)`` overflows to ``inf`` for ``x`` below ~-88.7 (float32)
+    and the result is then an exact 0, like expit's; the overflow and
+    the underflow of tiny results are expected, so they raise and warn
+    nothing whatever the caller's ``np.errstate``.  ``ws`` and ``key``
+    are unused: the kernel needs no scratch.  The float32 fast path's
+    sigmoid; float64 compiles keep expit, bit for bit.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        np.negative(x, out=x)
+        np.exp(x, out=x)
+        x += 1.0
+        np.divide(1.0, x, out=x)
     return x
 
 

@@ -2,12 +2,16 @@
 
 Every function here accepts and returns :class:`repro.nn.Tensor` and is
 exercised by gradient-check tests against finite differences.
+
+``scipy.special`` is imported by the functions that call it, not here:
+the compiled float32 serving path imports this package but never runs
+a Tensor op, and a module-level import would make every server and
+worker process pay SciPy's ~0.3 s import.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import special
 
 from repro.nn.tensor import Tensor
 
@@ -33,6 +37,8 @@ _SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
 
 def erf(x):
     """Gauss error function, the exact one used by GELU (paper Eq. 12)."""
+    from scipy import special
+
     x = Tensor.ensure(x)
     out_data = special.erf(x.data)
 
@@ -66,6 +72,8 @@ def hardswish(x):
 
 
 def sigmoid(x):
+    from scipy import special
+
     x = Tensor.ensure(x)
     out_data = special.expit(x.data)
 
@@ -151,6 +159,8 @@ def kl_divergence(student_logits, teacher_logits, temperature=1.0):
     ``teacher_logits`` is treated as a constant (no gradient through the
     teacher), matching standard knowledge distillation.
     """
+    from scipy import special
+
     student_logits = Tensor.ensure(student_logits)
     teacher = np.asarray(
         teacher_logits.data if isinstance(teacher_logits, Tensor)

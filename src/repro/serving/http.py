@@ -13,7 +13,9 @@ plus a small request parser, no web framework) that exposes a
   Answers ``200 {"status": "queued", "request_id": ...}``, ``429``
   when admission control sheds, ``503`` + ``Retry-After`` for
   sheddable classes while every eligible target is degraded (worker
-  fleet lost, serving in-process), ``400``/``404`` on malformed input.
+  fleet lost, serving in-process), ``400``/``404`` on malformed input
+  (``num_images``, ``seed`` and ``priority`` must be JSON integers,
+  ``deadline_ms`` a finite number > 0).
 * ``GET /v1/result/<id>`` -- poll: ``200`` with the result, ``202``
   while pending.  With ``?wait=1[&timeout_ms=...]`` the response is
   held open until completion (or ``202`` once ``timeout_ms`` from the
@@ -81,6 +83,12 @@ _READ_DEADLINE_S = 10.0
 #: still serves -- in-process, slower -- so a short back-off is right:
 #: the client should retry, just not immediately.
 _RETRY_AFTER_S = 1
+
+
+def _json_int(value):
+    """Whether a decoded JSON value is an integer: ``true``/``false``
+    decode to ``bool``, which ``isinstance(value, int)`` also accepts."""
+    return type(value) is int
 
 
 def _result_payload(result, include_logits=False):
@@ -406,10 +414,10 @@ class FrontDoor:
                                       "(C,H,W) or (n,C,H,W) nested list")
         if "num_images" in record:
             num_images = record["num_images"]
-            if not isinstance(num_images, int) or num_images < 1:
+            if not _json_int(num_images) or num_images < 1:
                 raise _HttpError(400, "num_images must be an int >= 1")
             seed = record.get("seed", 0)
-            if not isinstance(seed, int) or seed < 0:
+            if not _json_int(seed) or seed < 0:
                 raise _HttpError(400, "seed must be an int >= 0")
             shapes = {s.name: s.image_shape
                       for s in self.scheduler.sessions}
@@ -445,6 +453,10 @@ class FrontDoor:
         model = record.get("model")
         deadline_ms = record.get("deadline_ms")
         priority = record.get("priority")
+        if priority is not None and not _json_int(priority):
+            # The scheduler's int() would serve 1.9 as class 1 and
+            # raise OverflowError (a 500) on Infinity.
+            raise _HttpError(400, "priority must be an int")
         images = self._parse_images(record, model)
         degraded = self._degraded_response(model, priority, images)
         if degraded is not None:

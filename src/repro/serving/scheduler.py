@@ -57,6 +57,7 @@ step's recovery sweep.
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -374,7 +375,8 @@ class Scheduler:
         """Accept a request; returns its ``request_id`` without blocking.
 
         ``images``: one image ``(C, H, W)`` or a stack ``(n, C, H, W)``.
-        ``deadline_ms``: optional deadline *relative to now* (> 0);
+        ``deadline_ms``: optional deadline *relative to now* (finite,
+        > 0);
         when omitted and ``priority`` names a configured tier, the
         tier's default deadline applies.
         ``model``: explicit session name; ``None`` lets the router pick
@@ -410,8 +412,12 @@ class Scheduler:
             # request and the stepping thread with it; a float target
             # would serve it silently.
             raise ValueError("images must be finite (no NaN or Inf)")
-        if deadline_ms is not None and deadline_ms <= 0:
-            raise ValueError("deadline_ms is relative and must be > 0")
+        if deadline_ms is not None and not (math.isfinite(deadline_ms)
+                                            and deadline_ms > 0):
+            # NaN fails every comparison: ``<= 0`` alone would let it
+            # into the EDF queue as a deadline no flush can meet.
+            raise ValueError("deadline_ms is relative and must be finite "
+                             "and > 0")
         if model is not None and model not in served_by_name:
             raise KeyError(f"unknown session {model!r}; registered: "
                            f"{sorted(served_by_name)}")

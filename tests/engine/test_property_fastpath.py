@@ -10,7 +10,10 @@ away.  The lean rational GELU is pinned from both sides (accuracy in
 both dtypes, its fixed points, no overflow), the int8 grade's Eq. 12
 GELU the same way against its float64 definition, and a compiled block must
 compute the same thing whether it sees a batch at once or image by
-image -- the property its cache-resident chunk loop rests on.
+image -- the property its cache-resident chunk loop rests on.  The
+float32 sigmoid is held within 4 ulp of ``scipy.special.expit`` over
+every finite float32, with exact fixed points and no floating-point
+warning whatever the caller's ``np.errstate``.
 """
 
 import warnings
@@ -19,6 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from repro.approx import ERF_B, gelu_approx
 from repro.core import HeatViT, PruningRecord
@@ -27,7 +31,7 @@ from repro.engine import InferenceSession
 from repro.engine.fastpath import (CompiledBlock, Workspace, compile_model,
                                    compile_quantized, fused_layer_norm,
                                    gelu_exact, gelu_rational,
-                                   mask_to_bias, masked_softmax)
+                                   mask_to_bias, masked_softmax, sigmoid)
 from repro.engine.fastpath.compiled import CHUNK_BYTES
 from repro.engine.fastpath.qkernels import approx_gelu_fast, quantize_fast
 from repro.nn import functional as F
@@ -285,6 +289,64 @@ class TestGeluKernels:
         served[...] = x
         approx_gelu_fast(served, 0.5, ws, "g")
         assert served.tobytes() == fresh
+
+
+def ulp_distance(a, b):
+    """Representable float32 values between ``a`` and ``b``, elementwise
+    (``+0`` and ``-0`` are one value)."""
+    def ordered(x):
+        bits = np.asarray(x, dtype=np.float32).view(np.int32).astype(np.int64)
+        return np.where(bits < 0, -(bits & 0x7FFFFFFF), bits)
+    return np.abs(ordered(a) - ordered(b))
+
+
+class TestSigmoidKernel:
+    """The float32 selector's sigmoid against ``scipy.special.expit``,
+    which float64 compiles keep: both evaluate ``1 / (1 + exp(-x))`` in
+    float32, and only the ``exp`` differs."""
+
+    ULPS = 4
+
+    @staticmethod
+    def sigmoid32(values):
+        x = np.array(values, dtype=np.float32)
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = sigmoid(x, None, None)
+        assert out is x and out.dtype == np.float32
+        return out
+
+    @classmethod
+    def assert_close_to_expit(cls, x):
+        expected = special.expit(x)
+        assert expected.dtype == np.float32
+        assert ulp_distance(cls.sigmoid32(x), expected).max() <= cls.ULPS
+
+    @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False,
+                                     width=32), min_size=1, max_size=64))
+    @settings(max_examples=300, deadline=None)
+    def test_within_ulps_of_expit(self, values):
+        self.assert_close_to_expit(np.array(values, dtype=np.float32))
+
+    def test_dense_sweep(self):
+        """Every region: saturated at both ends, the exp overflow at
+        ~-88.7, subnormal results just above it, and the steep middle."""
+        self.assert_close_to_expit(
+            np.linspace(-100.0, 100.0, 2_000_001, dtype=np.float32))
+
+    def test_fixed_points(self):
+        out = self.sigmoid32([np.inf, -np.inf, 0.0, -0.0, 1e30, -1e30])
+        assert out.tolist() == [1.0, 0.0, 0.5, 0.5, 1.0, 0.0]
+
+    def test_in_place_on_a_view(self, rng):
+        """A strided view is written through and nothing else moves."""
+        base = rng.normal(size=(6, 8)).astype(np.float32) * 20
+        expected = base.copy()
+        expected[:, ::2] = special.expit(base[:, ::2])
+        view = base[:, ::2]
+        assert sigmoid(view, None, None) is view
+        assert ulp_distance(base, expected).max() <= self.ULPS
+        assert np.array_equal(base[:, 1::2], expected[:, 1::2])
 
 
 # The benchmark suite's pruned shape (benchmarks/suite/models.py): at 65

@@ -283,6 +283,24 @@ class TestErrorPaths:
                               body={"num_images": 1,
                                     "priority": -3})[0] == 400
 
+    @pytest.mark.parametrize("body", [
+        {"num_images": 1, "seed": 0, "deadline_ms": float("nan")},
+        {"num_images": 1, "seed": 0, "priority": float("inf")},
+        {"num_images": True, "seed": 0},
+        {"num_images": 1, "seed": 0, "priority": 1.9},
+    ], ids=["nan-deadline", "inf-priority", "bool-count",
+            "fractional-priority"])
+    def test_malformed_numbers_are_a_400(self, front_door, body):
+        """``json.loads`` accepts ``NaN``, ``Infinity`` and ``true`` where
+        a number belongs.  Taken as they come, a NaN deadline queues as
+        a certain miss, priority 1.9 serves as class 1, and the other
+        two end in a 500; each must be a 400 with nothing queued."""
+        door, client = front_door
+        status, payload = client.request("POST", "/v1/submit", body=body)
+        assert (status, payload["status"]) == (400, "error")
+        assert door.scheduler.pending_requests() == 0
+        assert door.counters["submitted"] == 0
+
     def test_bad_result_ids(self, front_door):
         _, client = front_door
         assert client.request("GET", "/v1/result/abc")[0] == 400
@@ -353,7 +371,7 @@ class TestErrorPaths:
                                                 wait=True, timeout_ms=20000)
                 assert (status, payload["num_images"]) == (200, 4)
 
-    @pytest.mark.parametrize("seed", ["x", -1, 1.5, None])
+    @pytest.mark.parametrize("seed", ["x", -1, 1.5, None, True])
     def test_bad_seed_is_a_400(self, front_door, seed):
         _, client = front_door
         status, payload = client.request(

@@ -367,8 +367,15 @@ class TestValidation:
         scheduler = make_scheduler(mild_model, clock)
         with pytest.raises(ValueError):
             scheduler.submit(tiny_dataset.images[0], deadline_ms=0.0)
+        # NaN fails every comparison, so ``<= 0`` alone would queue it
+        # as a deadline no flush can meet; inf is no deadline at all.
+        for deadline_ms in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                scheduler.submit(tiny_dataset.images[0],
+                                 deadline_ms=deadline_ms)
         with pytest.raises(KeyError):
             scheduler.submit(tiny_dataset.images[0], model="nope")
+        assert scheduler.pending_requests() == 0
 
     def test_bad_scheduler_params(self, clock):
         with pytest.raises(ValueError):
