@@ -55,7 +55,6 @@ Four compute **backends** execute the plan:
 
 from __future__ import annotations
 
-import importlib
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
@@ -68,6 +67,7 @@ from repro.core.gather import dense_runs
 from repro.engine.bucketing import BucketingPolicy, plan_buckets
 from repro.engine.fastpath import (Workspace, compile_model,
                                    compile_quantized, mask_to_bias)
+from repro.engine.fastpath.kernels import SciPyImport
 from repro.vit.attention import (key_padding_mask,
                                  suppress_attention_recording)
 
@@ -162,14 +162,10 @@ class BucketedExecutor:
             self.compiled = None
             self.dtype = np.dtype(np.float64)
             self.workspace = None
-        if self.dtype == np.float64 or any(
-                selector.fallback_module is not None
-                for selector in getattr(self.compiled, "selectors", ())):
-            # These numerics call SciPy (erf, expit), which is imported
-            # where it is called so that float32 and int8 processes
-            # never load it.  Load it here, at set-up, so the first
-            # request does not pay the ~0.3 s import.
-            importlib.import_module("scipy.special")
+            # The Tensor modules call SciPy (erf, expit): import it now,
+            # or when a worker unpickles this executor, not in the
+            # first request.  Compiled parts that call it hold their own.
+            self._scipy = SciPyImport()
         # Bucket plans are a pure function of (lengths, policy): the
         # cost model prices buckets from its static table and overheads
         # only (an online model learns batch pricing, never bucket

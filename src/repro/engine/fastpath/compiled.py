@@ -43,8 +43,10 @@ Float64 compiles are the parity grade and run SciPy's ``erf`` and
 (:func:`.kernels.gelu_rational`, :func:`.kernels.sigmoid`), which is
 also why a process serving only float32 or int8 never imports SciPy.
 The float64 kernels import it where they call it, as do the Tensor
-modules a hybrid-fallback selector runs; the executor of a session
-that runs either loads it at set-up.
+modules a hybrid-fallback selector or an opaque activation runs.  Each
+part that runs them holds a :class:`.kernels.SciPyImport`, so SciPy
+loads when the part is compiled, or unpickled in a worker, and never
+inside a first request.
 
 Cache-resident blocks
 ---------------------
@@ -76,9 +78,10 @@ import numpy as np
 from repro import nn
 from repro.nn.tensor import Tensor
 from repro.core.gather import dense_runs
-from repro.engine.fastpath.kernels import (fused_layer_norm, gelu_exact,
-                                           gelu_rational, mask_to_bias,
-                                           masked_softmax, sigmoid)
+from repro.engine.fastpath.kernels import (SciPyImport, fused_layer_norm,
+                                           gelu_exact, gelu_rational,
+                                           mask_to_bias, masked_softmax,
+                                           sigmoid)
 from repro.engine.fastpath.workspace import Workspace
 
 __all__ = ["compile_model", "CompiledModel", "CompiledBlock",
@@ -173,11 +176,36 @@ def _expit_kernel(x, ws, key):
     return special.expit(x, out=x)
 
 
+class _SciPyKernel:
+    """A float64 parity kernel that calls SciPy (:func:`.kernels.gelu_exact`,
+    :func:`_expit_kernel`), with the :class:`SciPyImport` that loads
+    SciPy when the kernel is compiled or unpickled."""
+
+    __slots__ = ("kernel", "scipy")
+
+    def __init__(self, kernel):
+        self.kernel = kernel
+        self.scipy = SciPyImport()
+
+    def __call__(self, x, ws, key):
+        return self.kernel(x, ws, key)
+
+
+def _gelu_kernel(dtype):
+    """Exact erf GELU for float64 parity, the rational-erf kernel for
+    float32 (~6e-7 activation error, below the float32 noise floor)."""
+    if dtype == np.dtype(np.float64):
+        return _SciPyKernel(gelu_exact)
+    return gelu_rational
+
+
 def _sigmoid_kernel(dtype):
     """The sigmoid kernel for ``dtype``, picked the way GELU's is:
     SciPy's ``expit`` for float64 parity, the numpy
     :func:`.kernels.sigmoid` (within 4 ulp of it) for float32."""
-    return _expit_kernel if dtype == np.dtype(np.float64) else sigmoid
+    if dtype == np.dtype(np.float64):
+        return _SciPyKernel(_expit_kernel)
+    return sigmoid
 
 
 def _hardswish_kernel(x, ws, key):
@@ -197,14 +225,16 @@ class _TensorActivation:
 
     A class (not a closure) so compiled models stay picklable -- worker
     processes receive compiled sessions by pickle or rebuild them from
-    a :class:`repro.engine.SessionSpec`.
+    a :class:`repro.engine.SessionSpec`.  The module may call SciPy, so
+    it holds a :class:`SciPyImport`.
     """
 
-    __slots__ = ("module", "dtype")
+    __slots__ = ("module", "dtype", "scipy")
 
     def __init__(self, module, dtype):
         self.module = module
         self.dtype = dtype
+        self.scipy = SciPyImport()
 
     def __call__(self, x, ws, key):
         with nn.no_grad():
@@ -219,17 +249,19 @@ def _compile_activation(module, dtype, swaps=None):
     ``swaps`` maps Module types to the kernels a compile function puts
     in their place (the quantized lowering's polynomial GELU and PLAN
     sigmoid -- the two :func:`repro.quant.quantize_model` swaps).
-    Otherwise GELU and sigmoid follow the dtype: exact erf and expit
-    for float64 parity, the rational-erf kernel (~6e-7 activation error,
-    below the float32 noise floor) and the numpy sigmoid for float32;
-    every other activation runs exact.  Every
+    Otherwise GELU and sigmoid follow the dtype (:func:`_gelu_kernel`,
+    :func:`_sigmoid_kernel`); every other activation runs exact.  Every
     returned callable is picklable (module-level functions or class
     instances such as :class:`_TensorActivation`)."""
-    kernels = {nn.GELU: (gelu_exact if dtype == np.dtype(np.float64)
-                         else gelu_rational),
-               nn.ReLU: _relu_kernel, nn.Sigmoid: _sigmoid_kernel(dtype),
-               nn.Hardswish: _hardswish_kernel,
-               nn.Identity: _identity_kernel, **(swaps or {})}
+    for kind, kernel in (swaps or {}).items():
+        if isinstance(module, kind):
+            return kernel
+    if isinstance(module, nn.GELU):
+        return _gelu_kernel(dtype)
+    if isinstance(module, nn.Sigmoid):
+        return _sigmoid_kernel(dtype)
+    kernels = {nn.ReLU: _relu_kernel, nn.Hardswish: _hardswish_kernel,
+               nn.Identity: _identity_kernel}
     for kind, kernel in kernels.items():
         if isinstance(module, kind):
             return kernel
@@ -422,7 +454,7 @@ class CompiledSelector:
                  "norm_w", "norm_b", "norm_eps", "feature_mlp",
                  "classifier_mlp", "attention_mlp", "fallback_module",
                  "classifier_module", "_fallback_ws", "head_mean",
-                 "head_sum", "head_ones", "sigmoid")
+                 "head_sum", "head_ones", "sigmoid", "scipy")
 
     ragged_ok = True     # False on selectors without select_ragged
 
@@ -456,6 +488,9 @@ class CompiledSelector:
         self.fallback_module = selector if hybrid else None
         self.classifier_module = selector.classifier if hybrid else None
         self._fallback_ws = Workspace(score_dtype) if hybrid else None
+        # The fallback classifier is a Tensor module, which may call
+        # SciPy (the functional erf and sigmoid do).
+        self.scipy = SciPyImport() if hybrid else None
 
     def _scoring_input(self, tokens, ws):
         """Cast to the scoring dtype and pick the scoring workspace.

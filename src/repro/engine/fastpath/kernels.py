@@ -34,18 +34,22 @@ Conventions
   at ~4x the cost.
 * No SciPy at import.  The float32 kernels are numpy only
   (:func:`gelu_rational`, :func:`sigmoid`); the float64 parity-grade
-  :func:`gelu_exact` imports ``scipy.special`` where it calls it (a
-  float64 session's executor loads it at set-up), so a process that
-  serves float32 or int8 never loads SciPy (~0.3 s of every server
-  and worker start).
+  :func:`gelu_exact` imports ``scipy.special`` where it calls it, so a
+  process that serves float32 or int8 never loads SciPy (~0.3 s of
+  every server and worker start).  A compiled part that calls SciPy
+  holds a :class:`SciPyImport`, which loads it when the part is built
+  or unpickled, before its first request.
 """
 
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 
 __all__ = ["fused_layer_norm", "masked_softmax", "gelu_exact",
-           "gelu_rational", "sigmoid", "mask_to_bias", "MASK_BIAS"]
+           "gelu_rational", "sigmoid", "mask_to_bias", "MASK_BIAS",
+           "SciPyImport"]
 
 _SQRT_2 = float(np.sqrt(2.0))
 
@@ -165,6 +169,26 @@ def gelu_exact(x, ws, key):
     scratch *= 0.5
     x *= scratch
     return x
+
+
+class SciPyImport:
+    """Imports ``scipy.special`` when built and again when unpickled.
+
+    SciPy is imported where it is called, so that a process serving
+    float32 or int8 never loads it.  A compiled part whose numerics
+    call it -- a float64 kernel, a Tensor module run in place of a
+    kernel, the tensor backend's executor -- holds one, so the ~0.3 s
+    import happens when the part is built, or when a worker unpickles
+    it, and never inside its first request.
+    """
+
+    __slots__ = ()
+
+    def __init__(self):
+        importlib.import_module("scipy.special")
+
+    def __reduce__(self):
+        return SciPyImport, ()
 
 
 def sigmoid(x, ws, key):

@@ -56,6 +56,7 @@ from repro.engine.fastpath.compiled import (CompileError, CompiledBlock,
                                             _check_backbone, _check_dtype,
                                             _compile_activation,
                                             _compile_mlp, _contig)
+from repro.engine.fastpath.kernels import SciPyImport
 from repro.engine.fastpath.qkernels import (approx_gelu_fast,
                                             approx_softmax_fast,
                                             layer_norm_reference,
@@ -251,15 +252,17 @@ class _ReferenceSelector:
     Linears (per-tensor -- Sequential child names never match the
     per-channel list) and GELU / Sigmoid modules.  The classifier's
     softmax and the attention branch's sigmoid are functional calls and
-    stay exact.
+    stay exact -- SciPy's ``expit`` in this selector, as in the
+    simulation, so it holds a :class:`.kernels.SciPyImport`.
     """
 
-    __slots__ = ("dtype", "module")
+    __slots__ = ("dtype", "module", "scipy")
 
     ragged_ok = False
 
     def __init__(self, selector, bits, dtype, per_channel, delta1, delta2):
         self.dtype = dtype
+        self.scipy = SciPyImport()
         self.module = copy.deepcopy(selector)
         quantize_model(self.module, bits=bits, approx_nonlinear=True,
                        delta1=delta1, delta2=delta2,
@@ -409,8 +412,9 @@ def compile_quantized(model, bits=8, dtype=None,
                 selector, bits, dtype, per_channel, delta1, delta2))
         else:
             # The shared selector pipeline with quantized MLP steps,
-            # the Eq. 12 GELU kernel, and the *exact* functional
-            # softmax/sigmoid the simulation keeps.
+            # the Eq. 12 GELU kernel, the exact softmax, and the float32
+            # numpy sigmoid (within 4 ulp of the simulation's expit;
+            # only the float64 parity grade keeps expit itself).
             selectors.append(CompiledSelector(
                 selector, dtype, dtype,
                 lower_mlp(selector.attention_branch.mlp),

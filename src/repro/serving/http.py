@@ -48,6 +48,7 @@ from __future__ import annotations
 import asyncio
 import json
 import math
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -89,6 +90,14 @@ def _json_int(value):
     """Whether a decoded JSON value is an integer: ``true``/``false``
     decode to ``bool``, which ``isinstance(value, int)`` also accepts."""
     return type(value) is int
+
+
+def _json_number(value):
+    """Whether a decoded JSON value is a number a float can hold: not
+    ``true``/``false``, and not an integer literal beyond float range
+    (which ``math.isfinite`` answers with OverflowError)."""
+    return (type(value) is float
+            or _json_int(value) and abs(value) <= sys.float_info.max)
 
 
 def _result_payload(result, include_logits=False):
@@ -457,6 +466,9 @@ class FrontDoor:
             # The scheduler's int() would serve 1.9 as class 1 and
             # raise OverflowError (a 500) on Infinity.
             raise _HttpError(400, "priority must be an int")
+        if deadline_ms is not None and not _json_number(deadline_ms):
+            # The scheduler rejects NaN, inf and <= 0 itself.
+            raise _HttpError(400, "deadline_ms must be a number")
         images = self._parse_images(record, model)
         degraded = self._degraded_response(model, priority, images)
         if degraded is not None:

@@ -498,6 +498,23 @@ class TestSelectorFallback:
         assert_backend_parity(model, tiny_dataset.images[:9],
                               dtype=np.float64, tol=F64_TOL)
 
+    def test_non_stock_classifier_serves_on_int8(self, tiny_backbone,
+                                                 tiny_dataset):
+        """The int8 serving grade scores a non-stock classifier through
+        the surgered Tensor selector, per exact group."""
+        model = make_model(
+            tiny_backbone, {1: 0.6, 3: 0.4},
+            classifier_factory=lambda rng: _PlainClassifier(
+                tiny_backbone.config.embed_dim,
+                tiny_backbone.config.num_heads, rng))
+        session = InferenceSession(model, backend="int8")
+        assert session.executor.dtype == np.float32
+        assert not any(s.ragged_ok
+                       for s in session.executor.compiled.selectors)
+        result = session.submit(tiny_dataset.images[:6])
+        assert result.logits.shape == (6, tiny_backbone.config.num_classes)
+        assert np.isfinite(result.logits).all()
+
     def test_stock_classifier_compiles_fully(self, tiny_backbone):
         model = make_model(tiny_backbone, {1: 0.6})
         compiled = compile_model(model)

@@ -288,13 +288,16 @@ class TestErrorPaths:
         {"num_images": 1, "seed": 0, "priority": float("inf")},
         {"num_images": True, "seed": 0},
         {"num_images": 1, "seed": 0, "priority": 1.9},
+        {"num_images": 1, "seed": 0, "deadline_ms": True},
+        {"num_images": 1, "seed": 0, "deadline_ms": 10 ** 400},
     ], ids=["nan-deadline", "inf-priority", "bool-count",
-            "fractional-priority"])
+            "fractional-priority", "bool-deadline", "huge-deadline"])
     def test_malformed_numbers_are_a_400(self, front_door, body):
-        """``json.loads`` accepts ``NaN``, ``Infinity`` and ``true`` where
-        a number belongs.  Taken as they come, a NaN deadline queues as
-        a certain miss, priority 1.9 serves as class 1, and the other
-        two end in a 500; each must be a 400 with nothing queued."""
+        """``json.loads`` accepts ``NaN``, ``Infinity``, ``true`` and
+        integers beyond float range where a number belongs.  Taken as
+        they come, a NaN deadline queues as a certain miss, ``true`` as
+        a 1 ms deadline, priority 1.9 serves as class 1, and the others
+        end in a 500; each must be a 400 with nothing queued."""
         door, client = front_door
         status, payload = client.request("POST", "/v1/submit", body=body)
         assert (status, payload["status"]) == (400, "error")
