@@ -1,23 +1,6 @@
 """HeatViT core: adaptive token selector, model wrapper, training strategy."""
 
-from repro.core.ablations import (SingleHeadTokenClassifier,
-                                  UniformHeadSelector,
-                                  make_single_head_factory)
-from repro.core.gather import (gather_kept_tokens, prune_image_sequence,
-                               weighted_package)
-from repro.core.heatvit import HeatViT, PruningRecord
-from repro.core.latency import (LatencySparsityTable, confidence_loss,
-                                latency_from_stage_counts,
-                                latency_sparsity_loss, paper_latency_table,
-                                ratios_for_latency_budget)
-from repro.core.selector import (AttentionBranch, ConvTokenClassifier,
-                                 MultiHeadTokenClassifier, SelectorOutput,
-                                 TokenSelector)
-from repro.core.training import (BlockToStageTrainer, EpochStats,
-                                 InsertionTrace, TrainConfig, TrainingReport,
-                                 consolidate_stages, heatvit_loss,
-                                 iterate_minibatches, train_backbone,
-                                 train_heatvit)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "HeatViT", "PruningRecord",
@@ -34,3 +17,21 @@ __all__ = [
     "SingleHeadTokenClassifier", "UniformHeadSelector",
     "make_single_head_factory",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "ablations": ("SingleHeadTokenClassifier", "UniformHeadSelector",
+                  "make_single_head_factory"),
+    "gather": ("gather_kept_tokens", "prune_image_sequence",
+               "weighted_package"),
+    "heatvit": ("HeatViT", "PruningRecord"),
+    "latency": ("LatencySparsityTable", "confidence_loss",
+                "latency_from_stage_counts", "latency_sparsity_loss",
+                "paper_latency_table", "ratios_for_latency_budget"),
+    "selector": ("AttentionBranch", "ConvTokenClassifier",
+                 "MultiHeadTokenClassifier", "SelectorOutput",
+                 "TokenSelector"),
+    "training": ("BlockToStageTrainer", "EpochStats", "InsertionTrace",
+                 "TrainConfig", "TrainingReport", "consolidate_stages",
+                 "heatvit_loss", "iterate_minibatches", "train_backbone",
+                 "train_heatvit"),
+})

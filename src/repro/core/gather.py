@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["weighted_package", "gather_kept_tokens",
-           "prune_image_sequence", "dense_runs"]
+           "prune_image_sequence", "dense_runs", "value_groups"]
 
 _EPS = 1e-8
 
@@ -119,7 +119,21 @@ def dense_runs(counts, starts):
     their ``(g, count)`` flat indices, so ``flat[tokens]`` is the dense
     stack and ``out[tokens] = dense`` scatters a per-token result back.
     """
-    counts = np.asarray(counts)
-    for count in np.unique(counts):
-        rows = np.flatnonzero(counts == count)
+    for count, rows in value_groups(counts):
         yield rows, starts[rows][:, None] + np.arange(count)
+
+
+def value_groups(values):
+    """``(value, indices)`` for every distinct entry of the 1-D
+    ``values``, ascending by value, ``indices`` ascending -- what
+    ``np.unique`` then ``np.flatnonzero(values == value)`` give, from
+    one stable sort.  ``np.unique`` imports ``numpy.ma`` on its first
+    call (numpy 2), which would land inside a server's first request.
+    """
+    values = np.asarray(values)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    bounds = [0, *(np.flatnonzero(ordered[1:] != ordered[:-1]) + 1),
+              len(ordered)]
+    return [(ordered[lo], order[lo:hi]) for lo, hi in zip(bounds, bounds[1:])
+            if hi > lo]

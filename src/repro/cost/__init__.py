@@ -11,10 +11,12 @@ of them and refits per-batch overhead + per-image marginal online from
 measured host wall time (see :mod:`repro.cost.online`).
 """
 
-from repro.cost.model import (BatchCost, BatchPlan, CostModel,
-                              paper_cost_model)
-from repro.cost.online import (OnlineCostModel, OnlineEstimator,
-                               keep_ratio_bucket)
+from repro._lazy import lazy_exports
 
 __all__ = ["BatchPlan", "BatchCost", "CostModel", "paper_cost_model",
            "OnlineCostModel", "OnlineEstimator", "keep_ratio_bucket"]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "model": ("BatchCost", "BatchPlan", "CostModel", "paper_cost_model"),
+    "online": ("OnlineCostModel", "OnlineEstimator", "keep_ratio_bucket"),
+})

@@ -110,6 +110,10 @@ class CostModel:
         bucket inside a batch -- the savings a bucket merge captures.
     """
 
+    #: Whether batch pricing refits from measured wall time
+    #: (:class:`repro.cost.OnlineCostModel`).
+    learns = False
+
     def __init__(self, table, num_patches, extra_tokens=1,
                  batch_overhead_ms=0.0, bucket_overhead_ms=0.0,
                  name="cost-model"):

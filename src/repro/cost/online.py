@@ -238,6 +238,8 @@ class OnlineCostModel(CostModel):
         least squares).
     """
 
+    learns = True
+
     def __init__(self, prior, min_samples=8, forgetting=0.98, name=None):
         if not isinstance(prior, CostModel):
             raise TypeError("prior must be a repro.cost.CostModel")
@@ -272,11 +274,17 @@ class OnlineCostModel(CostModel):
         """Set the context key subsequent pricing and observations use.
 
         ``key`` is any hashable -- sessions use ``(backend, dtype,
-        keep-ratio bucket)`` via :func:`keep_ratio_bucket`.  Binding a
+        keep-ratio bucket)`` via :meth:`bind_operating_point`.  Binding a
         new key never forgets other keys' fits (retuning back to a
         previous operating point resumes its estimator)."""
         self._bound = key
         return self
+
+    def bind_operating_point(self, backend, dtype, keep_ratios):
+        """:meth:`bind` a session's key: its backend, its compute
+        dtype's name and :func:`keep_ratio_bucket` of ``keep_ratios``."""
+        return self.bind((backend, np.dtype(dtype).name,
+                          keep_ratio_bucket(keep_ratios)))
 
     @property
     def bound_key(self):

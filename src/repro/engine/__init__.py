@@ -18,15 +18,7 @@ GELU/softmax; bitwise equal to the :func:`repro.quant.quantize_model`
 simulation on the float64 reference grade, :class:`QuantizedModel`).
 """
 
-from repro.engine.bucketing import (BucketingPolicy, BucketPlan,
-                                    group_exact, plan_buckets, plan_cost_ms)
-from repro.engine.executor import (BACKENDS, BucketedExecutor, EngineResult,
-                                   StageStats)
-from repro.engine.fastpath import (CompiledModel, CompileError,
-                                   QuantizedModel, Workspace, compile_model,
-                                   compile_quantized)
-from repro.engine.session import InferenceSession, SessionResult
-from repro.engine.spec import SessionSpec, SpecError
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BucketingPolicy", "BucketPlan", "plan_buckets", "plan_cost_ms",
@@ -37,3 +29,14 @@ __all__ = [
     "compile_model", "CompiledModel", "CompileError", "Workspace",
     "compile_quantized", "QuantizedModel",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "bucketing": ("BucketingPolicy", "BucketPlan", "group_exact",
+                  "plan_buckets", "plan_cost_ms"),
+    "executor": ("BACKENDS", "BucketedExecutor", "EngineResult", "StageStats"),
+    "fastpath.compiled": ("CompiledModel", "CompileError", "compile_model"),
+    "fastpath.quantized": ("QuantizedModel", "compile_quantized"),
+    "fastpath.workspace": ("Workspace",),
+    "session": ("InferenceSession", "SessionResult"),
+    "spec": ("SessionSpec", "SpecError"),
+})

@@ -28,6 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.gather import value_groups
+
 __all__ = ["BucketingPolicy", "BucketPlan", "plan_buckets",
            "plan_cost_ms", "group_exact"]
 
@@ -112,11 +114,8 @@ def group_exact(lengths):
     Returned as a list of ``(length, indices)`` pairs sorted by length
     descending (the planner folds shorter groups into longer buckets).
     """
-    lengths = np.asarray(lengths)
-    pairs = []
-    for value in np.unique(lengths)[::-1]:
-        pairs.append((int(value), np.flatnonzero(lengths == value)))
-    return pairs
+    return [(int(value), indices)
+            for value, indices in reversed(value_groups(lengths))]
 
 
 def plan_buckets(lengths, policy=None, cost_model=None):

@@ -65,19 +65,29 @@ from repro import nn
 from repro.nn.tensor import Tensor
 from repro.core.gather import dense_runs
 from repro.engine.bucketing import BucketingPolicy, plan_buckets
-from repro.engine.fastpath import (Workspace, compile_model,
-                                   compile_quantized, mask_to_bias)
-from repro.engine.fastpath.kernels import SciPyImport
+from repro.engine.fastpath.compiled import compile_model
+from repro.engine.fastpath.kernels import SciPyImport, mask_to_bias
+from repro.engine.fastpath.workspace import Workspace
 from repro.vit.attention import (key_padding_mask,
                                  suppress_attention_recording)
 
 __all__ = ["BucketedExecutor", "EngineResult", "StageStats", "BACKENDS"]
 
+
+
+def _compile_quantized(model, bits, dtype=None):
+    # The quantized numerics (quant, approx, qkernels) load with the
+    # first session that runs them, never in a float server.
+    from repro.engine.fastpath import quantized
+
+    return quantized.compile_quantized(model, bits=bits, dtype=dtype)
+
+
 # Compile function per compiled backend; ``dtype=None`` is each one's
 # own default (float32, except float64 for int16).
 _COMPILERS = {"fastpath": compile_model,
-              "int8": partial(compile_quantized, bits=8),
-              "int16": partial(compile_quantized, bits=16)}
+              "int8": partial(_compile_quantized, bits=8),
+              "int16": partial(_compile_quantized, bits=16)}
 BACKENDS = ("tensor", *_COMPILERS)
 
 

@@ -25,17 +25,7 @@ Select a backend per session::
                                dtype=np.float64)                     # sim-bitwise
 """
 
-from repro.engine.fastpath.compiled import (CompileError, CompiledBlock,
-                                            CompiledModel, CompiledSelector,
-                                            compile_model)
-from repro.engine.fastpath.kernels import (MASK_BIAS, fused_layer_norm,
-                                           gelu_exact, gelu_rational,
-                                           mask_to_bias, masked_softmax,
-                                           sigmoid)
-from repro.engine.fastpath.quantized import (QuantizedLinearKernel,
-                                             QuantizedModel,
-                                             compile_quantized)
-from repro.engine.fastpath.workspace import Workspace
+from repro._lazy import lazy_exports
 
 __all__ = [
     "compile_model", "CompiledModel", "CompiledBlock", "CompiledSelector",
@@ -44,3 +34,13 @@ __all__ = [
     "fused_layer_norm", "masked_softmax", "gelu_exact", "gelu_rational",
     "sigmoid", "mask_to_bias", "MASK_BIAS",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "compiled": ("CompileError", "CompiledBlock", "CompiledModel",
+                 "CompiledSelector", "compile_model"),
+    "kernels": ("MASK_BIAS", "fused_layer_norm", "gelu_exact",
+                "gelu_rational", "mask_to_bias", "masked_softmax", "sigmoid"),
+    "quantized": ("QuantizedLinearKernel", "QuantizedModel",
+                  "compile_quantized"),
+    "workspace": ("Workspace",),
+})

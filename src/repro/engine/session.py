@@ -35,8 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.cost import (BatchPlan, CostModel, OnlineCostModel,
-                        keep_ratio_bucket)
+from repro.cost.model import BatchPlan, CostModel
 from repro.engine.bucketing import BucketingPolicy
 from repro.engine.executor import BucketedExecutor
 from repro.hardware.latency_table import build_cost_model
@@ -132,10 +131,11 @@ class InferenceSession:
                 model.config, extra_tokens=model.non_patch_slots)
         if not isinstance(cost_model, CostModel):
             raise TypeError("cost_model must be a repro.cost.CostModel")
-        if learn_cost and not isinstance(cost_model, OnlineCostModel):
+        if learn_cost and not cost_model.learns:
+            from repro.cost.online import OnlineCostModel
             cost_model = OnlineCostModel(cost_model)
         self.cost_model = cost_model
-        self.learns_cost = isinstance(cost_model, OnlineCostModel)
+        self.learns_cost = cost_model.learns
         self.executor = BucketedExecutor(model, self.policy,
                                          cost_model=cost_model,
                                          backend=backend, dtype=dtype)
@@ -150,8 +150,8 @@ class InferenceSession:
         """Point the online cost model at this session's operating
         point: one (backend, dtype, keep-ratio bucket) key learns one
         batch law.  Re-bound whenever the keep ratios retune."""
-        self.cost_model.bind((self.backend, self.dtype.name,
-                              keep_ratio_bucket(self.model.keep_ratios)))
+        self.cost_model.bind_operating_point(self.backend, self.dtype,
+                                             self.model.keep_ratios)
 
     @property
     def latency_table(self):

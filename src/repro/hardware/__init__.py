@@ -1,29 +1,6 @@
 """FPGA accelerator simulator + CPU/GPU comparison models."""
 
-from repro.hardware.accelerator import (AcceleratorDesign, AcceleratorReport,
-                                        ViTAcceleratorSim, baseline_design,
-                                        heatvit_design)
-from repro.hardware.comparison import (PlatformResult, compare_platforms,
-                                       speedup_breakdown)
-from repro.hardware.device import (BRAM36_BYTES, TX2_CPU, TX2_GPU, ZCU102,
-                                   FPGASpec, ProcessorSpec)
-from repro.hardware.gemm import GemmShape, TiledGemmEngine
-from repro.hardware.latency_table import (DEFAULT_BATCH_SIZES, PAPER_TABLE4,
-                                          block_latency_ms,
-                                          build_cost_model,
-                                          build_latency_table,
-                                          cost_model_prediction_error,
-                                          simulated_model_batch_ms)
-from repro.hardware.resources import (PAPER_TABLE3, ResourceCount,
-                                      approx_gelu_unit, approx_sigmoid_unit,
-                                      approx_softmax_unit, buffer_brams,
-                                      gemm_engine_resources,
-                                      nonlinear_unit_table, original_unit,
-                                      selector_control)
-from repro.hardware.schedule import (LayerTraceEntry, format_trace,
-                                     trace_schedule, utilization_summary)
-from repro.hardware.selector_flow import FlowResult, TokenSelectionFlow
-from repro.hardware.tiling import TilingChoice, search_tiling
+from repro._lazy import lazy_exports
 
 __all__ = [
     "FPGASpec", "ProcessorSpec", "ZCU102", "TX2_CPU", "TX2_GPU",
@@ -44,3 +21,24 @@ __all__ = [
     "LayerTraceEntry", "trace_schedule", "format_trace",
     "utilization_summary",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "accelerator": ("AcceleratorDesign", "AcceleratorReport",
+                    "ViTAcceleratorSim", "baseline_design", "heatvit_design"),
+    "comparison": ("PlatformResult", "compare_platforms", "speedup_breakdown"),
+    "device": ("BRAM36_BYTES", "TX2_CPU", "TX2_GPU", "ZCU102", "FPGASpec",
+               "ProcessorSpec"),
+    "gemm": ("GemmShape", "TiledGemmEngine"),
+    "latency_table": ("DEFAULT_BATCH_SIZES", "PAPER_TABLE4",
+                      "block_latency_ms", "build_cost_model",
+                      "build_latency_table", "cost_model_prediction_error",
+                      "simulated_model_batch_ms"),
+    "resources": ("PAPER_TABLE3", "ResourceCount", "approx_gelu_unit",
+                  "approx_sigmoid_unit", "approx_softmax_unit",
+                  "buffer_brams", "gemm_engine_resources",
+                  "nonlinear_unit_table", "original_unit", "selector_control"),
+    "schedule": ("LayerTraceEntry", "format_trace", "trace_schedule",
+                 "utilization_summary"),
+    "selector_flow": ("FlowResult", "TokenSelectionFlow"),
+    "tiling": ("TilingChoice", "search_tiling"),
+})

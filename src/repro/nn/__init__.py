@@ -4,17 +4,7 @@ The paper builds on PyTorch; this package is the from-scratch equivalent
 used by every other subsystem in the reproduction.
 """
 
-from repro.nn import functional
-from repro.nn.init import (default_rng, kaiming_uniform, trunc_normal,
-                           xavier_uniform)
-from repro.nn.layers import (GELU, Conv2d, Dropout, Hardswish, Identity,
-                             LayerNorm, Linear, ReLU, Sigmoid, Softmax)
-from repro.nn.module import Module, ModuleList, Parameter, Sequential
-from repro.nn.serialization import (load_checkpoint, load_into,
-                                    save_checkpoint)
-from repro.nn.optim import (SGD, Adam, AdamW, CosineSchedule, Optimizer,
-                            clip_grad_norm)
-from repro.nn.tensor import Tensor, is_grad_enabled, no_grad
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Tensor", "no_grad", "is_grad_enabled", "functional",
@@ -25,3 +15,15 @@ __all__ = [
     "default_rng", "trunc_normal", "xavier_uniform", "kaiming_uniform",
     "save_checkpoint", "load_checkpoint", "load_into",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "init": ("default_rng", "kaiming_uniform", "trunc_normal",
+             "xavier_uniform"),
+    "layers": ("GELU", "Conv2d", "Dropout", "Hardswish", "Identity",
+               "LayerNorm", "Linear", "ReLU", "Sigmoid", "Softmax"),
+    "module": ("Module", "ModuleList", "Parameter", "Sequential"),
+    "serialization": ("load_checkpoint", "load_into", "save_checkpoint"),
+    "optim": ("SGD", "Adam", "AdamW", "CosineSchedule", "Optimizer",
+              "clip_grad_norm"),
+    "tensor": ("Tensor", "is_grad_enabled", "no_grad"),
+}, submodules=("functional",))

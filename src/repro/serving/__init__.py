@@ -29,24 +29,7 @@ and flush preemption; the chaos harness (:class:`FaultPlan` /
 load-generator :func:`replay` over :class:`FrontDoorClient`.
 """
 
-from repro.serving.clock import Clock, SystemClock, VirtualClock
-from repro.serving.faults import FaultPlan, FaultSpec
-from repro.serving.http import FrontDoor, FrontDoorClient
-from repro.serving.placement import Placement, PlacementPolicy
-from repro.serving.queue import RequestQueue
-from repro.serving.request import DEFAULT_PRIORITY, Request, RequestResult
-from repro.serving.router import (BACKEND_FIDELITY, HighestFidelityRouter,
-                                  LeastLatencyRouter, Router,
-                                  backend_fidelity, request_cost_ms)
-from repro.serving.scheduler import (AdmissionError, FlushEvent, Scheduler,
-                                     ServedModel)
-from repro.serving.retry import RetryPolicy
-from repro.serving.trace import (TraceRequest, adversarial_trace,
-                                 bursty_trace, replay, synth_images,
-                                 two_tier_trace, uniform_trace)
-from repro.serving.transport import InlineTransport, PoolTransport
-from repro.serving.worker import (RecoveryPolicy, WorkerDiedError,
-                                  WorkerPool, WorkerReply, worker_payload)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Clock", "SystemClock", "VirtualClock",
@@ -64,3 +47,22 @@ __all__ = [
     "uniform_trace", "bursty_trace", "adversarial_trace",
     "two_tier_trace", "replay",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "clock": ("Clock", "SystemClock", "VirtualClock"),
+    "faults": ("FaultPlan", "FaultSpec"),
+    "http": ("FrontDoor", "FrontDoorClient"),
+    "placement": ("Placement", "PlacementPolicy"),
+    "queue": ("RequestQueue",),
+    "request": ("DEFAULT_PRIORITY", "Request", "RequestResult"),
+    "router": ("BACKEND_FIDELITY", "HighestFidelityRouter",
+               "LeastLatencyRouter", "Router", "backend_fidelity",
+               "request_cost_ms"),
+    "scheduler": ("AdmissionError", "FlushEvent", "Scheduler", "ServedModel"),
+    "retry": ("RetryPolicy",),
+    "trace": ("TraceRequest", "adversarial_trace", "bursty_trace", "replay",
+              "synth_images", "two_tier_trace", "uniform_trace"),
+    "transport": ("InlineTransport", "PoolTransport"),
+    "worker": ("RecoveryPolicy", "WorkerDiedError", "WorkerPool",
+               "WorkerReply", "worker_payload"),
+})

@@ -15,16 +15,17 @@ plus a small request parser, no web framework) that exposes a
   sheddable classes while every eligible target is degraded (worker
   fleet lost, serving in-process), ``400``/``404`` on malformed input
   (``num_images``, ``seed`` and ``priority`` must be JSON integers,
-  ``deadline_ms`` a finite number > 0).
+  ``deadline_ms`` a finite number > 0, ``model`` a string).
 * ``GET /v1/result/<id>`` -- poll: ``200`` with the result, ``202``
   while pending.  With ``?wait=1[&timeout_ms=...]`` the response is
   held open until completion (or ``202`` once ``timeout_ms`` from the
-  poll's arrival has passed).  ``?logits=1`` includes raw logits.  Any
-  id the scheduler issued is answered from its ledger
-  (:mod:`repro.serving.ledger`), and delivered **at most once**: a
-  second fetch is ``404 gone``; an id never issued, shed at admission,
-  or evicted (the 65 536 most recently finished are kept) is ``404
-  unknown``.
+  poll's arrival has passed; ``400`` unless ``timeout_ms`` is finite,
+  >= 0 and at most ``threading.TIMEOUT_MAX`` seconds).  ``?logits=1``
+  includes raw logits.  Any id the scheduler issued is answered from
+  its ledger (:mod:`repro.serving.ledger`), and delivered **at most
+  once**: a second fetch is ``404 gone``; an id never issued, shed at
+  admission, or evicted (the 65 536 most recently finished are kept)
+  is ``404 unknown``.
 * ``GET /healthz`` -- liveness plus registered session names.
 * ``GET /stats`` -- :meth:`repro.serving.Scheduler.stats` (queue
   depths, priced backlogs, in-flight batches, per-class deadline-hit
@@ -59,7 +60,7 @@ import numpy as np
 from repro.serving.ledger import DELIVERED
 from repro.serving.request import DEFAULT_PRIORITY
 from repro.serving.retry import RetryPolicy
-from repro.serving.scheduler import AdmissionError
+from repro.serving.scheduler import AdmissionError, check_timeout_ms
 from repro.serving.trace import synth_images
 
 __all__ = ["FrontDoor", "FrontDoorClient"]
@@ -460,6 +461,9 @@ class FrontDoor:
         if not isinstance(record, dict):
             raise _HttpError(400, "body must be a JSON object")
         model = record.get("model")
+        if model is not None and not isinstance(model, str):
+            # A list would reach a session-name dict lookup: a 500.
+            raise _HttpError(400, "model must be a string")
         deadline_ms = record.get("deadline_ms")
         priority = record.get("priority")
         if priority is not None and not _json_int(priority):
@@ -551,9 +555,10 @@ class FrontDoor:
         wait = query.get("wait", "0") not in ("0", "", "false")
         if wait:
             try:
-                timeout_ms = float(query.get("timeout_ms", 30_000.0))
-            except ValueError:
-                raise _HttpError(400, "timeout_ms must be a number")
+                timeout_ms = check_timeout_ms(
+                    float(query.get("timeout_ms", 30_000.0)))
+            except ValueError as exc:
+                raise _HttpError(400, str(exc))
             deadline = time.monotonic() + timeout_ms / 1e3
         # A ready result is taken here on the loop; only a real wait
         # pays the two thread hand-offs of the wait pool.

@@ -71,9 +71,22 @@ from repro.serving.ledger import IN_FLIGHT, QUEUED, Ledger
 from repro.serving.queue import RequestQueue
 from repro.serving.request import DEFAULT_PRIORITY, Request, RequestResult
 from repro.serving.router import LeastLatencyRouter, backend_fidelity
-from repro.serving.transport import InlineTransport, PoolTransport
+from repro.serving.transport import InlineTransport
 
 __all__ = ["Scheduler", "ServedModel", "FlushEvent", "AdmissionError"]
+
+
+def check_timeout_ms(timeout_ms):
+    """``timeout_ms`` as a float, or ``ValueError`` unless it is finite,
+    >= 0 and at most ``threading.TIMEOUT_MAX`` seconds, the longest a
+    lock waits: a NaN wait never times out and a longer one overflows
+    the lock's deadline."""
+    timeout_ms = float(timeout_ms)
+    if not 0.0 <= timeout_ms <= threading.TIMEOUT_MAX * 1e3:
+        raise ValueError(f"timeout_ms must be finite, >= 0 and at most "
+                         f"{threading.TIMEOUT_MAX * 1e3:.0f}, "
+                         f"got {timeout_ms!r}")
+    return timeout_ms
 
 
 class AdmissionError(RuntimeError):
@@ -349,10 +362,13 @@ class Scheduler:
         max_batch = session.batch_size if max_batch is None else int(max_batch)
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        transport = (InlineTransport(session) if workers == 1 else
-                     PoolTransport.spawn(session, workers, self.clock,
-                                         ctx=worker_ctx, recovery=recovery,
-                                         fault_plan=fault_plan))
+        if workers == 1:
+            transport = InlineTransport(session)
+        else:
+            from repro.serving.transport import PoolTransport
+            transport = PoolTransport.spawn(
+                session, workers, self.clock, ctx=worker_ctx,
+                recovery=recovery, fault_plan=fault_plan)
         served = ServedModel(name=name, session=session,
                              max_batch=max_batch, transport=transport)
         with self._registry_lock:
@@ -813,14 +829,17 @@ class Scheduler:
         """Block until ``request_id`` completes (background-thread mode).
 
         Raises ``TimeoutError`` after ``timeout_ms`` (``None`` waits
-        forever), ``RuntimeError`` if the background stepping thread
-        died -- waiters are woken instead of hanging on a flush that can
-        never fire -- or ``KeyError`` if no result can ever come (id
-        never issued, already collected, or evicted uncollected).  With
+        forever; :func:`check_timeout_ms` raises ``ValueError`` for an
+        unusable one), ``RuntimeError`` if the background stepping
+        thread died -- waiters are woken instead of hanging on a flush
+        that can never fire -- or ``KeyError`` if no result can ever
+        come (id never issued, already collected, or evicted
+        uncollected).  With
         a step-driven scheduler, something must call :meth:`step` or
         :meth:`flush` concurrently, or no flush ever fires.
         """
-        timeout = None if timeout_ms is None else timeout_ms / 1e3
+        timeout = (None if timeout_ms is None
+                   else check_timeout_ms(timeout_ms) / 1e3)
         with self.ledger.cond:
             self.ledger.cond.wait_for(
                 lambda: (not self.ledger.live(request_id)

@@ -40,9 +40,6 @@ import itertools
 import time
 from dataclasses import dataclass
 
-from repro.serving.placement import PlacementPolicy
-from repro.serving.worker import WorkerDiedError, WorkerPool
-
 __all__ = ["InlineTransport", "PoolTransport", "Shard"]
 
 
@@ -188,10 +185,16 @@ class PoolTransport:
     """
 
     def __init__(self, session, pool, clock):
+        # Placement and the worker processes' errors load with the
+        # first pool, never in an in-process server.
+        from repro.serving.placement import PlacementPolicy
+        from repro.serving.worker import WorkerDiedError
+
         self.session = session
         self.pool = pool
         self.clock = clock
         self.policy = pool.recovery
+        self._worker_died = WorkerDiedError
         self.placement = PlacementPolicy(
             pool.num_workers, session,
             max_in_flight=self.policy.max_in_flight_per_worker)
@@ -204,6 +207,8 @@ class PoolTransport:
     def spawn(cls, session, workers, clock, *, ctx, recovery, fault_plan):
         """Start ``workers`` executor processes for ``session`` (see
         :class:`repro.serving.WorkerPool`) and wrap them."""
+        from repro.serving.worker import WorkerPool
+
         return cls(session, WorkerPool(session, workers, ctx=ctx,
                                        recovery=recovery,
                                        fault_plan=fault_plan), clock)
@@ -284,7 +289,7 @@ class PoolTransport:
                 task_id, [r.images for r in piece], ticket.worker)
         except Exception as exc:
             self.placement.complete(ticket, now_ms=now_ms)
-            if isinstance(exc, WorkerDiedError):
+            if isinstance(exc, self._worker_died):
                 # Died between the liveness snapshot and the enqueue;
                 # recovery will respawn it -- just redirect the shard.
                 return None

@@ -1,21 +1,6 @@
 """Vision Transformer substrate: models, configs, complexity, CKA."""
 
-from repro.vit.analysis import (attention_rollout, head_attention_grid,
-                                render_keep_mask, render_token_grid)
-from repro.vit.attention import (MultiHeadSelfAttention, key_padding_mask,
-                                 pad_token_sequences,
-                                 suppress_attention_recording)
-from repro.vit.block import FeedForward, TransformerBlock
-from repro.vit.cka import cls_token_cka_profile, linear_cka
-from repro.vit.complexity import (LayerCost, StagePlan, block_layer_costs,
-                                  block_macs, model_gmacs, model_macs,
-                                  pruned_model_gmacs, pruned_model_macs,
-                                  token_selector_macs, tokens_after_pruning)
-from repro.vit.config import (DEIT_BASE, DEIT_S_288, DEIT_SMALL, DEIT_T_160,
-                              DEIT_TINY, LVVIT_MEDIUM, LVVIT_SMALL,
-                              PAPER_BACKBONES, ViTConfig, small_config)
-from repro.vit.model import VisionTransformer
-from repro.vit.patch_embed import PatchEmbedding
+from repro._lazy import lazy_exports
 
 __all__ = [
     "MultiHeadSelfAttention", "key_padding_mask", "pad_token_sequences",
@@ -32,3 +17,21 @@ __all__ = [
     "attention_rollout", "head_attention_grid",
     "render_token_grid", "render_keep_mask",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "analysis": ("attention_rollout", "head_attention_grid",
+                 "render_keep_mask", "render_token_grid"),
+    "attention": ("MultiHeadSelfAttention", "key_padding_mask",
+                  "pad_token_sequences", "suppress_attention_recording"),
+    "block": ("FeedForward", "TransformerBlock"),
+    "cka": ("cls_token_cka_profile", "linear_cka"),
+    "complexity": ("LayerCost", "StagePlan", "block_layer_costs",
+                   "block_macs", "model_gmacs", "model_macs",
+                   "pruned_model_gmacs", "pruned_model_macs",
+                   "token_selector_macs", "tokens_after_pruning"),
+    "config": ("DEIT_BASE", "DEIT_S_288", "DEIT_SMALL", "DEIT_T_160",
+               "DEIT_TINY", "LVVIT_MEDIUM", "LVVIT_SMALL", "PAPER_BACKBONES",
+               "ViTConfig", "small_config"),
+    "model": ("VisionTransformer",),
+    "patch_embed": ("PatchEmbedding",),
+})

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import HeatViT
+from repro.core.gather import value_groups
 from repro.engine import BucketingPolicy, InferenceSession, plan_buckets
 
 lengths_strategy = st.lists(st.integers(2, 200), min_size=0, max_size=80)
@@ -24,6 +25,24 @@ policy_strategy = st.builds(
     max_pad_fraction=st.floats(0.0, 1.0, allow_nan=False),
     min_bucket=st.integers(1, 16),
 )
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=lengths_strategy)
+def test_value_groups_is_unique_then_flatnonzero(values):
+    """The sort-based grouping behind ``group_exact`` and ``dense_runs``
+    gives what ``np.unique`` + ``np.flatnonzero`` gave, values' dtype
+    and order included, so bucket plans cannot move."""
+    values = np.asarray(values, dtype=np.int64)
+    expected = [(value, np.flatnonzero(values == value))
+                for value in np.unique(values)]
+    groups = value_groups(values)
+    assert [value for value, _ in groups] == [v for v, _ in expected]
+    assert all(type(value) is type(v) for (value, _), (v, _) in
+               zip(groups, expected))
+    for (_, indices), (_, want) in zip(groups, expected):
+        assert indices.dtype == want.dtype
+        np.testing.assert_array_equal(indices, want)
 
 
 class TestPlanBucketsProperties:

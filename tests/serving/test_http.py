@@ -290,8 +290,11 @@ class TestErrorPaths:
         {"num_images": 1, "seed": 0, "priority": 1.9},
         {"num_images": 1, "seed": 0, "deadline_ms": True},
         {"num_images": 1, "seed": 0, "deadline_ms": 10 ** 400},
+        {"num_images": 1, "seed": 1, "model": ["m"]},
+        {"images": np.zeros((1, 3, 16, 16)).tolist(), "model": ["m"]},
     ], ids=["nan-deadline", "inf-priority", "bool-count",
-            "fractional-priority", "bool-deadline", "huge-deadline"])
+            "fractional-priority", "bool-deadline", "huge-deadline",
+            "list-model", "list-model-inline"])
     def test_malformed_numbers_are_a_400(self, front_door, body):
         """``json.loads`` accepts ``NaN``, ``Infinity``, ``true`` and
         integers beyond float range where a number belongs.  Taken as
@@ -303,6 +306,24 @@ class TestErrorPaths:
         assert (status, payload["status"]) == (400, "error")
         assert door.scheduler.pending_requests() == 0
         assert door.counters["submitted"] == 0
+
+    @pytest.mark.parametrize("timeout_ms", ["nan", "inf", "-1", "1e308"])
+    def test_unusable_long_poll_timeout_is_a_400(self, front_door,
+                                                 timeout_ms):
+        """A NaN ``timeout_ms`` held a wait-pool thread until the result
+        existed, whatever the deadline; ``inf`` and ``1e308`` overflowed
+        the wait's deadline into a 500.  Each is a 400 now, and the
+        request is still there to collect."""
+        door, client = front_door
+        _, payload = client.request("POST", "/v1/submit",
+                                    body={"num_images": 1, "seed": 0})
+        request_id = payload["request_id"]
+        status, payload = client.request(
+            "GET", f"/v1/result/{request_id}?wait=1&timeout_ms={timeout_ms}")
+        assert (status, payload["status"]) == (400, "error")
+        assert "timeout_ms" in payload["error"]
+        status, _ = client.result(request_id, wait=True, timeout_ms=10_000)
+        assert status == 200
 
     def test_bad_result_ids(self, front_door):
         _, client = front_door

@@ -262,6 +262,20 @@ class TestForcedFlushAndResults:
         with pytest.raises(TimeoutError):
             scheduler.wait_result(request_id, timeout_ms=10.0)
 
+    @pytest.mark.parametrize("timeout_ms", [
+        float("nan"), float("inf"), -1.0, 1e308])
+    def test_wait_result_rejects_an_unusable_timeout(
+            self, mild_model, clock, tiny_dataset, timeout_ms):
+        """A NaN wait never timed out and an infinite or 1e308 ms one
+        overflowed the lock's deadline; each is a ``ValueError`` before
+        any wait, and the result stays deliverable."""
+        scheduler = make_scheduler(mild_model, clock)
+        request_id = scheduler.submit(tiny_dataset.images[0])
+        with pytest.raises(ValueError, match="timeout_ms"):
+            scheduler.wait_result(request_id, timeout_ms=timeout_ms)
+        scheduler.flush()
+        assert scheduler.wait_result(request_id, timeout_ms=0.0) is not None
+
     def test_result_fields(self, mild_model, clock, tiny_dataset):
         scheduler = make_scheduler(mild_model, clock, batch_window_ms=5.0)
         clock.advance(7.0)
