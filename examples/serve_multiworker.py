@@ -2,9 +2,8 @@
 
 A walkthrough of multi-worker serving (`repro.serving.worker` +
 `repro.serving.placement`): one HeatViT operating point registers with
-``workers=N`` executor *processes*, each of which rebuilds the serving
-session in its own interpreter from a spawn-safe
-:class:`repro.engine.SessionSpec` (config + weights).  A burst of
+``workers=N`` executor *processes*, each of which unpickles the
+parent's serving session in its own interpreter.  A burst of
 single-image requests is flushed, split into balanced shards, and
 placed one per idle worker, then by predicted completion time; each
 worker's measured execution time refines its own learned batch law
@@ -71,9 +70,9 @@ def main():
           f"{in_process_s * 1e3:.1f} ms")
 
     # 2. The same burst through a pool of executor processes.  The
-    #    scheduler ships the session to each worker as a SessionSpec
-    #    (config + weights, rebuilt in the child); flushes are split
-    #    into balanced shards and placed by predicted completion time.
+    #    scheduler pickles the session once and each worker unpickles
+    #    it; flushes are split into balanced shards and placed by
+    #    predicted completion time.
     scheduler = Scheduler(clock=VirtualClock(), batch_window_ms=10.0)
     scheduler.register("pruned", session=InferenceSession(
         model, batch_size=args.requests, cost_model=cost_model),

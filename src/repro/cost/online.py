@@ -35,9 +35,8 @@ buckets as a static one and serves the same bits: learning changes
 prices and flush timing, never what a batch computes.
 
 Everything is plain float64 state: the model pickles (it rides to
-worker processes inside a :class:`repro.engine.SessionSpec`) and
-:meth:`snapshot` / :meth:`restore` round-trip the learned state
-bitwise.
+worker processes inside the pickled session) and :meth:`snapshot` /
+:meth:`restore` round-trip the learned state bitwise.
 """
 
 from __future__ import annotations
@@ -369,10 +368,9 @@ class OnlineCostModel(CostModel):
     # Serialization
     # ------------------------------------------------------------------
     def snapshot(self):
-        """Full learned state, serializable and bitwise-restorable --
-        what worker rebuilds carry inside a
-        :class:`repro.engine.SessionSpec` (the model itself pickles;
-        the snapshot is the inspectable/portable form)."""
+        """Full learned state, serializable and bitwise-restorable (the
+        model itself pickles; the snapshot is the inspectable/portable
+        form)."""
         return {
             "bound": self._bound,
             "min_samples": self.min_samples,

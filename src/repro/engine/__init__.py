@@ -25,7 +25,6 @@ __all__ = [
     "group_exact",
     "BACKENDS", "BucketedExecutor", "EngineResult", "StageStats",
     "InferenceSession", "SessionResult",
-    "SessionSpec", "SpecError",
     "compile_model", "CompiledModel", "CompileError", "Workspace",
     "compile_quantized", "QuantizedModel",
 ]
@@ -38,5 +37,4 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     "fastpath.quantized": ("QuantizedModel", "compile_quantized"),
     "fastpath.workspace": ("Workspace",),
     "session": ("InferenceSession", "SessionResult"),
-    "spec": ("SessionSpec", "SpecError"),
 })

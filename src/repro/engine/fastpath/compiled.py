@@ -224,9 +224,8 @@ class _TensorActivation:
     """Opaque activation executed through its reference Tensor module.
 
     A class (not a closure) so compiled models stay picklable -- worker
-    processes receive compiled sessions by pickle or rebuild them from
-    a :class:`repro.engine.SessionSpec`.  The module may call SciPy, so
-    it holds a :class:`SciPyImport`.
+    processes receive compiled sessions by pickle.  The module may call
+    SciPy, so it holds a :class:`SciPyImport`.
     """
 
     __slots__ = ("module", "dtype", "scipy")

@@ -114,8 +114,8 @@ class InferenceSession:
         :class:`repro.cost.OnlineCostModel` so the session refits batch
         pricing from its own measured wall times.  Passing an
         ``OnlineCostModel`` as ``cost_model`` enables learning the same
-        way (and preserves any state it already carries -- the worker
-        rebuild path); ``learn_cost=True`` is then a no-op.
+        way (and preserves any state it already carries);
+        ``learn_cost=True`` is then a no-op.
     """
 
     def __init__(self, model, batch_size=32, policy=None,
@@ -201,15 +201,6 @@ class InferenceSession:
 
     def invalidate_estimate(self):
         self._estimated_latency = None
-
-    def spec(self, metadata=None):
-        """Describe this session as a spawn-safe
-        :class:`repro.engine.SessionSpec` (config + weights + knobs) a
-        worker process can rebuild bit-for-bit.  Raises
-        :class:`repro.engine.SpecError` for models a config + weights
-        rebuild cannot reproduce (custom selector classifiers)."""
-        from repro.engine.spec import SessionSpec
-        return SessionSpec.from_session(self, metadata=metadata)
 
     # ------------------------------------------------------------------
     def submit(self, images, record=None):

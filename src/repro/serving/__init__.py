@@ -39,7 +39,7 @@ __all__ = [
     "Scheduler", "ServedModel", "FlushEvent", "AdmissionError",
     "InlineTransport", "PoolTransport",
     "Placement", "PlacementPolicy",
-    "WorkerPool", "WorkerReply", "worker_payload",
+    "WorkerPool", "WorkerReply",
     "WorkerDiedError", "RecoveryPolicy", "RetryPolicy",
     "FaultPlan", "FaultSpec",
     "FrontDoor", "FrontDoorClient",
@@ -64,5 +64,5 @@ __getattr__, __dir__ = lazy_exports(globals(), {
               "synth_images", "two_tier_trace", "uniform_trace"),
     "transport": ("InlineTransport", "PoolTransport"),
     "worker": ("RecoveryPolicy", "WorkerDiedError", "WorkerPool",
-               "WorkerReply", "worker_payload"),
+               "WorkerReply"),
 })

@@ -312,9 +312,7 @@ class Scheduler:
         deployment numerics; see :mod:`repro.engine.fastpath`).  Mixed
         registrations -- the same checkpoint as a float and an int8
         target -- route by cost with fidelity tie-breaks (see
-        :mod:`repro.serving.router`); worker pools rebuild quantized
-        sessions from their :class:`repro.engine.SessionSpec`
-        bitwise-identically, backend and dtype included.
+        :mod:`repro.serving.router`).
 
         ``workers == 1`` runs flushes in-process
         (:class:`repro.serving.InlineTransport`); ``workers >= 2``
@@ -322,10 +320,11 @@ class Scheduler:
         (:class:`repro.serving.PoolTransport`: balanced shards,
         cost-model placement, self-healing), with results bitwise
         identical to in-process execution.  ``worker_ctx`` picks the
-        multiprocessing start method (``"spawn"`` default; the session
-        is shipped as a :class:`repro.engine.SessionSpec` when
-        possible).  Call :meth:`shutdown` (or use the scheduler as a
-        context manager) to join the pools deterministically.
+        multiprocessing start method (``"spawn"`` default; either way
+        each worker unpickles the session, so a session that does not
+        pickle raises here).  Call :meth:`shutdown` (or use the
+        scheduler as a context manager) to join the pools
+        deterministically.
 
         ``learn_cost=True`` builds the session with an online cost
         model (:class:`repro.cost.OnlineCostModel` around the resolved

@@ -2,13 +2,13 @@
 workers.
 
 A :class:`WorkerPool` spawns N OS processes, each owning a full
-:class:`repro.engine.InferenceSession` rebuilt in the child from a
-:class:`repro.engine.SessionSpec` (config + weights -- the spawn-safe
-road) or, for models a spec cannot describe, from the pickled session
-itself.  The parent dispatches flushed request batches to a chosen
-worker (see :class:`repro.serving.PlacementPolicy`) and collects
-replies from **per-worker reply pipes**; each reply carries the
-worker's host-measured execution time, which refines that worker's
+:class:`repro.engine.InferenceSession` unpickled in the child from the
+bytes of the parent's own session -- the same object, so the same
+arithmetic whatever modules the model is built from, under ``fork``
+and ``spawn`` alike.  The parent dispatches flushed request batches to
+a chosen worker (see :class:`repro.serving.PlacementPolicy`) and
+collects replies from **per-worker reply pipes**; each reply carries
+the worker's host-measured execution time, which refines that worker's
 learned batch law in the placement policy.
 
 Reply transport is deliberately *not* a shared ``multiprocessing``
@@ -35,13 +35,14 @@ results.
 Self-healing (the fleet side; the in-flight table and the recovery
 sweep live in :class:`repro.serving.PoolTransport`):
 
-* **Supervision** -- dead workers are respawned from the original
-  payload, bounded per slot (``max_restarts``) and spaced by the
-  shared :class:`repro.serving.RetryPolicy` exponential backoff.  A
-  respawn re-snapshots the session's learned
-  :class:`repro.cost.OnlineCostModel` (when cost learning is on), so
-  the replacement prices batches from everything the fleet measured
-  before the crash instead of re-learning from scratch.
+* **Supervision** -- dead workers are respawned, bounded per slot
+  (``max_restarts``) and spaced by the shared
+  :class:`repro.serving.RetryPolicy` exponential backoff.  A respawn
+  pickles the parent session afresh, so a learned
+  :class:`repro.cost.OnlineCostModel` (when cost learning is on) rides
+  along at its current fit: the replacement prices batches from
+  everything the fleet measured before the crash instead of
+  re-learning from scratch.
 * **Liveness from the OS** -- a death shows as ``is_alive()`` turning
   false and, once respawned, as a newer incarnation; a worker hung
   mid-batch is caught by the transport's per-batch dispatch deadline
@@ -82,7 +83,7 @@ import numpy as np
 from repro.serving.retry import RetryPolicy
 
 __all__ = ["WorkerPool", "WorkerReply", "WorkerDiedError",
-           "RecoveryPolicy", "worker_payload"]
+           "RecoveryPolicy"]
 
 _SENTINEL = None
 _READY = "ready"
@@ -315,53 +316,16 @@ class WorkerReply:
     tb: str = None
 
 
-def worker_payload(session):
-    """What to ship to a worker process for ``session``.
-
-    Prefers the spawn-safe :class:`repro.engine.SessionSpec` (config +
-    weights, rebuilt in the child); sessions a spec cannot describe
-    (custom selector classifiers) fall back to pickling the live
-    session object.
-    """
-    from repro.engine.spec import SpecError
-
-    try:
-        return session.spec()
-    except SpecError:
-        return session
-
-
-def _snapshot_payload(payload):
-    """A (re)spawn-safe copy of ``payload`` carrying the *current*
-    learned cost state.
-
-    Pickling a live :class:`repro.cost.OnlineCostModel` while the
-    scheduler thread is folding measurements into it is a data race
-    (dict mutation mid-pickle); spec payloads instead ship a clone
-    rebuilt from ``snapshot()`` taken synchronously here.  This is
-    also the supervision re-seed: a worker respawned after minutes of
-    serving inherits every coefficient the fleet learned, so placement
-    and flush pricing do not regress to the static prior.
-
-    Non-spec payloads (pickled sessions) pass through unchanged --
-    their cost model is pickled live, the pre-existing fallback
-    behavior.
-    """
-    from repro.cost import OnlineCostModel
-
-    cost = getattr(payload, "cost_model", None)
-    if hasattr(payload, "with_cost_model") and isinstance(cost,
-                                                          OnlineCostModel):
-        clone = OnlineCostModel.from_snapshot(cost.prior, cost.snapshot())
-        return payload.with_cost_model(clone)
-    return payload
+def _session_bytes(session):
+    """What a worker receives: the pickled ``session``."""
+    return pickle.dumps(session, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def _run_worker(worker_index, incarnation, payload, task_queue,
                 reply_conn, fault=None):             # pragma: no cover
     """Executor-worker main loop (module-level: spawn must import it).
 
-    Rebuilds the session, signals readiness, then blocks on its task
+    Unpickles the session, signals readiness, then blocks on its task
     queue and serves tasks until the ``None`` sentinel arrives.  Every
     task failure is reported as an error reply -- the worker itself
     survives to serve the next batch.  ``fault`` is the resolved
@@ -392,13 +356,10 @@ def _run_worker(worker_index, incarnation, payload, task_queue,
             return False
 
     try:
-        session = (payload.build() if hasattr(payload, "build")
-                   else payload)
+        session = pickle.loads(payload)
     except Exception as exc:                             # pragma: no cover
-        send(WorkerReply(
-            kind="error", worker=worker_index,
-            error=f"worker startup failed: {exc!r}",
-            tb=traceback.format_exc()))
+        send(WorkerReply(kind="error", worker=worker_index,
+                         error=repr(exc), tb=traceback.format_exc()))
         return
     if not send(WorkerReply(kind=_READY, worker=worker_index)):
         return
@@ -451,9 +412,11 @@ class WorkerPool:
 
     Parameters
     ----------
-    session: the :class:`repro.engine.InferenceSession` to replicate
-        (or a ready :class:`repro.engine.SessionSpec`).  Each worker
-        owns an independent rebuild -- weights are copied per process.
+    session: the :class:`repro.engine.InferenceSession` to replicate.
+        It is pickled once here, before any queue, pipe or process
+        exists (a session that does not pickle raises with nothing left
+        open), and again at each respawn; each worker unpickles its own
+        copy -- weights are copied per process.
     num_workers: pool size (>= 1).
     ctx: multiprocessing start method; ``"spawn"`` (default) is the
         portable, spawn-safe road the pool is tested under -- spawned
@@ -475,8 +438,8 @@ class WorkerPool:
                  fault_plan=None):
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
-        self._payload = (session if hasattr(session, "build")
-                         else worker_payload(session))
+        payload = _session_bytes(session)
+        self._session = session
         self.recovery = recovery if recovery is not None else RecoveryPolicy()
         self._fault_plan = fault_plan
         self._ctx = multiprocessing.get_context(ctx)
@@ -505,7 +468,7 @@ class WorkerPool:
         self._processes = []
         child_conns = []
         for index in range(self.num_workers):
-            process, child_conn = self._make_process(index)
+            process, child_conn = self._make_process(index, payload)
             self._processes.append(process)
             child_conns.append(child_conn)
         with _single_thread_blas_env():
@@ -519,9 +482,9 @@ class WorkerPool:
             conn.close()
         self._await_ready()
 
-    def _make_process(self, index):
-        """Build (but do not start) a process for the slot's current
-        incarnation, wiring a fresh reply pipe into
+    def _make_process(self, index, payload):
+        """Build (but do not start) a process that unpickles ``payload``
+        as the slot's current incarnation, wiring a fresh reply pipe into
         ``_reply_readers[index]``.  Returns ``(process, child_conn)``;
         the caller starts the process and then closes ``child_conn``
         (the parent's copy of the write end)."""
@@ -532,7 +495,7 @@ class WorkerPool:
         self._reply_readers[index] = _ReplyReader(recv_conn)
         process = self._ctx.Process(
             target=_run_worker,
-            args=(index, incarnation, _snapshot_payload(self._payload),
+            args=(index, incarnation, payload,
                   self._task_queues[index], send_conn, fault),
             name=(f"repro-serving-worker-{index}.{incarnation}"),
             daemon=True)
@@ -736,11 +699,13 @@ class WorkerPool:
 
         Each respawn gets a **fresh task queue** (anything buffered for
         the dead incarnation is dropped -- the transport hands lost
-        batches back from its own in-flight table) and a payload
-        re-snapshotted from the parent session, so a learned cost
-        model's current fit rides along.  Non-blocking beyond process
-        start: readiness arrives as a reply consumed by :meth:`poll`.
-        Returns the respawned worker indices.
+        batches back from its own in-flight table) and the parent
+        session pickled afresh, so a learned cost model's current fit
+        rides along (the scheduler folds measurements into that model
+        and respawns workers under one lock, its step lock, so the
+        pickle never sees an update half done).  Non-blocking beyond
+        process start: readiness arrives as a reply consumed by
+        :meth:`poll`.  Returns the respawned worker indices.
         """
         respawned = []
         with self._state_lock:
@@ -754,6 +719,7 @@ class WorkerPool:
                     continue
                 if now < self._next_restart_at[index]:
                     continue
+                payload = _session_bytes(self._session)
                 process.join(timeout=1.0)
                 old_queue = self._task_queues[index]
                 self._task_queues[index] = self._ctx.Queue()
@@ -776,7 +742,8 @@ class WorkerPool:
                     now + self.recovery.restart_backoff.delay_s(
                         attempt, seed=index))
                 self._incarnations[index] += 1
-                replacement, child_conn = self._make_process(index)
+                replacement, child_conn = self._make_process(index,
+                                                             payload)
                 with _single_thread_blas_env():
                     replacement.start()
                 child_conn.close()

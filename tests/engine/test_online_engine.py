@@ -6,12 +6,11 @@ without changing what it computes -- bucket plans price from the static
 prior, so it serves a static session's bits (logits, keep decisions and
 bucket plans all equal), whatever its clock reads; the executor's
 bucket-plan cache is keyed by (policy, lengths) only, so however far
-the learned batch law moves, repeat traffic hits the cache; and a
-:class:`repro.engine.SessionSpec` rebuild carries the learned state to
-worker processes.
+the learned batch law moves, repeat traffic hits the cache.  (A
+pickled learning session keeps its fit:
+``tests/engine/test_session_pickle.py``.)
 """
 
-import pickle
 import time
 
 import numpy as np
@@ -20,8 +19,6 @@ import pytest
 from repro.core import HeatViT
 from repro.cost import OnlineCostModel
 from repro.engine import InferenceSession
-
-TOLERANCE = 1e-8
 
 
 @pytest.fixture()
@@ -197,24 +194,3 @@ class TestPlanCache:
         session.submit(images)
         assert session.executor.plan_cache_hits > hits0
         assert session.executor.plan_cache_misses >= 1
-
-
-class TestSpecCarriesLearnedState:
-    def test_rebuild_preserves_learned_pricing(self, model, images):
-        session = InferenceSession(model, batch_size=8, backend="fastpath",
-                                   dtype="float64", learn_cost=True)
-        reference = session.submit(images)
-        for _ in range(12):
-            session.submit(images)
-        assert session.cost_model.confident()
-        rebuilt = pickle.loads(pickle.dumps(session.spec())).build()
-        assert rebuilt.learns_cost
-        assert rebuilt.cost_model.samples() == session.cost_model.samples()
-        assert rebuilt.estimated_batch_cost(12).total_ms == (
-            session.estimated_batch_cost(12).total_ms)
-        result = rebuilt.submit(images)
-        np.testing.assert_allclose(result.logits, reference.logits,
-                                   rtol=0, atol=TOLERANCE)
-        for got, want in zip(result.tokens_per_stage,
-                             reference.tokens_per_stage):
-            np.testing.assert_array_equal(got, want)

@@ -15,9 +15,7 @@ model.  The contract under test, grade by grade:
   float precisions);
 * ``int16`` compiles float64-only: its operands overflow the float32
   GEMM exactness window, and the compile must refuse rather than
-  silently lose bitwise parity;
-* a :class:`repro.engine.SessionSpec` round trip rebuilds a quantized
-  session bitwise -- what worker pools rely on.
+  silently lose bitwise parity.
 """
 
 import copy
@@ -29,7 +27,7 @@ from repro import nn
 from repro.approx import softmax_approx
 from repro.core import HeatViT
 from repro.engine import (BucketedExecutor, CompileError, InferenceSession,
-                          SessionSpec, Workspace, compile_quantized)
+                          Workspace, compile_quantized)
 from repro.engine.fastpath.qkernels import (approx_softmax_fast,
                                             layer_norm_reference,
                                             quantize_fast)
@@ -339,19 +337,6 @@ class TestSessionIntegration:
         session = InferenceSession(model, batch_size=8, backend="int8")
         assert session.backend == "int8"
         assert session.dtype == np.dtype(np.float32)
-
-    def test_spec_round_trip_rebuilds_bitwise(self, quant_setup):
-        """What WorkerPool children do: rebuild the session from its
-        spec -- same backend, same dtype, bitwise-identical logits."""
-        model, images = quant_setup
-        session = InferenceSession(model, batch_size=8, backend="int8")
-        spec = SessionSpec.from_session(session)
-        rebuilt = spec.build()
-        assert rebuilt.backend == "int8"
-        assert rebuilt.dtype == np.dtype(np.float32)
-        theirs = rebuilt.submit(images)
-        mine = session.submit(images)
-        assert mine.logits.tobytes() == theirs.logits.tobytes()
 
     def test_unknown_backend_rejected(self, quant_setup):
         model, _ = quant_setup

@@ -19,6 +19,7 @@ interleavings are most adversarial.
 """
 
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -270,24 +271,33 @@ class TestRecoveryPolicy:
 
 
 class TestRespawnPayload:
-    def test_snapshot_payload_reseeds_learned_cost(self, chaos_model):
-        """A respawned worker's spec carries the parent's *current*
-        learned fit -- cloned, so pickling never races the live model."""
-        from repro.serving.worker import _snapshot_payload
+    def test_respawn_ships_the_current_learned_fit(self, chaos_model,
+                                                   monkeypatch):
+        """A respawned worker unpickles the parent session as it stands
+        at the respawn, so it inherits the cost model's current fit."""
+        from repro.serving import worker
 
+        payloads = []
+
+        def record(session, real=worker._session_bytes):
+            payloads.append(real(session))
+            return payloads[-1]
+
+        monkeypatch.setattr(worker, "_session_bytes", record)
         session = InferenceSession(chaos_model, batch_size=8,
                                    learn_cost=True)
-        for num_images in (4, 8, 8, 16, 8, 4):
-            session.cost_model.observe_batch(num_images,
-                                             5.0 + 0.5 * num_images)
-        spec = session.spec()
-        clone = _snapshot_payload(spec)
-        assert clone is not spec
-        assert clone.cost_model is not session.cost_model
-        np.testing.assert_equal(clone.cost_model.snapshot(),
+        with WorkerPool(session, 1, ctx="fork",
+                        recovery=fast_recovery()) as pool:
+            for num_images in (4, 8, 8, 16, 8, 4):
+                session.cost_model.observe_batch(num_images,
+                                                 5.0 + 0.5 * num_images)
+            pool.terminate_worker(0)
+            assert pool.respawn_dead() == [0]
+        first, respawned = (pickle.loads(payload) for payload in payloads)
+        assert first.cost_model.samples() == 0
+        assert respawned.cost_model.samples() == 6
+        np.testing.assert_equal(respawned.cost_model.snapshot(),
                                 session.cost_model.snapshot())
-        # Non-spec payloads pass through untouched (pickled live).
-        assert _snapshot_payload(session) is session
 
 
 # ----------------------------------------------------------------------

@@ -86,9 +86,8 @@ def test_float32_and_int8_serving_import_no_scipy():
 
 # One session per run, in a fresh interpreter: built (``build``) or
 # unpickled (``unpickle``) from the file a ``build`` run wrote, as a
-# spawned worker receives a session SessionSpec cannot describe.  The
-# run reports whether SciPy was loaded once the session existed and
-# after it served one request.
+# pool worker receives its session.  The run reports whether SciPy was
+# loaded once the session existed and after it served one request.
 CASE = BUILD + textwrap.dedent("""
     import json
     import pickle

@@ -14,16 +14,22 @@ startup is the expensive part.  The core claims:
   thread is left alive.
 """
 
+import copy
+import multiprocessing
+import os
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
+from repro import nn
 from repro.core import HeatViT
 from repro.data import SyntheticConfig, generate_dataset
-from repro.engine import InferenceSession, SessionSpec
-from repro.serving import (Scheduler, SystemClock, VirtualClock,
-                           WorkerPool, worker_payload)
+from repro.engine import InferenceSession
+from repro.serving import (FaultPlan, Scheduler, SystemClock, VirtualClock,
+                           WorkerPool)
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +59,32 @@ def pooled_scheduler(served_model):
 def submit_all(scheduler, images, **kwargs):
     return [scheduler.submit(images[i], **kwargs)
             for i in range(images.shape[0])]
+
+
+def serve_two_shards(session, images, **register):
+    """Serve ``images`` as two 8-image requests -- one shard per worker
+    of a 2-worker pool -- and return the logits in request order."""
+    with Scheduler(clock=VirtualClock(),
+                   batch_window_ms=10.0) as scheduler:
+        scheduler.register("pooled", session=session, workers=2,
+                           **register)
+        first = scheduler.submit(images[:8])
+        second = scheduler.submit(images[8:])
+        results = {r.request_id: r for r in scheduler.flush()}
+    assert sorted(results) == [first, second]
+    return np.concatenate([results[first].logits, results[second].logits])
+
+
+def _refuse_to_load():
+    raise RuntimeError("refused to load")
+
+
+class _LoadsInParentOnly:
+    """Pickles, but unpickling it raises -- as a class the parent
+    defines and a worker's interpreter cannot import would."""
+
+    def __reduce__(self):
+        return _refuse_to_load, ()
 
 
 class TestPooledParity:
@@ -107,6 +139,23 @@ class TestPooledParity:
         assert all(served.placement.predicted_ms(worker, 8) > 0
                    for worker in (0, 1))
         assert served.placement.in_flight == (0, 0)
+
+    def test_spawn_pool_serves_relu_backbone_bitwise(self, tiny_backbone,
+                                                     images):
+        """Workers serve the parent's own session, not a model rebuilt
+        from config + weights: a rebuild would put GELU back into these
+        ReLU MLPs, and every logit would move."""
+        backbone = copy.deepcopy(tiny_backbone)
+        for block in backbone.blocks:
+            block.mlp.act = nn.ReLU()
+        model = HeatViT(backbone, {1: 0.7, 2: 0.5},
+                        rng=np.random.default_rng(23))
+        model.eval()
+        session = InferenceSession(model, batch_size=8, backend="fastpath")
+        reference = np.concatenate([session.submit(images[:8]).logits,
+                                    session.submit(images[8:]).logits])
+        logits = serve_two_shards(session, images, worker_ctx="spawn")
+        assert logits.tobytes() == reference.tobytes()
 
 
 class TestNonBlockingDispatch:
@@ -190,19 +239,37 @@ class TestWorkerPoolDirect:
         finally:
             scheduler.shutdown(drain=False)
 
-    def test_payload_prefers_spec(self, served_model, tiny_backbone):
-        session = InferenceSession(served_model, batch_size=4)
-        assert isinstance(worker_payload(session), SessionSpec)
 
-        from tests.engine.test_spec import _PlainClassifier
-        custom = HeatViT(
-            tiny_backbone, {1: 0.6}, rng=np.random.default_rng(5),
-            classifier_factory=lambda rng: _PlainClassifier(
-                tiny_backbone.config.embed_dim,
-                tiny_backbone.config.num_heads, rng))
-        custom.eval()
-        fallback = InferenceSession(custom, batch_size=4)
-        assert worker_payload(fallback) is fallback
+class TestStartupFailures:
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="counts descriptors in /proc/self/fd")
+    def test_unpicklable_session_fails_register_leaving_nothing_open(
+            self, served_model):
+        session = InferenceSession(served_model, batch_size=4)
+        session.lock = threading.Lock()
+        scheduler = Scheduler(clock=VirtualClock())
+        children = set(multiprocessing.active_children())
+        descriptors = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(TypeError, match="pickle"):
+            scheduler.register("unpicklable", session=session, workers=2)
+        assert len(os.listdir("/proc/self/fd")) == descriptors
+        assert set(multiprocessing.active_children()) == children
+        assert scheduler.sessions == []
+
+    def test_payload_failing_in_the_child_reports_its_cause(
+            self, served_model):
+        """The child unpickles inside its startup handler, so a payload
+        only the parent can load fails the pool at once, with the
+        child's exception -- also while a fault plan is set, which
+        keeps the pool waiting out deaths during startup."""
+        session = InferenceSession(served_model, batch_size=4)
+        session.poison = _LoadsInParentOnly()
+        started = time.monotonic()
+        with pytest.raises(RuntimeError,
+                           match=r"worker \d failed to start: "
+                                 r"RuntimeError\('refused to load'\)"):
+            WorkerPool(session, 2, ctx="spawn", fault_plan=FaultPlan())
+        assert time.monotonic() - started < 30.0
 
 
 class TestGracefulShutdown:
@@ -259,9 +326,9 @@ class TestQuantizedPooledServing:
     """The int8 backend end to end through scheduler + worker pool.
 
     The acceptance chain: ``register(backend="int8", dtype=float64,
-    workers=2)`` ships a :class:`SessionSpec` carrying backend and
-    dtype to each child, the children rebuild the quantized session,
-    and the pooled results are BITWISE equal to the
+    workers=2)`` pickles the quantized session, backend and dtype
+    included, to each child, the children unpickle it, and the pooled
+    results are BITWISE equal to the
     :func:`repro.quant.quantize_model` simulation run in process.
 
     Two 8-image requests shard one per worker; the reference runs the
@@ -271,8 +338,6 @@ class TestQuantizedPooledServing:
     shard for shard."""
 
     def test_int8_pool_bitwise_qmodel_parity(self, served_model, images):
-        import copy
-
         from repro.quant import PER_CHANNEL_CHILDREN, quantize_model
 
         sim = copy.deepcopy(served_model)
@@ -282,37 +347,19 @@ class TestQuantizedPooledServing:
         reference = np.concatenate([
             sim_session.submit(images[:8]).logits,
             sim_session.submit(images[8:]).logits])
-        with Scheduler(clock=VirtualClock(),
-                       batch_window_ms=10.0) as scheduler:
-            scheduler.register("q8", served_model, batch_size=16,
-                               backend="int8", dtype=np.float64,
-                               workers=2, worker_ctx="fork")
-            assert scheduler.sessions[0].session.backend == "int8"
-            first = scheduler.submit(images[:8])
-            second = scheduler.submit(images[8:])
-            results = {r.request_id: r for r in scheduler.flush()}
-        assert sorted(results) == [first, second]
-        logits = np.concatenate([results[first].logits,
-                                 results[second].logits])
+        session = InferenceSession(served_model, batch_size=16,
+                                   backend="int8", dtype=np.float64)
+        logits = serve_two_shards(session, images, worker_ctx="fork")
         assert logits.tobytes() == reference.tobytes()
 
     def test_int8_f32_pool_matches_in_process(self, served_model, images):
         """The timed float32 grade, pooled vs in process: the same
-        backend rebuilt from the spec must be bitwise reproducible."""
+        session unpickled in a worker must be bitwise reproducible."""
         session = InferenceSession(served_model, batch_size=8,
                                    backend="int8")
         reference = np.concatenate([session.submit(images[:8]).logits,
                                     session.submit(images[8:]).logits])
-        with Scheduler(clock=VirtualClock(),
-                       batch_window_ms=10.0) as scheduler:
-            scheduler.register("q8", served_model, batch_size=16,
-                               backend="int8", workers=2,
-                               worker_ctx="fork")
-            first = scheduler.submit(images[:8])
-            second = scheduler.submit(images[8:])
-            results = {r.request_id: r for r in scheduler.flush()}
-        logits = np.concatenate([results[first].logits,
-                                 results[second].logits])
+        logits = serve_two_shards(session, images, worker_ctx="fork")
         assert logits.tobytes() == reference.tobytes()
 
 
