@@ -37,8 +37,8 @@ unless it is already running and stops it only if it started it, so
 ``FrontDoor(scheduler).start()`` is a complete serving process and a
 scheduler someone else drives is left alone.  With a driver running
 ``Scheduler.submit`` only queues and wakes it, so submits run on the
-loop itself; the one call that blocks, ``wait_result`` for a result not
-ready yet, runs on a thread pool and the loop keeps accepting.
+loop itself, and so do held polls, which the ledger wakes when requests
+finish; :meth:`FrontDoor.stop` answers each before the loop closes.
 
 :class:`FrontDoorClient` is the matching blocking client (stdlib
 ``http.client``, keep-alive) used by the tests and the load generator.
@@ -47,12 +47,11 @@ ready yet, runs on a thread pool and the loop keeps accepting.
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import math
 import sys
 import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
 from urllib.parse import parse_qs, urlsplit
 
 import numpy as np
@@ -161,15 +160,10 @@ class FrontDoor:
     poll_ms: reply-poll cadence of the scheduler's driver thread when
         the front door starts it (:meth:`Scheduler.start`).
     max_body_bytes: reject larger request bodies with ``413``.
-    wait_workers: thread-pool size for held-open ``?wait=1`` result
-        calls (each occupies one slot while blocked).
     """
 
     def __init__(self, scheduler, host="127.0.0.1", port=0, *,
-                 poll_ms=1.0, max_body_bytes=64 * 1024 * 1024,
-                 wait_workers=32):
-        if wait_workers < 1:
-            raise ValueError("wait_workers must be >= 1")
+                 poll_ms=1.0, max_body_bytes=64 * 1024 * 1024):
         if max_body_bytes < 1:
             raise ValueError("max_body_bytes must be >= 1")
         self.scheduler = scheduler
@@ -177,14 +171,14 @@ class FrontDoor:
         self.port = int(port)
         self.poll_ms = float(poll_ms)
         self.max_body_bytes = int(max_body_bytes)
-        self._wait_workers = int(wait_workers)
         self._thread = None
         self._loop = None
         self._stop_event = None
+        self._finished = None        # resolved (and replaced) on each wake
+        self._connections = {}       # handler task -> (reader, writer)
         self._startup_error = None
         self._started_scheduler = False
-        self._wait_pool = None
-        self._lock = threading.Lock()
+        # Written on the event loop only, so no lock.
         self.counters = {"http_requests": 0, "submitted": 0, "shed": 0,
                          "unavailable": 0, "results_delivered": 0}
 
@@ -217,10 +211,10 @@ class FrontDoor:
     def stop(self, drain=True):
         """Stop serving; returns the scheduler's drained results.
 
-        Closes the listening socket, joins the event-loop thread and
-        worker pools, and -- if this front door started the scheduler's
-        stepping thread -- stops it too (``drain=True`` runs queued and
-        in-flight requests to completion first).  Idempotent.
+        Answers every held poll, closes the listening socket, joins the
+        event-loop thread, and -- if this front door started the
+        scheduler's stepping thread -- stops it too (``drain=True`` runs
+        queued and in-flight requests to completion first).  Idempotent.
         """
         if self._thread is None:
             return []
@@ -228,9 +222,6 @@ class FrontDoor:
         self._thread.join()
         self._thread = None
         self._loop = None
-        if self._wait_pool is not None:
-            self._wait_pool.shutdown(wait=False, cancel_futures=True)
-            self._wait_pool = None
         results = []
         if self._started_scheduler:
             self._started_scheduler = False
@@ -251,11 +242,9 @@ class FrontDoor:
             ready.set()
 
     async def _main(self, ready):
-        self._loop = asyncio.get_running_loop()
+        self._loop = loop = asyncio.get_running_loop()
         self._stop_event = asyncio.Event()
-        self._wait_pool = ThreadPoolExecutor(
-            max_workers=self._wait_workers,
-            thread_name_prefix="frontdoor-wait")
+        self._finished = loop.create_future()
         try:
             server = await asyncio.start_server(self._handle, self.host,
                                                 self.port)
@@ -268,13 +257,33 @@ class FrontDoor:
             self.scheduler.start(poll_ms=self.poll_ms)
             self._started_scheduler = True
         ready.set()
-        async with server:
-            await self._stop_event.wait()
+        ledger = self.scheduler.ledger
+        wake = functools.partial(loop.call_soon_threadsafe, self._wake_polls)
+        with ledger.cond:
+            ledger.listeners.append(wake)
+        await self._stop_event.wait()
+        server.close()
+        with ledger.cond:
+            ledger.listeners.remove(wake)
+        # Held polls answer and close, the rest read EOF: none is cancelled.
+        self._wake_polls()
+        for reader, writer in self._connections.values():
+            writer.transport.pause_reading()
+            reader.feed_eof()
+        if self._connections:
+            await asyncio.wait(list(self._connections),
+                               timeout=_READ_DEADLINE_S)
+
+    def _wake_polls(self):
+        """Have every held poll look at the ledger again (on the loop)."""
+        self._finished.set_result(None)
+        self._finished = self._loop.create_future()
 
     # ------------------------------------------------------------------
     # Connection handling (HTTP/1.1 with keep-alive)
     # ------------------------------------------------------------------
     async def _handle(self, reader, writer):
+        self._connections[asyncio.current_task()] = reader, writer
         try:
             while True:
                 try:
@@ -286,8 +295,7 @@ class FrontDoor:
                 if request is None:
                     break
                 method, target, keep_alive, body = request
-                with self._lock:
-                    self.counters["http_requests"] += 1
+                self.counters["http_requests"] += 1
                 extra_headers = None
                 try:
                     response = await self._route(method, target, body)
@@ -299,6 +307,7 @@ class FrontDoor:
                 except Exception as exc:
                     status, payload = 500, {"status": "error",
                                             "error": repr(exc)}
+                keep_alive = keep_alive and not self._stop_event.is_set()
                 await self._respond(writer, status, payload, keep_alive,
                                     headers=extra_headers)
                 if not keep_alive:
@@ -307,14 +316,11 @@ class FrontDoor:
                 BrokenPipeError):
             pass
         finally:
+            del self._connections[asyncio.current_task()]
             writer.close()
             try:
                 await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError,
-                    asyncio.CancelledError):
-                # CancelledError: the loop is tearing down mid-close
-                # (stop() with connections still open); the transport
-                # is already being discarded.
+            except (ConnectionResetError, BrokenPipeError):
                 pass
 
     async def _read_request(self, reader):
@@ -396,8 +402,7 @@ class FrontDoor:
                                       for s in self.scheduler.sessions]}
         if path == "/stats" and method == "GET":
             stats = self.scheduler.stats()
-            with self._lock:
-                stats["server"] = dict(self.counters)
+            stats["server"] = dict(self.counters)
             # JSON object keys must be strings; priority classes are ints.
             stats["classes"] = {str(cls): entry
                                 for cls, entry in stats["classes"].items()}
@@ -482,8 +487,7 @@ class FrontDoor:
                 images, deadline_ms=deadline_ms, model=model,
                 priority=priority)
         except AdmissionError as exc:
-            with self._lock:
-                self.counters["shed"] += 1
+            self.counters["shed"] += 1
             return 429, {"status": "shed", "error": str(exc),
                          "priority": exc.priority,
                          "backlog_ms": exc.backlog_ms,
@@ -492,8 +496,7 @@ class FrontDoor:
             raise _HttpError(404, str(exc))
         except (TypeError, ValueError) as exc:
             raise _HttpError(400, str(exc))
-        with self._lock:
-            self.counters["submitted"] += 1
+        self.counters["submitted"] += 1
         return 200, {"status": "queued", "request_id": request_id}
 
     def _degraded_response(self, model, priority, images):
@@ -523,8 +526,7 @@ class FrontDoor:
                         if images.shape[1:] == s.image_shape]
         if not eligible or not all(s.degraded for s in eligible):
             return None
-        with self._lock:
-            self.counters["unavailable"] += 1
+        self.counters["unavailable"] += 1
         return (503,
                 {"status": "unavailable",
                  "error": "every eligible session is degraded (worker "
@@ -533,18 +535,6 @@ class FrontDoor:
                  "retry_after_s": _RETRY_AFTER_S},
                 {"Retry-After": str(_RETRY_AFTER_S)})
 
-    def _take(self, request_id, deadline=None):
-        """The result, or ``None`` if it is not there by the
-        host-monotonic ``deadline`` (``None``: do not wait).  The time
-        left is read here, when a wait-pool thread takes the call, so a
-        long-poll queued behind others still answers by its deadline."""
-        timeout_ms = (0.0 if deadline is None
-                      else max(deadline - time.monotonic(), 0.0) * 1e3)
-        try:
-            return self.scheduler.wait_result(request_id, timeout_ms)
-        except TimeoutError:
-            return None
-
     async def _result(self, id_text, query):
         try:
             request_id = int(id_text)
@@ -552,21 +542,24 @@ class FrontDoor:
             raise _HttpError(400, f"request id must be an int, "
                                   f"got {id_text!r}")
         include_logits = query.get("logits", "0") not in ("0", "", "false")
-        wait = query.get("wait", "0") not in ("0", "", "false")
-        if wait:
+        timeout_ms = 0.0
+        if query.get("wait", "0") not in ("0", "", "false"):
             try:
                 timeout_ms = check_timeout_ms(
                     float(query.get("timeout_ms", 30_000.0)))
             except ValueError as exc:
                 raise _HttpError(400, str(exc))
-            deadline = time.monotonic() + timeout_ms / 1e3
-        # A ready result is taken here on the loop; only a real wait
-        # pays the two thread hand-offs of the wait pool.
-        try:
-            result = self._take(request_id)
-            if result is None and wait:
-                result = await self._loop.run_in_executor(
-                    self._wait_pool, self._take, request_id, deadline)
+        deadline = self._loop.time() + timeout_ms / 1e3
+        result = None
+        try:       # each look: the ledger's take, or why none can come
+            while result is None:
+                try:
+                    result = self.scheduler.wait_result(request_id, 0.0)
+                except TimeoutError:
+                    left_s = deadline - self._loop.time()
+                    if left_s <= 0.0 or self._stop_event.is_set():
+                        break
+                    await asyncio.wait((self._finished,), timeout=left_s)
         except KeyError:           # no result can ever come for this id
             if self.scheduler.ledger.state(request_id) == DELIVERED:
                 raise _HttpError(404, f"result {request_id} already "
@@ -574,8 +567,7 @@ class FrontDoor:
             raise _HttpError(404, f"unknown request id {request_id}")
         if result is None:
             return 202, {"status": "pending", "request_id": request_id}
-        with self._lock:
-            self.counters["results_delivered"] += 1
+        self.counters["results_delivered"] += 1
         return 200, _result_payload(result, include_logits)
 
 

@@ -55,13 +55,14 @@ _DELIVERED = Entry(None, None, DELIVERED)
 class Ledger:
     """Request id -> :class:`Entry`, and the per-class counters.
 
-    Every mutator holds ``cond``, which is notified whenever requests
-    finish (``Scheduler.wait_result`` waits on it); reads take no lock.
+    Every mutator holds ``cond``; :meth:`notify` wakes its waiters and
+    calls the ``listeners`` when requests finish.  Reads take no lock.
     """
 
     def __init__(self, clock):
         self.clock = clock
         self.cond = threading.Condition()
+        self.listeners = []          # added and removed under ``cond``
         self.pending_results = 0     # finished entries not yet delivered
         self._entries = {}
         self._finished = deque()     # ids, oldest finish first
@@ -106,7 +107,13 @@ class Ledger:
                 self._move(result.request_id,
                            FAILED if result.failed else COMPLETED,
                            result=result, shed=shed)
-            self.cond.notify_all()
+            self.notify()
+
+    def notify(self):
+        """Wake ``cond``'s waiters and the listeners (caller holds it)."""
+        self.cond.notify_all()
+        for listener in self.listeners:
+            listener()
 
     def take(self, request_id):
         """A finished request's result, now ``delivered``; ``None`` when

@@ -886,7 +886,7 @@ class Scheduler:
                 except Exception as exc:       # surface, don't hang waiters
                     with self.ledger.cond:
                         self._background_error = exc
-                        self.ledger.cond.notify_all()
+                        self.ledger.notify()
                     return
                 self._wake.wait(self._sleep_s(poll_ms))
 

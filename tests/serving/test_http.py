@@ -8,9 +8,14 @@ of the same behaviors live under the virtual clock in
 ``test_admission.py``.
 """
 
+import os
 import socket
+import subprocess
+import sys
+import textwrap
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +23,8 @@ import pytest
 from repro.serving import (FrontDoor, FrontDoorClient, HighestFidelityRouter,
                            Scheduler, replay, two_tier_trace)
 from tests.serving.harness import hold_whole_window
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 @pytest.fixture()
@@ -150,33 +157,58 @@ class TestEndpoints:
             assert status == 404 and "unknown" in payload["error"]
         assert time.monotonic() - start < 5.0
 
-    def test_ready_result_skips_the_wait_pool(self, front_door,
-                                              tiny_dataset):
-        """A long-poll that arrives after completion is answered on the
-        event loop: nothing is handed to the wait pool."""
-        door, client = front_door
-        _, payload = client.submit(tiny_dataset.images[:1])
-        request_id = payload["request_id"]
-        deadline = time.monotonic() + 10.0
-        while not door.scheduler.stats()["pending_results"]:
-            assert time.monotonic() < deadline
-            time.sleep(0.005)
-        handed_off = []
-        submit = door._wait_pool.submit
-        door._wait_pool.submit = lambda *args, **kwargs: (
-            handed_off.append(args), submit(*args, **kwargs))[1]
-        status, result = client.result(request_id, wait=True,
-                                       timeout_ms=10_000)
-        assert status == 200 and result["request_id"] == request_id
-        assert handed_off == []
-        # One that really has to wait still goes through the pool.
-        door.scheduler.stop(drain=True)
-        _, payload = client.submit(tiny_dataset.images[:1])
-        status, _ = client.result(payload["request_id"], wait=True,
-                                  timeout_ms=50)
-        assert status == 202 and len(handed_off) == 1
-        door.scheduler.start(poll_ms=0.5)
-        door._started_scheduler = True      # let teardown stop it again
+    def test_held_polls_do_not_block_other_polls(self, mild_model,
+                                                 aggressive_model,
+                                                 tiny_dataset):
+        """A held poll waits on the event loop, not on a thread: with 40
+        polls held on ``a`` requests, a poll on a ``b`` request answers
+        as soon as ``b`` flushes, and no thread is started for any of
+        them."""
+        scheduler = Scheduler(batch_window_ms=5.0)
+        scheduler.register("a", mild_model)
+        scheduler.register("b", aggressive_model)
+        image = tiny_dataset.images[:1]
+        with FrontDoor(scheduler, poll_ms=0.5) as door:
+            scheduler.stop(drain=True)          # nothing runs unless flushed
+            with FrontDoorClient("127.0.0.1", door.port) as client:
+                held = [client.submit(image, model="a")[1]["request_id"]
+                        for _ in range(40)]
+                target = client.submit(image, model="b")[1]["request_id"]
+            baseline = set(threading.enumerate())
+            answered = {}
+
+            def poll(request_id):
+                with FrontDoorClient("127.0.0.1", door.port) as client:
+                    status, _ = client.result(request_id, wait=True,
+                                              timeout_ms=20_000)
+                answered[request_id] = (status, time.monotonic())
+
+            def start_polls(ids):
+                expected = door.counters["http_requests"] + len(ids)
+                threads = [threading.Thread(target=poll, args=(i,))
+                           for i in ids]
+                for thread in threads:
+                    thread.start()
+                deadline = time.monotonic() + 10.0
+                while door.counters["http_requests"] < expected:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.005)
+                time.sleep(0.1)                 # each poll reaches its wait
+                return threads
+
+            pollers = start_polls(held) + start_polls([target])
+            started = [thread.name for thread in threading.enumerate()
+                       if thread not in baseline and thread not in pollers]
+            scheduler.flush(model="b")
+            flushed = time.monotonic()
+            pollers[-1].join(timeout=5.0)
+            status, at = answered.get(target, (None, float("inf")))
+            scheduler.flush(model="a")
+            for thread in pollers:
+                thread.join(timeout=10.0)
+        assert status == 200 and at - flushed < 0.5
+        assert started == []
+        assert {answered[i][0] for i in held} == {200}
 
     def test_wait_timeout_reports_pending(self, front_door, mild_model,
                                           tiny_dataset):
@@ -201,12 +233,12 @@ class TestEndpoints:
 
     def test_long_poll_timeout_runs_from_arrival(self, mild_model,
                                                  tiny_dataset):
-        """``timeout_ms`` counts from when the poll arrives, not from
-        when a wait-pool thread is free: with one thread, the second of
-        two concurrent 1 s polls answers near 1 s, not after 2 s."""
+        """``timeout_ms`` counts from when the poll arrives: two
+        concurrent 1 s polls on a request that never runs both answer
+        ``pending`` near 1 s, neither after 2 s."""
         scheduler = Scheduler(batch_window_ms=5.0)
         scheduler.register("default", mild_model)
-        with FrontDoor(scheduler, poll_ms=0.5, wait_workers=1) as door:
+        with FrontDoor(scheduler, poll_ms=0.5) as door:
             scheduler.stop(drain=True)          # nothing completes now
             with FrontDoorClient("127.0.0.1", door.port) as client:
                 _, payload = client.submit(tiny_dataset.images[:1])
@@ -310,9 +342,9 @@ class TestErrorPaths:
     @pytest.mark.parametrize("timeout_ms", ["nan", "inf", "-1", "1e308"])
     def test_unusable_long_poll_timeout_is_a_400(self, front_door,
                                                  timeout_ms):
-        """A NaN ``timeout_ms`` held a wait-pool thread until the result
-        existed, whatever the deadline; ``inf`` and ``1e308`` overflowed
-        the wait's deadline into a 500.  Each is a 400 now, and the
+        """A NaN ``timeout_ms`` held a poll until the result existed,
+        whatever the deadline; ``inf`` and ``1e308`` overflowed the
+        wait's deadline into a 500.  Each is a 400 now, and the
         request is still there to collect."""
         door, client = front_door
         _, payload = client.request("POST", "/v1/submit",
@@ -464,9 +496,69 @@ class TestErrorPaths:
         assert not scheduler.running        # managed thread came down
 
 
+class TestStop:
+    # A server whose one poll is held on a request that never runs (the
+    # driver is stopped) when stop() is called.
+    SERVER = textwrap.dedent("""
+        import threading, time
+        import numpy as np
+        from repro.core import HeatViT
+        from repro.serving import FrontDoor, FrontDoorClient, Scheduler
+        from repro.vit import VisionTransformer, ViTConfig
+
+        config = ViTConfig(name="stop", image_size=16, patch_size=4,
+                           embed_dim=24, depth=4, num_heads=3,
+                           num_classes=4)
+        model = HeatViT(VisionTransformer(config,
+                                          rng=np.random.default_rng(7)),
+                        {2: 0.8}, rng=np.random.default_rng(11))
+        model.eval()
+        scheduler = Scheduler(batch_window_ms=5.0)
+        scheduler.register("default", model)
+        door = FrontDoor(scheduler).start()
+        scheduler.stop(drain=False)
+        with FrontDoorClient("127.0.0.1", door.port) as client:
+            _, payload = client.submit(num_images=1, seed=0)
+        answers = []
+
+        def poll():
+            with FrontDoorClient("127.0.0.1", door.port) as client:
+                answers.append(client.result(payload["request_id"],
+                                             wait=True, timeout_ms=30000))
+
+        poller = threading.Thread(target=poll, daemon=True)
+        poller.start()
+        while door.counters["http_requests"] < 2:
+            time.sleep(0.005)
+        time.sleep(0.2)
+        print(time.monotonic(), flush=True)
+        door.stop()
+        poller.join(timeout=5.0)
+        print(answers, flush=True)
+        print([t.name for t in threading.enumerate()], flush=True)
+    """)
+
+    def test_stop_answers_a_held_poll_and_lets_the_process_exit(self):
+        """stop() answers a held poll ``202`` and closes it before the
+        loop closes: no thread stays blocked on the poll's 30 s timeout
+        (the process exits at once), and nothing is logged."""
+        child = subprocess.run(
+            [sys.executable, "-c", self.SERVER], capture_output=True,
+            text=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
+            timeout=120)
+        exited = time.monotonic()
+        assert child.returncode == 0, child.stderr
+        stopped, answers, threads = child.stdout.splitlines()
+        assert exited - float(stopped) < 5.0
+        assert answers == str([(202, {"status": "pending",
+                                      "request_id": 0})])
+        assert "frontdoor" not in threads
+        assert "Traceback" not in child.stderr, child.stderr
+
+
 class TestConcurrentClients:
     def test_parallel_submit_and_wait(self, front_door, tiny_dataset):
-        """Many clients with held-open waits at once: the wait pool and
+        """Many clients with held-open waits at once: held polls and
         keep-alive handling must not serialize or drop anyone."""
         door, _ = front_door
         outcomes = {}
