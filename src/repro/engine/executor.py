@@ -291,15 +291,19 @@ class BucketedExecutor:
         """Score one boundary's flat ``(M, D)`` patch tokens; returns
         ``(keep, packages)``: boolean ``(M,)`` and ``(n, D)``.
 
-        Compiled selectors take the ragged array whole, as ONE kernel
-        pipeline (:meth:`CompiledSelector.select_ragged`, hybrid
-        fallbacks included): the boundary cost does not scale with the
-        number of distinct sequence lengths.  The two reference backends
-        -- Tensor modules, and the quantized parity grade's surgered
-        selector modules (``supports_ragged`` unset) -- only take dense
-        input: one ``(g, count, D)`` stack per distinct patch count.
+        A selector whose ``ragged_ok`` is set (a lowered
+        :class:`CompiledSelector`) takes the ragged array whole, as ONE
+        kernel pipeline (:meth:`CompiledSelector.select_ragged`): the
+        boundary cost does not scale with the number of distinct
+        sequence lengths.  Every other selector runs a module -- the
+        tensor backend's, or a compiled
+        :class:`~repro.engine.fastpath.compiled.ModuleSelector`'s copy --
+        and takes dense input only: one ``(g, count, D)`` stack per
+        distinct patch count.  Each selector decides for its own
+        boundary.
         """
-        if self.compiled is not None and self.compiled.supports_ragged:
+        if (self.compiled is not None
+                and self.compiled.selectors[selector_index].ragged_ok):
             return self.compiled.select_ragged(selector_index, flat, counts,
                                                self.workspace)
         keep = np.empty(flat.shape[0], dtype=bool)

@@ -27,10 +27,11 @@ Compile-time fusions
   packager), so keep/prune decisions on the fast path come from the
   exact same arithmetic as the compiled blocks.  There is one pipeline,
   over ragged tokens (:meth:`CompiledSelector.select_ragged`); the
-  dense ``(g, N, D)`` entry point is a reshape onto it.  A selector whose
-  classifier is not the stock :class:`MultiHeadTokenClassifier` (e.g.
-  the Fig. 12 conv ablation) falls back to invoking the original Tensor
-  module under ``no_grad`` -- slower, still correct.
+  dense ``(g, N, D)`` entry point is a reshape onto it.  Only a selector
+  whose own class, classifier and attention branch are exactly the
+  stock ones lowers (:func:`_is_stock_selector`); any other -- the
+  Fig. 12 ablations, a custom classifier -- is served through its own
+  module (:class:`ModuleSelector`), slower and exactly what it computes.
 
 The Tensor path stays the reference implementation: float64 compiles
 match it to well under the engine's 1e-8 bound, float32 to ~1e-6 logits
@@ -43,7 +44,7 @@ Float64 compiles are the parity grade and run SciPy's ``erf`` and
 (:func:`.kernels.gelu_rational`, :func:`.kernels.sigmoid`), which is
 also why a process serving only float32 or int8 never imports SciPy.
 The float64 kernels import it where they call it, as do the Tensor
-modules a hybrid-fallback selector or an opaque activation runs.  Each
+modules a :class:`ModuleSelector` or an opaque activation runs.  Each
 part that runs them holds a :class:`.kernels.SciPyImport`, so SciPy
 loads when the part is compiled, or unpickled in a worker, and never
 inside a first request.
@@ -73,19 +74,19 @@ GEMM kernels and the paper's polynomial nonlinearities.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from repro import nn
 from repro.nn.tensor import Tensor
-from repro.core.gather import dense_runs
 from repro.engine.fastpath.kernels import (SciPyImport, fused_layer_norm,
                                            gelu_exact, gelu_rational,
                                            mask_to_bias, masked_softmax,
                                            sigmoid)
-from repro.engine.fastpath.workspace import Workspace
 
 __all__ = ["compile_model", "CompiledModel", "CompiledBlock",
-           "CompiledSelector", "CompileError"]
+           "CompiledSelector", "ModuleSelector", "CompileError"]
 
 _EPS = 1e-8          # mirrors repro.core.selector._EPS
 
@@ -425,82 +426,53 @@ class CompiledBlock:
 
 
 class CompiledSelector:
-    """A token selector lowered to ndarray kernels (eval semantics).
+    """A stock token selector lowered to ndarray kernels (eval semantics).
 
     Reproduces :meth:`repro.core.TokenSelector.forward` with
     ``hard=False`` and no incoming mask -- exactly what both deployment
     paths execute: deterministic argmax decisions, the >=1-token guard,
-    and the Eq. 10 score-weighted packager.
-
-    A selector whose classifier is not the stock
-    :class:`MultiHeadTokenClassifier` (e.g. the Fig. 12 conv ablation)
-    compiles in **hybrid fallback** mode: the classifier stays an opaque
-    Tensor module, but the LayerNorm, attention branch, Eq. 8 combine,
-    guard, and packager still run as native kernels -- in float64, the
-    arithmetic the old whole-module fallback used -- so the ragged
-    single-pipeline boundary (:meth:`select_ragged`) is available for
-    every selector, stock or not.
+    and the Eq. 10 score-weighted packager.  Only what
+    :func:`_is_stock_selector` recognises lowers here; every other
+    selector is a :class:`ModuleSelector`.
 
     Scoring runs at BLAS shape: the per-head MLPs take ``(M*h, .)``
     rows, one GEMM per layer (numpy runs ``(M, h, k) @ (k, n)`` as ``M``
     tiny GEMMs), and the per-head reductions -- Eq. 6 channel means and
     both Eq. 8 head sums -- are GEMMs against constant 0/1 matrices
-    built here in the score dtype, several times the speed of a short
+    built here in the compute dtype, several times the speed of a short
     last- or middle-axis ``add.reduce``.
     """
 
-    __slots__ = ("dtype", "score_dtype", "num_heads", "head_dim",
-                 "norm_w", "norm_b", "norm_eps", "feature_mlp",
-                 "classifier_mlp", "attention_mlp", "fallback_module",
-                 "classifier_module", "_fallback_ws", "head_mean",
-                 "head_sum", "head_ones", "sigmoid", "scipy")
+    __slots__ = ("dtype", "num_heads", "head_dim", "norm_w", "norm_b",
+                 "norm_eps", "feature_mlp", "classifier_mlp",
+                 "attention_mlp", "head_mean", "head_sum", "head_ones",
+                 "sigmoid")
 
-    ragged_ok = True     # False on selectors without select_ragged
+    ragged_ok = True     # the executor's test for select_ragged
 
-    def __init__(self, selector, dtype, score_dtype, attention_mlp,
-                 feature_mlp=None, classifier_mlp=None):
+    def __init__(self, selector, dtype, attention_mlp, feature_mlp,
+                 classifier_mlp):
         """``*_mlp`` are :func:`_compile_mlp` programs lowered in
-        ``score_dtype`` with whichever kernels the compile function
-        chose; without the two classifier programs the selector is a
-        hybrid fallback."""
+        ``dtype`` with whichever kernels the compile function chose."""
         self.dtype = dtype
-        self.score_dtype = score_dtype
         self.num_heads = selector.num_heads
         self.head_dim = selector.embed_dim // selector.num_heads
-        self.norm_w = _contig(selector.norm.weight.data, score_dtype)
-        self.norm_b = _contig(selector.norm.bias.data, score_dtype)
+        self.norm_w = _contig(selector.norm.weight.data, dtype)
+        self.norm_b = _contig(selector.norm.bias.data, dtype)
         self.norm_eps = selector.norm.eps
         # (D, h): token -> per-head channel mean (Eq. 6); (2h, 2) and
         # (h, 1): per-head (keep, prune) scores and weights -> their sum
         # over heads (Eq. 8).
-        heads = np.eye(self.num_heads, dtype=score_dtype)
+        heads = np.eye(self.num_heads, dtype=dtype)
         self.head_mean = np.repeat(heads, self.head_dim,
                                    axis=0) / self.head_dim
-        self.head_sum = np.tile(np.eye(2, dtype=score_dtype),
+        self.head_sum = np.tile(np.eye(2, dtype=dtype),
                                 (self.num_heads, 1))
-        self.head_ones = np.ones((self.num_heads, 1), dtype=score_dtype)
-        self.sigmoid = _sigmoid_kernel(np.dtype(score_dtype))
+        self.head_ones = np.ones((self.num_heads, 1), dtype=dtype)
+        self.sigmoid = _sigmoid_kernel(dtype)
         self.feature_mlp = feature_mlp
         self.classifier_mlp = classifier_mlp
         self.attention_mlp = attention_mlp
-        hybrid = feature_mlp is None
-        self.fallback_module = selector if hybrid else None
-        self.classifier_module = selector.classifier if hybrid else None
-        self._fallback_ws = Workspace(score_dtype) if hybrid else None
-        # The fallback classifier is a Tensor module, which may call
-        # SciPy (the functional erf and sigmoid do).
-        self.scipy = SciPyImport() if hybrid else None
-
-    def _scoring_input(self, tokens, ws):
-        """Cast to the scoring dtype and pick the scoring workspace.
-
-        Stock selectors score in the compile dtype with the caller's
-        workspace; hybrid fallbacks score in float64 with their own
-        scratch pool (the caller's pool is typed to the compile dtype).
-        """
-        if self.classifier_module is None:
-            return tokens, ws
-        return np.asarray(tokens, dtype=self.score_dtype), self._fallback_ws
 
     def select(self, patches, ws):
         """Score one uniform-length group of ``(g, N, D)`` patch tokens;
@@ -518,25 +490,12 @@ class CompiledSelector:
     def _classifier_scores_ragged(self, normed, counts, starts, ws):
         """Per-head probabilities for ragged tokens: ``(M, h, 2)``.
 
-        Stock selectors run one flat kernel pipeline with segment
-        reductions.  Hybrid fallbacks batch images of equal length into
-        dense classifier-module calls (the module's own global pooling
-        is per image either way) and scatter the scores back flat --
-        the boundary still costs one module call per *distinct length*,
-        not one per ``(length, package)`` group per padded bucket.
+        Per-head token scores (Eqs. 3-5): local features, per-image
+        global average, concat, classify, softmax -- on ``(M*h, .)``
+        rows, with the global average as a segment reduction.
         """
         m = normed.shape[0]
         h = self.num_heads
-        if self.classifier_module is not None:
-            per_head = np.empty((m, h, 2), dtype=self.score_dtype)
-            for _, tokens in dense_runs(counts, starts):
-                with nn.no_grad():
-                    scores = self.classifier_module(Tensor(normed[tokens]))
-                # (g, h, n, 2) module layout -> (g, n, h, 2) per token.
-                per_head[tokens] = scores.data.transpose(0, 2, 1, 3)
-            return per_head
-        # Per-head token scores (Eqs. 3-5): local features, per-image
-        # global average, concat, classify, softmax -- on (M*h, .) rows.
         heads = normed.reshape(m * h, self.head_dim)
         local = _run_mlp(self.feature_mlp, heads, ws, "rag_feat")
         feat = local.shape[-1]
@@ -566,15 +525,10 @@ class CompiledSelector:
         pairwise order, a rounding-level (~1e-16 in float64) deviation
         from the module only.
 
-        Hybrid fallback selectors (non-stock classifiers) run the same
-        pipeline with the classifier scored per distinct length; see
-        :meth:`_classifier_scores_ragged`.
-
         Returns ``(keep_flat, packages)``: boolean ``(M,)`` and
         ``(n, D)``.
         """
-        flat, ws = self._scoring_input(flat, ws)
-        sdt = self.score_dtype
+        dt = self.dtype
         m, dim = flat.shape
         h = self.num_heads
         counts = np.asarray(counts)
@@ -593,7 +547,7 @@ class CompiledSelector:
         per_head *= importance[..., None]                  # (M, h, 2)
         scores = per_head.reshape(m, 2 * h) @ self.head_sum   # (M, 2)
         total = importance @ self.head_ones                # (M, 1)
-        total += sdt.type(_EPS)
+        total += dt.type(_EPS)
         scores /= total
         keep_score = scores[..., 0]
         keep = keep_score >= scores[..., 1]
@@ -605,12 +559,50 @@ class CompiledSelector:
             keep[lo + np.argmax(keep_score[lo:hi])] = True
         # Eq. 10 packager on the RAW (un-normed) tokens, weighted by the
         # pruned tokens' keep scores.
-        pruned_w = np.where(keep, sdt.type(0.0), keep_score)
+        pruned_w = np.where(keep, dt.type(0.0), keep_score)
         weighted = ws.take("rag_pkg", (m, dim))
         np.multiply(flat, pruned_w[:, None], out=weighted)
         packages = np.add.reduceat(weighted, starts, axis=0)
         packages /= (np.add.reduceat(pruned_w, starts)[:, None]
-                     + sdt.type(_EPS))
+                     + dt.type(_EPS))
+        return keep, packages
+
+
+class ModuleSelector:
+    """A token selector served through its own module (eval semantics).
+
+    Whatever a selector the compile functions do not recognise
+    overrides -- a classifier, the Eq. 8 combine of
+    :class:`repro.core.UniformHeadSelector` -- this serves exactly what
+    its module computes: ``module(patches, hard=False)``, the call the
+    tensor backend makes.  ``module`` is the selector's own deep copy
+    (compiling snapshots weights), surgered by
+    :func:`repro.quant.quantize_model` on the quantized grades.
+
+    It scores one uniform-length ``(g, N, D)`` group per call in the
+    module's float64 arithmetic and has no ragged entry point
+    (``ragged_ok`` is unset): the executor hands it one stack per
+    distinct patch count.  Its Tensor modules may call SciPy, so it
+    holds a :class:`.kernels.SciPyImport`.
+    """
+
+    __slots__ = ("dtype", "module", "scipy")
+
+    ragged_ok = False
+
+    def __init__(self, module, dtype):
+        self.dtype = dtype
+        self.module = module.eval()
+        self.scipy = SciPyImport()
+
+    def select(self, patches, ws):
+        """Score ``(g, N, D)`` patches through the module; returns
+        ``(keep, packages)`` like :meth:`CompiledSelector.select`."""
+        with nn.no_grad():
+            out = self.module(Tensor(np.asarray(patches, dtype=np.float64)),
+                              hard=False)
+        keep = out.decision.data > 0.5
+        packages = out.package.data[:, 0, :]
         return keep, packages.astype(self.dtype, copy=False)
 
 
@@ -622,10 +614,6 @@ class CompiledModel:
     returns is a view of that workspace's ``embed`` arena (mutated in
     place by the block calls, overwritten by the next ``embed``); copy
     it if it must survive the next call.
-
-    ``supports_ragged`` advertises the ragged selector-boundary entry
-    point to the executor; it is unset when any selector runs per exact
-    group only (the quantized parity grade's surgered modules).
     """
 
     def __init__(self, config, dtype, blocks, selectors, embed_weights,
@@ -639,7 +627,6 @@ class CompiledModel:
         (self.patch, self.cls_token, self.pos_embed) = embed_weights
         (self.final_norm_w, self.final_norm_b, self.final_norm_eps,
          self.head) = head_weights
-        self.supports_ragged = all(s.ragged_ok for s in selectors)
 
     # ------------------------------------------------------------------
     def _patch_columns(self, images):
@@ -685,13 +672,13 @@ class CompiledModel:
         return x
 
     def select(self, stage, patches, ws):
-        """Apply compiled selector ``stage``; see
+        """Apply selector ``stage`` to one uniform-length group; see
         :meth:`CompiledSelector.select`."""
         return self.selectors[stage].select(patches, ws)
 
     def select_ragged(self, stage, flat, counts, ws):
-        """Ragged-batch form of :meth:`select`; see
-        :meth:`CompiledSelector.select_ragged`."""
+        """Ragged-batch form of :meth:`select`, for a selector whose
+        ``ragged_ok`` is set; see :meth:`CompiledSelector.select_ragged`."""
         return self.selectors[stage].select_ragged(flat, counts, ws)
 
     def classify(self, x, ws):
@@ -755,27 +742,37 @@ def _lower_block(block, dtype):
         image_separable=True)
 
 
-def _lower_selector(selector, dtype):
-    from repro.core.selector import MultiHeadTokenClassifier
+def _is_stock_selector(selector):
+    """Whether ``selector`` lowers to a :class:`CompiledSelector`, in
+    either compile function: only when it, its classifier and its
+    attention branch are exactly :class:`repro.core.TokenSelector`,
+    :class:`repro.core.MultiHeadTokenClassifier` and
+    :class:`repro.core.AttentionBranch` -- the arithmetic the kernel
+    pipeline reproduces.  A subclass may override any part of it (the
+    Fig. 12 ablations do), so every other selector is served through its
+    module (:class:`ModuleSelector`)."""
+    from repro.core.selector import (AttentionBranch,
+                                     MultiHeadTokenClassifier,
+                                     TokenSelector)
 
-    classifier = selector.classifier
-    stock = isinstance(classifier, MultiHeadTokenClassifier)
-    # Hybrid fallback: score in float64 through the original classifier
-    # module (matches the reference bit-for-bit up to rounding order),
-    # native kernels -- exact-erf GELU included -- for everything else.
-    score_dtype = dtype if stock else np.dtype(np.float64)
+    return (type(selector) is TokenSelector
+            and type(selector.classifier) is MultiHeadTokenClassifier
+            and type(selector.attention_branch) is AttentionBranch)
+
+
+def _lower_selector(selector, dtype):
+    if not _is_stock_selector(selector):
+        return ModuleSelector(copy.deepcopy(selector), dtype)
 
     def lower(sequential):
         return _compile_mlp(
-            sequential, score_dtype,
-            lambda linear, name: LinearKernel.from_linear(linear,
-                                                          score_dtype))
+            sequential, dtype,
+            lambda linear, name: LinearKernel.from_linear(linear, dtype))
 
-    programs = [lower(selector.attention_branch.mlp)]
-    if stock:
-        programs += [lower(classifier.feature_mlp),
-                     lower(classifier.classifier_mlp)]
-    return CompiledSelector(selector, dtype, score_dtype, *programs)
+    return CompiledSelector(selector, dtype,
+                            lower(selector.attention_branch.mlp),
+                            lower(selector.classifier.feature_mlp),
+                            lower(selector.classifier.classifier_mlp))
 
 
 def compile_model(model, dtype=None):

@@ -24,7 +24,7 @@ Two numerics grades, selected by dtype:
   computes.  Gated on top-1/keep agreement with the float64 engine, not
   bitwise parity.
 * ``float64`` -- **simulation parity**, the reference grade this module
-  owns (:class:`QuantizedModel` and its blocks/selectors).  It calls
+  owns (:class:`QuantizedModel` and its blocks).  It calls
   the same :mod:`repro.approx` definitions and :func:`repro.quant.quantize`
   the surgered Tensor model runs, and its integer GEMMs run as float64
   BLAS on integer-valued operands (exact below 2^53), so executor logits
@@ -34,6 +34,10 @@ Two numerics grades, selected by dtype:
   simulation approximates only their Linear and activation children --
   its functional softmax/sigmoid stay exact -- and bitwise-mirroring
   that mix is cheapest done by running it).
+
+On either grade, a selector the compiler does not recognise
+(:func:`.compiled._is_stock_selector`) is served that same way: a
+:class:`.compiled.ModuleSelector` over its surgered copy.
 
 ``bits=16`` needs integer products up to ``32767^2 * K`` -- beyond
 float32's 2^24 exact-integer window for any real reduction -- so int16
@@ -48,15 +52,14 @@ from functools import partial
 import numpy as np
 
 from repro import nn
-from repro.nn.tensor import Tensor
 from repro.approx.polynomial import (DEFAULT_DELTA1, gelu_approx,
                                      sigmoid_plan, softmax_approx)
 from repro.engine.fastpath.compiled import (CompileError, CompiledBlock,
                                             CompiledModel, CompiledSelector,
-                                            _check_backbone, _check_dtype,
-                                            _compile_activation,
-                                            _compile_mlp, _contig)
-from repro.engine.fastpath.kernels import SciPyImport
+                                            ModuleSelector, _check_backbone,
+                                            _check_dtype, _compile_activation,
+                                            _compile_mlp, _contig,
+                                            _is_stock_selector)
 from repro.engine.fastpath.qkernels import (approx_gelu_fast,
                                             approx_softmax_fast,
                                             layer_norm_reference,
@@ -243,51 +246,13 @@ class _ReferenceBlock(CompiledBlock):
         return x
 
 
-class _ReferenceSelector:
-    """A token selector scored through an actual surgered deep copy of
-    the selector module -- bitwise equal to the simulation by
-    construction.  Dense (per exact group) only.
-
-    The simulation surgeries only a selector's *module* children: its
-    Linears (per-tensor -- Sequential child names never match the
-    per-channel list) and GELU / Sigmoid modules.  The classifier's
-    softmax and the attention branch's sigmoid are functional calls and
-    stay exact -- SciPy's ``expit`` in this selector, as in the
-    simulation, so it holds a :class:`.kernels.SciPyImport`.
-    """
-
-    __slots__ = ("dtype", "module", "scipy")
-
-    ragged_ok = False
-
-    def __init__(self, selector, bits, dtype, per_channel, delta1, delta2):
-        self.dtype = dtype
-        self.scipy = SciPyImport()
-        self.module = copy.deepcopy(selector)
-        quantize_model(self.module, bits=bits, approx_nonlinear=True,
-                       delta1=delta1, delta2=delta2,
-                       per_channel=per_channel)
-        self.module.eval()
-
-    def select(self, patches, ws):
-        """Dense scoring of ``(g, N, D)`` patches -> ``(keep, packages)``
-        through the surgered Tensor selector (eval mode)."""
-        with nn.no_grad():
-            out = self.module(Tensor(np.asarray(patches,
-                                                dtype=np.float64)),
-                              hard=False)
-        keep = out.decision.data > 0.5
-        packages = out.package.data[:, 0, :]
-        return keep, packages.astype(self.dtype, copy=False)
-
-
 class QuantizedModel(CompiledModel):
     """The float64 simulation-parity grade of the quantized backend.
 
     Blocks are :class:`_ReferenceBlock`, selectors
-    :class:`_ReferenceSelector` (so ``supports_ragged`` is unset and the
-    executor evaluates the boundary per exact group), and ``patch`` /
-    ``head`` hold :meth:`QuantizedLinearKernel.apply_reference`.
+    :class:`.compiled.ModuleSelector` over surgered copies (which the
+    executor scores per exact group), and ``patch`` / ``head`` hold
+    :meth:`QuantizedLinearKernel.apply_reference`.
     """
 
     def embed(self, images, ws):
@@ -346,8 +311,6 @@ def compile_quantized(model, bits=8, dtype=None,
         simulation with the same values to reproduce this backend
         bitwise.
     """
-    from repro.core.selector import MultiHeadTokenClassifier
-
     if bits < 2 or bits > 16:
         raise CompileError(f"bits out of range for the quantized "
                            f"backend: {bits}")
@@ -406,20 +369,26 @@ def compile_quantized(model, bits=8, dtype=None,
 
     selectors = []
     for selector in getattr(model, "selectors", []):
-        classifier = selector.classifier
-        if parity or not isinstance(classifier, MultiHeadTokenClassifier):
-            selectors.append(_ReferenceSelector(
-                selector, bits, dtype, per_channel, delta1, delta2))
+        if parity or not _is_stock_selector(selector):
+            # The simulation surgeries only a selector's module children:
+            # its Linears (per-tensor -- Sequential child names never
+            # match the per-channel list) and GELU / Sigmoid modules.
+            # Its functional softmax and sigmoid stay exact.
+            module = copy.deepcopy(selector)
+            quantize_model(module, bits=bits, approx_nonlinear=True,
+                           delta1=delta1, delta2=delta2,
+                           per_channel=per_channel)
+            selectors.append(ModuleSelector(module, dtype))
         else:
             # The shared selector pipeline with quantized MLP steps,
             # the Eq. 12 GELU kernel, the exact softmax, and the float32
             # numpy sigmoid (within 4 ulp of the simulation's expit;
             # only the float64 parity grade keeps expit itself).
             selectors.append(CompiledSelector(
-                selector, dtype, dtype,
+                selector, dtype,
                 lower_mlp(selector.attention_branch.mlp),
-                lower_mlp(classifier.feature_mlp),
-                lower_mlp(classifier.classifier_mlp)))
+                lower_mlp(selector.classifier.feature_mlp),
+                lower_mlp(selector.classifier.classifier_mlp)))
 
     embed_weights = (
         grade(kernel(backbone.patch_embed.projection, "projection")),

@@ -11,17 +11,22 @@ reproduce them:
   bucket) and unmasked execution, ragged buckets, and chunked
   submissions.
 
-Also pinned here: workspace buffer reuse across submissions, the
-Tensor-module fallback for non-compilable selector classifiers, dtype
+Also pinned here: workspace buffer reuse across submissions, serving
+every selector the compiler does not recognise through its own module
+(:class:`ModuleSelector`), dtype
 handling of the padding/masking/gather helpers, and the
 attention-recording policy of the deployed paths.
 """
+
+import copy
 
 import numpy as np
 import pytest
 
 from repro import nn
-from repro.core import HeatViT, PruningRecord
+from repro.core import (ConvTokenClassifier, HeatViT, PruningRecord,
+                        TokenSelector, UniformHeadSelector,
+                        make_single_head_factory)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,8 +35,10 @@ from repro.engine import (BucketedExecutor, BucketingPolicy, CompileError,
                           InferenceSession, Workspace, compile_model,
                           compile_quantized)
 from repro.engine.executor import EngineResult, _Group
+from repro.engine.fastpath.compiled import CompiledSelector, ModuleSelector
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
+from repro.quant import PER_CHANNEL_CHILDREN, quantize_model
 from repro.vit.attention import (key_padding_mask, pad_token_sequences,
                                  suppress_attention_recording)
 
@@ -294,42 +301,30 @@ class TestCompiledSelector:
         np.testing.assert_array_equal(keep, keep_flat.reshape(g, n))
         np.testing.assert_array_equal(packages, packages_flat)
 
-    def test_ragged_select_works_for_fallback(self, tiny_backbone,
-                                              tiny_dataset):
-        """Hybrid-fallback selectors (non-stock classifier) run the
-        ragged pipeline too, matching per-group dense evaluation and
-        the reference module's decisions."""
-        model = make_model(
-            tiny_backbone, {1: 0.6},
-            classifier_factory=lambda rng: _PlainClassifier(
-                tiny_backbone.config.embed_dim,
-                tiny_backbone.config.num_heads, rng))
+    def test_module_selector_scores_through_its_module(self,
+                                                       tiny_backbone,
+                                                       tiny_dataset):
+        """A selector the compiler does not recognise is served through
+        a copy of its own module, one uniform-length group at a time:
+        its decisions and packages are the module's."""
+        model = _non_stock_model("plain", tiny_backbone)
         compiled, ws = compile_model(model), Workspace()
-        assert all(s.fallback_module is not None
-                   for s in compiled.selectors)
+        selector = compiled.selectors[0]
+        assert isinstance(selector, ModuleSelector)
+        assert not selector.ragged_ok
+        assert selector.module is not model.selectors[0]
         tokens = compiled.embed(tiny_dataset.images[:6], ws)
-        groups = [np.array(tokens[:3, 1:, :]),
-                  np.array(tokens[3:, 1:14, :])]      # two lengths
-        flat = np.concatenate([g.reshape(-1, g.shape[-1])
-                               for g in groups], axis=0)
-        counts = [groups[0].shape[1]] * 3 + [groups[1].shape[1]] * 3
-        keep_flat, packages = compiled.select_ragged(0, flat, counts, ws)
-        offset, image = 0, 0
-        for group in groups:
-            g, n = group.shape[0], group.shape[1]
-            keep_ref, packages_ref = compiled.select(0, group, ws)
+        for group in (np.array(tokens[:3, 1:, :]),
+                      np.array(tokens[3:, 1:14, :])):      # two lengths
+            keep, packages = compiled.select(0, group, ws)
             with nn.no_grad():
                 out = model.selectors[0](
                     Tensor(np.asarray(group, dtype=np.float64)),
                     hard=False)
-            np.testing.assert_array_equal(keep_ref,
-                                          out.decision.data > 0.5)
+            np.testing.assert_array_equal(keep, out.decision.data > 0.5)
+            assert packages.dtype == np.float32
             np.testing.assert_array_equal(
-                keep_flat[offset:offset + g * n].reshape(g, n), keep_ref)
-            np.testing.assert_allclose(packages[image:image + g],
-                                       packages_ref, rtol=0, atol=1e-6)
-            offset += g * n
-            image += g
+                packages, out.package.data[:, 0, :].astype(np.float32))
 
 
 class TestActivationLowering:
@@ -468,8 +463,8 @@ class TestWorkspaceReuse:
 
 
 class _PlainClassifier(nn.Module):
-    """A token classifier the fast path cannot lower (exercises the
-    Tensor-module fallback): one Linear scoring broadcast over heads."""
+    """A token classifier the fast path does not lower (served through
+    its selector's module): one Linear scoring broadcast over heads."""
 
     def __init__(self, embed_dim, num_heads, rng):
         super().__init__()
@@ -484,29 +479,125 @@ class _PlainClassifier(nn.Module):
         return probs + Tensor(np.zeros((batch, self.num_heads, tokens, 2)))
 
 
+def _with_selectors(model, replace):
+    """``model`` with selector ``i`` swapped for ``replace(i, stock)``."""
+    for index, stock in enumerate(list(model.selectors)):
+        model.selectors.register_module(str(index), replace(index, stock))
+    model.eval()
+    return model
+
+
+def _uniform_head(index, stock):
+    """The attention-branch ablation, holding the stock selector's
+    parameters: only the Eq. 8 combine differs."""
+    uniform = UniformHeadSelector(stock.embed_dim, stock.num_heads,
+                                  keep_ratio=stock.keep_ratio,
+                                  rng=np.random.default_rng(index))
+    uniform.load_state_dict(stock.state_dict())
+    return uniform
+
+
+def _non_stock_model(variant, backbone):
+    """A model whose selectors the compiler does not recognise."""
+    dim, heads = backbone.config.embed_dim, backbone.config.num_heads
+    if variant == "uniform-head":
+        return _with_selectors(make_model(backbone, {1: 0.6, 3: 0.4}),
+                               _uniform_head)
+    if variant == "conv":
+        # A conv classifier needs the full patch grid: one selector, at
+        # the first boundary, where every image still has all patches.
+        grid = backbone.config.image_size // backbone.config.patch_size
+        return make_model(backbone, {1: 0.6},
+                          classifier_factory=lambda rng: ConvTokenClassifier(
+                              dim, heads, grid, rng=rng))
+    factory = (make_single_head_factory(dim, heads)
+               if variant == "single-head"
+               else lambda rng: _PlainClassifier(dim, heads, rng))
+    return make_model(backbone, {1: 0.6, 3: 0.4},
+                      classifier_factory=factory)
+
+
 class TestSelectorFallback:
-    def test_non_stock_classifier_falls_back_with_parity(
+    """Selectors the compiler does not recognise are served through
+    their own modules (:class:`ModuleSelector`)."""
+
+    @pytest.mark.parametrize("variant", ["plain", "single-head", "conv",
+                                         "uniform-head"])
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, F64_TOL),
+                                           (np.float32, F32_TOL)])
+    def test_non_stock_selector_keeps_parity(self, tiny_backbone,
+                                             tiny_dataset, variant, dtype,
+                                             tol):
+        """float64 within 1e-8 of ``forward_pruned``, float32 within
+        1e-5; both with identical ``tokens_per_stage`` and argmax.  A
+        :class:`UniformHeadSelector` (Eq. 8 with uniform head weights)
+        is a stock selector's parameters under another class: lowered
+        as the stock Eq. 8, it would keep other tokens."""
+        model = _non_stock_model(variant, tiny_backbone)
+        assert all(isinstance(s, ModuleSelector)
+                   for s in compile_model(model, dtype=dtype).selectors)
+        assert_backend_parity(model, tiny_dataset.images[:24],
+                              dtype=dtype, tol=tol)
+
+    def test_uniform_head_selector_serves_its_surgered_module_on_int8(
             self, tiny_backbone, tiny_dataset):
-        model = make_model(
-            tiny_backbone, {1: 0.6, 3: 0.4},
-            classifier_factory=lambda rng: _PlainClassifier(
-                tiny_backbone.config.embed_dim,
-                tiny_backbone.config.num_heads, rng))
-        compiled = compile_model(model, dtype=np.float64)
-        assert all(s.fallback_module is not None
-                   for s in compiled.selectors)
-        assert_backend_parity(model, tiny_dataset.images[:9],
-                              dtype=np.float64, tol=F64_TOL)
+        """The int8 serving grade scores an ablation through its
+        surgered module: its keep decisions are the simulation's."""
+        model = _non_stock_model("uniform-head", tiny_backbone)
+        compiled = compile_quantized(model, dtype=np.float32)
+        simulation = copy.deepcopy(model)
+        quantize_model(simulation, bits=8, per_channel=PER_CHANNEL_CHILDREN)
+        simulation.eval()
+        ws = Workspace(np.float32)
+        patches = np.array(
+            compiled.embed(tiny_dataset.images[:12], ws)[:, 1:, :])
+        for stage, selector in enumerate(compiled.selectors):
+            assert isinstance(selector, ModuleSelector)
+            keep, _ = compiled.select(stage, patches, ws)
+            with nn.no_grad():
+                out = simulation.selectors[stage](
+                    Tensor(np.asarray(patches, dtype=np.float64)),
+                    hard=False)
+            np.testing.assert_array_equal(keep, out.decision.data > 0.5)
+
+    def test_stock_boundaries_stay_ragged_beside_a_module_selector(
+            self, tiny_backbone, tiny_dataset):
+        """Each selector decides for its own boundary: one module
+        selector does not send the stock ones down the dense path."""
+        dim, heads = (tiny_backbone.config.embed_dim,
+                      tiny_backbone.config.num_heads)
+
+        def plain_first(index, stock):
+            if index:
+                return stock
+            return TokenSelector(
+                dim, heads, keep_ratio=stock.keep_ratio,
+                classifier=_PlainClassifier(dim, heads,
+                                            np.random.default_rng(3)),
+                rng=np.random.default_rng(3))
+
+        model = _with_selectors(make_model(tiny_backbone, {1: 0.6, 3: 0.4}),
+                                plain_first)
+        session = InferenceSession(model, backend="int8")
+        compiled = session.executor.compiled
+        assert [s.ragged_ok for s in compiled.selectors] == [False, True]
+        calls = []
+        ragged = compiled.select_ragged
+
+        def spy(stage, *args):
+            calls.append(stage)
+            return ragged(stage, *args)
+
+        compiled.select_ragged = spy
+        result = session.submit(tiny_dataset.images[:8])
+        assert calls == [1]
+        assert np.isfinite(result.logits).all()
 
     def test_non_stock_classifier_serves_on_int8(self, tiny_backbone,
                                                  tiny_dataset):
         """The int8 serving grade scores a non-stock classifier through
         the surgered Tensor selector, per exact group."""
-        model = make_model(
-            tiny_backbone, {1: 0.6, 3: 0.4},
-            classifier_factory=lambda rng: _PlainClassifier(
-                tiny_backbone.config.embed_dim,
-                tiny_backbone.config.num_heads, rng))
+        model = _non_stock_model("plain", tiny_backbone)
         session = InferenceSession(model, backend="int8")
         assert session.executor.dtype == np.float32
         assert not any(s.ragged_ok
@@ -517,8 +608,9 @@ class TestSelectorFallback:
 
     def test_stock_classifier_compiles_fully(self, tiny_backbone):
         model = make_model(tiny_backbone, {1: 0.6})
-        compiled = compile_model(model)
-        assert all(s.fallback_module is None for s in compiled.selectors)
+        for compiled in (compile_model(model), compile_quantized(model)):
+            assert all(type(s) is CompiledSelector
+                       for s in compiled.selectors)
 
 
 class TestDtypeThreading:

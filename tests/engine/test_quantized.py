@@ -217,12 +217,12 @@ class TestCompileValidation:
     def test_ragged_support_by_grade(self, quant_setup):
         model, _ = quant_setup
         # Stock float32 selectors compile to ragged-capable kernels;
-        # the parity grade runs the surgered selector *module* per
-        # bucket group, which the executor must detect and serve via
-        # its dense per-group fallback.
-        assert compile_quantized(model).supports_ragged
-        assert not compile_quantized(model,
-                                     dtype=np.float64).supports_ragged
+        # the parity grade runs each surgered selector *module* per
+        # bucket group, which the executor reads off each selector's
+        # ``ragged_ok`` and serves via its dense per-group path.
+        assert all(s.ragged_ok for s in compile_quantized(model).selectors)
+        assert not any(s.ragged_ok for s in compile_quantized(
+            model, dtype=np.float64).selectors)
 
 
 class TestEndToEndParity:

@@ -80,8 +80,8 @@ class TestSessionPickle:
 
     def test_fallback_selector_session_pickles(self, tiny_backbone,
                                                tiny_dataset):
-        """A session whose selectors use a custom classifier (the
-        compiled hybrid fallback) crosses the process boundary too."""
+        """A session whose selectors use a custom classifier (served
+        through their own modules) crosses the process boundary too."""
         model = HeatViT(
             tiny_backbone, {1: 0.6}, rng=np.random.default_rng(5),
             classifier_factory=lambda rng: _PlainClassifier(
