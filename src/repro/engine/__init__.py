@@ -15,7 +15,7 @@ reuse) filled either with fused float32/float64 kernels
 (``"fastpath"``) or with the quantized ``"int8"``/``"int16"``
 deployment numerics (integer GEMMs with float rescale, polynomial
 GELU/softmax; bitwise equal to the :func:`repro.quant.quantize_model`
-simulation on the float64 reference grade, :class:`QuantizedModel`).
+simulation on the float64 reference grade).
 """
 
 from repro._lazy import lazy_exports
@@ -26,7 +26,7 @@ __all__ = [
     "BACKENDS", "BucketedExecutor", "EngineResult", "StageStats",
     "InferenceSession", "SessionResult",
     "compile_model", "CompiledModel", "CompileError", "Workspace",
-    "compile_quantized", "QuantizedModel",
+    "compile_quantized",
 ]
 
 __getattr__, __dir__ = lazy_exports(globals(), {
@@ -34,7 +34,7 @@ __getattr__, __dir__ = lazy_exports(globals(), {
                   "plan_buckets", "plan_cost_ms"),
     "executor": ("BACKENDS", "BucketedExecutor", "EngineResult", "StageStats"),
     "fastpath.compiled": ("CompiledModel", "CompileError", "compile_model"),
-    "fastpath.quantized": ("QuantizedModel", "compile_quantized"),
+    "fastpath.quantized": ("compile_quantized",),
     "fastpath.workspace": ("Workspace",),
     "session": ("InferenceSession", "SessionResult"),
 })

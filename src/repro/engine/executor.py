@@ -48,7 +48,7 @@ Four compute **backends** execute the plan:
     GELU/softmax) in the same block and selector classes.
     ``dtype=float32`` (the int8 default) is the timed serving grade,
     gated on top-1/keep agreement; ``dtype=float64`` is the reference
-    grade (:class:`repro.engine.fastpath.QuantizedModel`),
+    grade, the same classes holding the simulation's own kernels,
     bitwise-equal to the :func:`repro.quant.quantize_model` simulation
     (``tests/engine/test_quantized.py``).
 """

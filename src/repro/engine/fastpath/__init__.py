@@ -11,9 +11,10 @@ remains the reference implementation; parity is enforced by
 :func:`compile_quantized` fills the same :class:`CompiledModel`
 hierarchy with the paper's deployment numerics instead -- integer GEMMs
 with float rescale, dynamic activation quantization, polynomial
-GELU/softmax; its float64 grade (:class:`QuantizedModel`) is the
-reference, bitwise equal to the :func:`repro.quant.quantize_model`
-simulation (``tests/engine/test_quantized.py``).
+GELU/softmax; its float64 grade holds the simulation's own definitions
+in those slots and is the reference, bitwise equal to the
+:func:`repro.quant.quantize_model` simulation
+(``tests/engine/test_quantized.py``).
 
 Select a backend per session::
 
@@ -30,7 +31,7 @@ from repro._lazy import lazy_exports
 __all__ = [
     "compile_model", "CompiledModel", "CompiledBlock", "CompiledSelector",
     "CompileError", "Workspace",
-    "compile_quantized", "QuantizedModel", "QuantizedLinearKernel",
+    "compile_quantized", "QuantizedLinearKernel",
     "fused_layer_norm", "masked_softmax", "gelu_exact", "gelu_rational",
     "sigmoid", "mask_to_bias", "MASK_BIAS",
 ]
@@ -40,7 +41,6 @@ __getattr__, __dir__ = lazy_exports(globals(), {
                  "CompiledSelector", "compile_model"),
     "kernels": ("MASK_BIAS", "fused_layer_norm", "gelu_exact",
                 "gelu_rational", "mask_to_bias", "masked_softmax", "sigmoid"),
-    "quantized": ("QuantizedLinearKernel", "QuantizedModel",
-                  "compile_quantized"),
+    "quantized": ("QuantizedLinearKernel", "compile_quantized"),
     "workspace": ("Workspace",),
 })

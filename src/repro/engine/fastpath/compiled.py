@@ -66,10 +66,14 @@ One hierarchy, N kernel sets
 ----------------------------
 :class:`CompiledBlock`, :class:`CompiledSelector` and
 :class:`CompiledModel` fix the dataflow; their numerics are data (linear
-kernels, softmax / activation callables, LayerNorm affines).  The
-fusions above are what :func:`compile_model` puts in;
+kernels, softmax / activation / LayerNorm callables, LayerNorm affines).
+The fusions above are what :func:`compile_model` puts in;
 :func:`.quantized.compile_quantized` fills the same classes with integer
-GEMM kernels and the paper's polynomial nonlinearities.
+GEMM kernels and the paper's polynomial nonlinearities -- fast float32
+kernels, or in float64 the simulation's own definitions (its LayerNorm
+slot holds :func:`.qkernels.layer_norm_reference` instead of
+:func:`.kernels.fused_layer_norm`).  So every lane, float or quantized,
+float32 or float64, runs :meth:`CompiledBlock._run`.
 """
 
 from __future__ import annotations
@@ -298,7 +302,9 @@ class CompiledBlock:
     The compile function supplies the numerics: four linear kernels
     (``kernel(x, ws, key, out=None, inplace=False)``), the attention
     softmax (``fn(scores, bias, ws=, key=)``), the MLP activation
-    (``fn(x, ws, key)``), both LayerNorm affines and a score scale.
+    (``fn(x, ws, key)``), the LayerNorm kernel (``fn(x, weight, bias,
+    eps, out=, ws=, key=)``, :func:`.kernels.fused_layer_norm` unless
+    given), both LayerNorm affines and a score scale.
 
     :func:`compile_model` folds both LayerNorms' affine transforms into
     the GEMM that consumes them (``(xn * w + b) @ W`` becomes
@@ -323,10 +329,11 @@ class CompiledBlock:
     __slots__ = ("num_heads", "head_dim", "hidden_dim",
                  "n1_w", "n1_b", "eps1", "n2_w", "n2_b", "eps2",
                  "qkv", "proj", "fc1", "fc2", "softmax", "act",
-                 "score_scale", "image_separable")
+                 "layer_norm", "score_scale", "image_separable")
 
     def __init__(self, block, norm1, norm2, qkv, proj, fc1, fc2, softmax,
-                 act, score_scale=None, image_separable=False):
+                 act, score_scale=None, image_separable=False,
+                 layer_norm=fused_layer_norm):
         attn = block.attn
         self.num_heads = attn.num_heads
         self.head_dim = attn.head_dim
@@ -338,6 +345,7 @@ class CompiledBlock:
         self.qkv, self.proj, self.fc1, self.fc2 = qkv, proj, fc1, fc2
         self.softmax = softmax
         self.act = act
+        self.layer_norm = layer_norm
         self.score_scale = score_scale
         self.image_separable = image_separable
 
@@ -385,8 +393,8 @@ class CompiledBlock:
         batch, tokens, dim = x.shape
         h, d = self.num_heads, self.head_dim
         normed = ws.take("blk_ln", (batch, tokens, dim))
-        fused_layer_norm(x, self.n1_w, self.n1_b, self.eps1, out=normed,
-                         ws=ws, key="blk_ln1")
+        self.layer_norm(x, self.n1_w, self.n1_b, self.eps1, out=normed,
+                        ws=ws, key="blk_ln1")
         qkv = ws.take("blk_qkv", (batch, tokens, 3 * dim))
         self.qkv(normed, ws, "blk_qkv", out=qkv, inplace=True)
         split = qkv.reshape(batch, tokens, 3, h, d)
@@ -407,8 +415,8 @@ class CompiledBlock:
         attn_out = ws.take("blk_attn_out", (batch, tokens, dim))
         self.proj(merged, ws, "blk_proj", out=attn_out, inplace=True)
         x += attn_out                                      # residual 1
-        fused_layer_norm(x, self.n2_w, self.n2_b, self.eps2, out=normed,
-                         ws=ws, key="blk_ln2")
+        self.layer_norm(x, self.n2_w, self.n2_b, self.eps2, out=normed,
+                        ws=ws, key="blk_ln2")
         hidden = ws.take("blk_mlp", (batch, tokens, self.hidden_dim))
         # fc1's input is prepared (int8: calibrated and quantized) over
         # the whole chunk, then GEMM, bias and activation run per tile,
@@ -617,16 +625,18 @@ class CompiledModel:
     """
 
     def __init__(self, config, dtype, blocks, selectors, embed_weights,
-                 head_weights):
+                 head_weights, layer_norm=fused_layer_norm):
         self.config = config
         self.dtype = dtype
         self.blocks = blocks
         self.selectors = selectors
         # ``patch`` / ``head`` are linear kernels; the final LayerNorm
-        # affine is ``None`` when folded into the head GEMM.
+        # affine is ``None`` when folded into the head GEMM, and
+        # ``layer_norm`` is its kernel (the blocks' call shape).
         (self.patch, self.cls_token, self.pos_embed) = embed_weights
         (self.final_norm_w, self.final_norm_b, self.final_norm_eps,
          self.head) = head_weights
+        self.layer_norm = layer_norm
 
     # ------------------------------------------------------------------
     def _patch_columns(self, images):
@@ -693,9 +703,9 @@ class CompiledModel:
         """
         batch = x.shape[0]
         cls_row = ws.take("cls_norm", (batch, x.shape[-1]))
-        fused_layer_norm(x[:, 0, :], self.final_norm_w, self.final_norm_b,
-                         self.final_norm_eps, out=cls_row, ws=ws,
-                         key="cls_ln")
+        self.layer_norm(x[:, 0, :], self.final_norm_w, self.final_norm_b,
+                        self.final_norm_eps, out=cls_row, ws=ws,
+                        key="cls_ln")
         logits = np.empty((batch, self.config.num_classes), dtype=self.dtype)
         return self.head(cls_row, ws, "cls_head", out=logits, inplace=True)
 

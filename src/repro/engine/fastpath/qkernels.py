@@ -9,9 +9,10 @@ top-1/keep *agreement* with the :func:`repro.quant.quantize_model`
 simulation, not bitwise parity.  The float64 parity grade needs no
 kernels of its own: it calls the one definition of each equation in
 :mod:`repro.approx` and :func:`repro.quant.quantize`, which is what the
-simulation runs.  The one exception is :func:`layer_norm_reference`,
-which mirrors :func:`repro.nn.functional.layer_norm` on arrays because
-numpy and the Tensor ``mean``/``var`` do not reduce alike.
+simulation runs.  The one exception is :func:`layer_norm_reference`
+(its LayerNorm slot), which mirrors :func:`repro.nn.functional.layer_norm`
+on arrays because numpy and the Tensor ``mean``/``var`` do not reduce
+alike.
 """
 
 from __future__ import annotations

@@ -9,31 +9,34 @@ the exact modules -- into the one compiled hierarchy of :mod:`.compiled`,
 so :class:`repro.engine.BucketedExecutor` drives it with the existing
 bucketing/pruning control flow.
 
-Two numerics grades, selected by dtype:
+Two numerics grades, selected by dtype, one dataflow: both return a
+plain :class:`.compiled.CompiledModel` of :class:`.compiled.CompiledBlock`
+objects whose linear slots hold :class:`QuantizedLinearKernel` objects
+(quantize once per call, then one 2-D GEMM).  The blocks run the batch
+whole except fc1 -> GELU, which runs in cache-sized tiles after fc1's
+input is quantized over the batch -- bitwise what one whole pass
+computes, because the GEMM operands are integers.  What the dtype picks
+is the kernels in the slots:
 
-* ``float32`` -- the **serving grade**: a plain
-  :class:`.compiled.CompiledModel` whose linear slots hold
-  :class:`QuantizedLinearKernel` objects, called as
-  :meth:`~QuantizedLinearKernel.apply_fast` (in-place workspace kernels,
-  one 2-D GEMM per call),
-  whose softmax/GELU slots hold the fused shift-based-exp and polynomial
-  kernels, and whose stock selectors run quantized MLP steps through the
-  shared dense and ragged boundary pipelines.  Its blocks run the batch
-  whole except fc1 -> GELU, which runs in cache-sized tiles after fc1's
-  input is quantized over the batch -- bitwise what one whole pass
-  computes.  Gated on top-1/keep agreement with the float64 engine, not
-  bitwise parity.
-* ``float64`` -- **simulation parity**, the reference grade this module
-  owns (:class:`QuantizedModel` and its blocks).  It calls
-  the same :mod:`repro.approx` definitions and :func:`repro.quant.quantize`
-  the surgered Tensor model runs, and its integer GEMMs run as float64
-  BLAS on integer-valued operands (exact below 2^53), so executor logits
-  are *bitwise* equal to the ``quantize_model`` simulation on stock
-  configs (``tests/engine/test_quantized.py``).  Token selectors are
-  evaluated through actual surgered copies of the selector modules (the
-  simulation approximates only their Linear and activation children --
-  its functional softmax/sigmoid stay exact -- and bitwise-mirroring
-  that mix is cheapest done by running it).
+* ``float32`` -- the **serving grade**: :func:`.qkernels.quantize_fast`
+  in the linears, the fused shift-based-exp softmax and polynomial GELU
+  (:mod:`.qkernels`), :func:`.kernels.fused_layer_norm`, and stock
+  selectors that run quantized MLP steps through the shared dense and
+  ragged boundary pipelines.  Gated on top-1/keep agreement with the
+  float64 grade, not bitwise parity.
+* ``float64`` -- **simulation parity**.  Its slots hold the simulation's
+  own definitions: :func:`repro.quant.calibrate_minmax` +
+  :func:`repro.quant.quantize` in the linears,
+  :func:`repro.approx.softmax_approx` after the key bias,
+  :func:`repro.approx.gelu_approx`, and
+  :func:`.qkernels.layer_norm_reference`; its integer GEMMs run as
+  float64 BLAS on integer-valued operands (exact below 2^53).  So
+  executor logits are *bitwise* equal to the ``quantize_model``
+  simulation on stock configs (``tests/engine/test_quantized.py``).
+  Token selectors are evaluated through actual surgered copies of the
+  selector modules (the simulation approximates only their Linear and
+  activation children -- its functional softmax/sigmoid stay exact --
+  and bitwise-mirroring that mix is cheapest done by running it).
 
 On either grade, a selector the compiler does not recognise
 (:func:`.compiled._is_stock_selector`) is served that same way: a
@@ -60,6 +63,7 @@ from repro.engine.fastpath.compiled import (CompileError, CompiledBlock,
                                             _check_dtype, _compile_activation,
                                             _compile_mlp, _contig,
                                             _is_stock_selector)
+from repro.engine.fastpath.kernels import fused_layer_norm
 from repro.engine.fastpath.qkernels import (approx_gelu_fast,
                                             approx_softmax_fast,
                                             layer_norm_reference,
@@ -70,7 +74,7 @@ from repro.quant.qmodel import (PER_CHANNEL_CHILDREN, _wants_per_channel,
                                 quantize_model)
 from repro.quant.sweep import per_channel_quantize
 
-__all__ = ["compile_quantized", "QuantizedModel", "QuantizedLinearKernel"]
+__all__ = ["compile_quantized", "QuantizedLinearKernel"]
 
 
 class QuantizedLinearKernel:
@@ -80,9 +84,13 @@ class QuantizedLinearKernel:
     weights are quantized once (per-tensor or per-output-channel) and
     stored as integer-valued arrays of the compute dtype; activations
     are quantized per tensor at every call, exactly the simulation's
-    dynamic scheme.  :meth:`apply_reference` mirrors the simulation
-    bitwise; :meth:`apply_fast` is the in-place float32 form, split into
-    :meth:`prepare` and :meth:`gemm` for a caller that tiles the GEMM.
+    dynamic scheme.  The quantizer follows the dtype: a float64 kernel
+    runs the simulation's own :func:`repro.quant.calibrate_minmax` and
+    :func:`repro.quant.quantize`, so it is bitwise
+    ``QuantizedLinear.forward``; a float32 kernel runs
+    :func:`.qkernels.quantize_fast` on workspace scratch.
+    :meth:`apply_fast` (also the slot call) is :meth:`prepare` then
+    :meth:`gemm`, split for a caller that tiles the GEMM.
 
     No runtime accumulator check: :func:`safe_accumulator_bits` already
     proves at compile time that ``qmax^2 * in_features`` fits the width
@@ -130,26 +138,20 @@ class QuantizedLinearKernel:
             w_q, scales = quantize(weight, params), params.scale
         return cls(w_q, scales, bias, bits, np.dtype(dtype))
 
-    def apply_reference(self, x):
-        """Bitwise mirror of ``QuantizedLinear.forward`` (float64)."""
-        params = calibrate_minmax(x, bits=self.bits)
-        q = quantize(x, params).astype(np.float64)
-        out = np.matmul(q.reshape(-1, self.in_features), self.w_q)
-        out = out * (params.scale * self.scales)
-        out = out.reshape(x.shape[:-1] + (self.out_features,))
-        if self.bias is not None:
-            out = out + self.bias
-        return out
-
     def prepare(self, x, ws, key, inplace=False):
         """Calibrate and quantize the whole input: ``(q, rescale)``, the
         integer-valued rows and the factor that takes their GEMM back
         to real units (per channel, the kernel's own buffer).
-        ``inplace=True`` reuses ``x`` itself as the quantization buffer
-        (valid when ``x`` is dead scratch)."""
-        q, act_scale = quantize_fast(x, self.qmax, ws, key + "q",
-                                     out=x if inplace else None)
+        ``inplace=True`` lets a float32 kernel reuse ``x`` itself as the
+        quantization buffer (valid when ``x`` is dead scratch); a
+        float64 kernel's rows are the simulation's fresh array."""
         dt = self.w_q.dtype.type
+        if dt is np.float64:
+            params = calibrate_minmax(x, bits=self.bits)
+            q, act_scale = quantize(x, params).astype(dt), params.scale
+        else:
+            q, act_scale = quantize_fast(x, self.qmax, ws, key + "q",
+                                         out=x if inplace else None)
         if self.per_channel:
             np.multiply(self.scales, dt(act_scale), out=self._scale_buf)
             return q, self._scale_buf
@@ -176,32 +178,33 @@ class QuantizedLinearKernel:
         return out
 
     def apply_fast(self, x, ws, key, out=None, inplace=False):
-        """Quantize -> GEMM -> rescale -> bias, on workspace scratch:
-        :meth:`prepare` then :meth:`gemm` over the whole input.  ``out``
-        may be a strided view."""
+        """Quantize -> GEMM -> rescale -> bias: :meth:`prepare` then
+        :meth:`gemm` over the whole input, into workspace scratch
+        unless ``out`` (which may be a strided view) is given."""
         q, rescale = self.prepare(x, ws, key, inplace)
         if out is None:
             out = ws.take(key + "o", x.shape[:-1] + (self.out_features,))
         return self.gemm(q, rescale, out)
 
-    # The serving grade puts the kernel itself in a linear slot, which
-    # calls it as ``kernel(x, ws, key, out=, inplace=)``.
+    # A linear slot holds the kernel itself and calls it as
+    # ``kernel(x, ws, key, out=, inplace=)``.
     __call__ = apply_fast
 
 
 class _QuantGELUKernel:
-    """Picklable ``fn(x, ws, key)`` running Eq. 12 in either grade
-    (``reference``: :func:`repro.approx.gelu_approx`, a fresh array)."""
+    """Picklable ``fn(x, ws, key)`` running Eq. 12 in place, picked by
+    the input's dtype: the simulation's :func:`repro.approx.gelu_approx`
+    on float64, :func:`.qkernels.approx_gelu_fast` on float32."""
 
-    __slots__ = ("delta1", "reference")
+    __slots__ = ("delta1",)
 
-    def __init__(self, delta1, reference):
+    def __init__(self, delta1):
         self.delta1 = delta1
-        self.reference = reference
 
     def __call__(self, x, ws, key):
-        if self.reference:
-            return gelu_approx(x, self.delta1)
+        if x.dtype.type is np.float64:
+            x[...] = gelu_approx(x, self.delta1)
+            return x
         return approx_gelu_fast(x, self.delta1, ws, key)
 
 
@@ -212,64 +215,21 @@ def _plan_sigmoid_kernel(x, ws, key):
     return x
 
 
-# ----------------------------------------------------------------------
-# The float64 parity grade: the reference the bitwise tests compare to
-# ----------------------------------------------------------------------
-class _ReferenceBlock(CompiledBlock):
-    """One encoder block in simulation numerics: a bitwise mirror of
-    the surgered Tensor block (pre-norm MSA + FFN with QuantizedLinear
-    / ApproxSoftmax / ApproxGELU), including the simulation's explicit
-    score multiply.  Same slots as the served block, holding float64
-    forms that return fresh arrays (``apply_reference``,
-    :func:`repro.approx.softmax_approx`); the activation keeps the
-    shared ``act(x, ws, key)`` shape."""
-
-    __slots__ = ()
-
-    def forward(self, x, bias, ws):
-        batch, tokens, dim = x.shape
-        h, d = self.num_heads, self.head_dim
-        normed = layer_norm_reference(x, self.n1_w, self.n1_b, self.eps1)
-        qkv = self.qkv(normed)
-        qkv = qkv.reshape(batch, tokens, 3, h, d).transpose(2, 0, 3, 1, 4)
-        q, k, v = qkv[0], qkv[1], qkv[2]
-        scores = np.matmul(q, k.swapaxes(-1, -2)) * self.score_scale
-        if bias is not None:
-            scores = scores + bias[:, None, None, :]
-        attn = self.softmax(scores)
-        out = np.matmul(attn, v)
-        out = out.transpose(0, 2, 1, 3).reshape(batch, tokens, dim)
-        x += self.proj(out)                                # residual 1
-        normed = layer_norm_reference(x, self.n2_w, self.n2_b, self.eps2)
-        hidden = self.act(self.fc1(normed), ws, "blk_act")
-        x += self.fc2(hidden)                              # residual 2
-        return x
+def _softmax_reference(scores, bias, delta2, ws, key):
+    """The simulation's attention softmax in place: the key bias added
+    first, as the surgered block adds it, then
+    :func:`repro.approx.softmax_approx` (the float64 grade's slot)."""
+    if bias is not None:
+        scores += bias[:, None, None, :]
+    scores[...] = softmax_approx(scores, delta2=delta2)
+    return scores
 
 
-class QuantizedModel(CompiledModel):
-    """The float64 simulation-parity grade of the quantized backend.
-
-    Blocks are :class:`_ReferenceBlock`, selectors
-    :class:`.compiled.ModuleSelector` over surgered copies (which the
-    executor scores per exact group), and ``patch`` / ``head`` hold
-    :meth:`QuantizedLinearKernel.apply_reference`.
-    """
-
-    def embed(self, images, ws):
-        """Patch-embed + CLS + position embeddings: ``(B, 1+N, D)``."""
-        tokens = self.patch(self._patch_columns(images))
-        cls = self.cls_token + np.zeros((tokens.shape[0], 1,
-                                         tokens.shape[-1]))
-        x = np.concatenate([cls, tokens], axis=1)
-        return x + self.pos_embed
-
-    def classify(self, x, ws):
-        """Final LayerNorm + quantized head on the CLS row (the head's
-        activation scale is calibrated on the CLS rows alone, exactly
-        as the simulation's head sees them)."""
-        return self.head(layer_norm_reference(
-            x[:, 0, :], self.final_norm_w, self.final_norm_b,
-            self.final_norm_eps))
+def _layer_norm_reference(x, weight, bias, eps, out, ws, key):
+    """:func:`.qkernels.layer_norm_reference` written into ``out``: the
+    float64 grade's LayerNorm slot, in the blocks' call shape."""
+    out[...] = layer_norm_reference(x, weight, bias, eps)
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -298,14 +258,13 @@ def compile_quantized(model, bits=8, dtype=None,
     model: a ``VisionTransformer`` or ``HeatViT``; weights are copied
         (and quantized) at compile time.
     bits: operand precision -- 8 (the paper's deployment) or 16.
-    dtype: ``float32`` (default for 8-bit: the serving grade, a
+    dtype: ``float32`` (default for 8-bit: the serving grade's fast
+        kernels) or ``float64`` (the bitwise simulation-parity grade;
+        the only choice for 16-bit, whose integer products exceed
+        float32's exact window).  Either way a
         :class:`.compiled.CompiledModel` whose linear slots hold the
-        :class:`QuantizedLinearKernel` objects themselves, so a block can
-        quantize fc1's input once and run its GEMM per tile) or
-        ``float64`` (the bitwise
-        simulation-parity grade, a :class:`QuantizedModel`; the only
-        choice for 16-bit, whose integer products exceed float32's
-        exact window).
+        :class:`QuantizedLinearKernel` objects themselves, so a block
+        can quantize fc1's input once and run its GEMM per tile.
     per_channel / delta1 / delta2: forwarded with
         :func:`repro.quant.quantize_model` semantics -- run the
         simulation with the same values to reproduce this backend
@@ -324,21 +283,18 @@ def compile_quantized(model, bits=8, dtype=None,
         return QuantizedLinearKernel.from_linear(
             linear, bits, dtype, _wants_per_channel(per_channel, name))
 
-    def grade(lowered):
-        return lowered.apply_reference if parity else lowered
-
     def affine(norm):
         return (_contig(norm.weight.data, dtype),
                 _contig(norm.bias.data, dtype))
 
     if parity:
-        block_class = _ReferenceBlock
-        softmax = partial(softmax_approx, delta2=delta2)
+        softmax = partial(_softmax_reference, delta2=delta2)
+        layer_norm = _layer_norm_reference
     else:
-        block_class = CompiledBlock
         softmax = partial(approx_softmax_fast, delta2=delta2)
+        layer_norm = fused_layer_norm
     # The activations quantize_model swaps; every other one runs exact.
-    swaps = {nn.GELU: _QuantGELUKernel(delta1, reference=parity),
+    swaps = {nn.GELU: _QuantGELUKernel(delta1),
              nn.Sigmoid: _plan_sigmoid_kernel}
     blocks = []
     for block in backbone.blocks:
@@ -356,13 +312,12 @@ def compile_quantized(model, bits=8, dtype=None,
         # chunk of images would not compute what the batch does.  Only
         # fc1 -> GELU runs in tiles, after fc1's input is quantized
         # whole (``CompiledBlock._run``).
-        blocks.append(block_class(
-            block, affine(block.norm1), affine(block.norm2), grade(qkv),
-            grade(kernel(attn.proj, "proj")),
-            grade(kernel(block.mlp.fc1, "fc1")),
-            grade(kernel(block.mlp.fc2, "fc2")),
-            softmax, _compile_activation(block.mlp.act, dtype, swaps),
-            score_scale))
+        blocks.append(CompiledBlock(
+            block, affine(block.norm1), affine(block.norm2), qkv,
+            kernel(attn.proj, "proj"), kernel(block.mlp.fc1, "fc1"),
+            kernel(block.mlp.fc2, "fc2"), softmax,
+            _compile_activation(block.mlp.act, dtype, swaps), score_scale,
+            layer_norm=layer_norm))
 
     def lower_mlp(sequential):
         return _compile_mlp(sequential, dtype, kernel, swaps)
@@ -390,12 +345,10 @@ def compile_quantized(model, bits=8, dtype=None,
                 lower_mlp(selector.classifier.feature_mlp),
                 lower_mlp(selector.classifier.classifier_mlp)))
 
-    embed_weights = (
-        grade(kernel(backbone.patch_embed.projection, "projection")),
-        _contig(backbone.cls_token.data[0, 0], dtype),
-        _contig(backbone.pos_embed.data, dtype))
+    embed_weights = (kernel(backbone.patch_embed.projection, "projection"),
+                     _contig(backbone.cls_token.data[0, 0], dtype),
+                     _contig(backbone.pos_embed.data, dtype))
     head_weights = (*affine(backbone.norm), backbone.norm.eps,
-                    grade(kernel(backbone.head, "head")))
-    return (QuantizedModel if parity else CompiledModel)(
-        backbone.config, dtype, blocks, selectors, embed_weights,
-        head_weights)
+                    kernel(backbone.head, "head"))
+    return CompiledModel(backbone.config, dtype, blocks, selectors,
+                         embed_weights, head_weights, layer_norm=layer_norm)

@@ -35,7 +35,9 @@ from repro.engine import (BucketedExecutor, BucketingPolicy, CompileError,
                           InferenceSession, Workspace, compile_model,
                           compile_quantized)
 from repro.engine.executor import EngineResult, _Group
-from repro.engine.fastpath.compiled import CompiledSelector, ModuleSelector
+from repro.engine.fastpath.compiled import (CompiledBlock, CompiledModel,
+                                            CompiledSelector,
+                                            ModuleSelector)
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
 from repro.quant import PER_CHANNEL_CHILDREN, quantize_model
@@ -387,13 +389,19 @@ class TestConstruction:
             compile_model(object())
 
     def test_float_and_int8_share_one_hierarchy(self, tiny_backbone):
-        """Both compile functions fill the same classes; a re-forked
-        block or selector tree fails here, not in review."""
+        """Both compile functions fill the same classes, on every
+        quantized grade too: a re-forked block or selector tree fails
+        here, not in review."""
         model = make_model(tiny_backbone, {1: 0.6})
         floats, quants = compile_model(model), compile_quantized(model)
         assert type(floats) is type(quants)
         assert type(floats.blocks[0]) is type(quants.blocks[0])
         assert type(floats.selectors[0]) is type(quants.selectors[0])
+        for parity in (compile_quantized(model, dtype=np.float64),
+                       compile_quantized(model, bits=16)):
+            assert type(parity) is CompiledModel
+            assert all(type(block) is CompiledBlock
+                       for block in parity.blocks)
 
     def test_session_exposes_backend_and_dtype(self, tiny_backbone):
         model = make_model(tiny_backbone, {1: 0.6})
@@ -404,7 +412,7 @@ class TestConstruction:
 
 
 class TestWorkspaceReuse:
-    @pytest.mark.parametrize("backend", ["fastpath", "int8"])
+    @pytest.mark.parametrize("backend", ["fastpath", "int8", "int16"])
     def test_no_new_buffers_on_repeat_submission(self, tiny_backbone,
                                                  tiny_dataset, backend):
         """Steady traffic must reuse every scratch arena: the second

@@ -4,8 +4,9 @@ The ``backend="int8"``/``"int16"`` fast path holds itself to the
 :func:`repro.quant.quantize_model` simulation -- the surgered Tensor
 model.  The contract under test, grade by grade:
 
-* the float64 layer norm and ``apply_reference`` GEMM are **bitwise**
-  mirrors of the Tensor chain (functional layer norm / QuantizedLinear);
+* the float64 layer norm and linear kernel are **bitwise** mirrors of
+  the Tensor chain (functional layer norm / QuantizedLinear), the
+  kernel in every form a block calls it (whole, row slices, strided);
   the nonlinearities need no mirror, both sides call ``repro.approx``;
 * the float64 engine grade is bitwise equal to the surgered model end
   to end -- logits AND per-stage token counts -- through bucketing,
@@ -35,7 +36,7 @@ from repro.engine.fastpath.quantized import QuantizedLinearKernel
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
 from repro.quant import (PER_CHANNEL_CHILDREN, QuantizedLinear,
-                         calibrate_minmax, quantize_model)
+                         calibrate_minmax, quantize, quantize_model)
 from repro.vit import VisionTransformer, ViTConfig
 
 
@@ -135,7 +136,7 @@ class TestQuantizedLinearKernel:
             linear, bits=8, dtype=np.dtype(np.float64), per_channel=False)
         x = rng.normal(size=(3, 5, 16))
         ref = qmodule(Tensor(x)).data
-        out = kernel.apply_reference(x)
+        out = kernel(x, Workspace(np.float64), "k")
         assert out.tobytes() == ref.tobytes()
 
     def test_per_channel_reference_bitwise(self, rng):
@@ -145,8 +146,42 @@ class TestQuantizedLinearKernel:
         kernel = QuantizedLinearKernel.from_linear(
             linear, bits=8, dtype=np.dtype(np.float64), per_channel=True)
         x = rng.normal(size=(4, 12))
-        assert kernel.apply_reference(x).tobytes() == \
+        assert kernel(x, Workspace(np.float64), "k").tobytes() == \
             qmodule(Tensor(x)).data.tobytes()
+
+    @pytest.mark.parametrize("per_channel", [False, True],
+                             ids=["per_tensor", "per_channel"])
+    def test_float64_slices_and_strided_out_bitwise(self, rng, per_channel):
+        """The float64 kernel prepared once and run over row slices (a
+        block's fc1 tiles) or into a strided ``out`` (embed's token
+        rows) is still bitwise ``QuantizedLinear.forward``: its GEMM
+        operands are integers, exact below 2^53.  The input sits on the
+        half-steps of its quantization grid, where the float32 grade's
+        reciprocal-multiply quantizer rounds some values the other way:
+        only the simulation's own quantizer is bitwise here."""
+        linear = nn.Linear(16, 8, rng=rng)
+        qmodule = QuantizedLinear.from_linear(linear, bits=8,
+                                              per_channel=per_channel)
+        kernel = QuantizedLinearKernel.from_linear(
+            linear, bits=8, dtype=np.dtype(np.float64),
+            per_channel=per_channel)
+        amax = 2.0924042183036358
+        x = (rng.integers(-126, 126, size=(5, 7, 16)) + 0.5) * (amax / 127)
+        x[0, 0, 0] = amax
+        fast, _ = quantize_fast(x.copy(), 127, Workspace(np.float64), "q")
+        assert not np.array_equal(
+            fast, quantize(x, calibrate_minmax(x, bits=8)))
+        ref = qmodule(Tensor(x)).data
+        ws = Workspace(np.float64)
+        rows, rescale = kernel.prepare(x, ws, "k")
+        tiled = np.empty_like(ref)
+        kernel.gemm(rows[:2], rescale, tiled[:2])
+        kernel.gemm(rows[2:], rescale, tiled[2:])
+        assert tiled.tobytes() == ref.tobytes()
+        buffer = np.zeros((5, 8, 8))
+        kernel(x, ws, "k", out=buffer[:, 1:, :], inplace=True)
+        assert buffer[:, 1:, :].tobytes() == ref.tobytes()
+        assert not buffer[:, 0, :].any()
 
     @pytest.mark.parametrize("per_channel", [False, True],
                              ids=["per_tensor", "per_channel"])
