@@ -5,9 +5,9 @@ FPGA *simulator* -- it prices accelerator cycles, not the host that
 actually executes batches.  A single measured-over-predicted scale
 factor cannot close that gap, because it cannot separate the two
 quantities every batching decision trades off: the fixed per-batch
-overhead (python dispatch,
-workspace setup, queue transport) and the per-image marginal.  A batch
-of 1 and a batch of 64 scale those terms completely differently.
+overhead (python dispatch, workspace setup, queue transport) and the
+per-image marginal.  A batch of 1 and a batch of 64 scale those terms
+completely differently.
 
 :class:`OnlineCostModel` closes the loop.  It wraps a prior
 :class:`CostModel` and refits, per ``(backend, dtype, keep-ratio
@@ -34,9 +34,9 @@ copies at construction.  A learning session therefore plans the same
 buckets as a static one and serves the same bits: learning changes
 prices and flush timing, never what a batch computes.
 
-Everything is plain float64 state: the model pickles (it rides to
-worker processes inside the pickled session) and :meth:`snapshot` /
-:meth:`restore` round-trip the learned state bitwise.
+Everything is plain float64 state, and pickle is its one carrier: the
+fit rides to worker processes inside the pickled session, and an
+unpickled copy prices and updates bitwise like the original.
 """
 
 from __future__ import annotations
@@ -60,17 +60,20 @@ def _check_knobs(forgetting, min_samples):
         raise ValueError("min_samples must be >= 1")
 
 
-def keep_ratio_bucket(keep_ratios, grid=0.05):
+#: Width of a keep-ratio bucket (:func:`keep_ratio_bucket`).
+_KEEP_RATIO_GRID = 0.05
+
+
+def keep_ratio_bucket(keep_ratios):
     """Discretize an operating point's keep ratios into a hashable key.
 
-    Nearby operating points (retunes within ``grid`` of each other)
-    pool their samples; distinct points learn separately -- the knob
-    space is kept per operating point, not global (cf. AdaViT's
+    Nearby operating points (retunes within ``_KEEP_RATIO_GRID`` of each
+    other) pool their samples; distinct points learn separately -- the
+    knob space is kept per operating point, not global (cf. AdaViT's
     per-knob operating points).
     """
-    if grid <= 0:
-        raise ValueError("grid must be > 0")
-    return tuple(int(round(float(r) / grid)) for r in keep_ratios)
+    return tuple(int(round(float(r) / _KEEP_RATIO_GRID))
+                 for r in keep_ratios)
 
 
 class OnlineEstimator:
@@ -93,8 +96,8 @@ class OnlineEstimator:
       thousands of identical batch shapes cannot wind the gain up and
       make the fit jumpy against noise ("covariance windup").
 
-    State is pure float64; :meth:`snapshot` / :meth:`restore`
-    round-trip it bitwise.
+    State is pure float64, so a pickled copy predicts and updates
+    bitwise like the original.
     """
 
     def __init__(self, forgetting=0.98, ridge=1e4, min_samples=8,
@@ -172,34 +175,6 @@ class OnlineEstimator:
         return (self.overhead_ms * float(launches)
                 + self.marginal_ms * float(units))
 
-    # ------------------------------------------------------------------
-    def snapshot(self):
-        """Serializable state; restoring reproduces the fit bitwise."""
-        return {
-            "theta": self.theta.copy(),
-            "cov": self.cov.copy(),
-            "count": self.count,
-            "residual_var": self.residual_var,
-            "forgetting": self.forgetting,
-            "ridge": self.ridge,
-            "min_samples": self.min_samples,
-            "max_gain": self.max_gain,
-        }
-
-    @classmethod
-    def from_snapshot(cls, snapshot):
-        estimator = cls(forgetting=snapshot["forgetting"],
-                        ridge=snapshot["ridge"],
-                        min_samples=snapshot["min_samples"],
-                        max_gain=snapshot["max_gain"])
-        estimator.theta = np.asarray(snapshot["theta"],
-                                     dtype=np.float64).copy()
-        estimator.cov = np.asarray(snapshot["cov"],
-                                   dtype=np.float64).copy()
-        estimator.count = int(snapshot["count"])
-        estimator.residual_var = float(snapshot["residual_var"])
-        return estimator
-
     def __repr__(self):
         return (f"OnlineEstimator(overhead={self.overhead_ms:.4f}, "
                 f"marginal={self.marginal_ms:.4f}, n={self.count}, "
@@ -211,10 +186,10 @@ class OnlineCostModel(CostModel):
     wall time.
 
     Drop-in everywhere a ``CostModel`` goes (it *is* one): sessions,
-    executors, schedulers, routers, and specs all price through the
-    same interface.  Behavior:
+    executors, schedulers and routers all price through the same
+    interface.  Behavior:
 
-    * below ``min_samples`` observations for the current key,
+    * below ``min_samples`` observations for the bound key,
       :meth:`estimate` delegates to ``prior`` -- byte-for-byte the
       static answer;
     * at or above it, :meth:`estimate` prices from the learned
@@ -224,8 +199,8 @@ class OnlineCostModel(CostModel):
       and with them the served bits -- are those of a static session.
 
     One instance serves one session: the session binds its context key
-    (backend, dtype, keep-ratio bucket) via :meth:`bind` and feeds
-    measurements via :meth:`observe_batch`.
+    (backend, dtype name, keep-ratio bucket) via :meth:`bind`, and
+    every observation and price addresses the bound key.
 
     Parameters
     ----------
@@ -251,16 +226,13 @@ class OnlineCostModel(CostModel):
                          bucket_overhead_ms=prior.bucket_overhead_ms,
                          name=name or f"online({prior.name})")
         self.prior = prior
-        self._set_knobs(min_samples, forgetting)
-        self._keys = {}
-        self._bound = None
-
-    def _set_knobs(self, min_samples, forgetting):
         # Checked here, not on the first observe_batch: that runs after
         # a batch has already executed, inside the serving driver.
         _check_knobs(forgetting, min_samples)
         self.min_samples = int(min_samples)
         self.forgetting = float(forgetting)
+        self._keys = {}
+        self._bound = None
 
     def __repr__(self):
         return (f"OnlineCostModel({self.prior.name!r}, "
@@ -272,18 +244,12 @@ class OnlineCostModel(CostModel):
     def bind(self, key):
         """Set the context key subsequent pricing and observations use.
 
-        ``key`` is any hashable -- sessions use ``(backend, dtype,
-        keep-ratio bucket)`` via :meth:`bind_operating_point`.  Binding a
-        new key never forgets other keys' fits (retuning back to a
-        previous operating point resumes its estimator)."""
+        ``key`` is any hashable -- sessions use ``(backend, dtype name,
+        keep-ratio bucket)``.  Binding a new key never forgets other
+        keys' fits (retuning back to a previous operating point resumes
+        its estimator)."""
         self._bound = key
         return self
-
-    def bind_operating_point(self, backend, dtype, keep_ratios):
-        """:meth:`bind` a session's key: its backend, its compute
-        dtype's name and :func:`keep_ratio_bucket` of ``keep_ratios``."""
-        return self.bind((backend, np.dtype(dtype).name,
-                          keep_ratio_bucket(keep_ratios)))
 
     @property
     def bound_key(self):
@@ -294,49 +260,45 @@ class OnlineCostModel(CostModel):
         """Keys with at least one observation, in first-seen order."""
         return list(self._keys)
 
-    def _resolve(self, key):
-        return self._bound if key is None else key
-
-    def _fit(self, key=None):
-        """The key's estimator, or ``None`` before its first sample."""
-        return self._keys.get(self._resolve(key))
+    def _fit(self):
+        """The bound key's estimator; ``None`` before its first sample."""
+        return self._keys.get(self._bound)
 
     # ------------------------------------------------------------------
     # Measurement intake
     # ------------------------------------------------------------------
-    def observe_batch(self, num_images, wall_ms, num_batches=1, key=None):
-        """Fold one whole-submission measurement into the key's batch
-        estimator: ``num_images`` images ran as ``num_batches``
+    def observe_batch(self, num_images, wall_ms, num_batches=1):
+        """Fold one whole-submission measurement into the bound key's
+        batch estimator: ``num_images`` images ran as ``num_batches``
         executor launches in ``wall_ms`` of host wall time."""
         if num_images < 1:
             return
-        key = self._resolve(key)
-        fit = self._keys.get(key)
+        fit = self._fit()
         if fit is None:
-            fit = self._keys[key] = OnlineEstimator(
+            fit = self._keys[self._bound] = OnlineEstimator(
                 forgetting=self.forgetting, min_samples=self.min_samples)
         fit.observe(num_images, wall_ms, launches=max(int(num_batches), 1))
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def confident(self, key=None):
-        """Is the key's batch estimator past its sample threshold?"""
-        fit = self._fit(key)
+    def confident(self):
+        """Is the bound key's batch estimator past its sample threshold?"""
+        fit = self._fit()
         return fit is not None and fit.confident
 
-    def samples(self, key=None):
-        """Batch observations folded in for a key."""
-        fit = self._fit(key)
+    def samples(self):
+        """Batch observations folded in for the bound key."""
+        fit = self._fit()
         return 0 if fit is None else fit.count
 
-    def coefficients(self, key=None):
-        """Learned terms for a key (how to inspect what was learned).
+    def coefficients(self):
+        """Learned terms for the bound key (how to inspect the fit).
 
         Returns a dict with the batch law's ``overhead_ms`` /
         ``marginal_ms`` (per launch / per image), its sample count,
         residual variance, and the confidence flag gating its use."""
-        fit = self._fit(key)
+        fit = self._fit()
         if fit is None:
             return None
         return {
@@ -350,10 +312,10 @@ class OnlineCostModel(CostModel):
     # ------------------------------------------------------------------
     # Whole-model batch pricing (learned when confident)
     # ------------------------------------------------------------------
-    def estimate(self, plan, key=None):
+    def estimate(self, plan):
         """Price a :class:`repro.cost.BatchPlan`: learned coefficients
         for the bound key once confident, the prior until then."""
-        fit = self._fit(key)
+        fit = self._fit()
         if fit is None or not fit.confident:
             return self.prior.estimate(plan)
         if plan.num_images == 0:
@@ -363,32 +325,3 @@ class OnlineCostModel(CostModel):
             overhead_ms=fit.overhead_ms * plan.num_batches,
             marginal_ms=fit.marginal_ms * plan.num_images,
             num_images=plan.num_images)
-
-    # ------------------------------------------------------------------
-    # Serialization
-    # ------------------------------------------------------------------
-    def snapshot(self):
-        """Full learned state, serializable and bitwise-restorable (the
-        model itself pickles; the snapshot is the inspectable/portable
-        form)."""
-        return {
-            "bound": self._bound,
-            "min_samples": self.min_samples,
-            "forgetting": self.forgetting,
-            "keys": {key: fit.snapshot() for key, fit in self._keys.items()},
-        }
-
-    def restore(self, snapshot):
-        """Load a :meth:`snapshot`; the restored fit is bitwise equal
-        (same predictions, same future updates)."""
-        self._set_knobs(snapshot["min_samples"], snapshot["forgetting"])
-        self._bound = snapshot["bound"]
-        self._keys = {key: OnlineEstimator.from_snapshot(entry)
-                      for key, entry in snapshot["keys"].items()}
-        return self
-
-    @classmethod
-    def from_snapshot(cls, prior, snapshot):
-        model = cls(prior, min_samples=snapshot["min_samples"],
-                    forgetting=snapshot["forgetting"])
-        return model.restore(snapshot)

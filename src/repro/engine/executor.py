@@ -232,15 +232,14 @@ class BucketedExecutor:
     def run_grouped(self, image_groups, record=None):
         """Execute several pre-grouped image sets as ONE bucketed batch.
 
-        The serving scheduler's continuous re-bucketing entry point:
-        ``image_groups`` is a list of ``(n_i, C, H, W)`` arrays -- e.g.
-        the remainder requests carried over from a previous partially
-        filled batch plus the newly arrived ones -- and the whole set is
-        re-bucketed and executed together.  Because every image's
-        compute is independent of its batch neighbours (batched matmuls
-        are per-slice and padded keys carry an exactly-zero attention
-        weight), each group's logits are bitwise identical to submitting
-        that group on its own.
+        ``image_groups`` is a list of ``(n_i, C, H, W)`` arrays, and the
+        whole set is bucketed and executed together.
+        :meth:`repro.engine.InferenceSession.submit_many` (which the
+        serving scheduler calls) hands it one ``batch_size`` chunk per
+        call.  Because every image's compute is independent of its batch
+        neighbours (batched matmuls are per-slice and padded keys carry
+        an exactly-zero attention weight), each group's logits are
+        bitwise identical to submitting that group on its own.
 
         Returns ``(EngineResult, slices)`` where ``slices[i]`` selects
         group ``i``'s rows in the merged, submission-ordered result.

@@ -150,8 +150,9 @@ class InferenceSession:
         """Point the online cost model at this session's operating
         point: one (backend, dtype, keep-ratio bucket) key learns one
         batch law.  Re-bound whenever the keep ratios retune."""
-        self.cost_model.bind_operating_point(self.backend, self.dtype,
-                                             self.model.keep_ratios)
+        from repro.cost.online import keep_ratio_bucket
+        self.cost_model.bind((self.backend, np.dtype(self.dtype).name,
+                              keep_ratio_bucket(self.model.keep_ratios)))
 
     @property
     def latency_table(self):

@@ -51,3 +51,36 @@ def finite_difference(fn, x, eps=1e-6):
         flat[i] = old
         gflat[i] = (hi - lo) / (2 * eps)
     return grad
+
+
+def assert_same_estimator_state(clone, est):
+    """Two :class:`repro.cost.OnlineEstimator` copies hold bitwise the
+    same fit."""
+    np.testing.assert_array_equal(clone.theta, est.theta)
+    np.testing.assert_array_equal(clone.cov, est.cov)
+    assert clone.count == est.count
+    assert clone.residual_var == est.residual_var
+
+
+def assert_same_fit(clone, original):
+    """``clone`` (an unpickled :class:`repro.cost.OnlineCostModel`) holds
+    ``original``'s fit bitwise: the same knobs, estimate and estimator
+    states, before and after one more identical observation on both."""
+    from repro.cost import BatchPlan
+
+    plan = BatchPlan(num_images=12, per_image_ms=1.0, num_batches=2)
+
+    def check():
+        assert (clone.min_samples, clone.forgetting) == (
+            original.min_samples, original.forgetting)
+        assert clone.bound_key == original.bound_key
+        assert clone.keys == original.keys
+        assert clone.estimate(plan) == original.estimate(plan)
+        for key in original.keys:
+            assert_same_estimator_state(clone._keys[key],
+                                        original._keys[key])
+
+    check()
+    clone.observe_batch(12, 7.5, num_batches=2)
+    original.observe_batch(12, 7.5, num_batches=2)
+    check()

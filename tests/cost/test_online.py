@@ -4,7 +4,7 @@ Covers the RLS estimator's fit/confidence/serialization contract and
 the OnlineCostModel's behavioral spec: knobs checked at construction,
 prior fallback below the sample threshold, learned batch pricing once
 confident, bucket pricing that is always the prior's, per-key
-isolation, and worker-rebuild serialization (pickle and snapshot).
+isolation, and the pickle that carries a fit to a worker.
 Statistical convergence under noise lives in test_property_online.py.
 """
 
@@ -17,6 +17,7 @@ from repro.cost import (BatchPlan, CostModel, OnlineCostModel,
                         OnlineEstimator, keep_ratio_bucket,
                         paper_cost_model)
 from repro.core.latency import LatencySparsityTable
+from tests.conftest import assert_same_estimator_state, assert_same_fit
 
 
 def make_prior(batch_overhead_ms=3.0, bucket_overhead_ms=0.5):
@@ -94,30 +95,20 @@ class TestOnlineEstimator:
             est.observe(8, 6.0)
         assert float(np.trace(est.cov)) <= 1e4 + 1e-6
 
-    def test_snapshot_round_trip_bitwise(self):
+    def test_pickle_round_trip_bitwise(self):
         est = OnlineEstimator()
         feed_linear(est, 3.0, 0.5, [(1, 4), (2, 9), (1, 30)])
-        clone = OnlineEstimator.from_snapshot(est.snapshot())
-        np.testing.assert_array_equal(clone.theta, est.theta)
-        np.testing.assert_array_equal(clone.cov, est.cov)
-        assert clone.count == est.count
-        assert clone.residual_var == est.residual_var
+        clone = pickle.loads(pickle.dumps(est))
+        assert_same_estimator_state(clone, est)
         assert clone.predict(13, launches=2) == est.predict(13, launches=2)
         # Future updates stay bitwise locked too.
         r1 = est.observe(5, 7.0)
         r2 = clone.observe(5, 7.0)
         assert r1 == r2
-        np.testing.assert_array_equal(clone.theta, est.theta)
-        np.testing.assert_array_equal(clone.cov, est.cov)
-
-    def test_snapshot_is_a_copy(self):
-        est = OnlineEstimator()
-        est.observe(4, 2.0)
-        snap = est.snapshot()
+        assert_same_estimator_state(clone, est)
+        # The copy shares no state: updating one leaves the other.
         est.observe(9, 30.0)
-        clone = OnlineEstimator.from_snapshot(snap)
-        assert clone.count == 1
-        assert clone.count != est.count
+        assert clone.count == est.count - 1
 
 
 class TestOnlineCostModelGating:
@@ -136,13 +127,6 @@ class TestOnlineCostModelGating:
     def test_rejects_bad_knobs_at_construction(self, knobs):
         with pytest.raises(ValueError):
             OnlineCostModel(make_prior(), **knobs)
-        online = OnlineCostModel(make_prior()).bind("k")
-        online.observe_batch(8, 10.0)
-        snapshot = online.snapshot()
-        with pytest.raises(ValueError):
-            online.restore({**snapshot, **knobs})
-        assert online.snapshot()["min_samples"] == snapshot["min_samples"]
-        assert online.samples() == 1             # left as it was
 
     def test_is_a_cost_model_with_prior_terms(self):
         prior = make_prior()
@@ -208,18 +192,20 @@ class TestOnlineCostModelGating:
         slow_ms = online.estimate(plan).total_ms
         assert slow_ms > 5 * fast_ms
         assert set(online.keys) == {"slow", "fast"}
-        assert online.samples("fast") == 3
         # Rebinding resumes the old estimator rather than refitting.
         online.bind("fast")
+        assert online.samples() == 3
         assert online.confident()
 
-    def test_explicit_key_overrides_bound(self):
-        online = OnlineCostModel(make_prior(), min_samples=1).bind("a")
-        online.observe_batch(4, 40.0, key="b")
-        assert online.samples("b") == 1
-        assert online.samples("a") == 0
+    def test_observations_land_on_the_bound_key(self):
+        online = OnlineCostModel(make_prior(), min_samples=1).bind("b")
+        online.observe_batch(4, 40.0)
+        online.bind("a")
+        assert online.samples() == 0
         assert not online.confident()
-        assert online.confident("b")
+        online.bind("b")
+        assert online.samples() == 1
+        assert online.confident()
 
     def test_coefficients_inspection(self):
         online = OnlineCostModel(make_prior(), min_samples=2).bind("k")
@@ -256,23 +242,9 @@ class TestSerialization:
     def test_pickle_preserves_learned_state(self):
         online = self.build_warm()
         clone = pickle.loads(pickle.dumps(online))
-        plan = BatchPlan(num_images=12, per_image_ms=1.0, num_batches=1)
-        assert clone.estimate(plan).total_ms == online.estimate(plan).total_ms
-        assert clone.bound_key == online.bound_key
         assert clone.samples() == online.samples()
-
-    def test_snapshot_restore_bitwise(self):
-        online = self.build_warm()
-        restored = OnlineCostModel.from_snapshot(make_prior(),
-                                                 online.snapshot())
-        plan = BatchPlan(num_images=12, per_image_ms=1.0, num_batches=1)
-        assert restored.estimate(plan).total_ms == (
-            online.estimate(plan).total_ms)
-        # Future updates evolve identically from the restored state.
-        online.observe_batch(24, 15.0)
-        restored.observe_batch(24, 15.0)
-        assert restored.estimate(plan).total_ms == (
-            online.estimate(plan).total_ms)
+        # Same price and state, and the next update evolves identically.
+        assert_same_fit(clone, online)
 
 
 class TestKeepRatioBucket:
@@ -280,8 +252,6 @@ class TestKeepRatioBucket:
         assert keep_ratio_bucket([0.7, 0.49]) == (14, 10)
         assert keep_ratio_bucket([0.7001, 0.5001]) == (14, 10)
         assert keep_ratio_bucket([]) == ()
-        with pytest.raises(ValueError):
-            keep_ratio_bucket([0.5], grid=0)
 
     def test_paper_model_wraps(self):
         online = OnlineCostModel(paper_cost_model(), min_samples=1)

@@ -5,9 +5,11 @@ observation schedules: the RLS fit converges to a planted (overhead,
 marginal) pair under bounded noise; the wrapper answers with the prior
 verbatim below the sample threshold; predictions are always
 non-negative and monotone non-decreasing in both batch shape terms
-whatever was observed; and a snapshot round-trips bitwise, including
-identical future updates.
+whatever was observed; and a pickled copy round-trips bitwise,
+including identical future updates.
 """
+
+import pickle
 
 import numpy as np
 import pytest
@@ -111,13 +113,13 @@ def test_predictions_non_negative_and_monotone(history, probe):
 @given(history=observations,
        future=st.tuples(st.integers(1, 4), st.integers(1, 64),
                         st.floats(0.0, 500.0, allow_nan=False)))
-def test_snapshot_round_trip_bitwise(history, future):
-    """Snapshot/restore reproduces state, predictions, and future
+def test_pickle_round_trip_bitwise(history, future):
+    """A pickle round trip reproduces state, predictions, and future
     updates bitwise for any observation history."""
     est = OnlineEstimator()
     for launches, images, wall in history:
         est.observe(images, wall, launches=launches)
-    clone = OnlineEstimator.from_snapshot(est.snapshot())
+    clone = pickle.loads(pickle.dumps(est))
     np.testing.assert_array_equal(clone.theta, est.theta)
     np.testing.assert_array_equal(clone.cov, est.cov)
     assert clone.count == est.count
@@ -128,3 +130,5 @@ def test_snapshot_round_trip_bitwise(history, future):
         est.observe(images, wall, launches=launches))
     np.testing.assert_array_equal(clone.theta, est.theta)
     np.testing.assert_array_equal(clone.cov, est.cov)
+    assert clone.count == est.count
+    assert clone.residual_var == est.residual_var

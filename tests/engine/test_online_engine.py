@@ -57,11 +57,11 @@ class TestLearningSession:
     def test_learn_cost_accepts_ready_online_model(self, model):
         warm = OnlineCostModel(
             InferenceSession(model, batch_size=8).cost_model)
-        warm.observe_batch(8, 5.0, key="elsewhere")
+        warm.bind("elsewhere").observe_batch(8, 5.0)
         session = InferenceSession(model, batch_size=8, cost_model=warm,
                                    learn_cost=True)
         assert session.cost_model is warm        # no double wrap
-        assert warm.samples("elsewhere") == 1
+        assert warm.bind("elsewhere").samples() == 1     # its fit is kept
 
     def test_static_session_does_not_learn(self, model, images):
         session = InferenceSession(model, batch_size=8)

@@ -19,6 +19,7 @@ from repro.core import HeatViT
 from repro.engine import CompiledModel, InferenceSession
 from repro.nn.tensor import Tensor
 from repro.nn import functional as F
+from tests.conftest import assert_same_fit
 
 
 @pytest.fixture(scope="module")
@@ -64,8 +65,7 @@ class TestSessionPickle:
         assert clone.batch_size == session.batch_size
         assert clone.learns_cost == session.learns_cost
         if session.learns_cost:
-            np.testing.assert_equal(clone.cost_model.snapshot(),
-                                    session.cost_model.snapshot())
+            assert_same_fit(clone.cost_model, session.cost_model)
         assert clone.estimated_batch_cost(12).total_ms == (
             session.estimated_batch_cost(12).total_ms)
         reference = session.submit(images)

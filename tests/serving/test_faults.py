@@ -36,6 +36,7 @@ from repro.engine import InferenceSession
 from repro.serving import (DEFAULT_PRIORITY, FaultPlan, FaultSpec, FrontDoor,
                            RecoveryPolicy, RetryPolicy, Scheduler,
                            VirtualClock, WorkerDiedError, WorkerPool)
+from tests.conftest import assert_same_fit
 
 #: Production backoffs are seconds; chaos tests respawn in milliseconds.
 FAST_BACKOFF = RetryPolicy(attempts=4, backoff_base_s=0.01,
@@ -296,8 +297,7 @@ class TestRespawnPayload:
         first, respawned = (pickle.loads(payload) for payload in payloads)
         assert first.cost_model.samples() == 0
         assert respawned.cost_model.samples() == 6
-        np.testing.assert_equal(respawned.cost_model.snapshot(),
-                                session.cost_model.snapshot())
+        assert_same_fit(respawned.cost_model, session.cost_model)
 
 
 # ----------------------------------------------------------------------

@@ -201,6 +201,7 @@ NOT_SERVED_BY_FLOAT32 = [
     "repro.hardware.comparison", "repro.hardware.schedule",
     "repro.hardware.selector_flow", "repro.hardware.tiling",
     "repro.vit.analysis", "repro.vit.cka",
+    "repro.cost.online",
 ]
 
 
