@@ -95,20 +95,27 @@ class TestOnlineEstimator:
             est.observe(8, 6.0)
         assert float(np.trace(est.cov)) <= 1e4 + 1e-6
 
-    def test_pickle_round_trip_bitwise(self):
+    def test_snapshot_round_trip_bitwise(self):
+        # The pickle is the estimator's snapshot: it restores the fit
+        # bitwise and future updates stay locked.
         est = OnlineEstimator()
         feed_linear(est, 3.0, 0.5, [(1, 4), (2, 9), (1, 30)])
         clone = pickle.loads(pickle.dumps(est))
         assert_same_estimator_state(clone, est)
         assert clone.predict(13, launches=2) == est.predict(13, launches=2)
-        # Future updates stay bitwise locked too.
         r1 = est.observe(5, 7.0)
         r2 = clone.observe(5, 7.0)
         assert r1 == r2
         assert_same_estimator_state(clone, est)
-        # The copy shares no state: updating one leaves the other.
+
+    def test_snapshot_is_a_copy(self):
+        est = OnlineEstimator()
+        est.observe(4, 2.0)
+        snap = pickle.dumps(est)
         est.observe(9, 30.0)
-        assert clone.count == est.count - 1
+        clone = pickle.loads(snap)
+        assert clone.count == 1
+        assert clone.count != est.count
 
 
 class TestOnlineCostModelGating:
@@ -242,9 +249,17 @@ class TestSerialization:
     def test_pickle_preserves_learned_state(self):
         online = self.build_warm()
         clone = pickle.loads(pickle.dumps(online))
+        plan = BatchPlan(num_images=12, per_image_ms=1.0, num_batches=1)
+        assert clone.estimate(plan).total_ms == online.estimate(plan).total_ms
+        assert clone.bound_key == online.bound_key
         assert clone.samples() == online.samples()
-        # Same price and state, and the next update evolves identically.
-        assert_same_fit(clone, online)
+
+    def test_snapshot_restore_bitwise(self):
+        # A pickle taken from a warm model restores its fit bitwise, and
+        # the next update evolves identically on both.
+        online = self.build_warm()
+        restored = pickle.loads(pickle.dumps(online))
+        assert_same_fit(restored, online)
 
 
 class TestKeepRatioBucket:
