@@ -12,7 +12,9 @@ semantics (paper Fig. 9 step 3) is written down once, here:
   path) applies the same packager rule to every image of a boundary at
   once, from one flat ragged token array, pinned bit for bit to
   :func:`prune_image_sequence` by ``tests/engine/test_fastpath.py``.
-  :func:`dense_runs` adapts that ragged layout to dense scorers.
+  :func:`dense_runs` adapts that ragged layout to the selector modules
+  that take dense input only
+  (:class:`repro.engine.fastpath.compiled.ModuleSelector`).
 
 Everything here operates on plain arrays: the pruned path runs under
 ``nn.no_grad`` and the hardware flow is numpy-only, so no autodiff
@@ -108,17 +110,19 @@ def prune_image_sequence(sequence, keep_flags, *, use_packager,
     return new_sequence, has_package or (use_packager and pruned_any)
 
 
-def dense_runs(counts, starts):
+def dense_runs(counts):
     """Regroup a ragged token array into dense stacks, one per distinct
     per-image token count -- the adapter for scorers that only take
     ``(g, N, D)`` input.
 
-    ``counts`` / ``starts``: ``(n,)`` per-image token counts and segment
-    offsets into a flat ``(M, ...)`` array.  Yields ``(rows, tokens)``:
+    ``counts``: ``(n,)`` per-image token counts of a flat ``(M, ...)``
+    array, image after image.  Yields ``(rows, tokens)``:
     ``rows`` are the images sharing one count, in order, and ``tokens``
     their ``(g, count)`` flat indices, so ``flat[tokens]`` is the dense
     stack and ``out[tokens] = dense`` scatters a per-token result back.
     """
+    counts = np.asarray(counts)
+    starts = np.cumsum(counts) - counts
     for count, rows in value_groups(counts):
         yield rows, starts[rows][:, None] + np.arange(count)
 

@@ -48,14 +48,6 @@ class LatencySparsityTable:
             raise ValueError(
                 "latency must be non-decreasing in keep ratio")
 
-    @property
-    def min_ratio(self):
-        return float(self._ratios[0])
-
-    @property
-    def max_ratio(self):
-        return float(self._ratios[-1])
-
     def latency(self, keep_ratio):
         """Eq. 18: interpolated one-block latency at ``keep_ratio``."""
         ratio = float(np.clip(keep_ratio, self._ratios[0], self._ratios[-1]))

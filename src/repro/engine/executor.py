@@ -11,8 +11,10 @@ vectorization while preserving those semantics exactly:
 2. at each **selector boundary** padding is stripped and all patch
    tokens go into ONE flat ``(M, D)`` array with per-image counts -- the
    only token layout besides the bucket stacks.  The selector scores it
-   once (its outputs are per image, so this equals the single-image
-   calls), :func:`repro.core.gather.prune_image_sequence`'s packager
+   in one ``select_ragged`` call on every backend (its outputs are per
+   image, so this equals the single-image calls; a selector module that
+   takes dense input loops its distinct counts inside that call),
+   :func:`repro.core.gather.prune_image_sequence`'s packager
    rule sets each new length, and ``[cls, kept tokens, slot]`` rows are
    scattered straight into the next buckets;
 3. between boundaries, a :class:`repro.engine.bucketing.BucketingPolicy`
@@ -63,9 +65,8 @@ import numpy as np
 
 from repro import nn
 from repro.nn.tensor import Tensor
-from repro.core.gather import dense_runs
 from repro.engine.bucketing import BucketingPolicy, plan_buckets
-from repro.engine.fastpath.compiled import compile_model
+from repro.engine.fastpath.compiled import ModuleSelector, compile_model
 from repro.engine.fastpath.kernels import SciPyImport, mask_to_bias
 from repro.engine.fastpath.workspace import Workspace
 from repro.vit.attention import (key_padding_mask,
@@ -274,43 +275,25 @@ class BucketedExecutor:
         block = self.model.backbone.blocks[block_index]
         group.x = block(Tensor(group.x), key_mask=group.mask).data
 
-    def _selector_eval(self, selector_index, patches):
-        """Evaluate selector ``selector_index`` on dense ``(g, N, D)``
-        patches; returns ``(keep_bool, packages)``."""
-        if self.compiled is not None:
-            return self.compiled.select(selector_index, patches,
-                                        self.workspace)
-        selector = self.model.selectors[selector_index]
-        out = selector(Tensor(patches), hard=False)
-        # The selector's internal guard ensures >= 1 keep.
-        keep = out.decision.data > 0.5                    # (g, N)
-        return keep, out.package.data[:, 0, :]            # (g, D)
+    def _select(self, selector_index, flat, counts):
+        """Score one boundary's flat ``(M, D)`` patch tokens with
+        per-image ``counts``; returns ``(keep, packages)``: boolean
+        ``(M,)`` and ``(n, D)``.
 
-    def _select(self, selector_index, flat, counts, starts):
-        """Score one boundary's flat ``(M, D)`` patch tokens; returns
-        ``(keep, packages)``: boolean ``(M,)`` and ``(n, D)``.
-
-        A selector whose ``ragged_ok`` is set (a lowered
-        :class:`CompiledSelector`) takes the ragged array whole, as ONE
-        kernel pipeline (:meth:`CompiledSelector.select_ragged`): the
-        boundary cost does not scale with the number of distinct
-        sequence lengths.  Every other selector runs a module -- the
-        tensor backend's, or a compiled
-        :class:`~repro.engine.fastpath.compiled.ModuleSelector`'s copy --
-        and takes dense input only: one ``(g, count, D)`` stack per
-        distinct patch count.  Each selector decides for its own
-        boundary.
+        One ``select_ragged`` call on every backend.  A compiled
+        backend's selector is a :class:`CompiledSelector` (ONE kernel
+        pipeline, whatever the number of distinct lengths) or a
+        :class:`ModuleSelector` (one dense stack per distinct count);
+        the tensor backend wraps the live ``model.selectors[i]`` in a
+        :class:`ModuleSelector` per call, so it scores with the model's
+        current weights and mode.
         """
-        if (self.compiled is not None
-                and self.compiled.selectors[selector_index].ragged_ok):
+        if self.compiled is not None:
             return self.compiled.select_ragged(selector_index, flat, counts,
                                                self.workspace)
-        keep = np.empty(flat.shape[0], dtype=bool)
-        packages = np.empty((counts.size, flat.shape[1]), dtype=flat.dtype)
-        for rows, tokens in dense_runs(counts, starts):
-            keep[tokens], packages[rows] = self._selector_eval(
-                selector_index, flat[tokens])
-        return keep, packages
+        selector = ModuleSelector(self.model.selectors[selector_index],
+                                  self.dtype)
+        return selector.select_ragged(flat, counts, None)
 
     def _classify(self, x):
         if self.compiled is not None:
@@ -379,13 +362,12 @@ class BucketedExecutor:
             images, had_package, counts, cls, last = (
                 column[order]
                 for column in (images, had_package, counts, cls, last))
-        starts = _offsets(counts)
-        keep, packages = self._select(selector_index, flat, counts, starts)
+        keep, packages = self._select(selector_index, flat, counts)
         # The packager rule of prune_image_sequence for all images at
         # once: a fresh package takes the slot when anything was pruned,
         # the old slot is carried when nothing was, and without a
         # packager there is no slot.
-        kept = np.add.reduceat(keep, starts, dtype=np.intp)
+        kept = np.add.reduceat(keep, _offsets(counts), dtype=np.intp)
         fresh = (kept < counts) & self.model.use_packager
         has_slot = fresh | (had_package & self.model.use_packager)
         slots = np.where(fresh[:, None], packages, last)

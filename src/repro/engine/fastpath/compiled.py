@@ -25,13 +25,16 @@ Compile-time fusions
 * **Token selectors** are compiled to the same ndarray kernels (LN ->
   per-head scoring MLPs -> attention branch -> Eq. 8 combine -> Eq. 10
   packager), so keep/prune decisions on the fast path come from the
-  exact same arithmetic as the compiled blocks.  There is one pipeline,
-  over ragged tokens (:meth:`CompiledSelector.select_ragged`); the
-  dense ``(g, N, D)`` entry point is a reshape onto it.  Only a selector
-  whose own class, classifier and attention branch are exactly the
-  stock ones lowers (:func:`_is_stock_selector`); any other -- the
-  Fig. 12 ablations, a custom classifier -- is served through its own
-  module (:class:`ModuleSelector`), slower and exactly what it computes.
+  exact same arithmetic as the compiled blocks.  Only a selector whose
+  own class, classifier and attention branch are exactly the stock
+  ones lowers (:func:`_is_stock_selector`); any other -- the Fig. 12
+  ablations, a custom classifier -- is served through its own module
+  (:class:`ModuleSelector`), slower and exactly what it computes.
+  Either kind has one scoring method, ``select_ragged(flat, counts,
+  ws)``, over ragged tokens: the lowered pipeline scores every
+  distinct length at once, the module one dense stack per distinct
+  count.  :meth:`CompiledModel.select`, the dense ``(g, N, D)`` entry
+  point, is a reshape onto it.
 
 The Tensor path stays the reference implementation: float64 compiles
 match it to well under the engine's 1e-8 bound, float32 to ~1e-6 logits
@@ -83,6 +86,7 @@ import copy
 import numpy as np
 
 from repro import nn
+from repro.core.gather import dense_runs
 from repro.nn.tensor import Tensor
 from repro.engine.fastpath.kernels import (SciPyImport, fused_layer_norm,
                                            gelu_exact, gelu_rational,
@@ -456,8 +460,6 @@ class CompiledSelector:
                  "attention_mlp", "head_mean", "head_sum", "head_ones",
                  "sigmoid")
 
-    ragged_ok = True     # the executor's test for select_ragged
-
     def __init__(self, selector, dtype, attention_mlp, feature_mlp,
                  classifier_mlp):
         """``*_mlp`` are :func:`_compile_mlp` programs lowered in
@@ -481,19 +483,6 @@ class CompiledSelector:
         self.feature_mlp = feature_mlp
         self.classifier_mlp = classifier_mlp
         self.attention_mlp = attention_mlp
-
-    def select(self, patches, ws):
-        """Score one uniform-length group of ``(g, N, D)`` patch tokens;
-        returns ``(keep, packages)`` with ``keep`` boolean ``(g, N)``
-        and ``packages`` ``(g, D)``.
-
-        A reshape over :meth:`select_ragged`, the one selector
-        pipeline: ``g`` images of ``N`` tokens each, concatenated.
-        """
-        g, tokens, dim = patches.shape
-        keep, packages = self.select_ragged(
-            patches.reshape(g * tokens, dim), np.full(g, tokens), ws)
-        return keep.reshape(g, tokens), packages
 
     def _classifier_scores_ragged(self, normed, counts, starts, ws):
         """Per-head probabilities for ragged tokens: ``(M, h, 2)``.
@@ -582,36 +571,41 @@ class ModuleSelector:
     Whatever a selector the compile functions do not recognise
     overrides -- a classifier, the Eq. 8 combine of
     :class:`repro.core.UniformHeadSelector` -- this serves exactly what
-    its module computes: ``module(patches, hard=False)``, the call the
-    tensor backend makes.  ``module`` is the selector's own deep copy
-    (compiling snapshots weights), surgered by
-    :func:`repro.quant.quantize_model` on the quantized grades.
+    its module computes: ``module(patches, hard=False)``.  A compile
+    function hands it the selector's own deep copy (compiling snapshots
+    weights), put in ``eval()`` and, on the quantized grades, surgered
+    by :func:`repro.quant.quantize_model`; the tensor backend hands it
+    the live selector, whose mode it leaves alone.
 
-    It scores one uniform-length ``(g, N, D)`` group per call in the
-    module's float64 arithmetic and has no ragged entry point
-    (``ragged_ok`` is unset): the executor hands it one stack per
-    distinct patch count.  Its Tensor modules may call SciPy, so it
-    holds a :class:`.kernels.SciPyImport`.
+    The module takes dense input only, so :meth:`select_ragged` scores
+    one ``(g, count, D)`` stack per distinct patch count, in the
+    module's float64 arithmetic.  Its Tensor modules may call SciPy, so
+    it holds a :class:`.kernels.SciPyImport`.
     """
 
     __slots__ = ("dtype", "module", "scipy")
 
-    ragged_ok = False
-
     def __init__(self, module, dtype):
         self.dtype = dtype
-        self.module = module.eval()
+        self.module = module
         self.scipy = SciPyImport()
 
-    def select(self, patches, ws):
-        """Score ``(g, N, D)`` patches through the module; returns
-        ``(keep, packages)`` like :meth:`CompiledSelector.select`."""
+    def select_ragged(self, flat, counts, ws):
+        """Score ragged ``(M, D)`` patch tokens through the module, one
+        dense stack per distinct count; returns ``(keep, packages)``
+        like :meth:`CompiledSelector.select_ragged`.  ``ws`` is unused:
+        the module allocates its own arrays."""
+        keep = np.empty(flat.shape[0], dtype=bool)
+        packages = np.empty((len(counts), flat.shape[1]), dtype=self.dtype)
         with nn.no_grad():
-            out = self.module(Tensor(np.asarray(patches, dtype=np.float64)),
-                              hard=False)
-        keep = out.decision.data > 0.5
-        packages = out.package.data[:, 0, :]
-        return keep, packages.astype(self.dtype, copy=False)
+            for rows, tokens in dense_runs(counts):
+                out = self.module(
+                    Tensor(np.asarray(flat[tokens], dtype=np.float64)),
+                    hard=False)
+                # The module's own guard keeps >= 1 token per image.
+                keep[tokens] = out.decision.data > 0.5
+                packages[rows] = out.package.data[:, 0, :]
+        return keep, packages
 
 
 class CompiledModel:
@@ -682,13 +676,19 @@ class CompiledModel:
         return x
 
     def select(self, stage, patches, ws):
-        """Apply selector ``stage`` to one uniform-length group; see
-        :meth:`CompiledSelector.select`."""
-        return self.selectors[stage].select(patches, ws)
+        """Apply selector ``stage`` to one uniform-length ``(g, N, D)``
+        group; returns ``(keep, packages)``: boolean ``(g, N)`` and
+        ``(g, D)``.  A reshape onto :meth:`select_ragged`: ``g`` images
+        of ``N`` tokens each, concatenated."""
+        g, tokens, dim = patches.shape
+        keep, packages = self.selectors[stage].select_ragged(
+            patches.reshape(g * tokens, dim), np.full(g, tokens), ws)
+        return keep.reshape(g, tokens), packages
 
     def select_ragged(self, stage, flat, counts, ws):
-        """Ragged-batch form of :meth:`select`, for a selector whose
-        ``ragged_ok`` is set; see :meth:`CompiledSelector.select_ragged`."""
+        """Apply selector ``stage`` to ragged ``(M, D)`` patch tokens
+        with per-image ``counts``; see
+        :meth:`CompiledSelector.select_ragged`."""
         return self.selectors[stage].select_ragged(flat, counts, ws)
 
     def classify(self, x, ws):
@@ -772,7 +772,7 @@ def _is_stock_selector(selector):
 
 def _lower_selector(selector, dtype):
     if not _is_stock_selector(selector):
-        return ModuleSelector(copy.deepcopy(selector), dtype)
+        return ModuleSelector(copy.deepcopy(selector).eval(), dtype)
 
     def lower(sequential):
         return _compile_mlp(

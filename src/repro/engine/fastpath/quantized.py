@@ -333,7 +333,7 @@ def compile_quantized(model, bits=8, dtype=None,
             quantize_model(module, bits=bits, approx_nonlinear=True,
                            delta1=delta1, delta2=delta2,
                            per_channel=per_channel)
-            selectors.append(ModuleSelector(module, dtype))
+            selectors.append(ModuleSelector(module.eval(), dtype))
         else:
             # The shared selector pipeline with quantized MLP steps,
             # the Eq. 12 GELU kernel, the exact softmax, and the float32

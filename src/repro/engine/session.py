@@ -165,10 +165,9 @@ class InferenceSession:
         """Marginal (per-image) whole-model cost at the configured
         operating point (the model's target keep ratios) -- the
         ``per_image_ms`` term of every batch priced for this session.
-        Cached against the model's ``keep_ratios_version``, so retuning
-        through ``set_keep_ratios`` invalidates automatically; only
-        direct ``selector.keep_ratio`` assignment needs an explicit
-        :meth:`invalidate_estimate`.
+        Cached against the model's ``keep_ratios_version``, so retune
+        through ``set_keep_ratios``, which bumps it: a direct
+        ``selector.keep_ratio`` assignment goes unseen.
         """
         version = getattr(self.model, "keep_ratios_version", None)
         if (self._estimated_latency is None
@@ -199,9 +198,6 @@ class InferenceSession:
             num_images=int(num_images),
             per_image_ms=self.marginal_image_ms,
             num_batches=num_batches))
-
-    def invalidate_estimate(self):
-        self._estimated_latency = None
 
     # ------------------------------------------------------------------
     def submit(self, images, record=None):

@@ -43,10 +43,6 @@ class GemmShape:
     def macs(self):
         return self.groups * self.rows * self.depth * self.cols
 
-    @property
-    def input_bytes_16(self):
-        return self.groups * self.rows * self.depth
-
     def operand_bytes(self, bitwidth):
         per = bitwidth // 8
         inputs = self.groups * self.rows * self.depth * per

@@ -157,19 +157,19 @@ class FrontDoor:
     scheduler: the scheduler to expose (register sessions first).
     host/port: bind address; port 0 picks a free port (read ``.port``
         after :meth:`start`).
-    poll_ms: reply-poll cadence of the scheduler's driver thread when
-        the front door starts it (:meth:`Scheduler.start`).
     max_body_bytes: reject larger request bodies with ``413``.
+
+    A scheduler that is not running is started with its defaults (and
+    stopped by :meth:`stop`); start it first for another poll cadence.
     """
 
     def __init__(self, scheduler, host="127.0.0.1", port=0, *,
-                 poll_ms=1.0, max_body_bytes=64 * 1024 * 1024):
+                 max_body_bytes=64 * 1024 * 1024):
         if max_body_bytes < 1:
             raise ValueError("max_body_bytes must be >= 1")
         self.scheduler = scheduler
         self.host = host
         self.port = int(port)
-        self.poll_ms = float(poll_ms)
         self.max_body_bytes = int(max_body_bytes)
         self._thread = None
         self._loop = None
@@ -254,7 +254,7 @@ class FrontDoor:
             return
         self.port = server.sockets[0].getsockname()[1]
         if not self.scheduler.running:
-            self.scheduler.start(poll_ms=self.poll_ms)
+            self.scheduler.start()
             self._started_scheduler = True
         ready.set()
         ledger = self.scheduler.ledger

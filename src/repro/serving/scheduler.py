@@ -139,9 +139,8 @@ class ServedModel:
     @property
     def marginal_image_ms(self):
         """Per-image marginal cost at the session's operating point.
-        Delegates to the session's cached estimate so
-        ``invalidate_estimate`` (after ``set_keep_ratios``) reaches
-        routing and flush decisions too."""
+        Delegates to the session's cached estimate so a retune through
+        ``set_keep_ratios`` reaches routing and flush decisions too."""
         return self.session.marginal_image_ms
 
     def batch_cost(self, num_images):

@@ -36,8 +36,3 @@ class PatchEmbedding(nn.Module):
         x = x.transpose(0, 2, 4, 1, 3, 5)
         x = x.reshape(batch, grid_h * grid_w, channels * p * p)
         return self.projection(x)
-
-    @staticmethod
-    def patch_grid(config):
-        side = config.image_size // config.patch_size
-        return side, side

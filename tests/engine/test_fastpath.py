@@ -313,7 +313,6 @@ class TestCompiledSelector:
         compiled, ws = compile_model(model), Workspace()
         selector = compiled.selectors[0]
         assert isinstance(selector, ModuleSelector)
-        assert not selector.ragged_ok
         assert selector.module is not model.selectors[0]
         tokens = compiled.embed(tiny_dataset.images[:6], ws)
         for group in (np.array(tokens[:3, 1:, :]),
@@ -547,6 +546,58 @@ class TestSelectorFallback:
         assert_backend_parity(model, tiny_dataset.images[:24],
                               dtype=dtype, tol=tol)
 
+    def test_module_selector_scores_a_ragged_array_per_count(
+            self, tiny_backbone, tiny_dataset):
+        """``ModuleSelector.select_ragged`` over images of three distinct
+        counts, interleaved: bit for bit the module called once per
+        count group, and the module runs exactly that many times."""
+        model = _non_stock_model("uniform-head", tiny_backbone)
+        compiled, ws = compile_model(model, dtype=np.float64), Workspace()
+        selector = compiled.selectors[0]
+        assert isinstance(selector, ModuleSelector)
+        patches = np.array(
+            compiled.embed(tiny_dataset.images[:7], ws)[:, 1:, :])
+        grid = patches.shape[1]
+        counts = np.array([grid, 9, 13, grid, 9, 9, 13])
+        flat = np.concatenate([image[:count]
+                               for image, count in zip(patches, counts)])
+        module, calls = selector.module, []
+
+        def spy(group, **kwargs):
+            calls.append(group.shape[0])
+            return module(group, **kwargs)
+
+        selector.module = spy
+        keep, packages = selector.select_ragged(flat, counts, ws)
+        assert sorted(calls) == [2, 2, 3]
+        starts = np.cumsum(counts) - counts
+        for count in (9, 13, grid):
+            rows = np.flatnonzero(counts == count)
+            with nn.no_grad():
+                out = module(Tensor(patches[rows, :count]), hard=False)
+            tokens = starts[rows][:, None] + np.arange(count)
+            np.testing.assert_array_equal(keep[tokens],
+                                          out.decision.data > 0.5)
+            assert packages[rows].tobytes() == (
+                out.package.data[:, 0, :].tobytes())
+
+    @pytest.mark.parametrize("compile_fn", [
+        compile_model, lambda model: compile_quantized(model,
+                                                       dtype=np.float64)],
+        ids=["fastpath", "int8-f64"])
+    def test_compiling_leaves_the_live_selectors_mode_alone(
+            self, tiny_backbone, compile_fn):
+        """A model in ``train()`` mode compiles to served selector
+        copies in ``eval()`` mode, and its own selectors stay in
+        ``train()``."""
+        model = _non_stock_model("uniform-head", tiny_backbone).train()
+        compiled = compile_fn(model)
+        for live, served in zip(model.selectors, compiled.selectors):
+            assert isinstance(served, ModuleSelector)
+            assert served.module is not live
+            assert all(m.training for m in live.modules())
+            assert not any(m.training for m in served.module.modules())
+
     def test_uniform_head_selector_serves_its_surgered_module_on_int8(
             self, tiny_backbone, tiny_dataset):
         """The int8 serving grade scores an ablation through its
@@ -569,7 +620,7 @@ class TestSelectorFallback:
             np.testing.assert_array_equal(keep, out.decision.data > 0.5)
 
     def test_stock_boundaries_stay_ragged_beside_a_module_selector(
-            self, tiny_backbone, tiny_dataset):
+            self, tiny_backbone, tiny_dataset, monkeypatch):
         """Each selector decides for its own boundary: one module
         selector does not send the stock ones down the dense path."""
         dim, heads = (tiny_backbone.config.embed_dim,
@@ -587,18 +638,34 @@ class TestSelectorFallback:
         model = _with_selectors(make_model(tiny_backbone, {1: 0.6, 3: 0.4}),
                                 plain_first)
         session = InferenceSession(model, backend="int8")
-        compiled = session.executor.compiled
-        assert [s.ragged_ok for s in compiled.selectors] == [False, True]
-        calls = []
-        ragged = compiled.select_ragged
+        module_selector, stock = session.executor.compiled.selectors
+        assert isinstance(module_selector, ModuleSelector)
+        assert type(stock) is CompiledSelector
+        ragged_calls, module_calls = [], []
+        ragged, module = CompiledSelector.select_ragged, module_selector.module
 
-        def spy(stage, *args):
-            calls.append(stage)
-            return ragged(stage, *args)
+        def ragged_spy(selector, flat, counts, ws):
+            assert selector is stock
+            ragged_calls.append(np.asarray(counts).copy())
+            return ragged(selector, flat, counts, ws)
 
-        compiled.select_ragged = spy
+        def module_spy(patches, **kwargs):
+            module_calls.append(patches.shape)
+            return module(patches, **kwargs)
+
+        monkeypatch.setattr(CompiledSelector, "select_ragged", ragged_spy)
+        module_selector.module = module_spy
         result = session.submit(tiny_dataset.images[:8])
-        assert calls == [1]
+        # The stock boundary scores every image's tokens in one call;
+        # the module scores one stack per distinct count -- here all 8
+        # images still hold the full patch grid.
+        grid = tiny_backbone.config.num_patches
+        assert module_calls == [(8, grid, tiny_backbone.config.embed_dim)]
+        (counts,) = ragged_calls
+        stage0 = result.tokens_per_stage[0]        # CLS + kept + package
+        np.testing.assert_array_equal(
+            np.sort(counts), np.sort(np.where(stage0 == 1 + grid, grid,
+                                              stage0 - 2)))
         assert np.isfinite(result.logits).all()
 
     def test_non_stock_classifier_serves_on_int8(self, tiny_backbone,
@@ -608,8 +675,8 @@ class TestSelectorFallback:
         model = _non_stock_model("plain", tiny_backbone)
         session = InferenceSession(model, backend="int8")
         assert session.executor.dtype == np.float32
-        assert not any(s.ragged_ok
-                       for s in session.executor.compiled.selectors)
+        assert all(isinstance(s, ModuleSelector)
+                   for s in session.executor.compiled.selectors)
         result = session.submit(tiny_dataset.images[:6])
         assert result.logits.shape == (6, tiny_backbone.config.num_classes)
         assert np.isfinite(result.logits).all()
@@ -694,11 +761,12 @@ def boundary_groups(rng, layout, dtype, dim=6):
     return groups, sequences
 
 
-def scripted_select(stage, flat, counts, starts):
+def scripted_select(stage, flat, counts):
     """Stands in for ``BucketedExecutor._select``: decisions that are a
     function of each token alone, so they do not depend on the order
     the boundary presents images in.  Packages are float64 whatever the
     tokens are."""
+    starts = np.cumsum(counts) - counts
     return flat[:, 0] > 0, flat[starts].astype(np.float64) * 2.0 + 1.0
 
 

@@ -29,6 +29,7 @@ from repro.approx import softmax_approx
 from repro.core import HeatViT
 from repro.engine import (BucketedExecutor, CompileError, InferenceSession,
                           Workspace, compile_quantized)
+from repro.engine.fastpath.compiled import CompiledSelector, ModuleSelector
 from repro.engine.fastpath.qkernels import (approx_softmax_fast,
                                             layer_norm_reference,
                                             quantize_fast)
@@ -251,12 +252,12 @@ class TestCompileValidation:
 
     def test_ragged_support_by_grade(self, quant_setup):
         model, _ = quant_setup
-        # Stock float32 selectors compile to ragged-capable kernels;
-        # the parity grade runs each surgered selector *module* per
-        # bucket group, which the executor reads off each selector's
-        # ``ragged_ok`` and serves via its dense per-group path.
-        assert all(s.ragged_ok for s in compile_quantized(model).selectors)
-        assert not any(s.ragged_ok for s in compile_quantized(
+        # Stock float32 selectors lower to the one ragged kernel
+        # pipeline; the parity grade runs each surgered selector
+        # *module*, one dense stack per distinct count.
+        assert all(type(s) is CompiledSelector
+                   for s in compile_quantized(model).selectors)
+        assert all(type(s) is ModuleSelector for s in compile_quantized(
             model, dtype=np.float64).selectors)
 
 

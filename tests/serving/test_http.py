@@ -31,7 +31,7 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 def front_door(mild_model):
     scheduler = Scheduler(batch_window_ms=5.0)
     scheduler.register("default", mild_model)
-    door = FrontDoor(scheduler, poll_ms=0.5)
+    door = FrontDoor(scheduler)
     with door:
         with FrontDoorClient("127.0.0.1", door.port) as client:
             yield door, client
@@ -168,7 +168,7 @@ class TestEndpoints:
         scheduler.register("a", mild_model)
         scheduler.register("b", aggressive_model)
         image = tiny_dataset.images[:1]
-        with FrontDoor(scheduler, poll_ms=0.5) as door:
+        with FrontDoor(scheduler) as door:
             scheduler.stop(drain=True)          # nothing runs unless flushed
             with FrontDoorClient("127.0.0.1", door.port) as client:
                 held = [client.submit(image, model="a")[1]["request_id"]
@@ -238,7 +238,7 @@ class TestEndpoints:
         ``pending`` near 1 s, neither after 2 s."""
         scheduler = Scheduler(batch_window_ms=5.0)
         scheduler.register("default", mild_model)
-        with FrontDoor(scheduler, poll_ms=0.5) as door:
+        with FrontDoor(scheduler) as door:
             scheduler.stop(drain=True)          # nothing completes now
             with FrontDoorClient("127.0.0.1", door.port) as client:
                 _, payload = client.submit(tiny_dataset.images[:1])
@@ -378,7 +378,7 @@ class TestErrorPaths:
         image = np.array(tiny_dataset.images[:1])
         poisoned = image.copy()
         poisoned[0, 0, 0, 0] = np.nan
-        with FrontDoor(scheduler, poll_ms=0.5) as door:
+        with FrontDoor(scheduler) as door:
             with FrontDoorClient("127.0.0.1", door.port) as client:
                 status, good = client.submit(image)
                 assert status == 200
@@ -411,8 +411,7 @@ class TestErrorPaths:
         scheduler = Scheduler(batch_window_ms=5.0)
         scheduler.register("default", mild_model)
         per_image = 3 * 16 * 16 * 8                   # float64 bytes
-        with FrontDoor(scheduler, poll_ms=0.5,
-                       max_body_bytes=4 * per_image) as door:
+        with FrontDoor(scheduler, max_body_bytes=4 * per_image) as door:
             with FrontDoorClient("127.0.0.1", door.port) as client:
                 status, payload = client.request(
                     "POST", "/v1/submit",
@@ -602,7 +601,7 @@ class TestTwoTierOverHttp:
         trace = two_tier_trace(duration_ms=240.0, premium_period_ms=20.0,
                                bulk_burst_size=20, bulk_burst_period_ms=60.0,
                                seed=9)
-        with FrontDoor(scheduler, poll_ms=0.5) as door:
+        with FrontDoor(scheduler) as door:
             with FrontDoorClient("127.0.0.1", door.port) as client:
                 outcomes = replay(trace, client.submit_trace_request)
                 queued, shed = [], []
