@@ -1,11 +1,15 @@
-"""Clock abstraction for the request scheduler.
+"""Clock abstraction for the request scheduler, in **milliseconds**
+(the unit of the paper's Table IV latencies).
 
-All serving-layer time is in **milliseconds** -- the unit of the
-latency-sparsity table (paper Table IV) that deadlines and batch
-windows are compared against.  The scheduler never reads wall time
-directly; it asks its clock, so tests drive a :class:`VirtualClock`
-tick by tick and assert flush timing and deadline behavior exactly,
-with no real sleeps (``tests/serving/harness.py``).
+**The rule.**  Every time verdict above the pool seam (what
+:class:`repro.serving.PoolTransport` asks of its ``WorkerPool``) reads
+the scheduler's injected clock: flush windows, request deadlines,
+placement tickets, ledger stamps and the hung-batch verdict.  So tests
+drive a :class:`VirtualClock` through flush timing, deadlines and hung
+workers exactly, with no real sleeps (``tests/serving/harness.py``).
+Host time stays in the ``WorkerPool``, which waits on OS processes (a
+frozen virtual clock must not stall a real one), and in the bounds a
+caller blocks on: ``wait_result``'s and ``drain``'s ``timeout_ms``.
 """
 
 from __future__ import annotations

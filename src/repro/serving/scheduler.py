@@ -593,10 +593,14 @@ class Scheduler:
         Worker deaths during the drain are *recovered*, not raised --
         stranded batches re-dispatch to survivors (respawned under the
         supervision budget) and quarantined requests come back as
-        failed results.  ``timeout_ms`` bounds the whole per-target
-        run-down (``TimeoutError`` on expiry); ``None`` waits until
-        everything completes or fails cleanly.
+        failed results.  ``timeout_ms`` bounds each target's run-down
+        in host time (``TimeoutError`` on expiry;
+        :func:`check_timeout_ms` raises ``ValueError`` for an unusable
+        one); ``None`` waits until everything completes or fails
+        cleanly.
         """
+        if timeout_ms is not None:
+            timeout_ms = check_timeout_ms(timeout_ms)
         completed = []
         with self._step_lock:
             for served in self.sessions:
@@ -615,20 +619,20 @@ class Scheduler:
         mid-burst (recovery requeues its batches), and the following
         collect frees capacity, respawns, or fails quarantined
         requests -- the per-request retry budget bounds how often any
-        request can cycle, so the loop terminates.
+        request can cycle, so the loop terminates.  A queue blocked on
+        a respawn backoff loops no faster than the collect's poll wait:
+        the transport waits while no worker can take a shard.
         """
         completed = []
         deadline = (None if timeout_ms is None
                     else time.monotonic() + timeout_ms / 1e3)
         while True:
-            progressed = False
             while len(served.queue):
                 before = len(served.queue)
                 completed.extend(self._execute(served, self.clock.now(),
                                                "forced"))
                 if len(served.queue) >= before:
                     break           # saturated: shards bounced back
-                progressed = True
             if not wait:
                 break
             transport = served.transport
@@ -641,11 +645,6 @@ class Scheduler:
                     f"{transport.in_flight} in-flight batch(es) and "
                     f"{len(served.queue)} queued request(s) on "
                     f"{served.name!r} not completed in {timeout_ms} ms")
-            if not progressed and not transport.in_flight:
-                # Queue blocked on a respawn backoff window: nothing in
-                # flight to wait on, so yield briefly instead of
-                # spinning until the supervisor may restart a worker.
-                time.sleep(0.005)
         return completed
 
     def _log_event(self, event):
@@ -732,7 +731,8 @@ class Scheduler:
         Non-blocking by default; ``block=True`` waits until no shard of
         this target is in flight (a transport's recovery may hand
         requests back as lost -- the caller's run-down loop
-        re-dispatches them) or the host-monotonic ``deadline`` passes.
+        re-dispatches them) or the caller's host-time ``deadline``
+        (``time.monotonic()`` seconds) passes.
         """
         transport, completed = served.transport, []
         while True:

@@ -37,7 +37,6 @@ are what :class:`repro.serving.ServedModel` shows as read-only views.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
 
 __all__ = ["InlineTransport", "PoolTransport", "Shard"]
@@ -62,17 +61,11 @@ class Shard:
 
 @dataclass
 class _InFlight:
-    """One shard dispatched to a worker, awaiting its reply.
-
-    ``deadline_s`` is **host-monotonic** (``time.monotonic()``), not
-    scheduler-clock: the dispatch deadline detects a *process* that
-    stopped answering, which only host time can witness -- a virtual
-    scheduler clock may not advance at all while a worker hangs.
-    """
+    """One shard dispatched to a worker, awaiting its reply."""
 
     requests: list
     ticket: object                  # repro.serving.Placement
-    deadline_s: float               # host-monotonic hung-batch deadline
+    deadline_ms: float              # hung-batch deadline, scheduler clock
     incarnation: int                # worker incarnation dispatched to
 
 
@@ -181,7 +174,7 @@ class PoolTransport:
 
     ``pool`` is a ready :class:`repro.serving.WorkerPool` (tests pass a
     fake); :meth:`spawn` builds one.  ``clock`` is the scheduler's
-    clock: placement tickets are charged and retired in its time.
+    clock: placement tickets and hung-batch deadlines read it.
     """
 
     def __init__(self, session, pool, clock):
@@ -294,15 +287,15 @@ class PoolTransport:
                 # recovery will respawn it -- just redirect the shard.
                 return None
             raise
-        # Hung-batch deadline: host time, scaled off the placement
-        # prediction so big batches get proportionally more rope,
-        # floored so estimator noise never kills healthy workers.
-        predicted_s = max(ticket.completion_ms - now_ms, 0.0) / 1e3
-        deadline_s = time.monotonic() + max(
-            self.policy.min_dispatch_timeout_s,
-            self.policy.dispatch_timeout_factor * predicted_s)
+        # Hung-batch deadline: scaled off the placement prediction so
+        # big batches get proportionally more rope, floored so
+        # estimator noise never kills healthy workers.
+        deadline_ms = now_ms + max(
+            self.policy.min_dispatch_timeout_s * 1e3,
+            self.policy.dispatch_timeout_factor
+            * max(ticket.completion_ms - now_ms, 0.0))
         self.pending[task_id] = _InFlight(
-            requests=piece, ticket=ticket, deadline_s=deadline_s,
+            requests=piece, ticket=ticket, deadline_ms=deadline_ms,
             incarnation=incarnation)
         return Shard(piece, ticket.predicted_ms, ticket.worker)
 
@@ -312,15 +305,16 @@ class PoolTransport:
     def poll(self, timeout_s=0.0):
         """Sweep for lost workers, then read whatever replies have
         arrived, waiting up to ``timeout_s`` for the first while any
-        shard is still on a worker.
+        shard is still on a worker or no worker can take one (a
+        respawn backoff: waiting out the bound, not spinning).
 
         The sweep runs on every call, so background serving heals on
         the scheduler's non-blocking ``step`` path too, not only in
         drains.
         """
         finished, lost = [], self._sweep()
-        for reply in self.pool.poll(
-                timeout_s=timeout_s if self.pending else 0.0):
+        wait = self.pending or not self.has_capacity()
+        for reply in self.pool.poll(timeout_s=timeout_s if wait else 0.0):
             self._accept(reply, finished, lost)
         return finished, lost
 
@@ -336,8 +330,8 @@ class PoolTransport:
         the sweep, including from a concurrent stepping thread), and
         aliveness alone would then strand the dead incarnation's
         shards until the hung deadline terminated the healthy
-        replacement.  Hung first: an in-flight shard past its
-        host-monotonic dispatch deadline means *the incarnation it was
+        replacement.  Hung first: an in-flight shard past its dispatch
+        deadline on the scheduler's clock means *the incarnation it was
         dispatched to* took the task and went silent (``is_alive()``
         cannot see it); that incarnation is terminated -- the kill is
         incarnation-guarded, so a respawn that slipped in is never
@@ -348,7 +342,7 @@ class PoolTransport:
         pool, lost = self.pool, []
         if pool.closed:
             return lost
-        host_now = time.monotonic()
+        now_ms = self.clock.now()
         alive, incarnations = pool.liveness()
 
         def is_lost(inflight):
@@ -358,7 +352,7 @@ class PoolTransport:
 
         hung = {(inflight.ticket.worker, inflight.incarnation)
                 for inflight in self.pending.values()
-                if not is_lost(inflight) and host_now > inflight.deadline_s}
+                if not is_lost(inflight) and now_ms > inflight.deadline_ms}
         for worker, incarnation in sorted(hung):
             pool.terminate_worker(worker, incarnation=incarnation)
             self.recovery["hung_workers"] += 1
@@ -367,15 +361,13 @@ class PoolTransport:
         stranded = sorted(task_id
                           for task_id, inflight in self.pending.items()
                           if is_lost(inflight))
-        if stranded:
-            now_ms = self.clock.now()
-            for task_id in stranded:
-                inflight = self.pending.pop(task_id)
-                self.placement.complete(inflight.ticket, now_ms=now_ms)
-                self.recovery["lost_batches"] += 1
-                lost.append((inflight.requests,
-                             f"worker {inflight.ticket.worker} lost "
-                             f"batch {task_id}"))
+        for task_id in stranded:
+            inflight = self.pending.pop(task_id)
+            self.placement.complete(inflight.ticket, now_ms=now_ms)
+            self.recovery["lost_batches"] += 1
+            lost.append((inflight.requests,
+                         f"worker {inflight.ticket.worker} lost "
+                         f"batch {task_id}"))
         self.recovery["respawns"] += len(pool.respawn_dead())
         return lost
 

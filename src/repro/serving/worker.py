@@ -46,7 +46,7 @@ sweep live in :class:`repro.serving.PoolTransport`):
 * **Liveness from the OS** -- a death shows as ``is_alive()`` turning
   false and, once respawned, as a newer incarnation; a worker hung
   mid-batch is caught by the transport's per-batch dispatch deadline
-  (derived from the cost model).  Nothing travels while a worker idles.
+  (on the scheduler's clock).  Nothing travels while a worker idles.
   A worker whose parent dies exits at once: it waits on the parent's
   process sentinel, under ``fork`` as under ``spawn``.
 * **Liveness-checked dispatch** -- dispatching to a dead worker raises
@@ -63,7 +63,10 @@ duplicate replies per worker incarnation.
 The pool stays deliberately dumb about *work*: no queues of its own
 beyond transport, no policy.  Batch formation stays in the scheduler,
 placement in the policy, pricing in the cost model -- the pool owns
-only its processes.
+only its processes, so it is the one serving part on host time: the
+startup handshake, ``close``'s joins, ``poll``'s pipe wait and the
+respawn backoff wait on OS processes, which a frozen ``VirtualClock``
+would never let finish.
 """
 
 from __future__ import annotations

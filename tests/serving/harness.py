@@ -15,6 +15,10 @@ that stress batch formation and carry-over (:func:`bursty_trace`), and
 adversarial deadline mixes -- deadlines tighter than a tick, deadlines
 interleaved loose/tight to shuffle the EDF order, best-effort traffic
 mixed in (:func:`adversarial_deadline_trace`).
+
+:class:`StubPool` stands in for a worker pool, so a real
+:class:`repro.serving.PoolTransport` -- its recovery sweep and hung
+verdicts included -- runs on the same virtual clock.
 """
 
 from __future__ import annotations
@@ -27,11 +31,12 @@ import numpy as np
 from repro.core import LatencySparsityTable
 from repro.cost import BatchPlan, CostModel
 from repro.engine import InferenceSession
-from repro.serving import AdmissionError
+from repro.serving import AdmissionError, RecoveryPolicy
 from repro.serving.trace import synth_images
 
 __all__ = ["Arrival", "SimulationReport", "ServingSimulation",
            "flat_rate_session", "PricedSession", "hold_whole_window",
+           "StubPool",
            "uniform_trace", "bursty_trace", "adversarial_deadline_trace",
            "arrivals_from_trace", "two_tier_arrivals"]
 
@@ -78,6 +83,71 @@ def hold_whole_window(scheduler):
     scheduler.flush_policy.hold_ms = (
         lambda batch_cost: scheduler.batch_window_ms)
     return scheduler
+
+
+class StubPool:
+    """A fake :class:`repro.serving.WorkerPool` for driving a real
+    :class:`repro.serving.PoolTransport` without processes: two
+    workers that record dispatches, replay scripted reply batches
+    (one list per ``poll``), and die or respawn on command -- a respawn
+    is immediate and bumps the slot's incarnation."""
+
+    def __init__(self, recovery=None):
+        self.num_workers = 2
+        self.recovery = recovery or RecoveryPolicy()
+        self.closed = False
+        self.fleet_down = False
+        self.dispatched = []         # (task_id, image_groups, worker)
+        self.respawned = []
+        self.terminated = []
+        self.dispatch_error = None   # raised by the next dispatch
+        self.reply_batches = []      # one list of replies per poll()
+        self._alive = [0, 1]
+        self._incarnations = [0] * self.num_workers
+
+    def kill(self, worker):
+        self._alive.remove(worker)
+
+    def dispatch(self, task_id, image_groups, worker):
+        if self.dispatch_error is not None:
+            error, self.dispatch_error = self.dispatch_error, None
+            raise error
+        self.dispatched.append((task_id, image_groups, worker))
+        return self._incarnations[worker]
+
+    def poll(self, timeout_s=0.0):
+        return self.reply_batches.pop(0) if self.reply_batches else []
+
+    def alive_workers(self):
+        return list(self._alive)
+
+    def liveness(self):
+        return set(self._alive), tuple(self._incarnations)
+
+    def terminate_worker(self, worker, incarnation=None):
+        if (incarnation is not None
+                and self._incarnations[worker] != incarnation):
+            return
+        self.terminated.append(worker)
+        if worker in self._alive:
+            self._alive.remove(worker)
+
+    def respawn_dead(self):
+        dead = [w for w in range(self.num_workers)
+                if w not in self._alive]
+        for worker in dead:
+            self._incarnations[worker] += 1
+        self._alive = sorted(self._alive + dead)
+        self.respawned.extend(dead)
+        return dead
+
+    def supervision_snapshot(self):
+        return {"alive": self.alive_workers(),
+                "restarts": tuple(), "incarnations": tuple(),
+                "fleet_down": self.fleet_down}
+
+    def close(self):
+        self.closed = True
 
 
 @dataclass(eq=False)

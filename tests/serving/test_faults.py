@@ -35,7 +35,8 @@ from repro.data import SyntheticConfig, generate_dataset
 from repro.engine import InferenceSession
 from repro.serving import (DEFAULT_PRIORITY, FaultPlan, FaultSpec, FrontDoor,
                            RecoveryPolicy, RetryPolicy, Scheduler,
-                           VirtualClock, WorkerDiedError, WorkerPool)
+                           SystemClock, VirtualClock, WorkerDiedError,
+                           WorkerPool)
 from tests.conftest import assert_same_fit
 
 #: Production backoffs are seconds; chaos tests respawn in milliseconds.
@@ -110,8 +111,10 @@ def reference(chaos_model, images):
     return [logits[i:i + 1].tobytes() for i in range(images.shape[0])]
 
 
-def chaos_scheduler(model, *, fault_plan, recovery=None, **kwargs):
-    scheduler = Scheduler(clock=VirtualClock(), batch_window_ms=10.0)
+def chaos_scheduler(model, *, fault_plan, recovery=None, clock=None,
+                    **kwargs):
+    scheduler = Scheduler(clock=clock or VirtualClock(),
+                          batch_window_ms=10.0)
     scheduler.register("tiny", model, batch_size=16, workers=2,
                        worker_ctx="fork", fault_plan=fault_plan,
                        recovery=recovery or fast_recovery(), **kwargs)
@@ -426,7 +429,11 @@ class TestCrashRecovery:
             while (len(collected) < len(ids)
                    and time.monotonic() < deadline):
                 # Advance the virtual clock so requeued requests age
-                # past the batch window and re-flush on a later step.
+                # past the batch window and re-flush on a later step --
+                # and let as much host time pass, so the hung-batch
+                # deadline (on the virtual clock) never outruns what the
+                # workers really had.
+                time.sleep(0.02)
                 scheduler.clock.advance(20.0)
                 for result in scheduler.step():
                     collected[result.request_id] = result
@@ -582,12 +589,14 @@ class TestHungWorker:
         """A hung worker answers nothing -- ``is_alive()`` cannot see
         it.  The cost-model-derived dispatch deadline declares the
         batch hung, the process is terminated, and its requests
-        re-dispatch; the respawned incarnation serves healthily."""
+        re-dispatch; the respawned incarnation serves healthily.  The
+        deadline is on the scheduler's clock, and a real process hangs
+        in real time: this scheduler runs on the system clock."""
         plan = FaultPlan({0: FaultSpec(hang_at_batch=1)})
         recovery = fast_recovery(min_dispatch_timeout_s=1.0,
                                  dispatch_timeout_factor=1.0)
         scheduler = chaos_scheduler(chaos_model, fault_plan=plan,
-                                    recovery=recovery)
+                                    recovery=recovery, clock=SystemClock())
         try:
             ids = submit_all(scheduler, images[:8])
             results = {r.request_id: r

@@ -27,6 +27,7 @@ from repro.serving import (FaultPlan, FaultSpec, InlineTransport,
                            RetryPolicy, Scheduler, VirtualClock,
                            WorkerDiedError, WorkerReply)
 from repro.serving.transport import _shard_requests
+from tests.serving.harness import StubPool
 
 
 @pytest.fixture(scope="module")
@@ -44,74 +45,12 @@ def images():
     return generate_dataset(config, 16, rng).images
 
 
-class _StubPool:
-    """A fake WorkerPool: records dispatches, replays scripted reply
-    batches, and dies/respawns on command."""
-
-    def __init__(self, recovery=None):
-        self.num_workers = 2
-        self.recovery = recovery or RecoveryPolicy()
-        self.closed = False
-        self.fleet_down = False
-        self.dispatched = []         # (task_id, image_groups, worker)
-        self.respawned = []
-        self.terminated = []
-        self.dispatch_error = None   # raised by the next dispatch
-        self.reply_batches = []      # one list of replies per poll()
-        self._alive = [0, 1]
-        self._incarnations = [0] * self.num_workers
-
-    def kill(self, worker):
-        self._alive.remove(worker)
-
-    def dispatch(self, task_id, image_groups, worker):
-        if self.dispatch_error is not None:
-            error, self.dispatch_error = self.dispatch_error, None
-            raise error
-        self.dispatched.append((task_id, image_groups, worker))
-        return self._incarnations[worker]
-
-    def poll(self, timeout_s=0.0):
-        return self.reply_batches.pop(0) if self.reply_batches else []
-
-    def alive_workers(self):
-        return list(self._alive)
-
-    def liveness(self):
-        return set(self._alive), tuple(self._incarnations)
-
-    def terminate_worker(self, worker, incarnation=None):
-        if (incarnation is not None
-                and self._incarnations[worker] != incarnation):
-            return
-        self.terminated.append(worker)
-        if worker in self._alive:
-            self._alive.remove(worker)
-
-    def respawn_dead(self):
-        dead = [w for w in range(self.num_workers)
-                if w not in self._alive]
-        for worker in dead:
-            self._incarnations[worker] += 1
-        self._alive = sorted(self._alive + dead)
-        self.respawned.extend(dead)
-        return dead
-
-    def supervision_snapshot(self):
-        return {"alive": self.alive_workers(),
-                "restarts": tuple(), "incarnations": tuple(),
-                "fleet_down": self.fleet_down}
-
-    def close(self):
-        self.closed = True
-
-
 def _pooled_served(scheduler, name, model, images):
     """A target whose transport is a real ``PoolTransport`` over a
     stub pool, with two single-request shards genuinely dispatched:
     task 0 on worker 0, task 1 on worker 1."""
     served = scheduler.register(name, model, batch_size=16)
-    pool = _StubPool()
+    pool = StubPool()
     served.transport = PoolTransport(served.session, pool, scheduler.clock)
     ids = [scheduler.submit(images[index]) for index in range(2)]
     requests = served.queue.snapshot()
@@ -239,20 +178,52 @@ class TestCollectEdgeCases:
 
     def test_hung_worker_is_terminated_and_its_batch_recovered(
             self, served_model, images):
-        """A live worker silent past its host-time dispatch deadline is
-        killed -- only the incarnation the batch went to -- and its
-        batch comes back like any other loss."""
+        """A live worker silent past its dispatch deadline on the
+        scheduler's clock is killed -- only the incarnation the batch
+        went to -- and its batch comes back like any other loss."""
         scheduler = Scheduler(clock=VirtualClock())
         served, pool, requests = _pooled_served(scheduler, "tiny",
                                                 served_model, images)
-        served.pending[1].deadline_s = 0.0           # long overdue
+        pool.reply_batches = [[_result_reply(served_model, requests[0],
+                                             0, 0)]]
+        scheduler.step()                             # task 0 answers
+        assert scheduler.pop_result(requests[0].request_id) is not None
+        deadline_ms = served.pending[1].deadline_ms
+        assert deadline_ms >= RecoveryPolicy().min_dispatch_timeout_s * 1e3
+        scheduler.clock.advance(deadline_ms - scheduler.clock.now())
+        scheduler.step()                             # due, not yet past
+        assert pool.terminated == [] and list(served.pending) == [1]
+        scheduler.clock.advance(1.0)
         scheduler.step()
         assert pool.terminated == [1]
         assert served.recovery["hung_workers"] == 1
         assert served.recovery["lost_batches"] == 1
-        assert list(served.pending) == [0]
+        assert served.pending == {}
+        assert served.placement.in_flight == (0, 0)
         assert [r.request_id for r in served.queue.snapshot()] \
             == [requests[1].request_id]
+
+    def test_drain_bound_fires_and_leaves_the_shards_in_flight(
+            self, served_model, images):
+        """``drain(timeout_ms)`` is a host-time bound, so it fires on a
+        frozen virtual clock: shards no worker answers stay in flight,
+        owed to their callers, and a later reply still delivers them."""
+        scheduler = Scheduler(clock=VirtualClock())
+        served, pool, requests = _pooled_served(scheduler, "tiny",
+                                                served_model, images)
+        ids = [r.request_id for r in requests]
+        with pytest.raises(TimeoutError, match="2 in-flight"):
+            scheduler.drain(timeout_ms=50)
+        assert sorted(served.pending) == [0, 1]
+        assert [scheduler.ledger.state(i) for i in ids] \
+            == ["in_flight", "in_flight"]
+        assert pool.terminated == [] and served.recovery["hung_workers"] == 0
+        pool.reply_batches = [[_result_reply(served_model, request, task,
+                                             task)
+                               for task, request in enumerate(requests)]]
+        assert sorted(r.request_id for r in scheduler.drain()) == ids
+        assert served.pending == {}
+        assert served.placement.in_flight == (0, 0)
 
 
 class TestPoolDispatch:
@@ -261,7 +232,7 @@ class TestPoolDispatch:
 
     def make(self, served_model, recovery=None):
         session = InferenceSession(served_model, batch_size=16)
-        pool = _StubPool(recovery)
+        pool = StubPool(recovery)
         return PoolTransport(session, pool, VirtualClock()), pool
 
     def requests(self, images, count):
@@ -282,6 +253,23 @@ class TestPoolDispatch:
         assert transport.backlog_ms() == pytest.approx(
             sum(f.ticket.predicted_ms
                 for f in transport.pending.values()))
+
+    def test_poll_waits_while_no_worker_can_take_a_shard(self,
+                                                         served_model):
+        """Nothing in flight and every slot dead in its respawn backoff:
+        ``poll`` hands the pool its timeout to wait out, so a run-down
+        blocked on the backoff does not spin.  An idle fleet with a free
+        worker is not waited on."""
+        transport, pool = self.make(served_model)
+        waits = []
+        pool.poll = lambda timeout_s=0.0: waits.append(timeout_s) or []
+        pool.respawn_dead = lambda: []             # backoff not yet over
+        transport.poll(timeout_s=0.05)
+        pool.kill(0)
+        pool.kill(1)
+        assert not transport.has_capacity()
+        transport.poll(timeout_s=0.05)
+        assert waits == [0.0, 0.05]
 
     def reply_to_everything(self, transport, pool, wall_ms):
         """Script one result reply per shard in flight, measured at
@@ -307,7 +295,7 @@ class TestPoolDispatch:
             for n in (2, 4, 8, 16, 6, 10, 12, 14):
                 session.cost_model.observe_batch(n, 3.0 + 0.5 * n)
             assert session.cost_model.confident()
-        transport = PoolTransport(session, _StubPool(), VirtualClock())
+        transport = PoolTransport(session, StubPool(), VirtualClock())
         shards, _, _ = transport.dispatch(self.requests(images, 6), 0.0)
         assert [(s.worker, len(s.requests)) for s in shards] \
             == [(0, 3), (1, 3)]
