@@ -14,6 +14,8 @@ setup(
     description="numpy reproduction of HeatViT with a batched serving engine",
     package_dir={"": "src"},
     packages=find_packages("src"),
+    # The native float32 GELU's source, built on the serving host.
+    package_data={"repro.engine.fastpath": ["gelu.c"]},
     python_requires=">=3.10",
     install_requires=["numpy", "scipy"],
 )

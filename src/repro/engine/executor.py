@@ -237,10 +237,13 @@ class BucketedExecutor:
         whole set is bucketed and executed together.
         :meth:`repro.engine.InferenceSession.submit_many` (which the
         serving scheduler calls) hands it one ``batch_size`` chunk per
-        call.  Because every image's compute is independent of its batch
-        neighbours (batched matmuls are per-slice and padded keys carry
-        an exactly-zero attention weight), each group's logits are
-        bitwise identical to submitting that group on its own.
+        call.  Every image's compute is independent of its batch
+        neighbours up to rounding (batched matmuls are per-slice and
+        padded keys carry an exactly-zero attention weight, but BLAS
+        rounds a row by its position in the operand and the buckets
+        follow the whole set), so each group's logits agree with
+        submitting that group on its own to rounding -- float64 rows
+        moved by up to 5.6e-17 -- not bit for bit.
 
         Returns ``(EngineResult, slices)`` where ``slices[i]`` selects
         group ``i``'s rows in the merged, submission-ordered result.

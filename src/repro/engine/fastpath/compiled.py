@@ -43,9 +43,11 @@ with (empirically pinned) identical token-keep decisions and argmax.
 GELU and sigmoid follow the dtype
 ---------------------------------
 Float64 compiles are the parity grade and run SciPy's ``erf`` and
-``expit``; float32 compiles run numpy kernels instead
-(:func:`.kernels.gelu_rational`, :func:`.kernels.sigmoid`), which is
-also why a process serving only float32 or int8 never imports SciPy.
+``expit``; float32 compiles run SciPy-free kernels instead -- the
+rational-erf GELU as the native loop :mod:`.native` builds at set-up
+(numpy :func:`.kernels.gelu_rational` where it cannot), and
+:func:`.kernels.sigmoid` -- which is also why a process serving only
+float32 or int8 never imports SciPy.
 The float64 kernels import it where they call it, as do the Tensor
 modules a :class:`ModuleSelector` or an opaque activation runs.  Each
 part that runs them holds a :class:`.kernels.SciPyImport`, so SciPy
@@ -89,9 +91,9 @@ from repro import nn
 from repro.core.gather import dense_runs
 from repro.nn.tensor import Tensor
 from repro.engine.fastpath.kernels import (SciPyImport, fused_layer_norm,
-                                           gelu_exact, gelu_rational,
-                                           mask_to_bias, masked_softmax,
-                                           sigmoid)
+                                           gelu_exact, mask_to_bias,
+                                           masked_softmax, sigmoid)
+from repro.engine.fastpath.native import gelu_kernel
 
 __all__ = ["compile_model", "CompiledModel", "CompiledBlock",
            "CompiledSelector", "ModuleSelector", "CompileError"]
@@ -201,11 +203,13 @@ class _SciPyKernel:
 
 
 def _gelu_kernel(dtype):
-    """Exact erf GELU for float64 parity, the rational-erf kernel for
-    float32 (~6e-7 activation error, below the float32 noise floor)."""
+    """Exact erf GELU for float64 parity; for float32 the rational-erf
+    GELU (~6e-7 activation error, below the float32 noise floor) as the
+    native loop, or as numpy where it cannot be built
+    (:func:`.native.gelu_kernel`)."""
     if dtype == np.dtype(np.float64):
         return _SciPyKernel(gelu_exact)
-    return gelu_rational
+    return gelu_kernel()
 
 
 def _sigmoid_kernel(dtype):

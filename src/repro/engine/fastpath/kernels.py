@@ -32,6 +32,15 @@ Conventions
 * Scalar constants are Python floats.  A ``np.float64`` scalar is not a
   weak type: it turns a float32 pass into a float64 loop plus a cast,
   at ~4x the cost.
+* Float32 compiles run GELU natively where they can: :mod:`.native`
+  builds ``gelu.c``, the same arithmetic as :func:`gelu_rational` on
+  the same ``_ERF_C`` / ``_ERF_A``, at set-up.  :func:`gelu_rational`
+  stays the definition and the fallback when no compiler is found or
+  the build fails.  The C loop reads the constants from here at each
+  call, but a change to the arithmetic must be made in ``gelu.c`` too.
+  The C loop computes every element through one fixed-width
+  vector block, so its bits do not depend on an element's offset --
+  keep it that way (``tests/engine/test_native_gelu.py``).
 * No SciPy at import.  The float32 kernels are numpy only
   (:func:`gelu_rational`, :func:`sigmoid`); the float64 parity-grade
   :func:`gelu_exact` imports ``scipy.special`` where it calls it, so a

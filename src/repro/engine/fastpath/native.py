@@ -1,0 +1,217 @@
+"""The float32 GELU as one native loop, built at set-up.
+
+:func:`.kernels.gelu_rational` makes nineteen whole-array numpy passes;
+``gelu.c``, next to this module, runs the same arithmetic (the same
+``_ERF_C`` / ``_ERF_A``) as one vectorised loop, ~4x faster per call.
+:func:`gelu_kernel` is the float32 GELU a compile puts in its slots: a
+:class:`NativeGelu` when the library builds and loads, else
+:func:`.kernels.gelu_rational`, which stays the definition.
+
+Build rules
+-----------
+* **Compiler.** ``cc``, else ``gcc``, on ``PATH``.  The loop only pays
+  with gcc's vector ``expf`` (libmvec), so a clang compiler counts as
+  none.
+* **Compile** to an object with ``-O3 -ffast-math -march=native
+  -fPIC``: fast-math is what vectorises ``expf``; ``-march=native`` is
+  safe because the library is built on the host that serves it.
+* **Link** with ``-lm`` (libmvec's ``_ZGV*_expf``, else the library
+  fails to load) and **without** ``-ffast-math``: gcc links
+  ``crtfastmath.o`` for it, which turns on flush-to-zero for the whole
+  process on load and silently zeroes every float64 subnormal.
+* **Cache** the ``.so`` per user under ``~/.cache/repro``, else under a
+  per-user directory in the system temp dir, keyed by the source, the
+  flags, the compiler's version and the host's ISA.  A directory or
+  library that another user can write is never loaded from.
+* **When.** A :class:`NativeGelu` loads the library when it is built
+  and again when it is unpickled (a pool worker), the
+  :class:`.kernels.SciPyImport` pattern: no request compiles or loads
+  anything.  The compile costs ~0.1 s once per host; a warm set-up
+  only probes the compiler's version, once per process.
+
+If there is no compiler, or the build or load fails, float32 compiles
+keep the numpy kernel.  There is no option to choose.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import hashlib
+import os
+import platform
+import shutil
+import subprocess
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from repro.engine.fastpath.kernels import _ERF_A, _ERF_C, gelu_rational
+
+__all__ = ["gelu_kernel", "NativeGelu"]
+
+SOURCE = Path(__file__).with_name("gelu.c")
+COMPILE_FLAGS = ("-O3", "-ffast-math", "-march=native", "-fPIC")
+LINK_FLAGS = ("-shared",)
+LIBS = ("-lm",)
+
+# The coefficients in the order gelu.c reads them, rounded to float32
+# as numpy rounds a Python float in a float32 pass.
+_COEFFS = np.array((_ERF_C, *_ERF_A), dtype=np.float32)
+_COEFFS_ADDRESS = _COEFFS.ctypes.data
+
+# Compiler path -> the loaded C function, or None when its build or
+# load failed (not retried in this process).
+_loaded = {}
+_function = None
+
+
+@functools.cache
+def find_compiler():
+    """Path of the C compiler to build with, or ``None``; looked up once
+    per process (a ``PATH`` scan costs ~60 us, and a compile asks once
+    per GELU)."""
+    for name in ("cc", "gcc"):
+        path = shutil.which(name)
+        if path is not None:
+            return path
+    return None
+
+
+def cache_dir():
+    """A directory only this user can write, created if missing, or
+    ``None``."""
+    if not hasattr(os, "getuid"):
+        return None
+    for root in (Path.home() / ".cache" / "repro",
+                 Path(tempfile.gettempdir()) / f"repro-{os.getuid()}"):
+        try:
+            root.mkdir(mode=0o700, parents=True, exist_ok=True)
+        except OSError:
+            continue
+        if _private(root):
+            return root
+    return None
+
+
+def _private(path):
+    """Owned by this user and writable by no one else."""
+    status = os.stat(path)
+    return status.st_uid == os.getuid() and not status.st_mode & 0o022
+
+
+def _host_isa():
+    """What ``-march=native`` resolves from: the CPU's flag list where
+    the OS shows it, else the machine and processor names."""
+    try:
+        with open("/proc/cpuinfo") as info:
+            for line in info:
+                if line.startswith(("flags", "Features")):
+                    return line
+    except OSError:
+        pass
+    return f"{platform.machine()} {platform.processor()}"
+
+
+def _library_path(compiler, version):
+    key = hashlib.sha256()
+    for part in (SOURCE.read_bytes(), repr((COMPILE_FLAGS, LINK_FLAGS,
+                                             LIBS)).encode(),
+                 version.encode(), _host_isa().encode()):
+        key.update(part)
+        key.update(b"\0")
+    root = cache_dir()
+    if root is None:
+        raise OSError("no private cache directory")
+    return root / f"gelu-{key.hexdigest()[:16]}.so"
+
+
+def _run(command):
+    subprocess.run(command, check=True, capture_output=True, timeout=120)
+
+
+def _build(compiler, target):
+    """Compile and link into a private temporary directory next to
+    ``target``, then move the library into place in one rename, so a
+    concurrent loader sees no library or a whole one.  The linker's
+    mode follows the umask (group-writable under ``umask 002``), so the
+    library is made writable by its owner alone."""
+    with tempfile.TemporaryDirectory(dir=target.parent) as scratch:
+        obj = Path(scratch) / "gelu.o"
+        lib = Path(scratch) / target.name
+        _run([compiler, *COMPILE_FLAGS, "-c", str(SOURCE), "-o", str(obj)])
+        _run([compiler, *LINK_FLAGS, str(obj), "-o", str(lib), *LIBS])
+        os.chmod(lib, 0o755)
+        os.replace(lib, target)
+
+
+def _version(compiler):
+    return subprocess.run(
+        [compiler, "--version"], check=True, capture_output=True,
+        text=True, timeout=30).stdout
+
+
+def _open(compiler):
+    version = _version(compiler)
+    if "clang" in version:
+        return None
+    path = _library_path(compiler, version)
+    if not path.exists():
+        _build(compiler, path)
+    if not _private(path):
+        return None
+    function = ctypes.CDLL(str(path)).gelu_rational_f32
+    function.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_void_p)
+    function.restype = None
+    return function
+
+
+def _load():
+    """Build (once per host) and load (once per process) the native
+    GELU; returns its C function, or ``None`` when there is no compiler
+    or the build or load failed."""
+    global _function
+    compiler = find_compiler()
+    if compiler is None:
+        return None
+    if compiler not in _loaded:
+        try:
+            _loaded[compiler] = _open(compiler)
+        except (OSError, AttributeError, subprocess.SubprocessError):
+            _loaded[compiler] = None
+    if _loaded[compiler] is not None:
+        _function = _loaded[compiler]
+    return _loaded[compiler]
+
+
+def gelu_kernel():
+    """The float32 GELU for this host: :class:`NativeGelu` when the
+    library loads, else :func:`.kernels.gelu_rational`."""
+    return NativeGelu() if _load() is not None else gelu_rational
+
+
+class NativeGelu:
+    """Float32 GELU in place through ``gelu.c``, as ``fn(x, ws, key)``.
+
+    Built only by :func:`gelu_kernel`, once the library has loaded; it
+    unpickles through :func:`gelu_kernel` too, so a worker loads the
+    library before its first shard, or falls back to the numpy kernel
+    where it cannot.  Every element runs the same vector code whatever
+    its offset (``gelu.c``), so an image's bits do not depend on where
+    its rows sit in the operand.  ``ws`` and ``key`` are unused.
+    """
+
+    __slots__ = ()
+
+    def __call__(self, x, ws, key):
+        if x.dtype != np.float32:
+            raise TypeError(f"native GELU takes float32, not {x.dtype}")
+        if not x.flags.c_contiguous:
+            x[...] = self(np.ascontiguousarray(x), ws, key)
+            return x
+        _function(x.ctypes.data, x.size, _COEFFS_ADDRESS)
+        return x
+
+    def __reduce__(self):
+        return gelu_kernel, ()

@@ -156,9 +156,10 @@ class PoolTransport:
     shards; each shard goes (non-blocking) to the live, under-capacity
     worker with the fewest shards in flight and, among those, the
     lowest predicted completion time (:class:`PlacementPolicy`), and
-    ``pending`` tracks it until ``poll`` has its reply.  Results are
-    bitwise identical to in-process execution (grouped execution is
-    placement-invariant), which is also what makes recovery exact.
+    ``pending`` tracks it until ``poll`` has its reply.  A shard's
+    results are bitwise identical to in-process execution of that shard
+    (a worker serves the session's own pickle); a lost shard re-batched
+    with other requests agrees with its first run to rounding.
 
     **Self-healing** (see :class:`repro.serving.RecoveryPolicy`): every
     ``poll`` runs a recovery sweep before reading replies -- hung

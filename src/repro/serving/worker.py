@@ -24,13 +24,17 @@ writer can at worst leave a *torn trailing frame in its own pipe*,
 which the parent discards when it retires the dead incarnation's
 reader -- no lock, no shared state, no cross-worker blast radius.
 
-Because every image's compute is independent of its batch neighbours
-(the engine's grouped-execution invariant), a batch executed by any
-worker returns logits bitwise identical to in-process execution --
-multi-worker serving changes *where* batches run, never *what* they
-compute.  That invariant is also what makes **recovery** exact: a
-batch lost to a dead worker re-executes anywhere with bitwise-identical
-results.
+A worker serves an unpickled copy of the session, so a shard returns
+the same bits from any worker as from in-process execution of that
+shard -- multi-worker serving changes *where* batches run, never *what*
+they compute.  Re-batching is a different matter: an image's logits are
+computed from that image alone only up to rounding (BLAS rounds a row by
+its position in the operand, and bucketing follows the whole batch), so
+a row re-batched with other neighbours agrees to rounding (float64
+rows moved by up to 5.6e-17), not bitwise.  The native float32 GELU
+adds no such dependence: its bits do not depend on an element's offset.
+**Recovery** therefore re-executes a lost batch anywhere with the same
+results to rounding, and bitwise when it runs as the same shard.
 
 Self-healing (the fleet side; the in-flight table and the recovery
 sweep live in :class:`repro.serving.PoolTransport`):

@@ -37,6 +37,7 @@ from repro.engine.fastpath.qkernels import approx_gelu_fast, quantize_fast
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
 from repro.vit import VisionTransformer, ViTConfig
+from tests.engine.test_native_gelu import native_gelu, needs_gcc
 
 finite = st.floats(-30.0, 30.0, allow_nan=False, width=32)
 
@@ -171,11 +172,11 @@ class TestGeluKernels:
         assert (np.abs(out - ref) <= bound).all()
 
     @staticmethod
-    def assert_float32_close(x):
+    def assert_float32_close(x, kernel=gelu_rational):
         """The docstring's float32 figure: within 6e-7 * max(|x|, 1) of
         the exact (float64) GELU."""
         ref = F.gelu(Tensor(x.astype(np.float64))).data
-        out = gelu_rational(x.copy(), Workspace(np.float32), "g")
+        out = kernel(x.copy(), Workspace(np.float32), "g")
         assert out.dtype == np.float32
         assert (np.abs(out - ref) <= 6e-7 * np.maximum(np.abs(x), 1.0)).all()
 
@@ -191,6 +192,32 @@ class TestGeluKernels:
             np.linspace(-8.0, 8.0, 200001, dtype=np.float32)[None])
 
     def test_rational_fixed_points(self):
+        self.assert_fixed_points(gelu_rational)
+
+    # The native twin of the numpy kernel (``fastpath/gelu.c``), held to
+    # the same bounds; ``test_native_gelu.py`` pins its bits' position
+    # independence and when it is installed.
+    @needs_gcc
+    @given(values=st.lists(st.floats(-8.0, 8.0, allow_nan=False, width=32),
+                           min_size=1, max_size=64))
+    @settings(max_examples=120, deadline=None)
+    def test_native_float32_close_to_exact(self, values):
+        self.assert_float32_close(
+            np.array(values, dtype=np.float32).reshape(1, -1),
+            native_gelu())
+
+    @needs_gcc
+    def test_native_float32_dense_sweep(self):
+        self.assert_float32_close(
+            np.linspace(-8.0, 8.0, 200001, dtype=np.float32)[None],
+            native_gelu())
+
+    @needs_gcc
+    def test_native_fixed_points(self):
+        self.assert_fixed_points(native_gelu())
+
+    @staticmethod
+    def assert_fixed_points(kernel):
         """``max(x, 0) - |x|/2 P exp(-x^2/2)``: zero stays zero, the
         correction vanishes in float32 beyond |x| = 6, and a huge input
         overflows nothing on the way to ``exp``."""
@@ -198,7 +225,7 @@ class TestGeluKernels:
             x = np.array(values, dtype=np.float32)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                return gelu_rational(x, Workspace(np.float32), "g")
+                return kernel(x, Workspace(np.float32), "g")
 
         assert gelu([0.0])[0] == 0.0
         assert np.isfinite(gelu([-0.0])).all()

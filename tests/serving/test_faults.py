@@ -102,9 +102,11 @@ def images():
 def reference(chaos_model, images):
     """Per-request in-process logits: the bitwise recovery oracle.
 
-    Sliced from one full-batch run -- the engine's grouped execution
-    keeps each image's rows bitwise stable across any multi-image
-    re-batching, which is exactly what recovery re-dispatch produces.
+    Sliced from one full-batch run.  Recovery re-dispatch re-batches,
+    and in general a re-batched row agrees with the full batch only to
+    rounding; on this model every re-batching the scenarios produce
+    keeps each image's rows bitwise stable, which is what lets them
+    compare bits.
     """
     session = InferenceSession(chaos_model, batch_size=16)
     logits = session.submit(images).logits
