@@ -15,7 +15,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     # The native float32 GELU's source, built on the serving host.
-    package_data={"repro.engine.fastpath": ["gelu.c"]},
+    package_data={"repro.engine.fastpath": ["gelu.c", "qmlp.c"]},
     python_requires=">=3.10",
     install_requires=["numpy", "scipy"],
 )

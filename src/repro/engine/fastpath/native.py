@@ -1,36 +1,52 @@
-"""The float32 GELU as one native loop, built at set-up.
+"""Native elementwise loops, built at set-up: one library, two sources.
 
-:func:`.kernels.gelu_rational` makes nineteen whole-array numpy passes;
-``gelu.c``, next to this module, runs the same arithmetic (the same
-``_ERF_C`` / ``_ERF_A``) as one vectorised loop, ~4x faster per call.
-:func:`gelu_kernel` is the float32 GELU a compile puts in its slots: a
-:class:`NativeGelu` when the library builds and loads, else
-:func:`.kernels.gelu_rational`, which stays the definition.
+* ``gelu.c`` -- the float32 GELU.  :func:`.kernels.gelu_rational` makes
+  nineteen whole-array numpy passes; ``gelu.c`` runs the same
+  arithmetic (the same ``_ERF_C`` / ``_ERF_A``) as one vectorised
+  loop, ~4x faster per call.  :func:`gelu_kernel` is the float32 GELU a
+  compile puts in its slots: a :class:`NativeGelu` when the library
+  builds and loads, else :func:`.kernels.gelu_rational`, which stays
+  the definition.
+* ``qmlp.c`` -- the int8 float32 grade's hidden layer: fc1's rescale
+  and bias plus the Eq. 12 GELU as one pass per tile, and fc2's input
+  quantisation as one pass.  :class:`.quantized.FusedHiddenLayer` calls
+  it when the library loads, else runs the numpy kernels
+  (:func:`.qkernels.approx_gelu_fast`, :func:`.qkernels.quantize_fast`),
+  which stay the definition.  Its results are the numpy passes' bits.
 
 Build rules
 -----------
-* **Compiler.** ``cc``, else ``gcc``, on ``PATH``.  The loop only pays
-  with gcc's vector ``expf`` (libmvec), so a clang compiler counts as
-  none.
-* **Compile** to an object with ``-O3 -ffast-math -march=native
-  -fPIC``: fast-math is what vectorises ``expf``; ``-march=native`` is
-  safe because the library is built on the host that serves it.
-* **Link** with ``-lm`` (libmvec's ``_ZGV*_expf``, else the library
-  fails to load) and **without** ``-ffast-math``: gcc links
-  ``crtfastmath.o`` for it, which turns on flush-to-zero for the whole
-  process on load and silently zeroes every float64 subnormal.
+* **Compiler.** ``cc``, else ``gcc``, on ``PATH``.  The GELU loop only
+  pays with gcc's vector ``expf`` (libmvec), so a clang compiler counts
+  as none.
+* **Compile** each source to an object with its own flags
+  (:data:`SOURCES`), ``-march=native -fPIC`` for both: ``-march=native``
+  is safe because the library is built on the host that serves it.
+  ``gelu.c`` gets ``-O3 -ffast-math``: fast-math is what vectorises
+  ``expf``, and the float32 GELU is held to a bound, not to numpy's
+  bits.  ``qmlp.c`` gets ``-O3 -ffp-contract=off`` and no fast-math:
+  the int8 lane's served bits must not move, and that holds only while
+  every multiply and add is its own IEEE rounding in numpy's order.
+  gcc's default ``-ffp-contract=fast`` fuses ``a * b + c`` into one
+  FMA (one rounding instead of two) and moves the bits.
+* **Link** both objects into one library with ``-lm`` (libmvec's
+  ``_ZGV*_expf``, else the library fails to load) and **without**
+  ``-ffast-math``: gcc links ``crtfastmath.o`` for it, which turns on
+  flush-to-zero for the whole process on load and silently zeroes
+  every float64 subnormal.
 * **Cache** the ``.so`` per user under ``~/.cache/repro``, else under a
-  per-user directory in the system temp dir, keyed by the source, the
-  flags, the compiler's version and the host's ISA.  A directory or
-  library that another user can write is never loaded from.
-* **When.** A :class:`NativeGelu` loads the library when it is built
-  and again when it is unpickled (a pool worker), the
+  per-user directory in the system temp dir, keyed by every source and
+  every flag, the compiler's version and the host's ISA.  A directory
+  or library that another user can write is never loaded from.
+* **When.** A :class:`NativeGelu` or a
+  :class:`.quantized.FusedHiddenLayer` loads the library when it is
+  built and again when it is unpickled (a pool worker), the
   :class:`.kernels.SciPyImport` pattern: no request compiles or loads
-  anything.  The compile costs ~0.1 s once per host; a warm set-up
+  anything.  The build costs ~0.3 s once per host; a warm set-up
   only probes the compiler's version, once per process.
 
-If there is no compiler, or the build or load fails, float32 compiles
-keep the numpy kernel.  There is no option to choose.
+If there is no compiler, or the build or load fails, the numpy kernels
+run.  There is no option to choose.
 """
 
 from __future__ import annotations
@@ -49,10 +65,15 @@ import numpy as np
 
 from repro.engine.fastpath.kernels import _ERF_A, _ERF_C, gelu_rational
 
-__all__ = ["gelu_kernel", "NativeGelu"]
+__all__ = ["load", "Library", "gelu_kernel", "NativeGelu"]
 
-SOURCE = Path(__file__).with_name("gelu.c")
-COMPILE_FLAGS = ("-O3", "-ffast-math", "-march=native", "-fPIC")
+#: Each source next to this module and the flags it compiles with.
+SOURCES = {
+    Path(__file__).with_name("gelu.c"):
+        ("-O3", "-ffast-math", "-march=native", "-fPIC"),
+    Path(__file__).with_name("qmlp.c"):
+        ("-O3", "-march=native", "-ffp-contract=off", "-fPIC"),
+}
 LINK_FLAGS = ("-shared",)
 LIBS = ("-lm",)
 
@@ -61,17 +82,17 @@ LIBS = ("-lm",)
 _COEFFS = np.array((_ERF_C, *_ERF_A), dtype=np.float32)
 _COEFFS_ADDRESS = _COEFFS.ctypes.data
 
-# Compiler path -> the loaded C function, or None when its build or
-# load failed (not retried in this process).
+# Compiler path -> the loaded :class:`Library`, or None when its build
+# or load failed (not retried in this process).
 _loaded = {}
-_function = None
+_library = None
 
 
 @functools.cache
 def find_compiler():
     """Path of the C compiler to build with, or ``None``; looked up once
     per process (a ``PATH`` scan costs ~60 us, and a compile asks once
-    per GELU)."""
+    per native kernel it installs)."""
     for name in ("cc", "gcc"):
         path = shutil.which(name)
         if path is not None:
@@ -116,15 +137,18 @@ def _host_isa():
 
 def _library_path(compiler, version):
     key = hashlib.sha256()
-    for part in (SOURCE.read_bytes(), repr((COMPILE_FLAGS, LINK_FLAGS,
-                                             LIBS)).encode(),
-                 version.encode(), _host_isa().encode()):
+    parts = [repr((LINK_FLAGS, LIBS)).encode(), version.encode(),
+             _host_isa().encode()]
+    for source, flags in SOURCES.items():
+        parts += [source.name.encode(), source.read_bytes(),
+                  repr(flags).encode()]
+    for part in parts:
         key.update(part)
         key.update(b"\0")
     root = cache_dir()
     if root is None:
         raise OSError("no private cache directory")
-    return root / f"gelu-{key.hexdigest()[:16]}.so"
+    return root / f"native-{key.hexdigest()[:16]}.so"
 
 
 def _run(command):
@@ -138,10 +162,12 @@ def _build(compiler, target):
     mode follows the umask (group-writable under ``umask 002``), so the
     library is made writable by its owner alone."""
     with tempfile.TemporaryDirectory(dir=target.parent) as scratch:
-        obj = Path(scratch) / "gelu.o"
+        objects = []
+        for source, flags in SOURCES.items():
+            objects.append(str(Path(scratch) / f"{source.stem}.o"))
+            _run([compiler, *flags, "-c", str(source), "-o", objects[-1]])
         lib = Path(scratch) / target.name
-        _run([compiler, *COMPILE_FLAGS, "-c", str(SOURCE), "-o", str(obj)])
-        _run([compiler, *LINK_FLAGS, str(obj), "-o", str(lib), *LIBS])
+        _run([compiler, *LINK_FLAGS, *objects, "-o", str(lib), *LIBS])
         os.chmod(lib, 0o755)
         os.replace(lib, target)
 
@@ -161,17 +187,34 @@ def _open(compiler):
         _build(compiler, path)
     if not _private(path):
         return None
-    function = ctypes.CDLL(str(path)).gelu_rational_f32
-    function.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_void_p)
+    return Library(ctypes.CDLL(str(path)))
+
+
+class Library:
+    """The loaded library's C functions, with their argument types."""
+
+    __slots__ = ("gelu", "tile", "quantize")
+
+    def __init__(self, cdll):
+        pointer, size = ctypes.c_void_p, ctypes.c_size_t
+        self.gelu = _typed(cdll.gelu_rational_f32, pointer, size, pointer)
+        self.tile = _typed(cdll.qmlp_tile, pointer, size, size, pointer,
+                           ctypes.c_int, pointer, pointer, pointer)
+        self.quantize = _typed(cdll.qmlp_quantize, pointer, pointer, size,
+                               ctypes.c_float)
+
+
+def _typed(function, *argtypes):
+    function.argtypes = argtypes
     function.restype = None
     return function
 
 
-def _load():
+def load():
     """Build (once per host) and load (once per process) the native
-    GELU; returns its C function, or ``None`` when there is no compiler
-    or the build or load failed."""
-    global _function
+    library; returns its :class:`Library`, or ``None`` when there is no
+    compiler or the build or load failed."""
+    global _library
     compiler = find_compiler()
     if compiler is None:
         return None
@@ -181,14 +224,14 @@ def _load():
         except (OSError, AttributeError, subprocess.SubprocessError):
             _loaded[compiler] = None
     if _loaded[compiler] is not None:
-        _function = _loaded[compiler]
+        _library = _loaded[compiler]
     return _loaded[compiler]
 
 
 def gelu_kernel():
     """The float32 GELU for this host: :class:`NativeGelu` when the
     library loads, else :func:`.kernels.gelu_rational`."""
-    return NativeGelu() if _load() is not None else gelu_rational
+    return NativeGelu() if load() is not None else gelu_rational
 
 
 class NativeGelu:
@@ -210,7 +253,7 @@ class NativeGelu:
         if not x.flags.c_contiguous:
             x[...] = self(np.ascontiguousarray(x), ws, key)
             return x
-        _function(x.ctypes.data, x.size, _COEFFS_ADDRESS)
+        _library.gelu(x.ctypes.data, x.size, _COEFFS_ADDRESS)
         return x
 
     def __reduce__(self):

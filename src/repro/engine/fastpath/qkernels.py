@@ -24,8 +24,8 @@ import numpy as np
 from repro.approx.polynomial import (ERF_A, ERF_B, _EXP_C0, _EXP_C1,
                                      _EXP_C2, _LN2, _SQRT_2)
 
-__all__ = ["layer_norm_reference", "quantize_fast", "approx_gelu_fast",
-           "approx_softmax_fast"]
+__all__ = ["layer_norm_reference", "activation_scale", "quantize_fast",
+           "gelu_fast_constants", "approx_gelu_fast", "approx_softmax_fast"]
 
 # Floor of the activation scale: float32's smallest normal, 2^-126, so
 # the reciprocal the kernel multiplies by (2^126 at most) stays finite
@@ -58,6 +58,19 @@ def layer_norm_reference(x, weight, bias, eps):
     return normed * weight + bias
 
 
+def activation_scale(amax, qmax):
+    """The per-tensor scale for a tensor whose abs-max is ``amax``:
+    ``amax / qmax``, ``1 / qmax`` for an all-zero tensor, floored at
+    ``2^-126``.  Raises on a non-finite ``amax``."""
+    if not math.isfinite(amax):
+        raise ValueError(
+            f"cannot calibrate quantization on non-finite input "
+            f"(abs-max is {amax}); clean NaN/inf values first")
+    if amax == 0.0:
+        amax = 1.0
+    return max(amax / qmax, _TINY)
+
+
 def quantize_fast(x, qmax, ws, key, out=None):
     """Dynamic per-tensor quantization into workspace scratch.
 
@@ -69,23 +82,31 @@ def quantize_fast(x, qmax, ws, key, out=None):
     already holds (the half-ulp slack of the reciprocal cannot push
     ``rint`` past ``qmax + 0.5``).  A tensor whose abs-max is below
     ``qmax * 2^-126`` gets the floor scale ``2^-126``: its reciprocal is
-    exact, so ``|q| = |x| * 2^126 < qmax`` still holds without a clip.
+    exact, so ``|q| = |x| * 2^126 < qmax`` still holds without a clip
+    (:func:`activation_scale`).
+
+    The definition of fc2's input quantization on the int8 float32
+    grade, and its fallback: where the native library loads,
+    :class:`.quantized.FusedHiddenLayer` computes the same ``q`` and
+    scale from an abs-max kept while fc1's tiles were written.
     """
     if x.size:
         amax = max(float(x.max()), -float(x.min()))
     else:
         amax = 0.0
-    if not math.isfinite(amax):
-        raise ValueError(
-            f"cannot calibrate quantization on non-finite input "
-            f"(abs-max is {amax}); clean NaN/inf values first")
-    if amax == 0.0:
-        amax = 1.0
-    scale = max(amax / qmax, _TINY)
+    scale = activation_scale(amax, qmax)
     q = ws.take(key, x.shape) if out is None else out
     np.multiply(x, x.dtype.type(1.0 / scale), out=q)
     np.rint(q, out=q)
     return q, scale
+
+
+def gelu_fast_constants(delta1):
+    """The four constants :func:`approx_gelu_fast` applies, in order, as
+    Python floats: the clip bound, the shift, the square's coefficient
+    and the constant term (``ERF_A/2``, ``delta1/2`` folded in)."""
+    half = 0.5 * delta1
+    return _GELU_CLIP, _GELU_SHIFT, _GELU_A2 * half, half
 
 
 def approx_gelu_fast(x, delta1, ws, key):
@@ -96,18 +117,23 @@ def approx_gelu_fast(x, delta1, ws, key):
     arithmetic -- no ``exp``/``erf``/``reciprocal``/``copysign`` -- in
     nine passes over two scratch buffers (``|x|`` and the polynomial);
     the 1/sqrt2 is folded into the clip constants and ``delta1/2`` into
-    the polynomial's two coefficients.  The fast lane's answer to the
-    paper's fixed-function GELU unit.
+    the polynomial's two coefficients (:func:`gelu_fast_constants`).
+    The fast lane's answer to the paper's fixed-function GELU unit.
+
+    The definition of the int8 float32 grade's Eq. 12, and its
+    fallback: where the native library loads, a block's GELU runs in
+    ``qmlp.c`` (:class:`.quantized.FusedHiddenLayer`), the same ops in
+    the same order, fused with fc1's rescale and bias -- the same bits.
     """
     dt = x.dtype.type
-    half = 0.5 * delta1
+    clip, shift, square, half = gelu_fast_constants(delta1)
     mag = ws.take(key + "a", x.shape)
     poly = ws.take(key + "p", x.shape)
     np.abs(x, out=mag)
-    np.minimum(mag, dt(_GELU_CLIP), out=poly)
-    poly += dt(_GELU_SHIFT)
+    np.minimum(mag, dt(clip), out=poly)
+    poly += dt(shift)
     np.multiply(poly, poly, out=poly)
-    poly *= dt(_GELU_A2 * half)
+    poly *= dt(square)
     poly += dt(half)                      # (delta1/2) * erf-poly of |x|
     poly *= mag
     x *= dt(0.5)

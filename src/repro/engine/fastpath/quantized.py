@@ -23,7 +23,14 @@ is the kernels in the slots:
   (:mod:`.qkernels`), :func:`.kernels.fused_layer_norm`, and stock
   selectors that run quantized MLP steps through the shared dense and
   ragged boundary pipelines.  Gated on top-1/keep agreement with the
-  float64 grade, not bitwise parity.
+  float64 grade, not bitwise parity.  A block's hidden layer runs its
+  elementwise work through a :class:`FusedHiddenLayer`: where the
+  native library loads (:mod:`.native`, ``qmlp.c``) that is two passes
+  -- fc1's rescale, bias and the Eq. 12 GELU once per tile, keeping
+  the abs-max, then fc2's input quantization once over the layer --
+  instead of the numpy lane's eleven per tile and four over the layer
+  (fc1's rescale and bias, nine Eq. 12 passes; two min/max reductions,
+  a multiply and a ``rint``).  Both lanes serve the same bits.
 * ``float64`` -- **simulation parity**.  Its slots hold the simulation's
   own definitions: :func:`repro.quant.calibrate_minmax` +
   :func:`repro.quant.quantize` in the linears,
@@ -50,6 +57,7 @@ always compiles in the float64 parity grade.
 from __future__ import annotations
 
 import copy
+import math
 from functools import partial
 
 import numpy as np
@@ -63,9 +71,12 @@ from repro.engine.fastpath.compiled import (CompileError, CompiledBlock,
                                             _check_dtype, _compile_activation,
                                             _compile_mlp, _contig,
                                             _is_stock_selector)
+from repro.engine.fastpath import native
 from repro.engine.fastpath.kernels import fused_layer_norm
-from repro.engine.fastpath.qkernels import (approx_gelu_fast,
+from repro.engine.fastpath.qkernels import (activation_scale,
+                                            approx_gelu_fast,
                                             approx_softmax_fast,
+                                            gelu_fast_constants,
                                             layer_norm_reference,
                                             quantize_fast)
 from repro.quant.fixed_point import (calibrate_minmax, quantize,
@@ -74,7 +85,8 @@ from repro.quant.qmodel import (PER_CHANNEL_CHILDREN, _wants_per_channel,
                                 quantize_model)
 from repro.quant.sweep import per_channel_quantize
 
-__all__ = ["compile_quantized", "QuantizedLinearKernel"]
+__all__ = ["compile_quantized", "QuantizedLinearKernel",
+           "FusedHiddenLayer"]
 
 
 class QuantizedLinearKernel:
@@ -92,6 +104,10 @@ class QuantizedLinearKernel:
     :meth:`apply_fast` (also the slot call) is :meth:`prepare` then
     :meth:`gemm`, split for a caller that tiles the GEMM.
 
+    In a float32 block with the Eq. 12 GELU, fc1 and fc2 share a
+    :class:`FusedHiddenLayer`: fc1's ``epilogue`` replaces its rescale
+    and bias, fc2's ``quantizer`` replaces :func:`.qkernels.quantize_fast`.
+
     No runtime accumulator check: :func:`safe_accumulator_bits` already
     proves at compile time that ``qmax^2 * in_features`` fits the width
     the simulation would pick, so its (never-firing) runtime check can
@@ -100,7 +116,7 @@ class QuantizedLinearKernel:
 
     __slots__ = ("w_q", "scales", "bias", "in_features", "out_features",
                  "bits", "qmax", "per_channel", "accumulator_bits",
-                 "_scale_buf")
+                 "epilogue", "quantizer", "_scale_buf")
 
     def __init__(self, w_q, scales, bias, bits, dtype):
         self.w_q = _contig(w_q, dtype)
@@ -118,6 +134,8 @@ class QuantizedLinearKernel:
         self.qmax = 2 ** (bits - 1) - 1
         self.accumulator_bits = safe_accumulator_bits(bits,
                                                       self.in_features)
+        self.epilogue = None
+        self.quantizer = quantize_fast
         # Exactness budget of the float GEMM the backend actually runs:
         # every partial sum must be an exactly-representable integer.
         window = 2 ** 24 if dtype == np.dtype(np.float32) else 2 ** 53
@@ -150,8 +168,10 @@ class QuantizedLinearKernel:
             params = calibrate_minmax(x, bits=self.bits)
             q, act_scale = quantize(x, params).astype(dt), params.scale
         else:
-            q, act_scale = quantize_fast(x, self.qmax, ws, key + "q",
-                                         out=x if inplace else None)
+            q, act_scale = self.quantizer(x, self.qmax, ws, key + "q",
+                                          out=x if inplace else None)
+            if self.epilogue is not None:
+                self.epilogue.begin()
         if self.per_channel:
             np.multiply(self.scales, dt(act_scale), out=self._scale_buf)
             return q, self._scale_buf
@@ -172,6 +192,8 @@ class QuantizedLinearKernel:
                       out=out.reshape(-1, self.out_features))
         else:
             np.matmul(q, self.w_q, out=out)
+        if self.epilogue is not None:
+            return self.epilogue.tile(out, rescale, self.bias)
         out *= rescale
         if self.bias is not None:
             out += self.bias
@@ -206,6 +228,95 @@ class _QuantGELUKernel:
             x[...] = gelu_approx(x, self.delta1)
             return x
         return approx_gelu_fast(x, self.delta1, ws, key)
+
+
+class FusedHiddenLayer:
+    """The elementwise work between a float32 int8 block's fc1 and fc2
+    GEMMs: fc1's rescale and bias, the Eq. 12 GELU, and fc2's input
+    quantization -- the paper's fixed-function GELU + requantization
+    datapath.
+
+    One object per block, in three places: fc1's ``epilogue``
+    (:meth:`begin` when fc1's input is quantized, :meth:`tile` after
+    each tile's GEMM), the block's activation slot (``fn(x, ws, key)``)
+    and fc2's ``quantizer`` (:meth:`quantize`).  Where the native
+    library loads (:func:`.native.load`), :meth:`tile` runs
+    ``qmlp.c``'s tile pass -- rescale, bias and Eq. 12 in one pass,
+    keeping the tile's abs-max -- the slot has nothing left to do, and
+    :meth:`quantize` scales by that abs-max in one more pass instead of
+    two min/max reductions.  Elsewhere each step runs the numpy kernels
+    (:func:`.qkernels.approx_gelu_fast`, :func:`.qkernels.quantize_fast`),
+    which stay the definition; both lanes serve the same bits.  The
+    library is loaded when the object is built and when it is
+    unpickled.
+    """
+
+    __slots__ = ("delta1", "_library", "_constants", "_stats", "_scale")
+
+    def __init__(self, delta1):
+        self.delta1 = delta1
+        self._library = native.load()
+        self._constants = np.array(gelu_fast_constants(delta1),
+                                   dtype=np.float32)
+        # Running abs-max of the tiles written so far, and 1 if any was
+        # NaN; a per-tensor fc1 rescale as an array the C pass reads.
+        self._stats = np.zeros(2, dtype=np.float32)
+        self._scale = np.zeros(1, dtype=np.float32)
+
+    def __reduce__(self):
+        return FusedHiddenLayer, (self.delta1,)
+
+    def begin(self):
+        """Forget the abs-max: fc1's tiles are about to be written."""
+        self._stats[:] = 0.0
+
+    def tile(self, out, rescale, bias):
+        """fc1's epilogue on one GEMM tile in place: ``out * rescale +
+        bias``, then (native lane) Eq. 12."""
+        if self._library is None:
+            out *= rescale
+            if bias is not None:
+                out += bias
+            return out
+        _require_contiguous(out)
+        per_channel = isinstance(rescale, np.ndarray)
+        if not per_channel:
+            self._scale[0] = rescale
+            rescale = self._scale
+        cols = out.shape[-1]
+        self._library.tile(out.ctypes.data, out.size // cols, cols,
+                           rescale.ctypes.data, per_channel,
+                           None if bias is None else bias.ctypes.data,
+                           self._constants.ctypes.data,
+                           self._stats.ctypes.data)
+        return out
+
+    def __call__(self, x, ws, key):
+        """The activation slot: Eq. 12, unless :meth:`tile` ran it."""
+        if self._library is None:
+            approx_gelu_fast(x, self.delta1, ws, key)
+        return x
+
+    def quantize(self, x, qmax, ws, key, out=None):
+        """fc2's input quantization, :func:`.qkernels.quantize_fast`'s
+        call and result, from the abs-max kept while ``x`` was written
+        (native lane)."""
+        if self._library is None:
+            return quantize_fast(x, qmax, ws, key, out)
+        amax, nan = self._stats
+        self.begin()
+        scale = activation_scale(math.nan if nan else float(amax), qmax)
+        q = ws.take(key, x.shape) if out is None else out
+        _require_contiguous(x, q)
+        self._library.quantize(x.ctypes.data, q.ctypes.data, x.size,
+                               float(np.float32(1.0 / scale)))
+        return q, scale
+
+
+def _require_contiguous(*arrays):
+    if not all(array.flags.c_contiguous for array in arrays):
+        raise ValueError("the native hidden-layer passes take contiguous "
+                         "arrays")
 
 
 def _plan_sigmoid_kernel(x, ws, key):
@@ -312,11 +423,14 @@ def compile_quantized(model, bits=8, dtype=None,
         # chunk of images would not compute what the batch does.  Only
         # fc1 -> GELU runs in tiles, after fc1's input is quantized
         # whole (``CompiledBlock._run``).
+        fc1, fc2 = kernel(block.mlp.fc1, "fc1"), kernel(block.mlp.fc2, "fc2")
+        act = _compile_activation(block.mlp.act, dtype, swaps)
+        if act is swaps[nn.GELU] and not parity:
+            act = FusedHiddenLayer(delta1)
+            fc1.epilogue, fc2.quantizer = act, act.quantize
         blocks.append(CompiledBlock(
             block, affine(block.norm1), affine(block.norm2), qkv,
-            kernel(attn.proj, "proj"), kernel(block.mlp.fc1, "fc1"),
-            kernel(block.mlp.fc2, "fc2"), softmax,
-            _compile_activation(block.mlp.act, dtype, swaps), score_scale,
+            kernel(attn.proj, "proj"), fc1, fc2, softmax, act, score_scale,
             layer_norm=layer_norm))
 
     def lower_mlp(sequential):

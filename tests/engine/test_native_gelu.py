@@ -60,7 +60,7 @@ def fresh(monkeypatch, tmp_path):
     """An empty per-process load table and an empty cache under
     ``tmp_path``; the module's state is restored afterwards."""
     monkeypatch.setattr(native, "_loaded", {})
-    monkeypatch.setattr(native, "_function", native._function)
+    monkeypatch.setattr(native, "_library", native._library)
     cache = tmp_path / "cache"
     cache.mkdir(mode=0o700)
     monkeypatch.setattr(native, "cache_dir", lambda: cache)
@@ -107,9 +107,9 @@ class TestPositionIndependence:
             native_gelu()(np.zeros(4), None, None)
 
 
-# Build a float32 session in a fresh interpreter (the library loads at
-# set-up), then print whether the native kernel is installed and what
-# float64 subnormals came to.
+# Build an int8 and a float32 session in a fresh interpreter (the
+# library loads at the first set-up), then print whether the native
+# kernels are installed and what float64 subnormals came to.
 SUBNORMALS = textwrap.dedent("""
     import json
     import numpy as np
@@ -123,11 +123,15 @@ SUBNORMALS = textwrap.dedent("""
     model = HeatViT(VisionTransformer(config, rng=np.random.default_rng(0)),
                     {1: 0.7}, rng=np.random.default_rng(1))
     model.eval()
+    images = np.random.default_rng(2).random((2, 3, 16, 16))
+    int8 = InferenceSession(model, backend="int8", dtype=np.float32)
+    int8.submit(images)
+    fused = int8.executor.compiled.blocks[0].act._library is not None
     session = InferenceSession(model, backend="fastpath", dtype=np.float32)
     act = session.executor.compiled.blocks[0].act
-    session.submit(np.random.default_rng(2).random((2, 3, 16, 16)))
+    session.submit(images)
     tiny = np.finfo(np.float64).smallest_subnormal
-    print(json.dumps([isinstance(act, NativeGelu),
+    print(json.dumps([fused, isinstance(act, NativeGelu),
                       float((np.array([1e-310]) * 1.0)[0]),
                       float(tiny * 1.0) == float(tiny)]))
 """)
@@ -141,7 +145,8 @@ def test_loading_the_library_keeps_float64_subnormals():
         [sys.executable, "-c", SUBNORMALS], capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
     assert child.returncode == 0, child.stderr
-    native_installed, product, survives = json.loads(child.stdout)
+    fused, native_installed, product, survives = json.loads(child.stdout)
+    assert fused
     assert native_installed
     assert product == 1e-310
     assert survives
@@ -207,7 +212,7 @@ class TestWhichKernel:
         finally:
             os.umask(umask)
         assert isinstance(kernel, NativeGelu)
-        library, = fresh.glob("gelu-*.so")
+        library, = fresh.glob("native-*.so")
         assert not stat.S_IMODE(library.stat().st_mode) & 0o022
         # A second process finds it built: only the load repeats.
         monkeypatch.setattr(native, "_loaded", {})
@@ -240,7 +245,7 @@ class TestWhichKernel:
     @needs_gcc
     def test_library_others_can_write_is_not_loaded(self, fresh):
         native.gelu_kernel()
-        library, = fresh.glob("gelu-*.so")
+        library, = fresh.glob("native-*.so")
         library.chmod(0o666)
         native._loaded.clear()
         assert native.gelu_kernel() is gelu_rational
@@ -276,12 +281,12 @@ UNPICKLE = textwrap.dedent("""
 
     with open(sys.argv[1], "rb") as handle:
         session, images = pickle.load(handle)
-    loaded = native._function is not None
+    loaded = native._library is not None
 
     def refuse(*args):
         raise AssertionError("a request built or loaded the library")
 
-    native._load = native._open = native._build = refuse
+    native.load = native._open = native._build = refuse
     before = set(sys.modules)
     logits = session.submit(images).logits
     print(json.dumps([loaded, sorted(set(sys.modules) - before),
