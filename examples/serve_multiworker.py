@@ -111,7 +111,7 @@ def main():
     # 5. Deterministic shutdown: drains queues, joins workers.
     scheduler.shutdown()
     print(f"shutdown complete; worker processes alive: "
-          f"{served.pool.alive_workers()}")
+          f"{sorted(served.pool.liveness()[0])}")
     if not identical:
         raise SystemExit("FAIL: pooled logits diverged")
 

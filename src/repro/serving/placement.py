@@ -190,7 +190,7 @@ class PlacementPolicy:
 
     def snapshot(self):
         """Telemetry: per-worker backlog, in-flight counts and learned
-        batch laws (what the benchmark records per sweep point)."""
+        batch laws (``examples/serve_multiworker.py`` prints the laws)."""
         return {
             "free_at_ms": tuple(self._free_at),
             "in_flight": self.in_flight,

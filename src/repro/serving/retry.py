@@ -2,18 +2,19 @@
 
 One :class:`RetryPolicy` describes "try again, but not forever": a
 total attempt budget and an exponential backoff schedule with
-deterministic jitter.  Three consumers share it so every retry loop in
-the serving layer obeys the same contract:
+deterministic jitter.  Two consumers share it so both retry loops in
+the serving layer obey the same contract:
 
 * :class:`repro.serving.FrontDoorClient` retries transport errors
   (connection resets, closed keep-alive sockets) with backoff between
   attempts;
 * the :class:`repro.serving.WorkerPool` supervisor spaces worker
   respawns with it (a crash-looping worker must not be restarted in a
-  hot loop);
-* the scheduler's :class:`repro.serving.RecoveryPolicy` uses the
-  attempt budget as the per-request re-dispatch allowance after worker
-  losses (the poison-batch quarantine bound).
+  hot loop).
+
+The per-request re-dispatch allowance after worker losses is a plain
+count, :attr:`repro.serving.RecoveryPolicy.max_request_retries`: no
+backoff applies to it, since a lost request goes back onto the queue.
 
 Jitter is deterministic: ``delay_s(attempt, seed)`` hashes the seed and
 attempt into a stable perturbation, so tests assert exact schedules and
@@ -58,8 +59,7 @@ class RetryPolicy:
 
     @property
     def retries(self):
-        """Retries after the initial attempt (the re-dispatch budget a
-        request gets after worker losses)."""
+        """Retries after the initial attempt."""
         return self.attempts - 1
 
     def delay_s(self, attempt, seed=0):

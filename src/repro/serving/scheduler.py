@@ -680,8 +680,11 @@ class Scheduler:
                 "recovery": dict(served.recovery),
             }
             if served.pool is not None:
+                alive, incarnations = served.pool.liveness()
                 entry["degraded"] = served.degraded
-                entry["fleet"] = served.pool.supervision_snapshot()
+                entry["fleet"] = {"alive": sorted(alive),
+                                  "incarnations": incarnations,
+                                  "restarts": served.pool.restarts}
             sessions[served.name] = entry
         return {
             "sessions": sessions,

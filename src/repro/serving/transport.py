@@ -72,7 +72,6 @@ class _InFlight:
 def _recovery_counters():
     """Fresh per-target recovery telemetry (reported by ``stats()``)."""
     return {
-        "respawns": 0,               # dead workers restarted
         "lost_batches": 0,           # in-flight batches stranded by deaths
         "hung_workers": 0,           # terminated for missing the deadline
         "redispatched_requests": 0,  # requeued to survivors after a loss
@@ -222,7 +221,7 @@ class PoolTransport:
         arrivals and the next ``poll`` frees capacity."""
         return self.pool.fleet_down or any(
             self.placement.has_capacity(worker)
-            for worker in self.pool.alive_workers())
+            for worker in self.pool.liveness()[0])
 
     def backlog_ms(self):
         """Placement-predicted cost of every shard in flight."""
@@ -274,7 +273,7 @@ class PoolTransport:
         try:
             ticket = self.placement.assign(
                 sum(r.num_images for r in piece), now_ms=now_ms,
-                candidates=self.pool.alive_workers())
+                candidates=self.pool.liveness()[0])
         except LookupError:
             return None
         task_id = next(self._task_ids)
@@ -369,7 +368,7 @@ class PoolTransport:
             lost.append((inflight.requests,
                          f"worker {inflight.ticket.worker} lost "
                          f"batch {task_id}"))
-        self.recovery["respawns"] += len(pool.respawn_dead())
+        pool.respawn_dead()
         return lost
 
     def _accept(self, reply, finished, lost):

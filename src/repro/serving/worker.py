@@ -39,14 +39,18 @@ results to rounding, and bitwise when it runs as the same shard.
 Self-healing (the fleet side; the in-flight table and the recovery
 sweep live in :class:`repro.serving.PoolTransport`):
 
-* **Supervision** -- dead workers are respawned, bounded per slot
-  (``max_restarts``) and spaced by the shared
+* **Supervision** -- the pool keeps one record per worker slot: the
+  running incarnation's process, task queue and reply pipe, and the
+  slot's restart count and backoff.  Dead workers are respawned,
+  bounded per slot (``max_worker_restarts``) and spaced by the shared
   :class:`repro.serving.RetryPolicy` exponential backoff.  A respawn
-  pickles the parent session afresh, so a learned
-  :class:`repro.cost.OnlineCostModel` (when cost learning is on) rides
-  along at its current fit: the replacement prices batches from
-  everything the fleet measured before the crash instead of
-  re-learning from scratch.
+  starts the slot the way construction does, from the parent session
+  pickled afresh, so a learned :class:`repro.cost.OnlineCostModel`
+  (when cost learning is on) rides along at its current fit: the
+  replacement prices batches from everything the fleet measured
+  before the crash instead of re-learning from scratch.  Readers see
+  the fleet through ``liveness()`` (alive slots and incarnations from
+  one instant), ``restarts`` and ``fleet_down``.
 * **Liveness from the OS** -- a death shows as ``is_alive()`` turning
   false and, once respawned, as a newer incarnation; a worker hung
   mid-batch is caught by the transport's per-batch dispatch deadline
@@ -228,10 +232,10 @@ class RecoveryPolicy:
         degrades to in-process execution.
     restart_backoff: :class:`repro.serving.RetryPolicy` spacing
         consecutive respawns of one slot (crash loops must not spin).
-    retry: :class:`repro.serving.RetryPolicy` whose ``retries`` is the
-        per-request re-dispatch budget after worker losses -- a request
-        whose batches have killed ``retries + 1`` workers is poisoned:
-        failed cleanly to its caller instead of retried forever.
+    max_request_retries: re-dispatches one request may consume after
+        worker losses -- a request whose batches have been lost
+        ``max_request_retries + 1`` times is poisoned: failed cleanly to
+        its caller instead of retried forever.
     dispatch_timeout_factor: a dispatched batch is declared *hung* when
         no reply arrives within ``factor x`` its placement-predicted
         completion time (the worker's learned batch law; the hung worker
@@ -247,7 +251,7 @@ class RecoveryPolicy:
     max_worker_restarts: int = 3
     restart_backoff: RetryPolicy = RetryPolicy(
         attempts=4, backoff_base_s=0.05, backoff_max_s=2.0)
-    retry: RetryPolicy = RetryPolicy(attempts=3)
+    max_request_retries: int = 2
     dispatch_timeout_factor: float = 20.0
     min_dispatch_timeout_s: float = 30.0
     max_in_flight_per_worker: int = 8
@@ -255,17 +259,14 @@ class RecoveryPolicy:
     def __post_init__(self):
         if self.max_worker_restarts < 0:
             raise ValueError("max_worker_restarts must be >= 0")
+        if self.max_request_retries < 0:
+            raise ValueError("max_request_retries must be >= 0")
         if self.dispatch_timeout_factor <= 0:
             raise ValueError("dispatch_timeout_factor must be > 0")
         if self.min_dispatch_timeout_s <= 0:
             raise ValueError("min_dispatch_timeout_s must be > 0")
         if self.max_in_flight_per_worker < 1:
             raise ValueError("max_in_flight_per_worker must be >= 1")
-
-    @property
-    def max_request_retries(self):
-        """Re-dispatches one request may consume after worker losses."""
-        return self.retry.retries
 
 
 class _single_thread_blas_env:
@@ -414,6 +415,20 @@ def _run_worker(worker_index, incarnation, payload, task_queue,
                 return
 
 
+@dataclass
+class _Slot:
+    """One worker slot: the running incarnation's process, task queue
+    and reply reader, and the slot's supervision record -- restarts
+    spent and the host time before which it may not respawn."""
+
+    process: object
+    task_queue: object
+    reader: _ReplyReader
+    incarnation: int = 0
+    restarts: int = 0
+    next_restart_at: float = 0.0
+
+
 class WorkerPool:
     """N executor processes fed per-worker task queues, supervised.
 
@@ -438,7 +453,8 @@ class WorkerPool:
         (test-only).
 
     Construction waits up to ``_STARTUP_TIMEOUT_S`` for every worker's
-    ready handshake.
+    ready handshake.  A worker that fails to start closes the ones
+    already started before the error propagates.
     """
 
     def __init__(self, session, num_workers, ctx="spawn", recovery=None,
@@ -451,62 +467,50 @@ class WorkerPool:
         self._fault_plan = fault_plan
         self._ctx = multiprocessing.get_context(ctx)
         self.num_workers = int(num_workers)
-        self._task_queues = [self._ctx.Queue()
-                             for _ in range(self.num_workers)]
-        # One reply pipe per worker (crash isolation -- see module
-        # docstring), plus a graveyard of dead incarnations' readers
-        # still holding completed replies, drained until EOF.
-        self._reply_readers = [None] * self.num_workers
-        self._retired_readers = []
-        # Guards _closed (and the process/queue tables, which respawns
-        # mutate) against dispatch/poll racing close() from another
-        # thread (scheduler shutdown during background stepping):
-        # without it a dispatcher can observe _closed == False, lose
-        # the CPU, and put on a queue close() has already released --
-        # an unhandled ValueError/OSError deep in multiprocessing
-        # instead of the clean "pool is closed" error.  RLock so
-        # close() can run under it end to end while its own helpers
-        # re-enter.
+        # Guards _closed and the slots, which respawns replace, against
+        # dispatch/poll racing close() from another thread (scheduler
+        # shutdown during background stepping): without it a dispatcher
+        # can observe _closed == False, lose the CPU, and put on a
+        # queue close() has already released -- an unhandled
+        # ValueError/OSError deep in multiprocessing instead of the
+        # clean "pool is closed" error.  RLock so close() can run under
+        # it end to end while its own helpers re-enter.
         self._state_lock = threading.RLock()
         self._closed = False
-        self._incarnations = [0] * self.num_workers
-        self._restarts = [0] * self.num_workers
-        self._next_restart_at = [0.0] * self.num_workers
-        self._processes = []
-        child_conns = []
-        for index in range(self.num_workers):
-            process, child_conn = self._make_process(index, payload)
-            self._processes.append(process)
-            child_conns.append(child_conn)
-        with _single_thread_blas_env():
-            for process in self._processes:
-                process.start()
-        # Drop the parent's copies of the write ends: after this, each
-        # pipe's only writer is its worker, and EOF on a reader means
-        # that worker (and, under fork, any sibling that inherited the
-        # descriptor) is gone.
-        for conn in child_conns:
-            conn.close()
+        # Dead incarnations' reply readers still holding completed
+        # replies, drained until EOF.
+        self._retired_readers = []
+        self._slots = []
+        try:
+            for index in range(self.num_workers):
+                self._slots.append(self._start(index, payload, 0))
+        except BaseException:
+            self.close()
+            raise
         self._await_ready()
 
-    def _make_process(self, index, payload):
-        """Build (but do not start) a process that unpickles ``payload``
-        as the slot's current incarnation, wiring a fresh reply pipe into
-        ``_reply_readers[index]``.  Returns ``(process, child_conn)``;
-        the caller starts the process and then closes ``child_conn``
-        (the parent's copy of the write end)."""
-        incarnation = self._incarnations[index]
+    def _start(self, index, payload, incarnation):
+        """Start ``incarnation`` of slot ``index`` on ``payload`` and
+        return its :class:`_Slot`: a fresh task queue and reply pipe,
+        the process started under the BLAS cap, then the parent's copy
+        of the pipe's write end closed -- after which the pipe's only
+        writer is the worker (and any process forked while the end was
+        open), so EOF on its reader means that worker is gone."""
         fault = (None if self._fault_plan is None
                  else self._fault_plan.for_worker(index, incarnation))
+        task_queue = self._ctx.Queue()
         recv_conn, send_conn = self._ctx.Pipe(duplex=False)
-        self._reply_readers[index] = _ReplyReader(recv_conn)
         process = self._ctx.Process(
             target=_run_worker,
-            args=(index, incarnation, payload,
-                  self._task_queues[index], send_conn, fault),
-            name=(f"repro-serving-worker-{index}.{incarnation}"),
-            daemon=True)
-        return process, send_conn
+            args=(index, incarnation, payload, task_queue, send_conn, fault),
+            name=f"repro-serving-worker-{index}.{incarnation}", daemon=True)
+        try:
+            with _single_thread_blas_env():
+                process.start()
+        finally:
+            send_conn.close()
+        return _Slot(process, task_queue, _ReplyReader(recv_conn),
+                     incarnation)
 
     def _await_ready(self):
         deadline = time.monotonic() + _STARTUP_TIMEOUT_S
@@ -520,8 +524,9 @@ class WorkerPool:
                     f"{sorted(ready)} of {self.num_workers}")
             replies = self._collect_raw(min(remaining, 0.2))
             if not replies:
-                dead = [p.name for p in self._processes
-                        if not p.is_alive() and p.exitcode not in (0, None)]
+                dead = [slot.process.name for slot in self._slots
+                        if not slot.process.is_alive()
+                        and slot.process.exitcode not in (0, None)]
                 if dead and self._fault_plan is None:
                     self.close()
                     raise RuntimeError(
@@ -557,14 +562,14 @@ class WorkerPool:
         with self._state_lock:
             if self._closed:
                 raise RuntimeError("worker pool is closed")
-            if not self._processes[worker].is_alive():
+            slot = self._slots[worker]
+            if not slot.process.is_alive():
                 raise WorkerDiedError(
                     worker,
-                    f"worker {worker} "
-                    f"(incarnation {self._incarnations[worker]}) is "
-                    f"dead; redirect the batch")
-            self._task_queues[worker].put((task_id, list(image_groups)))
-            return self._incarnations[worker]
+                    f"worker {worker} (incarnation {slot.incarnation}) "
+                    f"is dead; redirect the batch")
+            slot.task_queue.put((task_id, list(image_groups)))
+            return slot.incarnation
 
     def poll(self, timeout_s=0.0):
         """Collect available result/error replies; waits at most
@@ -601,9 +606,8 @@ class WorkerPool:
         Exhausted retired readers -- EOF with no complete frame left,
         any torn trailing frame discarded -- are closed and dropped."""
         replies = []
-        for reader in self._reply_readers:
-            if reader is not None:
-                replies.extend(reader.drain())
+        for slot in self._slots:
+            replies.extend(slot.reader.drain())
         kept = []
         for reader in self._retired_readers:
             replies.extend(reader.drain())
@@ -617,10 +621,10 @@ class WorkerPool:
     def _wait_readable(self, timeout_s):
         """Block until some reply pipe has data, or ``timeout_s``."""
         with self._state_lock:
-            readers = [reader for reader in self._reply_readers
-                       if reader is not None and not reader.eof]
-            readers += [reader for reader in self._retired_readers
-                        if not reader.eof]
+            readers = [reader for reader in
+                       [slot.reader for slot in self._slots]
+                       + self._retired_readers
+                       if not reader.eof]
         try:
             if readers:
                 select.select(readers, [], [], timeout_s)
@@ -628,11 +632,6 @@ class WorkerPool:
                 time.sleep(timeout_s)
         except (OSError, ValueError):     # descriptor closed mid-wait
             pass
-
-    def alive_workers(self):
-        """Indices of workers whose processes are still running."""
-        return [index for index, process in enumerate(self._processes)
-                if process.is_alive()]
 
     def liveness(self):
         """Atomic ``(alive_set, incarnations)`` snapshot.
@@ -646,14 +645,14 @@ class WorkerPool:
         the slot is.
         """
         with self._state_lock:
-            return ({index for index, process in enumerate(self._processes)
-                     if process.is_alive()},
-                    tuple(self._incarnations))
+            return ({index for index, slot in enumerate(self._slots)
+                     if slot.process.is_alive()},
+                    tuple(slot.incarnation for slot in self._slots))
 
     @property
     def restarts(self):
         """Per-slot respawn counts (supervision telemetry)."""
-        return tuple(self._restarts)
+        return tuple(slot.restarts for slot in self._slots)
 
     @property
     def closed(self):
@@ -662,23 +661,16 @@ class WorkerPool:
     # ------------------------------------------------------------------
     # Supervision: respawn dead workers, terminate hung ones
     # ------------------------------------------------------------------
-    def can_respawn(self, worker):
-        """Whether the slot has restart budget left (now or after its
-        backoff window)."""
-        return (not self._closed
-                and self._restarts[worker] < self.recovery.max_worker_restarts)
-
     @property
     def fleet_down(self):
         """No process alive and no slot can ever respawn: the pool is
         permanently lost and the serving target should degrade to
         in-process execution."""
         with self._state_lock:
-            if self._closed:
-                return True
-            return (not any(p.is_alive() for p in self._processes)
-                    and not any(self.can_respawn(w)
-                                for w in range(self.num_workers)))
+            return self._closed or not any(
+                slot.process.is_alive()
+                or slot.restarts < self.recovery.max_worker_restarts
+                for slot in self._slots)
 
     def terminate_worker(self, worker, incarnation=None):
         """Forcibly kill one worker (the hung-worker remedy).  The
@@ -690,15 +682,12 @@ class WorkerPool:
         executed for its predecessor's hung batch.
         """
         with self._state_lock:
-            if self._closed:
+            slot = self._slots[worker]
+            if self._closed or incarnation not in (None, slot.incarnation):
                 return
-            if (incarnation is not None
-                    and self._incarnations[worker] != incarnation):
-                return
-            process = self._processes[worker]
-            if process.is_alive():
-                process.terminate()
-            process.join(timeout=5.0)
+            if slot.process.is_alive():
+                slot.process.terminate()
+            slot.process.join(timeout=5.0)
 
     def respawn_dead(self):
         """Supervise: restart every dead worker whose slot has restart
@@ -719,20 +708,22 @@ class WorkerPool:
             if self._closed:
                 return respawned
             now = time.monotonic()
-            for index, process in enumerate(self._processes):
-                if process.is_alive():
-                    continue
-                if not self.can_respawn(index):
-                    continue
-                if now < self._next_restart_at[index]:
+            for index, slot in enumerate(self._slots):
+                if (slot.process.is_alive()
+                        or slot.restarts >= self.recovery.max_worker_restarts
+                        or now < slot.next_restart_at):
                     continue
                 payload = _session_bytes(self._session)
-                process.join(timeout=1.0)
-                old_queue = self._task_queues[index]
-                self._task_queues[index] = self._ctx.Queue()
+                slot.process.join(timeout=1.0)
+                fresh = self._start(index, payload, slot.incarnation + 1)
+                fresh.restarts = slot.restarts + 1
+                fresh.next_restart_at = (
+                    now + self.recovery.restart_backoff.delay_s(
+                        slot.restarts, seed=index))
+                self._slots[index] = fresh
                 try:
-                    old_queue.close()
-                    old_queue.cancel_join_thread()
+                    slot.task_queue.close()
+                    slot.task_queue.cancel_join_thread()
                 except (ValueError, OSError):         # pragma: no cover
                     pass
                 # Retire (don't close) the dead incarnation's reply
@@ -740,34 +731,9 @@ class WorkerPool:
                 # buffered there and remain deliverable; poll() drains
                 # the retired reader to EOF and then discards it --
                 # along with any torn trailing frame the death left.
-                old_reader = self._reply_readers[index]
-                if old_reader is not None:
-                    self._retired_readers.append(old_reader)
-                attempt = self._restarts[index]
-                self._restarts[index] += 1
-                self._next_restart_at[index] = (
-                    now + self.recovery.restart_backoff.delay_s(
-                        attempt, seed=index))
-                self._incarnations[index] += 1
-                replacement, child_conn = self._make_process(index,
-                                                             payload)
-                with _single_thread_blas_env():
-                    replacement.start()
-                child_conn.close()
-                self._processes[index] = replacement
+                self._retired_readers.append(slot.reader)
                 respawned.append(index)
         return respawned
-
-    def supervision_snapshot(self):
-        """Telemetry: per-slot incarnation/restart/liveness state
-        (what ``Scheduler.stats()`` reports per pooled target)."""
-        with self._state_lock:
-            return {
-                "alive": self.alive_workers(),
-                "incarnations": tuple(self._incarnations),
-                "restarts": tuple(self._restarts),
-                "fleet_down": self.fleet_down,
-            }
 
     # ------------------------------------------------------------------
     def close(self, timeout_s=30.0):
@@ -782,11 +748,10 @@ class WorkerPool:
             if self._closed:
                 return
             self._closed = True
-            for task_queue, process in zip(self._task_queues,
-                                           self._processes):
-                if process.is_alive():
+            for slot in self._slots:
+                if slot.process.is_alive():
                     try:
-                        task_queue.put(_SENTINEL)
+                        slot.task_queue.put(_SENTINEL)
                     except (ValueError, OSError):     # pragma: no cover
                         pass
         deadline = time.monotonic() + timeout_s
@@ -797,23 +762,23 @@ class WorkerPool:
         # healthy worker.  Discarding is correct here -- close() is
         # end of life; callers that want the results drain before
         # closing (Scheduler.shutdown does).
-        while (any(process.is_alive() for process in self._processes)
+        while (any(slot.process.is_alive() for slot in self._slots)
                and time.monotonic() < deadline):
             self._wait_readable(0.05)
             with self._state_lock:
                 self._drain_readers()
-        for process in self._processes:
-            process.join(timeout=max(0.0, deadline - time.monotonic()))
-            if process.is_alive():                # pragma: no cover
-                process.terminate()
-                process.join(timeout=5.0)
+        for slot in self._slots:
+            slot.process.join(timeout=max(0.0, deadline - time.monotonic()))
+            if slot.process.is_alive():           # pragma: no cover
+                slot.process.terminate()
+                slot.process.join(timeout=5.0)
         with self._state_lock:
-            for task_queue in self._task_queues:
-                task_queue.close()
-                task_queue.cancel_join_thread()
-            for reader in self._reply_readers + self._retired_readers:
-                if reader is not None:
-                    reader.close()
+            for slot in self._slots:
+                slot.task_queue.close()
+                slot.task_queue.cancel_join_thread()
+                slot.reader.close()
+            for reader in self._retired_readers:
+                reader.close()
             self._retired_readers = []
 
     def __enter__(self):
@@ -826,4 +791,4 @@ class WorkerPool:
         state = "closed" if self._closed else "open"
         return (f"WorkerPool(workers={self.num_workers}, {state}, "
                 f"ctx={self._ctx.get_start_method()!r}, "
-                f"restarts={sum(self._restarts)})")
+                f"restarts={sum(self.restarts)})")

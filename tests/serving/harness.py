@@ -104,6 +104,7 @@ class StubPool:
         self.reply_batches = []      # one list of replies per poll()
         self._alive = [0, 1]
         self._incarnations = [0] * self.num_workers
+        self._restarts = [0] * self.num_workers
 
     def kill(self, worker):
         self._alive.remove(worker)
@@ -117,9 +118,6 @@ class StubPool:
 
     def poll(self, timeout_s=0.0):
         return self.reply_batches.pop(0) if self.reply_batches else []
-
-    def alive_workers(self):
-        return list(self._alive)
 
     def liveness(self):
         return set(self._alive), tuple(self._incarnations)
@@ -137,14 +135,14 @@ class StubPool:
                 if w not in self._alive]
         for worker in dead:
             self._incarnations[worker] += 1
+            self._restarts[worker] += 1
         self._alive = sorted(self._alive + dead)
         self.respawned.extend(dead)
         return dead
 
-    def supervision_snapshot(self):
-        return {"alive": self.alive_workers(),
-                "restarts": tuple(), "incarnations": tuple(),
-                "fleet_down": self.fleet_down}
+    @property
+    def restarts(self):
+        return tuple(self._restarts)
 
     def close(self):
         self.closed = True

@@ -63,7 +63,7 @@ model = HeatViT(VisionTransformer(config, rng=np.random.default_rng(7)),
                 {1: 0.7}, rng=np.random.default_rng(31))
 model.eval()
 pool = WorkerPool(InferenceSession(model, batch_size=4), 2, ctx=sys.argv[1])
-print(*(process.pid for process in pool._processes), flush=True)
+print(*(slot.process.pid for slot in pool._slots), flush=True)
 os.kill(os.getpid(), signal.SIGKILL)
 """
 
@@ -271,9 +271,16 @@ class TestRecoveryPolicy:
             with pytest.raises(ValueError):
                 RecoveryPolicy(**bad)
 
-    def test_request_retry_budget_comes_from_retry_policy(self):
-        policy = RecoveryPolicy(retry=RetryPolicy(attempts=5))
-        assert policy.max_request_retries == 4
+    def test_request_retry_budget_is_a_validated_count(self):
+        """The re-dispatch budget is a plain count, not a
+        ``RetryPolicy`` whose backoff would be ignored."""
+        assert RecoveryPolicy().max_request_retries == 2
+        assert RecoveryPolicy(max_request_retries=4).max_request_retries \
+            == 4
+        with pytest.raises(ValueError, match="max_request_retries"):
+            RecoveryPolicy(max_request_retries=-1)
+        with pytest.raises(TypeError):
+            RecoveryPolicy(retry=RetryPolicy(attempts=5))
 
 
 class TestRespawnPayload:
@@ -317,13 +324,13 @@ class TestPoolSupervision:
                         fault_plan=plan) as pool:
             pool.dispatch(1, [images[:1]], 0)          # incarnation 0 dies
             deadline = time.monotonic() + 30.0
-            while (pool._processes[0].is_alive()
+            while (pool._slots[0].process.is_alive()
                    and time.monotonic() < deadline):
                 time.sleep(0.01)
             with pytest.raises(WorkerDiedError) as excinfo:
                 pool.dispatch(2, [images[:1]], 0)
             assert excinfo.value.worker == 0
-            assert pool.alive_workers() == [1]
+            assert sorted(pool.liveness()[0]) == [1]
             assert not pool.fleet_down                 # budget remains
             # Supervision: the slot respawns as a healthy incarnation.
             assert pool.respawn_dead() == [0]
@@ -334,9 +341,8 @@ class TestPoolSupervision:
             while not replies and time.monotonic() < deadline:
                 replies = pool.poll(timeout_s=1.0)
             assert [r.kind for r in replies] == ["result"]
-            snapshot = pool.supervision_snapshot()
-            assert snapshot["incarnations"] == (1, 0)
-            assert not snapshot["fleet_down"]
+            assert pool.liveness()[1] == (1, 0)
+            assert not pool.fleet_down
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="reads process states from /proc")
@@ -373,9 +379,9 @@ class TestPoolSupervision:
             pool.dispatch(1, [images[:1]], 0)
             pool.dispatch(2, [images[:1]], 1)
             deadline = time.monotonic() + 30.0
-            while pool.alive_workers() and time.monotonic() < deadline:
+            while pool.liveness()[0] and time.monotonic() < deadline:
                 time.sleep(0.01)
-            assert pool.alive_workers() == []
+            assert sorted(pool.liveness()[0]) == []
             assert pool.respawn_dead() == []           # no budget
             assert pool.fleet_down
 
@@ -403,7 +409,7 @@ class TestCrashRecovery:
             assert scheduler.in_flight_batches() == 0
             stats = scheduler.stats()["sessions"]["tiny"]
             recovery = stats["recovery"]
-            assert recovery["respawns"] >= 1
+            assert sum(stats["fleet"]["restarts"]) >= 1
             assert recovery["lost_batches"] >= 1
             assert recovery["redispatched_requests"] >= 1
             assert recovery["failed_requests"] == 0
@@ -441,8 +447,8 @@ class TestCrashRecovery:
                     collected[result.request_id] = result
             assert sorted(collected) == sorted(ids)
             assert_bitwise(collected, ids, reference)
-            recovery = scheduler.stats()["sessions"]["tiny"]["recovery"]
-            assert recovery["respawns"] >= 1
+            fleet = scheduler.stats()["sessions"]["tiny"]["fleet"]
+            assert sum(fleet["restarts"]) >= 1
         finally:
             scheduler.shutdown(drain=False)
 
@@ -470,9 +476,9 @@ class TestCrashRecovery:
             scheduler.flush(wait=False)     # one shard on each worker
             pool = scheduler.sessions[0].pool
             deadline = time.monotonic() + 30.0
-            while pool.alive_workers() and time.monotonic() < deadline:
+            while pool.liveness()[0] and time.monotonic() < deadline:
                 time.sleep(0.01)
-            assert pool.alive_workers() == []
+            assert sorted(pool.liveness()[0]) == []
             # Supervision wins the race: both slots are respawned
             # before any scheduler sweep sees the deaths.
             respawned = set()
@@ -491,7 +497,7 @@ class TestCrashRecovery:
             assert recovery_stats["lost_batches"] >= 2
             assert recovery_stats["redispatched_requests"] >= 4
             assert recovery_stats["hung_workers"] == 0
-            assert pool.supervision_snapshot()["incarnations"] == (1, 1)
+            assert pool.liveness()[1] == (1, 1)
         finally:
             scheduler.shutdown(drain=False)
 
@@ -518,8 +524,9 @@ class TestCrashRecovery:
             assert time.monotonic() - start < 25.0
             assert sorted(results) == sorted(ids)
             assert_bitwise(results, ids, reference)
-            recovery = scheduler.stats()["sessions"]["tiny"]["recovery"]
-            assert recovery["respawns"] >= 1
+            stats = scheduler.stats()["sessions"]["tiny"]
+            recovery = stats["recovery"]
+            assert sum(stats["fleet"]["restarts"]) >= 1
             assert recovery["lost_batches"] >= 1
             assert recovery["redispatched_requests"] >= 1
             assert recovery["failed_requests"] == 0
@@ -540,7 +547,8 @@ class TestCrashRecovery:
             recovery = scheduler.stats()["sessions"]["tiny"]["recovery"]
             assert recovery["corrupt_replies"] == 1
             assert recovery["redispatched_requests"] >= 1
-            assert recovery["respawns"] == 0           # nobody died
+            pool = scheduler.sessions[0].pool
+            assert pool.restarts == (0, 0)             # nobody died
         finally:
             scheduler.shutdown(drain=False)
 
@@ -608,7 +616,7 @@ class TestHungWorker:
             stats = scheduler.stats()["sessions"]["tiny"]
             assert stats["recovery"]["hung_workers"] >= 1
             assert stats["recovery"]["lost_batches"] >= 1
-            assert stats["recovery"]["respawns"] >= 1
+            assert sum(stats["fleet"]["restarts"]) >= 1
             assert stats["fleet"]["incarnations"][0] >= 1
         finally:
             scheduler.shutdown(drain=False)
@@ -628,7 +636,7 @@ class TestPoisonQuarantine:
         # slow respawned worker (loaded CI host) would quarantine
         # healthy wave-2 requests, so push the deadline out of reach.
         # The hung path has its own scripted-hang test.
-        recovery = fast_recovery(retry=RetryPolicy(attempts=1),
+        recovery = fast_recovery(max_request_retries=0,
                                  min_dispatch_timeout_s=120.0)
         scheduler = chaos_scheduler(chaos_model, fault_plan=plan,
                                     recovery=recovery)
@@ -674,7 +682,7 @@ class TestPoisonQuarantine:
             scheduler.flush(wait=False)        # dispatched to worker 0
             pool = scheduler.sessions[0].pool
             deadline = time.monotonic() + 30.0
-            while (0 in pool.alive_workers()
+            while (0 in pool.liveness()[0]
                    and time.monotonic() < deadline):
                 time.sleep(0.01)
             clock.advance(10.0)                # request deadline passes
@@ -715,10 +723,9 @@ class TestFleetCollapse:
         assert_bitwise(results, ids, reference)
         stats = collapsed.stats()["sessions"]["tiny"]
         assert stats["degraded"]
-        assert stats["fleet"]["fleet_down"]
         assert stats["fleet"]["alive"] == []
         assert stats["recovery"]["degraded_flushes"] >= 1
-        assert stats["recovery"]["respawns"] == 0
+        assert stats["fleet"]["restarts"] == (0, 0)
         # Degraded mode is steady-state: later class-0 traffic still
         # completes (in-process, identical logits).  A lone request
         # executes as a 1-image batch, so its oracle is a 1-image

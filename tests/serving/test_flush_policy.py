@@ -435,20 +435,20 @@ class TestEventWokenDriver:
             while not calls:                   # the driver's first step ran
                 assert time.monotonic() < deadline
                 time.sleep(0.01)
-            victim = served.pool._processes[0]
+            victim = served.pool._slots[0].process
             victim.terminate()
             victim.join(timeout=30)
             assert not victim.is_alive()
             settled = len(calls)
             time.sleep(0.3)
             assert len(calls) == settled
-            assert served.recovery["respawns"] == 0
+            assert served.pool.restarts == (0, 0)
             result = scheduler.wait_result(scheduler.submit(image),
                                            timeout_ms=60_000.0)
             assert not result.failed
             np.testing.assert_allclose(result.logits, reference.logits,
                                        rtol=0, atol=1e-8)
-            assert served.recovery["respawns"] == 1
-            while served.pool.alive_workers() != [0, 1]:
+            assert served.pool.restarts == (1, 0)
+            while sorted(served.pool.liveness()[0]) != [0, 1]:
                 assert time.monotonic() < deadline
                 time.sleep(0.02)

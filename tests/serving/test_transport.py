@@ -174,7 +174,23 @@ class TestCollectEdgeCases:
         assert list(served.pending) == [1]
         assert served.recovery["lost_batches"] == 1
         assert served.recovery["redispatched_requests"] == 1
-        assert served.recovery["respawns"] == 1
+        assert pool.restarts == (1, 0)
+
+    def test_fleet_stats_read_the_pool_seam(self, served_model, images):
+        """``stats()`` reports the fleet from ``liveness()`` and
+        ``restarts`` alone, and counts each respawn once: on the pool,
+        not again among the transport's recovery counters."""
+        scheduler = Scheduler(clock=VirtualClock())
+        served, pool, _ = _pooled_served(scheduler, "tiny",
+                                         served_model, images)
+        pool.kill(0)
+        scheduler.step()
+        entry = scheduler.stats()["sessions"]["tiny"]
+        assert entry["fleet"] == {"alive": [0, 1],
+                                  "incarnations": (1, 0),
+                                  "restarts": (1, 0)}
+        assert "respawns" not in entry["recovery"]
+        assert entry["degraded"] is False
 
     def test_hung_worker_is_terminated_and_its_batch_recovered(
             self, served_model, images):

@@ -15,6 +15,7 @@ startup is the expensive part.  The core claims:
 """
 
 import copy
+import errno
 import multiprocessing
 import os
 import sys
@@ -204,7 +205,7 @@ class TestWorkerPoolDirect:
             follow_up = pool.poll(timeout_s=60.0)
             assert follow_up and follow_up[0].kind == "result"
         assert pool.closed
-        assert pool.alive_workers() == []
+        assert sorted(pool.liveness()[0]) == []
 
     def test_dispatch_validates(self, served_model):
         session = InferenceSession(served_model, batch_size=4)
@@ -227,15 +228,15 @@ class TestWorkerPoolDirect:
                            workers=2, worker_ctx="fork")
         pool = scheduler.sessions[0].pool
         try:
-            victim = pool._processes[0]
+            victim = pool._slots[0].process
             victim.terminate()
             victim.join(timeout=30)
             ids = submit_all(scheduler, images[:4])
             drained = scheduler.drain(timeout_ms=120_000)
             assert sorted(r.request_id for r in drained) == sorted(ids)
             assert all(not r.failed for r in drained)
-            recovery = scheduler.stats()["sessions"]["tiny"]["recovery"]
-            assert recovery["respawns"] >= 1
+            fleet = scheduler.stats()["sessions"]["tiny"]["fleet"]
+            assert sum(fleet["restarts"]) >= 1
         finally:
             scheduler.shutdown(drain=False)
 
@@ -255,6 +256,32 @@ class TestStartupFailures:
         assert len(os.listdir("/proc/self/fd")) == descriptors
         assert set(multiprocessing.active_children()) == children
         assert scheduler.sessions == []
+
+    def test_failed_start_closes_the_workers_already_started(
+            self, served_model, monkeypatch):
+        """The second worker's ``start`` fails (the OS is out of
+        processes): the pool closes the first before the error
+        propagates, leaving no worker process behind."""
+        context = multiprocessing.get_context("fork")
+        real_start = context.Process.start
+        calls = []
+
+        def start(process):
+            calls.append(process.name)
+            if len(calls) == 2:
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            real_start(process)
+
+        monkeypatch.setattr(context.Process, "start", start)
+        session = InferenceSession(served_model, batch_size=4)
+        children = set(multiprocessing.active_children())
+        with pytest.raises(OSError):
+            WorkerPool(session, 2, ctx="fork")
+        assert calls == ["repro-serving-worker-0.0",
+                         "repro-serving-worker-1.0"]
+        assert not [child.name for child in
+                    set(multiprocessing.active_children()) - children
+                    if child.name.startswith("repro-serving-worker-")]
 
     def test_payload_failing_in_the_child_reports_its_cause(
             self, served_model):
@@ -290,7 +317,7 @@ class TestGracefulShutdown:
         assert scheduler.in_flight_batches() == 0
         assert not scheduler.running
         assert pool.closed
-        assert pool.alive_workers() == []
+        assert sorted(pool.liveness()[0]) == []
         assert not [t.name for t in threading.enumerate()
                     if "repro-serving" in t.name]
         # Queue feeder threads (stdlib-internal) exit asynchronously
@@ -311,7 +338,7 @@ class TestGracefulShutdown:
             ids = submit_all(scheduler, images[:4])
             scheduler.flush(wait=False)
         assert pool.closed
-        assert pool.alive_workers() == []
+        assert sorted(pool.liveness()[0]) == []
         # drain on exit completed the in-flight work
         assert all(scheduler.pop_result(i) is not None for i in ids)
 
@@ -415,7 +442,7 @@ class TestDispatchCloseRace:
         drainer.join()
         assert unexpected == []
         assert pool.closed
-        assert pool.alive_workers() == []
+        assert sorted(pool.liveness()[0]) == []
 
     def test_concurrent_poll_and_close(self, served_model, images):
         """A blocked poll() racing close(): the poller must return
@@ -446,7 +473,7 @@ class TestDispatchCloseRace:
             thread.join(timeout=30.0)
         assert errors == []
         assert pool.closed
-        assert pool.alive_workers() == []
+        assert sorted(pool.liveness()[0]) == []
 
     def test_shutdown_while_stepping(self, served_model, images):
         """Scheduler-level version: the background stepping thread is
@@ -466,5 +493,5 @@ class TestDispatchCloseRace:
             result = scheduler.pop_result(request_id)
             assert request_id in collected or result is not None
         assert scheduler.sessions[0].pool.closed
-        assert scheduler.sessions[0].pool.alive_workers() == []
+        assert sorted(scheduler.sessions[0].pool.liveness()[0]) == []
         assert not scheduler.running
