@@ -99,10 +99,11 @@ def main():
         print(f"  flush -> worker {event.worker}: "
               f"{event.num_images} images, predicted "
               f"{event.estimated_ms:.2f} ms")
-    for worker, law in enumerate(served.placement.snapshot()["learned"]):
-        print(f"  worker {worker} learned: {law['overhead_ms']:.2f} ms "
-              f"per launch + {law['marginal_ms']:.3f} ms per image "
-              f"({law['samples']} samples)")
+    for worker in range(args.workers):
+        law = served.placement.estimator(worker)
+        print(f"  worker {worker} learned: {law.overhead_ms:.2f} ms "
+              f"per launch + {law.marginal_ms:.3f} ms per image "
+              f"({law.count} samples)")
 
     # 4. The point: fan-out never changes the numbers.
     identical = bool((logits == reference.logits).all())

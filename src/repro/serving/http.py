@@ -28,8 +28,10 @@ plus a small request parser, no web framework) that exposes a
   is ``404 unknown``.
 * ``GET /healthz`` -- liveness plus registered session names.
 * ``GET /stats`` -- :meth:`repro.serving.Scheduler.stats` (queue
-  depths, priced backlogs, in-flight batches, per-class deadline-hit
-  rates, flush-reason histogram) plus server counters.
+  depths, priced backlogs, in-flight batches, the ledger's per-class
+  request counters and deadline-hit rates, flush-reason histogram)
+  plus the two counters only the server sees, ``http_requests`` and
+  ``unavailable`` (503s).
 
 The server owns an event-loop thread.  Flushing is the scheduler's own
 driver thread (:meth:`Scheduler.start`): the front door starts it
@@ -178,9 +180,9 @@ class FrontDoor:
         self._connections = {}       # handler task -> (reader, writer)
         self._startup_error = None
         self._started_scheduler = False
-        # Written on the event loop only, so no lock.
-        self.counters = {"http_requests": 0, "submitted": 0, "shed": 0,
-                         "unavailable": 0, "results_delivered": 0}
+        # What only HTTP sees (request facts are the ledger's); written
+        # on the event loop only, so no lock.
+        self.counters = {"http_requests": 0, "unavailable": 0}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -487,7 +489,6 @@ class FrontDoor:
                 images, deadline_ms=deadline_ms, model=model,
                 priority=priority)
         except AdmissionError as exc:
-            self.counters["shed"] += 1
             return 429, {"status": "shed", "error": str(exc),
                          "priority": exc.priority,
                          "backlog_ms": exc.backlog_ms,
@@ -496,7 +497,6 @@ class FrontDoor:
             raise _HttpError(404, str(exc))
         except (TypeError, ValueError) as exc:
             raise _HttpError(400, str(exc))
-        self.counters["submitted"] += 1
         return 200, {"status": "queued", "request_id": request_id}
 
     def _degraded_response(self, model, priority, images):
@@ -567,7 +567,6 @@ class FrontDoor:
             raise _HttpError(404, f"unknown request id {request_id}")
         if result is None:
             return 202, {"status": "pending", "request_id": request_id}
-        self.counters["results_delivered"] += 1
         return 200, _result_payload(result, include_logits)
 
 

@@ -7,11 +7,15 @@
 :meth:`Ledger._move` is the only mutator: it raises
 :class:`IllegalTransition` on a move the table lacks, stamps the
 scheduler clock, and bumps the per-class counters ``Scheduler.stats()``
-reports.  A request shed at admission gets no entry; it only counts.
-Delivery releases the entry (result and stamps): a delivered id keeps
-only its state.  Finished ids are evicted oldest first past
-``_TERMINAL_WINDOW``; queued and in-flight ones never are, and an
-evicted id reads as one never issued.
+reports.  The ledger is the one place a request fact is counted, each
+counter with one meaning: ``submitted``, ``requeued`` (in_flight ->
+queued), ``completed``, ``failed`` (of which ``shed``: shed by
+recovery; the rest were quarantined), ``delivered``, ``degraded`` and
+the deadline hits and misses.  A request refused at admission gets no
+entry and only counts ``refused``.  Delivery releases the entry
+(result and stamps): a delivered id keeps only its state.  Finished
+ids are evicted oldest first past ``_TERMINAL_WINDOW``; queued and
+in-flight ones never are, and an evicted id reads as one never issued.
 """
 
 from __future__ import annotations
@@ -30,6 +34,11 @@ _MOVES = {None: (QUEUED,), QUEUED: (IN_FLIGHT,),
 
 #: Finished ids held: a result nobody fetches must not grow the server.
 _TERMINAL_WINDOW = 65_536
+
+#: The per-class counters, each one request fact.
+_COUNTERS = ("submitted", "requeued", "completed", "failed", "shed",
+             "refused", "delivered", "degraded", "deadline_hits",
+             "deadline_misses")
 
 
 class IllegalTransition(RuntimeError):
@@ -89,9 +98,9 @@ class Ledger:
             self._move(request_id, QUEUED, degraded=degraded)
 
     def refuse(self, priority):
-        """Count a class-``priority`` request shed at admission."""
+        """Count a class-``priority`` request refused at admission."""
         with self.cond:
-            self._tally(priority)["shed"] += 1
+            self._tally(priority)["refused"] += 1
 
     def move(self, request_id, state):
         """``queued`` <-> ``in_flight``."""
@@ -139,6 +148,8 @@ class Ledger:
         if previous is None:
             tally["submitted"] += 1
             tally["degraded"] += degraded
+        elif state == QUEUED:
+            tally["requeued"] += 1
         elif state == FAILED:             # judges no deadline
             tally["failed"] += 1
             tally["shed"] += shed
@@ -148,6 +159,7 @@ class Ledger:
                 tally["deadline_hits" if result.deadline_met
                       else "deadline_misses"] += 1
         if state == DELIVERED:
+            tally["delivered"] += 1
             self.pending_results -= 1
             self._entries[request_id] = _DELIVERED
         elif state in (COMPLETED, FAILED):
@@ -158,9 +170,10 @@ class Ledger:
                 self.pending_results -= evicted is not _DELIVERED
 
     def _tally(self, priority):
-        return self._classes.setdefault(priority, {
-            "submitted": 0, "completed": 0, "deadline_hits": 0,
-            "deadline_misses": 0, "degraded": 0, "shed": 0, "failed": 0})
+        tally = self._classes.get(priority)
+        if tally is None:
+            tally = self._classes[priority] = dict.fromkeys(_COUNTERS, 0)
+        return tally
 
     def classes(self):
         """The counters by class, each with its ``deadline_hit_rate``

@@ -188,20 +188,6 @@ class PlacementPolicy:
                              - placement.predicted_ms + float(measured_ms))
                 self._free_at[worker] = max(float(now_ms), corrected)
 
-    def snapshot(self):
-        """Telemetry: per-worker backlog, in-flight counts and learned
-        batch laws (``examples/serve_multiworker.py`` prints the laws)."""
-        return {
-            "free_at_ms": tuple(self._free_at),
-            "in_flight": self.in_flight,
-            "learned": tuple(
-                {"overhead_ms": est.overhead_ms,
-                 "marginal_ms": est.marginal_ms,
-                 "samples": est.count,
-                 "variance_ms2": est.variance_ms2}
-                for est in self._estimators),
-        }
-
     def __repr__(self):
         laws = ", ".join(f"{est.overhead_ms:.3f}+{est.marginal_ms:.3f}n"
                          for est in self._estimators)

@@ -57,11 +57,6 @@ class RetryPolicy:
         if not 0.0 <= self.jitter < 1.0:
             raise ValueError("jitter must be in [0, 1)")
 
-    @property
-    def retries(self):
-        """Retries after the initial attempt."""
-        return self.attempts - 1
-
     def delay_s(self, attempt, seed=0):
         """Backoff before retry number ``attempt`` (0-based): capped
         exponential, deterministically jittered by ``(seed, attempt)``.

@@ -75,6 +75,10 @@ from repro.serving.transport import InlineTransport
 
 __all__ = ["Scheduler", "ServedModel", "FlushEvent", "AdmissionError"]
 
+#: Flush events held in ``Scheduler.events`` (oldest drop first); the
+#: ``flush_reasons`` histogram counts every event regardless.
+_EVENT_WINDOW = 10_000
+
 
 def check_timeout_ms(timeout_ms):
     """``timeout_ms`` as a float, or ``ValueError`` unless it is finite,
@@ -90,7 +94,8 @@ def check_timeout_ms(timeout_ms):
 
 
 class AdmissionError(RuntimeError):
-    """A submission was shed by admission control.
+    """A submission was shed by admission control (the ledger counts
+    it as its class's ``refused``).
 
     Raised when the priced backlog of every eligible serving target
     exceeds the scheduler's ``admission_capacity_ms`` and the request's
@@ -115,8 +120,9 @@ class ServedModel:
     ``pending`` / ``recovery`` / ``degraded`` are read-only views of
     it: the :class:`repro.serving.WorkerPool` and
     :class:`repro.serving.PlacementPolicy` (``None`` in-process), the
-    shards awaiting worker replies, the recovery counters, and whether
-    the fleet is permanently lost and flushes run in-process.
+    shards awaiting worker replies, the pool's worker-fact counters
+    (``None`` in-process; request facts live in the scheduler's ledger),
+    and whether the fleet is permanently lost and flushes run in-process.
     """
 
     name: str
@@ -222,8 +228,6 @@ class Scheduler:
         latency; reaching it triggers a flush and bounds the batch size.
     deadline_margin_ms: safety margin subtracted from deadlines when
         deciding whether a flush must fire now.
-    max_events: cap on the :class:`FlushEvent` telemetry log (oldest
-        entries drop first); ``None`` keeps everything (simulations).
     priority_tiers: optional mapping of priority class to a default
         *relative* deadline in ms, applied when a submission names a
         class but no explicit deadline -- the SLO-tier contract clients
@@ -246,8 +250,8 @@ class Scheduler:
 
     def __init__(self, clock=None, router=None, batch_window_ms=10.0,
                  latency_budget_ms=None, deadline_margin_ms=0.0,
-                 max_events=10_000, priority_tiers=None,
-                 admission_capacity_ms=None, preempt_priority=0):
+                 priority_tiers=None, admission_capacity_ms=None,
+                 preempt_priority=0):
         if priority_tiers is not None:
             priority_tiers = {int(cls): float(ms)
                               for cls, ms in priority_tiers.items()}
@@ -263,9 +267,6 @@ class Scheduler:
         self.router = router if router is not None else LeastLatencyRouter()
         self.flush_policy = FlushPolicy(batch_window_ms, latency_budget_ms,
                                         deadline_margin_ms)
-        if max_events is not None and max_events < 1:
-            raise ValueError("max_events must be >= 1 or None")
-        self.max_events = max_events
         self.priority_tiers = priority_tiers
         self.admission_capacity_ms = admission_capacity_ms
         self.preempt_priority = preempt_priority
@@ -651,20 +652,20 @@ class Scheduler:
         self._flush_reasons[event.reason] = (
             self._flush_reasons.get(event.reason, 0) + 1)
         self.events.append(event)
-        if (self.max_events is not None
-                and len(self.events) > self.max_events):
-            del self.events[:len(self.events) - self.max_events]
+        if len(self.events) > _EVENT_WINDOW:
+            del self.events[:len(self.events) - _EVENT_WINDOW]
 
     def stats(self):
         """Serving telemetry snapshot (what ``GET /stats`` reports).
 
-        Per-session queue depth / priced backlog / in-flight batches,
-        per-priority-class admission and deadline counters (with the
-        derived ``deadline_hit_rate`` over deadline-carrying completions),
-        and a histogram of flush-trigger reasons over every
-        :class:`FlushEvent` logged since the scheduler started (kept up
-        to date as events are logged, so it is not limited to the
-        ``max_events`` tail that ``events`` retains).
+        Per-session queue depth / priced backlog / in-flight batches
+        (and, for a pooled target, its ``fleet`` and the pool's
+        ``recovery`` counters), the ledger's per-priority-class request
+        counters (with the derived ``deadline_hit_rate`` over
+        deadline-carrying completions), and a histogram of
+        flush-trigger reasons over every :class:`FlushEvent` logged
+        since the scheduler started (not only the tail ``events``
+        retains).
         """
         sessions = {}
         for served in self.sessions:
@@ -677,7 +678,6 @@ class Scheduler:
                 "fidelity": served.fidelity,
                 "workers": (served.pool.num_workers
                             if served.pool is not None else 1),
-                "recovery": dict(served.recovery),
             }
             if served.pool is not None:
                 alive, incarnations = served.pool.liveness()
@@ -685,12 +685,12 @@ class Scheduler:
                 entry["fleet"] = {"alive": sorted(alive),
                                   "incarnations": incarnations,
                                   "restarts": served.pool.restarts}
+                entry["recovery"] = dict(served.recovery)
             sessions[served.name] = entry
         return {
             "sessions": sessions,
             "classes": self.ledger.classes(),
             "flush_reasons": dict(self._flush_reasons),
-            "num_events": len(self.events),
             "pending_results": self.ledger.pending_results,
             "admission_capacity_ms": self.admission_capacity_ms,
             "priority_tiers": (dict(self.priority_tiers)
@@ -785,29 +785,26 @@ class Scheduler:
         budget is the **poison quarantine** -- the request is failed
         cleanly to its caller (some batches *cause* crashes, and
         re-dispatching one forever would grind the fleet down worker
-        by worker).  Expired sheddable requests fail through the shed
-        accounting instead of being silently served late.
+        by worker).  Expired sheddable requests fail as ``shed`` instead
+        of being silently served late.  The ledger counts each outcome.
         """
-        policy, counters = served.transport.policy, served.recovery
+        policy = served.transport.policy
         now = self.clock.now()
         failed = []
         for request in requests:
             request.retries += 1
             if request.retries > policy.max_request_retries:
-                counters["failed_requests"] += 1
                 shed, error = False, (
                     f"{why}; re-dispatch budget "
                     f"({policy.max_request_retries}) exhausted -- "
                     f"poison-batch quarantine")
             elif (request.priority > 0 and request.deadline_ms is not None
                     and now > request.deadline_ms):
-                counters["shed_on_recovery"] += 1
                 shed, error = True, (
                     f"{why}; deadline passed during recovery, shed")
             else:
                 self.ledger.move(request.request_id, QUEUED)
                 self._enqueue(served, request)
-                counters["redispatched_requests"] += 1
                 continue
             # The terminal answer owed to a caller recovery cannot serve.
             failed.append(RequestResult(

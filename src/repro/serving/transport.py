@@ -32,6 +32,11 @@ scheduler has a single dispatch -> collect -> deliver pipeline:
 
 ``pool`` / ``placement`` / ``pending`` / ``recovery`` / ``degraded``
 are what :class:`repro.serving.ServedModel` shows as read-only views.
+``recovery`` counts the worker facts only a :class:`PoolTransport`
+sees (lost batches, hung workers, error / corrupt / duplicate replies,
+degraded flushes); what happened to each *request* -- requeued, shed,
+quarantined -- is counted once, in the scheduler's
+:class:`repro.serving.ledger.Ledger`.
 """
 
 from __future__ import annotations
@@ -69,21 +74,6 @@ class _InFlight:
     incarnation: int                # worker incarnation dispatched to
 
 
-def _recovery_counters():
-    """Fresh per-target recovery telemetry (reported by ``stats()``)."""
-    return {
-        "lost_batches": 0,           # in-flight batches stranded by deaths
-        "hung_workers": 0,           # terminated for missing the deadline
-        "redispatched_requests": 0,  # requeued to survivors after a loss
-        "failed_requests": 0,        # poison quarantine: budget exhausted
-        "shed_on_recovery": 0,       # expired sheddable requests dropped
-        "worker_errors": 0,          # error replies absorbed (not raised)
-        "corrupt_replies": 0,        # malformed payloads rejected
-        "duplicate_replies": 0,      # stale/duplicate replies dropped
-        "degraded_flushes": 0,       # in-process flushes after collapse
-    }
-
-
 def _shard_requests(requests, num_shards):
     """Split a popped batch into up to ``num_shards`` contiguous,
     image-count-balanced shards (requests stay atomic, EDF order is
@@ -112,18 +102,17 @@ class InlineTransport:
     the arrays back on the shard, so an in-process flush completes --
     and is delivered -- inside the ``step()`` / ``submit()`` /
     ``flush()`` call that fired it.  Nothing is ever in flight, so
-    ``poll`` has nothing to report and ``recovery`` never moves; with
-    nothing ever lost there is no retry ``policy`` to carry either.
+    ``poll`` has nothing to report; with nothing ever lost there are no
+    ``recovery`` counters and no retry ``policy`` to carry either.
     """
 
-    pool = placement = None
+    pool = placement = recovery = None
     degraded = False
     in_flight = 0
 
     def __init__(self, session):
         self.session = session
         self.pending = {}
-        self.recovery = _recovery_counters()
 
     def has_capacity(self):
         return True
@@ -170,7 +159,8 @@ class PoolTransport:
     replies are dropped.  No worker failure is ever raised.  When the
     whole pool is permanently lost (``degraded``) batches run on the
     parent session through an :class:`InlineTransport` -- identical
-    logits, reduced throughput -- and ``recovery`` counts every action.
+    logits, reduced throughput -- and ``recovery`` counts every worker
+    fact (the scheduler's ledger counts what each loss did to a request).
 
     ``pool`` is a ready :class:`repro.serving.WorkerPool` (tests pass a
     fake); :meth:`spawn` builds one.  ``clock`` is the scheduler's
@@ -192,7 +182,14 @@ class PoolTransport:
             pool.num_workers, session,
             max_in_flight=self.policy.max_in_flight_per_worker)
         self.pending = {}            # task id -> _InFlight
-        self.recovery = _recovery_counters()
+        self.recovery = dict.fromkeys((
+            "lost_batches",          # in-flight batches stranded by deaths
+            "hung_workers",          # terminated for missing the deadline
+            "worker_errors",         # error replies absorbed (not raised)
+            "corrupt_replies",       # malformed payloads rejected
+            "duplicate_replies",     # stale/duplicate replies dropped
+            "degraded_flushes",      # in-process flushes after collapse
+        ), 0)
         self._inline = InlineTransport(session)
         self._task_ids = itertools.count()
 

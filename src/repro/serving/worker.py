@@ -220,9 +220,11 @@ class RecoveryPolicy:
     (restart budget and backoff) and the dispatch side (re-dispatch
     budgets and deadlines).  All defaults are production-shaped; chaos
     tests tighten them.  Recovered requests whose deadline has already
-    passed are shed (failed to their callers, counted in the class's
-    ``shed`` stats) instead of silently re-executed late; premium
-    class-0 requests are never shed.
+    passed are shed (failed to their callers) instead of silently
+    re-executed late; premium class-0 requests are never shed.  The
+    scheduler's ledger counts per class what recovery did to requests:
+    ``requeued``, ``failed``, and of those ``shed`` (a quarantined
+    request is ``failed`` minus ``shed``).
 
     Parameters
     ----------

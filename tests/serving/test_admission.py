@@ -90,7 +90,8 @@ class TestAdmissionControl:
         assert excinfo.value.backlog_ms > excinfo.value.capacity_ms
         assert scheduler.pending_requests() == 2          # shed, not queued
         stats = scheduler.stats()
-        assert stats["classes"][1]["shed"] == 1
+        assert stats["classes"][1]["refused"] == 1
+        assert stats["classes"][1]["shed"] == 0
         assert stats["classes"][1]["submitted"] == 2
 
     def test_class_zero_is_never_shed(self, mild_model, clock,
@@ -267,7 +268,7 @@ class TestTwoTierOverload:
         # Overload really happened and was admission-controlled.
         stats = scheduler.stats()
         assert len(report.shed) > 0
-        assert stats["classes"][1]["shed"] == len(report.shed)
+        assert stats["classes"][1]["refused"] == len(report.shed)
         assert stats["classes"][1]["degraded"] > 0
         # Premium never pays for it.
         assert report.hit_rate(priority=0) >= 0.95

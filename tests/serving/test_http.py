@@ -286,11 +286,13 @@ class TestEndpoints:
                     "priced_backlog_ms", "in_flight_batches", "backend",
                     "fidelity", "workers"):
             assert key in session
+        assert "recovery" not in session          # in-process target
         assert stats["classes"]["0"]["submitted"] == 1
         assert stats["classes"]["0"]["completed"] == 1
-        assert stats["server"]["submitted"] == 1
-        assert stats["server"]["results_delivered"] == 1
+        assert stats["classes"]["0"]["delivered"] == 1
+        assert set(stats["server"]) == {"http_requests", "unavailable"}
         assert stats["server"]["http_requests"] >= 3
+        assert stats["server"]["unavailable"] == 0
 
 
 class TestErrorPaths:
@@ -337,7 +339,7 @@ class TestErrorPaths:
         status, payload = client.request("POST", "/v1/submit", body=body)
         assert (status, payload["status"]) == (400, "error")
         assert door.scheduler.pending_requests() == 0
-        assert door.counters["submitted"] == 0
+        assert door.scheduler.ledger.classes() == {}
 
     @pytest.mark.parametrize("timeout_ms", ["nan", "inf", "-1", "1e308"])
     def test_unusable_long_poll_timeout_is_a_400(self, front_door,
@@ -419,7 +421,7 @@ class TestErrorPaths:
                 assert (status, payload["status"]) == (413, "error")
                 assert client.submit(num_images=5, seed=1)[0] == 413
                 assert scheduler.pending_requests() == 0
-                assert door.counters["submitted"] == 0
+                assert scheduler.ledger.classes() == {}
                 status, queued = client.submit(num_images=4, seed=1)
                 assert status == 200                  # exactly at the bound
                 status, payload = client.result(queued["request_id"],
@@ -623,9 +625,9 @@ class TestTwoTierOverHttp:
                 _, stats = client.stats()
         # Overload really happened and was admission-controlled.
         assert shed, "burst sizing no longer trips admission control"
-        assert stats["classes"]["1"]["shed"] == len(shed)
+        assert stats["classes"]["1"]["refused"] == len(shed)
         assert stats["classes"]["1"]["degraded"] > 0
-        assert stats["server"]["shed"] == len(shed)
+        assert stats["classes"]["1"]["shed"] == 0     # nothing recovered
         # Every admitted request completed; premium all admitted.
         premium = [(req, res) for req, res in results.values()
                    if req.priority == 0]

@@ -1,11 +1,15 @@
 """The request ledger's state machine, driven directly.
 
 A hypothesis test runs random sequences of transitions -- legal and
-illegal -- against a model of the table the ledger documents.  Legal
-moves must land where the model says, stamp the clock once each and
-keep the counters conserved (``submitted == completed + failed + live
-queued + live in-flight``); illegal ones must raise and change nothing.
-The eviction window is shrunk so eviction happens inside the runs.
+illegal -- and admission refusals against a model of the table the
+ledger documents.  Legal moves must land where the model says, stamp
+the clock once each and keep the counters conserved (``submitted ==
+completed + failed + live queued + live in-flight``); every counter
+equals the model's count of its fact (``requeued`` the in_flight ->
+queued moves, ``delivered`` the results taken, ``refused`` the
+refusals, which never enter ``submitted``; ``shed <= failed``); illegal
+moves must raise and change nothing.  The eviction window is shrunk so
+eviction happens inside the runs.
 """
 
 from unittest import mock
@@ -29,7 +33,8 @@ LEGAL = {
     "delivered": set(),
 }
 
-OPS = ("admit", "dispatch", "requeue", "complete", "fail", "take", "tick")
+OPS = ("admit", "dispatch", "requeue", "complete", "fail", "take", "tick",
+       "refuse")
 
 
 def make_result(request_id, now, priority, *, failed=False, deadline=None):
@@ -43,8 +48,9 @@ def make_result(request_id, now, priority, *, failed=False, deadline=None):
 def totals(ledger):
     classes = ledger.classes().values()
     return {key: sum(c[key] for c in classes)
-            for key in ("submitted", "completed", "failed", "shed",
-                        "degraded", "deadline_hits", "deadline_misses")}
+            for key in ("submitted", "requeued", "completed", "failed",
+                        "shed", "refused", "delivered", "degraded",
+                        "deadline_hits", "deadline_misses")}
 
 
 @given(window=st.integers(1, 4),
@@ -62,6 +68,11 @@ def test_random_transitions(window, steps):
         for op, request_id, priority, flag in steps:
             if op == "tick":
                 clock.advance(1.0)
+                continue
+            if op == "refuse":                 # no entry, whatever the id
+                ledger.refuse(priority)
+                expected["refused"] += 1
+                assert totals(ledger) == expected
                 continue
             state = states.get(request_id)
             entry_priority = (priority if state is None
@@ -105,6 +116,10 @@ def test_random_transitions(window, steps):
                 if op == "admit":
                     expected["submitted"] += 1
                     expected["degraded"] += flag
+                elif op == "requeue":
+                    expected["requeued"] += 1
+                elif op == "take":
+                    expected["delivered"] += 1
                 elif op == "complete":
                     expected["completed"] += 1
                     if deadline is not None:
@@ -138,13 +153,15 @@ def test_random_transitions(window, steps):
             assert got == expected
             assert got["submitted"] == (got["completed"] + got["failed"]
                                         + live["queued"] + live["in_flight"])
+            assert got["shed"] <= got["failed"]
 
 
-def test_admission_shed_counts_without_an_entry():
+def test_admission_refusal_counts_without_an_entry():
     ledger = Ledger(VirtualClock())
     ledger.refuse(2)
     assert not ledger._entries and ledger.state(0) is None
-    assert ledger.classes()[2]["shed"] == 1
+    assert ledger.classes()[2]["refused"] == 1
+    assert ledger.classes()[2]["shed"] == 0
     assert ledger.classes()[2]["submitted"] == 0
 
 

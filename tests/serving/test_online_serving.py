@@ -29,7 +29,7 @@ class TestPlacementLearning:
             ticket = policy.assign(n)
             assert ticket.num_images == n
             policy.complete(ticket, now_ms=0.0, measured_ms=20.0 + n)
-        assert policy.snapshot()["learned"][0]["samples"] == 4
+        assert policy.estimator(0).count == 4
 
     def test_learned_law_prices_shape_not_scale(self):
         """A worker's prediction follows its own fitted batch law -- a
@@ -166,8 +166,9 @@ class TestPooledLearning:
         assert batch_samples > 0
         assert served.cost_model.confident()
         # ...and the per-worker placement estimators, one sample each.
-        learned = served.placement.snapshot()["learned"]
-        assert sum(entry["samples"] for entry in learned) == batch_samples
+        placement = served.placement
+        assert sum(placement.estimator(w).count
+                   for w in range(placement.num_workers)) == batch_samples
         # Execution semantics unchanged: same keep decisions and
         # engine-tolerance logits as a static in-process session.
         reference = InferenceSession(model, batch_size=8,

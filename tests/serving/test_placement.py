@@ -107,13 +107,13 @@ class TestCalibration:
     def test_unmeasured_completion_leaves_calibration_alone(self):
         policy = PlacementPolicy(1, PER_IMAGE)
         policy.complete(policy.assign(10))
-        assert policy.snapshot()["learned"][0]["samples"] == 0
+        assert policy.estimator(0).count == 0
         assert policy.predicted_ms(0, 10) == 10.0
 
     def test_zero_raw_cost_skips_calibration(self):
         policy = PlacementPolicy(1, PER_IMAGE)
         policy.complete(policy.assign(0), measured_ms=5.0)
-        assert policy.snapshot()["learned"][0]["samples"] == 0
+        assert policy.estimator(0).count == 0
 
 
 class TestCompletionBookkeeping:
@@ -130,7 +130,7 @@ class TestCompletionBookkeeping:
         policy.assign(100, now_ms=0.0)            # free_at 200
         policy.complete(first, now_ms=10.0, measured_ms=10.0)
         # first finished 90 ms early; the second's completion shifts in.
-        assert policy.snapshot()["free_at_ms"] == (110.0,)
+        assert policy.assign(1, now_ms=10.0).start_ms == 110.0
 
     def test_over_completion_rejected(self):
         policy = PlacementPolicy(2, PER_IMAGE)
@@ -187,17 +187,21 @@ class TestDeterminism:
             for ticket, wall in tickets:
                 policy.complete(ticket, now_ms=clock.now(),
                                 measured_ms=wall)
-            return decisions, policy.snapshot()
+            laws = [(est.count, est.overhead_ms, est.marginal_ms,
+                     est.variance_ms2)
+                    for est in map(policy.estimator, range(3))]
+            # Each worker's backlog: when a next batch there would start.
+            free_at = [policy.assign(1, now_ms=0.0, candidates=[w]).start_ms
+                       for w in range(3)]
+            return decisions, (laws, free_at, policy.in_flight)
 
         first, second = run(), run()
         assert first[0] == second[0]
         assert first[1] == second[1]
 
-    def test_snapshot_shape(self):
+    def test_estimators_start_at_the_session_prior(self):
         policy = PlacementPolicy(2, PricedSession(overhead_ms=0.5))
-        snapshot = policy.snapshot()
-        assert set(snapshot) == {"free_at_ms", "in_flight", "learned"}
-        assert all(entry["samples"] == 0
-                   and entry["overhead_ms"] == 0.5
-                   and entry["marginal_ms"] == 1.0
-                   for entry in snapshot["learned"])
+        assert policy.in_flight == (0, 0)
+        assert all(est.count == 0 and est.overhead_ms == 0.5
+                   and est.marginal_ms == 1.0
+                   for est in map(policy.estimator, range(2)))

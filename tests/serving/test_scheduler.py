@@ -466,17 +466,17 @@ class TestValidation:
         with pytest.raises(ValueError, match="registered shapes"):
             scheduler.submit(np.zeros((3, 32, 32)))
 
-    def test_events_log_is_bounded(self, mild_model, clock, tiny_dataset):
-        scheduler = Scheduler(clock=clock, batch_window_ms=100.0,
-                              max_events=2)
+    def test_events_log_is_bounded(self, mild_model, clock, tiny_dataset,
+                                   monkeypatch):
+        monkeypatch.setattr("repro.serving.scheduler._EVENT_WINDOW", 2)
+        scheduler = Scheduler(clock=clock, batch_window_ms=100.0)
         scheduler.register("default", mild_model)
         for i in range(4):
             scheduler.submit(tiny_dataset.images[i])
             scheduler.flush()
         assert len(scheduler.events) == 2
         assert scheduler.events[-1].request_ids == [3]   # newest kept
-        with pytest.raises(ValueError):
-            Scheduler(clock=clock, max_events=0)
+        assert scheduler.stats()["flush_reasons"] == {"forced": 4}
 
     def test_estimate_tracks_operating_point(self, mild_model, clock):
         """ServedModel pricing follows set_keep_ratios retuning

@@ -11,8 +11,11 @@ hangs and error / corrupt / duplicate replies, and after every rule
 checks what no scenario test can enumerate:
 
 * every request's stamps walk the ledger's transition table;
-* per class, ``submitted`` equals what was submitted, which equals the
-  live requests plus the completed and failed ones;
+* per class, ``submitted`` equals what was admitted, which equals the
+  live requests plus the completed and failed ones; ``refused`` equals
+  the submits admission turned away, which never enter ``submitted``;
+  ``requeued`` equals the in_flight -> queued moves the flush log
+  implies; ``delivered`` equals the results popped; ``shed <= failed``;
 * no id comes out of ``pop_result`` twice;
 * every dispatched shard holds its requests in queue order
   (priority, then EDF, then arrival), re-dispatches included.
@@ -47,8 +50,8 @@ from hypothesis.stateful import (RuleBasedStateMachine, invariant,
 from repro.core import HeatViT
 from repro.data import SyntheticConfig, generate_dataset
 from repro.engine import InferenceSession
-from repro.serving import (PoolTransport, RecoveryPolicy, Scheduler,
-                           VirtualClock, WorkerReply)
+from repro.serving import (AdmissionError, PoolTransport, RecoveryPolicy,
+                           Scheduler, VirtualClock, WorkerReply)
 from repro.serving.ledger import _MOVES, DELIVERED, IN_FLIGHT, QUEUED
 from repro.vit import VisionTransformer
 from tests.conftest import TINY_CONFIG
@@ -65,6 +68,9 @@ IMAGES = generate_dataset(SyntheticConfig(image_size=16, num_classes=4),
 #: Floor of the hung-batch deadline: a few ``advance`` rules reach it.
 RECOVERY = RecoveryPolicy(min_dispatch_timeout_s=0.25,
                           max_in_flight_per_worker=2)
+
+#: Admission capacity, in images of priced backlog.
+ADMIT = 12
 
 _references = {}
 
@@ -147,7 +153,11 @@ class ServingMachine(RuleBasedStateMachine):
         self.pool = AnsweringPool(SESSION, self.clock)
         self.served.transport = PoolTransport(SESSION, self.pool,
                                               self.clock)
+        # Sheddable classes are refused past ~ADMIT images of backlog.
+        self.scheduler.admission_capacity_ms = SESSION.estimated_batch_cost(
+            ADMIT).total_ms
         self.submitted = {}          # id -> ((start, count), order key)
+        self.refused = Counter()     # priority -> submits turned away
         self.delivered = {}          # id -> RequestResult
         self.checked_events = 0
 
@@ -159,9 +169,13 @@ class ServingMachine(RuleBasedStateMachine):
           deadline=st.none() | st.integers(5, 200))
     def submit(self, start, count, priority, deadline):
         now = self.clock.now()
-        request_id = self.scheduler.submit(
-            IMAGES[start:start + count], deadline_ms=deadline,
-            priority=priority)
+        try:
+            request_id = self.scheduler.submit(
+                IMAGES[start:start + count], deadline_ms=deadline,
+                priority=priority)
+        except AdmissionError:
+            self.refused[priority] += 1
+            return
         due = float("inf") if deadline is None else now + deadline
         self.submitted[request_id] = ((start, count),
                                       (priority, due, now, request_id))
@@ -222,16 +236,31 @@ class ServingMachine(RuleBasedStateMachine):
 
     @invariant()
     def classes_conserve_requests(self):
+        ledger = self.scheduler.ledger
         live = Counter(entry.priority for entry
-                       in list(self.scheduler.ledger._entries.values())
+                       in list(ledger._entries.values())
                        if entry.state in (QUEUED, IN_FLIGHT))
         wanted = Counter(key[0] for _, key in self.submitted.values())
-        classes = self.scheduler.ledger.classes()
-        assert sorted(classes) == sorted(wanted)
+        # Every dispatch in the flush log is a queued -> in_flight move,
+        # and each ended in a requeue but a request's last one, unless
+        # the request is back on the queue.
+        requeued = Counter()
+        dispatches = Counter(request_id for event in self.scheduler.events
+                             for request_id in event.request_ids)
+        for request_id, count in dispatches.items():
+            requeued[self.submitted[request_id][1][0]] += (
+                count - (ledger.state(request_id) != QUEUED))
+        delivered = Counter(result.priority
+                            for result in self.delivered.values())
+        classes = ledger.classes()
+        assert sorted(classes) == sorted(set(wanted) | set(self.refused))
         for priority, tally in classes.items():
             assert tally["submitted"] == wanted[priority]
+            assert tally["refused"] == self.refused[priority]
             assert tally["submitted"] == (live[priority] + tally["completed"]
                                           + tally["failed"])
+            assert tally["requeued"] == requeued[priority]
+            assert tally["delivered"] == delivered[priority]
             assert tally["shed"] <= tally["failed"]
 
     @invariant()

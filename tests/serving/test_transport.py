@@ -22,9 +22,9 @@ import pytest
 from repro.core import HeatViT
 from repro.data import SyntheticConfig, generate_dataset
 from repro.engine import InferenceSession
-from repro.serving import (FaultPlan, FaultSpec, InlineTransport,
-                           PoolTransport, RecoveryPolicy, Request,
-                           RetryPolicy, Scheduler, VirtualClock,
+from repro.serving import (AdmissionError, FaultPlan, FaultSpec,
+                           InlineTransport, PoolTransport, RecoveryPolicy,
+                           Request, RetryPolicy, Scheduler, VirtualClock,
                            WorkerDiedError, WorkerReply)
 from repro.serving.transport import _shard_requests
 from tests.serving.harness import StubPool
@@ -99,7 +99,8 @@ class TestCollectEdgeCases:
         assert served.pending == {}
         assert served.placement.in_flight == (0, 0)
         assert served.recovery["worker_errors"] == 1
-        assert served.recovery["redispatched_requests"] == 1
+        assert scheduler.ledger.classes()[requests[0].priority][
+            "requeued"] == 1
 
     def test_corrupt_reply_rejected_and_retried(self, served_model,
                                                 images):
@@ -173,7 +174,8 @@ class TestCollectEdgeCases:
         assert len(served.queue) == 1
         assert list(served.pending) == [1]
         assert served.recovery["lost_batches"] == 1
-        assert served.recovery["redispatched_requests"] == 1
+        assert scheduler.ledger.classes()[requests[0].priority][
+            "requeued"] == 1
         assert pool.restarts == (1, 0)
 
     def test_fleet_stats_read_the_pool_seam(self, served_model, images):
@@ -191,6 +193,29 @@ class TestCollectEdgeCases:
                                   "restarts": (1, 0)}
         assert "respawns" not in entry["recovery"]
         assert entry["degraded"] is False
+
+    def test_refusal_and_recovery_shed_count_apart(self, served_model,
+                                                   images):
+        """One class, one admission refusal and one recovery shed: the
+        ledger counts each fact once, under its own name."""
+        scheduler = Scheduler(clock=VirtualClock())
+        served = scheduler.register("tiny", served_model, batch_size=16)
+        served.transport = PoolTransport(served.session, StubPool(),
+                                         scheduler.clock)
+        # Room for one 1-image batch, not two.
+        scheduler.admission_capacity_ms = 1.5 * served.batch_cost_ms(1)
+        kept = scheduler.submit(images[0], deadline_ms=5.0, priority=1)
+        scheduler.flush(wait=False)            # in flight on worker 0
+        with pytest.raises(AdmissionError):
+            scheduler.submit(images[1], priority=1)
+        served.pool.kill(0)
+        scheduler.clock.advance(10.0)          # its deadline passes
+        (result,) = scheduler.step()
+        assert result.request_id == kept and "shed" in result.error
+        tally = scheduler.stats()["classes"][1]
+        assert tally["shed"] == tally["failed"] == 1
+        assert tally["refused"] == 1 and tally["submitted"] == 1
+        assert served.recovery["lost_batches"] == 1
 
     def test_hung_worker_is_terminated_and_its_batch_recovered(
             self, served_model, images):
@@ -483,8 +508,11 @@ class TestOnePipeline:
             results = {r.request_id: r
                        for r in scheduler.drain(timeout_ms=120_000)}
             assert served.degraded == (kind == "collapsed")
-            assert (served.recovery["degraded_flushes"] > 0) \
-                == (kind == "collapsed")
+            if kind == "inline":
+                assert served.recovery is None
+            else:
+                assert (served.recovery["degraded_flushes"] > 0) \
+                    == (kind == "collapsed")
         finally:
             scheduler.shutdown(drain=False)
         assert sorted(results) == ids

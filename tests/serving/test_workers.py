@@ -129,8 +129,8 @@ class TestPooledParity:
         served = pooled_scheduler.sessions[0]
 
         def samples():
-            return [entry["samples"]
-                    for entry in served.placement.snapshot()["learned"]]
+            return [served.placement.estimator(worker).count
+                    for worker in (0, 1)]
 
         before = samples()
         submit_all(pooled_scheduler, images)
