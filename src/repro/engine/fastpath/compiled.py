@@ -21,7 +21,7 @@ Compile-time fusions
   ``(B, T, D)``.
 * **LayerNorm affine**: folded into the GEMM that consumes it (block
   norms into qkv / fc1, the final norm into the head), so each
-  :func:`.kernels.fused_layer_norm` stops at the normalized activations.
+  LayerNorm kernel stops at the normalized activations.
 * **Token selectors** are compiled to the same ndarray kernels (LN ->
   per-head scoring MLPs -> attention branch -> Eq. 8 combine -> Eq. 10
   packager), so keep/prune decisions on the fast path come from the
@@ -40,14 +40,18 @@ The Tensor path stays the reference implementation: float64 compiles
 match it to well under the engine's 1e-8 bound, float32 to ~1e-6 logits
 with (empirically pinned) identical token-keep decisions and argmax.
 
-GELU and sigmoid follow the dtype
----------------------------------
+Kernels follow the dtype
+------------------------
 Float64 compiles are the parity grade and run SciPy's ``erf`` and
-``expit``; float32 compiles run SciPy-free kernels instead -- the
-rational-erf GELU as the native loop :mod:`.native` builds at set-up
-(numpy :func:`.kernels.gelu_rational` where it cannot), and
-:func:`.kernels.sigmoid` -- which is also why a process serving only
-float32 or int8 never imports SciPy.
+``expit`` and the numpy softmax and LayerNorm; float32 compiles run
+SciPy-free kernels instead -- the rational-erf GELU, the attention
+softmax and every block and final LayerNorm as the native loops
+:mod:`.native` builds at set-up (numpy :func:`.kernels.gelu_rational`,
+:func:`.kernels.masked_softmax` and :func:`.kernels.fused_layer_norm`
+where it cannot), and :func:`.kernels.sigmoid` -- which is also why a
+process serving only float32 or int8 never imports SciPy.  The
+selector keeps the numpy LayerNorm and softmax in both dtypes: its
+keep decisions are pinned to the Tensor reference's.
 The float64 kernels import it where they call it, as do the Tensor
 modules a :class:`ModuleSelector` or an opaque activation runs.  Each
 part that runs them holds a :class:`.kernels.SciPyImport`, so SciPy
@@ -93,7 +97,8 @@ from repro.nn.tensor import Tensor
 from repro.engine.fastpath.kernels import (SciPyImport, fused_layer_norm,
                                            gelu_exact, mask_to_bias,
                                            masked_softmax, sigmoid)
-from repro.engine.fastpath.native import gelu_kernel
+from repro.engine.fastpath.native import (gelu_kernel, layer_norm_kernel,
+                                          softmax_kernel)
 
 __all__ = ["compile_model", "CompiledModel", "CompiledBlock",
            "CompiledSelector", "ModuleSelector", "CompileError"]
@@ -221,6 +226,25 @@ def _sigmoid_kernel(dtype):
     return sigmoid
 
 
+def _softmax_kernel(dtype):
+    """The attention softmax for ``dtype``, picked the way GELU's is:
+    numpy :func:`.kernels.masked_softmax` for float64 parity, for
+    float32 the native row loop where it builds
+    (:func:`.native.softmax_kernel`)."""
+    if dtype == np.dtype(np.float64):
+        return masked_softmax
+    return softmax_kernel()
+
+
+def _layer_norm_kernel(dtype):
+    """The LayerNorm for ``dtype``: numpy :func:`.kernels.fused_layer_norm`
+    for float64 parity, for float32 the native row loop where it builds
+    (:func:`.native.layer_norm_kernel`)."""
+    if dtype == np.dtype(np.float64):
+        return fused_layer_norm
+    return layer_norm_kernel()
+
+
 def _hardswish_kernel(x, ws, key):
     scratch = ws.take(key + "0", x.shape)
     np.clip(x + 3.0, 0.0, 6.0, out=scratch)
@@ -323,8 +347,9 @@ class CompiledBlock:
 
     ``image_separable`` is the compile function's statement that every
     kernel it supplied computes each image from that image alone (true
-    of the float kernels, up to the rounding of a per-call choice such
-    as the softmax's shift-free branch).  Only then may
+    of the float kernels: bit for bit of the native float32 ones, up to
+    rounding of the numpy ones, whose softmax picks its shift-free
+    branch from the whole chunk).  Only then may
     :meth:`forward` cut the batch into chunks; kernels that read a
     statistic of the whole batch -- the int8 grade's per-tensor
     activation scale -- leave it unset and get their batch whole.
@@ -749,8 +774,9 @@ def _lower_block(block, dtype):
         proj=LinearKernel.from_linear(attn.proj, dtype),
         fc1=LinearKernel(fc1_w, fc1_b, dtype),
         fc2=LinearKernel.from_linear(block.mlp.fc2, dtype),
-        softmax=masked_softmax,
+        softmax=_softmax_kernel(dtype),
         act=_compile_activation(block.mlp.act, dtype),
+        layer_norm=_layer_norm_kernel(dtype),
         # Every float kernel works row by row (or image by image), so
         # a chunk of images computes what the whole batch would.
         image_separable=True)
@@ -818,4 +844,5 @@ def compile_model(model, dtype=None):
     head_weights = (None, None, backbone.norm.eps,
                     LinearKernel(head_w, head_b, dtype))
     return CompiledModel(backbone.config, dtype, blocks, selectors,
-                         embed_weights, head_weights)
+                         embed_weights, head_weights,
+                         layer_norm=_layer_norm_kernel(dtype))

@@ -32,15 +32,24 @@ Conventions
 * Scalar constants are Python floats.  A ``np.float64`` scalar is not a
   weak type: it turns a float32 pass into a float64 loop plus a cast,
   at ~4x the cost.
-* Float32 compiles run GELU natively where they can: :mod:`.native`
-  builds ``gelu.c``, the same arithmetic as :func:`gelu_rational` on
-  the same ``_ERF_C`` / ``_ERF_A``, at set-up.  :func:`gelu_rational`
-  stays the definition and the fallback when no compiler is found or
-  the build fails.  The C loop reads the constants from here at each
-  call, but a change to the arithmetic must be made in ``gelu.c`` too.
-  The C loop computes every element through one fixed-width
-  vector block, so its bits do not depend on an element's offset --
-  keep it that way (``tests/engine/test_native_gelu.py``).
+* Float32 compiles run GELU, the attention softmax and LayerNorm
+  natively where they can: :mod:`.native` builds ``gelu.c`` (the same
+  arithmetic as :func:`gelu_rational` on the same ``_ERF_C`` /
+  ``_ERF_A``) and ``rows.c`` (one sweep per row for
+  :func:`masked_softmax` and the affine-free :func:`fused_layer_norm`)
+  at set-up.  The numpy kernels stay the definitions and the fallback
+  when no compiler is found or the build fails; a change to their
+  arithmetic must be made in the C source too (``gelu.c`` reads the
+  constants from here at each call).  The C loops compute every
+  element, or every row, through fixed-width vector code, so their bits
+  do not depend on an element's offset or a row's neighbours -- keep
+  it that way (``tests/engine/test_native_gelu.py``,
+  ``tests/engine/test_native_rows.py``).  The numpy float32 softmax
+  does not have that property: its shift-free branch is chosen from
+  the whole operand.  Float64 compiles and the int8 float32 grade (held
+  bitwise, its sums through BLAS) keep the numpy kernels, as does the
+  selector's LayerNorm and 2-way softmax, whose rounding steers keep
+  decisions.
 * No SciPy at import.  The float32 kernels are numpy only
   (:func:`gelu_rational`, :func:`sigmoid`); the float64 parity-grade
   :func:`gelu_exact` imports ``scipy.special`` where it calls it, so a

@@ -115,7 +115,8 @@ SUBNORMALS = textwrap.dedent("""
     import numpy as np
     from repro.core import HeatViT
     from repro.engine import InferenceSession
-    from repro.engine.fastpath.native import NativeGelu
+    from repro.engine.fastpath.native import (NativeGelu, NativeLayerNorm,
+                                              NativeSoftmax)
     from repro.vit import VisionTransformer, ViTConfig
 
     config = ViTConfig(name="ftz", image_size=16, patch_size=4,
@@ -128,10 +129,12 @@ SUBNORMALS = textwrap.dedent("""
     int8.submit(images)
     fused = int8.executor.compiled.blocks[0].act._library is not None
     session = InferenceSession(model, backend="fastpath", dtype=np.float32)
-    act = session.executor.compiled.blocks[0].act
+    block = session.executor.compiled.blocks[0]
     session.submit(images)
     tiny = np.finfo(np.float64).smallest_subnormal
-    print(json.dumps([fused, isinstance(act, NativeGelu),
+    print(json.dumps([fused, isinstance(block.act, NativeGelu)
+                      and isinstance(block.softmax, NativeSoftmax)
+                      and isinstance(block.layer_norm, NativeLayerNorm),
                       float((np.array([1e-310]) * 1.0)[0]),
                       float(tiny * 1.0) == float(tiny)]))
 """)
@@ -140,7 +143,9 @@ SUBNORMALS = textwrap.dedent("""
 @needs_gcc
 def test_loading_the_library_keeps_float64_subnormals():
     """Linking with -ffast-math would pull in crtfastmath.o, whose
-    constructor sets flush-to-zero for the whole process."""
+    constructor sets flush-to-zero for the whole process.  Holds for the
+    whole library: the float32 session serves all three of its float32
+    kernels (GELU, softmax, LayerNorm)."""
     child = subprocess.run(
         [sys.executable, "-c", SUBNORMALS], capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)

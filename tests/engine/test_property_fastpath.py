@@ -6,7 +6,9 @@ weight, and real-key probabilities match the Tensor reference softmax
 -- on the shift-free branch and, with scores large enough to leave its
 guard, on the max-shifted one.  The fused LayerNorm is
 held against the Tensor reference, with and without its affine folded
-away.  The lean rational GELU is pinned from both sides (accuracy in
+away.  In float32 both are held to bounds against the float64
+reference, the numpy kernels and their native twins (``rows.c``)
+alike.  The lean rational GELU is pinned from both sides (accuracy in
 both dtypes, its fixed points, no overflow), the int8 grade's Eq. 12
 GELU the same way against its float64 definition, and a compiled block must
 compute the same thing whether it sees a batch at once or image by
@@ -38,6 +40,7 @@ from repro.nn import functional as F
 from repro.nn.tensor import Tensor
 from repro.vit import VisionTransformer, ViTConfig
 from tests.engine.test_native_gelu import native_gelu, needs_gcc
+from tests.engine.test_native_rows import native_layer_norm, native_softmax
 
 finite = st.floats(-30.0, 30.0, allow_nan=False, width=32)
 
@@ -148,6 +151,134 @@ class TestFusedLayerNormProperties:
         out = np.empty_like(x)
         fused_layer_norm(x, None, None, 1e-6, out, Workspace(np.float64))
         np.testing.assert_allclose(out, ref, rtol=0, atol=1e-10)
+
+
+@st.composite
+def float32_scores(draw):
+    """``scores_case`` rounded to float32, at scale 1 (numpy's
+    shift-free branch) or 100 (its max-shifted one)."""
+    scores, mask = scores_case(draw)
+    scale = draw(st.sampled_from([1.0, 100.0]))
+    return (scores * scale).astype(np.float32), mask
+
+
+@st.composite
+def float32_wide_scores(draw):
+    """Rows of 13-70 keys -- several 16-float vectors in ``rows.c`` --
+    drawn from a seed: too many values for a drawn list."""
+    b, h = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    t = draw(st.integers(13, 70))
+    scale = draw(st.sampled_from([1.0, 100.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    scores = rng.uniform(-30.0, 30.0, (b, h, t, t)) * scale
+    mask = (np.arange(t) < rng.integers(1, t + 1, (b, 1))).astype(float)
+    return scores.astype(np.float32), mask
+
+
+@st.composite
+def float32_token_batches(draw):
+    """Float32 tokens, some rows nearly constant (a row of ``c + noise``
+    with noise down to 1e-6): where float32 cancels."""
+    x = draw(token_batches())
+    if draw(st.booleans()):
+        noise = 10.0 ** -draw(st.integers(0, 6))
+        x = x[..., :1] + noise * np.tanh(x)
+    return x.astype(np.float32)
+
+
+class TestFloat32RowKernels:
+    """Float32 bounds of the softmax and LayerNorm slots, for the numpy
+    kernels and their native twins (``fastpath/rows.c``) alike, against
+    the float64 Tensor reference on the same float32 input.
+
+    * Softmax: every weight within 5e-7 of the reference (a weight is
+      at most 1, and rounding ``s - max`` costs it at most
+      ``2^-24 u e^-u``), masked keys exactly 0.0, rows summing to 1
+      within 1e-6.
+    * LayerNorm: within ``8 * 2^-24 * (1 + max|x| / sqrt(var + eps))``
+      per row -- float32 rounds the mean to ``max|x|``'s ulp, and
+      normalising multiplies that by ``1 / sqrt(var + eps)``.
+
+    ``test_native_rows.py`` pins the native kernels' position
+    independence and where they are installed.
+    """
+
+    @staticmethod
+    def assert_softmax_within_bound(kernel, scores, mask):
+        bias64 = mask_to_bias(mask, np.float64)[:, None, None, :]
+        ref = F.softmax(Tensor(scores.astype(np.float64) + bias64),
+                        axis=-1).data
+        out = kernel(scores.copy(), mask_to_bias(mask, np.float32),
+                     ws=Workspace(np.float32), key="sm")
+        assert out.dtype == np.float32
+        assert np.abs(out - ref).max() <= 5e-7
+        masked = np.broadcast_to(mask[:, None, None, :] == 0.0, out.shape)
+        assert (out[masked] == 0.0).all()
+        assert np.abs(out.sum(axis=-1, dtype=np.float64) - 1.0).max() <= 1e-6
+
+    @given(case=float32_scores())
+    @settings(max_examples=120, deadline=None)
+    def test_numpy_softmax(self, case):
+        self.assert_softmax_within_bound(masked_softmax, *case)
+
+    @needs_gcc
+    @given(case=float32_scores())
+    @settings(max_examples=120, deadline=None)
+    def test_native_softmax(self, case):
+        self.assert_softmax_within_bound(native_softmax(), *case)
+
+    @given(case=float32_wide_scores())
+    @settings(max_examples=30, deadline=None)
+    def test_numpy_softmax_wide_rows(self, case):
+        self.assert_softmax_within_bound(masked_softmax, *case)
+
+    @needs_gcc
+    @given(case=float32_wide_scores())
+    @settings(max_examples=30, deadline=None)
+    def test_native_softmax_wide_rows(self, case):
+        self.assert_softmax_within_bound(native_softmax(), *case)
+
+    @staticmethod
+    def assert_layer_norm_within_bound(kernel, x):
+        """The affine-free form every float32 compile runs."""
+        x64 = x.astype(np.float64)
+        dim = x.shape[-1]
+        ref = F.layer_norm(Tensor(x64), Tensor(np.ones(dim)),
+                           Tensor(np.zeros(dim)), eps=1e-6).data
+        out = np.empty(x.shape, dtype=np.float32)
+        assert kernel(x, None, None, 1e-6, out=out,
+                      ws=Workspace(np.float32), key="ln") is out
+        spread = np.abs(x64).max(axis=-1, keepdims=True) / np.sqrt(
+            x64.var(axis=-1, keepdims=True) + 1e-6)
+        assert (np.abs(out - ref) <= 8 * 2.0 ** -24 * (1.0 + spread)).all()
+
+    @given(x=float32_token_batches())
+    @settings(max_examples=120, deadline=None)
+    def test_numpy_layer_norm(self, x):
+        self.assert_layer_norm_within_bound(fused_layer_norm, x)
+
+    @needs_gcc
+    @given(x=float32_token_batches())
+    @settings(max_examples=120, deadline=None)
+    def test_native_layer_norm(self, x):
+        self.assert_layer_norm_within_bound(native_layer_norm(), x)
+
+    @classmethod
+    def assert_strided_rows_within_bound(cls, kernel, rng):
+        """The rows ``classify`` hands over (``x[:, 0, :]``), other
+        non-contiguous views, and widths on and off the 16-float
+        vector."""
+        for dim in (5, 16, 48, 77):
+            x = (rng.normal(size=(7, 9, dim)) * 4 + 1).astype(np.float32)
+            for view in (x[:, 0, :], x[:, 3, :], x[:, 1:, :], x[::2]):
+                cls.assert_layer_norm_within_bound(kernel, view)
+
+    def test_numpy_layer_norm_strided_rows(self, rng):
+        self.assert_strided_rows_within_bound(fused_layer_norm, rng)
+
+    @needs_gcc
+    def test_native_layer_norm_strided_rows(self, rng):
+        self.assert_strided_rows_within_bound(native_layer_norm(), rng)
 
 
 class TestGeluKernels:
