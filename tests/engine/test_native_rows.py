@@ -241,6 +241,21 @@ class TestWhichKernel:
         assert np.isfinite(served.logits).all()
         assert not any(fresh.iterdir())
 
+    @needs_gcc
+    def test_one_compiler_probe_per_process(self, model, monkeypatch):
+        """A float32 compile asks for three native kernels in every
+        block; a warm set-up still probes the compiler once."""
+        monkeypatch.setattr(native, "_loaded", {})
+        monkeypatch.setattr(native, "_library", native._library)
+        probes = []
+        version = native._version
+        monkeypatch.setattr(native, "_version",
+                            lambda compiler: (probes.append(compiler),
+                                              version(compiler))[1])
+        compile_model(model, np.float32)
+        compile_model(model, np.float32)
+        assert len(probes) == 1
+
     def test_float64_keeps_the_numpy_kernels(self, model):
         softmaxes, norms = _row_slots(compile_model(model, np.float64))
         assert all(slot is masked_softmax for slot in softmaxes)
