@@ -25,7 +25,7 @@
  * away.  gcc's default contraction of a * b + c into one FMA stays.
  *
  * exp is inline, not libm's expf (libmvec's costs ~0.65 ns an element
- * here, as much as numpy's np.exp): a Cody-Waite reduction
+ * on a 2-vCPU AVX-512 Xeon, as much as np.exp): a Cody-Waite reduction
  * s - m = n ln2 + r with |r| <= ln2/2, then a degree-6 polynomial
  * 1 + r + r^2 P(r) fitted for relative error (3e-9 before float32
  * rounding), scaled by 2^n through the exponent bits.  Below -87, where
