@@ -10,19 +10,24 @@ vectorization while preserving those semantics exactly:
    length there;
 2. at each **selector boundary** padding is stripped and all patch
    tokens go into ONE flat ``(M, D)`` array with per-image counts -- the
-   only token layout besides the bucket stacks.  The selector scores it
-   in one ``select_ragged`` call on every backend (its outputs are per
-   image, so this equals the single-image calls; a selector module that
-   takes dense input loops its distinct counts inside that call),
-   :func:`repro.core.gather.prune_image_sequence`'s packager
-   rule sets each new length, and ``[cls, kept tokens, slot]`` rows are
-   scattered straight into the next buckets;
-3. between boundaries, a :class:`repro.engine.bucketing.BucketingPolicy`
-   merges nearby lengths into padded buckets.  Padded positions are
-   masked out as attention keys, which leaves real-token activations
-   unchanged (the ``-1e9`` score bias underflows to an exact ``0.0``
-   attention weight), so padding buys batching without perturbing
-   logits.
+   only token layout besides the groups blocks run.  The selector
+   scores it in one ``select_ragged`` call on every backend (its
+   outputs are per image, so this equals the single-image calls; a
+   selector module that takes dense input loops its distinct counts
+   inside that call), :func:`repro.core.gather.prune_image_sequence`'s
+   packager rule sets each new length, and ``[cls, kept tokens, slot]``
+   rows are scattered straight into the next stage's groups;
+3. between boundaries, a compile whose blocks hold an attention core
+   (float32 ``fastpath``: :attr:`CompiledModel.packs`) keeps ONE packed
+   ``(sum T, D)`` array with per-image row offsets and runs each block
+   once over it (:meth:`CompiledModel.run_packed_block`): no padding,
+   no bucket plan, one :class:`StageStats` bucket -- whether or not the
+   core is native.  Every other lane buckets: a
+   :class:`repro.engine.bucketing.BucketingPolicy` merges nearby lengths
+   into padded buckets.  Padded positions are masked out as attention
+   keys, which leaves real-token activations unchanged (the ``-1e9``
+   score bias underflows to an exact ``0.0`` attention weight), so
+   padding buys batching without perturbing logits.
 
 Four compute **backends** execute the plan:
 
@@ -35,9 +40,9 @@ Four compute **backends** execute the plan:
   of two compile functions, with a
   :class:`repro.engine.fastpath.Workspace` holding one scratch arena
   per name, reused across blocks, selector stages, and bursts --
-  including the padded bucket stacks themselves, so what a session
-  holds is set by its largest batch and steady traffic allocates
-  nothing.
+  including the padded bucket stacks and the packed arrays themselves,
+  so what a session holds is set by its largest batch and steady
+  traffic allocates nothing.
 
   - ``"fastpath"`` (:func:`~repro.engine.fastpath.compile_model`):
     fused float kernels in float32 (or float64).  Parity: float64
@@ -119,7 +124,8 @@ class EngineResult:
 
 @dataclass(slots=True)
 class _Group:
-    """A set of images executing together between selector boundaries."""
+    """A set of images executing together between selector boundaries,
+    as one bucket stack."""
 
     x: np.ndarray                  # (g, T, D) bucket stack
     mask: np.ndarray | None        # (g, T) {0,1} key mask, if it pads
@@ -127,6 +133,40 @@ class _Group:
     indices: np.ndarray            # (g,) original image indices
     lengths: np.ndarray            # (g,) real sequence lengths
     has_package: np.ndarray        # (g,) bool
+
+    def patches(self):
+        """Copies of every image's patch tokens, image after image: no
+        CLS, no package slot, no padding."""
+        stop = (self.lengths - self.has_package)[:, None]
+        return self.x[:, 1:][np.arange(1, self.x.shape[1]) < stop]
+
+    def cls_rows(self):
+        return self.x[:, 0]
+
+    def last_rows(self):
+        return self.x[np.arange(self.lengths.size), self.lengths - 1]
+
+
+@dataclass(slots=True)
+class _Packed:
+    """A set of images executing together between selector boundaries,
+    as packed rows: no padding, one block launch for every length."""
+
+    x: np.ndarray                  # (R, D) rows, image after image
+    offsets: np.ndarray            # (g + 1,) where each image's rows start
+    indices: np.ndarray            # (g,) original image indices
+    lengths: np.ndarray            # (g,) sequence lengths
+    has_package: np.ndarray        # (g,) bool
+
+    def patches(self):
+        counts = self.lengths - 1 - self.has_package
+        return self.x[_segment_rows(self.offsets[:-1] + 1, counts)]
+
+    def cls_rows(self):
+        return self.x[self.offsets[:-1]]
+
+    def last_rows(self):
+        return self.x[self.offsets[1:] - 1]
 
 
 class BucketedExecutor:
@@ -137,6 +177,7 @@ class BucketedExecutor:
     model: the HeatViT model (callers should put it in ``eval()`` mode;
         :class:`repro.engine.InferenceSession` does so automatically).
     policy: a :class:`BucketingPolicy`; ``None`` uses the defaults.
+        The float32 fastpath lane packs and plans no buckets.
     cost_model: optional :class:`repro.cost.CostModel`; when given the
         bucket planner merges on price (padding cost vs saved bucket
         launch overhead) on top of the heuristic limits.
@@ -185,6 +226,10 @@ class BucketedExecutor:
         self._plan_cache = {}
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
+        # A compile whose every block holds an attention core runs the
+        # stages after a selector as one packed array (float32
+        # fastpath): no bucket plan, no padding.
+        self._packs = self.compiled is not None and self.compiled.packs
 
     # ------------------------------------------------------------------
     def run(self, images, record=None):
@@ -224,7 +269,7 @@ class BucketedExecutor:
                     for block_index in range(lo, hi):
                         self._run_block(block_index, group)
             for group in groups:
-                result.logits[group.indices] = self._classify(group.x)
+                result.logits[group.indices] = self._classify(group)
         if record is not None:
             model.finalize_pruned_record(record, result.tokens_per_stage)
         return result
@@ -271,6 +316,10 @@ class BucketedExecutor:
         return self.model.backbone.embed(images).data
 
     def _run_block(self, block_index, group):
+        if isinstance(group, _Packed):
+            self.compiled.run_packed_block(block_index, group.x,
+                                           group.offsets, self.workspace)
+            return
         if self.compiled is not None:
             self.compiled.run_block(block_index, group.x, group.bias,
                                     self.workspace)       # in place
@@ -298,10 +347,13 @@ class BucketedExecutor:
                                   self.dtype)
         return selector.select_ragged(flat, counts, None)
 
-    def _classify(self, x):
+    def _classify(self, group):
+        if isinstance(group, _Packed):              # (g, 1, D) CLS rows
+            return self.compiled.classify(group.cls_rows()[:, None],
+                                          self.workspace)
         if self.compiled is not None:
-            return self.compiled.classify(x, self.workspace)
-        return self.model.backbone.classify(Tensor(x)).data
+            return self.compiled.classify(group.x, self.workspace)
+        return self.model.backbone.classify(Tensor(group.x)).data
 
     def _new_bucket(self, position, plan, dim):
         """An unfilled ``(g, padded_length, D)`` stack for the bucket at
@@ -334,25 +386,24 @@ class BucketedExecutor:
 
     # ------------------------------------------------------------------
     def _apply_selector(self, selector_index, groups, result):
-        """Selector boundary: bucket stacks -> one flat patch-token
-        array -> the next stage's bucket stacks (returned); the stage's
-        token counts and :class:`StageStats` are appended to ``result``.
+        """Selector boundary: bucket stacks or packed rows -> one flat
+        patch-token array -> the next stage's groups (returned): one
+        packed array on a compile that packs, else bucket stacks.  The
+        stage's token counts and :class:`StageStats` are appended to
+        ``result``.
         """
         # Strip CLS, package slots and padding: a selector must see only
         # real patch tokens (its global pooling averages over whatever
         # it is given).  Boolean and fancy indexing copy, and everything
-        # below reads these copies, never the old stacks (_new_bucket).
-        parts = []
-        for group in groups:
-            stop = (group.lengths - group.has_package)[:, None]
-            parts.append(
-                group.x[:, 1:][np.arange(1, group.x.shape[1]) < stop])
+        # below reads these copies, never the old groups, whose memory
+        # the new ones reuse (_new_bucket, _pack).
+        parts = [g.patches() for g in groups]
         flat = parts[0] if len(parts) == 1 else np.concatenate(parts)
         images = np.concatenate([g.indices for g in groups])
         lengths = np.concatenate([g.lengths for g in groups])
         had_package = np.concatenate([g.has_package for g in groups])
-        cls = np.concatenate([g.x[:, 0] for g in groups])
-        last = np.concatenate([g.x[np.arange(g.lengths.size), g.lengths - 1]
+        cls = np.concatenate([g.cls_rows() for g in groups])
+        last = np.concatenate([g.last_rows()
                                for g in groups])       # slot, if packaged
         counts = lengths - 1 - had_package
         # BLAS rounds a row by where it sits in the operand, so the
@@ -378,6 +429,12 @@ class BucketedExecutor:
         lengths = np.empty(images.size, dtype=int)       # in image order
         lengths[images] = 1 + kept + has_slot
         result.tokens_per_stage.append(lengths)
+        if self._packs:
+            result.stage_stats.append(StageStats(
+                num_buckets=1, bucket_sizes=[int(images.size)],
+                padded_tokens=0))
+            return [self._pack(flat, keep, kept, cls, slots, has_slot,
+                               images, packaged)]
         cache_key = (self.policy, lengths.tobytes())
         plans = self._plan_cache.get(cache_key)
         if plans is None:
@@ -416,6 +473,30 @@ class BucketedExecutor:
         return new_groups
 
 
+    def _pack(self, flat, keep, kept, cls, slots, has_slot, images,
+              packaged):
+        """The next stage's one packed array, images in scoring order:
+        each image's ``[cls, kept tokens, slot]`` rows gathered straight
+        from the boundary's copies.  It is the workspace's ``packed``
+        arena, the memory of the previous stage's packed array."""
+        lengths = 1 + kept + has_slot
+        offsets = np.zeros(lengths.size + 1, dtype=np.intp)
+        np.cumsum(lengths, out=offsets[1:])
+        x = self.workspace.take("packed", (offsets[-1], flat.shape[1]))
+        x[offsets[:-1]] = cls
+        x[_segment_rows(offsets[:-1] + 1, kept)] = flat[keep]
+        slotted = np.flatnonzero(has_slot)
+        x[offsets[slotted] + 1 + kept[slotted]] = slots[slotted]
+        return _Packed(x, offsets, images, lengths, packaged)
+
+
+def _segment_rows(starts, counts):
+    """Row indices of ragged segments, segment after segment: segment
+    ``i`` is ``counts[i]`` rows from ``starts[i]``."""
+    return (np.repeat(starts - _offsets(counts), counts)
+            + np.arange(counts.sum()))
+
+
 def _offsets(counts):
     """Where each segment of a ragged array with these ``counts`` starts."""
     starts = np.zeros(counts.size, dtype=np.intp)
@@ -426,6 +507,4 @@ def _offsets(counts):
 def _segment_gather(counts, order):
     """Flat indices that reorder a ragged array's segments: segment
     ``order[j]`` of the source becomes segment ``j`` of the result."""
-    moved = counts[order]
-    return (np.repeat(_offsets(counts)[order] - _offsets(moved), moved)
-            + np.arange(moved.sum()))
+    return _segment_rows(_offsets(counts)[order], counts[order])

@@ -14,11 +14,18 @@ Compile-time fusions
 * **Pre-fused, pre-scaled QKV**: the qkv projection is one GEMM whose
   query columns are pre-multiplied by the ``1/sqrt(d)`` attention scale,
   so the score matmul needs no separate scaling pass.
-* **Attention layout**: Q/K/V are strided views into the one
-  ``(B, T, 3, h, d)`` qkv buffer; the batched matmuls consume the views
-  directly instead of materializing the reference path's transposed
-  5-D copy, and the only explicit copy is the single head-merge back to
-  ``(B, T, D)``.
+* **Attention layout**: float32 blocks hold an attention core
+  (``CompiledBlock.attention``): it reads the packed ``(R, 3D)`` qkv
+  rows of many images and their row offsets and writes the head-merged
+  ``(R, D)`` context directly -- per image and head q.k^T, softmax and
+  .v, no score matrix, no padding, no key bias -- as the native loop
+  where it builds (:class:`.native.NativeAttention`), else its numpy
+  definition (:func:`.kernels.ragged_attention`).  Float64 and the
+  quantized grades hold none: Q/K/V are strided views into the one
+  ``(B, T, 3, h, d)`` qkv buffer of a bucket stack, the batched
+  matmuls consume the views directly instead of materializing the
+  reference path's transposed 5-D copy, and the only explicit copy is
+  the single head-merge back to ``(B, T, D)``.
 * **LayerNorm affine**: folded into the GEMM that consumes it (block
   norms into qkv / fc1, the final norm into the head), so each
   LayerNorm kernel stops at the normalized activations.
@@ -45,10 +52,12 @@ Kernels follow the dtype
 Float64 compiles are the parity grade and run SciPy's ``erf`` and
 ``expit`` and the numpy softmax and LayerNorm; float32 compiles run
 SciPy-free kernels instead -- the rational-erf GELU, the attention
-softmax and every block and final LayerNorm as the native loops
-:mod:`.native` builds at set-up (numpy :func:`.kernels.gelu_rational`,
-:func:`.kernels.masked_softmax` and :func:`.kernels.fused_layer_norm`
-where it cannot), and :func:`.kernels.sigmoid` -- which is also why a
+core, the attention softmax (blocks run with a key bias) and every
+block and final LayerNorm as the native loops :mod:`.native` builds at
+set-up (numpy :func:`.kernels.gelu_rational`,
+:func:`.kernels.ragged_attention`, :func:`.kernels.masked_softmax` and
+:func:`.kernels.fused_layer_norm` where it cannot), and
+:func:`.kernels.sigmoid` -- which is also why a
 process serving only float32 or int8 never imports SciPy.  The
 selector keeps the numpy LayerNorm and softmax in both dtypes: its
 keep decisions are pinned to the Tensor reference's.
@@ -65,11 +74,15 @@ whose scratch fits :data:`CHUNK_BYTES`, so the ~60 elementwise passes of
 a block read what the GEMM before them just wrote instead of streaming
 batch-sized buffers through the cache -- the software analogue of the
 paper's accelerator keeping a tile's intermediates in on-chip buffers.
-Every chunk, the shorter tail included, is a view of the same ``blk_*``
-arenas, which therefore never grow past one chunk.  An int8 block runs
-its batch as one chunk (its activation scales are per tensor), but its
-fc1 -> activation still runs in cache-sized tiles of whole images
-(:meth:`CompiledBlock.mlp_tile`).
+A block with an attention core runs packed rows
+(:meth:`CompiledBlock.forward_packed`, which ``forward`` reshapes an
+unpadded stack onto): every pass on ``(rows, D)`` operands, the four
+GEMMs as 2-D calls, in chunks of whole images whose budget is per row,
+since the core keeps no score matrix.  Every chunk, the shorter tail
+included, is a view of the same ``blk_*`` arenas, which therefore never
+grow past one chunk.  An int8 block runs its batch as one chunk (its
+activation scales are per tensor), but its fc1 -> activation still runs
+in cache-sized tiles of whole images (:meth:`CompiledBlock.mlp_tile`).
 
 One hierarchy, N kernel sets
 ----------------------------
@@ -97,8 +110,8 @@ from repro.nn.tensor import Tensor
 from repro.engine.fastpath.kernels import (SciPyImport, fused_layer_norm,
                                            gelu_exact, mask_to_bias,
                                            masked_softmax, sigmoid)
-from repro.engine.fastpath.native import (gelu_kernel, layer_norm_kernel,
-                                          softmax_kernel)
+from repro.engine.fastpath.native import (attention_kernel, gelu_kernel,
+                                          layer_norm_kernel, softmax_kernel)
 
 __all__ = ["compile_model", "CompiledModel", "CompiledBlock",
            "CompiledSelector", "ModuleSelector", "CompileError"]
@@ -245,6 +258,16 @@ def _layer_norm_kernel(dtype):
     return layer_norm_kernel()
 
 
+def _attention_kernel(dtype):
+    """The attention core for ``dtype``: none for float64, whose blocks
+    keep the bucketed dense layout bit for bit; for float32 the native
+    core where it builds, else its numpy definition
+    (:func:`.native.attention_kernel`)."""
+    if dtype == np.dtype(np.float64):
+        return None
+    return attention_kernel()
+
+
 def _hardswish_kernel(x, ws, key):
     scratch = ws.take(key + "0", x.shape)
     np.clip(x + 3.0, 0.0, 6.0, out=scratch)
@@ -336,7 +359,12 @@ class CompiledBlock:
     softmax (``fn(scores, bias, ws=, key=)``), the MLP activation
     (``fn(x, ws, key)``), the LayerNorm kernel (``fn(x, weight, bias,
     eps, out=, ws=, key=)``, :func:`.kernels.fused_layer_norm` unless
-    given), both LayerNorm affines and a score scale.
+    given), both LayerNorm affines, a score scale, and optionally an
+    attention core (``fn(qkv, offsets, heads, out, ws=, key=)``, see
+    :func:`.kernels.ragged_attention`; it takes pre-scaled queries).
+    A block with a core runs unpadded batches and packed rows through
+    it (:meth:`forward_packed`); a padded batch, whose key bias the
+    core does not take, runs the softmax slot.
 
     :func:`compile_model` folds both LayerNorms' affine transforms into
     the GEMM that consumes them (``(xn * w + b) @ W`` becomes
@@ -362,11 +390,11 @@ class CompiledBlock:
     __slots__ = ("num_heads", "head_dim", "hidden_dim",
                  "n1_w", "n1_b", "eps1", "n2_w", "n2_b", "eps2",
                  "qkv", "proj", "fc1", "fc2", "softmax", "act",
-                 "layer_norm", "score_scale", "image_separable")
+                 "layer_norm", "score_scale", "image_separable", "attention")
 
     def __init__(self, block, norm1, norm2, qkv, proj, fc1, fc2, softmax,
                  act, score_scale=None, image_separable=False,
-                 layer_norm=fused_layer_norm):
+                 layer_norm=fused_layer_norm, attention=None):
         attn = block.attn
         self.num_heads = attn.num_heads
         self.head_dim = attn.head_dim
@@ -381,12 +409,15 @@ class CompiledBlock:
         self.layer_norm = layer_norm
         self.score_scale = score_scale
         self.image_separable = image_separable
+        self.attention = attention
 
     def forward(self, x, bias, ws):
         """Pre-norm block, fully in place on ``x`` (``(B, T, D)``).
 
         ``bias`` is the additive key-padding score bias ``(B, T)`` (or
-        ``None``); ``ws`` supplies every scratch buffer.
+        ``None``); ``ws`` supplies every scratch buffer.  Without a bias,
+        a block with an attention core runs ``x``'s rows as packed
+        images of ``T`` rows each (:meth:`forward_packed`).
 
         The batch runs in chunks of whole images sized so that one
         chunk's scratch fits :data:`CHUNK_BYTES`: every LayerNorm, bias
@@ -397,6 +428,14 @@ class CompiledBlock:
         run whole and only fc1 -> activation runs in tiles.
         """
         batch, tokens, dim = x.shape
+        if self.attention is not None and bias is None:
+            if not x.flags.c_contiguous:
+                x[...] = self.forward(np.ascontiguousarray(x), None, ws)
+                return x
+            self.forward_packed(x.reshape(batch * tokens, dim),
+                                np.arange(0, (batch + 1) * tokens, tokens),
+                                ws)
+            return x
         step = max(batch, 1)
         if self.image_separable:
             # What one image touches: x and nine (T, D)s of scratch
@@ -409,6 +448,51 @@ class CompiledBlock:
             self._run(x[lo:lo + step],
                       None if bias is None else bias[lo:lo + step], ws)
         return x
+
+    def forward_packed(self, x, offsets, ws):
+        """Pre-norm block, in place on packed rows: ``x`` is ``(R, D)``,
+        image after image, and image ``i`` owns rows ``offsets[i]`` to
+        ``offsets[i + 1]``.  Needs the attention core slot.
+
+        Rows run in chunks of whole images within :data:`CHUNK_BYTES`.
+        A row touches x and nine ``D``-wide rows of scratch and the
+        hidden layer with up to three activation buffers; the core
+        keeps no score matrix, so the budget is per row.
+        """
+        budget = max(CHUNK_BYTES // (x.itemsize * (
+            10 * x.shape[1] + 4 * self.hidden_dim)), 1)      # rows
+        lo, images = 0, offsets.size - 1
+        while lo < images:
+            start = offsets[lo]
+            hi = max(int(np.searchsorted(offsets, start + budget,
+                                         side="right")) - 1, lo + 1)
+            self._run_packed(x[start:offsets[hi]],
+                             offsets[lo:hi + 1] - start, ws)
+            lo = hi
+        return x
+
+    def _run_packed(self, x, offsets, ws):
+        """One chunk of :meth:`forward_packed`: every pass but the
+        attention core on ``(rows, D)`` operands."""
+        rows, dim = x.shape
+        normed = ws.take("blk_ln", (rows, dim))
+        self.layer_norm(x, self.n1_w, self.n1_b, self.eps1, out=normed,
+                        ws=ws, key="blk_ln1")
+        qkv = ws.take("blk_qkv", (rows, 3 * dim))
+        self.qkv(normed, ws, "blk_qkv", out=qkv, inplace=True)
+        merged = ws.take("blk_merge", (rows, dim))
+        self.attention(qkv, offsets, self.num_heads, merged, ws=ws,
+                       key="blk_att")
+        attn_out = ws.take("blk_attn_out", (rows, dim))
+        self.proj(merged, ws, "blk_proj", out=attn_out, inplace=True)
+        x += attn_out                                      # residual 1
+        self.layer_norm(x, self.n2_w, self.n2_b, self.eps2, out=normed,
+                        ws=ws, key="blk_ln2")
+        hidden = ws.take("blk_mlp", (rows, self.hidden_dim))
+        self.fc1(normed, ws, "blk_fc1", out=hidden, inplace=True)
+        self.act(hidden, ws, "blk_act")
+        self.fc2(hidden, ws, "blk_fc2", out=attn_out, inplace=True)
+        x += attn_out                                      # residual 2
 
     def mlp_tile(self, tokens, itemsize):
         """Images per fc1 -> activation tile at ``tokens`` tokens: one
@@ -683,10 +767,21 @@ class CompiledModel:
         out += self.pos_embed
         return out
 
+    @property
+    def packs(self):
+        """Whether every block holds an attention core, so that blocks
+        after a selector can run packed rows (:meth:`run_packed_block`)."""
+        return all(block.attention is not None for block in self.blocks)
+
     def run_block(self, index, x, bias, ws):
         """Run block ``index`` in place on ``x``; see
         :meth:`CompiledBlock.forward`."""
         return self.blocks[index].forward(x, bias, ws)
+
+    def run_packed_block(self, index, rows, offsets, ws):
+        """Run block ``index`` in place on packed ``(R, D)`` rows with
+        per-image ``offsets``; see :meth:`CompiledBlock.forward_packed`."""
+        return self.blocks[index].forward_packed(rows, offsets, ws)
 
     def forward(self, tokens, ws, key_mask=None):
         """Run the whole block stack over a token sequence.
@@ -777,6 +872,7 @@ def _lower_block(block, dtype):
         softmax=_softmax_kernel(dtype),
         act=_compile_activation(block.mlp.act, dtype),
         layer_norm=_layer_norm_kernel(dtype),
+        attention=_attention_kernel(dtype),
         # Every float kernel works row by row (or image by image), so
         # a chunk of images computes what the whole batch would.
         image_separable=True)

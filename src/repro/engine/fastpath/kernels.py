@@ -32,19 +32,20 @@ Conventions
 * Scalar constants are Python floats.  A ``np.float64`` scalar is not a
   weak type: it turns a float32 pass into a float64 loop plus a cast,
   at ~4x the cost.
-* Float32 compiles run GELU, the attention softmax and LayerNorm
+* Float32 compiles run GELU, the attention core, softmax and LayerNorm
   natively where they can: :mod:`.native` builds ``gelu.c`` (the same
   arithmetic as :func:`gelu_rational` on the same ``_ERF_C`` /
   ``_ERF_A``) and ``rows.c`` (one sweep per row for
-  :func:`masked_softmax` and the affine-free :func:`fused_layer_norm`)
-  at set-up.  The numpy kernels stay the definitions and the fallback
+  :func:`masked_softmax` and the affine-free :func:`fused_layer_norm`,
+  and :func:`ragged_attention` per image and head) at set-up.  The numpy kernels stay the definitions and the fallback
   when no compiler is found or the build fails; a change to their
   arithmetic must be made in the C source too (``gelu.c`` reads the
   constants from here at each call).  The C loops compute every
   element, or every row, through fixed-width vector code, so their bits
   do not depend on an element's offset or a row's neighbours -- keep
   it that way (``tests/engine/test_native_gelu.py``,
-  ``tests/engine/test_native_rows.py``).  The numpy float32 softmax
+  ``tests/engine/test_native_rows.py``,
+  ``tests/engine/test_native_attention.py``).  The numpy float32 softmax
   does not have that property: its shift-free branch is chosen from
   the whole operand.  Float64 compiles and the int8 float32 grade (held
   bitwise, its sums through BLAS) keep the numpy kernels, as does the
@@ -65,9 +66,11 @@ import importlib
 
 import numpy as np
 
-__all__ = ["fused_layer_norm", "masked_softmax", "gelu_exact",
-           "gelu_rational", "sigmoid", "mask_to_bias", "MASK_BIAS",
-           "SciPyImport"]
+from repro.core.gather import dense_runs
+
+__all__ = ["fused_layer_norm", "masked_softmax", "ragged_attention",
+           "gelu_exact", "gelu_rational", "sigmoid", "mask_to_bias",
+           "MASK_BIAS", "SciPyImport"]
 
 _SQRT_2 = float(np.sqrt(2.0))
 
@@ -136,6 +139,49 @@ def masked_softmax(scores, bias, ws, key="sm"):
     np.reciprocal(total, out=total)
     flat *= total
     return scores
+
+
+def ragged_attention(qkv, offsets, heads, out, ws, key="att"):
+    """Attention core over packed images, into ``out``.
+
+    ``qkv``: ``(R, 3D)`` rows of many images, image after image, each
+    row ``[q | k | v]`` with heads of ``D / heads`` features and queries
+    pre-scaled by ``1/sqrt(d)``; ``offsets``: ``(n + 1,)`` where each
+    image's rows start, ``offsets[-1] == R``.  Writes each image's
+    head-merged context ``softmax(q k^T) v`` to its ``(T, D)`` rows of
+    ``out`` (C-contiguous).  An image attends to its own rows only, so
+    there is no padding and no key bias.
+
+    The definition and the fallback of :class:`.native.NativeAttention`:
+    one 4-D ``matmul`` -> :func:`masked_softmax` -> ``matmul`` per run
+    of equal lengths (:func:`repro.core.gather.dense_runs`), the dense
+    layout the blocks ran before the core existed.  Returns ``out``.
+    """
+    rows, dim = out.shape
+    d = dim // heads
+    counts = np.diff(offsets)
+    for _, tokens in dense_runs(counts):
+        g, t = tokens.shape
+        if t == 0:
+            continue
+        if g == counts.size:                     # one run: every row, in order
+            stack = qkv.reshape(g, t, 3, heads, d)
+        else:
+            stack = np.take(qkv, tokens, axis=0,
+                            out=ws.take(key + "_qkv", (g, t, 3 * dim)))
+            stack = stack.reshape(g, t, 3, heads, d)
+        scores = ws.take(key + "_s", (g, heads, t, t))
+        np.matmul(stack[:, :, 0].transpose(0, 2, 1, 3),
+                  stack[:, :, 1].transpose(0, 2, 3, 1), out=scores)
+        masked_softmax(scores, None, ws, key + "_sm")
+        context = ws.take(key + "_c", (g, heads, t, d))
+        np.matmul(scores, stack[:, :, 2].transpose(0, 2, 1, 3), out=context)
+        merged = context.transpose(0, 2, 1, 3).reshape(g, t, dim)
+        if g == counts.size:
+            out.reshape(g, t, dim)[...] = merged
+        else:
+            out[tokens] = merged
+    return out
 
 
 def fused_layer_norm(x, weight, bias, eps, out, ws, key="ln"):

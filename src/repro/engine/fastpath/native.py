@@ -1,5 +1,5 @@
-"""Native row and elementwise loops, built at set-up: one library,
-three sources.
+"""Native row, attention and elementwise loops, built at set-up: one
+library, three sources.
 
 * ``gelu.c`` -- the float32 GELU.  :func:`.kernels.gelu_rational` makes
   nineteen whole-array numpy passes; ``gelu.c`` runs the same
@@ -20,7 +20,13 @@ three sources.
   library loads, else :func:`.kernels.masked_softmax` /
   :func:`.kernels.fused_layer_norm`, which stay the definitions.  Held
   to float32 bounds, not to numpy's bits; a row's bits depend only on
-  that row.
+  that row.  ``rows.c`` also holds the attention core over packed
+  images (``ragged_attention_f32``): per image and head, sixteen
+  queries to a vector, the scores of every key, that exp, the sum over
+  values and the head merge, with no score matrix in memory.
+  :func:`attention_kernel` gives :class:`NativeAttention` when the
+  library loads, else :func:`.kernels.ragged_attention`, the
+  definition.  An image's bits depend only on its own rows.
 * ``qmlp.c`` -- the int8 float32 grade's hidden layer: fc1's rescale
   and bias plus the Eq. 12 GELU as one pass per tile, and fc2's input
   quantisation as one pass.  :class:`.quantized.FusedHiddenLayer` calls
@@ -34,7 +40,9 @@ Build rules
   pays with gcc's vector ``expf`` (libmvec), and ``rows.c`` is written
   in GCC's vector extensions, so a clang compiler counts as none.
 * **Compile** each source to an object with its own flags
-  (:data:`SOURCES`), ``-O3 -march=native -fPIC`` for all three:
+  (:data:`SOURCES`), all three at once (a cold build takes the slowest
+  compile, ``rows.c``, not the sum), ``-O3 -march=native -fPIC`` for
+  all three:
   ``-march=native`` is safe because the library is built on the host
   that serves it.  ``gelu.c`` adds ``-ffast-math``: fast-math is what
   vectorises ``expf``, and the float32 GELU is held to a bound, not to
@@ -57,15 +65,17 @@ Build rules
   every flag, the compiler's version and the host's ISA.  A directory
   or library that another user can write is never loaded from.
 * **When.** A native kernel (:class:`NativeGelu`,
-  :class:`NativeSoftmax`, :class:`NativeLayerNorm`) or a
-  :class:`.quantized.FusedHiddenLayer` loads the library when it is
-  built and again when it is unpickled (a pool worker), the
-  :class:`.kernels.SciPyImport` pattern: no request compiles or loads
-  anything.  The build costs ~0.7 s once per host; a warm set-up
-  only probes the compiler's version, once per process.
+  :class:`NativeSoftmax`, :class:`NativeLayerNorm`,
+  :class:`NativeAttention`) or a :class:`.quantized.FusedHiddenLayer`
+  loads the library when it is built and again when it is unpickled (a
+  pool worker), the :class:`.kernels.SciPyImport` pattern: no request
+  compiles or loads anything.  The build costs ~0.5 s once per host
+  (2-vCPU host); a warm set-up only probes the compiler's version, once
+  per process.
 
-If there is no compiler, or the build or load fails, the numpy kernels
-run.  There is no option to choose.
+If there is no compiler, or any compile, the link or the load fails,
+no library is left in the cache and the numpy kernels run.  There is
+no option to choose.
 """
 
 from __future__ import annotations
@@ -78,15 +88,18 @@ import platform
 import shutil
 import subprocess
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
 
 from repro.engine.fastpath.kernels import (_ERF_A, _ERF_C, fused_layer_norm,
-                                           gelu_rational, masked_softmax)
+                                           gelu_rational, masked_softmax,
+                                           ragged_attention)
 
 __all__ = ["load", "Library", "gelu_kernel", "NativeGelu", "softmax_kernel",
-           "NativeSoftmax", "layer_norm_kernel", "NativeLayerNorm"]
+           "NativeSoftmax", "layer_norm_kernel", "NativeLayerNorm",
+           "attention_kernel", "NativeAttention"]
 
 #: Each source next to this module and the flags it compiles with.
 SOURCES = {
@@ -179,16 +192,33 @@ def _run(command):
 
 
 def _build(compiler, target):
-    """Compile and link into a private temporary directory next to
-    ``target``, then move the library into place in one rename, so a
-    concurrent loader sees no library or a whole one.  The linker's
-    mode follows the umask (group-writable under ``umask 002``), so the
-    library is made writable by its owner alone."""
+    """Compile every source at once, wait for all of them, and link
+    into a private temporary directory next to ``target``; then move the
+    library into place in one rename, so a concurrent loader sees no
+    library or a whole one.  If any compile fails, nothing is linked and
+    the first failure is raised once every compile has ended.  The
+    linker's mode follows the umask (group-writable under ``umask
+    002``), so the library is made writable by its owner alone."""
     with tempfile.TemporaryDirectory(dir=target.parent) as scratch:
-        objects = []
+        objects, failures = [], []
+
+        def compile_one(command):
+            try:
+                _run(command)
+            except (OSError, subprocess.SubprocessError) as error:
+                failures.append(error)          # raised below, once all end
+
+        compiles = []
         for source, flags in SOURCES.items():
             objects.append(str(Path(scratch) / f"{source.stem}.o"))
-            _run([compiler, *flags, "-c", str(source), "-o", objects[-1]])
+            compiles.append(threading.Thread(target=compile_one, args=(
+                [compiler, *flags, "-c", str(source), "-o", objects[-1]],)))
+        for thread in compiles:
+            thread.start()
+        for thread in compiles:
+            thread.join()
+        if failures:
+            raise failures[0]
         lib = Path(scratch) / target.name
         _run([compiler, *LINK_FLAGS, *objects, "-o", str(lib), *LIBS])
         os.chmod(lib, 0o755)
@@ -216,7 +246,8 @@ def _open(compiler):
 class Library:
     """The loaded library's C functions, with their argument types."""
 
-    __slots__ = ("gelu", "tile", "quantize", "softmax", "layer_norm")
+    __slots__ = ("gelu", "tile", "quantize", "softmax", "layer_norm",
+                 "attention")
 
     def __init__(self, cdll):
         pointer, size = ctypes.c_void_p, ctypes.c_size_t
@@ -229,6 +260,9 @@ class Library:
                               pointer, size)
         self.layer_norm = _typed(cdll.layer_norm_rows_f32, pointer, size,
                                  size, size, pointer, ctypes.c_float)
+        self.attention = _typed(cdll.ragged_attention_f32, pointer, pointer,
+                                size, size, size, size, pointer)
+        self.attention.restype = ctypes.c_int
 
 
 def _typed(function, *argtypes):
@@ -404,3 +438,53 @@ def _row_stride(x):
             and step % unit == 0):
         return step // unit
     return None
+
+
+def attention_kernel():
+    """The float32 attention core for this host: :class:`NativeAttention`
+    when the library loads, else :func:`.kernels.ragged_attention`."""
+    return NativeAttention() if load() is not None else ragged_attention
+
+
+class NativeAttention:
+    """Float32 attention over packed images through ``rows.c``, in the
+    core slot's call shape ``fn(qkv, offsets, heads, out, ws=, key=)``
+    (:func:`.kernels.ragged_attention`).
+
+    For each image and head it takes sixteen queries to a vector,
+    scores them against every key, runs the softmax's max, exp
+    (``rows.c``'s) and sum over the keys and accumulates the values --
+    no score matrix in memory, no padding, no key bias.  An image's
+    bits depend only on its own rows (``rows.c``).  Built only by
+    :func:`attention_kernel`, through which it also unpickles.  ``ws``
+    and ``key`` are unused.
+    """
+
+    __slots__ = ()
+
+    def __call__(self, qkv, offsets, heads, out, ws=None, key=None):
+        if qkv.dtype != np.float32 or out.dtype != np.float32:
+            raise TypeError(f"native attention takes float32, not "
+                            f"{qkv.dtype} into {out.dtype}")
+        rows, dim = out.shape
+        if qkv.shape != (rows, 3 * dim) or dim % heads:
+            raise ValueError(f"qkv {qkv.shape} does not match out "
+                             f"{out.shape} with {heads} heads")
+        if not out.flags.c_contiguous:
+            out[...] = self(qkv, offsets, heads, np.empty((rows, dim),
+                                                          np.float32))
+            return out
+        qkv = np.ascontiguousarray(qkv)
+        offsets = np.ascontiguousarray(offsets, dtype=np.int64)
+        if offsets.ndim != 1 or offsets.size == 0:
+            raise ValueError(f"offsets {offsets.shape} hold no image")
+        status = _library.attention(_address(qkv), _address(offsets),
+                                    offsets.size - 1, rows, heads,
+                                    dim // heads, _address(out))
+        if status:
+            raise (MemoryError() if status == -2 else ValueError(
+                f"offsets do not cut {rows} rows into ordered images"))
+        return out
+
+    def __reduce__(self):
+        return attention_kernel, ()

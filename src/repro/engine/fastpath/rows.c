@@ -1,4 +1,5 @@
-/* Float32 row kernels: the masked attention softmax and LayerNorm.
+/* Float32 row kernels: the masked attention softmax, LayerNorm and the
+ * attention core over packed images.
  *
  * The native twins of kernels.masked_softmax and kernels.fused_layer_norm
  * (without its affine, which every float32 compile folds into the next
@@ -7,6 +8,12 @@
  *
  *   softmax    s = x + bias; m = max(s); e = exp(s - m); x = e / sum(e)
  *   LayerNorm  c = x - mean(x); out = c / sqrt(mean(c^2) + eps)
+ *
+ * The attention core (ragged_attention_f32, the twin of
+ * kernels.ragged_attention) runs q k^T, that softmax and the sum over
+ * values for each image of a packed (sum T, 3D) qkv array and each head,
+ * sixteen queries to a vector, and writes the head-merged context rows:
+ * no score matrix in memory, no padding, no key bias.
  *
  * The arithmetic is written out on 16-float GCC vectors (gcc splits them
  * to the host's width), so nothing depends on what the autovectoriser
@@ -35,6 +42,7 @@
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <stdlib.h>
 
 #define LANES 16
 #define GROUP 4
@@ -228,4 +236,108 @@ void layer_norm_rows_f32(const float *x, size_t rows, size_t d,
                 row[j] = flat[j] * inv[g];
         }
     }
+}
+
+/* One head of one image, LANES queries at a time, one query per lane.
+ * Rows are `stride` floats apart and the head's features of row r sit at
+ * q, k and v + r * stride.  For each block of queries: the scores of
+ * every key (GROUP keys interleaved, each a sum over the d features in
+ * order) and their running max, e = exp(s - max) and its sum over keys
+ * in order, then the context (sum_k e_k v_k) / sum_k e_k, GROUP features
+ * interleaved, written to out + row * out_stride.  Every lane runs the
+ * same instructions, so a query's bits depend only on its image's rows;
+ * a short block repeats its last query, key or feature. */
+static void attend_head(const float *q, const float *k, const float *v,
+                        size_t stride, size_t t, size_t d, vfloat *queries,
+                        vfloat *scores, float *out, size_t out_stride)
+{
+    for (size_t q0 = 0; q0 < t; q0 += LANES) {
+        size_t take = t - q0 < LANES ? t - q0 : LANES;
+        for (size_t lane = 0; lane < LANES; ++lane) {
+            const float *row = q + group_row(q0, lane, take) * stride;
+            for (size_t j = 0; j < d; ++j)
+                queries[j][lane] = row[j];
+        }
+        vfloat peak = (vfloat){} + PAD_SCORE;
+        for (size_t r0 = 0; r0 < t; r0 += GROUP) {
+            size_t keys = t - r0 < GROUP ? t - r0 : GROUP;
+            const float *key[GROUP];
+            vfloat s[GROUP];
+            for (size_t g = 0; g < GROUP; ++g)
+                key[g] = k + group_row(r0, g, keys) * stride;
+            for (int g = 0; g < GROUP; ++g)
+                s[g] = queries[0] * key[g][0];
+            for (size_t j = 1; j < d; ++j)
+                for (int g = 0; g < GROUP; ++g)
+                    s[g] += queries[j] * key[g][j];
+            for (size_t g = 0; g < keys; ++g) {
+                scores[r0 + g] = s[g];
+                peak = vmax(peak, s[g]);
+            }
+        }
+        vfloat total = (vfloat){};
+        for (size_t r = 0; r < t; ++r) {
+            vfloat e = vexp_nonpositive(scores[r] - peak);
+            scores[r] = e;
+            total += e;
+        }
+        vfloat inv = 1.0f / total;
+        for (size_t c0 = 0; c0 < d; c0 += GROUP) {
+            size_t width = d - c0 < GROUP ? d - c0 : GROUP;
+            vfloat acc[GROUP];
+            for (int g = 0; g < GROUP; ++g)
+                acc[g] = (vfloat){};
+            for (size_t r = 0; r < t; ++r) {
+                vfloat e = scores[r];
+                const float *value = v + r * stride;
+                for (size_t g = 0; g < GROUP; ++g)
+                    acc[g] += e * value[group_row(c0, g, width)];
+            }
+            vfloat tile[GROUP];
+            for (int g = 0; g < GROUP; ++g)
+                tile[g] = acc[g] * inv;
+            for (size_t lane = 0; lane < take; ++lane) {
+                float *row = out + (q0 + lane) * out_stride + c0;
+                for (size_t g = 0; g < width; ++g)
+                    row[g] = tile[g][lane];
+            }
+        }
+    }
+}
+
+/* Attention over packed images.  `qkv` holds `rows` rows of 3 * heads * d
+ * floats, [q | k | v], queries pre-scaled; image i owns rows
+ * offsets[i] .. offsets[i + 1] and attends to those alone.  Each row's
+ * head-merged context (heads * d floats) is written to the same row of
+ * `out`.  Returns 0, -1 when the offsets do not cut 0 .. rows into n
+ * ordered runs, or -2 when scratch cannot be allocated. */
+int ragged_attention_f32(const float *qkv, const int64_t *offsets, size_t n,
+                         size_t rows, size_t heads, size_t d, float *out)
+{
+    size_t width = heads * d, longest = 0;
+    if (offsets[0] != 0 || offsets[n] != (int64_t)rows)
+        return -1;
+    for (size_t i = 0; i < n; ++i) {
+        if (offsets[i + 1] < offsets[i])
+            return -1;
+        size_t t = (size_t)(offsets[i + 1] - offsets[i]);
+        longest = t > longest ? t : longest;
+    }
+    if (longest == 0 || width == 0)
+        return 0;
+    void *scratch;
+    if (posix_memalign(&scratch, sizeof(vfloat),
+                       (d + longest) * sizeof(vfloat)))
+        return -2;
+    vfloat *queries = scratch, *scores = queries + d;
+    for (size_t i = 0; i < n; ++i) {
+        size_t r0 = (size_t)offsets[i], t = (size_t)offsets[i + 1] - r0;
+        const float *base = qkv + r0 * 3 * width;
+        for (size_t h = 0; h < heads && t; ++h)
+            attend_head(base + h * d, base + width + h * d,
+                        base + 2 * width + h * d, 3 * width, t, d, queries,
+                        scores, out + r0 * width + h * d, width);
+    }
+    free(scratch);
+    return 0;
 }

@@ -34,7 +34,7 @@ from repro.core.gather import prune_image_sequence, weighted_package
 from repro.engine import (BucketedExecutor, BucketingPolicy, CompileError,
                           InferenceSession, Workspace, compile_model,
                           compile_quantized)
-from repro.engine.executor import EngineResult, _Group
+from repro.engine.executor import EngineResult, _Group, _Packed
 from repro.engine.fastpath.compiled import (CompiledBlock, CompiledModel,
                                             CompiledSelector,
                                             ModuleSelector)
@@ -761,6 +761,24 @@ def boundary_groups(rng, layout, dtype, dim=6):
     return groups, sequences
 
 
+def as_packed(groups, workspace=None):
+    """The images of bucket ``groups`` as one packed group, in group
+    order -- what a packing executor hands its later boundaries.  With
+    a ``workspace`` the rows sit in its ``packed`` arena, the memory
+    the boundary writes its output to."""
+    rows = [g.x[row, :length] for g in groups
+            for row, length in enumerate(g.lengths)]
+    lengths = np.array([len(r) for r in rows])
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    x = np.concatenate(rows)
+    if workspace is not None:
+        pooled = workspace.take("packed", x.shape)
+        pooled[...] = x
+        x = pooled
+    return _Packed(x, offsets, np.concatenate([g.indices for g in groups]),
+                   lengths, np.concatenate([g.has_package for g in groups]))
+
+
 def scripted_select(stage, flat, counts):
     """Stands in for ``BucketedExecutor._select``: decisions that are a
     function of each token alone, so they do not depend on the order
@@ -770,11 +788,12 @@ def scripted_select(stage, flat, counts):
     return flat[:, 0] > 0, flat[starts].astype(np.float64) * 2.0 + 1.0
 
 
-def boundary_executor(backbone, *, use_packager=True, backend="tensor"):
+def boundary_executor(backbone, *, use_packager=True, backend="tensor",
+                      dtype=None):
     """An executor whose selector is :func:`scripted_select`."""
     executor = BucketedExecutor(
         make_model(backbone, {1: 0.6}, use_packager=use_packager),
-        backend=backend)
+        backend=backend, dtype=dtype)
     executor._select = scripted_select
     return executor
 
@@ -791,10 +810,17 @@ def run_boundary(executor, groups, sequences):
     assert sorted(np.concatenate([g.indices for g in new_groups])) == (
         sorted(sequences))
     assert stats.num_buckets == len(new_groups)
+    if executor._packs:          # one packed array, nothing padded
+        (group,) = new_groups
+        assert isinstance(group, _Packed) and stats.padded_tokens == 0
+        assert stats.bucket_sizes == [len(sequences)]
+        assert group.offsets[-1] == group.x.shape[0]
     for group in new_groups:
         assert group.x.dtype == executor.dtype
-        assert (group.mask is None) == (
-            group.lengths == group.x.shape[1]).all()
+        packed = isinstance(group, _Packed)
+        if not packed:
+            assert (group.mask is None) == (
+                group.lengths == group.x.shape[1]).all()
         for row, image in enumerate(group.indices):
             sequence, has_package = sequences[image]
             patches = sequence[1:len(sequence) - has_package]
@@ -803,11 +829,23 @@ def run_boundary(executor, groups, sequences):
                 has_package=has_package,
                 package=patches[0].astype(np.float64) * 2.0 + 1.0)
             length = group.lengths[row]
-            np.testing.assert_array_equal(group.x[row, :length], want)
-            assert (group.x[row, length:] == 0.0).all()   # clean padding
+            if packed:
+                lo, hi = group.offsets[row:row + 2]
+                assert hi - lo == length
+                np.testing.assert_array_equal(group.x[lo:hi], want)
+            else:
+                np.testing.assert_array_equal(group.x[row, :length], want)
+                assert (group.x[row, length:] == 0.0).all()  # clean padding
             assert group.has_package[row] == want_flag
             assert counts[image] == length == want.shape[0]
     return new_groups
+
+
+# (backend, dtype) of the three boundary layouts: the tensor and
+# float64 fastpath lanes bucket, the float32 fastpath lane packs.
+LANES = [("tensor", None), ("fastpath", np.float32),
+         ("fastpath", np.float64)]
+LANE_IDS = ["tensor", "fastpath", "fastpath64"]
 
 
 class TestGroupGatherEquivalence:
@@ -840,32 +878,56 @@ class TestGroupGatherEquivalence:
             prune_image_sequence(sequence, keep, use_packager=True,
                                  has_package=False)
 
-    @pytest.mark.parametrize("backend", ["tensor", "fastpath"])
+    @pytest.mark.parametrize("backend,dtype", LANES, ids=LANE_IDS)
     @pytest.mark.parametrize("use_packager", [True, False])
     def test_mixed_lengths_padding_and_package_flags(
-            self, tiny_backbone, rng, backend, use_packager):
+            self, tiny_backbone, rng, backend, dtype, use_packager):
         layout = [[(9, False), (6, True), (9, True), (3, False)],
                   [(5, True)],
                   [(7, False), (7, True), (4, False)]]
         executor = boundary_executor(tiny_backbone, backend=backend,
-                                     use_packager=use_packager)
+                                     dtype=dtype, use_packager=use_packager)
         new_groups = run_boundary(executor, *boundary_groups(
             rng, layout, executor.dtype))
-        assert len(new_groups) > 1 or new_groups[0].mask is not None
+        if executor._packs:
+            assert executor.plan_cache_misses == 0   # no plan was made
+        else:
+            assert len(new_groups) > 1 or new_groups[0].mask is not None
 
     @given(layout=st.lists(
         st.lists(st.tuples(st.integers(1, 7), st.booleans()).map(
             lambda row: (1 + row[0] + row[1], row[1])),
             min_size=1, max_size=5), min_size=1, max_size=4),
         use_packager=st.booleans(), seed=st.integers(0, 2 ** 16),
-        backend=st.sampled_from(["tensor", "fastpath"]))
+        lane=st.sampled_from(LANES), packed_input=st.booleans())
     @settings(max_examples=60, deadline=None)
     def test_random_layouts(self, tiny_backbone, layout, use_packager,
-                            seed, backend):
+                            seed, lane, packed_input):
+        """Bucket stacks or one packed array in, on every lane: what a
+        packing executor's later boundaries are handed, too."""
+        backend, dtype = lane
         executor = boundary_executor(tiny_backbone, backend=backend,
-                                     use_packager=use_packager)
-        run_boundary(executor, *boundary_groups(
-            np.random.default_rng(seed), layout, executor.dtype))
+                                     dtype=dtype, use_packager=use_packager)
+        groups, sequences = boundary_groups(
+            np.random.default_rng(seed), layout, executor.dtype)
+        if packed_input:
+            groups = [as_packed(groups)]
+        run_boundary(executor, groups, sequences)
+
+    def test_packed_array_reuses_its_arena(self, tiny_backbone, rng):
+        """The next stage's packed array is the workspace's ``packed``
+        arena, the memory of the array the boundary reads: every row it
+        needs is copied out before the first one is written.  Images
+        prune one token each and gain a package -- same total rows."""
+        executor = boundary_executor(tiny_backbone, backend="fastpath")
+        groups, sequences = boundary_groups(rng, [[(7, False)] * 4],
+                                            executor.dtype)
+        groups[0].x[:, 2:, 0] = [-1.0, 1.0, 1.0, 1.0, 1.0]  # prune token 2
+        for row, image in enumerate(groups[0].indices):
+            sequences[image] = (groups[0].x[row].copy(), False)
+        packed = as_packed(groups, executor.workspace)
+        (out,) = run_boundary(executor, [packed], sequences)
+        assert np.shares_memory(out.x, packed.x)   # the hazard is live
 
     def test_recurring_bucket_shape_does_not_corrupt_rows(
             self, tiny_backbone, rng):
@@ -874,8 +936,10 @@ class TestGroupGatherEquivalence:
         the boundary must have copied every row it needs before it
         writes the first new bucket.  Here each of four images prunes
         one token and gains a package -- same length, same shape, rows
-        in a different order."""
-        executor = boundary_executor(tiny_backbone, backend="fastpath")
+        in a different order.  The float64 fastpath buckets; float32
+        packs (:meth:`test_packed_array_reuses_its_arena`)."""
+        executor = boundary_executor(tiny_backbone, backend="fastpath",
+                                     dtype=np.float64)
         groups, _ = boundary_groups(rng, [[(7, False)] * 4],
                                     executor.dtype)
         group = groups[0]
@@ -895,7 +959,8 @@ class TestGroupGatherEquivalence:
         """A stage's buckets are alive together, so each sits in its own
         arena -- stacks and score biases alike.  Two far-apart groups,
         each mixing two lengths: two padded buckets."""
-        executor = boundary_executor(tiny_backbone, backend="fastpath")
+        executor = boundary_executor(tiny_backbone, backend="fastpath",
+                                     dtype=np.float64)
         groups, sequences = boundary_groups(
             rng, [[(30, False)] * 4, [(8, False)] * 4], executor.dtype)
         for group in groups:

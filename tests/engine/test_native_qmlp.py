@@ -17,6 +17,7 @@ import pickle
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -27,12 +28,14 @@ from hypothesis import strategies as st
 from repro.core import HeatViT
 from repro.engine import (BucketedExecutor, InferenceSession,
                           compile_quantized)
-from repro.engine.fastpath import Workspace, compiled, native
+from repro.engine.fastpath import Workspace, compile_model, compiled, native
+from repro.engine.fastpath.kernels import gelu_rational, ragged_attention
 from repro.engine.fastpath.qkernels import (approx_gelu_fast,
                                             gelu_fast_constants,
                                             quantize_fast)
 from repro.engine.fastpath.quantized import FusedHiddenLayer
 from repro.vit import VisionTransformer, ViTConfig
+from tests.engine.test_native_gelu import fresh  # noqa: F401
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 DELTA1 = 1.0
@@ -340,13 +343,57 @@ class TestBuildRules:
                                              run(command)))
         native._build(native.find_compiler(), tmp_path / "lib.so")
         compiles, (link,) = commands[:-1], commands[-1:]
-        for command, (source, flags) in zip(compiles,
-                                            native.SOURCES.items()):
-            assert str(source) in command
-            assert command[1:1 + len(flags)] == list(flags)
+        # The compiles run at once, so they may start in any order; the
+        # link runs after every one has ended.
+        by_source = {command[command.index("-c") + 1]: command
+                     for command in compiles}
+        for source, flags in native.SOURCES.items():
+            assert by_source[str(source)][1:1 + len(flags)] == list(flags)
         assert len(compiles) == len(native.SOURCES) == 3
         assert sum(arg.endswith(".o") for arg in link) == 3
         assert "-ffast-math" not in link
+
+    @needs_gcc
+    def test_compiles_run_at_once(self, monkeypatch, tmp_path):
+        """Every compile has started before any one ends: the cold
+        build takes the slowest compile, not the sum."""
+        started, release = [], threading.Event()
+        run = native._run
+
+        def gated(command):
+            if "-c" in command:
+                started.append(command)
+                if len(started) == len(native.SOURCES):
+                    release.set()
+                assert release.wait(timeout=60)
+            run(command)
+
+        monkeypatch.setattr(native, "_run", gated)
+        native._build(native.find_compiler(), tmp_path / "lib.so")
+        assert len(started) == 3
+        assert (tmp_path / "lib.so").exists()
+
+    @needs_gcc
+    @pytest.mark.parametrize("broken", ["gelu.c", "qmlp.c", "rows.c"])
+    def test_one_failing_source_leaves_no_library(self, fresh, monkeypatch,
+                                                  broken):
+        """One source fails to compile while the others build: nothing
+        is linked, no ``.so`` and no scratch directory is left in the
+        cache, and the float32 compile serves the numpy kernels."""
+        run = native._run
+
+        def failing(command):
+            if "-c" in command and command[
+                    command.index("-c") + 1].endswith(broken):
+                raise subprocess.CalledProcessError(1, command)
+            run(command)
+
+        monkeypatch.setattr(native, "_run", failing)
+        assert native.load() is None
+        assert not any(fresh.iterdir())
+        compiled = compile_model(MODELS["pruned"], np.float32)
+        assert compiled.blocks[0].attention is ragged_attention
+        assert compiled.blocks[0].act is gelu_rational
 
     @needs_gcc
     def test_cache_key_covers_every_source_and_flag(self, monkeypatch,

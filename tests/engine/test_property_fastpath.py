@@ -728,7 +728,8 @@ class TestChunkedBlockExecution:
                     assert 0 < arena.size <= tile * tokens * hidden, name
         # ... where the float block of the same shape chunks: no arena
         # of its workspace ever held the batch, and each chunk is one
-        # MLP tile.
+        # MLP tile.  The float32 block runs packed rows, so its
+        # activation sees whole images' rows.
         block = compile_model(model).blocks[0]
         activations = _CountingActivation(block)
         x = rng.normal(size=(32, tokens, dim)).astype(np.float32)
@@ -736,8 +737,9 @@ class TestChunkedBlockExecution:
         block.forward(x, None, ws)
         chunk = ws._arenas["blk_ln"].size // (tokens * dim)
         assert 0 < chunk < 32
-        assert activations.rows == [min(chunk, 32 - lo)
-                                    for lo in range(0, 32, chunk)]
+        assert all(rows % tokens == 0 for rows in activations.rows)
+        assert [rows // tokens for rows in activations.rows] == [
+            min(chunk, 32 - lo) for lo in range(0, 32, chunk)]
         assert block_bytes(ws) <= 1.1 * CHUNK_BYTES
 
 
