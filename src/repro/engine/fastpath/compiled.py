@@ -52,12 +52,12 @@ Kernels follow the dtype
 Float64 compiles are the parity grade and run SciPy's ``erf`` and
 ``expit`` and the numpy softmax and LayerNorm; float32 compiles run
 SciPy-free kernels instead -- the rational-erf GELU, the attention
-core, the attention softmax (blocks run with a key bias) and every
-block and final LayerNorm as the native loops :mod:`.native` builds at
-set-up (numpy :func:`.kernels.gelu_rational`,
-:func:`.kernels.ragged_attention`, :func:`.kernels.masked_softmax` and
-:func:`.kernels.fused_layer_norm` where it cannot), and
-:func:`.kernels.sigmoid` -- which is also why a
+core and every block and final LayerNorm as the native loops
+:mod:`.native` builds at set-up (numpy :func:`.kernels.gelu_rational`,
+:func:`.kernels.ragged_attention` and :func:`.kernels.fused_layer_norm`
+where it cannot), the numpy :func:`.kernels.masked_softmax` (which
+only a padded :meth:`CompiledModel.forward` reaches: blocks run the
+core), and :func:`.kernels.sigmoid` -- which is also why a
 process serving only float32 or int8 never imports SciPy.  The
 selector keeps the numpy LayerNorm and softmax in both dtypes: its
 keep decisions are pinned to the Tensor reference's.
@@ -80,9 +80,17 @@ unpadded stack onto): every pass on ``(rows, D)`` operands, the four
 GEMMs as 2-D calls, in chunks of whole images whose budget is per row,
 since the core keeps no score matrix.  Every chunk, the shorter tail
 included, is a view of the same ``blk_*`` arenas, which therefore never
-grow past one chunk.  An int8 block runs its batch as one chunk (its
-activation scales are per tensor), but its fc1 -> activation still runs
-in cache-sized tiles of whole images (:meth:`CompiledBlock.mlp_tile`).
+grow past one chunk.  Where the native library loads and numpy's sgemm
+is found, a float32 block holds a runner (``CompiledBlock.runner``, a
+:class:`.native.NativeBlock`) that runs a chunk's every pass in one C
+call with the GIL released -- the software analogue of the
+accelerator's fused block pass -- and a block of two or more chunks
+runs them on its caller and the process's helper threads at once
+(:mod:`.native`).  The numpy glue (:meth:`CompiledBlock._run_packed`)
+stays the definition, and the runner gives its bits.  An int8 block
+runs its batch as one chunk (its activation scales are per tensor), but
+its fc1 -> activation still runs in cache-sized tiles of whole images
+(:meth:`CompiledBlock.mlp_tile`).
 
 One hierarchy, N kernel sets
 ----------------------------
@@ -110,8 +118,10 @@ from repro.nn.tensor import Tensor
 from repro.engine.fastpath.kernels import (SciPyImport, fused_layer_norm,
                                            gelu_exact, mask_to_bias,
                                            masked_softmax, sigmoid)
-from repro.engine.fastpath.native import (attention_kernel, gelu_kernel,
-                                          layer_norm_kernel, softmax_kernel)
+from repro.engine.fastpath.native import (NativeAttention, NativeGelu,
+                                          NativeLayerNorm, attention_kernel,
+                                          block_runner, gelu_kernel,
+                                          layer_norm_kernel)
 
 __all__ = ["compile_model", "CompiledModel", "CompiledBlock",
            "CompiledSelector", "ModuleSelector", "CompileError"]
@@ -239,16 +249,6 @@ def _sigmoid_kernel(dtype):
     return sigmoid
 
 
-def _softmax_kernel(dtype):
-    """The attention softmax for ``dtype``, picked the way GELU's is:
-    numpy :func:`.kernels.masked_softmax` for float64 parity, for
-    float32 the native row loop where it builds
-    (:func:`.native.softmax_kernel`)."""
-    if dtype == np.dtype(np.float64):
-        return masked_softmax
-    return softmax_kernel()
-
-
 def _layer_norm_kernel(dtype):
     """The LayerNorm for ``dtype``: numpy :func:`.kernels.fused_layer_norm`
     for float64 parity, for float32 the native row loop where it builds
@@ -364,7 +364,9 @@ class CompiledBlock:
     :func:`.kernels.ragged_attention`; it takes pre-scaled queries).
     A block with a core runs unpadded batches and packed rows through
     it (:meth:`forward_packed`); a padded batch, whose key bias the
-    core does not take, runs the softmax slot.
+    core does not take, runs the softmax slot.  ``runner`` is derived
+    from the slots, not supplied: a :class:`.native.NativeBlock` when
+    they hold what it reproduces (:meth:`_native`), else ``None``.
 
     :func:`compile_model` folds both LayerNorms' affine transforms into
     the GEMM that consumes them (``(xn * w + b) @ W`` becomes
@@ -390,7 +392,8 @@ class CompiledBlock:
     __slots__ = ("num_heads", "head_dim", "hidden_dim",
                  "n1_w", "n1_b", "eps1", "n2_w", "n2_b", "eps2",
                  "qkv", "proj", "fc1", "fc2", "softmax", "act",
-                 "layer_norm", "score_scale", "image_separable", "attention")
+                 "layer_norm", "score_scale", "image_separable", "attention",
+                 "runner")
 
     def __init__(self, block, norm1, norm2, qkv, proj, fc1, fc2, softmax,
                  act, score_scale=None, image_separable=False,
@@ -410,6 +413,30 @@ class CompiledBlock:
         self.score_scale = score_scale
         self.image_separable = image_separable
         self.attention = attention
+        self.runner = (block_runner((qkv, proj, fc1, fc2), self.num_heads,
+                                    self.eps1, self.eps2)
+                       if self._native() else None)
+
+    def _native(self):
+        """Whether the slots hold what a :class:`.native.NativeBlock`
+        reproduces: plain linear kernels, the native LayerNorm (with no
+        affine), attention core and GELU."""
+        return (isinstance(self.act, NativeGelu)
+                and isinstance(self.attention, NativeAttention)
+                and isinstance(self.layer_norm, NativeLayerNorm)
+                and self.n1_w is self.n1_b is self.n2_w is self.n2_b is None
+                and all(type(kernel) is LinearKernel for kernel in (
+                    self.qkv, self.proj, self.fc1, self.fc2)))
+
+    def _live_runner(self):
+        """The runner while the slots still hold what it was built over,
+        else ``None``: a block whose slot is swapped after compiling
+        serves the swapped kernel."""
+        runner = self.runner
+        if runner is None or not self._native() or runner.linears != (
+                self.qkv, self.proj, self.fc1, self.fc2):
+            return None
+        return runner
 
     def forward(self, x, bias, ws):
         """Pre-norm block, fully in place on ``x`` (``(B, T, D)``).
@@ -457,18 +484,33 @@ class CompiledBlock:
         Rows run in chunks of whole images within :data:`CHUNK_BYTES`.
         A row touches x and nine ``D``-wide rows of scratch and the
         hidden layer with up to three activation buffers; the core
-        keeps no score matrix, so the budget is per row.
+        keeps no score matrix, so the budget is per row.  A block with
+        a runner (:class:`.native.NativeBlock`) hands it every chunk of
+        two rows or more: one native call each, on this thread and the
+        helper threads.  A one-row chunk, and every chunk of a block
+        without one, runs the numpy glue (:meth:`_run_packed`, the
+        definition: numpy runs a one-row GEMM as a GEMV).
         """
+        runner = self._live_runner()
+        if runner is not None and not x.flags.c_contiguous:
+            x[...] = self.forward_packed(np.ascontiguousarray(x), offsets,
+                                         ws)
+            return x
         budget = max(CHUNK_BYTES // (x.itemsize * (
             10 * x.shape[1] + 4 * self.hidden_dim)), 1)      # rows
-        lo, images = 0, offsets.size - 1
+        lo, images, native = 0, offsets.size - 1, []
         while lo < images:
             start = offsets[lo]
             hi = max(int(np.searchsorted(offsets, start + budget,
                                          side="right")) - 1, lo + 1)
-            self._run_packed(x[start:offsets[hi]],
-                             offsets[lo:hi + 1] - start, ws)
+            if runner is not None and offsets[hi] - start > 1:
+                native.append((lo, hi))
+            else:
+                self._run_packed(x[start:offsets[hi]],
+                                 offsets[lo:hi + 1] - start, ws)
             lo = hi
+        if native:
+            runner(x, offsets, native, ws)
         return x
 
     def _run_packed(self, x, offsets, ws):
@@ -869,7 +911,7 @@ def _lower_block(block, dtype):
         proj=LinearKernel.from_linear(attn.proj, dtype),
         fc1=LinearKernel(fc1_w, fc1_b, dtype),
         fc2=LinearKernel.from_linear(block.mlp.fc2, dtype),
-        softmax=_softmax_kernel(dtype),
+        softmax=masked_softmax,
         act=_compile_activation(block.mlp.act, dtype),
         layer_norm=_layer_norm_kernel(dtype),
         attention=_attention_kernel(dtype),

@@ -1,5 +1,5 @@
-"""Native row, attention and elementwise loops, built at set-up: one
-library, three sources.
+"""Native row, attention, elementwise and block loops, built at set-up:
+one library, four sources.
 
 * ``gelu.c`` -- the float32 GELU.  :func:`.kernels.gelu_rational` makes
   nineteen whole-array numpy passes; ``gelu.c`` runs the same
@@ -8,25 +8,30 @@ library, three sources.
   compile puts in its slots: a :class:`NativeGelu` when the library
   builds and loads, else :func:`.kernels.gelu_rational`, which stays
   the definition.
-* ``rows.c`` -- the float32 attention softmax and LayerNorm, one sweep
-  per row (numpy makes 6-8 whole-array passes): the softmax folds the
-  key bias into its max loop, runs exp (an inline Cody-Waite +
-  degree-6 polynomial; libmvec's ``expf`` is no faster than
-  ``np.exp``) and the row sum in one loop and scales by the sum's
-  reciprocal; the LayerNorm reads strided rows and stops at the
+* ``rows.c`` -- the float32 LayerNorm, one sweep per row (numpy makes
+  6-8 whole-array passes), reading strided rows and stopping at the
   normalised row, because every float32 compile folds the affine into
-  the next GEMM.  :func:`softmax_kernel` and :func:`layer_norm_kernel`
-  give :class:`NativeSoftmax` / :class:`NativeLayerNorm` when the
-  library loads, else :func:`.kernels.masked_softmax` /
-  :func:`.kernels.fused_layer_norm`, which stay the definitions.  Held
+  the next GEMM.  :func:`layer_norm_kernel` gives
+  :class:`NativeLayerNorm` when the library loads, else
+  :func:`.kernels.fused_layer_norm`, which stays the definition.  Held
   to float32 bounds, not to numpy's bits; a row's bits depend only on
   that row.  ``rows.c`` also holds the attention core over packed
   images (``ragged_attention_f32``): per image and head, sixteen
-  queries to a vector, the scores of every key, that exp, the sum over
-  values and the head merge, with no score matrix in memory.
-  :func:`attention_kernel` gives :class:`NativeAttention` when the
-  library loads, else :func:`.kernels.ragged_attention`, the
-  definition.  An image's bits depend only on its own rows.
+  queries to a vector, the scores of every key, their exp (an inline
+  Cody-Waite + degree-6 polynomial; libmvec's ``expf`` is no faster
+  than ``np.exp``), the sum over values and the head merge, with no
+  score matrix in memory.  :func:`attention_kernel` gives
+  :class:`NativeAttention` when the library loads, else
+  :func:`.kernels.ragged_attention`, the definition.  An image's bits
+  depend only on its own rows.
+* ``block.c`` -- a whole float32 block over one chunk of packed
+  images (``block_f32``): ``rows.c``'s LayerNorms and core, ``gelu.c``'s
+  GELU, and the four GEMMs through the sgemm numpy itself calls, with
+  their bias and residual adds -- ``CompiledBlock._run_packed``'s
+  passes in its order and with its bits.  :func:`block_runner` gives a
+  :class:`NativeBlock` when the library loads and numpy's sgemm is
+  found (:func:`find_sgemm`), else ``None``, and the block runs its
+  numpy glue (``_run_packed``), which stays the definition.
 * ``qmlp.c`` -- the int8 float32 grade's hidden layer: fc1's rescale
   and bias plus the Eq. 12 GELU as one pass per tile, and fc2's input
   quantisation as one pass.  :class:`.quantized.FusedHiddenLayer` calls
@@ -40,22 +45,28 @@ Build rules
   pays with gcc's vector ``expf`` (libmvec), and ``rows.c`` is written
   in GCC's vector extensions, so a clang compiler counts as none.
 * **Compile** each source to an object with its own flags
-  (:data:`SOURCES`), all three at once (a cold build takes the slowest
+  (:data:`SOURCES`), all four at once (a cold build takes the slowest
   compile, ``rows.c``, not the sum), ``-O3 -march=native -fPIC`` for
-  all three:
+  all four:
   ``-march=native`` is safe because the library is built on the host
   that serves it.  ``gelu.c`` adds ``-ffast-math``: fast-math is what
   vectorises ``expf``, and the float32 GELU is held to a bound, not to
   numpy's bits.  ``rows.c`` is float32 too but adds nothing: its
   vectors are written out, and fast-math's reassociation would fold
   its exp's range reduction (``x - n ln2_hi - n ln2_lo``) and rounding
-  (``x + 1.5 * 2^23 - 1.5 * 2^23``) away.  ``qmlp.c`` adds
-  ``-ffp-contract=off`` and no fast-math: the int8 lane's served bits
-  must not move, and that holds only while every multiply and add is
-  its own IEEE rounding in numpy's order.  gcc's default
-  ``-ffp-contract=fast`` fuses ``a * b + c`` into one FMA (one
-  rounding instead of two) and moves the bits.
-* **Link** the three objects into one library with ``-lm`` (libmvec's
+  (``x + 1.5 * 2^23 - 1.5 * 2^23``) away.  ``qmlp.c`` and ``block.c``
+  add ``-ffp-contract=off`` and no fast-math: the int8 lane's served
+  bits, and the float32 runner's against its numpy glue, hold only
+  while every multiply and add is its own IEEE rounding in numpy's
+  order.  gcc's default ``-ffp-contract=fast`` fuses ``a * b + c``
+  into one FMA (one rounding instead of two) and moves the bits.
+* **BLAS.** ``block.c`` links no BLAS.  At load time
+  :func:`find_sgemm` looks up ``scipy_cblas_sgemm64_`` -- the ILP64
+  ``cblas_sgemm`` of the OpenBLAS numpy's wheel bundles -- through
+  numpy's own extension module, and :class:`NativeBlock` hands that
+  pointer to every call.  Under any other name (an MKL or another
+  numpy build) there is no runner, and blocks run their numpy glue.
+* **Link** the four objects into one library with ``-lm`` (libmvec's
   ``_ZGV*_expf``, else the library fails to load) and **without**
   ``-ffast-math``: gcc links ``crtfastmath.o`` for it, which turns on
   flush-to-zero for the whole process on load and silently zeroes
@@ -65,8 +76,8 @@ Build rules
   every flag, the compiler's version and the host's ISA.  A directory
   or library that another user can write is never loaded from.
 * **When.** A native kernel (:class:`NativeGelu`,
-  :class:`NativeSoftmax`, :class:`NativeLayerNorm`,
-  :class:`NativeAttention`) or a :class:`.quantized.FusedHiddenLayer`
+  :class:`NativeLayerNorm`, :class:`NativeAttention`,
+  :class:`NativeBlock`) or a :class:`.quantized.FusedHiddenLayer`
   loads the library when it is built and again when it is unpickled (a
   pool worker), the :class:`.kernels.SciPyImport` pattern: no request
   compiles or loads anything.  The build costs ~0.5 s once per host
@@ -76,6 +87,19 @@ Build rules
 If there is no compiler, or any compile, the link or the load fails,
 no library is left in the cache and the numpy kernels run.  There is
 no option to choose.
+
+Helper threads
+--------------
+A :class:`NativeBlock` call releases the GIL for its length (a ctypes
+``CDLL`` call does), so a block whose packed rows span two or more
+chunks runs them on its caller and on this process's helper threads:
+as many as the CPUs in the process's affinity mask, less one.  They
+start with the first runner a compile or an unpickle builds, never in a
+request, each with its own scratch arena; the caller offers a block's
+chunks, drains them itself, and waits only for the chunks a helper has
+taken -- so a busy helper (serving another session) delays nothing, and
+two sessions that share the helpers cannot deadlock.  A chunk's bits
+do not depend on the thread that runs it.
 """
 
 from __future__ import annotations
@@ -85,6 +109,7 @@ import functools
 import hashlib
 import os
 import platform
+import queue
 import shutil
 import subprocess
 import tempfile
@@ -94,12 +119,12 @@ from pathlib import Path
 import numpy as np
 
 from repro.engine.fastpath.kernels import (_ERF_A, _ERF_C, fused_layer_norm,
-                                           gelu_rational, masked_softmax,
-                                           ragged_attention)
+                                           gelu_rational, ragged_attention)
+from repro.engine.fastpath.workspace import Workspace
 
-__all__ = ["load", "Library", "gelu_kernel", "NativeGelu", "softmax_kernel",
-           "NativeSoftmax", "layer_norm_kernel", "NativeLayerNorm",
-           "attention_kernel", "NativeAttention"]
+__all__ = ["load", "Library", "gelu_kernel", "NativeGelu",
+           "layer_norm_kernel", "NativeLayerNorm", "attention_kernel",
+           "NativeAttention", "find_sgemm", "block_runner", "NativeBlock"]
 
 #: Each source next to this module and the flags it compiles with.
 SOURCES = {
@@ -109,6 +134,8 @@ SOURCES = {
         ("-O3", "-march=native", "-ffp-contract=off", "-fPIC"),
     Path(__file__).with_name("rows.c"):
         ("-O3", "-march=native", "-fPIC"),
+    Path(__file__).with_name("block.c"):
+        ("-O3", "-march=native", "-ffp-contract=off", "-fPIC"),
 }
 LINK_FLAGS = ("-shared",)
 LIBS = ("-lm",)
@@ -246,8 +273,8 @@ def _open(compiler):
 class Library:
     """The loaded library's C functions, with their argument types."""
 
-    __slots__ = ("gelu", "tile", "quantize", "softmax", "layer_norm",
-                 "attention")
+    __slots__ = ("gelu", "tile", "quantize", "layer_norm", "attention",
+                 "block", "block_scratch")
 
     def __init__(self, cdll):
         pointer, size = ctypes.c_void_p, ctypes.c_size_t
@@ -256,13 +283,16 @@ class Library:
                            ctypes.c_int, pointer, pointer, pointer)
         self.quantize = _typed(cdll.qmlp_quantize, pointer, pointer, size,
                                ctypes.c_float)
-        self.softmax = _typed(cdll.softmax_rows_f32, pointer, size, size,
-                              pointer, size)
         self.layer_norm = _typed(cdll.layer_norm_rows_f32, pointer, size,
                                  size, size, pointer, ctypes.c_float)
         self.attention = _typed(cdll.ragged_attention_f32, pointer, pointer,
                                 size, size, size, size, pointer)
         self.attention.restype = ctypes.c_int
+        self.block = _typed(cdll.block_f32, pointer, pointer, pointer, size,
+                            pointer)
+        self.block.restype = ctypes.c_int
+        self.block_scratch = _typed(cdll.block_f32_scratch, pointer, size)
+        self.block_scratch.restype = ctypes.c_size_t
 
 
 def _typed(function, *argtypes):
@@ -332,52 +362,6 @@ class NativeGelu:
         return gelu_kernel, ()
 
 
-def softmax_kernel():
-    """The float32 masked softmax for this host: :class:`NativeSoftmax`
-    when the library loads, else :func:`.kernels.masked_softmax`."""
-    return NativeSoftmax() if load() is not None else masked_softmax
-
-
-class NativeSoftmax:
-    """Float32 masked softmax in place through ``rows.c``, in the
-    softmax slot's call shape ``fn(scores, bias, ws=, key=)``.
-
-    ``scores`` is ``(B, ..., T)``; ``bias`` is ``None`` or the ``(B, T)``
-    key bias of :func:`.kernels.mask_to_bias`.  Each row is one sweep
-    (bias, max, exp, sum, scale), and its bits depend only on that row
-    and its bias row (``rows.c``).  Built only by
-    :func:`softmax_kernel`, through which it also unpickles, as
-    :class:`NativeGelu` does.  ``ws`` and ``key`` are unused.
-    """
-
-    __slots__ = ()
-
-    def __call__(self, scores, bias, ws=None, key=None):
-        if scores.dtype != np.float32:
-            raise TypeError(f"native softmax takes float32, not "
-                            f"{scores.dtype}")
-        if not scores.flags.c_contiguous:
-            scores[...] = self(np.ascontiguousarray(scores), bias)
-            return scores
-        t = scores.shape[-1]
-        if scores.size == 0:
-            return scores
-        rows = scores.size // t
-        if bias is None:
-            _library.softmax(_address(scores), rows, t, None, rows)
-            return scores
-        if bias.shape != (scores.shape[0], t):
-            raise ValueError(f"key bias {bias.shape} does not match scores "
-                             f"{scores.shape}")
-        bias = np.ascontiguousarray(bias, dtype=np.float32)
-        _library.softmax(_address(scores), rows, t, _address(bias),
-                         rows // bias.shape[0])
-        return scores
-
-    def __reduce__(self):
-        return softmax_kernel, ()
-
-
 def layer_norm_kernel():
     """The float32 LayerNorm for this host: :class:`NativeLayerNorm`
     when the library loads, else :func:`.kernels.fused_layer_norm`."""
@@ -440,6 +424,13 @@ def _row_stride(x):
     return None
 
 
+def _status_error(status, rows):
+    """The exception for a non-zero status of ``rows.c``'s core or
+    ``block.c``'s runner."""
+    return (MemoryError() if status == -2 else ValueError(
+        f"offsets do not cut {rows} rows into ordered images"))
+
+
 def attention_kernel():
     """The float32 attention core for this host: :class:`NativeAttention`
     when the library loads, else :func:`.kernels.ragged_attention`."""
@@ -482,9 +473,231 @@ class NativeAttention:
                                     offsets.size - 1, rows, heads,
                                     dim // heads, _address(out))
         if status:
-            raise (MemoryError() if status == -2 else ValueError(
-                f"offsets do not cut {rows} rows into ordered images"))
+            raise _status_error(status, rows)
         return out
 
     def __reduce__(self):
         return attention_kernel, ()
+
+
+@functools.cache
+def find_sgemm():
+    """Address of the sgemm numpy calls for a 2-D float32 matmul --
+    ``scipy_cblas_sgemm64_``, the ILP64 ``cblas_sgemm`` of the OpenBLAS
+    numpy's wheel bundles -- or ``None`` when numpy's extension module
+    does not reach a symbol of that name (an MKL or another numpy
+    build).  ``dlsym`` on the module's handle searches the libraries it
+    links, so nothing is loaded that numpy has not loaded already."""
+    core = getattr(np, "_core", None) or np.core
+    try:
+        symbol = ctypes.CDLL(core._multiarray_umath.__file__)[
+            "scipy_cblas_sgemm64_"]
+    except (AttributeError, OSError):
+        return None
+    return ctypes.cast(symbol, ctypes.c_void_p).value
+
+
+class _BlockParams(ctypes.Structure):
+    """``block.c``'s ``struct block_f32``."""
+
+    _fields_ = [(name, ctypes.c_void_p) for name in (
+        "sgemm", "qkv_w", "qkv_b", "proj_w", "proj_b", "fc1_w", "fc1_b",
+        "fc2_w", "fc2_b", "gelu")] + [
+        (name, ctypes.c_int64) for name in ("dim", "hidden", "heads")] + [
+        ("eps1", ctypes.c_float), ("eps2", ctypes.c_float)]
+
+
+def block_runner(linears, heads, eps1, eps2):
+    """A :class:`NativeBlock` over ``linears`` -- the block's qkv, proj,
+    fc1 and fc2 kernels, each with a float32 ``weight`` and a ``bias``
+    or ``None`` -- when the library loads and numpy's sgemm is found
+    (:func:`find_sgemm`), else ``None``.  Starts this process's helper
+    threads, so a compile or an unpickle starts them, never a
+    request."""
+    if load() is None:
+        return None
+    sgemm = find_sgemm()
+    if sgemm is None:
+        return None
+    _start_helpers()
+    return NativeBlock(linears, heads, eps1, eps2, sgemm)
+
+
+class NativeBlock:
+    """One float32 block chunk as one call into ``block.c``: the
+    passes of ``CompiledBlock._run_packed`` (both LayerNorms, the four
+    GEMMs with their biases, the attention core, the GELU, both
+    residuals) on a chunk of whole packed images, with its bits.
+
+    :meth:`__call__` takes a block's chunks and runs them on the caller
+    and, from two chunks up, on the helper threads (module docstring).
+    The call releases the GIL and the C side touches no Python object.
+    Built only by :func:`block_runner`, through which it also unpickles:
+    the weight and sgemm addresses are rebuilt, never pickled, and the
+    kernels it holds pickle as the block's own.
+    """
+
+    __slots__ = ("linears", "heads", "eps", "_params", "_at")
+
+    def __init__(self, linears, heads, eps1, eps2, sgemm):
+        qkv, proj, fc1, fc2 = linears
+        dim, hidden = fc1.weight.shape
+        shapes = {qkv: (dim, 3 * dim), proj: (dim, dim),
+                  fc1: (dim, hidden), fc2: (hidden, dim)}
+        for kernel, shape in shapes.items():
+            weight, bias = kernel.weight, kernel.bias
+            if (weight.dtype != np.float32 or weight.shape != shape
+                    or not weight.flags.c_contiguous
+                    or bias is not None and (bias.dtype != np.float32
+                                             or bias.shape != shape[1:]
+                                             or not bias.flags.c_contiguous)):
+                raise ValueError(f"native block takes contiguous float32 "
+                                 f"weights {shape}, not {weight.shape}")
+        if dim % heads:
+            raise ValueError(f"{heads} heads do not divide {dim} features")
+        self.linears, self.heads, self.eps = linears, heads, (eps1, eps2)
+
+        def address(array):
+            return None if array is None else array.ctypes.data
+
+        self._params = _BlockParams(
+            sgemm, *(address(array) for kernel in linears
+                     for array in (kernel.weight, kernel.bias)),
+            _COEFFS_ADDRESS, dim, hidden, heads, eps1, eps2)
+        self._at = ctypes.addressof(self._params)
+
+    def __call__(self, x, offsets, chunks, ws):
+        """The block, in place on packed ``(R, D)`` rows ``x`` (C-
+        contiguous float32) whose image ``i`` owns rows ``offsets[i]``
+        to ``offsets[i + 1]``; ``chunks`` are ``(lo, hi)`` image ranges,
+        each of at least two rows, run one native call each.  The
+        caller's scratch is ``ws``'s ``blk_run`` arena."""
+        if (x.dtype != np.float32 or not x.flags.c_contiguous
+                or not x.flags.writeable):
+            raise TypeError(f"native block takes writable C-contiguous "
+                            f"float32 rows, not {x.dtype}")
+        offsets = np.ascontiguousarray(offsets, dtype=np.int64)
+        if (x.ndim != 2 or x.shape[1] != self._params.dim or offsets[0] < 0
+                or offsets[-1] > x.shape[0]):
+            raise ValueError(f"offsets {offsets[[0, -1]]} do not cut rows "
+                             f"{x.shape} of {self._params.dim} features")
+        at = _address(offsets)
+        calls = [(at + 8 * lo, hi - lo) for lo, hi in chunks]
+        rows = max(int(offsets[hi] - offsets[lo]) for lo, hi in chunks)
+        job = _Chunks(self._at, _address(x), calls,
+                      _library.block_scratch(self._at, rows), x.shape[0])
+        helpers = _helpers
+        if len(calls) > 1 and helpers is not None:     # None: forked
+            helpers.offer(job)
+        job.drain(ws)
+        job.wait()
+        return x
+
+    def __reduce__(self):
+        return block_runner, (self.linears, self.heads, *self.eps)
+
+
+class _Chunks:
+    """One block call's chunks, taken one at a time by whichever thread
+    asks next: the caller, and any helper it was offered to."""
+
+    __slots__ = ("params", "x", "calls", "floats", "rows", "taken",
+                 "running", "done", "error")
+
+    def __init__(self, params, x, calls, floats, rows):
+        self.params, self.x, self.calls = params, x, calls
+        self.floats, self.rows = floats, rows
+        self.taken = self.running = 0
+        self.done = threading.Condition(threading.Lock())
+        self.error = None
+
+    def _take(self):
+        with self.done:
+            if self.taken == len(self.calls):
+                return None
+            self.taken += 1
+            self.running += 1
+            return self.calls[self.taken - 1]
+
+    def drain(self, ws):
+        """Run chunks on this thread, with ``ws``'s scratch, until none
+        is left."""
+        scratch = None
+        while (call := self._take()) is not None:
+            try:
+                if scratch is None:             # held while it runs
+                    scratch = ws.take("blk_run", (self.floats,))
+                    at = _address(scratch)
+                status = _library.block(self.params, self.x, *call, at)
+                if status:
+                    raise _status_error(status, self.rows)
+            except BaseException as error:
+                # Re-raised by the caller's wait(), once every chunk has
+                # run: a caller that left early would leave a helper
+                # writing rows the next request owns.
+                self.error = error
+            finally:
+                with self.done:
+                    self.running -= 1
+                    if not self.running:
+                        self.done.notify_all()
+
+    def wait(self):
+        """Once the caller has drained: wait for the chunks a helper is
+        still running, then raise the first chunk's error, if any."""
+        with self.done:
+            self.done.wait_for(lambda: not self.running)
+        if self.error is not None:
+            raise self.error
+
+
+class _Helpers:
+    """This process's helper threads: each takes offered block calls
+    and drains them beside their caller, with its own scratch."""
+
+    def __init__(self, count):
+        self._offers = queue.SimpleQueue()
+        self.threads = [threading.Thread(target=self._serve, daemon=True,
+                                         name=f"repro-engine-helper-{i}")
+                        for i in range(count)]
+        for thread in self.threads:
+            thread.start()
+
+    def offer(self, job):
+        """Offer ``job`` to up to one helper per chunk past the
+        caller's first; a busy helper finds it drained later."""
+        for _ in range(min(len(self.threads), len(job.calls) - 1)):
+            self._offers.put(job)
+
+    def _serve(self):
+        ws = Workspace(np.float32)
+        while True:
+            self._offers.get().drain(ws)
+
+
+_helpers = None
+_helpers_lock = threading.Lock()
+
+
+def _start_helpers():
+    """Start this process's helper threads once: one per CPU of the
+    affinity mask, less the caller's."""
+    global _helpers
+    with _helpers_lock:
+        if _helpers is None:
+            cpus = (len(os.sched_getaffinity(0))
+                    if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count() or 1)
+            _helpers = _Helpers(cpus - 1)
+    return _helpers
+
+
+def _forget_helpers():
+    """A forked child inherits no thread: its runners serve serially
+    until an unpickle or a compile starts its own helpers."""
+    global _helpers, _helpers_lock
+    _helpers, _helpers_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helpers)

@@ -1,31 +1,31 @@
-/* Float32 row kernels: the masked attention softmax, LayerNorm and the
- * attention core over packed images.
+/* Float32 row kernels: LayerNorm and the attention core over packed
+ * images.
  *
- * The native twins of kernels.masked_softmax and kernels.fused_layer_norm
- * (without its affine, which every float32 compile folds into the next
- * GEMM).  numpy makes 6-8 passes over the whole array; these make one
- * sweep per row, over a copy of the row in a stack buffer:
+ * The LayerNorm is the native twin of kernels.fused_layer_norm (without
+ * its affine, which every float32 compile folds into the next GEMM).
+ * numpy makes 6-8 passes over the whole array; this makes one sweep per
+ * row, over a copy of the row in a stack buffer:
  *
- *   softmax    s = x + bias; m = max(s); e = exp(s - m); x = e / sum(e)
  *   LayerNorm  c = x - mean(x); out = c / sqrt(mean(c^2) + eps)
  *
  * The attention core (ragged_attention_f32, the twin of
- * kernels.ragged_attention) runs q k^T, that softmax and the sum over
- * values for each image of a packed (sum T, 3D) qkv array and each head,
- * sixteen queries to a vector, and writes the head-merged context rows:
- * no score matrix in memory, no padding, no key bias.
+ * kernels.ragged_attention) runs q k^T, the softmax
+ * (m = max(s); e = exp(s - m); e / sum(e)) and the sum over values for
+ * each image of a packed (sum T, 3D) qkv array and each head, sixteen
+ * queries to a vector, and writes the head-merged context rows: no score
+ * matrix in memory, no padding, no key bias.
  *
  * The arithmetic is written out on 16-float GCC vectors (gcc splits them
  * to the host's width), so nothing depends on what the autovectoriser
- * makes of a loop.  A row is copied into whole vectors and padded so the
- * pad cannot change the result (a -1e30 score; a centred value masked to
- * zero); the sums accumulate lane-wise and reduce in a fixed tree.
- * GROUP rows run interleaved -- four independent dependency chains --
- * and a short last group repeats its last row, so every row goes through
- * the same instructions.  A row's bits therefore depend only on that row
- * (and its bias row): not on its address, its neighbours or how many
- * rows share the call.  The engine hands the same image to these kernels
- * in different chunks and batches.
+ * makes of a loop.  A LayerNorm row is copied into whole vectors, its
+ * pad masked to zero once centred; the sums accumulate lane-wise and
+ * reduce in a fixed tree.  GROUP rows (GROUP keys, in the core) run
+ * interleaved -- four independent dependency chains -- and a short last
+ * group repeats its last row, so every row goes through the same
+ * instructions.  A row's bits therefore depend only on that row (an
+ * image's, on that image's rows): not on its address, its neighbours or
+ * how many rows share the call.  The engine hands the same image to
+ * these kernels in different chunks and batches.
  *
  * Built with -O3 -march=native and without -ffast-math: its
  * reassociation would fold the exp's range reduction and rounding trick
@@ -36,8 +36,7 @@
  * s - m = n ln2 + r with |r| <= ln2/2, then a degree-6 polynomial
  * 1 + r + r^2 P(r) fitted for relative error (3e-9 before float32
  * rounding), scaled by 2^n through the exponent bits.  Below -87, where
- * exp nears float32's smallest normal, the weight is an exact 0 -- so
- * every key at the -1e9 mask bias gets exactly 0.
+ * exp nears float32's smallest normal, the weight is an exact 0.
  */
 #include <math.h>
 #include <stddef.h>
@@ -76,15 +75,6 @@ static inline vfloat vmax(vfloat a, vfloat b)
     __builtin_shuffle(v, (vint){1, 0, 3, 2, 5, 4, 7, 6, \
                                 9, 8, 11, 10, 13, 12, 15, 14})
 
-static inline float hmax(vfloat v)
-{
-    v = vmax(v, HALVES(v));
-    v = vmax(v, QUARTERS(v));
-    v = vmax(v, PAIRS(v));
-    v = vmax(v, NEIGHBOURS(v));
-    return v[0];
-}
-
 static inline float hsum(vfloat v)
 {
     v += HALVES(v);
@@ -117,68 +107,6 @@ static inline vfloat vexp_nonpositive(vfloat x)
 static inline size_t group_row(size_t r0, size_t g, size_t take)
 {
     return r0 + (g < take ? g : take - 1);
-}
-
-static void softmax_group(size_t nb, vfloat buf[GROUP][nb],
-                          float inv[GROUP])
-{
-    vfloat peak[GROUP], acc[GROUP];
-    float m[GROUP];
-    for (int g = 0; g < GROUP; ++g)
-        peak[g] = buf[g][0];
-    for (size_t k = 1; k < nb; ++k)
-        for (int g = 0; g < GROUP; ++g)
-            peak[g] = vmax(peak[g], buf[g][k]);
-    for (int g = 0; g < GROUP; ++g) {
-        m[g] = hmax(peak[g]);
-        acc[g] = (vfloat){};
-    }
-    for (size_t k = 0; k < nb; ++k)
-        for (int g = 0; g < GROUP; ++g) {
-            vfloat e = vexp_nonpositive(buf[g][k] - m[g]);
-            buf[g][k] = e;
-            acc[g] += e;
-        }
-    for (int g = 0; g < GROUP; ++g)
-        inv[g] = 1.0f / hsum(acc[g]);
-}
-
-/* Softmax in place over each of `rows` contiguous rows of `t` floats.
- * `bias` is NULL or one row of `t` floats per `rows_per_bias` rows: the
- * (B, T) key bias broadcast over heads and queries. */
-void softmax_rows_f32(float *x, size_t rows, size_t t, const float *bias,
-                      size_t rows_per_bias)
-{
-    if (rows == 0 || t == 0)
-        return;
-    size_t nb = (t + LANES - 1) / LANES;
-    vfloat buf[GROUP][nb];
-    float inv[GROUP];
-    for (size_t r0 = 0; r0 < rows; r0 += GROUP) {
-        size_t take = rows - r0 < GROUP ? rows - r0 : GROUP;
-        for (size_t g = 0; g < GROUP; ++g) {
-            size_t r = group_row(r0, g, take);
-            const float *row = x + r * t;
-            float *flat = (float *)buf[g];
-            if (bias) {
-                const float *b = bias + r / rows_per_bias * t;
-                for (size_t j = 0; j < t; ++j)
-                    flat[j] = row[j] + b[j];
-            } else {
-                for (size_t j = 0; j < t; ++j)
-                    flat[j] = row[j];
-            }
-            for (size_t j = t; j < nb * LANES; ++j)
-                flat[j] = PAD_SCORE;
-        }
-        softmax_group(nb, buf, inv);
-        for (size_t g = 0; g < take; ++g) {
-            float *row = x + (r0 + g) * t;
-            const float *flat = (const float *)buf[g];
-            for (size_t j = 0; j < t; ++j)
-                row[j] = flat[j] * inv[g];
-        }
-    }
 }
 
 static void layer_norm_group(size_t nb, size_t d, vfloat buf[GROUP][nb],

@@ -15,31 +15,42 @@ broadcast operands are reduced back to the operand's shape.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 __all__ = ["Tensor", "no_grad", "is_grad_enabled"]
 
-_GRAD_ENABLED = True
+class _GradMode(threading.local):
+    """Whether operations record on the tape, per thread: one thread's
+    ``no_grad`` neither leaks into nor is undone by another's (two
+    threads interleaving process-wide save/restore could leave it off
+    for good)."""
+
+    enabled = True
+
+
+_grad_mode = _GradMode()
 
 
 class no_grad:
-    """Context manager disabling graph construction (inference mode)."""
+    """Context manager disabling graph construction (inference mode) on
+    the calling thread."""
 
     def __enter__(self):
-        global _GRAD_ENABLED
-        self._prev = _GRAD_ENABLED
-        _GRAD_ENABLED = False
+        self._prev = _grad_mode.enabled
+        _grad_mode.enabled = False
         return self
 
     def __exit__(self, exc_type, exc_value, traceback):
-        global _GRAD_ENABLED
-        _GRAD_ENABLED = self._prev
+        _grad_mode.enabled = self._prev
         return False
 
 
 def is_grad_enabled():
-    """Return True when new operations will be recorded on the tape."""
-    return _GRAD_ENABLED
+    """Return True when new operations on this thread will be recorded
+    on the tape."""
+    return _grad_mode.enabled
 
 
 def _unbroadcast(grad, shape):
@@ -81,7 +92,7 @@ class Tensor:
         if isinstance(data, Tensor):
             data = data.data
         self.data = _as_array(data)
-        self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
+        self.requires_grad = bool(requires_grad) and _grad_mode.enabled
         self.grad = None
         self._backward = None
         self._parents = ()
@@ -93,7 +104,7 @@ class Tensor:
     @staticmethod
     def _make(data, parents, backward, op):
         out = Tensor(data)
-        if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+        if _grad_mode.enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = backward

@@ -115,8 +115,8 @@ SUBNORMALS = textwrap.dedent("""
     import numpy as np
     from repro.core import HeatViT
     from repro.engine import InferenceSession
-    from repro.engine.fastpath.native import (NativeGelu, NativeLayerNorm,
-                                              NativeSoftmax)
+    from repro.engine.fastpath.native import (NativeBlock, NativeGelu,
+                                              NativeLayerNorm)
     from repro.vit import VisionTransformer, ViTConfig
 
     config = ViTConfig(name="ftz", image_size=16, patch_size=4,
@@ -133,7 +133,7 @@ SUBNORMALS = textwrap.dedent("""
     session.submit(images)
     tiny = np.finfo(np.float64).smallest_subnormal
     print(json.dumps([fused, isinstance(block.act, NativeGelu)
-                      and isinstance(block.softmax, NativeSoftmax)
+                      and isinstance(block.runner, NativeBlock)
                       and isinstance(block.layer_norm, NativeLayerNorm),
                       float((np.array([1e-310]) * 1.0)[0]),
                       float(tiny * 1.0) == float(tiny)]))
@@ -144,8 +144,8 @@ SUBNORMALS = textwrap.dedent("""
 def test_loading_the_library_keeps_float64_subnormals():
     """Linking with -ffast-math would pull in crtfastmath.o, whose
     constructor sets flush-to-zero for the whole process.  Holds for the
-    whole library: the float32 session serves all three of its float32
-    kernels (GELU, softmax, LayerNorm)."""
+    whole library: the float32 session serves its native float32
+    kernels (GELU, LayerNorm, the block runner)."""
     child = subprocess.run(
         [sys.executable, "-c", SUBNORMALS], capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)

@@ -332,6 +332,9 @@ class TestBuildRules:
         # Fast-math would fold the exp's two-step range reduction and
         # its rounding trick away.
         assert "-ffast-math" not in flags["rows.c"]
+        # The runner's bias and residual adds must round as numpy's.
+        assert "-ffp-contract=off" in flags["block.c"]
+        assert "-ffast-math" not in flags["block.c"]
         assert "-ffast-math" not in native.LINK_FLAGS
 
     @needs_gcc
@@ -349,8 +352,8 @@ class TestBuildRules:
                      for command in compiles}
         for source, flags in native.SOURCES.items():
             assert by_source[str(source)][1:1 + len(flags)] == list(flags)
-        assert len(compiles) == len(native.SOURCES) == 3
-        assert sum(arg.endswith(".o") for arg in link) == 3
+        assert len(compiles) == len(native.SOURCES) == 4
+        assert sum(arg.endswith(".o") for arg in link) == 4
         assert "-ffast-math" not in link
 
     @needs_gcc
@@ -370,11 +373,12 @@ class TestBuildRules:
 
         monkeypatch.setattr(native, "_run", gated)
         native._build(native.find_compiler(), tmp_path / "lib.so")
-        assert len(started) == 3
+        assert len(started) == 4
         assert (tmp_path / "lib.so").exists()
 
     @needs_gcc
-    @pytest.mark.parametrize("broken", ["gelu.c", "qmlp.c", "rows.c"])
+    @pytest.mark.parametrize("broken", ["gelu.c", "qmlp.c", "rows.c",
+                                        "block.c"])
     def test_one_failing_source_leaves_no_library(self, fresh, monkeypatch,
                                                   broken):
         """One source fails to compile while the others build: nothing
@@ -394,6 +398,7 @@ class TestBuildRules:
         compiled = compile_model(MODELS["pruned"], np.float32)
         assert compiled.blocks[0].attention is ragged_attention
         assert compiled.blocks[0].act is gelu_rational
+        assert compiled.blocks[0].runner is None
 
     @needs_gcc
     def test_cache_key_covers_every_source_and_flag(self, monkeypatch,

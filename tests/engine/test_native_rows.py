@@ -1,14 +1,16 @@
-"""The native float32 softmax and LayerNorm (``fastpath/rows.c`` via
-``fastpath/native.py``).
+"""The native float32 LayerNorm (``fastpath/rows.c`` via
+``fastpath/native.py``), and the numpy softmax every compile keeps.
 
-Their float32 bounds are pinned next to the numpy kernels', against the
+Its float32 bound is pinned next to the numpy kernel's, against the
 float64 Tensor reference, in ``test_property_fastpath.py``.  Here: a
-row's bits depend only on that row and its bias row; other dtypes,
-mismatched shapes and a LayerNorm affine are refused; a float32 compile installs both kernels
-where gcc works and the numpy ones where there is no compiler; float64
-compiles and both quantized grades keep their own kernels, so their
-bits cannot move; and a pickled session installs the native kernels
-when it is unpickled, before its first request.
+row's bits depend only on that row; other dtypes, mismatched shapes and
+an affine are refused; a float32 compile installs it where gcc works
+and the numpy one where there is no compiler, and numpy's softmax in
+both cases (float32 blocks run the attention core; only a padded
+``CompiledModel.forward`` reaches the softmax slot); float64 compiles
+and both quantized grades keep their own kernels, so their bits cannot
+move; and a pickled session installs the native kernel when it is
+unpickled, before its first request.
 """
 
 import json
@@ -26,21 +28,12 @@ from hypothesis import strategies as st
 from repro.core import HeatViT
 from repro.engine import InferenceSession, compile_quantized
 from repro.engine.fastpath import Workspace, compile_model, native
-from repro.engine.fastpath.kernels import (fused_layer_norm, mask_to_bias,
-                                           masked_softmax)
-from repro.engine.fastpath.native import NativeLayerNorm, NativeSoftmax
+from repro.engine.fastpath.kernels import fused_layer_norm, masked_softmax
+from repro.engine.fastpath.native import NativeLayerNorm
 from repro.engine.fastpath.qkernels import approx_softmax_fast
 from repro.engine.fastpath.quantized import (_layer_norm_reference,
                                              _softmax_reference)
 from tests.engine.test_native_gelu import SRC, fresh, needs_gcc  # noqa: F401
-
-
-def native_softmax():
-    """The float32 compile's softmax kernel, which must be the native
-    one."""
-    kernel = native.softmax_kernel()
-    assert isinstance(kernel, NativeSoftmax)
-    return kernel
 
 
 def native_layer_norm():
@@ -60,19 +53,14 @@ def _scores(rng, batch, heads, tokens, scale=4.0):
             * scale).astype(np.float32)
 
 
-def _bias(rng, batch, tokens):
-    mask = np.arange(tokens) < rng.integers(1, tokens + 1, size=(batch, 1))
-    return mask_to_bias(mask, np.float32)
-
-
 @needs_gcc
 class TestPositionIndependence:
-    """A row's bits depend only on that row and its bias row: not on
-    its offset in the operand (which of the kernel's four interleaved
-    row slots it takes, or whether its group is a short last one), the
+    """A LayerNorm row's bits depend only on that row: not on its
+    offset in the operand (which of the kernel's four interleaved row
+    slots it takes, or whether its group is a short last one), the
     chunk of images it arrives in, or the other images of the batch.
 
-    This removes a dependence the numpy float32 softmax has:
+    The numpy float32 softmax has such a dependence:
     :func:`.kernels.masked_softmax` chooses its shift-free branch from
     the min and max of the whole chunk it is handed, so one image's
     weights round one way alone and another way beside an image whose
@@ -80,62 +68,12 @@ class TestPositionIndependence:
     (:meth:`test_the_numpy_softmax_depends_on_the_chunk`).
     """
 
-    @given(batch=st.integers(1, 7), heads=st.integers(1, 4),
-           tokens=st.integers(1, 70), masked=st.booleans(),
-           seed=st.integers(0, 2 ** 16))
-    @settings(max_examples=25, deadline=None)
-    def test_softmax_image_bits_do_not_depend_on_the_batch(
-            self, batch, heads, tokens, masked, seed):
-        kernel = native_softmax()
-        rng = np.random.default_rng(seed)
-        scores = _scores(rng, batch, heads, tokens)
-        bias = _bias(rng, batch, tokens) if masked else None
-        whole = _bits(kernel(scores.copy(), bias))
-        for lo in range(batch):
-            for hi in range(lo + 1, batch + 1):
-                part = kernel(scores[lo:hi].copy(),
-                              None if bias is None else bias[lo:hi])
-                assert np.array_equal(_bits(part), whole[lo:hi]), (lo, hi)
-        # The first image beside loud neighbours, at scores far outside
-        # numpy's shift-free guard.
-        loud = np.concatenate([scores[:1],
-                               _scores(rng, 3, heads, tokens, scale=400.0)])
-        loud_bias = None if bias is None else np.concatenate(
-            [bias[:1], _bias(rng, 3, tokens)])
-        assert np.array_equal(_bits(kernel(loud, loud_bias)[:1]), whole[:1])
-
-    @given(tokens=st.integers(1, 70), seed=st.integers(0, 2 ** 16))
-    @settings(max_examples=25, deadline=None)
-    def test_softmax_row_bits_at_every_offset(self, tokens, seed):
-        """Rows 0-7 on, 1-9 rows long: every slot of a group of four and
-        every length of a short last group."""
-        kernel = native_softmax()
-        rows = np.random.default_rng(seed).normal(
-            0, 4, (17, tokens)).astype(np.float32)
-        whole = _bits(kernel(rows.copy(), None))
-        for off in range(8):
-            for n in range(1, 10):
-                part = kernel(rows[off:off + n].copy(), None)
-                assert np.array_equal(_bits(part), whole[off:off + n]), (
-                    off, n)
-
-    def test_softmax_on_a_strided_view(self):
-        """A non-contiguous score view runs through a contiguous copy
-        and is written back: the same bits, its neighbours untouched."""
-        kernel = native_softmax()
-        rng = np.random.default_rng(1)
-        scores = _scores(rng, 3, 2, 20)
-        bias = _bias(rng, 3, 20)
-        whole = _bits(kernel(scores.copy(), bias))
-        host = np.repeat(scores, 2, axis=1)             # (3, 4, 20, 20)
-        kernel(host[:, ::2], bias)
-        assert np.array_equal(_bits(host[:, ::2]), whole)
-        assert np.array_equal(host[:, 1::2], scores)
-
     def test_the_numpy_softmax_depends_on_the_chunk(self):
-        """The contrast: numpy's float32 kernel gives an image other
-        bits beside an image with a score of 100; the native one does
-        not."""
+        """The contrast: numpy's float32 softmax gives an image other
+        bits beside an image with a score of 100 -- why float32 blocks
+        run the attention core, whose image bits depend only on that
+        image (``test_native_attention.py``), and the softmax slot is
+        left to the padded ``CompiledModel.forward``."""
         rng = np.random.default_rng(0)
         image = _scores(rng, 1, 4, 65)
         beside = np.concatenate([image, np.full_like(image, 100.0)])
@@ -143,9 +81,6 @@ class TestPositionIndependence:
         alone = masked_softmax(image.copy(), None, ws)
         together = masked_softmax(beside.copy(), None, ws)[:1]
         assert alone.tobytes() != together.tobytes()
-        kernel = native_softmax()
-        assert (kernel(image.copy(), None).tobytes()
-                == kernel(beside.copy(), None)[:1].tobytes())
 
     @given(batch=st.integers(1, 7), tokens=st.integers(1, 20),
            dim=st.sampled_from([1, 5, 16, 48, 64, 77]),
@@ -177,10 +112,6 @@ class TestPositionIndependence:
 
 @needs_gcc
 class TestRefusals:
-    def test_softmax_takes_float32_only(self):
-        with pytest.raises(TypeError):
-            native_softmax()(np.zeros((1, 1, 3, 3)), None)
-
     def test_layer_norm_takes_float32_only(self):
         with pytest.raises(TypeError):
             native_layer_norm()(np.zeros((2, 4)), None, None, 1e-6,
@@ -190,10 +121,7 @@ class TestRefusals:
                                 1e-6, out=np.zeros((2, 4)))
 
     def test_mismatched_shapes_are_refused(self):
-        """The C loops trust their sizes, so the wrappers check them."""
-        scores = np.zeros((2, 1, 3, 3), np.float32)
-        with pytest.raises(ValueError):
-            native_softmax()(scores, np.zeros((2, 4), np.float32))
+        """The C loop trusts its sizes, so the wrapper checks them."""
         with pytest.raises(ValueError):
             native_layer_norm()(np.zeros((2, 4), np.float32), None, None,
                                 1e-6, out=np.zeros((2, 3), np.float32))
@@ -225,7 +153,7 @@ class TestWhichKernel:
     @needs_gcc
     def test_float32_compiles_install_the_native_kernels(self, model):
         softmaxes, norms = _row_slots(compile_model(model, np.float32))
-        assert all(isinstance(slot, NativeSoftmax) for slot in softmaxes)
+        assert all(slot is masked_softmax for slot in softmaxes)
         assert all(isinstance(slot, NativeLayerNorm) for slot in norms)
 
     def test_no_compiler_installs_the_numpy_kernels(self, model,
@@ -283,7 +211,6 @@ class TestWhichKernel:
         def refuse(*args, **kwargs):
             raise AssertionError("the int8 lane ran a native row kernel")
 
-        monkeypatch.setattr(NativeSoftmax, "__call__", refuse)
         monkeypatch.setattr(NativeLayerNorm, "__call__", refuse)
         after = InferenceSession(model, backend="int8",
                                  dtype=np.float32).submit(images)
@@ -291,8 +218,9 @@ class TestWhichKernel:
 
 
 # Unpickle a float32 session in a fresh interpreter and report which
-# row kernels it holds, whether the library loaded before any request,
-# and what a request imported.
+# row kernels it holds (the softmax slot holds numpy's function),
+# whether the library loaded before any request, and what a request
+# imported.
 UNPICKLE = textwrap.dedent("""
     import json
     import pickle
@@ -325,7 +253,7 @@ def test_pickled_session_installs_the_native_kernels_when_unpickled(
         text=True, env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
     assert child.returncode == 0, child.stderr
     kinds, loaded, imported, logits = json.loads(child.stdout)
-    assert kinds == ["NativeLayerNorm", "NativeSoftmax"]
+    assert kinds == ["NativeLayerNorm", "function"]
     assert loaded
     assert imported == []
     assert logits == session.submit(images).logits.tobytes().hex()

@@ -40,7 +40,7 @@ from repro.nn import functional as F
 from repro.nn.tensor import Tensor
 from repro.vit import VisionTransformer, ViTConfig
 from tests.engine.test_native_gelu import native_gelu, needs_gcc
-from tests.engine.test_native_rows import native_layer_norm, native_softmax
+from tests.engine.test_native_rows import native_layer_norm
 
 finite = st.floats(-30.0, 30.0, allow_nan=False, width=32)
 
@@ -188,8 +188,11 @@ def float32_token_batches(draw):
 
 class TestFloat32RowKernels:
     """Float32 bounds of the softmax and LayerNorm slots, for the numpy
-    kernels and their native twins (``fastpath/rows.c``) alike, against
-    the float64 Tensor reference on the same float32 input.
+    kernels and the native LayerNorm (``fastpath/rows.c``) alike,
+    against the float64 Tensor reference on the same float32 input.
+    The softmax slot is numpy's in every compile: float32 blocks run
+    the attention core, and only a padded ``CompiledModel.forward``
+    reaches the slot.
 
     * Softmax: every weight within 5e-7 of the reference (a weight is
       at most 1, and rounding ``s - max`` costs it at most
@@ -199,8 +202,8 @@ class TestFloat32RowKernels:
       per row -- float32 rounds the mean to ``max|x|``'s ulp, and
       normalising multiplies that by ``1 / sqrt(var + eps)``.
 
-    ``test_native_rows.py`` pins the native kernels' position
-    independence and where they are installed.
+    ``test_native_rows.py`` pins the native LayerNorm's position
+    independence and where the kernels are installed.
     """
 
     @staticmethod
@@ -221,22 +224,10 @@ class TestFloat32RowKernels:
     def test_numpy_softmax(self, case):
         self.assert_softmax_within_bound(masked_softmax, *case)
 
-    @needs_gcc
-    @given(case=float32_scores())
-    @settings(max_examples=120, deadline=None)
-    def test_native_softmax(self, case):
-        self.assert_softmax_within_bound(native_softmax(), *case)
-
     @given(case=float32_wide_scores())
     @settings(max_examples=30, deadline=None)
     def test_numpy_softmax_wide_rows(self, case):
         self.assert_softmax_within_bound(masked_softmax, *case)
-
-    @needs_gcc
-    @given(case=float32_wide_scores())
-    @settings(max_examples=30, deadline=None)
-    def test_native_softmax_wide_rows(self, case):
-        self.assert_softmax_within_bound(native_softmax(), *case)
 
     @staticmethod
     def assert_layer_norm_within_bound(kernel, x):

@@ -1,5 +1,7 @@
 """Unit tests for the autodiff Tensor: forward semantics + exact grads."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -186,6 +188,39 @@ class TestBackward:
             y = x * 2.0
         assert not y.requires_grad
         assert nn.is_grad_enabled()
+
+    def test_no_grad_is_per_thread(self):
+        """Two threads whose ``no_grad`` blocks interleave (a enters, b
+        enters, a leaves, b leaves -- two sessions submitting at once)
+        leave recording on, and neither stops the main thread
+        recording meanwhile."""
+        a_in, b_in, a_out = (threading.Event() for _ in range(3))
+        x = Tensor([1.0], requires_grad=True)
+        recorded = []
+
+        def a():
+            with nn.no_grad():
+                a_in.set()
+                b_in.wait(10)
+                recorded.append((x * 2.0).requires_grad)
+            a_out.set()
+
+        def b():
+            a_in.wait(10)
+            with nn.no_grad():
+                b_in.set()
+                a_out.wait(10)
+
+        threads = [threading.Thread(target=f) for f in (a, b)]
+        for thread in threads:
+            thread.start()
+        b_in.wait(10)
+        assert (x * 2.0).requires_grad
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert recorded == [False]
+        assert nn.is_grad_enabled() and (x * 2.0).requires_grad
 
     def test_transpose_reshape_grad(self, rng):
         gradcheck(lambda x: (x.transpose(1, 0).reshape(2, 6) * 3.0).sum(),
