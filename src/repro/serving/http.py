@@ -33,6 +33,23 @@ plus a small request parser, no web framework) that exposes a
   plus the two counters only the server sees, ``http_requests`` and
   ``unavailable`` (503s).
 
+The server is bounded by construction, so no input from a socket can
+wedge or bloat it.  Every wait on a client -- for the next request
+line (the idle keep-alive wait too), the head and body after it, and
+the drain of a response -- ends after :data:`_READ_DEADLINE_S`: a
+request whose request line has arrived but whose head or body has not
+gets ``408`` and a close, a connection whose next request line has not
+arrived is closed without a word (an unasked-for ``408`` on an idle
+keep-alive socket would read as the answer to the client's next
+request), and one that does not read its answers is aborted.  A held
+long-poll is the server waiting, not a read, and keeps its
+``timeout_ms``.  At most :data:`_MAX_CONNECTIONS` connections are
+served; the next one gets ``503`` + ``Retry-After`` and a close before
+anything is read from it.  Request bodies in flight share one budget
+of :data:`_BODY_BUDGET_BYTES`: a body larger than the whole budget is
+``413``, one that does not fit beside the others ``503`` +
+``Retry-After`` and a close.
+
 The server owns an event-loop thread.  Flushing is the scheduler's own
 driver thread (:meth:`Scheduler.start`): the front door starts it
 unless it is already running and stops it only if it started it, so
@@ -76,15 +93,26 @@ _REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request",
 #: ``_MAXHEADERS``); a request with more is refused, not stored.
 _MAX_HEADERS = 100
 
-#: Seconds a request's headers and body have to arrive once its request
-#: line has: a client that stalls mid-request (slow-loris) gets ``408``
-#: and a closed connection instead of holding a task and a socket for
-#: good.  The idle wait for the next request line has no such limit.
+#: Seconds any wait on a client may last: for a whole request (its
+#: request line, head and body), and for a response to drain.  A client
+#: that stalls (slow-loris), idles or stops reading cannot hold a task
+#: and a socket for good, which is what makes :data:`_MAX_CONNECTIONS`
+#: safe: without it, that many idle sockets would lock everyone out.
 _READ_DEADLINE_S = 10.0
 
-#: ``Retry-After`` seconds on a 503 (degraded target).  Degraded mode
-#: still serves -- in-process, slower -- so a short back-off is right:
-#: the client should retry, just not immediately.
+#: Connections served at once, well under the usual 1024 open-file soft
+#: limit; the next one is answered ``503`` and closed.
+_MAX_CONNECTIONS = 256
+
+#: Request-body bytes in flight across all connections: a request
+#: reserves its ``Content-Length`` before reading the body and releases
+#: it once its response is written.  A seeded stack may not synthesize
+#: more float64 pixels than this either.
+_BODY_BUDGET_BYTES = 64 * 1024 * 1024
+
+#: ``Retry-After`` seconds on a 503 (server full, or target degraded).
+#: Degraded mode still serves -- in-process, slower -- so a short
+#: back-off is right: the client should retry, just not immediately.
 _RETRY_AFTER_S = 1
 
 
@@ -145,9 +173,9 @@ def _result_payload(result, include_logits=False):
 class _HttpError(Exception):
     """Routed straight to a JSON error response."""
 
-    def __init__(self, status, message, **extra):
+    def __init__(self, code, message, **extra):
         super().__init__(message)
-        self.status = status
+        self.status = code
         self.payload = {"status": "error", "error": message, **extra}
 
 
@@ -159,25 +187,23 @@ class FrontDoor:
     scheduler: the scheduler to expose (register sessions first).
     host/port: bind address; port 0 picks a free port (read ``.port``
         after :meth:`start`).
-    max_body_bytes: reject larger request bodies with ``413``.
 
     A scheduler that is not running is started with its defaults (and
     stopped by :meth:`stop`); start it first for another poll cadence.
+    Its bounds are module constants, not options: the read deadline, the
+    connection cap and the body budget (see the module docstring).
     """
 
-    def __init__(self, scheduler, host="127.0.0.1", port=0, *,
-                 max_body_bytes=64 * 1024 * 1024):
-        if max_body_bytes < 1:
-            raise ValueError("max_body_bytes must be >= 1")
+    def __init__(self, scheduler, host="127.0.0.1", port=0):
         self.scheduler = scheduler
         self.host = host
         self.port = int(port)
-        self.max_body_bytes = int(max_body_bytes)
         self._thread = None
         self._loop = None
         self._stop_event = None
         self._finished = None        # resolved (and replaced) on each wake
         self._connections = {}       # handler task -> (reader, writer)
+        self._bodies = {}            # reader -> body bytes it holds
         self._startup_error = None
         self._started_scheduler = False
         # What only HTTP sees (request facts are the ledger's); written
@@ -286,10 +312,21 @@ class FrontDoor:
     # ------------------------------------------------------------------
     async def _handle(self, reader, writer):
         self._connections[asyncio.current_task()] = reader, writer
+        refused = len(self._connections) > _MAX_CONNECTIONS
         try:
             while True:
+                arrived = []
                 try:
-                    request = await self._read_request(reader)
+                    if refused:
+                        raise self._unavailable("too many connections")
+                    try:
+                        request = await asyncio.wait_for(
+                            self._read_request(reader, arrived),
+                            _READ_DEADLINE_S)
+                    except asyncio.TimeoutError:
+                        if not arrived:    # nothing asked, nothing to answer
+                            break
+                        raise _HttpError(408, "request not received in time")
                 except _HttpError as exc:
                     await self._respond(writer, exc.status, exc.payload,
                                         keep_alive=False)
@@ -298,72 +335,70 @@ class FrontDoor:
                     break
                 method, target, keep_alive, body = request
                 self.counters["http_requests"] += 1
-                extra_headers = None
                 try:
-                    response = await self._route(method, target, body)
-                    status, payload = response[0], response[1]
-                    if len(response) > 2:
-                        extra_headers = response[2]
+                    status, payload = await self._route(method, target, body)
                 except _HttpError as exc:
                     status, payload = exc.status, exc.payload
                 except Exception as exc:
                     status, payload = 500, {"status": "error",
                                             "error": repr(exc)}
                 keep_alive = keep_alive and not self._stop_event.is_set()
-                await self._respond(writer, status, payload, keep_alive,
-                                    headers=extra_headers)
+                await self._respond(writer, status, payload, keep_alive)
+                del self._bodies[reader]
                 if not keep_alive:
                     break
-        except (asyncio.IncompleteReadError, ConnectionResetError,
-                BrokenPipeError):
-            pass
+        except (asyncio.TimeoutError, asyncio.IncompleteReadError,
+                ConnectionError):   # a client gone, or not reading its answer
+            writer.transport.abort()
         finally:
-            del self._connections[asyncio.current_task()]
+            self._bodies.pop(reader, None)
             writer.close()
             try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
+                await asyncio.wait_for(writer.wait_closed(), _READ_DEADLINE_S)
+            except (asyncio.TimeoutError, ConnectionError):
+                writer.transport.abort()    # not flushed in time, or gone
+            del self._connections[asyncio.current_task()]
 
-    async def _read_request(self, reader):
+    async def _read_request(self, reader, arrived):
         """Read one request: ``(method, target, keep_alive, body)``, or
         ``None`` when the client is done with the connection.
 
-        Waits as long as the client likes for a request line, then
-        gives the headers and body :data:`_READ_DEADLINE_S` to follow.
+        The caller bounds the whole read by :data:`_READ_DEADLINE_S`;
+        the request line goes into ``arrived`` as soon as it is read, so
+        a caller whose deadline passes can tell a request under way
+        (``408``) from an idle connection (closed without a word).  The
+        body's length is reserved in the body budget, as
+        ``_bodies[reader]``, before the body is read; the caller deletes
+        the entry once it has answered, or the connection has closed.
         Raises :class:`_HttpError` -- answered, then the connection
-        closes -- for a request no client of ours sends: ``408`` past
-        the deadline; ``400`` for a request line that is not three
-        words, more than :data:`_MAX_HEADERS` header lines, or a line
-        over the stream's 64 KiB limit (``readline``'s ``ValueError``);
-        ``413`` for an unreadable, negative or oversized body length.
+        closes -- for a request no client of ours sends: ``400`` for a
+        request line that is not three words, more than
+        :data:`_MAX_HEADERS` header lines, or a line over the stream's
+        64 KiB limit (``readline``'s ``ValueError``); ``413`` for an
+        unreadable or negative body length or one over the whole
+        budget; ``503`` for a body that does not fit beside the ones in
+        flight.
         """
         try:
             request_line = await reader.readline()
             if not request_line or request_line in (b"\r\n", b"\n"):
                 return None
+            arrived.append(request_line)
             words = request_line.decode("latin1").split()
             if len(words) != 3:
                 raise _HttpError(400, "malformed request line")
-            return await asyncio.wait_for(self._read_rest(reader, *words),
-                                          _READ_DEADLINE_S)
-        except asyncio.TimeoutError:
-            raise _HttpError(408, "request not received in time") from None
+            method, target, version = words
+            headers = {}
+            for _ in range(_MAX_HEADERS + 1):
+                line = await reader.readline()
+                if line in (b"\r\n", b"\n", b""):
+                    break
+                name, _, value = line.decode("latin1").partition(":")
+                headers[name.strip().lower()] = value.strip()
+            else:
+                raise _HttpError(400, f"more than {_MAX_HEADERS} header lines")
         except ValueError as exc:
             raise _HttpError(400, str(exc)) from None
-
-    async def _read_rest(self, reader, method, target, version):
-        """The headers and body after a request line (see
-        :meth:`_read_request`)."""
-        headers = {}
-        for _ in range(_MAX_HEADERS + 1):
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        else:
-            raise _HttpError(400, f"more than {_MAX_HEADERS} header lines")
         keep_alive = (headers.get(
             "connection", "keep-alive" if version == "HTTP/1.1" else "close")
             .lower() != "close")
@@ -371,24 +406,29 @@ class FrontDoor:
             length = int(headers.get("content-length", "0"))
         except ValueError:
             length = -1
-        if length < 0 or length > self.max_body_bytes:
+        if length < 0 or length > _BODY_BUDGET_BYTES:
             raise _HttpError(413, "bad content length")
-        body = await reader.readexactly(length) if length else b""
-        return method, target, keep_alive, body
+        if sum(self._bodies.values()) + length > _BODY_BUDGET_BYTES:
+            raise self._unavailable("request bodies in flight fill the "
+                                    "server's body budget")
+        self._bodies[reader] = length
+        return method, target, keep_alive, await reader.readexactly(length)
 
-    async def _respond(self, writer, status, payload, keep_alive,
-                       headers=None):
+    async def _respond(self, writer, status, payload, keep_alive):
         data = json.dumps(payload).encode()
-        extra = "".join(f"{name}: {value}\r\n"
-                        for name, value in (headers or {}).items())
+        # Every 503 here means "full or degraded for now: come back".
+        retry = f"Retry-After: {_RETRY_AFTER_S}\r\n" if status == 503 else ""
         head = (f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
                 f"Content-Type: application/json\r\n"
                 f"Content-Length: {len(data)}\r\n"
-                f"{extra}"
+                f"{retry}"
                 f"Connection: {'keep-alive' if keep_alive else 'close'}"
                 f"\r\n\r\n")
         writer.write(head.encode("latin1") + data)
-        await writer.drain()
+        # Only an answer the socket could not take at once waits, and then
+        # under the deadline: a task per response costs the loop turns.
+        if writer.transport.get_write_buffer_size():
+            await asyncio.wait_for(writer.drain(), _READ_DEADLINE_S)
 
     # ------------------------------------------------------------------
     # Routing
@@ -452,11 +492,10 @@ class FrontDoor:
                 shape = unique.pop()
             # The stack is synthesized right here, on the event loop:
             # a few body bytes may ask for no more float64 pixels than
-            # an inline body of the allowed size could carry.
-            if num_images * math.prod(shape) * 8 > self.max_body_bytes:
-                raise _HttpError(413, "num_images asks for a larger "
-                                      "stack than max_body_bytes allows "
-                                      "inline")
+            # an inline body within the body budget could carry.
+            if num_images * math.prod(shape) * 8 > _BODY_BUDGET_BYTES:
+                raise _HttpError(413, "num_images asks for a larger stack "
+                                      "than the body budget allows inline")
             return synth_images((num_images,) + tuple(shape), seed)
         raise _HttpError(400, "submit needs images or num_images")
 
@@ -483,7 +522,7 @@ class FrontDoor:
         images = self._parse_images(record, model)
         degraded = self._degraded_response(model, priority, images)
         if degraded is not None:
-            return degraded
+            raise degraded
         try:
             request_id = self.scheduler.submit(
                 images, deadline_ms=deadline_ms, model=model,
@@ -500,23 +539,19 @@ class FrontDoor:
         return 200, {"status": "queued", "request_id": request_id}
 
     def _degraded_response(self, model, priority, images):
-        """503 + ``Retry-After`` when every target this submission
-        could land on is serving degraded (its worker fleet
-        permanently lost, flushes running in-process).
+        """The ``503`` (see :meth:`_unavailable`) to answer when every
+        target this submission could land on is serving degraded (its
+        worker fleet permanently lost, flushes running in-process).
 
         Sheddable classes only: degraded capacity is a fraction of the
         fleet's, so plain traffic is pushed back with an explicit
         retry signal instead of silently piling onto the slow path.
         Premium class-0 submissions are never turned away -- degraded
         mode exists precisely so they keep completing.  Returns
-        ``None`` when the submission should proceed.
+        ``None`` when the submission should proceed.  ``priority`` is
+        ``None`` or an int (:meth:`_submit` refused any other).
         """
-        try:
-            sheddable = (DEFAULT_PRIORITY if priority is None
-                         else int(priority)) > 0
-        except (TypeError, ValueError):
-            return None           # scheduler validation will reject it
-        if not sheddable:
+        if (DEFAULT_PRIORITY if priority is None else priority) <= 0:
             return None
         sessions = self.scheduler.sessions
         if model is not None:
@@ -526,14 +561,17 @@ class FrontDoor:
                         if images.shape[1:] == s.image_shape]
         if not eligible or not all(s.degraded for s in eligible):
             return None
+        return self._unavailable("every eligible session is degraded "
+                                 "(worker fleet lost); retry later or "
+                                 "submit as priority 0")
+
+    def _unavailable(self, message):
+        """A ``503`` to raise (:meth:`_respond` adds ``Retry-After``),
+        counted in ``unavailable``: the server is full or its targets
+        degraded, and the client should retry after a short back-off."""
         self.counters["unavailable"] += 1
-        return (503,
-                {"status": "unavailable",
-                 "error": "every eligible session is degraded (worker "
-                          "fleet lost); retry later or submit as "
-                          "priority 0",
-                 "retry_after_s": _RETRY_AFTER_S},
-                {"Retry-After": str(_RETRY_AFTER_S)})
+        return _HttpError(503, message, status="unavailable",
+                          retry_after_s=_RETRY_AFTER_S)
 
     async def _result(self, id_text, query):
         try:

@@ -18,12 +18,14 @@ chaos-suite step guarded to multi-core runners, where the failure
 interleavings are most adversarial.
 """
 
+import asyncio
 import os
 import pickle
 import signal
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import numpy as np
@@ -126,6 +128,21 @@ def chaos_scheduler(model, *, fault_plan, recovery=None, clock=None,
 def submit_all(scheduler, images, **kwargs):
     return [scheduler.submit(images[i], **kwargs)
             for i in range(images.shape[0])]
+
+
+def wire_response(front, error):
+    """The bytes a front door writes to answer ``error``."""
+    class Writer:
+        data = b""
+        transport = types.SimpleNamespace(get_write_buffer_size=lambda: 0)
+
+        def write(self, data):
+            self.data += data
+
+    writer = Writer()
+    asyncio.run(front._respond(writer, error.status, error.payload,
+                               keep_alive=False))
+    return writer.data
 
 
 def assert_bitwise(results, ids, reference):
@@ -753,11 +770,10 @@ class TestFleetCollapse:
         batch = images[:1]
         degraded = front._degraded_response(None, 1, batch)
         assert degraded is not None
-        status, payload, headers = degraded
-        assert status == 503
-        assert payload["status"] == "unavailable"
-        assert payload["retry_after_s"] == 1
-        assert headers["Retry-After"] == "1"
+        assert degraded.status == 503
+        assert degraded.payload["status"] == "unavailable"
+        assert degraded.payload["retry_after_s"] == 1
+        assert b"\r\nRetry-After: 1\r\n" in wire_response(front, degraded)
         assert front.counters["unavailable"] == 1
         # Unnamed priority defaults to the sheddable class: pushed back.
         assert front._degraded_response(None, None, batch) is not None

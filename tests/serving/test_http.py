@@ -1,5 +1,6 @@
-"""The HTTP front door: endpoints, error paths, and an end-to-end
-two-tier replay over real sockets.
+"""The HTTP front door: endpoints, error paths, its bounds (read
+deadline, connection cap, body budget), and an end-to-end two-tier
+replay over real sockets.
 
 These tests run the real asyncio server on a loopback port with the
 real system clock; timing assertions are therefore kept coarse
@@ -9,7 +10,9 @@ of the same behaviors live under the virtual clock in
 """
 
 import os
+import re
 import socket
+import struct
 import subprocess
 import sys
 import textwrap
@@ -37,11 +40,47 @@ def front_door(mild_model):
             yield door, client
 
 
+HEALTHZ = b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n"
+
+
+def connect(port, timeout_s=10.0):
+    return socket.create_connection(("127.0.0.1", port), timeout=timeout_s)
+
+
+def read_response(sock):
+    """Read one whole response from a keep-alive socket; its status."""
+    data = b""
+    while b"\r\n\r\n" not in data:
+        chunk = sock.recv(65536)
+        assert chunk, f"closed after {data!r}"
+        data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    length = int(re.search(rb"Content-Length: (\d+)", head).group(1))
+    while len(body) < length:
+        body += sock.recv(65536)
+    assert len(body) == length
+    return int(head.split()[1])
+
+
+def wait_until(condition, timeout_s=5.0):
+    """Poll ``condition`` until it holds; the seconds it took."""
+    start = time.monotonic()
+    while not condition():
+        assert time.monotonic() - start < timeout_s, "condition never held"
+        time.sleep(0.005)
+    return time.monotonic() - start
+
+
+def in_flight(door):
+    """Body bytes the front door holds (``dict.copy`` is one step under
+    the GIL, so the event loop cannot change the dict mid-sum)."""
+    return sum(door._bodies.copy().values())
+
+
 def raw_exchange(port, payload, timeout_s=10.0):
     """Send raw bytes on a fresh connection; return everything the
     server answers until it closes."""
-    with socket.create_connection(("127.0.0.1", port),
-                                  timeout=timeout_s) as sock:
+    with connect(port, timeout_s) as sock:
         sock.sendall(payload)
         chunks = []
         while chunk := sock.recv(65536):
@@ -397,23 +436,27 @@ class TestErrorPaths:
                                      timeout_ms=20000)[0] == 200
         assert scheduler.pending_requests() == 0
 
-    def test_oversized_body_rejected(self, mild_model):
+    def test_oversized_body_rejected(self, mild_model, monkeypatch):
+        monkeypatch.setattr("repro.serving.http._BODY_BUDGET_BYTES", 256)
         scheduler = Scheduler(batch_window_ms=5.0)
         scheduler.register("default", mild_model)
-        with FrontDoor(scheduler, max_body_bytes=256) as door:
+        with FrontDoor(scheduler) as door:
             with FrontDoorClient("127.0.0.1", door.port) as client:
                 status, payload = client.submit(np.zeros((1, 3, 16, 16)))
                 assert status == 413
 
     def test_seed_stack_is_bounded_like_an_inline_body(self, mild_model,
-                                                       tiny_dataset):
+                                                       tiny_dataset,
+                                                       monkeypatch):
         """A 33-byte body may not make the event loop synthesize more
         pixels than an inline body could carry: 413, nothing queued,
         and the next request is served as usual."""
+        per_image = 3 * 16 * 16 * 8                   # float64 bytes
+        monkeypatch.setattr("repro.serving.http._BODY_BUDGET_BYTES",
+                            4 * per_image)
         scheduler = Scheduler(batch_window_ms=5.0)
         scheduler.register("default", mild_model)
-        per_image = 3 * 16 * 16 * 8                   # float64 bytes
-        with FrontDoor(scheduler, max_body_bytes=4 * per_image) as door:
+        with FrontDoor(scheduler) as door:
             with FrontDoorClient("127.0.0.1", door.port) as client:
                 status, payload = client.request(
                     "POST", "/v1/submit",
@@ -638,3 +681,164 @@ class TestTwoTierOverHttp:
         bulk_sessions = {res["session"] for req, res in results.values()
                         if req.priority == 1}
         assert "aggressive" in bulk_sessions
+
+
+class TestBounds:
+    """The front door's bounds, over real sockets: every wait on a client
+    ends at the read deadline, connections are capped, and request bodies
+    in flight share one byte budget.  The constants are patched small;
+    tens of sockets at most."""
+
+    def test_connection_past_the_cap_is_refused(self, front_door,
+                                                monkeypatch):
+        """With a cap of N, connection N + 1 gets 503 + Retry-After and
+        EOF without sending a byte, the first N are still served, and a
+        slot freed by a close is taken by the next connection."""
+        cap = 8
+        monkeypatch.setattr("repro.serving.http._MAX_CONNECTIONS", cap)
+        door, client = front_door
+        socks = [connect(door.port) for _ in range(cap)]
+        try:
+            for sock in socks:
+                sock.sendall(HEALTHZ)
+                assert read_response(sock) == 200
+            answer = raw_exchange(door.port, b"")
+            assert answer.startswith(b"HTTP/1.1 503 ")
+            assert b"\r\nRetry-After: 1\r\n" in answer
+            assert b"Connection: close" in answer
+            assert door.counters["unavailable"] == 1
+            for sock in socks:                        # still served
+                sock.sendall(HEALTHZ)
+                assert read_response(sock) == 200
+            socks.pop().close()
+            wait_until(lambda: len(door._connections) == cap - 1)
+            assert client.healthz()[0] == 200         # the freed slot
+            assert raw_exchange(door.port, b"").startswith(b"HTTP/1.1 503 ")
+            assert door.counters["unavailable"] == 2
+        finally:
+            for sock in socks:
+                sock.close()
+
+    @pytest.mark.parametrize("asked_first", [False, True],
+                             ids=["fresh", "keep_alive"])
+    def test_idle_connection_is_closed_without_a_word(
+            self, front_door, monkeypatch, asked_first):
+        """A connection with no request under way is closed at the read
+        deadline, fresh or after an answered request, and gets no bytes
+        back: an unasked-for 408 would read as the next answer."""
+        deadline_s = 0.3
+        monkeypatch.setattr("repro.serving.http._READ_DEADLINE_S", deadline_s)
+        door, client = front_door
+        with connect(door.port) as sock:
+            if asked_first:
+                sock.sendall(HEALTHZ)
+                assert read_response(sock) == 200
+            start = time.monotonic()
+            assert sock.recv(65536) == b""            # EOF, nothing else
+            idle_s = time.monotonic() - start
+        assert deadline_s / 2 < idle_s < deadline_s + 1.5
+        wait_until(lambda: not door._connections)
+        assert door.counters["http_requests"] == int(asked_first)
+        assert client.healthz()[0] == 200
+
+    @pytest.mark.parametrize("pipelined, last", [
+        (2000, b""),
+        (60, b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n"),
+    ], ids=["in_drain", "in_close"])
+    def test_client_that_never_reads_is_closed_at_the_deadline(
+            self, front_door, monkeypatch, pipelined, last):
+        """A client that pipelines requests and never reads a response
+        parks the handler once the socket buffers are full: in a drain
+        (2000 answers), or in the close after ``Connection: close`` (60
+        answers, under the transport's 64 KiB high-water mark).  The
+        deadline aborts the connection instead of holding it for good.
+        Both ends' socket buffers are shrunk, so a few KiB fill them."""
+        deadline_s = 0.5
+        monkeypatch.setattr("repro.serving.http._READ_DEADLINE_S", deadline_s)
+        door, client = front_door
+        sock = socket.socket()
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        try:
+            sock.connect(("127.0.0.1", door.port))
+            wait_until(lambda: len(door._connections) == 1)
+            [(_, writer)] = list(door._connections.values())
+            writer.get_extra_info("socket").setsockopt(
+                socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            sock.sendall(b"GET /stats HTTP/1.1\r\n\r\n" * pipelined + last)
+            held_s = wait_until(lambda: not door._connections)
+            assert deadline_s < held_s < deadline_s + 3.0
+            answered = door.counters["http_requests"]
+            assert answered <= pipelined + 1
+            received = b"".join(iter(lambda: sock.recv(65536), b""))
+            # Aborted, not closed: the answers still buffered are dropped.
+            assert received.count(b"HTTP/1.1 200 ") < answered
+        finally:
+            sock.close()
+        assert door._bodies == {}
+        assert client.healthz()[0] == 200
+
+    def test_body_budget_is_shared_by_every_connection(self, front_door,
+                                                        monkeypatch):
+        """Slow bodies reserve their Content-Length: the one that would
+        push the total past the budget gets 503 + Retry-After and a
+        close, the total never exceeds the budget, and it returns to 0
+        after a 408, a reset mid-body and a normal request."""
+        budget = 8 * 1024               # one 3x16x16 seeded image: 6 KiB
+        monkeypatch.setattr("repro.serving.http._BODY_BUDGET_BYTES", budget)
+        monkeypatch.setattr("repro.serving.http._READ_DEADLINE_S", 1.5)
+        door, client = front_door
+        readings = []
+
+        def slow_body(length):
+            sock = connect(door.port)
+            sock.sendall(b"POST /v1/submit HTTP/1.1\r\nContent-Length: %d"
+                         b"\r\n\r\n{\"num" % length)
+            return sock
+
+        def settles_at(total):
+            wait_until(lambda: readings.append(in_flight(door))
+                       or readings[-1] == total)
+
+        stalled = slow_body(5000)
+        settles_at(5000)
+        reset = slow_body(3000)
+        settles_at(8000)
+        try:
+            with connect(door.port) as sock:          # 8000 + 500 > 8192
+                sock.sendall(b"POST /v1/submit HTTP/1.1\r\n"
+                             b"Content-Length: 500\r\n\r\n")
+                answer = b"".join(iter(lambda: sock.recv(65536), b""))
+            assert answer.startswith(b"HTTP/1.1 503 ")
+            assert b"\r\nRetry-After: 1\r\n" in answer
+            assert b"body budget" in answer
+            assert door.counters["unavailable"] == 1
+            settles_at(8000)
+            reset.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                             struct.pack("ii", 1, 0))
+            reset.close()                             # RST mid-body
+            settles_at(5000)
+            answer = b"".join(iter(lambda: stalled.recv(65536), b""))
+            assert answer.startswith(b"HTTP/1.1 408 ")
+            settles_at(0)
+        finally:
+            reset.close()
+            stalled.close()
+        status, queued = client.request(
+            "POST", "/v1/submit", body={"num_images": 1, "seed": 3,
+                                        "pad": "x" * 7000})
+        assert status == 200                          # fits the whole budget
+        assert client.result(queued["request_id"], wait=True,
+                             timeout_ms=20_000)[0] == 200
+        wait_until(lambda: not door._bodies)          # released once answered
+        assert max(readings) <= budget
+
+    def test_default_client_retries_past_an_idle_close(self, front_door,
+                                                       monkeypatch):
+        """The server closes an idle keep-alive socket at the deadline;
+        ``FrontDoorClient``'s default retry reconnects and gets 200."""
+        monkeypatch.setattr("repro.serving.http._READ_DEADLINE_S", 0.2)
+        door, client = front_door
+        assert client.healthz()[0] == 200
+        wait_until(lambda: not door._connections)     # closed while idle
+        assert client.healthz()[0] == 200
+        assert client.stats()[1]["server"]["http_requests"] == 3
